@@ -19,10 +19,11 @@ Commands
     the supervised harness (watchdog, bounded retries, degrade),
     ``--journal PATH`` appends completed cells to a crash-safe JSONL
     journal and ``--resume PATH`` skips cells already journaled there,
-    ``--store PATH|tcp://HOST:PORT`` serves/publishes cells through the
-    content-addressed global cell store — a local directory or a
-    ``repro store serve`` server (also via ``REPRO_STORE``; see
-    ``docs/caching.md`` and ``docs/resilience.md``),
+    ``--store PATH`` serves/publishes cells through the
+    content-addressed cell store rooted at a local directory (also via
+    ``REPRO_STORE``; see ``docs/caching.md``),
+    ``--backend SPEC`` picks the local execution backend (``serial``,
+    ``pool[:chunk=K|auto]`` or ``chunked``; see ``docs/distributed.md``),
     ``--json``/``--csv``/``--out`` export results.
 
 Exit codes
@@ -43,13 +44,11 @@ Exit codes
     interval (see ``docs/resilience.md``).
 ``store <op> <path>``
     Maintain a content-addressed cell store (``docs/caching.md``):
-    ``stats`` tallies records/shards/workers (also for ``tcp://``
-    endpoints), ``verify`` re-derives every record's key and payload
-    hash (exit 1 on integrity problems), ``gc`` compacts
-    stale/duplicate/malformed records, ``export`` and ``import`` stream
-    records between hosts as a single JSONL file in bounded memory,
-    ``serve`` exposes a root over TCP for ``--store tcp://HOST:PORT``
-    fleets and ``ping`` probes such a server (``docs/resilience.md``).
+    ``stats`` tallies records/shards/workers, ``verify`` re-derives
+    every record's key and payload hash (exit 1 on integrity problems),
+    ``gc`` compacts stale/duplicate/malformed records, ``export`` and
+    ``import`` stream records between stores as a single JSONL file in
+    bounded memory.
 ``lint [paths...]``
     Static determinism linter over ``src``/``benchmarks`` (or the given
     paths); exits 1 when findings remain (see ``docs/analysis.md``).
@@ -60,18 +59,9 @@ Exit codes
     Print (or ``--check`` the stability of) the semantic code
     fingerprint of each registered cell worker — the journal-v2 /
     result-cache code-identity key.
-``worker --connect HOST:PORT``
-    Join a distributed sweep as a TCP cell worker: connect to the
-    coordinator of a ``--backend tcp:...`` run (retrying the initial
-    connection with bounded backoff) and execute leased cells until
-    told to stop (see ``docs/distributed.md``).
-``chaos proxy LISTEN UPSTREAM``
-    Forward TCP traffic while mangling it on a seeded schedule
-    (drop/delay/truncate/sever) — the harness for exercising the
-    resilience layer's failure matrix (``docs/resilience.md``).
 ``bench harness``
-    Executor dispatch-overhead microbenchmark (cells/sec for serial,
-    pool, chunked and loopback-TCP backends); writes
+    Executor dispatch-overhead microbenchmark (cells/sec for the
+    serial, pool and chunked backends); writes
     ``BENCH_harness.json``, gates with ``--check`` and appends
     trajectory rows with ``--append-history``.
 ``osu <platform>``
@@ -316,67 +306,16 @@ def _cmd_faults(args: argparse.Namespace) -> int:
 def _cmd_store(args: argparse.Namespace) -> int:
     import json
 
-    from repro.errors import ConfigError
-    from repro.harness.cellstore import CellStore
+    from repro.harness.cellstore import resolve_store
 
-    remote = args.path.startswith("tcp://")
-    if args.store_command == "serve":
-        from repro.harness.netstore import parse_endpoint, serve
-
-        host, port = parse_endpoint(args.bind)
-        return serve(
-            args.path, host, port,
-            lease_ttl=args.lease_ttl, max_requests=args.max_requests,
-        )
-    if args.store_command == "ping":
-        from repro.errors import UnavailableError
-        from repro.harness.netstore import RemoteCellStore
-
-        client = RemoteCellStore(args.path)
-        try:
-            pong = client.ping()
-        except UnavailableError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        finally:
-            client.close()
-        print(
-            f"[pong] {args.path} protocol={pong.get('version')} "
-            f"root={pong.get('root')}"
-        )
-        return 0
-    if remote and args.store_command != "stats":
-        raise ConfigError(
-            f"store {args.store_command} needs a local store root, not "
-            f"{args.path!r} (run it on the serving host)"
-        )
+    store = resolve_store(args.path)
     if args.store_command == "stats":
-        if remote:
-            from repro.harness.netstore import RemoteCellStore
-
-            client = RemoteCellStore(args.path)
-            try:
-                tallies = client.remote_stats()
-            finally:
-                client.close()
-            if args.json:
-                print(json.dumps(tallies, indent=2))
-            else:
-                from repro.harness.cellstore import StoreStats
-
-                stats = StoreStats(**{
-                    k: v for k, v in tallies.items()
-                    if k in StoreStats.__dataclass_fields__
-                })
-                print(stats.render())
-            return 0
-        stats = CellStore(args.path).stats()
+        stats = store.stats()
         if args.json:
             print(json.dumps(stats.to_dict(), indent=2))
         else:
             print(stats.render())
         return 0
-    store = CellStore(args.path)
     if args.store_command == "verify":
         report = store.verify()
         print(report.render())
@@ -457,36 +396,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_worker(args: argparse.Namespace) -> int:
-    from repro.errors import ConfigError
-    from repro.harness.netqueue import run_worker
-
-    host, sep, port = args.connect.rpartition(":")
-    if not sep or not host:
-        raise ConfigError(
-            f"--connect needs HOST:PORT, got {args.connect!r}"
-        )
-    try:
-        port_n = int(port)
-    except ValueError:
-        raise ConfigError(f"bad port in --connect: {port!r}") from None
-    return run_worker(
-        host, port_n,
-        heartbeat=args.heartbeat,
-        connect_retries=args.connect_retries,
-    )
-
-
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.faults.netchaos import run_proxy
-
-    if args.chaos_command == "proxy":
-        return run_proxy(
-            args.listen, args.upstream, spec=args.spec, seed=args.seed
-        )
-    raise AssertionError(f"unhandled chaos subcommand {args.chaos_command!r}")
-
-
 def _cmd_npb(args: argparse.Namespace) -> int:
     from repro.npb import get_benchmark
     from repro.platforms import get_platform
@@ -534,24 +443,17 @@ def _add_supervision_args(parser: argparse.ArgumentParser) -> None:
              "--supervise)",
     )
     parser.add_argument(
-        "--store", default=None, metavar="PATH|tcp://HOST:PORT",
+        "--store", default=None, metavar="PATH",
         help="serve sweep cells from (and publish fresh results to) the "
-             "content-addressed cell store — a directory rooted at PATH "
-             "or a `repro store serve` server at tcp://HOST:PORT; "
+             "content-addressed cell store rooted at directory PATH; "
              "entries are keyed by worker + args + code fingerprint so "
-             "they can never go stale; a networked store that goes down "
-             "degrades gracefully (results spool locally and drain on "
-             "reconnect) (also via REPRO_STORE; see docs/caching.md and "
-             "docs/resilience.md)",
+             "they can never go stale (also via REPRO_STORE; see "
+             "docs/caching.md)",
     )
     parser.add_argument(
         "--backend", default=None, metavar="SPEC",
-        help="execution backend for sweep cells: 'serial', "
-             "'pool[:chunk=K|auto]', 'chunked', "
-             "'tcp:HOST:PORT[,spawn=N][,lease=S]' (a multi-host TCP "
-             "work queue; spawn=N launches N local workers, others join "
-             "with `repro worker --connect`), or 'transient:<spec>' to "
-             "absorb worker loss by resubmitting; output is "
+        help="local execution backend for sweep cells: 'serial', "
+             "'pool[:chunk=K|auto]' or 'chunked'; output is "
              "byte-identical on every backend (see docs/distributed.md)",
     )
 
@@ -758,34 +660,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     st_import.add_argument("path", help="store root directory")
     st_import.add_argument("file", help="exported JSONL file to merge")
-    st_serve = store_sub.add_parser(
-        "serve",
-        help="serve a store root over TCP so fleets share results "
-             "without a shared filesystem (clients use "
-             "--store tcp://HOST:PORT)",
-    )
-    st_serve.add_argument("path", help="store root directory to serve")
-    st_serve.add_argument(
-        "bind", metavar="HOST:PORT",
-        help="address to listen on (PORT 0 binds an ephemeral port)",
-    )
-    st_serve.add_argument(
-        "--lease-ttl", type=float, default=None, metavar="S",
-        help="seconds before an unrefreshed lease is presumed orphaned "
-             "(default: REPRO_STORE_LEASE_TTL or 600)",
-    )
-    st_serve.add_argument(
-        "--max-requests", type=int, default=None, metavar="N",
-        help="exit after handling N frames — a deterministic mid-sweep "
-             "crash for chaos testing (clients degrade to their spool)",
-    )
-    st_ping = store_sub.add_parser(
-        "ping",
-        help="round-trip a tcp:// store server (readiness probe; the "
-             "attempt is retried under the default backoff policy)",
-    )
-    st_ping.add_argument("path", metavar="tcp://HOST:PORT",
-                         help="store server endpoint")
 
     bench = sub.add_parser("bench", help="performance microbenchmarks")
     bench_sub = bench.add_subparsers(dest="bench_command", required=True)
@@ -829,7 +703,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     harness_bench.add_argument(
         "--jobs", type=int, default=2,
-        help="worker processes for the pool/chunked/tcp modes (default 2)",
+        help="worker processes for the pool/chunked modes (default 2)",
     )
     harness_bench.add_argument(
         "--reps", type=int, default=1,
@@ -837,7 +711,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     harness_bench.add_argument(
         "--modes", nargs="+", default=None, metavar="MODE",
-        help="run only these modes (default: serial pool chunked tcp)",
+        help="run only these modes (default: serial pool chunked)",
     )
     harness_bench.add_argument(
         "--out", default="BENCH_harness.json", metavar="PATH",
@@ -857,49 +731,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None, metavar="PATH",
         help="append one {commit, workload, events_per_sec} JSONL row per "
              "mode to PATH (default BENCH_history.jsonl)",
-    )
-
-    worker = sub.add_parser(
-        "worker",
-        help="join a distributed sweep as a TCP cell worker",
-    )
-    worker.add_argument(
-        "--connect", required=True, metavar="HOST:PORT",
-        help="coordinator address of a --backend tcp:... run",
-    )
-    worker.add_argument(
-        "--heartbeat", type=float, default=2.0, metavar="S",
-        help="liveness heartbeat interval in seconds (default 2)",
-    )
-    worker.add_argument(
-        "--connect-retries", type=int, default=5, metavar="N",
-        help="initial-connection retries with bounded backoff, absorbing "
-             "the coordinator/worker startup race (default 5; 0 = fail "
-             "immediately on connection-refused)",
-    )
-
-    chaos = sub.add_parser(
-        "chaos",
-        help="network chaos tools for exercising the resilience layer",
-    )
-    chaos_sub = chaos.add_subparsers(dest="chaos_command", required=True)
-    ch_proxy = chaos_sub.add_parser(
-        "proxy",
-        help="forward LISTEN to UPSTREAM, mangling traffic on a seeded "
-             "schedule (drop/delay/truncate/sever per chunk)",
-    )
-    ch_proxy.add_argument("listen", metavar="HOST:PORT",
-                          help="address to listen on (PORT 0 = ephemeral)")
-    ch_proxy.add_argument("upstream", metavar="HOST:PORT",
-                          help="address to forward to")
-    ch_proxy.add_argument(
-        "--spec", default="", metavar="RULES",
-        help="chaos rules, e.g. 'drop:p=0.05;delay:p=0.2,ms=50;"
-             "truncate:p=0.02;sever:p=0.01' (default: pass everything)",
-    )
-    ch_proxy.add_argument(
-        "--seed", type=int, default=0,
-        help="seed for the per-connection mangling schedule (default 0)",
     )
 
     osu = sub.add_parser("osu", help="run OSU latency/bandwidth on a platform")
@@ -933,8 +764,6 @@ _COMMANDS: dict[str, _t.Callable[[argparse.Namespace], int]] = {
     "faults": _cmd_faults,
     "bench": _cmd_bench,
     "store": _cmd_store,
-    "worker": _cmd_worker,
-    "chaos": _cmd_chaos,
 }
 
 

@@ -164,62 +164,6 @@ class CellExecutionError(ReproError):
         super().__init__(message)
 
 
-class RemoteCellError(ReproError):
-    """A cell failed *deterministically* on a remote work-queue worker.
-
-    Raised coordinator-side by :mod:`repro.harness.netqueue` when a
-    remote worker reports a :class:`ReproError` (other than
-    :class:`ConfigError`, which is reconstructed as itself): the failure
-    is a property of the cell, not of the transport, so the supervisor
-    must treat it exactly like a local deterministic failure — record
-    it, never retry it.  Carries the remote exception's class name and
-    formatted traceback for the failure report.
-    """
-
-    def __init__(
-        self, remote_type: str, remote_message: str, remote_traceback: str = ""
-    ) -> None:
-        self.remote_type = remote_type
-        self.remote_message = remote_message
-        self.remote_traceback = remote_traceback
-        message = f"remote worker raised {remote_type}: {remote_message}"
-        if remote_traceback:
-            message += f"\n{remote_traceback.rstrip()}"
-        super().__init__(message)
-
-
-class UnavailableError(ReproError):
-    """A networked endpoint could not be reached within the resilience bounds.
-
-    Raised by :func:`repro.harness.resilience.retry_call` when every
-    deadline-bounded attempt against an endpoint failed (connection
-    refused, reset, timed out).  Callers that can degrade gracefully —
-    the remote cell-store client above all — catch this family, flip
-    into offline mode and keep the sweep running; callers that cannot
-    let it surface as a fatal error.
-    """
-
-
-class CircuitOpenError(UnavailableError):
-    """A call was refused because the endpoint's circuit breaker is open.
-
-    No network I/O was attempted: the breaker has seen too many
-    consecutive failures and is absorbing calls until its cooldown
-    elapses (see :class:`repro.harness.resilience.CircuitBreaker`).
-    Semantically the endpoint is just as unavailable as a refused
-    connection, hence the parentage.
-    """
-
-
-class StoreUnavailableError(UnavailableError):
-    """The remote cell store is unreachable (degraded mode engaged).
-
-    Internal to :mod:`repro.harness.netstore`: the client converts it
-    into graceful degradation (serve misses, spool publishes) rather
-    than letting it abort a sweep, so user code normally never sees it.
-    """
-
-
 class ConfigError(ReproError):
     """Invalid platform, benchmark or experiment configuration."""
 

@@ -3,9 +3,9 @@
 See :mod:`repro.faults.schedule` for the fault model and spec format,
 :mod:`repro.faults.injector` for how schedules are replayed against a
 world, :mod:`repro.faults.checkpoint` for the checkpoint/restart cost
-model and the restart harness, and :mod:`repro.faults.netchaos` for
-the seeded network chaos proxy that mangles the repo's *real*
-transports (networked store, TCP work queue).
+model and the restart harness, and :mod:`repro.faults.sweep` for the
+failure-rate x checkpoint-interval sweep.  Every fault here is
+simulated inside a world; nothing touches a real transport.
 """
 
 from repro.faults.checkpoint import (
@@ -16,7 +16,6 @@ from repro.faults.checkpoint import (
     young_interval,
 )
 from repro.faults.injector import FaultInjector
-from repro.faults.netchaos import ChaosProxy, parse_chaos_spec
 from repro.faults.report import InjectedFault, ResilienceReport
 from repro.faults.schedule import (
     ENV_FLAG,
@@ -33,7 +32,6 @@ from repro.faults.sweep import SweepResult, sweep_failure_checkpoint
 
 __all__ = [
     "ENV_FLAG",
-    "ChaosProxy",
     "CheckpointPolicy",
     "CompletionStats",
     "FaultInjector",
@@ -47,7 +45,6 @@ __all__ = [
     "SweepResult",
     "default_schedule",
     "faults_scope",
-    "parse_chaos_spec",
     "resolve_schedule",
     "run_with_restarts",
     "simulate_completion",

@@ -156,7 +156,7 @@ def sweep_failure_checkpoint(
     :class:`~repro.harness.executor.CellExecutor` backend (a
     ``--backend`` spec string, see
     :func:`~repro.harness.executor.make_executor`): same cells, same
-    merge-by-key grid, byte-identical output on every transport.
+    merge-by-key grid, byte-identical output on every backend.
     """
     if not rates or not intervals:
         raise ConfigError("faults sweep needs at least one rate and one interval")

@@ -2,8 +2,8 @@
 
 The resume journal (:mod:`repro.harness.journal`) persists completed
 cells for *one* interrupted run.  This module generalises that idea
-into a store shared across runs, hosts and users: every cell result is
-keyed by a canonical content hash of
+into a store shared across runs (and across hosts on a shared
+filesystem): every cell result is keyed by a canonical content hash of
 
 * the registered **worker name**,
 * its **encoded arguments** (the journal's typed encoding, so tuples
@@ -165,10 +165,8 @@ def build_record(
 ) -> dict | None:
     """The store record for one fresh result; None for uncacheable workers.
 
-    One construction site for every publisher — the local store, the
-    offline spool and the networked client all emit byte-identical
-    record lines for the same result, which is what lets a spooled
-    record drain to a server verbatim.
+    One construction site for every record, so any two publishers of
+    the same result emit byte-identical record lines.
     """
     code = _worker_code(worker)
     if code is None:
@@ -330,6 +328,10 @@ class CellStore:
             raise ConfigError(f"lease TTL must be > 0: {lease_ttl}")
         self.lease_ttl = lease_ttl
         self._held: set[str] = set()
+        #: Content addresses this instance published: a deferred cell
+        #: whose address is here (or in ``_held``) is a same-sweep
+        #: duplicate of one of our own cells, not a peer's.
+        self._published: set[str] = set()
         self._owner = f"{socket.gethostname()}:{os.getpid()}:{id(self):x}"
 
     # -- paths ------------------------------------------------------------
@@ -377,17 +379,20 @@ class CellStore:
             yield lineno, line, rec
 
     # -- the hot path -----------------------------------------------------
-    def find_by_address(
-        self, key: str, worker: str, code: str, digest: str
-    ) -> _t.Any:
-        """Uncounted lookup by full content address — :data:`MISS` or the result.
+    def _find(self, worker: str, args: _t.Sequence[_t.Any]) -> _t.Any:
+        """Uncounted lookup — :data:`MISS` or the stored result.
 
-        The primitive the networked store server
-        (:mod:`repro.harness.netstore`) serves directly: the client
-        derives ``key``/``code``/``digest`` from code it can see, and a
-        hit requires every component to match, so a server that cannot
-        fingerprint the worker itself still never serves a stale entry.
+        The counter-free primitive behind :meth:`lookup` and the peer
+        polling loop (:meth:`await_peer` re-reads a shard many times for
+        one logical lookup; counting each poll would garble the banner).
+        A hit requires the full content address to match: key, worker,
+        code fingerprint and payload hash.
         """
+        code = _worker_code(worker)
+        if code is None:
+            return MISS
+        key = store_key(worker, args, code)
+        digest = payload_hash(worker, args)
         found: _t.Any = MISS
         for _lineno, _line, rec in self._scan_shard(self.shard_path(key)):
             if (
@@ -400,21 +405,6 @@ class CellStore:
             ):
                 found = decode_value(rec["result"])  # last record wins
         return found
-
-    def _find(self, worker: str, args: _t.Sequence[_t.Any]) -> _t.Any:
-        """Uncounted lookup — :data:`MISS` or the stored result.
-
-        The counter-free primitive behind :meth:`lookup` and the peer
-        polling loop (:meth:`await_peer` re-reads a shard many times for
-        one logical lookup; counting each poll would garble the banner).
-        """
-        code = _worker_code(worker)
-        if code is None:
-            return MISS
-        key = store_key(worker, args, code)
-        return self.find_by_address(
-            key, worker, code, payload_hash(worker, args)
-        )
 
     def lookup(self, worker: str, args: _t.Sequence[_t.Any]) -> _t.Any:
         """The stored result for ``(worker, args)``, or :data:`MISS`.
@@ -448,22 +438,6 @@ class CellStore:
         finally:
             os.close(fd)
 
-    def append_record(self, rec: dict) -> str | None:
-        """Validate and append a prebuilt record; the problem string on reject.
-
-        The primitive behind ``import`` and the networked store server's
-        ``publish`` op: every record is re-checked with
-        :func:`record_problem` before it touches a shard, so a tampered
-        client (or transit corruption) can never plant a record whose
-        key does not re-derive from its payload.  Does not count as a
-        local publish and never touches leases.
-        """
-        problem = record_problem(rec)
-        if problem is not None:
-            return problem
-        self._append_record_line(rec["k"], json.dumps(rec, sort_keys=True) + "\n")
-        return None
-
     def publish(
         self, worker: str, args: _t.Sequence[_t.Any], result: _t.Any
     ) -> bool:
@@ -475,6 +449,7 @@ class CellStore:
             record["k"], json.dumps(record, sort_keys=True) + "\n"
         )
         self.published += 1
+        self._published.add(record["k"])
         self._release(record["k"])  # the published record supersedes our claim
         return True
 
@@ -507,16 +482,7 @@ class CellStore:
         """Claim the right to compute ``(worker, args)``; False: a peer has it.
 
         Uncacheable workers have no content address and therefore no
-        lease: ``True``, just run it.  See :meth:`try_lease_key` for the
-        claim protocol.
-        """
-        key = self._lease_key(worker, args)
-        if key is None:
-            return True
-        return self.try_lease_key(key)
-
-    def try_lease_key(self, key: str) -> bool:
-        """Claim the lease for content address ``key``; False: a peer has it.
+        lease: ``True``, just run it.
 
         The claim is an ``O_CREAT | O_EXCL`` lease file named by the
         cell's content address — the same lockless append-only
@@ -527,6 +493,9 @@ class CellStore:
         :meth:`_take_over_stale`, whose exclusive-marker protocol
         guarantees at most one racer wins.
         """
+        key = self._lease_key(worker, args)
+        if key is None:
+            return True
         path = self.lease_path(key)
         payload = json.dumps({"owner": self._owner, "k": key}, sort_keys=True)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -654,7 +623,15 @@ class CellStore:
         also gives up with :data:`MISS`; computing the cell twice is
         merely redundant, never incorrect, because both publishes carry
         the same content address.
+
+        A cell deferred behind *our own* lease (two cells of one sweep
+        with different keys but the same content address) never waits:
+        the sibling's published result is served without counting a
+        peer wait, and an unpublished sibling (it failed) is an
+        immediate :data:`MISS`.
         """
+        key = self._lease_key(worker, args)
+        own = key is not None and (key in self._held or key in self._published)
         if max_wait is None:
             max_wait = self.lease_ttl
         deadline = time.monotonic() + max_wait  # lint-ok: DET001 lease liveness only, never in results
@@ -662,11 +639,11 @@ class CellStore:
             value = self._find(worker, args)
             if value is not MISS:
                 self.hits += 1
-                self.misses -= 1  # the planned miss became a peer-served hit
-                self.peer_waits += 1
+                self.misses -= 1  # the planned miss became a served hit
+                if not own:
+                    self.peer_waits += 1
                 return value
-            key = self._lease_key(worker, args)
-            if key is None:
+            if key is None or own:
                 return MISS
             path = self.lease_path(key)
             if (not path.exists() or self._lease_stale(path)) and self.try_lease(
@@ -862,15 +839,6 @@ class CellStore:
                 added += 1
         return added, skipped_existing, skipped_invalid
 
-    def close(self) -> None:
-        """Release resources; a no-op for the directory-backed store.
-
-        Exists so store consumers (:func:`store_scope` above all) can
-        close whatever :func:`resolve_store` handed them without
-        type-switching — the networked client's override disconnects
-        and drains its offline spool.
-        """
-
 
 # ---------------------------------------------------------------------------
 # Activation: scope + environment
@@ -886,21 +854,18 @@ _ENV_STORES: dict[str, CellStore] = {}
 
 
 def resolve_store(spec: "CellStore | str | pathlib.Path") -> CellStore:
-    """The store named by ``spec`` — a directory root or ``tcp://HOST:PORT``.
+    """The store named by ``spec``: an instance, or a directory root.
 
-    A ``tcp://`` spec resolves to a
-    :class:`repro.harness.netstore.RemoteCellStore` talking to a
-    ``repro store serve`` server (imported lazily — netstore depends on
-    this module); anything else is a local directory-backed
-    :class:`CellStore`.  Instances pass through unchanged.
+    A ``<scheme>://`` spec is rejected rather than silently becoming a
+    local directory named after the scheme.
     """
     if isinstance(spec, CellStore):
         return spec
-    text = str(spec)
-    if text.startswith("tcp://"):
-        from repro.harness.netstore import RemoteCellStore
-
-        return RemoteCellStore(text)
+    if "://" in str(spec):
+        raise ConfigError(
+            f"store spec {str(spec)!r} is not a directory path; only local "
+            "directory stores are supported"
+        )
     return CellStore(spec)
 
 
@@ -908,11 +873,10 @@ def active_store() -> CellStore | None:
     """The cell store in force, if any.
 
     An explicit :func:`store_scope` wins; otherwise ``REPRO_STORE``
-    names a store root or a ``tcp://HOST:PORT`` server (resolved once
-    per spec per process).  Store consultation happens only in the
-    dispatching process — pool workers never touch the store, so this
-    is free of cross-process races beyond the append-safe file protocol
-    (or the server's request serialization) itself.
+    names a store root (resolved once per spec per process).  Store
+    consultation happens only in the dispatching process — pool workers
+    never touch the store, so this is free of cross-process races beyond
+    the append-safe file protocol itself.
     """
     store = _STORE.get()
     if store is not None:
@@ -928,20 +892,10 @@ def active_store() -> CellStore | None:
 
 @contextlib.contextmanager
 def store_scope(store: "CellStore | str | pathlib.Path") -> _t.Iterator[CellStore]:
-    """Make ``store`` (an instance, root path, or ``tcp://`` spec) active.
-
-    A store *resolved here* (passed as a spec rather than an instance)
-    is closed on exit — for a remote store that disconnects and drains
-    any offline spool; instances passed in stay open, their lifecycle
-    belongs to the caller.
-    """
-    owned = not isinstance(store, CellStore)
-    if owned:
-        store = resolve_store(store)
+    """Make ``store`` (an instance or a root path) the active store."""
+    store = resolve_store(store)
     token = _STORE.set(store)
     try:
         yield store
     finally:
         _STORE.reset(token)
-        if owned:
-            store.close()

@@ -1,4 +1,4 @@
-"""Transport-agnostic cell executors: one scheduling interface, many backends.
+"""Local cell executors: one scheduling interface, serial and pool backends.
 
 Everything that fans sweep cells out — :func:`repro.harness.parallel.run_cells`,
 the supervisor's dispatch rounds, the faults sweep, ``run_batch`` — schedules
@@ -20,17 +20,9 @@ Backends
     internally, still one future per cell externally), cutting the
     per-cell IPC/pickling overhead that dominates large sweeps of cheap
     cells.
-:class:`~repro.harness.netqueue.WorkQueueExecutor`
-    A TCP work queue: remote ``repro worker --connect HOST:PORT``
-    processes lease cells over length-prefixed JSON frames; a worker
-    that vanishes mid-cell has its lease re-queued, so the sweep
-    completes as long as one worker survives.
-:class:`TransientExecutor`
-    A wrapper policy, not a transport: it resubmits cells whose worker
-    died (``BrokenProcessPool`` / :class:`WorkerLostError`) to a
-    recycled inner backend a bounded number of times, so *any* backend
-    absorbs transient worker death; failures past the bound surface as
-    worker-loss for the supervisor's retry/journal machinery to own.
+
+A pool worker that dies surfaces as ``BrokenProcessPool``; the
+supervisor's retry/degrade machinery owns recovery from it.
 
 Activation
 ----------
@@ -38,15 +30,14 @@ Activation
 :func:`executor_scope` (what ``repro run --backend SPEC`` uses via
 ``run_batch(backend=...)``) installs one for a whole batch; and
 :func:`make_executor` parses the ``--backend`` spec grammar
-(``serial`` | ``pool[:chunk=K]`` | ``chunked`` | ``tcp:HOST:PORT[,spawn=N]``,
-optionally wrapped as ``transient:<spec>``).  See ``docs/distributed.md``.
+(``serial`` | ``pool[:chunk=K|auto]`` | ``chunked``).  See
+``docs/distributed.md``.
 """
 
 from __future__ import annotations
 
 import contextlib
 import contextvars
-import threading
 import typing as _t
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -57,18 +48,8 @@ if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.harness.parallel import Cell
 
 
-class WorkerLostError(Exception):
-    """A transport-level worker was lost while (or before) running a cell.
-
-    Deliberately *not* a :class:`~repro.errors.ReproError`: a vanished
-    worker says nothing about the cell itself, so the supervisor treats
-    it exactly like a broken process pool — retry or degrade, never
-    "deterministic failure".
-    """
-
-
-#: Exceptions that mean "the executor lost a worker", across transports.
-WORKER_LOSS_ERRORS = (BrokenProcessPool, WorkerLostError)
+#: Exceptions that mean "the executor lost a worker".
+WORKER_LOSS_ERRORS = (BrokenProcessPool,)
 
 
 def _settle_future(fut: Future, value: _t.Any = None,
@@ -86,15 +67,9 @@ def _settle_future(fut: Future, value: _t.Any = None,
 
 
 def _mark_running(fut: Future) -> bool:
-    """Move a manual future to RUNNING; False when it was cancelled.
-
-    Safe to call again for a future that is already running (a
-    re-queued lease keeps its original future).
-    """
+    """Move a manual future to RUNNING; False when it was cancelled."""
     if fut.cancelled():
         return False
-    if fut.running():
-        return True
     try:
         return fut.set_running_or_notify_cancel()
     except RuntimeError:
@@ -106,14 +81,14 @@ def _mark_running(fut: Future) -> bool:
 # ---------------------------------------------------------------------------
 
 class CellExecutor:
-    """One transport for executing sweep cells.
+    """One backend for executing sweep cells.
 
     The contract is deliberately tiny: :meth:`submit` returns a
     ``concurrent.futures.Future`` for one cell (so ``wait``/
     ``as_completed`` and the supervisor's watchdog work on every
     backend), :meth:`submit_many` may batch, :meth:`recycle` yields the
     executor to use for the next supervised dispatch round after a
-    disruption, and :meth:`shutdown` releases the transport.  Executors
+    disruption, and :meth:`shutdown` releases the workers.  Executors
     never reorder results — callers always merge by cell key in cell
     order, which is what keeps every backend byte-identical.
     """
@@ -134,15 +109,14 @@ class CellExecutor:
         """The executor for the next dispatch round after a disruption.
 
         ``kill`` means workers may be hung (tear them down hard).  The
-        default tears this executor down and hands back ``self`` —
-        backends that can rebuild lazily (the local pool) or shrug off
-        individual worker loss (the work queue) return themselves.
+        default tears this executor down and hands back ``self``, which
+        works for both backends: the local pool rebuilds lazily.
         """
         self.shutdown(kill=kill)
         return self
 
     def shutdown(self, kill: bool = False) -> None:
-        """Release the transport (idempotent).
+        """Release the backend's workers (idempotent).
 
         ``kill=True`` must not wait on hung or dead workers: cancel
         queued cells, terminate what can be terminated, return.
@@ -333,98 +307,6 @@ class LocalPoolExecutor(CellExecutor):
 
 
 # ---------------------------------------------------------------------------
-# Transient-worker wrapper policy
-# ---------------------------------------------------------------------------
-
-class TransientExecutor(CellExecutor):
-    """Absorb worker death on top of any backend (``transient:<spec>``).
-
-    A cell whose future fails with worker loss is resubmitted to a
-    recycled inner executor, up to ``respawns`` extra attempts per cell
-    — the spot/transient-resource model where workers are expected to
-    vanish.  Loss past the bound surfaces as the original worker-loss
-    error, which the supervisor's retry/journal machinery (when active)
-    then owns.  Cell *results* are never touched, so wrapping a backend
-    cannot change a report.
-    """
-
-    kind = "transient"
-
-    def __init__(self, inner: CellExecutor, *, respawns: int = 2) -> None:
-        if respawns < 0:
-            raise ConfigError(f"respawns must be >= 0: {respawns}")
-        self.inner = inner
-        self.respawns = respawns
-        self.resubmitted = 0
-        self._lock = threading.Lock()
-        self._generation = 0
-
-    parallel = True
-
-    def describe(self) -> str:
-        return f"transient({self.inner.describe()}, respawns={self.respawns})"
-
-    def banner(self) -> str:
-        inner = self.inner.banner() or f"executor: {self.inner.describe()}"
-        return f"{inner}, {self.resubmitted} resubmitted after worker loss"
-
-    def _recycle_inner(self, seen_generation: int) -> None:
-        """Recycle the inner backend once per breakage generation."""
-        with self._lock:
-            if self._generation == seen_generation:
-                self.inner = self.inner.recycle(kill=True)
-                self._generation += 1
-
-    def _attach(self, outer: Future, cell: "Cell", attempt: int) -> None:
-        with self._lock:
-            generation = self._generation
-        try:
-            inner_future = self.inner.submit(cell)
-        except WORKER_LOSS_ERRORS as exc:
-            if attempt >= self.respawns:
-                _settle_future(outer, exc=exc)
-                return
-            self._recycle_inner(generation)
-            self.resubmitted += 1
-            self._attach(outer, cell, attempt + 1)
-            return
-        inner_future.add_done_callback(
-            lambda f: self._settle(outer, cell, attempt, generation, f)
-        )
-
-    def _settle(self, outer: Future, cell: "Cell", attempt: int,
-                generation: int, inner_future: Future) -> None:
-        if inner_future.cancelled():
-            outer.cancel()
-            return
-        exc = inner_future.exception()
-        if isinstance(exc, WORKER_LOSS_ERRORS) and attempt < self.respawns:
-            self._recycle_inner(generation)
-            self.resubmitted += 1
-            self._attach(outer, cell, attempt + 1)
-            return
-        if exc is not None:
-            _settle_future(outer, exc=exc)
-        else:
-            _settle_future(outer, value=inner_future.result())
-
-    def submit(self, cell: "Cell") -> Future:
-        outer: Future = Future()
-        _mark_running(outer)
-        self._attach(outer, cell, 0)
-        return outer
-
-    def recycle(self, kill: bool = False) -> "CellExecutor":
-        with self._lock:
-            self.inner = self.inner.recycle(kill=kill)
-            self._generation += 1
-        return self
-
-    def shutdown(self, kill: bool = False) -> None:
-        self.inner.shutdown(kill=kill)
-
-
-# ---------------------------------------------------------------------------
 # Activation: scope + spec grammar
 # ---------------------------------------------------------------------------
 
@@ -482,22 +364,12 @@ def make_executor(spec: str, jobs: int | None = None) -> CellExecutor:
         pool                        process pool (--jobs workers)
         pool:chunk=K                chunked dispatch, K cells per batch
         chunked                     process pool, chunk size chosen automatically
-        tcp:HOST:PORT[,spawn=N][,lease=S]
-                                    TCP work queue listening on HOST:PORT
-                                    (PORT 0 = ephemeral), optionally
-                                    spawning N local `repro worker`s
-        transient:<spec>            wrap any of the above in the
-                                    transient-worker respawn policy
     """
     spec = (spec or "").strip()
     if spec in ("", "serial"):
         return SerialExecutor()
     head, _, rest = spec.partition(":")
     head = head.strip()
-    if head == "transient":
-        if not rest:
-            raise ConfigError("transient: needs an inner backend, e.g. transient:pool")
-        return TransientExecutor(make_executor(rest, jobs))
     if head in ("pool", "chunked"):
         options = _parse_options(rest.split(","), spec)
         chunk: int | str = "auto" if head == "chunked" else 1
@@ -516,30 +388,7 @@ def make_executor(spec: str, jobs: int | None = None) -> CellExecutor:
         if options:
             raise ConfigError(f"unknown pool backend option(s) {sorted(options)} in {spec!r}")
         return LocalPoolExecutor(jobs, chunk=chunk)
-    if head == "tcp":
-        from repro.harness.netqueue import WorkQueueExecutor
-
-        parts = rest.split(",")
-        address = parts[0].strip()
-        host, _, port_text = address.rpartition(":")
-        if not host:
-            host, port_text = "127.0.0.1", address
-        try:
-            port = int(port_text)
-        except ValueError:
-            raise ConfigError(
-                f"bad tcp backend address {address!r} (expected HOST:PORT)"
-            ) from None
-        options = _parse_options(parts[1:], spec)
-        try:
-            spawn = int(options.pop("spawn", "0"))
-            lease = float(options.pop("lease", "60"))
-        except ValueError as exc:
-            raise ConfigError(f"bad tcp backend option in {spec!r}: {exc}") from None
-        if options:
-            raise ConfigError(f"unknown tcp backend option(s) {sorted(options)} in {spec!r}")
-        return WorkQueueExecutor(host, port, spawn=spawn, lease_timeout=lease)
     raise ConfigError(
         f"unknown backend spec {spec!r}; expected serial | pool[:chunk=K] | "
-        "chunked | tcp:HOST:PORT[,spawn=N] | transient:<spec>"
+        "chunked"
     )

@@ -225,7 +225,7 @@ def run_cells(
 ) -> dict[tuple, _t.Any]:
     """Execute ``cells`` and return ``{cell.key: result}`` in cell order.
 
-    Cells are scheduled through a transport-agnostic
+    Cells are scheduled through a
     :class:`~repro.harness.executor.CellExecutor`: pass one explicitly,
     install one for a whole batch with
     :func:`~repro.harness.executor.executor_scope` (what ``--backend``
@@ -233,11 +233,11 @@ def run_cells(
     process pool otherwise.  The result mapping is always assembled in
     the order the cells were given, so downstream rendering is
     independent of the backend and of scheduling: serial, pooled,
-    chunked and multi-host TCP execution render byte-identical reports.
-    A failing cell re-raises its exception here, whichever process (or
-    host) it ran in; a dying *worker* surfaces as a structured
+    and chunked execution render byte-identical reports.
+    A failing cell re-raises its exception here, whichever process it
+    ran in; a dying *worker* surfaces as a structured
     :class:`~repro.errors.CellExecutionError` naming the offending cell
-    instead of an opaque transport traceback.  A ``KeyboardInterrupt``
+    instead of an opaque pool traceback.  A ``KeyboardInterrupt``
     cancels outstanding cells and tears the backend down before
     re-raising — nothing is left dangling.
 

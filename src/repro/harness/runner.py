@@ -188,16 +188,15 @@ def run_batch(
     :attr:`BatchResult.store_summary` (stderr-only, like the harness
     banner).  Composes with supervision and the journal: resume hits
     win over store hits, and both are never served across a code edit.
-    When several executors share one store, sweep dispatch is
-    store-aware: each executor leases the cells it will compute and
-    awaits cells a peer holds, so no cell is ever computed twice.
+    When several runs share one store directory, sweep dispatch is
+    store-aware: each run leases the cells it will compute and awaits
+    cells a peer holds, so no cell is ever computed twice.
 
     ``backend`` schedules every sweep cell through an explicit
-    :class:`~repro.harness.executor.CellExecutor` backend, given as a
-    ``--backend`` spec string (``serial`` | ``pool[:chunk=K]`` |
-    ``chunked`` | ``tcp:HOST:PORT[,spawn=N]`` | ``transient:<spec>``,
-    see :func:`~repro.harness.executor.make_executor` and
-    ``docs/distributed.md``).  The backend is transport only — results
+    local :class:`~repro.harness.executor.CellExecutor` backend, given
+    as a ``--backend`` spec string (``serial`` | ``pool[:chunk=K|auto]``
+    | ``chunked``, see :func:`~repro.harness.executor.make_executor` and
+    ``docs/distributed.md``).  The backend is dispatch only — results
     always merge by cell key in cell order — so every backend renders a
     byte-identical report; its one-line banner lands in
     :attr:`BatchResult.executor_summary` (stderr-only).

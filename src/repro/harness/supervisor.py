@@ -379,12 +379,10 @@ def _run_supervised(
                 continue
         remaining.append(_Task(c, digest, code))
     if store is not None and remaining:
-        # One store-aware scheduling pass for the whole sweep (a single
-        # batched round trip per chunk for a networked store, instead
-        # of two per cell): served results land directly, won leases
-        # become our tasks, and lost leases — a peer executor sharing
-        # this store is computing that cell right now — defer to
-        # await_peer after our own dispatch.
+        # One store-aware scheduling pass for the whole sweep: served
+        # results land directly, won leases become our tasks, and lost
+        # leases — a peer executor sharing this store is computing that
+        # cell right now — defer to await_peer after our own dispatch.
         plan = store.plan_cells([t.cell for t in remaining])
         deferred_keys = {c.key for c in plan.deferred}
         for t in remaining:
@@ -440,12 +438,17 @@ def _run_supervised(
         for c in deferred:
             from repro.harness.cellstore import MISS
 
+            peer_waits = store.peer_waits
             value = store.await_peer(c.worker, c.args)
             if value is not MISS:
                 results[c.key] = value
-                stats.peer_hits += 1
+                if store.peer_waits > peer_waits:
+                    stats.peer_hits += 1
+                else:  # a same-sweep duplicate of one of our own cells
+                    stats.store_hits += 1
                 continue
-            # The peer gave up (or died): the lease is ours now, run it.
+            # The peer gave up (or died), or our own duplicate failed:
+            # the lease is ours now, run it.
             task = _Task(
                 c,
                 payload_hash(c.worker, c.args),

@@ -2,9 +2,8 @@
 
 Measures cells dispatched per second through each
 :class:`~repro.harness.executor.CellExecutor` backend driving the same
-synthetic ``bench_cell`` sweep — serial (inline), per-cell pool futures,
-chunked pool dispatch, and a loopback-TCP work queue with two spawned
-workers — so the harness's scheduling overhead has dedicated
+synthetic ``bench_cell`` sweep — serial (inline), per-cell pool futures
+and chunked pool dispatch — so the harness's scheduling overhead has dedicated
 before/after numbers, separate from the engine's event throughput
 (``repro bench engine``).
 
@@ -28,7 +27,7 @@ import typing as _t
 from repro.errors import ConfigError
 
 #: Benchmark modes, in report order.
-MODES = ("serial", "pool", "chunked", "tcp")
+MODES = ("serial", "pool", "chunked")
 
 #: ``--check`` floor for chunked cells/sec over per-cell pool futures.
 #: A ratio, so it holds across machines — unlike the absolute
@@ -38,9 +37,6 @@ SPEEDUP_FLOOR = 1.3
 #: Per-cell spin for the synthetic ``bench_cell`` worker: small enough
 #: that dispatch overhead dominates the measurement.
 BENCH_SPIN = 64
-
-#: Loopback-TCP mode spawns this many worker processes.
-TCP_SPAWN = 2
 
 
 def _bench_cells(n: int) -> list[_t.Any]:
@@ -53,11 +49,7 @@ def _bench_cells(n: int) -> list[_t.Any]:
 
 
 def _make_mode_executor(mode: str, jobs: int) -> _t.Any:
-    from repro.harness.executor import (
-        LocalPoolExecutor,
-        SerialExecutor,
-        make_executor,
-    )
+    from repro.harness.executor import LocalPoolExecutor, SerialExecutor
 
     if mode == "serial":
         return SerialExecutor()
@@ -65,8 +57,6 @@ def _make_mode_executor(mode: str, jobs: int) -> _t.Any:
         return LocalPoolExecutor(jobs, chunk=1)
     if mode == "chunked":
         return LocalPoolExecutor(jobs, chunk="auto")
-    if mode == "tcp":
-        return make_executor(f"tcp:127.0.0.1:0,spawn={TCP_SPAWN}", jobs)
     raise ConfigError(
         f"unknown harness bench mode {mode!r}; expected one of {list(MODES)}"
     )
@@ -78,7 +68,7 @@ def run_mode(mode: str, cells: int, jobs: int) -> dict[str, float]:
     The batch goes straight through the executor (``submit_many`` +
     drain) — no store, no supervision — so the number is pure dispatch
     overhead.  A small untimed warm-up batch first pays the one-off
-    backend costs (pool spin-up, TCP worker connects) that would
+    backend costs (pool spin-up) that would
     otherwise swamp the per-cell rate.
     """
     if cells < 1:

@@ -47,6 +47,13 @@ def _cs_plain(x):
     return {"v": float(x)}
 
 
+@cell_worker("cs_fail")
+def _cs_fail(x):
+    """Always-failing worker, for failed-cell lease handling."""
+    _CALLS.append(("cs_fail", x))
+    raise RuntimeError(f"cs_fail({x})")
+
+
 #: A cheap, real, statically fingerprintable cell (1 trial).
 FAULTS_CELL = Cell(("r", 0.001), "faults_point",
                    (0.001, 300.0, 600.0, 5.0, 10.0, 1, 1))
@@ -63,7 +70,8 @@ def fake_fingerprints(monkeypatch):
     """
     import repro.analysis.static as static
 
-    fingerprints = {"cs_count": "aa" * 16, "cs_plain": "bb" * 16}
+    fingerprints = {"cs_count": "aa" * 16, "cs_plain": "bb" * 16,
+                    "cs_fail": "cc" * 16}
     real = static.worker_fingerprint
     monkeypatch.setattr(
         static, "worker_fingerprint",
@@ -389,6 +397,46 @@ class TestLeases:
         t0 = time.monotonic()
         assert mine.await_peer("cs_count", (2,), poll=0.01, max_wait=0.1) is MISS
         assert time.monotonic() - t0 < 5.0  # gave up, did not wait out the TTL
+
+    def test_own_duplicate_is_served_not_awaited(self, tmp_path,
+                                                 fake_fingerprints):
+        # Two cells with different keys but one content address (fig6's
+        # ("EC2", 64) / ("EC2-4", 64) pair): the second is deferred
+        # behind our own lease and served from our own publish.
+        cells = [Cell(("a",), "cs_count", (1,)), Cell(("b",), "cs_count", (1,))]
+        with store_scope(tmp_path / "plain") as store:
+            del _CALLS[:]
+            out = run_cells(cells, jobs=1)
+        assert _CALLS == [("cs_count", 1)]
+        assert out[("a",)] == out[("b",)]
+        assert "peer" not in store.banner()
+        assert store.hits == 1 and store.misses == 1 and store.published == 1
+        with store_scope(tmp_path / "supervised") as store:
+            del _CALLS[:]
+            report = run_cells_supervised(
+                cells, jobs=1, policy=SupervisorPolicy(),
+            )
+        assert _CALLS == [("cs_count", 1)]
+        assert report.results == out
+        assert "peer" not in store.banner()
+        assert "peer" not in report.banner()
+        assert "1 from store" in report.banner()
+
+    def test_failed_own_duplicate_does_not_wait(self, tmp_path,
+                                                fake_fingerprints,
+                                                monkeypatch):
+        def no_polling(_seconds):
+            raise AssertionError("await_peer polled our own lease")
+
+        monkeypatch.setattr(time, "sleep", no_polling)
+        cells = [Cell(("a",), "cs_fail", (1,)), Cell(("b",), "cs_fail", (1,))]
+        with store_scope(tmp_path / "store") as store:
+            report = run_cells_supervised(
+                cells, jobs=1, policy=SupervisorPolicy(retries=0),
+            )
+        assert sorted(report.failures) == [("a",), ("b",)]
+        assert store.published == 0 and store.peer_waits == 0
+        assert list(store.leases_dir.iterdir()) == []
 
     def test_gc_reaps_stale_lease_files(self, tmp_path, fake_fingerprints):
         store = CellStore(tmp_path / "store", lease_ttl=5.0)
@@ -776,6 +824,23 @@ class TestStoreCli:
         second = capsys.readouterr()
         assert first.out == second.out  # byte-identical report
         assert "0 executed, 0 published" in second.err
+
+    @pytest.mark.parametrize("spec", ["tcp://127.0.0.1:1", "file:///tmp/s"])
+    def test_scheme_store_specs_rejected(self, tmp_path, monkeypatch, capsys,
+                                         spec):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ConfigError, match="not a directory path"):
+            with store_scope(spec):
+                pass
+        assert main(["run", "tab2", "--store", spec]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: store spec") and "Traceback" not in err
+        monkeypatch.setenv("REPRO_STORE", spec)
+        assert main(["run", "tab2"]) == 1
+        assert "error: store spec" in capsys.readouterr().err
+        monkeypatch.delenv("REPRO_STORE")
+        assert main(["store", "stats", spec]) == 1
+        assert list(tmp_path.iterdir()) == []  # no "tcp:" directory appeared
 
     def test_negative_jobs_is_a_clean_cli_error(self, capsys):
         assert main(["run", "tab2", "--jobs", "-2"]) == 1

@@ -1,18 +1,16 @@
-"""Tests for the transport-agnostic cell executors (repro.harness.executor).
+"""Tests for the local cell executors (repro.harness.executor).
 
 The contract under test is the tentpole invariant: every backend —
-serial, per-cell pool futures, chunked dispatch, the transient-worker
-wrapper — produces the same ``{key: result}`` mapping for the same
-cells, so reports are byte-identical regardless of how cells were
-scheduled.  Plus the lifecycle guarantees: spec-string parsing, scope
-activation, hard teardown on interrupt, and bounded worker-loss
-resubmission.
+serial, per-cell pool futures, chunked dispatch — produces the same
+``{key: result}`` mapping for the same cells, so reports are
+byte-identical regardless of how cells were scheduled.  Plus the
+lifecycle guarantees: spec-string parsing, scope activation and hard
+teardown on interrupt.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import Future
 
 import pytest
 
@@ -21,8 +19,6 @@ from repro.errors import ConfigError
 from repro.harness.executor import (
     LocalPoolExecutor,
     SerialExecutor,
-    TransientExecutor,
-    WorkerLostError,
     active_executor,
     executor_scope,
     make_executor,
@@ -158,60 +154,6 @@ class TestInterruptTeardown:
 
 
 # ---------------------------------------------------------------------------
-# TransientExecutor
-# ---------------------------------------------------------------------------
-
-class _Flaky(executor_mod.CellExecutor):
-    """Fails each cell's first ``fail_first`` attempts with worker loss."""
-
-    kind = "flaky"
-
-    def __init__(self, fail_first=1):
-        self.fail_first = fail_first
-        self.attempts: dict[tuple, int] = {}
-        self.recycles = 0
-
-    def submit(self, cell):
-        fut: Future = Future()
-        fut.set_running_or_notify_cancel()
-        n = self.attempts.get(cell.key, 0)
-        self.attempts[cell.key] = n + 1
-        if n < self.fail_first:
-            fut.set_exception(WorkerLostError(f"lost during {cell.key}"))
-        else:
-            fut.set_result({"v": float(cell.args[0])})
-        return fut
-
-    def recycle(self, kill=False):
-        self.recycles += 1
-        return self
-
-
-class TestTransient:
-    def test_resubmits_after_worker_loss(self):
-        inner = _Flaky(fail_first=1)
-        ex = TransientExecutor(inner, respawns=2)
-        futures = ex.submit_many(_cells(3))
-        assert [f.result() for f in futures] == [{"v": float(i)} for i in range(3)]
-        assert ex.resubmitted == 3 and inner.recycles >= 1
-        assert "3 resubmitted after worker loss" in ex.banner()
-
-    def test_loss_past_the_bound_surfaces(self):
-        ex = TransientExecutor(_Flaky(fail_first=10), respawns=2)
-        fut = ex.submit(Cell((0,), "ex_square", (0,)))
-        assert isinstance(fut.exception(), WorkerLostError)
-        assert ex.resubmitted == 2  # the bound, not the demand
-
-    def test_rejects_negative_respawns(self):
-        with pytest.raises(ConfigError, match="respawns"):
-            TransientExecutor(_Flaky(), respawns=-1)
-
-    def test_real_pool_results_unchanged(self):
-        with TransientExecutor(LocalPoolExecutor(2)) as ex:
-            assert run_cells(_cells(5), executor=ex) == run_cells(_cells(5))
-
-
-# ---------------------------------------------------------------------------
 # Scope activation
 # ---------------------------------------------------------------------------
 
@@ -254,26 +196,6 @@ class TestMakeExecutor:
         assert make_executor("pool:chunk=8").chunk == 8
         assert make_executor("pool:chunk=auto").chunk == "auto"
         assert make_executor("chunked", jobs=2).chunk == "auto"
-        wrapped = make_executor("transient:pool:chunk=4", jobs=2)
-        assert isinstance(wrapped, TransientExecutor)
-        assert wrapped.inner.chunk == 4
-
-    def test_tcp_spec(self):
-        from repro.harness.netqueue import WorkQueueExecutor
-
-        ex = make_executor("tcp:127.0.0.1:0,spawn=0,lease=30")
-        try:
-            assert isinstance(ex, WorkQueueExecutor)
-            assert ex.port > 0  # ephemeral port resolved at bind
-            assert ex.lease_timeout == 30.0
-        finally:
-            ex.shutdown(kill=True)
-        # A bare port gets the loopback host.
-        ex = make_executor("tcp:0")
-        try:
-            assert ex.host == "127.0.0.1"
-        finally:
-            ex.shutdown(kill=True)
 
     @pytest.mark.parametrize("spec", [
         "bogus",
@@ -283,10 +205,16 @@ class TestMakeExecutor:
         "tcp:127.0.0.1:0,spawn=maybe",
         "tcp:127.0.0.1:0,mystery=1",
         "transient:",
+        "tcp:127.0.0.1:0",
+        "transient:pool",
     ])
     def test_bad_specs(self, spec):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError) as info:
             make_executor(spec)
+        if spec.partition(":")[0] in ("bogus", "tcp", "transient"):
+            assert str(info.value).endswith(
+                "expected serial | pool[:chunk=K] | chunked"
+            )
 
 
 # ---------------------------------------------------------------------------
