@@ -18,7 +18,7 @@ This package is the repository's correctness backstop (see
 * :mod:`repro.analysis.static` — the whole-program analyzer
   (``repro lint --deep``, ``repro fingerprint``): call-graph closures
   of registered cell workers, semantic code fingerprints (the
-  journal-v2 / result-cache code-identity key), closure-attributed
+  cell store's code-identity key), closure-attributed
   hazard findings, SARIF output and baseline gating.
 * :mod:`repro.analysis.stats` — the derived quantities the paper
   reports (speedups, normalised times, Table III statistics); moved

@@ -18,10 +18,9 @@ that the content-addressed result cache (ROADMAP item 1) requires:
   AST dump with docstrings stripped, so the fingerprint is invariant
   under comments, docstrings and formatting but changes with any
   semantic edit.  Folding the sorted per-definition hashes over a
-  worker's closure yields its ``code fingerprint``: the cache/journal
+  worker's closure yields its ``code fingerprint``: the cell-store
   key component that ties a stored result to the exact code that
-  produced it (``repro fingerprint``, journal format v2 —
-  :mod:`repro.harness.journal`).
+  produced it (``repro fingerprint``, :mod:`repro.harness.cellstore`).
 * **Interprocedural hazard propagation** — the deep linter rules
   (DET007–DET011, :mod:`repro.analysis.lint`) run over every module a
   worker reaches, and each finding is attributed to the workers whose
@@ -455,7 +454,7 @@ def worker_closure(worker: str, index: ModuleIndex | None = None) -> WorkerClosu
     )
 
 
-#: Per-process cache for :func:`worker_fingerprint` (the journal hot path).
+#: Per-process cache for :func:`worker_fingerprint` (the cell-store hot path).
 _fingerprint_cache: dict[str, str | None] = {}
 
 
@@ -463,9 +462,9 @@ def worker_fingerprint(worker: str) -> str | None:
     """Code fingerprint of ``worker``, or ``None`` if it is not statically
     registered (e.g. a test-local worker defined outside the package).
 
-    This is the journal/cache hook: ``None`` means "no code identity
-    available", which the resume logic treats as "do not check" rather
-    than "mismatch" — dynamic workers keep their pre-v2 behaviour.
+    This is the cell-store hook: ``None`` means "no code identity
+    available", so the store neither serves nor publishes that worker's
+    cells — they always execute.
     """
     if worker not in _fingerprint_cache:
         try:

@@ -15,13 +15,13 @@ Commands
     ``--fastcollect``/``--no-fastcollect`` control the analytic
     collective fast-forward,
     ``--sim-iters N`` overrides the NPB steady-loop length,
-    ``--supervise``/``--timeout``/``--retries`` run sweep cells under
-    the supervised harness (watchdog, bounded retries, degrade),
-    ``--journal PATH`` appends completed cells to a crash-safe JSONL
-    journal and ``--resume PATH`` skips cells already journaled there,
+    ``--retries N`` retries failing cells and ``--timeout S`` adds a
+    watchdog for hung pool workers (a dead pool worker's cells always
+    degrade to inline execution),
     ``--store PATH`` serves/publishes cells through the
     content-addressed cell store rooted at a local directory (also via
-    ``REPRO_STORE``; see ``docs/caching.md``),
+    ``REPRO_STORE``; see ``docs/caching.md``) — re-running an
+    interrupted run with the same store resumes it,
     ``--backend SPEC`` picks the local execution backend (``serial``,
     ``pool[:chunk=K|auto]`` or ``chunked``; see ``docs/distributed.md``),
     ``--json``/``--csv``/``--out`` export results.
@@ -31,7 +31,7 @@ Exit codes
 ``0``
     Success — every requested cell/experiment completed.
 ``3``
-    Partial — some supervised sweep cells ultimately failed, but the
+    Partial — some sweep cells ultimately failed, but the
     report rendered with explicit ``FAILED(<cause>)`` entries.
 ``1``
     Fatal — bad configuration or an unhandled failure; no report.
@@ -57,8 +57,8 @@ Exit codes
     and ``--baseline`` support CI gating on new findings only.
 ``fingerprint [workers...]``
     Print (or ``--check`` the stability of) the semantic code
-    fingerprint of each registered cell worker — the journal-v2 /
-    result-cache code-identity key.
+    fingerprint of each registered cell worker — the cell store's
+    code-identity key.
 ``bench harness``
     Executor dispatch-overhead microbenchmark (cells/sec for the
     serial, pool and chunked backends); writes
@@ -96,28 +96,14 @@ def _cmd_experiments(_args: argparse.Namespace) -> int:
 
 
 def _supervisor_policy(args: argparse.Namespace) -> "_t.Any | None":
-    """Build a SupervisorPolicy from CLI flags (None: unsupervised).
-
-    Any supervision-related flag implies supervision; ``--resume``
-    keeps journaling into the resumed file unless ``--journal`` names a
-    different one.
-    """
-    wanted = (
-        args.supervise
-        or args.timeout is not None
-        or args.retries is not None
-        or args.journal_path
-        or args.resume
-    )
-    if not wanted:
+    """A SupervisorPolicy from ``--retries``/``--timeout`` (None: default)."""
+    if args.timeout is None and args.retries is None:
         return None
     from repro.harness.supervisor import SupervisorPolicy
 
     return SupervisorPolicy(
         timeout=args.timeout,
-        retries=1 if args.retries is None else args.retries,
-        journal=args.journal_path or args.resume or None,
-        resume=args.resume or None,
+        retries=0 if args.retries is None else args.retries,
     )
 
 
@@ -409,45 +395,28 @@ def _cmd_npb(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_supervision_args(parser: argparse.ArgumentParser) -> None:
-    """Shared harness flags (supervision + cell store) for sweep commands."""
-    parser.add_argument(
-        "--supervise", action="store_true",
-        help="run sweep cells under the supervised harness: watchdog "
-             "timeouts, bounded retries, and degradation of broken-pool "
-             "cells to inline execution (also via REPRO_SUPERVISE=1); "
-             "cells that still fail render as FAILED(<cause>) entries "
-             "and the command exits 3",
-    )
+def _add_sweep_args(parser: argparse.ArgumentParser) -> None:
+    """Shared harness flags (failure policy + cell store) for sweep commands."""
     parser.add_argument(
         "--timeout", type=float, default=None, metavar="S",
-        help="per-sweep watchdog window in seconds: if no cell completes "
+        help="watchdog window in seconds (> 0): if no pool cell completes "
              "for S seconds the hung workers are killed and their cells "
-             "retried (needs --jobs >= 2; implies --supervise)",
+             "retried or failed (pooled cells only); adds a "
+             "[harness: ...] banner",
     )
     parser.add_argument(
         "--retries", type=int, default=None, metavar="N",
-        help="additional attempts per failing/hung cell (default 1; "
-             "implies --supervise)",
-    )
-    parser.add_argument(
-        "--journal", dest="journal_path", default=None, metavar="PATH",
-        help="append each completed cell to a crash-safe JSONL run "
-             "journal at PATH (implies --supervise)",
-    )
-    parser.add_argument(
-        "--resume", default=None, metavar="PATH",
-        help="skip cells already completed in PATH's journal and merge "
-             "their results by key — the report is byte-identical to an "
-             "uninterrupted run; keeps journaling into PATH (implies "
-             "--supervise)",
+        help="additional attempts per failing or hung cell (default 0); "
+             "cells that still fail render as FAILED(<cause>) entries and "
+             "the command exits 3; adds a [harness: ...] banner",
     )
     parser.add_argument(
         "--store", default=None, metavar="PATH",
         help="serve sweep cells from (and publish fresh results to) the "
              "content-addressed cell store rooted at directory PATH; "
              "entries are keyed by worker + args + code fingerprint so "
-             "they can never go stale (also via REPRO_STORE; see "
+             "they can never go stale; re-run with the same PATH to "
+             "resume an interrupted run (also via REPRO_STORE; see "
              "docs/caching.md)",
     )
     parser.add_argument(
@@ -518,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--sim-iters", type=int, default=None, metavar="N",
         help="override the NPB steady-loop iteration count (N >= 1)",
     )
-    _add_supervision_args(run)
+    _add_sweep_args(run)
     run.add_argument("--json", help="export comparisons as JSON")
     run.add_argument("--csv", help="export comparisons as CSV")
     run.add_argument("--out", help="write the text report to a file")
@@ -560,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for sweep cells (0 = all CPUs); output is "
              "identical to --jobs 1",
     )
-    _add_supervision_args(sweep)
+    _add_sweep_args(sweep)
     sweep.add_argument("--json", action="store_true", help="JSON output")
 
     lint = sub.add_parser(
@@ -774,7 +743,7 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except (ReproError, ValueError) as exc:
         # Fatal: bad configuration or an unhandled failure (exit 1);
-        # partial supervised sweeps return 3 from the command itself.
+        # sweeps with failed cells return 3 from the command itself.
         # ValueError covers argument-validation errors raised below
         # argparse, e.g. a negative --jobs.
         print(f"error: {exc}", file=sys.stderr)

@@ -119,22 +119,20 @@ class SanitizerError(MpiError):
 
 
 class CellExecutionError(ReproError):
-    """One sweep cell ultimately failed under the parallel harness.
+    """One sweep cell ultimately failed under the sweep driver.
 
     Carries the cell ``key`` and registered ``worker`` name, the number
     of execution ``attempts`` made, the classified ``cause`` — one of
-    ``"timeout"`` (no completion within the supervisor's watchdog
-    window), ``"worker-death"`` (the pool process hosting the cell
-    died), or ``"worker-exception"`` (the worker function raised) — and
+    ``"timeout"`` (no completion within the driver's watchdog window),
+    ``"worker-death"`` (the pool process hosting the cell died), or
+    ``"worker-exception"`` (the worker function raised) — and
     ``detail`` (traceback text or a one-line explanation).
 
-    Raised directly by :func:`repro.harness.parallel.run_cells` when an
-    unsupervised process pool breaks, so callers see the offending cell
-    instead of an opaque ``concurrent.futures`` traceback; under
-    supervision (:mod:`repro.harness.supervisor`) one instance per
-    exhausted cell is collected onto the
-    :class:`~repro.harness.supervisor.SweepReport` instead of aborting
-    the sweep.
+    The driver (:func:`repro.harness.supervisor.run_sweep`) collects one
+    instance per exhausted cell onto its
+    :class:`~repro.harness.supervisor.SweepReport`;
+    :func:`repro.harness.parallel.run_cells` raises the first in cell
+    order, and ``run_batch`` renders it as a ``FAILED(<cause>)`` entry.
     """
 
     #: The recognised failure classifications.

@@ -3,8 +3,8 @@
 Evaluates the analytic checkpoint/restart model
 (:func:`repro.faults.checkpoint.simulate_completion`) over a grid of
 failure rates and checkpoint intervals, averaging a configurable number
-of seeded trials per cell.  Cells run through the shared parallel
-executor (:func:`repro.harness.parallel.run_cells`), and each cell
+of seeded trials per cell.  Cells run through the shared sweep driver
+(:func:`repro.harness.supervisor.run_sweep`), and each cell
 derives its random stream from its own ``(rate, interval)`` key, so the
 output is byte-identical for ``--jobs 1`` and ``--jobs N``.
 """
@@ -15,13 +15,8 @@ import dataclasses
 import typing as _t
 
 from repro.errors import CellExecutionError, ConfigError
-from repro.harness.parallel import Cell, run_cells
-
-if _t.TYPE_CHECKING:  # pragma: no cover
-    from repro.harness.supervisor import SupervisorPolicy
-
-#: Journal namespace for ``repro faults sweep`` cells.
-SWEEP_NAMESPACE = "faults-sweep"
+from repro.harness.parallel import Cell
+from repro.harness.supervisor import SupervisorPolicy, run_sweep
 
 
 @dataclasses.dataclass(slots=True)
@@ -37,16 +32,16 @@ class SweepResult:
     intervals: tuple[float, ...]
     #: ``(rate, interval) -> {"completion_time", "restarts", "wasted_work"}``
     cells: dict[tuple[float, float], dict[str, float]]
-    #: Cells that exhausted their supervised attempts (empty unless the
-    #: sweep ran supervised *and* something actually failed); rendered
-    #: as explicit ``FAILED(<cause>)`` grid entries.
+    #: Cells that exhausted their attempts (empty on a clean sweep);
+    #: rendered as explicit ``FAILED(<cause>)`` grid entries.
     failures: dict[tuple[float, float], CellExecutionError] = dataclasses.field(
         default_factory=dict
     )
-    #: One-line ``harness: ...`` banner (None unsupervised).  Not part
-    #: of :meth:`render`/:meth:`to_dict` — its journal-hit/retry tallies
-    #: differ between a resumed and an uninterrupted run, and both must
-    #: produce byte-identical reports.  The CLI prints it to stderr.
+    #: One-line ``harness: ...`` banner (None without an explicit
+    #: ``supervisor=`` policy).  Not part of :meth:`render`/:meth:`to_dict`
+    #: — its retry/degrade tallies differ between a disrupted and a clean
+    #: run, and both must produce byte-identical reports.  The CLI prints
+    #: it to stderr.
     harness_summary: str | None = None
     #: One-line ``store: ...`` cell-store banner (None without a store).
     #: Stderr-only for the same byte-identity reason: a warm-store sweep
@@ -129,27 +124,25 @@ def sweep_failure_checkpoint(
     trials: int = 32,
     seed: int = 1,
     jobs: int = 1,
-    supervisor: "SupervisorPolicy | None" = None,
+    supervisor: SupervisorPolicy | None = None,
     store: _t.Any | None = None,
     backend: str | None = None,
 ) -> SweepResult:
     """Sweep the checkpoint/restart model over ``rates x intervals``.
 
-    ``supervisor`` runs the grid under the supervised harness
-    (:mod:`repro.harness.supervisor`): hung or crashed cells are
-    retried/degraded per the policy, cells that exhaust their attempts
-    land in :attr:`SweepResult.failures` as ``FAILED(<cause>)`` grid
-    entries instead of aborting, and journal/resume paths from the
-    policy make the sweep resumable (journal keys are namespaced
-    ``faults-sweep``).  A clean supervised sweep renders byte-identical
-    output to an unsupervised one.
+    Cells that exhaust their attempts land in
+    :attr:`SweepResult.failures` as ``FAILED(<cause>)`` grid entries
+    instead of aborting the sweep.  ``supervisor`` replaces the default
+    policy (no retries, no watchdog) and adds the ``harness: ...``
+    banner; a clean sweep renders byte-identical output either way.
 
     ``store`` (a path or a :class:`~repro.harness.cellstore.CellStore`)
     activates the content-addressed global cell store for the sweep:
     cells already published — by any previous run, on any host sharing
     the store — are served without executing, and fresh cells are
     published back.  A warm-store sweep renders byte-identical output
-    with zero cells executed; the ``store: ...`` banner lands in
+    with zero cells executed, so re-running an interrupted sweep with
+    the same store resumes it; the ``store: ...`` banner lands in
     :attr:`SweepResult.store_summary` (stderr-only).
 
     ``backend`` schedules the grid through an explicit
@@ -182,16 +175,11 @@ def sweep_failure_checkpoint(
 
     def _execute_grid() -> dict[tuple, _t.Any]:
         nonlocal failures, harness_summary
+        report = run_sweep(cells, jobs, policy=supervisor)
+        failures = report.failures
         if supervisor is not None:
-            from repro.harness.supervisor import run_cells_supervised
-
-            report = run_cells_supervised(
-                cells, jobs=jobs, policy=supervisor, namespace=SWEEP_NAMESPACE
-            )
-            failures = report.failures
             harness_summary = report.banner()
-            return report.results
-        return run_cells(cells, jobs=jobs)
+        return report.results
 
     def _execute_stored() -> dict[tuple, _t.Any]:
         nonlocal store_summary

@@ -18,7 +18,7 @@ from repro.harness.figures import render_series_table, render_speedup_plot
 from repro.harness.supervisor import (
     SupervisorPolicy,
     SweepReport,
-    run_cells_supervised,
+    run_sweep,
     supervision_scope,
 )
 from repro.harness import paper
@@ -31,7 +31,7 @@ __all__ = [
     "paper",
     "render_series_table",
     "render_speedup_plot",
-    "run_cells_supervised",
     "run_experiment",
+    "run_sweep",
     "supervision_scope",
 ]

@@ -1,17 +1,19 @@
 """Content-addressed global cell result store: simulate once, serve millions.
 
-The resume journal (:mod:`repro.harness.journal`) persists completed
-cells for *one* interrupted run.  This module generalises that idea
-into a store shared across runs (and across hosts on a shared
-filesystem): every cell result is keyed by a canonical content hash of
+The store persists every completed cell result, shared across runs
+(and across hosts on a shared filesystem), and is also how an
+interrupted run resumes: re-running it against the same store serves
+every cell it completed.  Every cell result is keyed by a canonical
+content hash of
 
 * the registered **worker name**,
-* its **encoded arguments** (the journal's typed encoding, so tuples
-  and int-keyed dicts hash stably),
+* its **encoded arguments** (the typed encoding of
+  :mod:`repro.harness.journal`, so tuples and int-keyed dicts hash
+  stably),
 * the worker's static **code fingerprint**
   (:func:`repro.analysis.static.worker_fingerprint` — the semantic
   identity of every function the worker can reach), and
-* the journal **format version** (so an encoding change can never
+* the encoding's **format version** (so an encoding change can never
   alias old records).
 
 Because the code fingerprint participates in the key, entries can never
@@ -35,13 +37,14 @@ are resolved last-record-wins on read and compacted by ``gc``.
 
 Wiring
 ------
-:func:`repro.harness.parallel.run_cells` and the supervisor consult the
-active store before dispatching any cell and publish fresh results
-after.  A store becomes active via :func:`store_scope` (what
-``repro run --store PATH`` and ``run_batch(store=...)`` use) or the
-``REPRO_STORE`` environment variable.  Store hits merge by cell key
-exactly like journal hits, so a store-served sweep renders
-byte-identically to a fresh one — the CI round-trip guard holds this.
+The sweep driver (:func:`repro.harness.supervisor.run_sweep`) plans
+every sweep against the active store before dispatching any cell and
+publishes fresh results as they arrive.  A store becomes active via
+:func:`store_scope` (what ``repro run --store PATH`` and
+``run_batch(store=...)`` use) or the ``REPRO_STORE`` environment
+variable.  Store hits merge by cell key, so a store-served sweep
+renders byte-identically to a fresh one — the CI round-trip guard holds
+this.
 
 The ``repro store`` CLI exposes maintenance: ``stats``, ``verify``
 (full integrity re-derivation of every key and payload hash), ``gc``
@@ -103,7 +106,7 @@ def _is_hex(value: _t.Any, length: int | None = None) -> bool:
 def store_key(worker: str, args: _t.Sequence[_t.Any], code: str) -> str:
     """Canonical content-address of one cell result.
 
-    The digest covers ``(journal format version, worker, encoded args,
+    The digest covers ``(encoding format version, worker, encoded args,
     code fingerprint)``; any change to the worker's reachable code (or
     to the typed encoding itself) moves the key, which is the store's
     entire staleness story — entries are immutable and can only ever
@@ -299,6 +302,27 @@ class StorePlan:
     deferred: list[_t.Any] = dataclasses.field(default_factory=list)
 
 
+def _owner_dead(path: pathlib.Path) -> bool:
+    """Whether ``path``'s lease names an owner process on this host that
+    has exited (an unreadable lease, a takeover marker, another host or
+    a live pid: False)."""
+    try:
+        owner = json.loads(path.read_text(encoding="utf-8"))["owner"]
+        host, pid, _id = owner.split(":")
+        pid = int(pid)
+    except (OSError, ValueError, KeyError, TypeError, AttributeError):
+        return False
+    if host != socket.gethostname() or pid <= 0 or pid == os.getpid():
+        return False
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except PermissionError:
+        pass  # alive, under another user
+    return False
+
+
 # ---------------------------------------------------------------------------
 # The store
 # ---------------------------------------------------------------------------
@@ -386,7 +410,9 @@ class CellStore:
         polling loop (:meth:`await_peer` re-reads a shard many times for
         one logical lookup; counting each poll would garble the banner).
         A hit requires the full content address to match: key, worker,
-        code fingerprint and payload hash.
+        code fingerprint and payload hash — and a record of this
+        :data:`STORE_VERSION`, so a newer (or garbled) layout is
+        re-simulated rather than misread.
         """
         code = _worker_code(worker)
         if code is None:
@@ -398,6 +424,7 @@ class CellStore:
             if (
                 isinstance(rec, dict)
                 and rec.get("k") == key
+                and rec.get("v") == STORE_VERSION
                 and rec.get("worker") == worker
                 and rec.get("code") == code
                 and rec.get("hash") == digest
@@ -413,7 +440,7 @@ class CellStore:
         key (which bakes in the code fingerprint current *now*), its
         payload hash, and its worker name.  An entry published by
         different code therefore can never be served — the never-stale
-        discipline shared with the journal and ``CollectiveMemo``.
+        discipline shared with ``CollectiveMemo``.
         """
         found = self._find(worker, args)
         if found is MISS:
@@ -472,11 +499,18 @@ class CellStore:
         return store_key(worker, args, code)
 
     def _lease_stale(self, path: pathlib.Path) -> bool:
+        """Whether a lease (or takeover marker) is orphaned.
+
+        It is when it outlived the TTL, or at once when its owner
+        (``host:pid:id``) is a process on this host that no longer
+        exists — a killed run's leases must not block the re-run that
+        resumes it.  A live (or reused) pid falls back to the TTL.
+        """
         try:
             age = time.time() - path.stat().st_mtime  # lint-ok: DET001 lease liveness only, never in results
         except OSError:
             return False  # gone: not stale, just released
-        return age > self.lease_ttl
+        return age > self.lease_ttl or _owner_dead(path)
 
     def try_lease(self, worker: str, args: _t.Sequence[_t.Any]) -> bool:
         """Claim the right to compute ``(worker, args)``; False: a peer has it.
@@ -487,9 +521,9 @@ class CellStore:
         The claim is an ``O_CREAT | O_EXCL`` lease file named by the
         cell's content address — the same lockless append-only
         filesystem discipline publishes use, so any number of executors
-        (processes, hosts on a shared filesystem) race safely.  A lease
-        older than the TTL is presumed orphaned (its owner crashed
-        without publishing) and taken over through
+        (processes, hosts on a shared filesystem) race safely.  An
+        orphaned lease — older than the TTL, or owned by a process on
+        this host that has exited — is taken over through
         :meth:`_take_over_stale`, whose exclusive-marker protocol
         guarantees at most one racer wins.
         """
@@ -616,8 +650,9 @@ class CellStore:
         """Wait for a peer executor's result for a deferred cell.
 
         Polls the store until the peer publishes; a released or
-        TTL-expired lease without a published result means the peer gave
-        up (or died), in which case we claim the lease ourselves and
+        orphaned lease (TTL-expired, or its owner process on this host
+        has exited) without a published result means the peer gave up
+        (or died), in which case we claim the lease ourselves and
         return :data:`MISS` — the caller executes the cell locally.
         After ``max_wait`` seconds (default: the lease TTL) the wait
         also gives up with :data:`MISS`; computing the cell twice is
@@ -749,9 +784,9 @@ class CellStore:
                 os.fsync(fh.fileno())
             os.replace(tmp, shard)
         if not dry_run and self.leases_dir.is_dir():
-            # TTL-expired lease files and takeover markers are orphans
-            # (their owner is gone); reclaim them so they stop delaying
-            # future takeovers.
+            # Orphaned lease files and takeover markers (TTL-expired, or
+            # owned by an exited process on this host) are reclaimed so
+            # they stop delaying future takeovers.
             for pattern in ("*.json", "*.takeover"):
                 for lease in sorted(self.leases_dir.glob(pattern)):
                     if self._lease_stale(lease):

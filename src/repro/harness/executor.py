@@ -1,13 +1,13 @@
 """Local cell executors: one scheduling interface, serial and pool backends.
 
-Everything that fans sweep cells out — :func:`repro.harness.parallel.run_cells`,
-the supervisor's dispatch rounds, the faults sweep, ``run_batch`` — schedules
-through the :class:`CellExecutor` interface defined here instead of assuming a
-``concurrent.futures.ProcessPoolExecutor``.  A backend only has to turn a
-:class:`~repro.harness.parallel.Cell` into a ``concurrent.futures.Future``;
-merge-by-key determinism, supervision, journaling and the content-addressed
-cell store all layer on top unchanged, so every backend renders byte-identical
-reports.
+The sweep driver (:func:`repro.harness.supervisor.run_sweep`, behind
+``run_cells``, the faults sweep and ``run_batch``) dispatches every
+non-inline cell through the :class:`CellExecutor` interface defined here
+instead of assuming a ``concurrent.futures.ProcessPoolExecutor``.  A backend
+only has to turn a :class:`~repro.harness.parallel.Cell` into a
+``concurrent.futures.Future``; merge-by-key determinism, failure handling and
+the content-addressed cell store all live in the driver, so every backend
+renders byte-identical reports.
 
 Backends
 --------
@@ -21,8 +21,8 @@ Backends
     per-cell IPC/pickling overhead that dominates large sweeps of cheap
     cells.
 
-A pool worker that dies surfaces as ``BrokenProcessPool``; the
-supervisor's retry/degrade machinery owns recovery from it.
+A pool worker that dies surfaces as ``BrokenProcessPool``; the driver
+recovers by running the affected cells inline.
 
 Activation
 ----------
@@ -85,10 +85,10 @@ class CellExecutor:
 
     The contract is deliberately tiny: :meth:`submit` returns a
     ``concurrent.futures.Future`` for one cell (so ``wait``/
-    ``as_completed`` and the supervisor's watchdog work on every
-    backend), :meth:`submit_many` may batch, :meth:`recycle` yields the
-    executor to use for the next supervised dispatch round after a
-    disruption, and :meth:`shutdown` releases the workers.  Executors
+    ``as_completed`` and the driver's watchdog work on every backend),
+    :meth:`submit_many` may batch, and :meth:`shutdown` releases the
+    workers (a hard shutdown after a disruption recycles them: a local
+    pool rebuilds lazily on the next submit).  Executors
     never reorder results — callers always merge by cell key in cell
     order, which is what keeps every backend byte-identical.
     """
@@ -104,16 +104,6 @@ class CellExecutor:
     def submit_many(self, cells: _t.Sequence["Cell"]) -> list[Future]:
         """Futures for ``cells``, in cell order (backends may batch)."""
         return [self.submit(c) for c in cells]
-
-    def recycle(self, kill: bool = False) -> "CellExecutor":
-        """The executor for the next dispatch round after a disruption.
-
-        ``kill`` means workers may be hung (tear them down hard).  The
-        default tears this executor down and hands back ``self``, which
-        works for both backends: the local pool rebuilds lazily.
-        """
-        self.shutdown(kill=kill)
-        return self
 
     def shutdown(self, kill: bool = False) -> None:
         """Release the backend's workers (idempotent).
@@ -206,12 +196,13 @@ class LocalPoolExecutor(CellExecutor):
     """The process-pool backend, refactored behind :class:`CellExecutor`.
 
     ``chunk`` controls dispatch granularity: ``1`` (default) submits one
-    pool future per cell — the watchdog-friendly mode supervision uses —
+    pool future per cell — the granularity the driver's watchdog uses —
     while ``chunk > 1`` or ``"auto"`` groups cells into deterministic
     batches to amortise IPC and pickling over large sweeps of cheap
     cells (callers still get one future per cell).  The underlying pool
     is built lazily and rebuilt after :meth:`shutdown`, so one instance
-    can serve a whole batch and survive supervisor recycling.
+    can serve a whole batch and survive the driver tearing down a
+    disrupted pool.
     """
 
     kind = "pool"

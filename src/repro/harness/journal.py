@@ -1,60 +1,25 @@
-"""Crash-safe append-only run journal for supervised sweeps.
-
-The journal is a JSONL file: one self-contained record per line, each
-flushed and fsynced as it is written, so a run killed at any instant
-loses at most the line that was mid-write.  ``repro run --resume PATH``
-(and ``run_cells_supervised(..., resume=)`` via
-:class:`~repro.harness.supervisor.SupervisorPolicy`) loads the journal
-and skips every cell whose key *and* payload hash match a completed
-record, merging the journaled result by key — because cells are
-deterministic, a resumed sweep renders byte-identically to an
-uninterrupted one.
-
-Record kinds
-------------
-``cell``
-    A completed cell: namespace (experiment id / sweep name), cell key,
-    worker name, payload hash (over ``(worker, args)``), the worker's
-    static code fingerprint when one is known
-    (:func:`repro.analysis.static.worker_fingerprint`) and the result.
-``event``
-    Supervision bookkeeping (retries, degradations) for postmortems;
-    ignored on resume.
-
-Format versions
----------------
-Every record carries a ``v`` field.  Version 2 (current) widened the
-payload hash from 16 to 32 hex chars and added the optional ``code``
-fingerprint.  Version 1 journals stay readable: their 16-char hashes
-match by prefix and they carry no code fingerprint, so resume behaves
-exactly as it did before.  Records from a *newer* format than this
-process understands are skipped with a recorded reason (see
-:func:`read_journal`) rather than crashing the resume.
+"""Typed JSON encoding and payload hashing for stored cell results.
 
 Cell keys and results may contain tuples and non-string dict keys
 (e.g. the OSU curves are ``dict[int, float]``), which plain JSON cannot
 represent, so values round-trip through a small typed encoding
-(:func:`encode_value` / :func:`decode_value`).
+(:func:`encode_value` / :func:`decode_value`).  :func:`payload_hash`
+digests a cell's ``(worker, args)`` payload.  Both feed the
+content-addressed cell store (:mod:`repro.harness.cellstore`), whose
+keys also hash :data:`FORMAT_VERSION`.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
-import os
-import pathlib
 import typing as _t
 
-from repro.errors import ConfigError
-
-#: Bump when the record layout changes incompatibly.
+#: Version of the typed encoding.  Part of every cell-store key
+#: (:func:`repro.harness.cellstore.store_key`), so bumping it re-keys
+#: every existing store; bump only when the encoding changes.
 FORMAT_VERSION = 2
 
-
-# ---------------------------------------------------------------------------
-# Typed JSON encoding
-# ---------------------------------------------------------------------------
 
 def encode_value(obj: _t.Any) -> _t.Any:
     """JSON-encodable form of ``obj`` that survives a round trip.
@@ -90,239 +55,12 @@ def decode_value(obj: _t.Any) -> _t.Any:
 
 
 def payload_hash(worker: str, args: _t.Sequence[_t.Any]) -> str:
-    """Stable digest of a cell's full payload (worker name + arguments).
+    """Stable 32-hex digest of a cell's full payload (worker name + arguments).
 
-    Guards resume against key collisions: a journal entry is only
-    reused when the cell would re-run the exact same computation.
+    Guards the store against key collisions: a stored result is only
+    served when the cell would re-run the exact same computation.
     """
     blob = json.dumps(
         [worker, encode_value(tuple(args))], sort_keys=True, separators=(",", ":")
     )
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:32]
-
-
-_HEX_DIGITS = frozenset("0123456789abcdef")
-
-
-def _is_hex_hash(value: _t.Any) -> bool:
-    """Whether ``value`` is a plausible stored digest: a non-empty,
-    even-length, lowercase-hex string (hex digests always pair chars)."""
-    if not isinstance(value, str) or not value or len(value) % 2:
-        return False
-    return all(c in _HEX_DIGITS for c in value)
-
-
-def hash_matches(entry_hash: str, digest: str) -> bool:
-    """Whether a journaled payload hash matches a freshly computed one.
-
-    Format v1 stored the first 16 hex chars of the same SHA-256, so a
-    16-char journal value matches by prefix; anything else must match
-    exactly.  Either way the journaled value must itself *be* a digest
-    — lowercase hex of even length — so a corrupted or hand-edited
-    journal entry can never false-positive into a resume or store hit.
-    """
-    if not _is_hex_hash(entry_hash):
-        return False
-    if entry_hash == digest:
-        return True
-    return len(entry_hash) == 16 and digest.startswith(entry_hash)
-
-
-# ---------------------------------------------------------------------------
-# Journal file
-# ---------------------------------------------------------------------------
-
-@dataclasses.dataclass(frozen=True, slots=True)
-class JournalEntry:
-    """One completed cell loaded from a journal.
-
-    ``code_fingerprint`` is the worker's static code fingerprint at
-    record time, or ``None`` for v1 records and workers the static
-    analysis cannot see (e.g. test-local registrations).
-    """
-
-    namespace: str
-    key: tuple
-    worker: str
-    payload_hash: str
-    result: _t.Any
-    code_fingerprint: str | None = None
-
-
-@dataclasses.dataclass(frozen=True, slots=True)
-class SkippedRecord:
-    """One journal record that resume could not use, and why."""
-
-    lineno: int
-    version: _t.Any
-    reason: str
-
-
-@dataclasses.dataclass(frozen=True, slots=True)
-class JournalRead:
-    """Everything :func:`read_journal` learned from a journal file."""
-
-    entries: dict[tuple[str, tuple], JournalEntry]
-    skipped: tuple[SkippedRecord, ...]
-
-
-class RunJournal:
-    """Append-only JSONL journal of completed cells.
-
-    Open for the lifetime of one supervised batch; every record is
-    flushed and fsynced immediately so an abrupt kill cannot lose a
-    completed cell (only, at worst, a torn final line, which
-    :func:`load_journal` tolerates).
-    """
-
-    def __init__(self, path: str | pathlib.Path) -> None:
-        self.path = pathlib.Path(path)
-        if self.path.parent and not self.path.parent.exists():
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh: _t.TextIO | None = open(self.path, "a", encoding="utf-8")
-
-    def record_cell(
-        self,
-        namespace: str,
-        key: tuple,
-        worker: str,
-        digest: str,
-        result: _t.Any,
-        code: str | None = None,
-    ) -> None:
-        """Journal one completed cell.
-
-        ``code`` is the worker's static code fingerprint when known;
-        resume uses it to refuse entries produced by different code.
-        """
-        record: dict[str, _t.Any] = {
-            "kind": "cell",
-            "v": FORMAT_VERSION,
-            "ns": namespace,
-            "key": encode_value(tuple(key)),
-            "worker": worker,
-            "hash": digest,
-            "result": encode_value(result),
-        }
-        if code is not None:
-            record["code"] = code
-        self._write(record)
-
-    def record_event(
-        self, namespace: str, key: tuple, event: str, **fields: _t.Any
-    ) -> None:
-        """Journal a supervision event (retry, degrade); ignored on resume."""
-        self._write({
-            "kind": "event",
-            "v": FORMAT_VERSION,
-            "ns": namespace,
-            "key": encode_value(tuple(key)),
-            "event": event,
-            **fields,
-        })
-
-    def _write(self, record: dict[str, _t.Any]) -> None:
-        if self._fh is None:
-            raise ConfigError(f"journal {self.path} is closed")
-        self._fh.write(json.dumps(record, sort_keys=True) + "\n")
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
-
-    def close(self) -> None:
-        """Close the journal; safe to call any number of times.
-
-        The handle is detached *before* it is closed, so even a close
-        that raises (e.g. a full disk flushing buffered bytes) leaves
-        the journal in the closed state and a repeat call is a no-op —
-        double-close and close-after-``__exit__`` never raise.
-        """
-        fh, self._fh = self._fh, None
-        if fh is not None:
-            fh.close()
-
-    def __enter__(self) -> "RunJournal":
-        return self
-
-    def __exit__(self, *exc_info: _t.Any) -> None:
-        self.close()
-
-
-def read_journal(path: str | pathlib.Path) -> JournalRead:
-    """Read ``path`` into completed cells plus skipped-record accounting.
-
-    Entries are keyed by ``(namespace, key)``.  A torn final line (the
-    signature of a killed run) is silently dropped.  Corruption anywhere
-    else — an unparseable mid-file line, or a cell record missing a
-    field — never aborts the read: the damaged record becomes a
-    :class:`SkippedRecord` with a recorded reason and resume simply
-    re-simulates that cell.  When a cell appears more than once (a
-    resumed run appending to its own journal) the last record wins.
-    Records written by a *newer* format version than this process
-    understands — or carrying a non-integer version — are skipped the
-    same way, so old code degrades to re-simulating those cells.
-    """
-    p = pathlib.Path(path)
-    if not p.exists():
-        raise ConfigError(f"resume journal not found: {p}")
-    entries: dict[tuple[str, tuple], JournalEntry] = {}
-    skipped: list[SkippedRecord] = []
-    lines = p.read_text(encoding="utf-8").splitlines()
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError:
-            if lineno == len(lines):
-                break  # torn final write from a killed run
-            # Mid-file corruption (a concurrent writer died mid-append,
-            # disk bitrot, a hand edit): the record is lost either way,
-            # but the cells around it are not — skip it with a recorded
-            # reason and let resume re-simulate just that cell.
-            skipped.append(SkippedRecord(
-                lineno, None, "unparseable JSON (corrupted record)",
-            ))
-            continue
-        if not isinstance(rec, dict) or rec.get("kind") != "cell":
-            continue
-        version = rec.get("v")
-        if not isinstance(version, int) or isinstance(version, bool):
-            skipped.append(SkippedRecord(
-                lineno, version,
-                f"non-integer format version {version!r}",
-            ))
-            continue
-        if version > FORMAT_VERSION:
-            skipped.append(SkippedRecord(
-                lineno, version,
-                f"format version {version} is newer than supported "
-                f"version {FORMAT_VERSION}",
-            ))
-            continue
-        try:
-            ns = rec["ns"]
-            key = decode_value(rec["key"])
-            entry = JournalEntry(
-                namespace=ns,
-                key=key,
-                worker=rec["worker"],
-                payload_hash=rec["hash"],
-                result=decode_value(rec["result"]),
-                code_fingerprint=rec.get("code"),
-            )
-        except (KeyError, TypeError):
-            skipped.append(SkippedRecord(
-                lineno, version, "malformed cell record (missing/invalid field)",
-            ))
-            continue
-        entries[(ns, key)] = entry
-    return JournalRead(entries=entries, skipped=tuple(skipped))
-
-
-def load_journal(path: str | pathlib.Path) -> dict[tuple[str, tuple], JournalEntry]:
-    """Completed cells from ``path`` keyed by ``(namespace, key)``.
-
-    Thin wrapper over :func:`read_journal` for callers that do not need
-    the skipped-record accounting.
-    """
-    return read_journal(path).entries

@@ -15,12 +15,9 @@ Workers are plain module-level functions (registered with
 plain dicts/floats — the contract that keeps cells cheap to ship to a
 ``ProcessPoolExecutor`` and trivially deterministic to merge.
 
-Supervision (watchdog timeouts, bounded retries, degradation to inline
-execution, journal/resume) layers on top of this module without
-changing it from the caller's point of view: when a
-:func:`repro.harness.supervisor.supervision_scope` is active — or
-``REPRO_SUPERVISE=1`` is set — :func:`run_cells` routes through the
-supervisor and still returns the same ``{key: result}`` mapping.
+:func:`run_cells` hands every sweep to the one driver,
+:func:`repro.harness.supervisor.run_sweep` (store planning, dispatch,
+degradation of dead workers, retries and the watchdog).
 """
 
 from __future__ import annotations
@@ -29,9 +26,8 @@ import dataclasses
 import os
 import tempfile
 import typing as _t
-from concurrent.futures import as_completed
 
-from repro.errors import CellExecutionError, ConfigError
+from repro.errors import ConfigError
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -93,9 +89,9 @@ def _maybe_chaos_kill() -> None:
     When ``REPRO_CHAOS_KILL`` is set, the first pool worker to claim the
     marker file (the variable's value, or a tempdir default for ``1``)
     exits abruptly mid-cell — simulating a real worker death so the
-    chaos CI job can assert the supervisor retries/degrades the affected
-    cells and the sweep still completes.  Never fires in the supervising
-    process itself, and is a no-op when the variable is unset.
+    chaos CI job can assert the driver degrades the affected cells to
+    inline execution and the sweep still completes.  Never fires in the
+    dispatching process itself, and is a no-op when the variable is unset.
     """
     spec = os.environ.get("REPRO_CHAOS_KILL")
     if not spec or not _IS_POOL_WORKER:
@@ -130,7 +126,7 @@ def check_unique_keys(cells: _t.Sequence[Cell]) -> None:
 
     A duplicate key would silently overwrite the earlier cell's result
     during the key-ordered merge, so it is a configuration error in
-    every execution mode (serial, pooled, supervised, resumed).
+    every execution mode (serial, pooled, store-served).
     """
     keys = [c.key for c in cells]
     if len(set(keys)) != len(keys):
@@ -166,154 +162,29 @@ def resolve_jobs(jobs: int | None) -> int:
     return jobs
 
 
-def _collect(
-    executor: _t.Any, cells: _t.Sequence[Cell], store: _t.Any
-) -> dict[tuple, _t.Any]:
-    """Drive ``cells`` through a :class:`~repro.harness.executor.CellExecutor`.
-
-    Fresh results publish to ``store`` as they complete; errors are
-    collected per cell and the first one *in cell order* (never
-    completion order, which would be scheduling-dependent) re-raises
-    after the sweep drains.  A ``BaseException`` — a ``KeyboardInterrupt``
-    above all — cancels every outstanding future before propagating, so
-    the caller can tear the backend down without dangling work.
-    """
-    from repro.harness.executor import WORKER_LOSS_ERRORS
-
-    futures = executor.submit_many(cells)
-    index = {id(f): i for i, f in enumerate(futures)}
-    fresh: dict[tuple, _t.Any] = {}
-    errors: dict[int, BaseException] = {}
-    try:
-        for f in as_completed(futures):
-            i = index[id(f)]
-            c = cells[i]
-            try:
-                value = f.result()
-            except Exception as exc:
-                errors[i] = exc
-            else:
-                fresh[c.key] = value
-                if store is not None:
-                    store.publish(c.worker, c.args, value)
-    except BaseException:
-        for f in futures:
-            f.cancel()
-        raise
-    if errors:
-        i = min(errors)
-        exc = errors[i]
-        if isinstance(exc, WORKER_LOSS_ERRORS):
-            c = cells[i]
-            raise CellExecutionError(
-                key=c.key,
-                worker=c.worker,
-                attempts=1,
-                cause="worker-death",
-                detail=(
-                    f"{exc} (a worker process died; run under "
-                    "supervision — --supervise / REPRO_SUPERVISE=1 — "
-                    "to retry or degrade instead of aborting)"
-                ),
-            ) from exc
-        raise exc
-    return fresh
-
-
 def run_cells(
     cells: _t.Sequence[Cell], jobs: int = 1, executor: _t.Any = None
 ) -> dict[tuple, _t.Any]:
     """Execute ``cells`` and return ``{cell.key: result}`` in cell order.
 
-    Cells are scheduled through a
-    :class:`~repro.harness.executor.CellExecutor`: pass one explicitly,
-    install one for a whole batch with
-    :func:`~repro.harness.executor.executor_scope` (what ``--backend``
-    does), or rely on the default — inline for ``jobs <= 1``, a local
-    process pool otherwise.  The result mapping is always assembled in
-    the order the cells were given, so downstream rendering is
-    independent of the backend and of scheduling: serial, pooled,
-    and chunked execution render byte-identical reports.
-    A failing cell re-raises its exception here, whichever process it
-    ran in; a dying *worker* surfaces as a structured
-    :class:`~repro.errors.CellExecutionError` naming the offending cell
-    instead of an opaque pool traceback.  A ``KeyboardInterrupt``
-    cancels outstanding cells and tears the backend down before
-    re-raising — nothing is left dangling.
-
-    Under an active supervision scope (or ``REPRO_SUPERVISE=1``) the
-    cells run through :mod:`repro.harness.supervisor` instead — same
-    mapping, same values, plus watchdog/retry/degrade/journal handling
-    — on the same executor.
-
-    Under an active cell store (:func:`repro.harness.cellstore.store_scope`
-    or ``REPRO_STORE``) the sweep is *store-aware scheduled*: the plan
-    partitions cells into store hits (served), cells leased to this
-    executor (run and published), and cells another executor sharing the
-    store is computing right now (awaited from the peer instead of
-    computed twice).  Served, awaited and fresh results merge by key in
-    cell order, so a store-backed sweep renders byte-identically.
+    A thin wrapper over the sweep driver
+    (:func:`repro.harness.supervisor.run_sweep`), which plans against the
+    active cell store, dispatches through ``executor`` (else the active
+    :func:`~repro.harness.executor.executor_scope` backend, else inline
+    for ``jobs <= 1`` and a local pool otherwise), degrades the cells of
+    a dead pool worker to inline execution, and applies the active
+    supervision policy.  The mapping is assembled in the order the cells
+    were given, so every backend renders byte-identical reports.  A cell
+    that still fails raises its
+    :class:`~repro.errors.CellExecutionError` here — the first in cell
+    order, never completion order.
     """
-    from repro.harness import cellstore as _cellstore
-    from repro.harness import executor as _executor
-    from repro.harness import supervisor as _supervisor
+    from repro.harness.supervisor import run_sweep
 
-    supervised = _supervisor.supervised_results(cells, jobs, executor)
-    if supervised is not None:
-        return supervised
-    cells = list(cells)
-    check_unique_keys(cells)
-    jobs = resolve_jobs(jobs)
-
-    store = _cellstore.active_store()
-    backend = executor if executor is not None else _executor.active_executor()
-
-    served: dict[tuple, _t.Any] = {}
-    pending: _t.Sequence[Cell] = cells
-    deferred: list[Cell] = []
-    if store is not None:
-        plan = store.plan_cells(cells)
-        served, pending, deferred = plan.served, plan.to_run, plan.deferred
-
-    fresh: dict[tuple, _t.Any] = {}
-    try:
-        if backend is None and (jobs <= 1 or len(pending) <= 1):
-            for c in pending:
-                fresh[c.key] = _execute(c)
-                if store is not None:
-                    store.publish(c.worker, c.args, fresh[c.key])
-        elif pending:
-            owned = backend is None
-            exec_ = (
-                backend
-                if backend is not None
-                else _executor.LocalPoolExecutor(min(jobs, len(pending)))
-            )
-            try:
-                fresh.update(_collect(exec_, pending, store))
-            except BaseException:
-                if owned:
-                    # Satellite fix: shut the pool down hard (cancelled
-                    # futures, terminated workers) before re-raising, so
-                    # a KeyboardInterrupt never leaves it dangling.
-                    exec_.shutdown(kill=True)
-                raise
-            else:
-                if owned:
-                    exec_.shutdown()
-        for c in deferred:
-            value = store.await_peer(c.worker, c.args)
-            if value is _cellstore.MISS:
-                value = _execute(c)
-                store.publish(c.worker, c.args, value)
-            served[c.key] = value
-    except BaseException:
-        if store is not None:
-            store.release_leases()
-        raise
-    return {
-        c.key: served[c.key] if c.key in served else fresh[c.key] for c in cells
-    }
+    report = run_sweep(cells, jobs, executor=executor)
+    if report.failures:
+        raise next(iter(report.failures.values()))
+    return report.results
 
 
 # ---------------------------------------------------------------------------

@@ -33,11 +33,12 @@ class BatchResult:
     #: One-line memo/replay/fastcollect banner (None unless ``replay=True``
     #: or ``fastcollect=True`` was asked).
     perf_summary: str | None = None
-    #: One-line ``harness: ...`` supervision banner (None unsupervised).
-    #: Deliberately *not* part of :meth:`render` — its retry/journal-hit
-    #: tallies vary between an interrupted-and-resumed run and a clean
-    #: one, and the rendered report must stay byte-identical across
-    #: both.  The CLI prints it to stderr.
+    #: One-line ``harness: ...`` retry/degrade banner (None unless the
+    #: batch ran with an explicit ``supervisor=`` policy).  Deliberately
+    #: *not* part of :meth:`render` — its retry and degrade tallies vary
+    #: between a run that lost a worker and a clean one, and the rendered
+    #: report must stay byte-identical across both.  The CLI prints it
+    #: to stderr.
     harness_summary: str | None = None
     #: One-line ``store: ...`` cell-store banner (None when the batch ran
     #: without a store).  Also stderr-only and absent from
@@ -167,16 +168,17 @@ def run_batch(
     every NPB cell in the batch (the knob that makes replay worthwhile:
     large counts amortise to the cost of the first few iterations).
 
-    ``supervisor`` runs every experiment's sweep cells under the
-    supervised harness (:mod:`repro.harness.supervisor`): watchdog
-    timeouts, bounded retries, degradation of broken-pool cells to
-    inline execution, and journal/resume per the policy.  Cell keys are
-    namespaced by experiment id in the journal.  A supervised clean run
-    renders byte-identically to an unsupervised one; an experiment whose
-    cells ultimately fail becomes an explicit ``FAILED(<cause>)`` entry
+    Every sweep runs through the one driver
+    (:mod:`repro.harness.supervisor`): the cells of a dead pool worker
+    degrade to inline execution, and an experiment whose cells
+    ultimately fail becomes an explicit ``FAILED(<cause>)`` entry
     (collected in :attr:`BatchResult.failures`) while the rest of the
-    batch keeps running, and the one-line banner lands in
-    :attr:`BatchResult.harness_summary`.
+    batch keeps running.  ``supervisor`` replaces the default policy (no
+    retries, no watchdog) with a
+    :class:`~repro.harness.supervisor.SupervisorPolicy` for the whole
+    batch and puts its one-line banner in
+    :attr:`BatchResult.harness_summary`; a clean run renders
+    byte-identically either way.
 
     ``store`` activates the content-addressed global cell store
     (:mod:`repro.harness.cellstore`) rooted at that path for the whole
@@ -186,11 +188,12 @@ def run_batch(
     warm-store batch executes zero cell workers and still renders
     byte-identically to a cold one; the ``store: ...`` banner lands in
     :attr:`BatchResult.store_summary` (stderr-only, like the harness
-    banner).  Composes with supervision and the journal: resume hits
-    win over store hits, and both are never served across a code edit.
-    When several runs share one store directory, sweep dispatch is
-    store-aware: each run leases the cells it will compute and awaits
-    cells a peer holds, so no cell is ever computed twice.
+    banner).  The store is also the resume path: re-running an
+    interrupted batch with the same ``store`` serves every cell it
+    completed and executes only the rest.  When several runs share one
+    store directory, sweep dispatch is store-aware: each run leases the
+    cells it will compute and awaits cells a peer holds, so no cell is
+    ever computed twice.
 
     ``backend`` schedules every sweep cell through an explicit
     local :class:`~repro.harness.executor.CellExecutor` backend, given
@@ -208,8 +211,6 @@ def run_batch(
     if sim_iters is not None and sim_iters < 1:
         raise ConfigError(f"sim_iters must be >= 1: {sim_iters}")
 
-    from repro.harness.supervisor import cell_namespace
-
     cell_failures: dict[str, CellExecutionError] = {}
 
     def _run_all() -> dict[str, ExperimentOutput]:
@@ -217,14 +218,13 @@ def run_batch(
         for eid in ids:
             if progress is not None:
                 progress(eid)
-            with cell_namespace(eid):
-                try:
-                    outputs[eid] = run_experiment(
-                        eid, quick=quick, seed=seed, jobs=jobs, sim_iters=sim_iters
-                    )
-                except CellExecutionError as err:
-                    cell_failures[eid] = err
-                    outputs[eid] = _failed_output(eid, err)
+            try:
+                outputs[eid] = run_experiment(
+                    eid, quick=quick, seed=seed, jobs=jobs, sim_iters=sim_iters
+                )
+            except CellExecutionError as err:
+                cell_failures[eid] = err
+                outputs[eid] = _failed_output(eid, err)
         return outputs
 
     def _run_sanitized() -> tuple[dict[str, ExperimentOutput], str]:

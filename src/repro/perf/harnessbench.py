@@ -66,7 +66,7 @@ def run_mode(mode: str, cells: int, jobs: int) -> dict[str, float]:
     """Time one backend pushing ``cells`` bench cells; returns its row.
 
     The batch goes straight through the executor (``submit_many`` +
-    drain) — no store, no supervision — so the number is pure dispatch
+    drain) — no store, no sweep driver — so the number is pure dispatch
     overhead.  A small untimed warm-up batch first pays the one-off
     backend costs (pool spin-up) that would
     otherwise swamp the per-cell rate.

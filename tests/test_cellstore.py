@@ -27,7 +27,7 @@ from repro.harness.cellstore import (
     store_scope,
 )
 from repro.harness.parallel import Cell, cell_worker, run_cells
-from repro.harness.supervisor import SupervisorPolicy, run_cells_supervised
+from repro.harness.supervisor import SupervisorPolicy, run_sweep
 
 #: Inline executions of the counting test worker (jobs=1 runs in-process).
 _CALLS: list[tuple] = []
@@ -65,7 +65,7 @@ def fake_fingerprints(monkeypatch):
 
     The static analyzer cannot see workers registered from a test
     module, so this patches :func:`repro.analysis.static.worker_fingerprint`
-    (the single source the store and supervisor both import) with a
+    (the single source the store imports) with a
     mutable mapping the test can edit to simulate a code change.
     """
     import repro.analysis.static as static
@@ -124,7 +124,7 @@ class TestPublishLookup:
         assert value == result
         # Exact types survive the round trip: int dict keys stay ints,
         # tuples stay tuples, floats stay floats.  (String-keyed dicts
-        # come back in canonical sorted order, same as journal resume.)
+        # come back in canonical sorted order.)
         assert all(isinstance(k, int) for k in value["curve"])
         assert isinstance(value["key"], tuple)
         assert isinstance(value["v"], float)
@@ -183,7 +183,7 @@ class TestPublishLookup:
 
 
 # ---------------------------------------------------------------------------
-# run_cells / supervisor integration
+# run_cells / sweep driver integration
 # ---------------------------------------------------------------------------
 
 class TestRunCellsIntegration:
@@ -243,31 +243,15 @@ class TestRunCellsIntegration:
 
     def test_supervised_store_hits_counted(self, tmp_path, fake_fingerprints):
         cells = [Cell((i,), "cs_count", (i,)) for i in range(3)]
-        with store_scope(tmp_path / "store"):
-            fresh = run_cells_supervised(
-                cells, jobs=1, policy=SupervisorPolicy(),
-            )
-            served = run_cells_supervised(
-                cells, jobs=1, policy=SupervisorPolicy(),
-            )
-        assert fresh.stats.store_hits == 0
-        assert served.stats.store_hits == 3 and served.stats.ok == 3
+        policy = SupervisorPolicy(retries=1)
+        with store_scope(tmp_path / "store") as store:
+            fresh = run_sweep(cells, policy=policy)
+            assert store.hits == 0 and store.published == 3
+            served = run_sweep(cells, policy=policy)
+        assert store.hits == 3 and store.published == 3
+        assert served.stats.ok == 3
         assert served.results == fresh.results
-        assert "3 from store" in served.banner()
-
-    def test_journal_resume_hit_wins_over_store(self, tmp_path,
-                                                fake_fingerprints):
-        cells = [Cell((1,), "cs_count", (1,))]
-        jpath = tmp_path / "j.jsonl"
-        with store_scope(tmp_path / "store"):
-            run_cells_supervised(
-                cells, jobs=1, policy=SupervisorPolicy(journal=jpath),
-            )
-            resumed = run_cells_supervised(
-                cells, jobs=1, policy=SupervisorPolicy(resume=jpath),
-            )
-        assert resumed.stats.journal_hits == 1
-        assert resumed.stats.store_hits == 0
+        assert store.banner().startswith("store: 6 lookup(s): 3 served")
 
 
 # ---------------------------------------------------------------------------
@@ -411,16 +395,13 @@ class TestLeases:
         assert out[("a",)] == out[("b",)]
         assert "peer" not in store.banner()
         assert store.hits == 1 and store.misses == 1 and store.published == 1
-        with store_scope(tmp_path / "supervised") as store:
+        with store_scope(tmp_path / "retrying") as store:
             del _CALLS[:]
-            report = run_cells_supervised(
-                cells, jobs=1, policy=SupervisorPolicy(),
-            )
+            report = run_sweep(cells, policy=SupervisorPolicy(retries=1))
         assert _CALLS == [("cs_count", 1)]
         assert report.results == out
         assert "peer" not in store.banner()
-        assert "peer" not in report.banner()
-        assert "1 from store" in report.banner()
+        assert store.hits == 1 and store.published == 1
 
     def test_failed_own_duplicate_does_not_wait(self, tmp_path,
                                                 fake_fingerprints,
@@ -431,12 +412,83 @@ class TestLeases:
         monkeypatch.setattr(time, "sleep", no_polling)
         cells = [Cell(("a",), "cs_fail", (1,)), Cell(("b",), "cs_fail", (1,))]
         with store_scope(tmp_path / "store") as store:
-            report = run_cells_supervised(
-                cells, jobs=1, policy=SupervisorPolicy(retries=0),
-            )
+            report = run_sweep(cells)
         assert sorted(report.failures) == [("a",), ("b",)]
         assert store.published == 0 and store.peer_waits == 0
         assert list(store.leases_dir.iterdir()) == []
+
+    @staticmethod
+    def _owned_by(lease, pid, host=None):
+        """Rewrite ``lease`` as held by process ``pid`` on ``host``."""
+        import socket
+
+        key = lease.name[:-len(".json")]
+        owner = f"{host or socket.gethostname()}:{pid}:dead"
+        lease.write_text(json.dumps({"owner": owner, "k": key}))
+
+    @staticmethod
+    def _exited_pid():
+        """The pid of a child process that has exited and been reaped."""
+        import subprocess
+        import sys
+
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait()
+        return child.pid
+
+    def test_dead_owner_lease_taken_over_at_once(self, tmp_path,
+                                                 fake_fingerprints):
+        # The TTL is 600 s, but the owner process is gone: no wait.
+        a = CellStore(tmp_path / "store")
+        assert a.try_lease("cs_count", (1,))
+        [lease] = list(a.leases_dir.iterdir())
+        self._owned_by(lease, self._exited_pid())
+        b = CellStore(tmp_path / "store")
+        assert b.try_lease("cs_count", (1,))
+        assert b.takeovers == 1
+
+    def test_live_or_remote_owner_keeps_the_ttl(self, tmp_path,
+                                                fake_fingerprints):
+        a = CellStore(tmp_path / "store")
+        assert a.try_lease("cs_count", (1,))
+        [lease] = list(a.leases_dir.iterdir())
+        b = CellStore(tmp_path / "store")
+        self._owned_by(lease, os.getppid())  # alive
+        assert not b.try_lease("cs_count", (1,))
+        self._owned_by(lease, self._exited_pid(), host="elsewhere.invalid")
+        assert not b.try_lease("cs_count", (1,))  # cannot probe another host
+        b.gc()
+        assert lease.exists()
+        self._owned_by(lease, self._exited_pid())
+        b.gc()
+        assert not lease.exists()  # gc reaps a dead owner's lease too
+
+    def test_killed_run_leases_do_not_block_the_rerun(self, tmp_path,
+                                                      monkeypatch):
+        # A run SIGKILLed mid-sweep leaves leases owned by its dead pid;
+        # re-running against the store must take them over at once, not
+        # poll await_peer for the 600 s TTL.
+        from repro.harness.runner import run_batch
+
+        cold = run_batch(["fig4"], quick=True, seed=1,
+                         store=tmp_path / "reference")
+        keys = [json.loads(line)["k"]
+                for line in CellStore(tmp_path / "reference").export_lines()]
+        assert keys
+        leases = tmp_path / "store" / "leases"
+        leases.mkdir(parents=True)
+        dead = self._exited_pid()
+        for key in keys:
+            self._owned_by(leases / f"{key}.json", dead)
+
+        def no_polling(_seconds):
+            raise AssertionError("await_peer polled a dead owner's lease")
+
+        monkeypatch.setattr(time, "sleep", no_polling)
+        rerun = run_batch(["fig4"], quick=True, seed=1, store=tmp_path / "store")
+        assert rerun.render() == cold.render()
+        assert "awaited" not in rerun.store_summary
+        assert list(leases.iterdir()) == []
 
     def test_gc_reaps_stale_lease_files(self, tmp_path, fake_fingerprints):
         store = CellStore(tmp_path / "store", lease_ttl=5.0)
@@ -560,7 +612,6 @@ def _race_sweep(root: str, marker_dir: str, backend: str,
     """One store-backed sweep over ``xs`` through ``backend`` (subprocess)."""
     import repro.analysis.static as static
 
-    os.environ.pop("REPRO_SUPERVISE", None)
     real = static.worker_fingerprint
     static.worker_fingerprint = (
         lambda worker: "77" * 16 if worker == "cs_race" else real(worker)

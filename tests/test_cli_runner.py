@@ -65,6 +65,6 @@ class TestCli:
         assert "fig3" in capsys.readouterr().out
 
     def test_error_reported_cleanly(self, capsys):
-        # Fatal errors exit 1 (0 = all ok, 3 = partial supervised sweep).
+        # Fatal errors exit 1 (0 = all ok, 3 = some sweep cells failed).
         assert main(["run", "bogus"]) == 1
         assert "error:" in capsys.readouterr().err

@@ -123,7 +123,6 @@ class TestLocalPool:
 
 class TestInterruptTeardown:
     def test_keyboard_interrupt_tears_down_owned_pool(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SUPERVISE", raising=False)
         created = []
 
         class Recording(LocalPoolExecutor):
@@ -143,10 +142,9 @@ class TestInterruptTeardown:
         assert True in ex.kills, "owned pool must be shut down hard"
         assert ex._pool is None, "no dangling ProcessPoolExecutor"
 
-    def test_explicit_executor_survives_interrupt(self, monkeypatch):
+    def test_explicit_executor_survives_interrupt(self):
         # A caller-owned backend is the caller's to shut down; run_cells
         # must cancel its futures but leave the transport usable.
-        monkeypatch.delenv("REPRO_SUPERVISE", raising=False)
         with LocalPoolExecutor(2) as ex:
             with pytest.raises(KeyboardInterrupt):
                 run_cells(_cells(4, worker="ex_interrupt"), executor=ex)
@@ -158,8 +156,7 @@ class TestInterruptTeardown:
 # ---------------------------------------------------------------------------
 
 class TestScope:
-    def test_scope_routes_run_cells(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SUPERVISE", raising=False)
+    def test_scope_routes_run_cells(self):
         serial = run_cells(_cells(5), jobs=1)
         assert active_executor() is None
         with executor_scope("serial") as ex:
@@ -180,6 +177,24 @@ class TestScope:
             with executor_scope(Recording()):
                 raise RuntimeError("body blew up")
         assert created == [True]
+
+
+    @pytest.mark.parametrize("backend", ["serial", "chunked"])
+    def test_backend_dispatches_every_executed_cell(self, backend):
+        # A retry policy must not route cells around the chosen backend:
+        # every executed cell is dispatched through it (chunked too).
+        import re
+
+        from repro.harness.runner import run_batch
+        from repro.harness.supervisor import SupervisorPolicy
+
+        batch = run_batch(["fig3"], quick=True, seed=1, jobs=2,
+                          backend=backend,
+                          supervisor=SupervisorPolicy(retries=1))
+        executed = int(re.search(r"(\d+) ok", batch.harness_summary).group(1))
+        dispatched = int(re.search(r"(\d+) cell\(s\) dispatched",
+                                   batch.executor_summary).group(1))
+        assert executed == dispatched > 0
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ Exercises ``repro.analysis.static`` against a synthetic fixture package
 (worker discovery, call-graph closure through imports/re-exports/
 methods, closure-attributed deep findings) and against the real repo
 (fingerprint stability across processes, ``repro lint --deep``
-cleanliness, fingerprint-keyed journal resume).
+cleanliness, fingerprint-keyed store resume).
 """
 
 from __future__ import annotations

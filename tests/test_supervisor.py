@@ -1,17 +1,17 @@
-"""Tests for the supervised, resumable sweep harness.
+"""Tests for the one sweep driver (``repro.harness.supervisor.run_sweep``).
 
-Covers the tentpole contracts of ``repro.harness.supervisor``:
+Covers the driver's contracts:
 
-* clean-run byte-identity — supervision + journal enabled must render
-  every registered experiment byte-identically to a plain run;
-* journal round-trip — a sweep killed after k of n cells and resumed
-  from its journal renders byte-identically to an uninterrupted run,
-  re-executing only the n−k missing cells;
-* watchdog timeout, bounded retries, retry exhaustion and
-  degrade-to-serial on a broken process pool;
-* structured ``CellExecutionError`` surfacing (including the
-  unsupervised ``BrokenProcessPool`` wrapping) and the CLI's
-  0 / 3 / 1 exit-code contract.
+* clean-run byte-identity — every registered experiment renders
+  byte-identically with a retry policy and a store as without;
+* resume by store — a sweep that failed after k of n cells and is
+  re-run against the same store renders byte-identically to an
+  uninterrupted one, re-executing only the n−k missing cells;
+* watchdog timeout, bounded retries, retry exhaustion and degradation
+  of a broken pool's cells to inline execution, by default;
+* ``KeyboardInterrupt`` is never retried or recorded;
+* structured ``CellExecutionError`` surfacing, policy validation and the
+  CLI's 0 / 3 / 1 exit-code contract.
 """
 
 from __future__ import annotations
@@ -24,19 +24,17 @@ import pytest
 
 from repro.errors import CellExecutionError, ConfigError, VerificationError
 from repro.harness import parallel
+from repro.harness.cellstore import STORE_VERSION, CellStore, store_scope
 from repro.harness.journal import (
-    RunJournal,
+    FORMAT_VERSION,
     decode_value,
     encode_value,
-    load_journal,
     payload_hash,
-    read_journal,
 )
 from repro.harness.parallel import Cell, cell_worker, run_cells
 from repro.harness.supervisor import (
     SupervisorPolicy,
-    cell_namespace,
-    run_cells_supervised,
+    run_sweep,
     supervision_scope,
 )
 
@@ -45,8 +43,13 @@ from repro.harness.supervisor import (
 # Module-level cell workers (pool workers must be able to resolve them)
 # ---------------------------------------------------------------------------
 
+#: Inline executions of the counting workers (jobs=1 runs in-process).
+_CALLS: list[tuple] = []
+
+
 @cell_worker("sup_square")
 def _sup_square(x):
+    _CALLS.append(("sup_square", x))
     return {"v": float(x * x)}
 
 
@@ -54,6 +57,7 @@ def _sup_square(x):
 def _sup_flaky(x, fail_above, arm_path):
     """Deterministic computation that raises for x >= fail_above while
     the arm file exists — the 'sweep killed midway' stand-in."""
+    _CALLS.append(("sup_flaky", x))
     if os.path.exists(arm_path) and x >= fail_above:
         raise RuntimeError(f"flaky cell {x}")
     return {"v": float(x * x)}
@@ -110,8 +114,32 @@ def _sup_die_always(x):
     return {"v": float(x)}
 
 
+@cell_worker("sup_interrupt")
+def _sup_interrupt(x, marker_dir):
+    """Leaves one marker file per execution, then raises Ctrl-C."""
+    import tempfile
+
+    fd, _path = tempfile.mkstemp(prefix=f"cell{x}-", dir=marker_dir)
+    os.close(fd)
+    raise KeyboardInterrupt
+
+
+@pytest.fixture
+def fake_fingerprints(monkeypatch):
+    """Give the test-local ``sup_*`` workers code identities so the store
+    serves and publishes them (the static analyzer cannot see workers
+    registered from a test module)."""
+    import repro.analysis.static as static
+
+    real = static.worker_fingerprint
+    monkeypatch.setattr(
+        static, "worker_fingerprint",
+        lambda worker: "5a" * 16 if worker.startswith("sup_") else real(worker),
+    )
+
+
 # ---------------------------------------------------------------------------
-# Journal primitives
+# Typed encoding
 # ---------------------------------------------------------------------------
 
 class TestJournal:
@@ -132,86 +160,16 @@ class TestJournal:
         assert h != payload_hash("npb_point", ("cg", "Vayu", 16, 1))
         assert h != payload_hash("osu_curve", ("cg", "Vayu", 16, 0))
 
-    def test_journal_round_trip(self, tmp_path):
-        path = tmp_path / "run.jsonl"
-        with RunJournal(path) as journal:
-            journal.record_cell("fig1", ("Vayu",), "osu_curve", "abc", {1: 2.5})
-            journal.record_event("fig1", ("DCC",), "retry", cause="timeout")
-            journal.record_cell("fig2", ("Vayu",), "osu_curve", "def", {4: 1.25})
-        entries = load_journal(path)
-        assert set(entries) == {("fig1", ("Vayu",)), ("fig2", ("Vayu",))}
-        assert entries[("fig1", ("Vayu",))].result == {1: 2.5}
-        assert entries[("fig1", ("Vayu",))].payload_hash == "abc"
-
-    def test_torn_final_line_tolerated(self, tmp_path):
-        path = tmp_path / "run.jsonl"
-        with RunJournal(path) as journal:
-            journal.record_cell("ns", (1,), "w", "h", {"v": 1.0})
-        with open(path, "a") as fh:
-            fh.write('{"kind": "cell", "ns": "ns", "key"')  # killed mid-write
-        entries = load_journal(path)
-        assert set(entries) == {("ns", (1,))}
-
-    def test_corrupt_middle_line_skipped_not_fatal(self, tmp_path):
-        # A mid-file corrupted line loses only that record: the cells
-        # around it stay loadable and the skip carries a reason.
-        path = tmp_path / "run.jsonl"
-        with RunJournal(path) as journal:
-            journal.record_cell("ns", (1,), "w", "aa" * 16, {"v": 1.0})
-        with open(path, "a") as fh:
-            fh.write("not json\n")
-        with RunJournal(path) as journal:
-            journal.record_cell("ns", (2,), "w", "bb" * 16, {"v": 2.0})
-        read = read_journal(path)
-        assert set(read.entries) == {("ns", (1,)), ("ns", (2,))}
-        [skip] = read.skipped
-        assert skip.lineno == 2
-        assert "unparseable" in skip.reason
-        # load_journal (the resume path) must not abort either.
-        assert set(load_journal(path)) == {("ns", (1,)), ("ns", (2,))}
-
-    def test_malformed_cell_record_skipped_with_reason(self, tmp_path):
-        # A parseable cell record missing a required field is skipped
-        # with a reason, never a crash.
-        path = tmp_path / "run.jsonl"
-        with RunJournal(path) as journal:
-            journal.record_cell("ns", (1,), "w", "aa" * 16, {"v": 1.0})
-        with open(path, "a") as fh:
-            fh.write('{"kind": "cell", "v": 2, "ns": "ns", "key": [3]}\n')
-        read = read_journal(path)
-        assert set(read.entries) == {("ns", (1,))}
-        [skip] = read.skipped
-        assert skip.lineno == 2 and skip.version == 2
-        assert "malformed" in skip.reason
-
-    def test_close_is_idempotent(self, tmp_path):
-        journal = RunJournal(tmp_path / "run.jsonl")
-        journal.record_cell("ns", (1,), "w", "aa" * 16, {"v": 1.0})
-        journal.close()
-        journal.close()  # double-close must not raise
-        with RunJournal(tmp_path / "run2.jsonl") as journal:
-            journal.record_cell("ns", (1,), "w", "aa" * 16, {"v": 1.0})
-        journal.close()  # close-after-__exit__ must not raise
-        with pytest.raises(ConfigError, match="closed"):
-            journal.record_cell("ns", (2,), "w", "bb" * 16, {"v": 2.0})
-
-    def test_missing_resume_journal_rejected(self, tmp_path):
-        with pytest.raises(ConfigError, match="not found"):
-            load_journal(tmp_path / "nope.jsonl")
-
 
 # ---------------------------------------------------------------------------
-# Supervised execution semantics
+# Driver semantics
 # ---------------------------------------------------------------------------
 
 class TestSupervisedExecution:
     def test_clean_run_matches_plain_run_cells(self, tmp_path):
         cells = [Cell((i,), "sup_square", (i,)) for i in range(5)]
         plain = run_cells(cells, jobs=1)
-        report = run_cells_supervised(
-            cells, jobs=2,
-            policy=SupervisorPolicy(journal=tmp_path / "j.jsonl"),
-        )
+        report = run_sweep(cells, 2, policy=SupervisorPolicy(retries=1))
         assert report.results == plain
         assert list(report.results) == list(plain)
         assert not report.failures and not report.retries
@@ -220,19 +178,16 @@ class TestSupervisedExecution:
     def test_duplicate_keys_rejected(self):
         cells = [Cell((1,), "sup_square", (1,)), Cell((1,), "sup_square", (2,))]
         with pytest.raises(ConfigError, match="duplicate cell keys"):
-            run_cells_supervised(cells, policy=SupervisorPolicy())
+            run_sweep(cells)
 
     def test_unknown_worker_stays_fatal(self):
         with pytest.raises(ConfigError, match="unknown cell worker"):
-            run_cells_supervised(
-                [Cell((1,), "no_such_worker")], policy=SupervisorPolicy()
-            )
+            run_sweep([Cell((1,), "no_such_worker")],
+                      policy=SupervisorPolicy(retries=2))
 
     def test_worker_exception_exhausts_retries(self):
         cells = [Cell((0,), "sup_square", (0,)), Cell((1,), "sup_raise", (1,))]
-        report = run_cells_supervised(
-            cells, jobs=1, policy=SupervisorPolicy(retries=1)
-        )
+        report = run_sweep(cells, 1, policy=SupervisorPolicy(retries=1))
         assert report.results == {(0,): {"v": 0.0}}
         err = report.failures[(1,)]
         assert isinstance(err, CellExecutionError)
@@ -241,11 +196,22 @@ class TestSupervisedExecution:
         assert "boom 1" in err.detail and "RuntimeError" in err.detail
         assert report.retries[(1,)] == ("worker-exception", "worker-exception")
         assert report.stats.failed == 1 and report.stats.ok == 1
+        assert report.stats.retried == 1
+
+    def test_default_policy_wraps_cell_exceptions(self):
+        # No retries by default, and run_cells raises the structured
+        # error rather than the worker's own exception.
+        with pytest.raises(CellExecutionError) as excinfo:
+            run_cells([Cell((0,), "sup_square", (0,)),
+                       Cell((1,), "sup_raise", (1,))])
+        err = excinfo.value
+        assert err.key == (1,) and err.attempts == 1
+        assert err.cause == "worker-exception"
 
     def test_repro_errors_never_retried(self):
-        report = run_cells_supervised(
+        report = run_sweep(
             [Cell((1,), "sup_raise_repro", (1,))],
-            jobs=1, policy=SupervisorPolicy(retries=3),
+            1, policy=SupervisorPolicy(retries=3),
         )
         err = report.failures[(1,)]
         assert err.attempts == 1          # deterministic error: no retry
@@ -255,9 +221,7 @@ class TestSupervisedExecution:
         cells = [Cell(("hang",), "sup_hang", (0,))] + [
             Cell((i,), "sup_square", (i,)) for i in range(3)
         ]
-        report = run_cells_supervised(
-            cells, jobs=2, policy=SupervisorPolicy(timeout=1.0, retries=0)
-        )
+        report = run_sweep(cells, 2, policy=SupervisorPolicy(timeout=1.0))
         err = report.failures[("hang",)]
         assert err.cause == "timeout"
         assert "watchdog" in err.detail
@@ -269,8 +233,8 @@ class TestSupervisedExecution:
         cells = [Cell(("once",), "sup_sleep_once", (7, marker))] + [
             Cell((i,), "sup_square", (i,)) for i in range(2)
         ]
-        report = run_cells_supervised(
-            cells, jobs=2, policy=SupervisorPolicy(timeout=1.5, retries=1)
+        report = run_sweep(
+            cells, 2, policy=SupervisorPolicy(timeout=1.5, retries=1)
         )
         assert not report.failures
         assert report.results[("once",)] == {"v": 7.0}
@@ -280,9 +244,7 @@ class TestSupervisedExecution:
     def test_broken_pool_degrades_to_serial(self, tmp_path):
         marker = str(tmp_path / "died")
         cells = [Cell((i,), "sup_die_once", (i, marker)) for i in range(4)]
-        report = run_cells_supervised(
-            cells, jobs=2, policy=SupervisorPolicy(retries=0)
-        )
+        report = run_sweep(cells, 2)
         assert not report.failures
         assert report.results == {(i,): {"v": float(i * 3)} for i in range(4)}
         assert report.stats.degraded >= 1
@@ -292,43 +254,83 @@ class TestSupervisedExecution:
         marker = tmp_path / "chaos"
         monkeypatch.setenv("REPRO_CHAOS_KILL", str(marker))
         cells = [Cell((i,), "sup_square", (i,)) for i in range(4)]
-        report = run_cells_supervised(cells, jobs=2, policy=SupervisorPolicy())
+        report = run_sweep(cells, 2)
         assert report.results == {(i,): {"v": float(i * i)} for i in range(4)}
         assert not report.failures
         assert report.stats.degraded >= 1
         assert marker.exists()
 
-    def test_unsupervised_broken_pool_names_cell(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SUPERVISE", raising=False)
+    def test_default_policy_degrades_broken_pool(self):
+        # Degradation is not opt-in: a plain run_cells whose every pool
+        # worker dies still completes, inline.
         cells = [Cell((i,), "sup_die_always", (i,)) for i in range(2)]
-        with pytest.raises(CellExecutionError) as excinfo:
-            run_cells(cells, jobs=2)
-        assert excinfo.value.cause == "worker-death"
-        assert excinfo.value.key in {(0,), (1,)}
-        assert "supervision" in excinfo.value.detail
+        assert run_cells(cells, jobs=2) == {(0,): {"v": 0.0}, (1,): {"v": 1.0}}
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_keyboard_interrupt_never_retried(self, jobs, tmp_path,
+                                              monkeypatch, capsys):
+        """Ctrl-C in a cell propagates at once under ``--retries 1``:
+        the cell runs once, nothing is recorded, the batch stops."""
+        from repro.cli import main
+        from repro.harness.experiments import EXPERIMENTS, ExperimentOutput
+
+        markers = tmp_path / "markers"
+        markers.mkdir()
+
+        def _interrupted(quick=True, seed=0, jobs=1, sim_iters=None):
+            cells = [Cell((0,), "sup_interrupt", (0, str(markers)))] + [
+                Cell((i,), "sup_square", (i,)) for i in (1, 2)
+            ]
+            run_cells(cells, jobs=jobs)
+            return ExperimentOutput("intex", "never reached", {}, "")
+
+        monkeypatch.setitem(EXPERIMENTS, "intex", _interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["run", "intex", "tab1", "--retries", "1",
+                  "--jobs", str(jobs)])
+        assert len(list(markers.glob("cell0-*"))) == 1
+        err = capsys.readouterr().err
+        assert "[running] tab1" not in err  # the sweep did not go on
+
+    @pytest.mark.parametrize("policy", [
+        dict(timeout=0), dict(timeout=-1.0), dict(timeout=float("nan")),
+        dict(retries=-3),
+    ])
+    def test_policy_validated(self, policy):
+        with pytest.raises(ConfigError):
+            SupervisorPolicy(**policy)
+
+    @pytest.mark.parametrize("flags", [
+        ["--timeout", "0"], ["--timeout", "-1"], ["--retries", "-3"],
+    ])
+    def test_bad_policy_flags_exit_1(self, flags, capsys):
+        from repro.cli import main
+
+        assert main(["run", "fig3", "--jobs", "2", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
 
 # ---------------------------------------------------------------------------
-# Journal resume: interrupted sweep == uninterrupted sweep
+# Resume: re-running against the same store
 # ---------------------------------------------------------------------------
 
 class TestResume:
-    def test_interrupted_then_resumed_is_byte_identical(self, tmp_path):
+    def test_interrupted_then_resumed_is_byte_identical(self, tmp_path,
+                                                         fake_fingerprints):
         arm = tmp_path / "armed"
-        jpath = tmp_path / "run.jsonl"
+        root = tmp_path / "store"
         n, k = 6, 3
         cells = [Cell((i,), "sup_flaky", (i, k, str(arm))) for i in range(n)]
 
-        clean = run_cells_supervised(
-            cells, jobs=1, policy=SupervisorPolicy(retries=0)
-        )
+        clean = run_sweep(cells, 1)
         assert len(clean.results) == n
 
-        # "Kill" the sweep after k cells: arm the failure, run journaled.
+        # "Kill" the sweep after k cells: arm the failure, run stored.
         arm.touch()
-        interrupted = run_cells_supervised(
-            cells, jobs=1, policy=SupervisorPolicy(retries=0, journal=jpath)
-        )
+        with store_scope(root):
+            interrupted = run_sweep(cells, 1)
         assert len(interrupted.results) == k
         assert len(interrupted.failures) == n - k
         assert all(
@@ -338,43 +340,104 @@ class TestResume:
 
         # Resume: only the n-k missing cells re-execute.
         arm.unlink()
-        resumed = run_cells_supervised(
-            cells, jobs=1,
-            policy=SupervisorPolicy(retries=0, journal=jpath, resume=jpath),
-        )
-        assert resumed.stats.journal_hits == k
+        del _CALLS[:]
+        with store_scope(root) as store:
+            resumed = run_sweep(cells, 1)
+        assert store.hits == k and store.published == n - k
+        assert [x for _, x in _CALLS] == list(range(k, n))
         assert not resumed.failures
         assert repr(resumed.results) == repr(clean.results)
 
-    def test_payload_hash_mismatch_forces_re_execution(self, tmp_path):
-        jpath = tmp_path / "run.jsonl"
-        with RunJournal(jpath) as journal:
-            journal.record_cell(
-                "", (2,), "sup_square", "stale-hash", {"v": -1.0}
-            )
-        report = run_cells_supervised(
-            [Cell((2,), "sup_square", (2,))],
-            jobs=1, policy=SupervisorPolicy(resume=jpath),
-        )
-        # The stale entry must not be trusted: the cell re-runs.
-        assert report.stats.journal_hits == 0
+    def test_payload_hash_mismatch_forces_re_execution(self, tmp_path,
+                                                       fake_fingerprints):
+        root = tmp_path / "store"
+        with store_scope(root) as store:
+            run_sweep([Cell((2,), "sup_square", (2,))])
+        [shard] = store.shard_files()
+        rec = json.loads(shard.read_text())
+        rec["hash"] = "00" * 16
+        rec["result"] = {"v": -1.0}
+        shard.write_text(json.dumps(rec) + "\n")
+        del _CALLS[:]
+        with store_scope(root) as store:
+            report = run_sweep([Cell((2,), "sup_square", (2,))])
+        # The tampered record must not be trusted: the cell re-runs.
+        assert store.hits == 0 and _CALLS == [("sup_square", 2)]
         assert report.results[(2,)] == {"v": 4.0}
 
-    def test_namespaces_isolate_identical_keys(self, tmp_path):
-        jpath = tmp_path / "run.jsonl"
-        cells_a = [Cell((1,), "sup_square", (3,))]
-        with supervision_scope(SupervisorPolicy(journal=jpath)) as scope:
-            with cell_namespace("expA"):
-                run_cells(cells_a, jobs=1)
-        entries = load_journal(jpath)
-        assert set(entries) == {("expA", (1,))}
-        # Same key under a different namespace is NOT resumed from expA.
-        with supervision_scope(
-            SupervisorPolicy(journal=jpath, resume=jpath)
-        ) as scope:
-            with cell_namespace("expB"):
-                run_cells(cells_a, jobs=1)
-            assert scope.stats.journal_hits == 0
+    def test_identical_keys_in_different_sweeps_do_not_collide(
+        self, tmp_path, fake_fingerprints
+    ):
+        # fig1 and fig2 both key their cells by platform name: the store
+        # is content-addressed, so equal keys with different payloads
+        # never serve each other.
+        with store_scope(tmp_path / "store") as store:
+            a = run_sweep([Cell(("Vayu",), "sup_square", (3,))])
+            b = run_sweep([Cell(("Vayu",), "sup_square", (4,))])
+        assert a.results == {("Vayu",): {"v": 9.0}}
+        assert b.results == {("Vayu",): {"v": 16.0}}
+        assert store.hits == 0 and store.published == 2
+
+    def test_torn_final_record_tolerated(self, tmp_path, fake_fingerprints):
+        # A run killed mid-publish leaves a torn last line; the re-run
+        # serves every complete record and re-executes nothing else.
+        root = tmp_path / "store"
+        cells = [Cell((i,), "sup_square", (i,)) for i in range(4)]
+        with store_scope(root) as store:
+            clean = run_sweep(cells)
+        shard = store.shard_files()[0]
+        with open(shard, "a") as fh:
+            fh.write('{"v": 1, "k": "')  # killed mid-write
+        del _CALLS[:]
+        with store_scope(root) as store:
+            resumed = run_sweep(cells)
+        assert _CALLS == [] and store.hits == 4
+        assert resumed.results == clean.results
+
+    def test_corrupt_middle_record_skipped_not_fatal(self, tmp_path,
+                                                     fake_fingerprints,
+                                                     monkeypatch):
+        # A garbled record loses only that cell: the re-run serves the
+        # cells around it and re-simulates just the damaged one.
+        import repro.harness.cellstore as cellstore
+
+        monkeypatch.setattr(cellstore, "SHARD_WIDTH", 0)  # one shard
+        root = tmp_path / "store"
+        cells = [Cell((i,), "sup_square", (i,)) for i in range(3)]
+        with store_scope(root) as store:
+            clean = run_sweep(cells)
+        [shard] = store.shard_files()
+        lines = shard.read_text().splitlines()
+        assert len(lines) == 3
+        lines[1] = "not json"  # cell 1's record, published second
+        shard.write_text("\n".join(lines) + "\n")
+        del _CALLS[:]
+        with store_scope(root) as store:
+            resumed = run_sweep(cells)
+        assert _CALLS == [("sup_square", 1)]
+        assert store.hits == 2
+        assert resumed.results == clean.results
+
+    def test_malformed_record_skipped_with_reason(self, tmp_path,
+                                                  fake_fingerprints):
+        # A parseable record missing a field is never served, and verify
+        # names the reason.
+        root = tmp_path / "store"
+        with store_scope(root) as store:
+            run_sweep([Cell((1,), "sup_square", (1,))])
+        [shard] = store.shard_files()
+        rec = json.loads(shard.read_text())
+        del rec["result"]
+        shard.write_text(json.dumps(rec) + "\n")
+        report = CellStore(root).verify()
+        assert not report.clean
+        assert "missing field 'result'" in report.render()
+        del _CALLS[:]
+        with store_scope(root):
+            assert run_sweep([Cell((1,), "sup_square", (1,))]).results == {
+                (1,): {"v": 1.0}
+            }
+        assert _CALLS == [("sup_square", 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -389,32 +452,30 @@ def _experiment_ids():
 
 @pytest.mark.parametrize("experiment_id", _experiment_ids())
 def test_supervised_experiment_byte_identical(experiment_id, tmp_path):
-    """Acceptance: every registered experiment rendered with
-    supervision + journal enabled is byte-identical to a plain run."""
+    """Acceptance: every registered experiment rendered with a retry
+    policy and a store is byte-identical to a plain run."""
     from repro.harness.runner import run_batch
 
     plain = run_batch([experiment_id], quick=True, seed=2)
     supervised = run_batch(
         [experiment_id], quick=True, seed=2,
-        supervisor=SupervisorPolicy(journal=tmp_path / "j.jsonl"),
+        supervisor=SupervisorPolicy(retries=1), store=tmp_path / "store",
     )
     assert supervised.render() == plain.render()
     assert not supervised.failures
     assert supervised.harness_summary is not None
     assert supervised.harness_summary.startswith("harness: ")
+    assert plain.harness_summary is None
 
 
-def test_batch_resume_skips_journaled_cells(tmp_path):
-    """Resuming a fully journaled batch re-executes no sweep cells and
-    renders byte-identically."""
+def test_batch_resume_from_store_skips_completed_cells(tmp_path):
+    """Re-running a completed batch against its store re-executes no
+    sweep cells and renders byte-identically."""
     from repro.harness.runner import run_batch
 
-    jpath = tmp_path / "batch.jsonl"
+    root = tmp_path / "store"
     plain = run_batch(["fig1", "tab3"], quick=True, seed=2)
-    first = run_batch(
-        ["fig1", "tab3"], quick=True, seed=2,
-        supervisor=SupervisorPolicy(journal=jpath),
-    )
+    first = run_batch(["fig1", "tab3"], quick=True, seed=2, store=root)
     assert first.render() == plain.render()
 
     calls: list[tuple] = []
@@ -426,15 +487,12 @@ def test_batch_resume_skips_journaled_cells(tmp_path):
 
     parallel._execute = _poisoned
     try:
-        resumed = run_batch(
-            ["fig1", "tab3"], quick=True, seed=2,
-            supervisor=SupervisorPolicy(journal=jpath, resume=jpath),
-        )
+        resumed = run_batch(["fig1", "tab3"], quick=True, seed=2, store=root)
     finally:
         parallel._execute = real_execute
-    assert calls == []  # every cell came from the journal
+    assert calls == []  # every cell came from the store
     assert resumed.render() == plain.render()
-    assert "from journal" in resumed.harness_summary
+    assert "0 executed, 0 published" in resumed.store_summary
 
 
 def test_batch_partial_failure_renders_and_continues(monkeypatch, capsys):
@@ -448,7 +506,7 @@ def test_batch_partial_failure_renders_and_continues(monkeypatch, capsys):
         return ExperimentOutput("failex", "never reached", {}, str(points))
 
     monkeypatch.setitem(EXPERIMENTS, "failex", _failing_experiment)
-    rc = main(["run", "failex", "tab1", "--supervise", "--retries", "0"])
+    rc = main(["run", "failex", "tab1"])
     out = capsys.readouterr().out
     assert rc == 3
     assert "=== failex: FAILED(worker-exception) ===" in out
@@ -473,7 +531,6 @@ def test_faults_sweep_partial_failure_grid(monkeypatch, capsys):
     rc = main([
         "faults", "sweep", "--rates", "0.01", "0.05", "--intervals", "10",
         "--work", "100", "--trials", "2",
-        "--supervise", "--retries", "0",
     ])
     out = capsys.readouterr().out
     assert rc == 3
@@ -483,8 +540,8 @@ def test_faults_sweep_partial_failure_grid(monkeypatch, capsys):
 
 
 def test_faults_sweep_resume_byte_identical(tmp_path, monkeypatch):
-    """Acceptance: a sweep interrupted after k of n cells and resumed
-    via the journal renders byte-identically to an uninterrupted one."""
+    """Acceptance: a sweep interrupted after k of n cells and re-run
+    against its store renders byte-identically to an uninterrupted one."""
     import repro.faults.checkpoint as checkpoint
     from repro.faults.sweep import sweep_failure_checkpoint
 
@@ -492,7 +549,7 @@ def test_faults_sweep_resume_byte_identical(tmp_path, monkeypatch):
         work=100.0, checkpoint_cost=1.0, restart_cost=2.0, trials=2, seed=3
     )
     rates, intervals = [0.01, 0.05], [10.0, 25.0]
-    jpath = tmp_path / "sweep.jsonl"
+    root = tmp_path / "store"
 
     clean = sweep_failure_checkpoint(rates, intervals, **kwargs)
 
@@ -505,20 +562,16 @@ def test_faults_sweep_resume_byte_identical(tmp_path, monkeypatch):
 
     monkeypatch.setattr(checkpoint, "simulate_completion", _sabotaged)
     interrupted = sweep_failure_checkpoint(
-        rates, intervals, **kwargs,
-        supervisor=SupervisorPolicy(retries=0, journal=jpath),
+        rates, intervals, **kwargs, store=root,
     )
     assert len(interrupted.cells) == 2 and len(interrupted.failures) == 2
     monkeypatch.setattr(checkpoint, "simulate_completion", real)
 
-    resumed = sweep_failure_checkpoint(
-        rates, intervals, **kwargs,
-        supervisor=SupervisorPolicy(retries=0, journal=jpath, resume=jpath),
-    )
+    resumed = sweep_failure_checkpoint(rates, intervals, **kwargs, store=root)
     assert not resumed.failures
     assert resumed.render() == clean.render()
     assert resumed.to_dict() == clean.to_dict()
-    assert "2 from journal" in resumed.harness_summary
+    assert "2 served, 2 executed, 2 published" in resumed.store_summary
 
 
 def test_cli_exit_codes_documented_in_help():
@@ -527,120 +580,69 @@ def test_cli_exit_codes_documented_in_help():
     text = build_parser().format_help()
     assert "exit codes" in text
     assert "3 partial" in text and "1 fatal" in text
+    assert "cells failed" in text
 
 
-def test_env_supervision_is_invisible_on_clean_runs(monkeypatch):
-    monkeypatch.setenv("REPRO_SUPERVISE", "1")
+def test_retry_policy_is_invisible_on_clean_runs():
     cells = [Cell((i,), "sup_square", (i,)) for i in range(4)]
-    supervised = run_cells(cells, jobs=2)
-    monkeypatch.delenv("REPRO_SUPERVISE")
+    with supervision_scope(SupervisorPolicy(retries=2, timeout=30.0)) as scope:
+        supervised = run_cells(cells, jobs=2)
     plain = run_cells(cells, jobs=1)
     assert supervised == plain
+    assert scope.banner() == (
+        "harness: 4 cell(s): 4 ok, 0 retried, 0 degraded, 0 failed"
+    )
 
 
 # ---------------------------------------------------------------------------
-# Journal format v2: versioning, wide hashes, code fingerprints
+# Format versions: FORMAT_VERSION keys the store, records carry their own
 # ---------------------------------------------------------------------------
 
 class TestJournalFormatV2:
-    def test_records_carry_version_and_wide_hash(self, tmp_path):
-        jpath = tmp_path / "run.jsonl"
-        run_cells_supervised(
-            [Cell((3,), "sup_square", (3,))],
-            jobs=1, policy=SupervisorPolicy(journal=jpath),
-        )
-        (rec,) = [json.loads(l) for l in jpath.read_text().splitlines()]
-        assert rec["v"] == 2
-        assert len(rec["hash"]) == 32
-        # sup_square is registered from this test module, outside the
-        # static index, so the record carries no code fingerprint.
-        assert "code" not in rec
+    def test_records_carry_version_and_wide_hash(self, tmp_path,
+                                                 fake_fingerprints):
+        with store_scope(tmp_path / "store") as store:
+            run_sweep([Cell((3,), "sup_square", (3,))])
+        [shard] = store.shard_files()
+        (rec,) = [json.loads(l) for l in shard.read_text().splitlines()]
+        assert rec["v"] == STORE_VERSION
+        assert len(rec["hash"]) == 32 and len(rec["k"]) == 64
+        # The encoding version is hashed into every key; existing
+        # stores keep their keys only while it stays 2.
+        assert FORMAT_VERSION == 2
 
     def test_payload_hash_is_32_hex(self):
         digest = payload_hash("sup_square", (3,))
         assert len(digest) == 32
         int(digest, 16)  # hex
 
-    def test_v1_journal_still_resumes(self, tmp_path):
-        """A v1 record (16-char hash, no code field) is honoured."""
-        jpath = tmp_path / "v1.jsonl"
-        digest16 = payload_hash("sup_square", (5,))[:16]
-        jpath.write_text(json.dumps({
-            "kind": "cell", "v": 1, "ns": "",
-            "key": {"__tuple__": [5]},
-            "worker": "sup_square", "hash": digest16,
-            "result": {"v": 25.0},
-        }) + "\n")
-        report = run_cells_supervised(
-            [Cell((5,), "sup_square", (5,))],
-            jobs=1, policy=SupervisorPolicy(resume=jpath),
+    def test_newer_version_skipped_with_reason(self, tmp_path,
+                                               fake_fingerprints):
+        self._check_version_skipped(
+            tmp_path, STORE_VERSION + 1, "newer than supported"
         )
-        assert report.stats.journal_hits == 1
-        assert report.results[(5,)] == {"v": 25.0}
 
-    def test_newer_version_skipped_with_reason(self, tmp_path):
-        from repro.harness.journal import read_journal
+    def test_non_integer_version_skipped_with_reason(self, tmp_path,
+                                                     fake_fingerprints):
+        self._check_version_skipped(tmp_path, "two", "non-integer store version")
 
-        jpath = tmp_path / "future.jsonl"
-        digest = payload_hash("sup_square", (4,))
-        jpath.write_text(json.dumps({
-            "kind": "cell", "v": 99, "ns": "",
-            "key": {"__tuple__": [4]},
-            "worker": "sup_square", "hash": digest,
-            "result": {"v": -1.0}, "frobnicate": True,
-        }) + "\n")
-        read = read_journal(jpath)
-        assert read.entries == {}
-        (skip,) = read.skipped
-        assert skip.lineno == 1 and skip.version == 99
-        assert "newer than supported" in skip.reason
-        # And resume re-simulates instead of crashing or trusting it.
-        report = run_cells_supervised(
-            [Cell((4,), "sup_square", (4,))],
-            jobs=1, policy=SupervisorPolicy(resume=jpath),
-        )
-        assert report.stats.journal_hits == 0
+    @staticmethod
+    def _check_version_skipped(tmp_path, version, reason):
+        """A record of an unknown layout is re-simulated, never misread,
+        and verify names why it is unusable."""
+        root = tmp_path / "store"
+        with store_scope(root) as store:
+            run_sweep([Cell((4,), "sup_square", (4,))])
+        [shard] = store.shard_files()
+        rec = json.loads(shard.read_text())
+        rec.update(v=version, result={"v": -1.0})
+        shard.write_text(json.dumps(rec) + "\n")
+        assert reason in CellStore(root).verify().render()
+        del _CALLS[:]
+        with store_scope(root) as store:
+            report = run_sweep([Cell((4,), "sup_square", (4,))])
+        assert store.hits == 0 and _CALLS == [("sup_square", 4)]
         assert report.results[(4,)] == {"v": 16.0}
-
-    def test_non_integer_version_skipped_with_reason(self, tmp_path):
-        from repro.harness.journal import read_journal
-
-        jpath = tmp_path / "odd.jsonl"
-        jpath.write_text(json.dumps({
-            "kind": "cell", "v": "two", "ns": "",
-            "key": {"__tuple__": [1]},
-            "worker": "sup_square", "hash": "x", "result": {},
-        }) + "\n")
-        read = read_journal(jpath)
-        assert read.entries == {}
-        (skip,) = read.skipped
-        assert "non-integer format version" in skip.reason
-
-    def test_hash_matches_semantics(self):
-        from repro.harness.journal import hash_matches
-
-        digest = "ab" * 16
-        assert hash_matches(digest, digest)
-        assert hash_matches(digest[:16], digest)      # v1 prefix
-        assert not hash_matches(digest[:15], digest)  # wrong width
-        assert not hash_matches("cd" * 16, digest)
-        assert not hash_matches("cd" * 8, digest)
-
-    def test_hash_matches_rejects_non_hex_entries(self):
-        # A corrupted journal value must never false-positive into a
-        # resume hit: both the exact and the v1-prefix path demand a
-        # lowercase-hex, even-length stored digest.
-        from repro.harness.journal import hash_matches
-
-        digest = "ab" * 16
-        assert not hash_matches("zz" * 8, digest)            # non-hex, 16 chars
-        assert not hash_matches("AB" * 16, digest)           # uppercase hex
-        assert not hash_matches(digest[:16].upper(), digest)
-        assert not hash_matches("", digest)                  # empty
-        assert not hash_matches(digest + "f", digest + "f")  # odd length
-        # Even a degenerate "digest" argument cannot make a non-hex
-        # entry match itself.
-        assert not hash_matches("not-a-digest!!", "not-a-digest!!")
 
 
 class TestCodeFingerprintResume:
@@ -651,56 +653,44 @@ class TestCodeFingerprintResume:
         (0.001, 300.0, 600.0, 5.0, 10.0, 1, 1),
     )
 
-    def test_journal_records_code_for_registered_worker(self, tmp_path):
+    def test_store_records_code_for_registered_worker(self, tmp_path):
         from repro.analysis.static import worker_fingerprint
 
-        jpath = tmp_path / "fp.jsonl"
-        run_cells_supervised(
-            [self.CELL], jobs=1, policy=SupervisorPolicy(journal=jpath),
-        )
-        (rec,) = [json.loads(l) for l in jpath.read_text().splitlines()]
+        with store_scope(tmp_path / "store") as store:
+            run_sweep([self.CELL])
+        [shard] = store.shard_files()
+        (rec,) = [json.loads(l) for l in shard.read_text().splitlines()]
         assert rec["code"] == worker_fingerprint("faults_point")
         assert len(rec["code"]) == 32
 
     def test_matching_fingerprint_resumes_byte_identically(self, tmp_path):
-        jpath = tmp_path / "fp.jsonl"
-        clean = run_cells_supervised(
-            [self.CELL], jobs=1, policy=SupervisorPolicy(journal=jpath),
-        )
-        resumed = run_cells_supervised(
-            [self.CELL], jobs=1, policy=SupervisorPolicy(resume=jpath),
-        )
-        assert resumed.stats.journal_hits == 1
+        root = tmp_path / "store"
+        with store_scope(root):
+            clean = run_sweep([self.CELL])
+        with store_scope(root) as store:
+            resumed = run_sweep([self.CELL])
+        assert store.hits == 1 and store.published == 0
         assert repr(resumed.results) == repr(clean.results)
 
-    def test_code_mismatch_forces_re_simulation(self, tmp_path):
-        jpath = tmp_path / "fp.jsonl"
-        run_cells_supervised(
-            [self.CELL], jobs=1, policy=SupervisorPolicy(journal=jpath),
-        )
-        (rec,) = [json.loads(l) for l in jpath.read_text().splitlines()]
-        rec["code"] = "0" * 32  # the worker's code has "changed"
+    def test_code_mismatch_forces_re_simulation(self, tmp_path, monkeypatch):
+        import repro.analysis.static as static
+
+        root = tmp_path / "store"
+        with store_scope(root):
+            run_sweep([self.CELL])
+        [shard] = CellStore(root).shard_files()
+        rec = json.loads(shard.read_text())
         rec["result"] = {"completion_time": -1.0}
-        jpath.write_text(json.dumps(rec) + "\n")
-        report = run_cells_supervised(
-            [self.CELL], jobs=1, policy=SupervisorPolicy(resume=jpath),
+        shard.write_text(json.dumps(rec) + "\n")
+        # The worker's code has "changed": its fingerprint moves.
+        real = static.worker_fingerprint
+        monkeypatch.setattr(
+            static, "worker_fingerprint",
+            lambda worker: "0" * 32 if worker == "faults_point" else real(worker),
         )
+        with store_scope(root) as store:
+            report = run_sweep([self.CELL])
         # The stale-code entry must not be trusted: the cell re-runs
         # and produces the genuine result.
-        assert report.stats.journal_hits == 0
+        assert store.hits == 0
         assert report.results[self.CELL.key]["completion_time"] > 0
-
-    def test_entry_without_code_still_resumes(self, tmp_path):
-        """A v2 entry from a run that couldn't fingerprint (or a v1
-        journal) is accepted — absence of identity is not a mismatch."""
-        jpath = tmp_path / "fp.jsonl"
-        run_cells_supervised(
-            [self.CELL], jobs=1, policy=SupervisorPolicy(journal=jpath),
-        )
-        (rec,) = [json.loads(l) for l in jpath.read_text().splitlines()]
-        del rec["code"]
-        jpath.write_text(json.dumps(rec) + "\n")
-        report = run_cells_supervised(
-            [self.CELL], jobs=1, policy=SupervisorPolicy(resume=jpath),
-        )
-        assert report.stats.journal_hits == 1
