@@ -18,8 +18,9 @@ This package is the repository's correctness backstop (see
 * :mod:`repro.analysis.static` — the whole-program analyzer
   (``repro lint --deep``, ``repro fingerprint``): call-graph closures
   of registered cell workers, semantic code fingerprints (the
-  cell store's code-identity key), closure-attributed
-  hazard findings, SARIF output and baseline gating.
+  cell store's code-identity key, minted by a streaming module index
+  that parses each module once and keeps per-definition summaries),
+  closure-attributed hazard findings, SARIF output and baseline gating.
 * :mod:`repro.analysis.stats` — the derived quantities the paper
   reports (speedups, normalised times, Table III statistics); moved
   here from ``repro.core.analysis``, which remains as a shim.
@@ -41,11 +42,13 @@ from repro.analysis.sanitizer import (
     sanitize_scope,
 )
 from repro.analysis.static import (
+    Definition,
     ModuleIndex,
     StaticFinding,
     StaticReport,
     WorkerClosure,
     analyze_workers,
+    definition_fingerprint,
     worker_closure,
     worker_fingerprint,
 )
@@ -59,6 +62,7 @@ from repro.analysis.stats import (
 
 __all__ = [
     "RULES",
+    "Definition",
     "Diagnostic",
     "LintFinding",
     "ModuleIndex",
@@ -69,6 +73,7 @@ __all__ = [
     "StaticReport",
     "WorkerClosure",
     "analyze_workers",
+    "definition_fingerprint",
     "lint_file",
     "lint_paths",
     "lint_source",

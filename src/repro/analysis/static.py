@@ -6,9 +6,11 @@ static layer (``repro lint``).  This module adds the whole-program layer
 that the content-addressed result cache (ROADMAP item 1) requires:
 
 * **Module index** — :class:`ModuleIndex` parses every module under a
-  package root with the stdlib :mod:`ast` (nothing is imported) and
-  records its top-level definitions (functions, classes, assignments)
-  and import bindings.
+  package root with the stdlib :mod:`ast` (nothing is imported), once,
+  and records its import bindings and one compact summary per top-level
+  definition (function, class, method, assignment): its semantic hash,
+  the dotted names it loads, its local imports and class bases.  Each
+  tree is dropped once summarised; nothing later touches an AST.
 * **Call-graph closure** — starting from a registered cell worker
   (``@cell_worker`` in :mod:`repro.harness.parallel`), name and
   attribute references are resolved through import bindings — including
@@ -17,10 +19,11 @@ that the content-addressed result cache (ROADMAP item 1) requires:
 * **Semantic fingerprints** — each definition is hashed over a canonical
   AST dump with docstrings stripped, so the fingerprint is invariant
   under comments, docstrings and formatting but changes with any
-  semantic edit.  Folding the sorted per-definition hashes over a
-  worker's closure yields its ``code fingerprint``: the cell-store
-  key component that ties a stored result to the exact code that
-  produced it (``repro fingerprint``, :mod:`repro.harness.cellstore`).
+  semantic edit.  Each definition is hashed once per index.  Folding
+  the sorted per-definition hashes over a worker's closure yields its
+  ``code fingerprint``: the cell-store key component that ties a stored
+  result to the exact code that produced it (``repro fingerprint``,
+  :mod:`repro.harness.cellstore`).
 * **Interprocedural hazard propagation** — the deep linter rules
   (DET007–DET011, :mod:`repro.analysis.lint`) run over every module a
   worker reaches, and each finding is attributed to the workers whose
@@ -41,6 +44,7 @@ sensitive, never stale — the safe direction for a cache key.
 from __future__ import annotations
 
 import ast
+import collections
 import copy
 import dataclasses
 import hashlib
@@ -66,32 +70,43 @@ _MAX_HOPS = 16
 # Module index
 # ---------------------------------------------------------------------------
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class Definition:
-    """One top-level definition: a function, class or assignment."""
+#: Import binding: local alias -> (module, attribute-or-None).
+_Bindings = dict[str, tuple[str, str | None]]
 
-    module: str     #: dotted module name, e.g. ``repro.harness.parallel``
-    qualname: str   #: ``name`` or ``Class.method``
-    node: ast.AST   #: the defining AST statement
+_FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+@dataclasses.dataclass(frozen=True, slots=True, eq=False)
+class Definition:
+    """Summary of one top-level definition: a function, class, method or
+    assignment.
+
+    It holds what closures and fingerprints need and nothing else: the
+    AST it was read from is dropped once its module has been indexed.
+    """
+
+    module: str       #: dotted module name, e.g. ``repro.harness.parallel``
+    qualname: str     #: ``name`` or ``Class.method``
+    fingerprint: str  #: :func:`definition_fingerprint` of the statement
+    loads: tuple[tuple[str, ...], ...]  #: dotted names it references
+    scope: _Bindings  #: import bindings made anywhere inside it
+    bases: tuple[tuple[str, ...], ...] = ()  #: dotted class bases
+    is_class: bool = False
 
     @property
     def key(self) -> tuple[str, str]:
         return (self.module, self.qualname)
 
 
-#: Import binding: local alias -> (module, attribute-or-None).
-_Bindings = dict[str, tuple[str, str | None]]
-
-
 @dataclasses.dataclass(slots=True)
 class _Module:
     name: str
     path: pathlib.Path
-    source: str
-    tree: ast.Module | None           #: None when the file does not parse
     is_package: bool
     defs: dict[str, Definition] = dataclasses.field(default_factory=dict)
     imports: _Bindings = dataclasses.field(default_factory=dict)
+    #: ``@cell_worker("name")`` registrations: worker name -> function name
+    workers: dict[str, str] = dataclasses.field(default_factory=dict)
 
 
 def _import_bindings(
@@ -127,14 +142,72 @@ def _import_bindings(
     return out
 
 
+#: What :func:`_scan` finds under one subtree: its import statements (in
+#: :func:`ast.walk` order) and the dotted names it references.
+_Refs = tuple[list[ast.stmt], dict[tuple[str, ...], None]]
+
+
+def _scan(node: ast.AST, methods: _t.Sequence[ast.AST] = ()) -> list[_Refs]:
+    """References under ``node`` (entry 0) and under each of ``methods``.
+
+    ``methods`` are direct children of ``node`` (a class's functions), so
+    a class and its methods are summarised in one walk rather than each
+    method being walked twice.  Nodes are visited in :func:`ast.walk`
+    order, which restricted to one method is that method's own walk
+    order: where two imports bind the same alias, the same one wins as
+    in a walk of the method alone.  The walk also strips every docstring
+    under ``node`` in place, once, as :func:`definition_fingerprint`
+    does on its copy.
+    """
+    slot = {id(m): i for i, m in enumerate(methods, 1)}
+    out: list[_Refs] = [([], {}) for _ in range(len(methods) + 1)]
+    todo = collections.deque([(node, 0)])
+    while todo:
+        sub, owner = todo.popleft()
+        if isinstance(sub, _DOCSTRING_NODES):
+            _drop_docstring(sub)
+        for child in ast.iter_child_nodes(sub):
+            todo.append((child, owner or slot.get(id(child), 0)))
+        sinks = (out[0], out[owner]) if owner else (out[0],)
+        if isinstance(sub, (ast.Import, ast.ImportFrom)):
+            for imports, _ in sinks:
+                imports.append(sub)
+            continue
+        if isinstance(sub, ast.Attribute):
+            dotted = _dotted_name(sub)
+        elif isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            dotted = (sub.id,)
+        else:
+            continue
+        if dotted:
+            for _, loads in sinks:
+                loads[dotted] = None
+    return out
+
+
+def _cell_worker_name(deco: ast.expr) -> str | None:
+    """``"name"`` for a ``@cell_worker("name")`` decorator, else ``None``."""
+    if not isinstance(deco, ast.Call):
+        return None
+    name_parts = _dotted_name(deco.func)
+    if not name_parts or name_parts[-1] != "cell_worker":
+        return None
+    if deco.args and isinstance(deco.args[0], ast.Constant) \
+            and isinstance(deco.args[0].value, str):
+        return deco.args[0].value
+    return None
+
+
 class ModuleIndex:
-    """AST index of every module under one package root.
+    """Streaming AST index of every module under one package root.
 
     ``root`` is the package directory (default: the installed
     :mod:`repro` package) and ``package`` its dotted import name.  The
-    index never imports the code it describes; files that fail to parse
-    are kept (with ``tree=None``) so the deep analysis can surface them
-    as DET000 instead of silently shrinking the closure.
+    index never imports the code it describes.  Each module is parsed
+    once and summarised — one :class:`Definition` per top-level
+    definition, its semantic hash taken there and then — and its tree is
+    dropped, so closures and fingerprints never touch an AST.  Files
+    that fail to parse are kept with no definitions.
     """
 
     def __init__(
@@ -171,51 +244,87 @@ class ModuleIndex:
 
     # -- construction ------------------------------------------------------
     def _load(self) -> None:
-        files = sorted(
-            f for f in self.root.rglob("*.py")
-            if "__pycache__" not in f.parts
-            and not any(part.startswith(".") for part in f.parts)
+        # Filter on the path below the root: the root itself may sit
+        # under a dot-directory (``.venv/``, a hidden worktree).
+        rels = sorted(
+            rel for rel in (f.relative_to(self.root)
+                            for f in self.root.rglob("*.py"))
+            if "__pycache__" not in rel.parts
+            and not any(part.startswith(".") for part in rel.parts)
         )
-        for path in files:
-            rel = path.relative_to(self.root)
-            parts = [self.package] + list(rel.parts[:-1])
-            is_package = rel.name == "__init__.py"
-            if not is_package:
-                parts.append(rel.stem)
-            name = ".".join(parts)
-            source = path.read_text(encoding="utf-8", errors="replace")
-            try:
-                tree: ast.Module | None = ast.parse(source, filename=str(path))
-            except SyntaxError:
-                tree = None
-            mod = _Module(name, path, source, tree, is_package)
-            if tree is not None:
-                mod.imports = _import_bindings(tree.body, name, is_package)
-                self._collect_defs(mod, tree)
-            self.modules[name] = mod
+        for rel in rels:
+            mod = self._index_file(rel)
+            self.modules[mod.name] = mod
 
-    def _collect_defs(self, mod: _Module, tree: ast.Module) -> None:
+    def _index_file(self, rel: pathlib.PurePath) -> _Module:
+        """Parse and summarise one file; its source and tree die on return,
+        before the next file is parsed."""
+        path = self.root / rel
+        parts = [self.package] + list(rel.parts[:-1])
+        is_package = rel.name == "__init__.py"
+        if not is_package:
+            parts.append(rel.stem)
+        mod = _Module(".".join(parts), path, is_package)
+        source = path.read_text(encoding="utf-8", errors="replace")
+        try:
+            tree = ast.parse(source, filename=str(path))
+        except SyntaxError:
+            return mod
+        mod.imports = _import_bindings(tree.body, mod.name, is_package)
+        self._summarize(mod, tree)
+        return mod
+
+    def _summarize(self, mod: _Module, tree: ast.Module) -> None:
         for stmt in tree.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                mod.defs[stmt.name] = Definition(mod.name, stmt.name, stmt)
+            if isinstance(stmt, _FUNCTION_NODES):
+                mod.defs[stmt.name] = self._define(mod, stmt.name, stmt)
+                for deco in stmt.decorator_list:
+                    worker = _cell_worker_name(deco)
+                    if worker is not None:
+                        mod.workers[worker] = stmt.name
             elif isinstance(stmt, ast.ClassDef):
-                mod.defs[stmt.name] = Definition(mod.name, stmt.name, stmt)
-                for sub in stmt.body:
-                    if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                        qn = f"{stmt.name}.{sub.name}"
-                        mod.defs[qn] = Definition(mod.name, qn, sub)
+                methods = [s for s in stmt.body if isinstance(s, _FUNCTION_NODES)]
+                refs = _scan(stmt, methods)
+                bases = tuple(filter(None, map(_dotted_name, stmt.bases)))
+                mod.defs[stmt.name] = self._define(
+                    mod, stmt.name, stmt, refs[0], bases=bases, is_class=True
+                )
+                for sub, sub_refs in zip(methods, refs[1:]):
+                    qn = f"{stmt.name}.{sub.name}"
+                    mod.defs[qn] = self._define(mod, qn, sub, sub_refs)
             elif isinstance(stmt, ast.Assign):
-                for target in stmt.targets:
-                    if isinstance(target, ast.Name):
+                names = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+                if names:
+                    d = self._define(mod, names[0], stmt)
+                    for name in names:
                         mod.defs.setdefault(
-                            target.id, Definition(mod.name, target.id, stmt)
+                            name, dataclasses.replace(d, qualname=name)
                         )
             elif isinstance(stmt, ast.AnnAssign):
                 if isinstance(stmt.target, ast.Name) and stmt.value is not None:
                     mod.defs.setdefault(
                         stmt.target.id,
-                        Definition(mod.name, stmt.target.id, stmt),
+                        self._define(mod, stmt.target.id, stmt),
                     )
+
+    def _define(
+        self,
+        mod: _Module,
+        qualname: str,
+        node: ast.AST,
+        refs: _Refs | None = None,
+        *,
+        bases: tuple[tuple[str, ...], ...] = (),
+        is_class: bool = False,
+    ) -> Definition:
+        """Summarise and hash ``node``, given its ``refs`` if already
+        scanned (the scan strips docstrings, so it precedes the dump)."""
+        imports, loads = refs if refs is not None else _scan(node)[0]
+        return Definition(
+            mod.name, qualname, _hash(_dump(node)), tuple(loads),
+            _import_bindings(imports, mod.name, mod.is_package),
+            bases, is_class,
+        )
 
     # -- resolution --------------------------------------------------------
     def resolve_path(
@@ -236,7 +345,7 @@ class ModuleIndex:
             if mod is not None:
                 d = mod.defs.get(name)
                 if d is not None:
-                    if len(parts) >= 2 and isinstance(d.node, ast.ClassDef):
+                    if len(parts) >= 2 and d.is_class:
                         meth = mod.defs.get(f"{name}.{parts[1]}")
                         return meth or d
                     return d
@@ -275,7 +384,7 @@ class ModuleIndex:
             return self.resolve_path(bmod, parts)
         d = mod.defs.get(head)
         if d is not None:
-            if len(dotted) >= 2 and isinstance(d.node, ast.ClassDef):
+            if len(dotted) >= 2 and d.is_class:
                 return mod.defs.get(f"{head}.{dotted[1]}") or d
             return d
         return None
@@ -292,21 +401,8 @@ class ModuleIndex:
         out: dict[str, Definition] = {}
         for modname in sorted(self.modules):
             mod = self.modules[modname]
-            if mod.tree is None:
-                continue
-            for stmt in mod.tree.body:
-                if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    continue
-                for deco in stmt.decorator_list:
-                    if not isinstance(deco, ast.Call):
-                        continue
-                    target = deco.func
-                    name_parts = _dotted_name(target)
-                    if not name_parts or name_parts[-1] != "cell_worker":
-                        continue
-                    if deco.args and isinstance(deco.args[0], ast.Constant) \
-                            and isinstance(deco.args[0].value, str):
-                        out[deco.args[0].value] = mod.defs[stmt.name]
+            for worker, fn in mod.workers.items():
+                out[worker] = mod.defs[fn]
         return out
 
     # -- closure -----------------------------------------------------------
@@ -324,36 +420,20 @@ class ModuleIndex:
 
     def _edges(self, d: Definition) -> list[Definition]:
         mod = self.modules[d.module]
-        node = d.node
-        scope = _import_bindings(
-            [s for s in ast.walk(node)
-             if isinstance(s, (ast.Import, ast.ImportFrom))],
-            mod.name, mod.is_package,
-        )
         owner_class: str | None = None
-        if isinstance(node, ast.ClassDef):
+        if d.is_class:
             owner_class = d.qualname
         elif "." in d.qualname:
             owner_class = d.qualname.split(".", 1)[0]
         out: dict[tuple[str, str], Definition] = {}
-        for sub in ast.walk(node):
-            dotted: tuple[str, ...] | None = None
-            if isinstance(sub, ast.Attribute):
-                dotted = _dotted_name(sub)
-            elif isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
-                dotted = (sub.id,)
-            if not dotted:
-                continue
-            target = self.resolve_dotted(mod, scope, dotted, owner_class)
+        for dotted in d.loads:
+            target = self.resolve_dotted(mod, d.scope, dotted, owner_class)
             if target is not None and target.key != d.key:
                 out[target.key] = target
-        if isinstance(node, ast.ClassDef):
-            for base in node.bases:
-                base_dotted = _dotted_name(base)
-                if base_dotted:
-                    target = self.resolve_dotted(mod, scope, base_dotted)
-                    if target is not None and target.key != d.key:
-                        out[target.key] = target
+        for dotted in d.bases:
+            target = self.resolve_dotted(mod, d.scope, dotted)
+            if target is not None and target.key != d.key:
+                out[target.key] = target
         return [out[k] for k in sorted(out)]
 
 
@@ -373,20 +453,35 @@ def _dotted_name(node: ast.AST) -> tuple[str, ...] | None:
 # Semantic fingerprints
 # ---------------------------------------------------------------------------
 
+#: Nodes whose leading string expression is a docstring.
+_DOCSTRING_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Module)
+
+
+def _drop_docstring(node: ast.AST) -> None:
+    body = node.body
+    if (
+        body
+        and isinstance(body[0], ast.Expr)
+        and isinstance(body[0].value, ast.Constant)
+        and isinstance(body[0].value.value, str)
+    ):
+        del body[0]
+
+
 def _strip_docstrings(node: ast.AST) -> None:
     """Remove docstring expressions everywhere under ``node`` (in place)."""
     for sub in ast.walk(node):
-        body = getattr(sub, "body", None)
-        if not isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                ast.ClassDef, ast.Module)) or not body:
-            continue
-        first = body[0]
-        if (
-            isinstance(first, ast.Expr)
-            and isinstance(first.value, ast.Constant)
-            and isinstance(first.value.value, str)
-        ):
-            del body[0]
+        if isinstance(sub, _DOCSTRING_NODES):
+            _drop_docstring(sub)
+
+
+def _dump(node: ast.AST) -> str:
+    return ast.dump(node, include_attributes=False)
+
+
+def _hash(blob: str) -> str:
+    digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return digest[:FINGERPRINT_WIDTH]
 
 
 def definition_fingerprint(node: ast.AST) -> str:
@@ -396,13 +491,12 @@ def definition_fingerprint(node: ast.AST) -> str:
     with docstrings stripped, so it is invariant under comments,
     docstrings, blank lines and formatting — but any change to the code
     itself (names, constants, structure, decorators, annotations)
-    produces a different value.
+    produces a different value.  :class:`ModuleIndex` mints the same
+    hash without the copy, having stripped its module's docstrings once.
     """
     clean = copy.deepcopy(node)
     _strip_docstrings(clean)
-    blob = ast.dump(clean, include_attributes=False)
-    digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()
-    return digest[:FINGERPRINT_WIDTH]
+    return _hash(_dump(clean))
 
 
 def fold_fingerprints(items: _t.Iterable[tuple[str, str, str]]) -> str:
@@ -443,7 +537,7 @@ def worker_closure(worker: str, index: ModuleIndex | None = None) -> WorkerClosu
         ) from None
     defs = index.closure([root])
     fingerprint = fold_fingerprints(
-        (d.module, d.qualname, definition_fingerprint(d.node)) for d in defs
+        (d.module, d.qualname, d.fingerprint) for d in defs
     )
     return WorkerClosure(
         worker=worker,
@@ -454,7 +548,9 @@ def worker_closure(worker: str, index: ModuleIndex | None = None) -> WorkerClosu
     )
 
 
-#: Per-process cache for :func:`worker_fingerprint` (the cell-store hot path).
+#: Per-process cache for :func:`worker_fingerprint` (the cell-store hot
+#: path): every static worker's fingerprint, plus ``None`` for names asked
+#: about that are not static workers.  Empty until the first call.
 _fingerprint_cache: dict[str, str | None] = {}
 
 
@@ -465,13 +561,24 @@ def worker_fingerprint(worker: str) -> str | None:
     This is the cell-store hook: ``None`` means "no code identity
     available", so the store neither serves nor publishes that worker's
     cells — they always execute.
+
+    The first call fingerprints every static worker at once, from the
+    default index if one is cached and otherwise from a throwaway one: a
+    store run then carries a few strings through its simulation, not
+    the index.
     """
-    if worker not in _fingerprint_cache:
+    if not _fingerprint_cache:
         try:
-            _fingerprint_cache[worker] = worker_closure(worker).fingerprint
+            index = ModuleIndex._default or ModuleIndex()
         except ConfigError:
-            _fingerprint_cache[worker] = None
-    return _fingerprint_cache[worker]
+            return None  # no package directory to index (e.g. a zipimport)
+        # Publish only a complete table: a part-filled one would answer
+        # None for the workers still missing, bypassing the store silently.
+        _fingerprint_cache.update({
+            name: worker_closure(name, index).fingerprint
+            for name in sorted(index.workers())
+        })
+    return _fingerprint_cache.setdefault(worker, None)
 
 
 # ---------------------------------------------------------------------------
@@ -565,8 +672,10 @@ def analyze_workers(
 
     findings: list[StaticFinding] = []
     for modname in sorted(module_workers):
-        mod = index.modules[modname]
-        raw = lint_source(mod.source, str(mod.path), deep=True)
+        # The index keeps no source: re-read each file a closure reaches.
+        path = index.modules[modname].path
+        source = path.read_text(encoding="utf-8", errors="replace")
+        raw = lint_source(source, str(path), deep=True)
         # DET012 rides along so a stale suppression of a deep rule in
         # reachable code is surfaced by `repro lint --deep` too.
         deep_raw = [
@@ -575,7 +684,7 @@ def analyze_workers(
         ]
         if not deep_raw:
             continue
-        spans = _toplevel_spans(mod)
+        spans = _toplevel_spans(source)
         for f in deep_raw:
             owner = _owning_span(spans, f.line)
             if owner is None:
@@ -592,12 +701,14 @@ def analyze_workers(
     return StaticReport(closures=tuple(closures), findings=tuple(findings))
 
 
-def _toplevel_spans(mod: _Module) -> list[tuple[int, int, str]]:
-    if mod.tree is None:
+def _toplevel_spans(source: str) -> list[tuple[int, int, str]]:
+    try:
+        tree = ast.parse(source)
+    except SyntaxError:
         return []
     spans = []
-    for stmt in mod.tree.body:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+    for stmt in tree.body:
+        if isinstance(stmt, (*_FUNCTION_NODES, ast.ClassDef)):
             start = min(
                 [stmt.lineno] + [d.lineno for d in stmt.decorator_list]
             )

@@ -228,17 +228,23 @@ def _cmd_fingerprint(args: argparse.Namespace) -> int:
         else list(args.workers)
     closures = [worker_closure(w, index) for w in names]
     if args.check:
-        # Recompute from a fresh index: any nondeterminism in parsing,
-        # traversal or hashing shows up as a mismatch.
+        # Recompute from a second fresh index, which parses and hashes
+        # every module again: any nondeterminism in parsing, traversal or
+        # hashing shows up as a mismatch in a closure or its fingerprint.
         fresh = ModuleIndex()
         for c in closures:
             again = worker_closure(c.worker, fresh)
-            if again.fingerprint != c.fingerprint:
-                print(
-                    f"[unstable] {c.worker}: {c.fingerprint} != "
-                    f"{again.fingerprint}",
-                    file=sys.stderr,
+            if again != c:
+                field = next(
+                    f for f in ("fingerprint", "root", "definitions", "modules")
+                    if getattr(again, f) != getattr(c, f)
                 )
+                was, now = getattr(c, field), getattr(again, field)
+                if field in ("definitions", "modules"):
+                    detail = f"{field} differ: {sorted(set(was) ^ set(now))}"
+                else:
+                    detail = f"{field} {was} != {now}"
+                print(f"[unstable] {c.worker}: {detail}", file=sys.stderr)
                 return 1
         print(f"[ok] {len(closures)} fingerprint(s) stable", file=sys.stderr)
     if args.json:

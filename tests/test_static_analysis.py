@@ -4,19 +4,25 @@ Exercises ``repro.analysis.static`` against a synthetic fixture package
 (worker discovery, call-graph closure through imports/re-exports/
 methods, closure-attributed deep findings) and against the real repo
 (fingerprint stability across processes, ``repro lint --deep``
-cleanliness, fingerprint-keyed store resume).
+cleanliness, fingerprint-keyed store resume), including the streaming
+index's contracts: one parse per module, summary hashes equal to
+:func:`definition_fingerprint`, and indexing under dot-directories.
 """
 
 from __future__ import annotations
 
+import ast
+import collections
 import json
 import pathlib
+import shutil
 import subprocess
 import sys
 import textwrap
 
 import pytest
 
+from repro.analysis import static
 from repro.analysis.lint import RULES
 from repro.analysis.static import (
     ModuleIndex,
@@ -88,13 +94,17 @@ FIXTURE = {
 }
 
 
-@pytest.fixture()
-def fixpkg(tmp_path):
-    root = tmp_path / "fixpkg"
-    root.mkdir()
+def write_fixpkg(parent: pathlib.Path) -> pathlib.Path:
+    root = parent / "fixpkg"
+    root.mkdir(parents=True)
     for name, body in FIXTURE.items():
         (root / name).write_text(textwrap.dedent(body), encoding="utf-8")
     return root
+
+
+@pytest.fixture()
+def fixpkg(tmp_path):
+    return write_fixpkg(tmp_path)
 
 
 def fix_index(root: pathlib.Path) -> ModuleIndex:
@@ -134,8 +144,95 @@ class TestClosure:
         with pytest.raises(ConfigError, match="unknown cell worker"):
             worker_closure("no_such", fix_index(fixpkg))
 
+    def test_unindexable_package_fingerprints_none(self, monkeypatch):
+        """No package directory (e.g. a zipimport): the store is bypassed
+        for every worker, and a later call can still fill the cache."""
+        def unindexable(self, *args, **kwargs):
+            raise ConfigError("package root is not a directory")
+
+        monkeypatch.setattr(static, "_fingerprint_cache", {})
+        monkeypatch.setattr(ModuleIndex, "_default", None)
+        with monkeypatch.context() as patch:
+            patch.setattr(ModuleIndex, "__init__", unindexable)
+            assert worker_fingerprint("npb_point") is None
+        assert static._fingerprint_cache == {}
+        assert worker_fingerprint("npb_point") is not None
+
+    def test_failed_fill_leaves_the_cache_empty(self, monkeypatch):
+        """A fill that fails part-way publishes nothing, so no worker is
+        later answered ``None`` for want of an entry."""
+        real, calls = static.worker_closure, []
+
+        def failing(worker, index=None):
+            calls.append(worker)
+            if len(calls) == 2:
+                raise RuntimeError("interrupted")
+            return real(worker, index)
+
+        monkeypatch.setattr(static, "_fingerprint_cache", {})
+        with monkeypatch.context() as patch:
+            patch.setattr(static, "worker_closure", failing)
+            with pytest.raises(RuntimeError, match="interrupted"):
+                worker_fingerprint("npb_point")
+        assert static._fingerprint_cache == {}
+        assert worker_fingerprint(calls[0]) is not None
+
     def test_unregistered_worker_fingerprint_is_none(self):
         assert worker_fingerprint("definitely-not-a-worker") is None
+
+
+# ---------------------------------------------------------------------------
+# Dot-directory paths: a package under .venv/ or a hidden worktree
+# ---------------------------------------------------------------------------
+
+def runtime_repro_workers() -> list[str]:
+    """Workers in the runtime ``@cell_worker`` registry defined in repro."""
+    from repro.harness.parallel import _WORKERS
+
+    return sorted(
+        name for name, fn in _WORKERS.items()
+        if fn.__module__.split(".")[0] == "repro"
+    )
+
+
+class TestDotDirectories:
+    def test_fixture_under_dot_directory_indexes_the_same(self, tmp_path):
+        plain = fix_index(write_fixpkg(tmp_path / "plain"))
+        hidden = fix_index(write_fixpkg(tmp_path / ".venv" / "lib"))
+        assert set(hidden.workers()) == set(plain.workers()) \
+            == {"fix_alpha", "fix_beta"}
+        for worker in plain.workers():
+            assert worker_closure(worker, hidden) == \
+                worker_closure(worker, plain)
+
+    def test_dot_files_below_the_root_are_still_skipped(self, fixpkg):
+        (fixpkg / ".scratch").mkdir()
+        (fixpkg / ".scratch" / "junk.py").write_text(
+            "def junk():\n    return 1\n", encoding="utf-8"
+        )
+        assert not any(".scratch" in m for m in fix_index(fixpkg).modules)
+
+    @pytest.mark.parametrize("where", ["installed", "dot-directory copy"])
+    def test_every_runtime_worker_has_a_fingerprint(
+        self, where, tmp_path, monkeypatch
+    ):
+        """A worker without a fingerprint bypasses the store silently."""
+        import repro
+
+        root = pathlib.Path(repro.__file__).parent
+        if where != "installed":
+            copy = tmp_path / ".venv" / "lib" / "repro"
+            shutil.copytree(
+                root, copy, ignore=shutil.ignore_patterns("__pycache__")
+            )
+            root = copy
+        monkeypatch.setattr(
+            ModuleIndex, "_default", ModuleIndex(root, package="repro")
+        )
+        monkeypatch.setattr(static, "_fingerprint_cache", {})
+        names = runtime_repro_workers()
+        assert names
+        assert [n for n in names if worker_fingerprint(n) is None] == []
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +288,97 @@ class TestFingerprints:
         assert definition_fingerprint(node) == definition_fingerprint(again)
         assert len(definition_fingerprint(node)) == 32
 
+    def test_summary_hashes_match_definition_fingerprint(self, fixpkg):
+        """The index hashes once, in place; the reference deep-copies."""
+        # Docstrings at every level, and bodies whose first statement
+        # is a docstring followed by another string (stripped only once).
+        (fixpkg / "shapes.py").write_text(textwrap.dedent('''
+            """Module docstring."""
+            import math
+
+            class Shape(object):
+                """Class docstring."""
+                TAG = "shape"
+
+                def area(self):
+                    """Method docstring."""
+                    import math as m
+                    return m.pi
+
+                async def later(self):
+                    "docstring"
+                    "not a docstring"
+
+                class Inner:
+                    """Nested class docstring."""
+                    def f(self):
+                        """Nested method docstring."""
+                        return 1
+
+            class Plain:
+                def one(self):
+                    "only a docstring"
+
+            def free():
+                "docstring"
+                "not a docstring"
+
+            A = B = math.tau
+            C: float = 2.0
+        '''), encoding="utf-8")
+        for index in (fix_index(fixpkg), ModuleIndex()):
+            assert any(mod.defs for mod in index.modules.values())
+            for mod in index.modules.values():
+                fresh = top_level_nodes(mod.path)
+                assert set(mod.defs) == set(fresh), mod.name
+                for qualname, d in mod.defs.items():
+                    assert d.fingerprint == \
+                        definition_fingerprint(fresh[qualname]), \
+                        f"{mod.name}:{qualname}"
+
+    def test_worker_fingerprints_parse_each_module_once(self, monkeypatch):
+        import repro
+
+        parsed: collections.Counter[str] = collections.Counter()
+        dumps: list[str] = []
+        real_parse, real_dump = ast.parse, ast.dump
+
+        def counting_parse(source, filename="<unknown>", *args, **kwargs):
+            parsed[str(filename)] += 1
+            return real_parse(source, filename, *args, **kwargs)
+
+        def counting_dump(node, *args, **kwargs):
+            dumps.append(type(node).__name__)
+            return real_dump(node, *args, **kwargs)
+
+        ModuleIndex.reset_default()
+        monkeypatch.setattr(ast, "parse", counting_parse)
+        monkeypatch.setattr(ast, "dump", counting_dump)
+        try:
+            names = runtime_repro_workers()
+            first = [worker_fingerprint(n) for n in names]
+            package = pathlib.Path(repro.__file__).parent
+            files = {
+                str(f) for f in package.rglob("*.py")
+                if "__pycache__" not in f.parts
+            }
+            assert set(parsed) <= files
+            assert max(parsed.values()) == 1
+            parsed.clear()
+            assert [worker_fingerprint(n) for n in names] == first
+            assert not parsed
+            # Closures over a built index, past the per-worker cache,
+            # re-fold the summaries' hashes: no parse, no dump.
+            index = ModuleIndex.default()
+            assert set(index.workers()) == set(names)
+            parsed.clear()
+            dumps.clear()
+            for _ in range(2):
+                assert [worker_closure(n).fingerprint for n in names] == first
+            assert not parsed and not dumps
+        finally:
+            ModuleIndex.reset_default()
+
     def test_repo_fingerprints_stable_across_processes(self):
         """Acceptance criterion: byte-stable across two fresh processes."""
         cmd = [sys.executable, "-m", "repro", "fingerprint", "--all", "--json"]
@@ -206,6 +394,28 @@ class TestFingerprints:
         data = json.loads(outs[0])
         assert set(data) >= {"npb_point", "osu_curve", "faults_point"}
         assert all(len(v["fingerprint"]) == 32 for v in data.values())
+
+
+def top_level_nodes(path: pathlib.Path) -> dict[str, ast.AST]:
+    """Freshly parsed ``{qualname: node}`` for a module's definitions."""
+    out: dict[str, ast.AST] = {}
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(stmt, functions):
+            out[stmt.name] = stmt
+        elif isinstance(stmt, ast.ClassDef):
+            out[stmt.name] = stmt
+            for sub in stmt.body:
+                if isinstance(sub, functions):
+                    out[f"{stmt.name}.{sub.name}"] = sub
+        elif isinstance(stmt, ast.Assign):
+            for target in stmt.targets:
+                if isinstance(target, ast.Name):
+                    out.setdefault(target.id, stmt)
+        elif isinstance(stmt, ast.AnnAssign):
+            if isinstance(stmt.target, ast.Name) and stmt.value is not None:
+                out.setdefault(stmt.target.id, stmt)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +448,30 @@ class TestDeepAttribution:
 
     def test_repo_fingerprint_check_stable(self, capsys):
         assert main(["fingerprint", "--all", "--check"]) == 0
+
+    def test_fingerprint_check_names_the_unstable_field(
+        self, capsys, monkeypatch
+    ):
+        """A closure that moves under an unchanged fingerprint is named."""
+        import dataclasses
+
+        calls = []
+        real = static.worker_closure
+
+        def flaky(worker, index=None):
+            c = real(worker, index)
+            calls.append(worker)
+            if calls.count(worker) == 2:
+                c = dataclasses.replace(
+                    c, definitions=c.definitions + (("ghost", "g"),)
+                )
+            return c
+
+        monkeypatch.setattr(static, "worker_closure", flaky)
+        assert main(["fingerprint", "npb_point", "--check"]) == 1
+        err = capsys.readouterr().err
+        assert "[unstable] npb_point: definitions differ: " \
+            "[('ghost', 'g')]" in err
 
 
 # ---------------------------------------------------------------------------
