@@ -23,9 +23,9 @@ run executes:
   from out-of-range sources.
 
 Enable per world (``MpiWorld(..., sanitize=True)``), per scope
-(:func:`sanitize_scope`, used by ``run_batch(sanitize=True)`` and the
-``--sanitize`` CLI flag) or globally via the ``REPRO_SANITIZE``
-environment variable (which forked pool workers inherit).  The checks
+(:func:`sanitize_scope`), per run (``run_batch(sanitize=True)`` and the
+``--sanitize`` CLI flag, see :mod:`repro.config`) or by default via the
+``REPRO_SANITIZE`` environment variable.  The checks
 observe the simulation without scheduling events, so enabling them
 never changes virtual timestamps: a sanitized run is bit-identical to
 an unsanitized one.
@@ -35,9 +35,9 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import os
 import typing as _t
 
+from repro.config import collect_report, world_options, world_scope
 from repro.errors import DeadlockError, SanitizerError
 
 if _t.TYPE_CHECKING:  # pragma: no cover
@@ -132,49 +132,26 @@ class SanitizerReport:
 # Enablement + report aggregation
 # ---------------------------------------------------------------------------
 
-_ENV_FLAG = "REPRO_SANITIZE"
-_state = {"enabled": False, "collecting": False}
-_collected: list[SanitizerReport] = []
-
-
 def sanitize_enabled() -> bool:
     """Default ``sanitize=`` for worlds that don't pass one explicitly."""
-    if _state["enabled"]:
-        return True
-    return os.environ.get(_ENV_FLAG, "").strip() not in ("", "0")  # lint-ok: DET008 feature gate, read before simulation starts
+    return world_options().sanitize
 
 
 @contextlib.contextmanager
 def sanitize_scope() -> _t.Iterator[list[SanitizerReport]]:
-    """Enable the sanitizer for every world built inside the block.
+    """Enable the sanitizer for every world built in this process inside
+    the block; yields the live list of their reports.
 
-    Also sets ``REPRO_SANITIZE=1`` so pool workers forked inside the
-    scope sanitize too, and collects the reports of worlds finalized in
-    *this* process (worker-process reports surface only through the
-    errors they raise, which propagate across the pool boundary).
-    Yields the live report list.
+    Pool workers get the setting from the run that dispatches to them
+    (:mod:`repro.config`); their reports surface only through the errors
+    they raise, which propagate across the pool boundary.
     """
-    prev_enabled = _state["enabled"]
-    prev_collecting = _state["collecting"]
-    prev_env = os.environ.get(_ENV_FLAG)
-    _state["enabled"] = True
-    _state["collecting"] = True
-    os.environ[_ENV_FLAG] = "1"
-    _collected.clear()
-    try:
-        yield _collected
-    finally:
-        _state["enabled"] = prev_enabled
-        _state["collecting"] = prev_collecting
-        if prev_env is None:
-            os.environ.pop(_ENV_FLAG, None)
-        else:
-            os.environ[_ENV_FLAG] = prev_env
+    with world_scope(sanitize=True) as reports:
+        yield reports.sanitizer
 
 
 def _record_report(report: SanitizerReport) -> None:
-    if _state["collecting"]:
-        _collected.append(report)  # lint-ok: DET007 observer-side report collection, never in results
+    collect_report("sanitizer", report)
 
 
 # ---------------------------------------------------------------------------

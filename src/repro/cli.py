@@ -19,12 +19,15 @@ Commands
     watchdog for hung pool workers (a dead pool worker's cells always
     degrade to inline execution),
     ``--store PATH`` serves/publishes cells through the
-    content-addressed cell store rooted at a local directory (also via
-    ``REPRO_STORE``; see ``docs/caching.md``) — re-running an
-    interrupted run with the same store resumes it,
+    content-addressed cell store rooted at a local directory (see
+    ``docs/caching.md``) — re-running an interrupted run with the same
+    store resumes it,
     ``--backend SPEC`` picks the local execution backend (``serial``,
     ``pool[:chunk=K|auto]`` or ``chunked``; see ``docs/distributed.md``),
-    ``--json``/``--csv``/``--out`` export results.
+    ``--json``/``--csv``/``--out`` export results.  The flags build one
+    :class:`~repro.config.RunConfig` (flag over environment over default;
+    see ``docs/architecture.md``), and the sanitizer, perf, harness,
+    store and executor banners go to stderr.
 
 Exit codes
 ----------
@@ -78,6 +81,9 @@ import typing as _t
 
 from repro.errors import ReproError
 
+if _t.TYPE_CHECKING:  # pragma: no cover
+    from repro.config import RunConfig
+
 
 def _cmd_platforms(_args: argparse.Namespace) -> int:
     from repro.platforms import platform_table
@@ -95,16 +101,31 @@ def _cmd_experiments(_args: argparse.Namespace) -> int:
     return 0
 
 
-def _supervisor_policy(args: argparse.Namespace) -> "_t.Any | None":
-    """A SupervisorPolicy from ``--retries``/``--timeout`` (None: default)."""
-    if args.timeout is None and args.retries is None:
-        return None
-    from repro.harness.supervisor import SupervisorPolicy
+#: ``RunConfig`` fields that are also flags of ``run``/``faults sweep``.
+_CONFIG_FLAGS = (
+    "seed", "jobs", "sim_iters", "faults", "replay", "fastcollect",
+    "retries", "timeout", "store", "backend",
+)
 
-    return SupervisorPolicy(
-        timeout=args.timeout,
-        retries=0 if args.retries is None else args.retries,
-    )
+
+def _run_config(args: argparse.Namespace, **fields: _t.Any) -> "RunConfig":
+    """The run's one :class:`~repro.config.RunConfig`: the flags given
+    (absent ones are ``None``) over the environment over defaults."""
+    from repro.config import RunConfig
+
+    flags = {name: getattr(args, name, None) for name in _CONFIG_FLAGS}
+    if getattr(args, "sanitize", False):
+        flags["sanitize"] = True
+    return RunConfig(**{k: v for k, v in flags.items() if v is not None}, **fields)
+
+
+def _print_banners(result: _t.Any) -> None:
+    """The stderr-only banners of a run, in a fixed order."""
+    for name in ("sanitize_summary", "perf_summary", "harness_summary",
+                 "store_summary", "executor_summary"):
+        banner = getattr(result, name, None)
+        if banner:
+            print(f"[{banner}]", file=sys.stderr)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -113,22 +134,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     ids = list(EXPERIMENTS) if "all" in args.ids else args.ids
     batch = run_batch(
-        ids, quick=not args.full, seed=args.seed, jobs=args.jobs,
-        sanitize=args.sanitize, faults=args.faults,
-        replay=args.replay, fastcollect=args.fastcollect,
-        sim_iters=args.sim_iters,
-        supervisor=_supervisor_policy(args),
-        store=args.store,
-        backend=args.backend,
+        ids, _run_config(args, quick=not args.full),
         progress=lambda eid: print(f"[running] {eid}", file=sys.stderr),
     )
     print(batch.render())
-    if batch.harness_summary:
-        print(f"[{batch.harness_summary}]", file=sys.stderr)
-    if batch.store_summary:
-        print(f"[{batch.store_summary}]", file=sys.stderr)
-    if batch.executor_summary:
-        print(f"[{batch.executor_summary}]", file=sys.stderr)
+    _print_banners(batch)
     if args.json:
         batch.write_json(args.json)
         print(f"[written] {args.json}", file=sys.stderr)
@@ -269,28 +279,22 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     from repro.faults.sweep import sweep_failure_checkpoint
 
     if args.faults_command == "sweep":
-        result = sweep_failure_checkpoint(
-            args.rates, args.intervals,
-            work=args.work,
-            checkpoint_cost=args.checkpoint_cost,
-            restart_cost=args.restart_cost,
-            trials=args.trials,
-            seed=args.seed,
-            jobs=args.jobs,
-            supervisor=_supervisor_policy(args),
-            store=args.store,
-            backend=args.backend,
-        )
+        config = _run_config(args)
+        with config.open() as run:
+            result = sweep_failure_checkpoint(
+                args.rates, args.intervals,
+                work=args.work,
+                checkpoint_cost=args.checkpoint_cost,
+                restart_cost=args.restart_cost,
+                trials=args.trials,
+                seed=config.seed,
+                run=run,
+            )
         if args.json:
             print(json.dumps(result.to_dict(), indent=2))
         else:
             print(result.render())
-        if result.harness_summary:
-            print(f"[{result.harness_summary}]", file=sys.stderr)
-        if result.store_summary:
-            print(f"[{result.store_summary}]", file=sys.stderr)
-        if result.executor_summary:
-            print(f"[{result.executor_summary}]", file=sys.stderr)
+        _print_banners(result)
         return 3 if result.failures else 0
     raise AssertionError(f"unhandled faults subcommand {args.faults_command!r}")
 
@@ -298,9 +302,9 @@ def _cmd_faults(args: argparse.Namespace) -> int:
 def _cmd_store(args: argparse.Namespace) -> int:
     import json
 
-    from repro.harness.cellstore import resolve_store
+    from repro.harness.cellstore import CellStore
 
-    store = resolve_store(args.path)
+    store = CellStore(args.path)
     if args.store_command == "stats":
         stats = store.stats()
         if args.json:
@@ -422,8 +426,7 @@ def _add_sweep_args(parser: argparse.ArgumentParser) -> None:
              "content-addressed cell store rooted at directory PATH; "
              "entries are keyed by worker + args + code fingerprint so "
              "they can never go stale; re-run with the same PATH to "
-             "resume an interrupted run (also via REPRO_STORE; see "
-             "docs/caching.md)",
+             "resume an interrupted run (see docs/caching.md)",
     )
     parser.add_argument(
         "--backend", default=None, metavar="SPEC",

@@ -1,0 +1,294 @@
+"""How a run is configured: one frozen :class:`RunConfig`, built once.
+
+Every knob of a ``repro run`` (and of ``repro faults sweep``) lives on
+:class:`RunConfig`, validated in one place, and reaches the code below
+it as one explicit argument: :meth:`RunConfig.open` opens the per-run
+resources (cell store, executor, harness tally) as a :class:`Run`, and
+that object is passed down ``run_experiment`` → experiment functions →
+``run_cells`` → ``run_sweep``.
+
+Precedence is one rule for every field: an explicit value (a CLI flag,
+a keyword argument) wins, else the field's environment spelling, else
+its default.  Only the four *world options* have an environment
+spelling (:data:`ENV_VARS`: ``REPRO_SANITIZE``, ``REPRO_FAULTS``,
+``REPRO_REPLAY`` and ``REPRO_FASTCOLLECT``), and this module is the one
+place that reads them (:func:`env_world_options`).
+
+World options reach simulated worlds without touching ``os.environ``:
+:func:`world_scope` installs them in this process (what an open
+:class:`Run` does for its lifetime), and a pool worker receives them
+through its initializer (:func:`install_worker_options`).  A world that
+is not told otherwise asks :func:`world_options`: the innermost install,
+else the environment.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import dataclasses
+import os
+import typing as _t
+
+from repro.errors import ConfigError
+
+if _t.TYPE_CHECKING:  # pragma: no cover
+    from repro.faults.schedule import FaultSchedule
+    from repro.harness.cellstore import CellStore
+    from repro.harness.executor import CellExecutor
+    from repro.harness.supervisor import HarnessStats
+
+
+# ---------------------------------------------------------------------------
+# World options: what every simulated world of a run is built with
+# ---------------------------------------------------------------------------
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class WorldOptions:
+    """The run-wide defaults a :class:`~repro.smpi.world.MpiWorld` takes
+    for ``sanitize=``, ``faults=`` (a canonical spec), ``replay=`` and
+    ``fastcollect=`` when it is not given them explicitly."""
+
+    sanitize: bool = False
+    faults: str | None = None
+    replay: bool = False
+    fastcollect: bool = False
+
+
+def _canonical_faults(faults: "FaultSchedule | str | None") -> str | None:
+    """A fault schedule's canonical spec; ``None`` for no or an empty one."""
+    from repro.faults.schedule import FaultSchedule
+
+    if faults is None:
+        return None
+    if isinstance(faults, str):
+        faults = FaultSchedule.parse(faults)
+    elif not isinstance(faults, FaultSchedule):
+        raise ConfigError(f"faults must be a FaultSchedule or spec string: {faults!r}")
+    return None if faults.empty else faults.spec()
+
+
+#: The environment spelling of each world option: the only environment
+#: variables read as configuration.
+ENV_VARS = {
+    "sanitize": "REPRO_SANITIZE",
+    "faults": "REPRO_FAULTS",
+    "replay": "REPRO_REPLAY",
+    "fastcollect": "REPRO_FASTCOLLECT",
+}
+
+
+def env_world_options() -> WorldOptions:
+    """The process default: the world options' environment spellings.
+
+    ``""`` and ``"0"`` mean off (for ``REPRO_FAULTS``: no schedule).
+    """
+    env = {
+        name: os.environ.get(var, "").strip()  # lint-ok: DET008 the one sanctioned feature-gate reader, read before simulation starts
+        for name, var in ENV_VARS.items()
+    }
+    faults = env.pop("faults")
+    return WorldOptions(
+        faults=_canonical_faults(faults) if faults != "0" else None,
+        **{name: value not in ("", "0") for name, value in env.items()},
+    )
+
+
+@dataclasses.dataclass(slots=True)
+class WorldReports:
+    """Reports of the worlds finalized in this process inside one
+    :func:`world_scope` (pool-worker worlds report in their own process)."""
+
+    sanitizer: list = dataclasses.field(default_factory=list)
+    replay: list = dataclasses.field(default_factory=list)
+    fastcollect: list = dataclasses.field(default_factory=list)
+
+
+#: Installed world options, innermost last (empty: the environment rules).
+_INSTALLED: list[WorldOptions] = []
+#: Report collectors of the open :func:`world_scope` blocks.
+_COLLECTORS: list[WorldReports] = []
+
+
+def world_options() -> WorldOptions:
+    """The world options in force in this process."""
+    return _INSTALLED[-1] if _INSTALLED else env_world_options()
+
+
+@contextlib.contextmanager
+def world_scope(
+    options: WorldOptions | None = None, **changes: _t.Any
+) -> _t.Iterator[WorldReports]:
+    """Install ``options`` (default: the ones in force, with ``changes``)
+    for every world built in this process inside the block; yields the
+    reports of the worlds finalized meanwhile."""
+    options = dataclasses.replace(options or world_options(), **changes)
+    reports = WorldReports()
+    _INSTALLED.append(options)  # lint-ok: DET007 in-process option install, restored on exit
+    _COLLECTORS.append(reports)  # lint-ok: DET007 observer-side report collection, never in results
+    try:
+        yield reports
+    finally:
+        _COLLECTORS.pop()
+        _INSTALLED.pop()
+
+
+def install_worker_options(options: WorldOptions) -> None:
+    """Pool-worker initializer hook: ``options`` rule this process, and
+    collectors inherited from a forking parent are dropped."""
+    _INSTALLED[:] = [options]
+    _COLLECTORS.clear()
+
+
+def collect_report(kind: str, report: _t.Any) -> None:
+    """Hand a finalized world's ``kind`` report to every open collector."""
+    for reports in _COLLECTORS:
+        getattr(reports, kind).append(report)
+
+
+# ---------------------------------------------------------------------------
+# The run configuration
+# ---------------------------------------------------------------------------
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class RunConfig:
+    """Every knob of one run, validated once.
+
+    ``quick``/``seed``/``sim_iters`` pick what is simulated; ``jobs``
+    (``0`` = all CPUs) and ``backend`` (``serial`` |
+    ``pool[:chunk=K|auto]`` | ``chunked``) how cells are dispatched;
+    ``retries``/``timeout`` the failure policy; ``store`` the cell-store
+    directory.  The world options ``sanitize``, ``faults``, ``replay``
+    and ``fastcollect`` left as ``None`` take the options in force
+    (:func:`world_options`: an install, else the environment); after
+    construction they are plain values and ``faults`` is a canonical
+    spec or ``None``.
+    """
+
+    quick: bool = True
+    seed: int = 0
+    jobs: int = 1
+    sim_iters: int | None = None
+    sanitize: bool | None = None
+    faults: "str | FaultSchedule | None" = None
+    replay: bool | None = None
+    fastcollect: bool | None = None
+    retries: int = 0
+    timeout: float | None = None
+    store: "str | os.PathLike[str] | None" = None
+    backend: str | None = None
+
+    def __post_init__(self) -> None:
+        from repro.harness.cellstore import store_root
+        from repro.harness.executor import parse_backend
+        from repro.harness.parallel import resolve_jobs
+
+        default = world_options()
+        resolved: dict[str, _t.Any] = {}
+        for name in ENV_VARS:
+            value = getattr(self, name)
+            if value is None:
+                resolved[name] = getattr(default, name)
+            elif name == "faults":
+                resolved[name] = _canonical_faults(value)
+            else:
+                resolved[name] = bool(value)
+        for name in ("seed", "jobs", "retries"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an int: {value!r}")
+        if self.jobs < 0:
+            raise ConfigError(f"jobs must be >= 0 (0 = all CPUs): {self.jobs}")
+        resolved["jobs"] = resolve_jobs(self.jobs)
+        if self.sim_iters is not None and not (
+            isinstance(self.sim_iters, int) and self.sim_iters >= 1
+        ):
+            raise ConfigError(f"sim_iters must be >= 1: {self.sim_iters}")
+        if self.retries < 0:
+            raise ConfigError(f"retries must be >= 0: {self.retries}")
+        if self.timeout is not None and not self.timeout > 0:
+            raise ConfigError(f"timeout must be > 0 seconds: {self.timeout}")
+        if self.store is not None:
+            resolved["store"] = os.fspath(store_root(self.store))
+        if self.backend is not None:
+            parse_backend(self.backend)
+        for name, value in resolved.items():
+            object.__setattr__(self, name, value)
+
+    @property
+    def world(self) -> WorldOptions:
+        """The world options of this run."""
+        return WorldOptions(**{name: getattr(self, name) for name in ENV_VARS})
+
+    @contextlib.contextmanager
+    def open(self) -> _t.Iterator["Run"]:
+        """Open this run's resources and install its world options.
+
+        The executor (only with an explicit ``backend``) is shut down on
+        exit, hard if the body raised.
+        """
+        from repro.harness.cellstore import CellStore
+        from repro.harness.executor import make_executor
+
+        store = (
+            CellStore(self.store, faults=self.faults)
+            if self.store is not None else None
+        )
+        executor = (
+            make_executor(self.backend, self.jobs)
+            if self.backend is not None else None
+        )
+        with world_scope(self.world) as reports, executor or contextlib.nullcontext():
+            yield Run(self, store=store, executor=executor, reports=reports)
+
+
+def _harness_stats() -> "HarnessStats":
+    from repro.harness.supervisor import HarnessStats
+
+    return HarnessStats()
+
+
+@dataclasses.dataclass(slots=True)
+class Run:
+    """One run in progress: its config plus what opening it provided.
+
+    ``store`` and ``executor`` are ``None`` when not configured (sweeps
+    then run without a store, inline at ``jobs <= 1`` and on a pool
+    they own otherwise); ``stats`` is the harness tally every sweep of
+    the run merges into; ``reports`` collects the in-process worlds'
+    sanitizer/replay/fastcollect reports.  ``Run()`` is a default,
+    unopened run: no store, no backend, the world options in force.
+    """
+
+    config: RunConfig = dataclasses.field(default_factory=RunConfig)
+    store: "CellStore | None" = None
+    executor: "CellExecutor | None" = None
+    stats: "HarnessStats" = dataclasses.field(default_factory=_harness_stats)
+    reports: WorldReports = dataclasses.field(default_factory=WorldReports)
+
+    def summaries(self) -> dict[str, str | None]:
+        """The stderr-only ``harness``/``store``/``executor`` banners.
+
+        The harness banner is there only under a non-default failure
+        policy (``retries`` or ``timeout``), the others only when a
+        store or backend was configured.
+        """
+        policy = self.config.retries or self.config.timeout is not None
+        return {
+            "harness_summary": self.stats.banner() if policy else None,
+            "store_summary": self.store.banner() if self.store else None,
+            "executor_summary": self.executor.banner() if self.executor else None,
+        }
+
+
+@contextlib.contextmanager
+def using(run: Run | None = None, **options: _t.Any) -> _t.Iterator[Run]:
+    """``run`` itself, or a run opened from ``RunConfig(**options)``."""
+    if run is not None:
+        if options:
+            raise ConfigError(
+                f"pass either an open run or config options, not both: {sorted(options)}"
+            )
+        yield run
+        return
+    with RunConfig(**options).open() as opened:
+        yield opened

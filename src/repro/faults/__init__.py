@@ -18,7 +18,6 @@ from repro.faults.checkpoint import (
 from repro.faults.injector import FaultInjector
 from repro.faults.report import InjectedFault, ResilienceReport
 from repro.faults.schedule import (
-    ENV_FLAG,
     FaultSchedule,
     LinkDegradation,
     NfsBrownout,
@@ -31,7 +30,6 @@ from repro.faults.schedule import (
 from repro.faults.sweep import SweepResult, sweep_failure_checkpoint
 
 __all__ = [
-    "ENV_FLAG",
     "CheckpointPolicy",
     "CompletionStats",
     "FaultInjector",

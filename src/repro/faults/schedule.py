@@ -23,8 +23,8 @@ Spec format
 -----------
 Schedules round-trip through a compact ``;``-separated string — the
 format the ``--faults`` CLI flag and the ``REPRO_FAULTS`` environment
-variable accept (the latter is how ``--jobs`` pool workers inherit the
-schedule)::
+variable accept (a run hands its canonical spec to ``--jobs`` pool
+workers itself, see :mod:`repro.config`)::
 
     crash:at=120,node=1              # kill node 1 at t=120 s
     spot:at=300                      # spot reclaim of a sampled node
@@ -40,14 +40,10 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import os
 import typing as _t
 
+from repro.config import world_options, world_scope
 from repro.errors import ConfigError
-
-#: Environment variable carrying a fault-schedule spec (inherited by
-#: ``--jobs`` pool workers, mirroring ``REPRO_SANITIZE``).
-ENV_FLAG = "REPRO_FAULTS"
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -294,7 +290,7 @@ def _reject_extra(kv: dict[str, str], item: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Enablement: resolve the default schedule from the environment
+# Enablement: the default schedule is the one in force for the run
 # ---------------------------------------------------------------------------
 
 def resolve_schedule(
@@ -302,9 +298,9 @@ def resolve_schedule(
 ) -> "FaultSchedule | None":
     """Normalise a ``faults=`` argument to a schedule or ``None``.
 
-    ``None`` defers to :func:`default_schedule` (the ``REPRO_FAULTS``
-    environment variable); a string is parsed; an empty schedule
-    collapses to ``None`` so fault-free worlds install no hooks at all.
+    ``None`` defers to :func:`default_schedule`; a string is parsed; an
+    empty schedule collapses to ``None`` so fault-free worlds install no
+    hooks at all.
     """
     if faults is None:
         schedule = default_schedule()
@@ -320,28 +316,16 @@ def resolve_schedule(
 
 
 def default_schedule() -> "FaultSchedule | None":
-    """Schedule for worlds that don't pass ``faults=`` explicitly."""
-    spec = os.environ.get(ENV_FLAG, "").strip()  # lint-ok: DET008 feature gate, read before simulation starts
-    if not spec or spec == "0":
-        return None
-    return FaultSchedule.parse(spec)
+    """Schedule for worlds that don't pass ``faults=`` explicitly: the
+    run's (:func:`repro.config.world_options`, ``REPRO_FAULTS`` by default)."""
+    spec = world_options().faults
+    return FaultSchedule.parse(spec) if spec else None
 
 
 @contextlib.contextmanager
 def faults_scope(faults: "FaultSchedule | str") -> _t.Iterator["FaultSchedule"]:
-    """Install ``faults`` as the default schedule inside the block.
-
-    Sets ``REPRO_FAULTS`` to the canonical spec so pool workers forked
-    inside the scope (``--jobs N``) inject the very same timeline, which
-    keeps parallel sweeps byte-identical to serial ones.
-    """
+    """Install ``faults`` as the default schedule for every world built
+    in this process inside the block."""
     schedule = faults if isinstance(faults, FaultSchedule) else FaultSchedule.parse(faults)
-    prev = os.environ.get(ENV_FLAG)
-    os.environ[ENV_FLAG] = schedule.spec()
-    try:
+    with world_scope(faults=None if schedule.empty else schedule.spec()):
         yield schedule
-    finally:
-        if prev is None:
-            os.environ.pop(ENV_FLAG, None)
-        else:
-            os.environ[ENV_FLAG] = prev

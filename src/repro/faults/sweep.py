@@ -4,7 +4,8 @@ Evaluates the analytic checkpoint/restart model
 (:func:`repro.faults.checkpoint.simulate_completion`) over a grid of
 failure rates and checkpoint intervals, averaging a configurable number
 of seeded trials per cell.  Cells run through the shared sweep driver
-(:func:`repro.harness.supervisor.run_sweep`), and each cell
+(:func:`repro.harness.supervisor.run_sweep`) under the same
+:class:`~repro.config.Run` a ``repro run`` uses, and each cell
 derives its random stream from its own ``(rate, interval)`` key, so the
 output is byte-identical for ``--jobs 1`` and ``--jobs N``.
 """
@@ -14,9 +15,10 @@ from __future__ import annotations
 import dataclasses
 import typing as _t
 
+from repro.config import Run, using
 from repro.errors import CellExecutionError, ConfigError
 from repro.harness.parallel import Cell
-from repro.harness.supervisor import SupervisorPolicy, run_sweep
+from repro.harness.supervisor import run_sweep
 
 
 @dataclasses.dataclass(slots=True)
@@ -37,8 +39,8 @@ class SweepResult:
     failures: dict[tuple[float, float], CellExecutionError] = dataclasses.field(
         default_factory=dict
     )
-    #: One-line ``harness: ...`` banner (None without an explicit
-    #: ``supervisor=`` policy).  Not part of :meth:`render`/:meth:`to_dict`
+    #: One-line ``harness: ...`` banner (None without a non-default
+    #: ``retries``/``timeout`` policy).  Not part of :meth:`render`/:meth:`to_dict`
     #: — its retry/degrade tallies differ between a disrupted and a clean
     #: run, and both must produce byte-identical reports.  The CLI prints
     #: it to stderr.
@@ -48,7 +50,7 @@ class SweepResult:
     #: serves every cell while a cold one executes them all.
     store_summary: str | None = None
     #: One-line ``executor: ...`` backend banner (None without an explicit
-    #: ``backend=``).  Stderr-only: dispatch is scheduling detail and every
+    #: ``backend``).  Stderr-only: dispatch is scheduling detail and every
     #: backend renders the identical grid.
     executor_summary: str | None = None
 
@@ -123,33 +125,22 @@ def sweep_failure_checkpoint(
     restart_cost: float = 0.0,
     trials: int = 32,
     seed: int = 1,
-    jobs: int = 1,
-    supervisor: SupervisorPolicy | None = None,
-    store: _t.Any | None = None,
-    backend: str | None = None,
+    run: Run | None = None,
+    **options: _t.Any,
 ) -> SweepResult:
     """Sweep the checkpoint/restart model over ``rates x intervals``.
 
-    Cells that exhaust their attempts land in
-    :attr:`SweepResult.failures` as ``FAILED(<cause>)`` grid entries
-    instead of aborting the sweep.  ``supervisor`` replaces the default
-    policy (no retries, no watchdog) and adds the ``harness: ...``
-    banner; a clean sweep renders byte-identical output either way.
-
-    ``store`` (a path or a :class:`~repro.harness.cellstore.CellStore`)
-    activates the content-addressed global cell store for the sweep:
-    cells already published — by any previous run, on any host sharing
-    the store — are served without executing, and fresh cells are
-    published back.  A warm-store sweep renders byte-identical output
-    with zero cells executed, so re-running an interrupted sweep with
-    the same store resumes it; the ``store: ...`` banner lands in
-    :attr:`SweepResult.store_summary` (stderr-only).
-
-    ``backend`` schedules the grid through an explicit
-    :class:`~repro.harness.executor.CellExecutor` backend (a
-    ``--backend`` spec string, see
-    :func:`~repro.harness.executor.make_executor`): same cells, same
-    merge-by-key grid, byte-identical output on every backend.
+    The grid runs under ``run`` (else a run opened from
+    ``RunConfig(**options)``: ``jobs``, ``retries``, ``timeout``,
+    ``store``, ``backend``), exactly like a ``repro run`` sweep.  Cells
+    that exhaust their attempts land in :attr:`SweepResult.failures` as
+    ``FAILED(<cause>)`` grid entries instead of aborting the sweep.  A
+    store serves cells already published — by any previous run sharing
+    it — without executing them, so re-running an interrupted sweep with
+    the same store resumes it; every backend renders the same grid.  The
+    run's stderr-only banners land in :attr:`SweepResult.harness_summary`,
+    :attr:`~SweepResult.store_summary` and
+    :attr:`~SweepResult.executor_summary`.
     """
     if not rates or not intervals:
         raise ConfigError("faults sweep needs at least one rate and one interval")
@@ -168,38 +159,9 @@ def sweep_failure_checkpoint(
         for rate in rates
         for interval in intervals
     ]
-    failures: dict[tuple[float, float], CellExecutionError] = {}
-    harness_summary: str | None = None
-    store_summary: str | None = None
-    executor_summary: str | None = None
-
-    def _execute_grid() -> dict[tuple, _t.Any]:
-        nonlocal failures, harness_summary
-        report = run_sweep(cells, jobs, policy=supervisor)
-        failures = report.failures
-        if supervisor is not None:
-            harness_summary = report.banner()
-        return report.results
-
-    def _execute_stored() -> dict[tuple, _t.Any]:
-        nonlocal store_summary
-        if store is None:
-            return _execute_grid()
-        from repro.harness.cellstore import store_scope
-
-        with store_scope(store) as cs:
-            results = _execute_grid()
-        store_summary = cs.banner()
-        return results
-
-    if backend is None:
-        results = _execute_stored()
-    else:
-        from repro.harness.executor import executor_scope, make_executor
-
-        with executor_scope(make_executor(backend, jobs)) as ex:
-            results = _execute_stored()
-            executor_summary = ex.banner()
+    with using(run, **options) as run:
+        report = run_sweep(cells, run)
+        summaries = run.summaries()
     return SweepResult(
         work=float(work),
         checkpoint_cost=float(checkpoint_cost),
@@ -208,9 +170,7 @@ def sweep_failure_checkpoint(
         seed=int(seed),
         rates=tuple(float(r) for r in rates),
         intervals=tuple(float(i) for i in intervals),
-        cells=dict(results),
-        failures=failures,
-        harness_summary=harness_summary,
-        store_summary=store_summary,
-        executor_summary=executor_summary,
+        cells=dict(report.results),
+        failures=report.failures,
+        **summaries,
     )

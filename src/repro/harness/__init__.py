@@ -15,23 +15,16 @@ Usage::
 
 from repro.harness.experiments import EXPERIMENTS, ExperimentOutput, run_experiment
 from repro.harness.figures import render_series_table, render_speedup_plot
-from repro.harness.supervisor import (
-    SupervisorPolicy,
-    SweepReport,
-    run_sweep,
-    supervision_scope,
-)
+from repro.harness.supervisor import SweepReport, run_sweep
 from repro.harness import paper
 
 __all__ = [
     "EXPERIMENTS",
     "ExperimentOutput",
-    "SupervisorPolicy",
     "SweepReport",
     "paper",
     "render_series_table",
     "render_speedup_plot",
     "run_experiment",
     "run_sweep",
-    "supervision_scope",
 ]

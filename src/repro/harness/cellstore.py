@@ -14,7 +14,10 @@ content hash of
   (:func:`repro.analysis.static.worker_fingerprint` — the semantic
   identity of every function the worker can reach), and
 * the encoding's **format version** (so an encoding change can never
-  alias old records).
+  alias old records), and
+* the canonical spec of the run's **fault schedule**, when one is in
+  force — a faulted result is a different result, so it can never be
+  served to a fault-free run (fault-free keys are unchanged by this).
 
 Because the code fingerprint participates in the key, entries can never
 go stale: editing any function in a worker's call-graph closure moves
@@ -38,13 +41,11 @@ are resolved last-record-wins on read and compacted by ``gc``.
 Wiring
 ------
 The sweep driver (:func:`repro.harness.supervisor.run_sweep`) plans
-every sweep against the active store before dispatching any cell and
-publishes fresh results as they arrive.  A store becomes active via
-:func:`store_scope` (what ``repro run --store PATH`` and
-``run_batch(store=...)`` use) or the ``REPRO_STORE`` environment
-variable.  Store hits merge by cell key, so a store-served sweep
-renders byte-identically to a fresh one — the CI round-trip guard holds
-this.
+every sweep against the run's store (:attr:`repro.config.Run.store`,
+opened from ``repro run --store PATH`` / ``run_batch(store=...)``)
+before dispatching any cell and publishes fresh results as they arrive.
+Store hits merge by cell key, so a store-served sweep renders
+byte-identically to a fresh one — the CI round-trip guard holds this.
 
 The ``repro store`` CLI exposes maintenance: ``stats``, ``verify``
 (full integrity re-derivation of every key and payload hash), ``gc``
@@ -55,7 +56,6 @@ cross-host sharing.  See ``docs/caching.md``.
 from __future__ import annotations
 
 import contextlib
-import contextvars
 import dataclasses
 import hashlib
 import json
@@ -103,20 +103,22 @@ def _is_hex(value: _t.Any, length: int | None = None) -> bool:
     return bool(value) and all(c in _HEX_DIGITS for c in value)
 
 
-def store_key(worker: str, args: _t.Sequence[_t.Any], code: str) -> str:
+def store_key(
+    worker: str, args: _t.Sequence[_t.Any], code: str, faults: str | None = None
+) -> str:
     """Canonical content-address of one cell result.
 
     The digest covers ``(encoding format version, worker, encoded args,
-    code fingerprint)``; any change to the worker's reachable code (or
-    to the typed encoding itself) moves the key, which is the store's
-    entire staleness story — entries are immutable and can only ever
-    stop being found.
+    code fingerprint)`` plus, when one is in force, the canonical fault
+    schedule spec; any change to the worker's reachable code (or to the
+    typed encoding itself) moves the key, which is the store's entire
+    staleness story — entries are immutable and can only ever stop
+    being found.
     """
-    blob = json.dumps(
-        [JOURNAL_FORMAT_VERSION, worker, encode_value(tuple(args)), code],
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+    fields = [JOURNAL_FORMAT_VERSION, worker, encode_value(tuple(args)), code]
+    if faults is not None:
+        fields.append(faults)
+    blob = json.dumps(fields, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -153,36 +155,44 @@ def record_problem(rec: _t.Any) -> str | None:
         return "code fingerprint is not lowercase hex"
     if not _is_hex(rec["hash"], 32):
         return "payload hash is not 32 lowercase hex chars"
+    faults = rec.get("faults")
+    if faults is not None and (not isinstance(faults, str) or not faults):
+        return "fault schedule is not a non-empty string"
     args = decode_value(rec["args"])
     if not isinstance(args, tuple):
         return "args do not decode to a tuple"
-    if store_key(rec["worker"], args, rec["code"]) != rec["k"]:
-        return "key does not re-derive from (worker, args, code)"
+    if store_key(rec["worker"], args, rec["code"], faults) != rec["k"]:
+        return "key does not re-derive from (worker, args, code, faults)"
     if payload_hash(rec["worker"], args) != rec["hash"]:
         return "payload hash does not re-derive from (worker, args)"
     return None
 
 
 def build_record(
-    worker: str, args: _t.Sequence[_t.Any], result: _t.Any
+    worker: str, args: _t.Sequence[_t.Any], result: _t.Any,
+    faults: str | None = None,
 ) -> dict | None:
     """The store record for one fresh result; None for uncacheable workers.
 
     One construction site for every record, so any two publishers of
-    the same result emit byte-identical record lines.
+    the same result emit byte-identical record lines.  A result computed
+    under a fault schedule records its spec (and is keyed by it).
     """
     code = _worker_code(worker)
     if code is None:
         return None
-    return {
+    record = {
         "v": STORE_VERSION,
-        "k": store_key(worker, args, code),
+        "k": store_key(worker, args, code, faults),
         "worker": worker,
         "args": encode_value(tuple(args)),
         "code": code,
         "hash": payload_hash(worker, args),
         "result": encode_value(result),
     }
+    if faults is not None:
+        record["faults"] = faults
+    return record
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +312,20 @@ class StorePlan:
     deferred: list[_t.Any] = dataclasses.field(default_factory=list)
 
 
+def store_root(spec: "str | os.PathLike[str]") -> pathlib.Path:
+    """The directory a ``--store`` spec names.
+
+    A ``<scheme>://`` spec is rejected rather than silently becoming a
+    local directory named after the scheme.
+    """
+    if "://" in os.fspath(spec):
+        raise ConfigError(
+            f"store spec {os.fspath(spec)!r} is not a directory path; only local "
+            "directory stores are supported"
+        )
+    return pathlib.Path(spec)
+
+
 def _owner_dead(path: pathlib.Path) -> bool:
     """Whether ``path``'s lease names an owner process on this host that
     has exited (an unreadable lease, a takeover marker, another host or
@@ -334,21 +358,24 @@ class CellStore:
     and safe to use from many processes at once: publishes are single
     ``O_APPEND`` writes and reads tolerate torn records.  Hit/miss/
     publish counters accumulate on the instance — the source of the
-    ``store: ...`` banner a batch prints to stderr.
+    ``store: ...`` banner a batch prints to stderr.  ``faults`` is the
+    canonical fault-schedule spec the run's cells execute under (None:
+    fault-free); it joins every key this instance looks up, leases and
+    publishes.
     """
 
     def __init__(
-        self, root: str | pathlib.Path, *, lease_ttl: float | None = None
+        self, root: str | pathlib.Path, *, lease_ttl: float = LEASE_TTL,
+        faults: str | None = None,
     ) -> None:
-        self.root = pathlib.Path(root)
+        self.root = store_root(root)
+        self.faults = faults
         self.hits = 0
         self.misses = 0
         self.published = 0
         self.peer_waits = 0
         self.takeovers = 0
-        if lease_ttl is None:
-            lease_ttl = float(os.environ.get("REPRO_STORE_LEASE_TTL") or LEASE_TTL)
-        if lease_ttl <= 0:
+        if not lease_ttl > 0:
             raise ConfigError(f"lease TTL must be > 0: {lease_ttl}")
         self.lease_ttl = lease_ttl
         self._held: set[str] = set()
@@ -417,7 +444,7 @@ class CellStore:
         code = _worker_code(worker)
         if code is None:
             return MISS
-        key = store_key(worker, args, code)
+        key = store_key(worker, args, code, self.faults)
         digest = payload_hash(worker, args)
         found: _t.Any = MISS
         for _lineno, _line, rec in self._scan_shard(self.shard_path(key)):
@@ -427,6 +454,7 @@ class CellStore:
                 and rec.get("v") == STORE_VERSION
                 and rec.get("worker") == worker
                 and rec.get("code") == code
+                and rec.get("faults") == self.faults
                 and rec.get("hash") == digest
                 and "result" in rec
             ):
@@ -469,7 +497,7 @@ class CellStore:
         self, worker: str, args: _t.Sequence[_t.Any], result: _t.Any
     ) -> bool:
         """Append one result record; False when the worker is uncacheable."""
-        record = build_record(worker, args, result)
+        record = build_record(worker, args, result, self.faults)
         if record is None:
             return False
         self._append_record_line(
@@ -496,7 +524,7 @@ class CellStore:
         code = _worker_code(worker)
         if code is None:
             return None
-        return store_key(worker, args, code)
+        return store_key(worker, args, code, self.faults)
 
     def _lease_stale(self, path: pathlib.Path) -> bool:
         """Whether a lease (or takeover marker) is orphaned.
@@ -873,64 +901,3 @@ class CellStore:
                 existing.add(rec["k"])
                 added += 1
         return added, skipped_existing, skipped_invalid
-
-
-# ---------------------------------------------------------------------------
-# Activation: scope + environment
-# ---------------------------------------------------------------------------
-
-_STORE: contextvars.ContextVar[CellStore | None] = contextvars.ContextVar(
-    "repro_cell_store", default=None
-)
-
-#: Stores resolved from ``REPRO_STORE``, one per spec, so hit/miss
-#: counters survive across the many ``run_cells`` calls of one process.
-_ENV_STORES: dict[str, CellStore] = {}
-
-
-def resolve_store(spec: "CellStore | str | pathlib.Path") -> CellStore:
-    """The store named by ``spec``: an instance, or a directory root.
-
-    A ``<scheme>://`` spec is rejected rather than silently becoming a
-    local directory named after the scheme.
-    """
-    if isinstance(spec, CellStore):
-        return spec
-    if "://" in str(spec):
-        raise ConfigError(
-            f"store spec {str(spec)!r} is not a directory path; only local "
-            "directory stores are supported"
-        )
-    return CellStore(spec)
-
-
-def active_store() -> CellStore | None:
-    """The cell store in force, if any.
-
-    An explicit :func:`store_scope` wins; otherwise ``REPRO_STORE``
-    names a store root (resolved once per spec per process).  Store
-    consultation happens only in the dispatching process — pool workers
-    never touch the store, so this is free of cross-process races beyond
-    the append-safe file protocol itself.
-    """
-    store = _STORE.get()
-    if store is not None:
-        return store
-    spec = os.environ.get("REPRO_STORE", "").strip()
-    if not spec:
-        return None
-    store = _ENV_STORES.get(spec)
-    if store is None:
-        store = _ENV_STORES[spec] = resolve_store(spec)
-    return store
-
-
-@contextlib.contextmanager
-def store_scope(store: "CellStore | str | pathlib.Path") -> _t.Iterator[CellStore]:
-    """Make ``store`` (an instance or a root path) the active store."""
-    store = resolve_store(store)
-    token = _STORE.set(store)
-    try:
-        yield store
-    finally:
-        _STORE.reset(token)

@@ -26,22 +26,21 @@ recovers by running the affected cells inline.
 
 Activation
 ----------
-``run_cells(..., executor=...)`` takes an explicit backend;
-:func:`executor_scope` (what ``repro run --backend SPEC`` uses via
-``run_batch(backend=...)``) installs one for a whole batch; and
-:func:`make_executor` parses the ``--backend`` spec grammar
-(``serial`` | ``pool[:chunk=K|auto]`` | ``chunked``).  See
+A run's executor is :attr:`repro.config.Run.executor`: opening a
+:class:`~repro.config.RunConfig` with a ``backend`` (``repro run
+--backend SPEC``) builds one with :func:`make_executor`, which parses the
+spec grammar (``serial`` | ``pool[:chunk=K|auto]`` | ``chunked``); see
 ``docs/distributed.md``.
 """
 
 from __future__ import annotations
 
 import contextlib
-import contextvars
 import typing as _t
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
+from repro.config import world_options
 from repro.errors import ConfigError
 
 if _t.TYPE_CHECKING:  # pragma: no cover
@@ -236,8 +235,11 @@ class LocalPoolExecutor(CellExecutor):
         from repro.harness.parallel import _pool_worker_init
 
         if self._pool is None:
+            # Workers get the world options in force through initargs,
+            # never through the environment.
             self._pool = ProcessPoolExecutor(
-                max_workers=self.jobs, initializer=_pool_worker_init
+                max_workers=self.jobs, initializer=_pool_worker_init,
+                initargs=(world_options(),),
             )
         return self._pool
 
@@ -298,41 +300,8 @@ class LocalPoolExecutor(CellExecutor):
 
 
 # ---------------------------------------------------------------------------
-# Activation: scope + spec grammar
+# The --backend spec grammar
 # ---------------------------------------------------------------------------
-
-_EXECUTOR: contextvars.ContextVar[CellExecutor | None] = contextvars.ContextVar(
-    "repro_cell_executor", default=None
-)
-
-
-def active_executor() -> CellExecutor | None:
-    """The cell executor currently installed for this context, if any."""
-    return _EXECUTOR.get()
-
-
-@contextlib.contextmanager
-def executor_scope(
-    executor: CellExecutor | str,
-) -> _t.Iterator[CellExecutor]:
-    """Route every ``run_cells`` call in the body through ``executor``.
-
-    Accepts an instance or a ``--backend`` spec string; the executor is
-    shut down when the scope exits (hard if the body raised).
-    """
-    if isinstance(executor, str):
-        executor = make_executor(executor)
-    token = _EXECUTOR.set(executor)
-    try:
-        yield executor
-    except BaseException:
-        _EXECUTOR.reset(token)
-        executor.shutdown(kill=True)
-        raise
-    else:
-        _EXECUTOR.reset(token)
-        executor.shutdown()
-
 
 def _parse_options(parts: _t.Sequence[str], spec: str) -> dict[str, str]:
     options: dict[str, str] = {}
@@ -346,8 +315,8 @@ def _parse_options(parts: _t.Sequence[str], spec: str) -> dict[str, str]:
     return options
 
 
-def make_executor(spec: str, jobs: int | None = None) -> CellExecutor:
-    """Build a backend from a ``--backend`` spec string.
+def parse_backend(spec: str) -> tuple[str, int | str]:
+    """Validate a ``--backend`` spec: ``(kind, chunk)``, kind ``serial`` or ``pool``.
 
     Grammar (see ``docs/distributed.md``)::
 
@@ -358,28 +327,35 @@ def make_executor(spec: str, jobs: int | None = None) -> CellExecutor:
     """
     spec = (spec or "").strip()
     if spec in ("", "serial"):
-        return SerialExecutor()
+        return "serial", 1
     head, _, rest = spec.partition(":")
     head = head.strip()
-    if head in ("pool", "chunked"):
-        options = _parse_options(rest.split(","), spec)
-        chunk: int | str = "auto" if head == "chunked" else 1
-        if "chunk" in options:
-            raw = options.pop("chunk")
-            if raw == "auto":
-                chunk = "auto"
-            else:
-                try:
-                    chunk = int(raw)
-                except ValueError:
-                    raise ConfigError(
-                        f"bad chunk value {raw!r} in {spec!r} "
-                        "(expected a positive int or 'auto')"
-                    ) from None
-        if options:
-            raise ConfigError(f"unknown pool backend option(s) {sorted(options)} in {spec!r}")
-        return LocalPoolExecutor(jobs, chunk=chunk)
-    raise ConfigError(
-        f"unknown backend spec {spec!r}; expected serial | pool[:chunk=K] | "
-        "chunked"
-    )
+    if head not in ("pool", "chunked"):
+        raise ConfigError(
+            f"unknown backend spec {spec!r}; expected serial | pool[:chunk=K] | "
+            "chunked"
+        )
+    options = _parse_options(rest.split(","), spec)
+    chunk: int | str = "auto" if head == "chunked" else 1
+    if "chunk" in options:
+        raw = options.pop("chunk")
+        try:
+            chunk = "auto" if raw == "auto" else int(raw)
+        except ValueError:
+            raise ConfigError(
+                f"bad chunk value {raw!r} in {spec!r} "
+                "(expected a positive int or 'auto')"
+            ) from None
+    if options:
+        raise ConfigError(f"unknown pool backend option(s) {sorted(options)} in {spec!r}")
+    if chunk != "auto" and chunk < 1:
+        raise ConfigError(f"chunk must be a positive int or 'auto': {chunk!r}")
+    return "pool", chunk
+
+
+def make_executor(spec: str, jobs: int | None = None) -> CellExecutor:
+    """Build a backend from a ``--backend`` spec string (:func:`parse_backend`)."""
+    kind, chunk = parse_backend(spec)
+    if kind == "serial":
+        return SerialExecutor()
+    return LocalPoolExecutor(jobs, chunk=chunk)

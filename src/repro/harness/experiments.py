@@ -5,13 +5,16 @@ returns an :class:`ExperimentOutput` holding the structured data, a text
 rendering (the "same rows/series the paper reports"), and a list of
 paper-vs-measured comparison points.
 
-``quick=True`` trims sweep sizes for test/bench budgets without changing
-what is measured; ``quick=False`` runs the full grids.
+Every experiment function takes the open :class:`~repro.config.Run` and
+reads what it needs from ``run.config``: ``quick=True`` trims sweep sizes
+for test/bench budgets without changing what is measured, ``quick=False``
+runs the full grids.
 
 Sweep-style experiments decompose into independent simulation *cells*
-(see :mod:`repro.harness.parallel`) keyed by config point; ``jobs > 1``
-fans the cells over a process pool with results merged in cell order, so
-parallel and serial runs are byte-identical.
+(see :mod:`repro.harness.parallel`) keyed by config point and hand them
+to ``run_cells`` with the run; ``jobs > 1`` fans the cells over a process
+pool with results merged in cell order, so parallel and serial runs are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import typing as _t
 
 from repro.apps.metum import MetumBenchmark
 from repro.analysis.stats import SectionStats, render_stats_table
+from repro.config import Run, using
 from repro.errors import ConfigError
 from repro.harness import paper
 from repro.harness.figures import (
@@ -63,10 +67,7 @@ class ExperimentOutput:
 _PLATFORMS = (DCC, EC2, VAYU)
 
 
-def exp_tab1(
-    quick: bool = True, seed: int = 0, jobs: int = 1,
-    sim_iters: int | None = None,
-) -> ExperimentOutput:
+def exp_tab1(run: Run) -> ExperimentOutput:
     """Table I: the experimental platforms."""
     text = platform_table()
     return ExperimentOutput("tab1", "Experimental platforms", {"table": text}, text)
@@ -78,11 +79,9 @@ def _osu_sizes(quick: bool) -> list[int]:
     return [2**k for k in range(0, 23)]
 
 
-def exp_fig1(
-    quick: bool = True, seed: int = 0, jobs: int = 1,
-    sim_iters: int | None = None,
-) -> ExperimentOutput:
+def exp_fig1(run: Run) -> ExperimentOutput:
     """Fig 1: OSU bandwidth on the three platforms."""
+    quick, seed = run.config.quick, run.config.seed
     sizes = _osu_sizes(quick)
     iters = 4 if quick else 20
     cells = [
@@ -90,7 +89,7 @@ def exp_fig1(
              ("bandwidth", spec.name, tuple(sizes), iters, 1, seed))
         for spec in _PLATFORMS
     ]
-    curves = run_cells(cells, jobs=jobs)
+    curves = run_cells(cells, run)
     series = {spec.name: curves[(spec.name,)] for spec in _PLATFORMS}
     rows = {n: [series[s.name][n] / 1e6 for s in _PLATFORMS] for n in sizes}
     text = render_series_table(
@@ -114,11 +113,9 @@ def exp_fig1(
     return ExperimentOutput("fig1", "OSU MPI bandwidth", {"series": series}, text, comparisons)
 
 
-def exp_fig2(
-    quick: bool = True, seed: int = 0, jobs: int = 1,
-    sim_iters: int | None = None,
-) -> ExperimentOutput:
+def exp_fig2(run: Run) -> ExperimentOutput:
     """Fig 2: OSU latency on the three platforms."""
+    quick, seed = run.config.quick, run.config.seed
     sizes = _osu_sizes(quick)
     iters = 20 if quick else 100
     cells = [
@@ -126,7 +123,7 @@ def exp_fig2(
              ("latency", spec.name, tuple(sizes), iters, 2, seed))
         for spec in _PLATFORMS
     ]
-    curves = run_cells(cells, jobs=jobs)
+    curves = run_cells(cells, run)
     series = {spec.name: curves[(spec.name,)] for spec in _PLATFORMS}
     rows = {n: [series[s.name][n] * 1e6 for s in _PLATFORMS] for n in sizes}
     text = render_series_table(
@@ -156,11 +153,9 @@ def exp_fig2(
     )
 
 
-def exp_fig3(
-    quick: bool = True, seed: int = 0, jobs: int = 1,
-    sim_iters: int | None = None,
-) -> ExperimentOutput:
+def exp_fig3(run: Run) -> ExperimentOutput:
     """Fig 3: single-process NPB times, normalised to DCC."""
+    seed, sim_iters = run.config.seed, run.config.sim_iters
     benches = ("bt", "ep", "cg", "ft", "is", "lu", "mg", "sp")
     cells = [
         Cell((name, spec.name), "npb_point",
@@ -168,7 +163,7 @@ def exp_fig3(
         for name in benches
         for spec in _PLATFORMS
     ]
-    points = run_cells(cells, jobs=jobs)
+    points = run_cells(cells, run)
     data: dict[str, dict[str, float]] = {}
     comparisons = []
     for name in benches:
@@ -205,11 +200,9 @@ def _npb_counts(name: str, quick: bool) -> list[int]:
     return [1, 8, 64] if quick else [1, 2, 4, 8, 16, 32, 64]
 
 
-def exp_fig4(
-    quick: bool = True, seed: int = 0, jobs: int = 1,
-    sim_iters: int | None = None,
-) -> ExperimentOutput:
+def exp_fig4(run: Run) -> ExperimentOutput:
     """Fig 4: NPB speedup curves on the three platforms."""
+    quick, seed, sim_iters = run.config.quick, run.config.seed, run.config.sim_iters
     benches = ("cg", "ep", "is") if quick else (
         "bt", "ep", "cg", "ft", "is", "lu", "mg", "sp"
     )
@@ -220,7 +213,7 @@ def exp_fig4(
         for spec in _PLATFORMS
         for p in _npb_counts(name, quick)
     ]
-    points = run_cells(cells, jobs=jobs)
+    points = run_cells(cells, run)
     plots = []
     data: dict[str, dict[str, dict[int, float]]] = {}
     for name in benches:
@@ -239,11 +232,9 @@ def exp_fig4(
     )
 
 
-def exp_tab2(
-    quick: bool = True, seed: int = 0, jobs: int = 1,
-    sim_iters: int | None = None,
-) -> ExperimentOutput:
+def exp_tab2(run: Run) -> ExperimentOutput:
     """Table II: IPM percentage communication for CG, FT and IS."""
+    quick, seed, sim_iters = run.config.quick, run.config.seed, run.config.sim_iters
     counts = [2, 8, 64] if quick else [2, 4, 8, 16, 32, 64]
     cells = [
         Cell((name, spec.name, p), "npb_point",
@@ -252,7 +243,7 @@ def exp_tab2(
         for p in counts
         for spec in _PLATFORMS
     ]
-    points = run_cells(cells, jobs=jobs)
+    points = run_cells(cells, run)
     blocks = []
     comparisons = []
     data: dict[str, dict[int, tuple[float, float, float]]] = {}
@@ -282,11 +273,9 @@ def exp_tab2(
     )
 
 
-def exp_fig5(
-    quick: bool = True, seed: int = 0, jobs: int = 1,
-    sim_iters: int | None = None,
-) -> ExperimentOutput:
+def exp_fig5(run: Run) -> ExperimentOutput:
     """Fig 5: Chaste total and KSp speedups on Vayu and DCC."""
+    quick, seed = run.config.quick, run.config.seed
     counts = [8, 32, 64] if quick else [8, 16, 32, 48, 64]
     sim_steps = 2 if quick else 3
     cells = [
@@ -294,7 +283,7 @@ def exp_fig5(
         for spec in (VAYU, DCC)
         for p in counts
     ]
-    points = run_cells(cells, jobs=jobs)
+    points = run_cells(cells, run)
     series: dict[str, dict[int, float]] = {}
     t8: dict[str, float] = {}
     for spec in (VAYU, DCC):
@@ -322,11 +311,9 @@ def _um_variants() -> list[tuple[str, _t.Any, int | None]]:
             ("EC2-4", EC2, 4)]
 
 
-def exp_fig6(
-    quick: bool = True, seed: int = 0, jobs: int = 1,
-    sim_iters: int | None = None,
-) -> ExperimentOutput:
+def exp_fig6(run: Run) -> ExperimentOutput:
     """Fig 6: UM 'warmed' speedups on Vayu, DCC, EC2 and EC2-4."""
+    quick, seed = run.config.quick, run.config.seed
     counts = [8, 32, 64] if quick else [8, 16, 32, 48, 64]
     sim_steps = 2 if quick else 3
 
@@ -341,7 +328,7 @@ def exp_fig6(
         for label, spec, nodes in _um_variants()
         for p in counts
     ]
-    points = run_cells(cells, jobs=jobs)
+    points = run_cells(cells, run)
     series: dict[str, dict[int, float]] = {}
     t8: dict[str, float] = {}
     for label, spec, nodes in _um_variants():
@@ -359,11 +346,9 @@ def exp_fig6(
     )
 
 
-def exp_tab3(
-    quick: bool = True, seed: int = 0, jobs: int = 1,
-    sim_iters: int | None = None,
-) -> ExperimentOutput:
+def exp_tab3(run: Run) -> ExperimentOutput:
     """Table III: UM statistics at 32 cores."""
+    quick, seed = run.config.quick, run.config.seed
     sim_steps = 2 if quick else 3
 
     def _nn(label: str, nodes: int | None) -> int | None:
@@ -376,7 +361,7 @@ def exp_tab3(
              (spec.name, 32, _nn(label, nodes), seed, sim_steps))
         for label, spec, nodes in _um_variants()
     ]
-    points = run_cells(cells, jobs=jobs)
+    points = run_cells(cells, run)
     ref = points[("Vayu",)]
     ref_comp, ref_comm = ref["comp"], ref["comm"]
     rows = []
@@ -406,11 +391,9 @@ def exp_tab3(
     )
 
 
-def exp_fig7(
-    quick: bool = True, seed: int = 0, jobs: int = 1,
-    sim_iters: int | None = None,
-) -> ExperimentOutput:
+def exp_fig7(run: Run) -> ExperimentOutput:
     """Fig 7: per-process ATM_STEP breakdown on Vayu and DCC."""
+    quick, seed = run.config.quick, run.config.seed
     bench = MetumBenchmark(sim_steps=2 if quick else 3)
     sections = []
     data = {}
@@ -444,14 +427,12 @@ def exp_fig7(
     )
 
 
-def exp_arrivef(
-    quick: bool = True, seed: int = 0, jobs: int = 1,
-    sim_iters: int | None = None,
-) -> ExperimentOutput:
+def exp_arrivef(run: Run) -> ExperimentOutput:
     """ARRIVE-F throughput experiment (section II)."""
+    quick, seed = run.config.quick, run.config.seed
     seeds = range(4) if quick else range(12)
     cells = [Cell((s,), "arrivef_point", (seed + s,)) for s in seeds]
-    points = run_cells(cells, jobs=jobs)
+    points = run_cells(cells, run)
     runs = [points[(s,)] for s in seeds]
     best = max(r["wait_improvement_pct"] for r in runs)
     mean_impr = sum(r["wait_improvement_pct"] for r in runs) / len(runs)
@@ -486,13 +467,11 @@ EXPERIMENTS: dict[str, _t.Callable[..., ExperimentOutput]] = {
 
 
 def run_experiment(
-    experiment_id: str,
-    quick: bool = True,
-    seed: int = 0,
-    jobs: int = 1,
-    sim_iters: int | None = None,
+    experiment_id: str, run: Run | None = None, **options: _t.Any
 ) -> ExperimentOutput:
-    """Run one registered experiment by id.
+    """Run one registered experiment by id, under ``run`` (else a run
+    opened from ``RunConfig(**options)``: ``quick``, ``seed``, ``jobs``,
+    ``sim_iters``, ...).
 
     ``jobs > 1`` fans the experiment's independent sweep cells over a
     process pool; results are merged deterministically, so the output is
@@ -506,4 +485,5 @@ def run_experiment(
         raise ConfigError(
             f"unknown experiment {experiment_id!r}; available: {sorted(EXPERIMENTS)}"
         ) from None
-    return fn(quick=quick, seed=seed, jobs=jobs, sim_iters=sim_iters)
+    with using(run, **options) as run:
+        return fn(run)

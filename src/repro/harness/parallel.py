@@ -27,6 +27,7 @@ import os
 import tempfile
 import typing as _t
 
+from repro.config import Run, WorldOptions, install_worker_options
 from repro.errors import ConfigError
 
 
@@ -77,10 +78,12 @@ def cell_worker(name: str) -> _t.Callable[[_t.Callable], _t.Callable]:
 _IS_POOL_WORKER = False
 
 
-def _pool_worker_init() -> None:
-    """Pool-worker initializer: mark this process as a pool worker."""
+def _pool_worker_init(options: WorldOptions) -> None:
+    """Pool-worker initializer: mark this process as a pool worker and
+    install the dispatching run's world options in it."""
     global _IS_POOL_WORKER
     _IS_POOL_WORKER = True
+    install_worker_options(options)
 
 
 def _maybe_chaos_kill() -> None:
@@ -163,25 +166,24 @@ def resolve_jobs(jobs: int | None) -> int:
 
 
 def run_cells(
-    cells: _t.Sequence[Cell], jobs: int = 1, executor: _t.Any = None
+    cells: _t.Sequence[Cell], run: Run | None = None, **options: _t.Any
 ) -> dict[tuple, _t.Any]:
     """Execute ``cells`` and return ``{cell.key: result}`` in cell order.
 
     A thin wrapper over the sweep driver
-    (:func:`repro.harness.supervisor.run_sweep`), which plans against the
-    active cell store, dispatches through ``executor`` (else the active
-    :func:`~repro.harness.executor.executor_scope` backend, else inline
-    for ``jobs <= 1`` and a local pool otherwise), degrades the cells of
-    a dead pool worker to inline execution, and applies the active
-    supervision policy.  The mapping is assembled in the order the cells
-    were given, so every backend renders byte-identical reports.  A cell
-    that still fails raises its
-    :class:`~repro.errors.CellExecutionError` here — the first in cell
-    order, never completion order.
+    (:func:`repro.harness.supervisor.run_sweep`) under ``run`` (or a run
+    opened from ``RunConfig(**options)``): it plans against the run's
+    cell store, dispatches through its executor (else inline for
+    ``jobs <= 1`` and on a local pool otherwise), degrades the cells of
+    a dead pool worker to inline execution, and applies its failure
+    policy.  The mapping is assembled in the order the cells were given,
+    so every backend renders byte-identical reports.  A cell that still
+    fails raises its :class:`~repro.errors.CellExecutionError` here —
+    the first in cell order, never completion order.
     """
     from repro.harness.supervisor import run_sweep
 
-    report = run_sweep(cells, jobs, executor=executor)
+    report = run_sweep(cells, run, **options)
     if report.failures:
         raise next(iter(report.failures.values()))
     return report.results

@@ -5,11 +5,11 @@ package — :func:`repro.harness.parallel.run_cells` is a thin wrapper
 over it, and ``repro faults sweep`` calls it directly for per-cell
 failures.  One pass runs:
 
-* **plan** — under an active cell store (:mod:`repro.harness.cellstore`)
+* **plan** — with the run's cell store (:mod:`repro.harness.cellstore`)
   stored results are served, the rest are leased to this run, and cells
   a peer holds a lease on are deferred;
 * **dispatch** — cells run inline (``jobs <= 1`` and no backend) or
-  through the active :class:`~repro.harness.executor.CellExecutor`
+  through the run's :class:`~repro.harness.executor.CellExecutor`
   (``submit_many`` normally, per-cell ``submit`` under a watchdog);
 * **publish** — each fresh result goes to the store as it arrives;
 * **await** — deferred cells are awaited from the peer, or run here if
@@ -22,12 +22,12 @@ Failure handling is always on and never changes a clean run:
   inline execution and recycles the backend;
 * a cell exception becomes a structured
   :class:`~repro.errors.CellExecutionError` on the :class:`SweepReport`
-  after :attr:`SupervisorPolicy.retries` extra attempts (a
+  after ``RunConfig.retries`` extra attempts (a
   :class:`~repro.errors.ReproError` is deterministic and never retried;
   a :class:`~repro.errors.ConfigError` stays fatal);
-* with a watchdog (:attr:`SupervisorPolicy.timeout`) a cell whose worker
-  makes no progress is declared hung, the pool is torn down and the
-  cell retried, while cells merely queued behind it re-run uncharged;
+* with a watchdog (``RunConfig.timeout``) a cell whose worker makes no
+  progress is declared hung, the pool is torn down and the cell retried,
+  while cells merely queued behind it re-run uncharged;
 * ``KeyboardInterrupt`` and ``SystemExit`` are never retried or
   recorded: they propagate after outstanding cells are cancelled and an
   owned pool is killed.
@@ -36,55 +36,31 @@ Resuming an interrupted run is re-running it with the same ``--store``:
 every completed cell was published (fsynced) and is served, so only the
 missing cells execute and the report is byte-identical.
 
-The policy reaches :func:`run_cells` through :func:`supervision_scope`
-(what ``run_batch(supervisor=...)`` and ``repro run --retries/--timeout``
-use); outside a scope the default policy applies.
+The policy, store and executor all come from the explicit
+:class:`~repro.config.Run` a sweep is given (``repro run
+--retries/--timeout/--store/--backend`` build it once per run).
 """
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import dataclasses
 import traceback
 import typing as _t
 from concurrent.futures import FIRST_COMPLETED, Future, wait
 
+from repro.config import using
 from repro.errors import CellExecutionError, ConfigError, ReproError
 from repro.harness import executor as _executor
 from repro.harness.executor import WORKER_LOSS_ERRORS, CellExecutor
 
 if _t.TYPE_CHECKING:  # pragma: no cover
+    from repro.config import Run, RunConfig
     from repro.harness.parallel import Cell
 
 
 # ---------------------------------------------------------------------------
-# Policy and accounting
+# Accounting
 # ---------------------------------------------------------------------------
-
-@dataclasses.dataclass(frozen=True, slots=True)
-class SupervisorPolicy:
-    """Failure-handling knobs of the sweep driver.
-
-    ``timeout``
-        Watchdog window in seconds: if *no* cell completes for this long
-        while pool futures are outstanding, the running cells are
-        declared hung.  Applies to backend-dispatched cells only — an
-        inline cell cannot be interrupted.  ``None`` (default) disables
-        the watchdog.
-    ``retries``
-        Additional attempts per failing cell after the first (default 0).
-    """
-
-    timeout: float | None = None
-    retries: int = 0
-
-    def __post_init__(self) -> None:
-        if self.timeout is not None and not self.timeout > 0:
-            raise ConfigError(f"timeout must be > 0 seconds: {self.timeout}")
-        if self.retries < 0:
-            raise ConfigError(f"retries must be >= 0: {self.retries}")
-
 
 @dataclasses.dataclass(slots=True)
 class HarnessStats:
@@ -94,12 +70,16 @@ class HarnessStats:
     retried: int = 0
     degraded: int = 0
     failed: int = 0
+    #: Cells that ran in pool workers (not part of the banner): their
+    #: worlds' sanitizer/replay/fastcollect reports stay in the worker.
+    pooled: int = 0
 
     def merge(self, other: "HarnessStats") -> None:
         self.ok += other.ok
         self.retried += other.retried
         self.degraded += other.degraded
         self.failed += other.failed
+        self.pooled += other.pooled
 
     def banner(self) -> str:
         """The one-line ``harness: ...`` banner (stderr only)."""
@@ -125,44 +105,6 @@ class SweepReport:
     stats: HarnessStats
     retries: dict[tuple, tuple[str, ...]]
 
-    def banner(self) -> str:
-        return self.stats.banner()
-
-
-# ---------------------------------------------------------------------------
-# Supervision scope (batch-wide policy + aggregated stats)
-# ---------------------------------------------------------------------------
-
-@dataclasses.dataclass(slots=True)
-class SupervisionScope:
-    """One batch's policy plus the stats every sweep in it merges into."""
-
-    policy: SupervisorPolicy
-    stats: HarnessStats = dataclasses.field(default_factory=HarnessStats)
-
-    def banner(self) -> str:
-        return self.stats.banner()
-
-
-_SCOPE: contextvars.ContextVar[SupervisionScope | None] = contextvars.ContextVar(
-    "repro_supervision_scope", default=None
-)
-
-
-@contextlib.contextmanager
-def supervision_scope(
-    policy: SupervisorPolicy,
-) -> _t.Iterator[SupervisionScope]:
-    """Run every ``run_cells`` call in the body under ``policy``."""
-    if _SCOPE.get() is not None:
-        raise ConfigError("a supervision scope is already active")
-    scope = SupervisionScope(policy)
-    token = _SCOPE.set(scope)
-    try:
-        yield scope
-    finally:
-        _SCOPE.reset(token)
-
 
 # ---------------------------------------------------------------------------
 # The driver
@@ -178,34 +120,31 @@ class _Task:
 
 
 def run_sweep(
-    cells: _t.Sequence["Cell"],
-    jobs: int = 1,
-    *,
-    executor: CellExecutor | None = None,
-    policy: SupervisorPolicy | None = None,
+    cells: _t.Sequence["Cell"], run: "Run | None" = None, **options: _t.Any
 ) -> SweepReport:
-    """Execute ``cells`` and return a :class:`SweepReport`.
+    """Execute ``cells`` under ``run`` and return a :class:`SweepReport`.
 
-    ``executor`` picks the dispatch backend explicitly; otherwise the
-    active :func:`~repro.harness.executor.executor_scope` backend is
-    used, and without one cells run inline for ``jobs <= 1`` and on a
-    local pool of ``jobs`` workers otherwise.  ``policy`` defaults to the
-    active scope's, else :class:`SupervisorPolicy()`.  Results merge by
-    key in cell order whatever the backend, so every strategy renders
-    byte-identical reports.
+    ``run`` (else one opened from ``RunConfig(**options)``) supplies
+    everything: the cell store to plan against, the executor to dispatch
+    through — without one, cells run inline for ``jobs <= 1`` and on a
+    pool of ``min(jobs, cells)`` workers owned by this sweep otherwise —
+    the failure policy (``retries``, ``timeout``) and the harness tally
+    the sweep's stats merge into.  Results merge by key in cell order
+    whatever the backend, so every strategy renders byte-identical
+    reports.
     """
-    from repro.harness.cellstore import MISS, active_store
-    from repro.harness.parallel import check_unique_keys, resolve_jobs
+    with using(run, **options) as run:
+        return _run_sweep(list(cells), run)
 
-    scope = _SCOPE.get()
-    if policy is None:
-        policy = scope.policy if scope is not None else SupervisorPolicy()
-    cells = list(cells)
+
+def _run_sweep(cells: list["Cell"], run: "Run") -> SweepReport:
+    from repro.harness.cellstore import MISS
+    from repro.harness.parallel import check_unique_keys
+
     check_unique_keys(cells)
-    jobs = resolve_jobs(jobs)
-    backend = executor if executor is not None else _executor.active_executor()
-    store = active_store()
-    sweep = _Sweep(policy, store)
+    store = run.store
+    sweep = _Sweep(run.config, store)
+    pooled = 0
     try:
         pending, deferred = cells, []
         if store is not None:
@@ -213,15 +152,13 @@ def run_sweep(
             sweep.results.update(plan.served)
             pending, deferred = plan.to_run, plan.deferred
         tasks = [_Task(c) for c in pending]
-        if backend is None and (jobs <= 1 or len(tasks) <= 1):
-            inline = tasks
-        elif backend is None:
-            inline = sweep.dispatch(
-                tasks, _executor.LocalPoolExecutor(min(jobs, len(tasks))),
-                owned=True,
-            )
-        else:
-            inline = sweep.dispatch(tasks, backend, owned=False)
+        executor, owned = run.executor, False
+        if executor is None and run.config.jobs > 1 and len(tasks) > 1:
+            executor = _executor.LocalPoolExecutor(min(run.config.jobs, len(tasks)))
+            owned = True
+        inline = tasks if executor is None else sweep.dispatch(tasks, executor, owned)
+        if executor is not None and executor.parallel:
+            pooled = len(tasks) - len(inline)
         for task in inline:
             sweep.run_inline(task)
         for c in deferred:
@@ -246,9 +183,9 @@ def run_sweep(
         retried=sum(len(t.causes) > (t.cell.key in failures) for t in tasks),
         degraded=sum(t.demoted for t in tasks),
         failed=len(failures),
+        pooled=pooled,
     )
-    if scope is not None:
-        scope.stats.merge(stats)
+    run.stats.merge(stats)
     return SweepReport(
         results={c.key: sweep.results[c.key] for c in cells if c.key in sweep.results},
         failures={c.key: failures[c.key] for c in cells if c.key in failures},
@@ -260,8 +197,8 @@ def run_sweep(
 class _Sweep:
     """Results, failures and the attempt accounting of one sweep."""
 
-    def __init__(self, policy: SupervisorPolicy, store: _t.Any) -> None:
-        self.policy = policy
+    def __init__(self, config: "RunConfig", store: _t.Any) -> None:
+        self.config = config
         self.store = store
         self.results: dict[tuple, _t.Any] = {}
         self.failures: dict[tuple, CellExecutionError] = {}
@@ -286,7 +223,7 @@ class _Sweep:
         task.causes.append(cause)
         if (
             not isinstance(exc, ReproError)
-            and len(task.causes) <= self.policy.retries
+            and len(task.causes) <= self.config.retries
         ):
             return True
         if exc is not None:
@@ -348,7 +285,7 @@ class _Sweep:
         self, tasks: list[_Task], executor: CellExecutor
     ) -> tuple[list[_Task], list[_Task], bool]:
         """One dispatch generation: ``(retry, demoted, disrupted)``."""
-        timeout = self.policy.timeout
+        timeout = self.config.timeout
         try:
             if timeout is None:
                 futures = executor.submit_many([t.cell for t in tasks])

@@ -42,17 +42,17 @@ collectives with no ``memo_key`` (cost not determined by
 Enabling
 --------
 Off by default.  Turn it on per world (``MpiWorld(..., fastcollect=True)``),
-per scope (:func:`fastcollect_scope`), or globally via
-``REPRO_FASTCOLLECT=1`` / the ``--fastcollect`` CLI flag.
+per scope (:func:`fastcollect_scope`), per run (the ``--fastcollect`` CLI
+flag, see :mod:`repro.config`) or by default via ``REPRO_FASTCOLLECT=1``.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
-import os
 import typing as _t
 
+from repro.config import collect_report, world_options, world_scope
 from repro.errors import ConfigError, MpiError
 from repro.ipm.monitor import CallKey
 from repro.perf.replay import perturbation_reason
@@ -64,48 +64,22 @@ if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.smpi.comm import Comm
     from repro.smpi.world import MpiWorld
 
-#: Environment variable enabling the fast path (inherited by ``--jobs``
-#: pool workers, mirroring ``REPRO_REPLAY`` / ``REPRO_SANITIZE``).
-ENV_FLAG = "REPRO_FASTCOLLECT"
-
-
 def fastcollect_enabled() -> bool:
     """Default for worlds that don't pass ``fastcollect=`` explicitly."""
-    return os.environ.get(ENV_FLAG, "").strip() not in ("", "0")  # lint-ok: DET008 feature gate, read before simulation starts
-
-
-#: Reports of worlds finalized inside the innermost scope.
-_SCOPE_REPORTS: list["FastCollectReport"] | None = None
+    return world_options().fastcollect
 
 
 @contextlib.contextmanager
 def fastcollect_scope(enabled: bool = True) -> _t.Iterator[list["FastCollectReport"]]:
-    """Force the fast path on (or off) inside the block; yields reports.
-
-    Sets ``REPRO_FASTCOLLECT`` so pool workers forked inside the scope
-    (``--jobs N``) make the same decision.  Every world finalized in this
-    process while the scope is open appends its
-    :class:`FastCollectReport` to the yielded list.
-    """
-    global _SCOPE_REPORTS
-    reports: list[FastCollectReport] = []
-    prev_env = os.environ.get(ENV_FLAG)
-    prev_reports = _SCOPE_REPORTS
-    os.environ[ENV_FLAG] = "1" if enabled else "0"
-    _SCOPE_REPORTS = reports
-    try:
-        yield reports
-    finally:
-        _SCOPE_REPORTS = prev_reports
-        if prev_env is None:
-            os.environ.pop(ENV_FLAG, None)
-        else:
-            os.environ[ENV_FLAG] = prev_env
+    """Force the fast path on (or off) for every world built in this
+    process inside the block; yields the reports of the worlds finalized
+    here."""
+    with world_scope(fastcollect=enabled) as reports:
+        yield reports.fastcollect
 
 
 def _note_report(report: "FastCollectReport") -> None:
-    if _SCOPE_REPORTS is not None:
-        _SCOPE_REPORTS.append(report)  # lint-ok: DET007 scope-local report collection, never in results
+    collect_report("fastcollect", report)
 
 
 @dataclasses.dataclass(frozen=True, slots=True)

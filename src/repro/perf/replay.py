@@ -47,17 +47,18 @@ run is observed or perturbed:
 Enabling
 --------
 Replay is **off by default**.  Turn it on per world
-(``MpiWorld(..., replay=True)``), per scope (:func:`replay_scope`, which
-also makes ``--jobs`` pool workers inherit the setting), or globally via
-``REPRO_REPLAY=1`` / the ``--replay`` CLI flag.
+(``MpiWorld(..., replay=True)``), per scope (:func:`replay_scope`), per
+run (the ``--replay`` CLI flag, see :mod:`repro.config`) or by default
+via ``REPRO_REPLAY=1``.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
-import os
 import typing as _t
+
+from repro.config import collect_report, world_options, world_scope
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.ipm.monitor import CallKey, RankProfile
@@ -67,10 +68,6 @@ if _t.TYPE_CHECKING:  # pragma: no cover
 
     _Delta = dict[str, tuple[float, float, float, dict[CallKey, tuple[int, float]]]]
     _Capture = tuple[float, "_Delta"]
-
-#: Environment variable enabling replay (inherited by ``--jobs`` pool
-#: workers, mirroring ``REPRO_SANITIZE`` / ``REPRO_FAULTS``).
-ENV_FLAG = "REPRO_REPLAY"
 
 #: Iterations of a marked loop that must be captured (and match) before
 #: fast-forwarding is even considered.
@@ -85,41 +82,19 @@ DEFAULT_REL_TOL = 1e-9
 
 def replay_enabled() -> bool:
     """Default for worlds that don't pass ``replay=`` explicitly."""
-    return os.environ.get(ENV_FLAG, "").strip() not in ("", "0")  # lint-ok: DET008 feature gate, read before simulation starts
-
-
-#: Reports of worlds finalized inside the innermost :func:`replay_scope`.
-_SCOPE_REPORTS: list["ReplayReport"] | None = None
+    return world_options().replay
 
 
 @contextlib.contextmanager
 def replay_scope(enabled: bool = True) -> _t.Iterator[list["ReplayReport"]]:
-    """Force replay on (or off) inside the block; yields the reports.
-
-    Sets ``REPRO_REPLAY`` so pool workers forked inside the scope
-    (``--jobs N``) make the same decision.  Every world finalized in this
-    process while the scope is open appends its :class:`ReplayReport` to
-    the yielded list (worker-process worlds report in their own process).
-    """
-    global _SCOPE_REPORTS
-    reports: list[ReplayReport] = []
-    prev_env = os.environ.get(ENV_FLAG)
-    prev_reports = _SCOPE_REPORTS
-    os.environ[ENV_FLAG] = "1" if enabled else "0"
-    _SCOPE_REPORTS = reports
-    try:
-        yield reports
-    finally:
-        _SCOPE_REPORTS = prev_reports
-        if prev_env is None:
-            os.environ.pop(ENV_FLAG, None)
-        else:
-            os.environ[ENV_FLAG] = prev_env
+    """Force replay on (or off) for every world built in this process
+    inside the block; yields the reports of the worlds finalized here."""
+    with world_scope(replay=enabled) as reports:
+        yield reports.replay
 
 
 def _note_report(report: "ReplayReport") -> None:
-    if _SCOPE_REPORTS is not None:
-        _SCOPE_REPORTS.append(report)  # lint-ok: DET007 scope-local report collection, never in results
+    collect_report("replay", report)
 
 
 def perturbation_reason(world: "MpiWorld") -> str | None:

@@ -69,14 +69,14 @@ class MpiWorld:
         (:class:`~repro.analysis.sanitizer.MpiSanitizer`): wait-for-graph
         deadlock reports, collective-sequence mismatch detection,
         unmatched-send/message-leak checks at finalize and tag/peer
-        validation.  ``None`` (the default) defers to the scope/env
-        default (:func:`repro.analysis.sanitizer.sanitize_enabled`).
+        validation.  ``None`` (the default) defers to the run's world
+        options (:func:`repro.analysis.sanitizer.sanitize_enabled`).
         The sanitizer observes without scheduling events, so sanitized
         runs keep bit-identical virtual timestamps.
     faults:
         A :class:`~repro.faults.FaultSchedule`, a spec string (see
-        :mod:`repro.faults.schedule`), or ``None`` to defer to the
-        ``REPRO_FAULTS`` environment variable.  A non-empty schedule
+        :mod:`repro.faults.schedule`), or ``None`` to defer to the run's
+        world options (:func:`repro.faults.schedule.default_schedule`).  A non-empty schedule
         installs a :class:`~repro.faults.FaultInjector`; with no
         schedule every fault hook is a pure pass-through and the run is
         bit-identical to one built before the fault layer existed.
@@ -85,7 +85,7 @@ class MpiWorld:
         (:class:`~repro.perf.replay.ReplayRecorder`): marked steady
         loops whose iterations prove stationary on a draw-free platform
         are fast-forwarded analytically instead of re-simulated.
-        ``None`` (the default) defers to the scope/env default
+        ``None`` (the default) defers to the run's world options
         (:func:`repro.perf.replay.replay_enabled`).  The recorder
         auto-falls-back to full simulation whenever the sanitizer, the
         fault injector, tracing or a stochastic platform model is
@@ -97,8 +97,8 @@ class MpiWorld:
         draw-free, unobserved world complete through one pre-triggered
         event priced from per-communicator caches instead of the
         per-operation path, with byte-identical wake times and IPM
-        counters.  ``None`` (the default) defers to the scope/env
-        default (:func:`repro.perf.fastcollect.fastcollect_enabled`).
+        counters.  ``None`` (the default) defers to the run's world
+        options (:func:`repro.perf.fastcollect.fastcollect_enabled`).
         Shares replay's auto-fallback discipline (sanitizer, faults,
         tracing, stochastic platforms ⇒ per-operation path with a
         recorded reason).

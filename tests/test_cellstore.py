@@ -17,17 +17,16 @@ from concurrent.futures import ProcessPoolExecutor
 import pytest
 
 from repro.cli import main
+from repro.config import Run, RunConfig
 from repro.errors import ConfigError
 from repro.harness.cellstore import (
     MISS,
     CellStore,
-    active_store,
     record_problem,
     store_key,
-    store_scope,
 )
 from repro.harness.parallel import Cell, cell_worker, run_cells
-from repro.harness.supervisor import SupervisorPolicy, run_sweep
+from repro.harness.supervisor import run_sweep
 
 #: Inline executions of the counting test worker (jobs=1 runs in-process).
 _CALLS: list[tuple] = []
@@ -91,6 +90,30 @@ class TestStoreKey:
         assert len(key) == 64 and key == key.lower()
         assert key != store_key("w2", (1, ("a", 2), {1: 0.5}), "ab" * 16)
         assert key != store_key("w", (1, ("a", 3), {1: 0.5}), "ab" * 16)
+
+    def test_fault_free_key_pinned(self):
+        # A fault-free key is the same digest it always was, so existing
+        # stores keep serving; a fault schedule moves it.
+        args = ("cg", "Vayu", 64, 1, "B", None)
+        key = store_key("npb_point", args, "ab" * 16)
+        assert key == (
+            "05b8d7f51663f3c4046235d17197afec588daf89b6f5b61f102748e004dcc67e"
+        )
+        assert store_key("npb_point", args, "ab" * 16, None) == key
+        faulted = store_key("npb_point", args, "ab" * 16, "crash:at=1.0,node=0")
+        assert faulted != key
+        assert faulted != store_key("npb_point", args, "ab" * 16, "crash:at=2.0,node=0")
+
+    def test_faulted_records_verify_and_stay_apart(self, tmp_path,
+                                                  fake_fingerprints):
+        plain = CellStore(tmp_path / "store")
+        faulted = CellStore(tmp_path / "store", faults="crash:at=1.0,node=0")
+        faulted.publish("cs_count", (1,), {"v": -1.0})
+        assert plain.lookup("cs_count", (1,)) is MISS
+        plain.publish("cs_count", (1,), {"v": 1.0})
+        assert faulted.lookup("cs_count", (1,)) == {"v": -1.0}
+        assert plain.lookup("cs_count", (1,)) == {"v": 1.0}
+        assert plain.verify().clean and plain.verify().ok == 2
 
     def test_code_fingerprint_moves_the_key(self):
         # The whole staleness story: editing reachable code changes the
@@ -189,26 +212,27 @@ class TestPublishLookup:
 class TestRunCellsIntegration:
     def test_second_run_executes_zero_cells(self, tmp_path, fake_fingerprints):
         cells = [Cell((i,), "cs_count", (i,)) for i in range(4)]
-        with store_scope(tmp_path / "store") as store:
-            del _CALLS[:]
-            first = run_cells(cells, jobs=1)
-            assert len(_CALLS) == 4
-            assert store.published == 4
-        with store_scope(tmp_path / "store") as store:
-            del _CALLS[:]
-            second = run_cells(cells, jobs=1)
-            assert _CALLS == []  # simulate once...
-            assert store.hits == 4 and store.misses == 0
+        store = CellStore(tmp_path / "store")
+        del _CALLS[:]
+        first = run_cells(cells, Run(store=store))
+        assert len(_CALLS) == 4
+        assert store.published == 4
+        store = CellStore(tmp_path / "store")
+        del _CALLS[:]
+        second = run_cells(cells, Run(store=store))
+        assert _CALLS == []  # simulate once...
+        assert store.hits == 4 and store.misses == 0
         assert second == first
         assert list(second) == list(first)  # key order preserved
 
     def test_partial_hits_merge_in_cell_order(self, tmp_path, fake_fingerprints):
-        with store_scope(tmp_path / "store"):
-            run_cells([Cell((1,), "cs_count", (1,)), Cell((3,), "cs_count", (3,))])
+        store = CellStore(tmp_path / "store")
+        run_cells([Cell((1,), "cs_count", (1,)), Cell((3,), "cs_count", (3,))],
+                  Run(store=store))
         cells = [Cell((i,), "cs_count", (i,)) for i in range(5)]
-        with store_scope(tmp_path / "store") as store:
-            del _CALLS[:]
-            out = run_cells(cells, jobs=1)
+        store = CellStore(tmp_path / "store")
+        del _CALLS[:]
+        out = run_cells(cells, Run(store=store))
         assert store.hits == 2 and store.misses == 3
         assert [x for _, x in _CALLS] == [0, 2, 4]
         assert list(out) == [(i,) for i in range(5)]
@@ -220,34 +244,22 @@ class TestRunCellsIntegration:
 
     def test_code_edit_forces_re_execution(self, tmp_path, fake_fingerprints):
         cells = [Cell((i,), "cs_count", (i,)) for i in range(3)]
-        with store_scope(tmp_path / "store"):
-            run_cells(cells)
+        store = CellStore(tmp_path / "store")
+        run_cells(cells, Run(store=store))
         fake_fingerprints["cs_count"] = "dd" * 16  # simulated code edit
-        with store_scope(tmp_path / "store") as store:
-            del _CALLS[:]
-            run_cells(cells)
+        store = CellStore(tmp_path / "store")
+        del _CALLS[:]
+        run_cells(cells, Run(store=store))
         assert store.hits == 0 and store.misses == 3
         assert len(_CALLS) == 3  # all re-simulated, old entries ignored
 
-    def test_env_var_activates_store(self, tmp_path, fake_fingerprints,
-                                     monkeypatch):
-        root = tmp_path / "envstore"
-        monkeypatch.setenv("REPRO_STORE", str(root))
-        assert active_store() is not None
-        run_cells([Cell((1,), "cs_count", (1,))])
-        del _CALLS[:]
-        run_cells([Cell((1,), "cs_count", (1,))])
-        assert _CALLS == []
-        monkeypatch.delenv("REPRO_STORE")
-        assert active_store() is None
-
     def test_supervised_store_hits_counted(self, tmp_path, fake_fingerprints):
         cells = [Cell((i,), "cs_count", (i,)) for i in range(3)]
-        policy = SupervisorPolicy(retries=1)
-        with store_scope(tmp_path / "store") as store:
-            fresh = run_sweep(cells, policy=policy)
-            assert store.hits == 0 and store.published == 3
-            served = run_sweep(cells, policy=policy)
+        store = CellStore(tmp_path / "store")
+        run = Run(RunConfig(retries=1), store=store)
+        fresh = run_sweep(cells, run)
+        assert store.hits == 0 and store.published == 3
+        served = run_sweep(cells, run)
         assert store.hits == 3 and store.published == 3
         assert served.stats.ok == 3
         assert served.results == fresh.results
@@ -335,12 +347,10 @@ class TestLeases:
         assert b.try_lease("cs_count", (1,))
         assert b.takeovers == 1
 
-    def test_bad_ttl_rejected(self, tmp_path, monkeypatch):
-        with pytest.raises(ConfigError, match="lease TTL"):
-            CellStore(tmp_path / "store", lease_ttl=0)
-        monkeypatch.setenv("REPRO_STORE_LEASE_TTL", "-3")
-        with pytest.raises(ConfigError, match="lease TTL"):
-            CellStore(tmp_path / "store")
+    def test_bad_ttl_rejected(self, tmp_path):
+        for ttl in (0, -3, float("nan")):
+            with pytest.raises(ConfigError, match="lease TTL"):
+                CellStore(tmp_path / "store", lease_ttl=ttl)
 
     def test_plan_cells_partitions(self, tmp_path, fake_fingerprints):
         mine = CellStore(tmp_path / "store")
@@ -388,16 +398,16 @@ class TestLeases:
         # ("EC2", 64) / ("EC2-4", 64) pair): the second is deferred
         # behind our own lease and served from our own publish.
         cells = [Cell(("a",), "cs_count", (1,)), Cell(("b",), "cs_count", (1,))]
-        with store_scope(tmp_path / "plain") as store:
-            del _CALLS[:]
-            out = run_cells(cells, jobs=1)
+        store = CellStore(tmp_path / "plain")
+        del _CALLS[:]
+        out = run_cells(cells, Run(store=store))
         assert _CALLS == [("cs_count", 1)]
         assert out[("a",)] == out[("b",)]
         assert "peer" not in store.banner()
         assert store.hits == 1 and store.misses == 1 and store.published == 1
-        with store_scope(tmp_path / "retrying") as store:
-            del _CALLS[:]
-            report = run_sweep(cells, policy=SupervisorPolicy(retries=1))
+        store = CellStore(tmp_path / "retrying")
+        del _CALLS[:]
+        report = run_sweep(cells, Run(RunConfig(retries=1), store=store))
         assert _CALLS == [("cs_count", 1)]
         assert report.results == out
         assert "peer" not in store.banner()
@@ -411,8 +421,8 @@ class TestLeases:
 
         monkeypatch.setattr(time, "sleep", no_polling)
         cells = [Cell(("a",), "cs_fail", (1,)), Cell(("b",), "cs_fail", (1,))]
-        with store_scope(tmp_path / "store") as store:
-            report = run_sweep(cells)
+        store = CellStore(tmp_path / "store")
+        report = run_sweep(cells, Run(store=store))
         assert sorted(report.failures) == [("a",), ("b",)]
         assert store.published == 0 and store.peer_waits == 0
         assert list(store.leases_dir.iterdir()) == []
@@ -619,12 +629,12 @@ def _race_sweep(root: str, marker_dir: str, backend: str,
     from repro.harness.executor import make_executor
 
     cells = [Cell((x,), "cs_race", (x, marker_dir)) for x in xs]
-    with store_scope(CellStore(root)) as store:
-        ex = make_executor(backend, 2)
-        try:
-            results = run_cells(cells, executor=ex)
-        finally:
-            ex.shutdown(kill=True)
+    store = CellStore(root)
+    ex = make_executor(backend, 2)
+    try:
+        results = run_cells(cells, Run(store=store, executor=ex))
+    finally:
+        ex.shutdown(kill=True)
     return {"results": results, "peer_waits": store.peer_waits,
             "published": store.published}
 
@@ -880,16 +890,12 @@ class TestStoreCli:
     def test_scheme_store_specs_rejected(self, tmp_path, monkeypatch, capsys,
                                          spec):
         monkeypatch.chdir(tmp_path)
-        with pytest.raises(ConfigError, match="not a directory path"):
-            with store_scope(spec):
-                pass
+        for build in (CellStore, lambda s: RunConfig(store=s)):
+            with pytest.raises(ConfigError, match="not a directory path"):
+                build(spec)
         assert main(["run", "tab2", "--store", spec]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: store spec") and "Traceback" not in err
-        monkeypatch.setenv("REPRO_STORE", spec)
-        assert main(["run", "tab2"]) == 1
-        assert "error: store spec" in capsys.readouterr().err
-        monkeypatch.delenv("REPRO_STORE")
         assert main(["store", "stats", spec]) == 1
         assert list(tmp_path.iterdir()) == []  # no "tcp:" directory appeared
 

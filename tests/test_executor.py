@@ -15,12 +15,11 @@ import json
 import pytest
 
 import repro.harness.executor as executor_mod
+from repro.config import Run, RunConfig
 from repro.errors import ConfigError
 from repro.harness.executor import (
     LocalPoolExecutor,
     SerialExecutor,
-    active_executor,
-    executor_scope,
     make_executor,
 )
 from repro.harness.parallel import Cell, cell_worker, run_cells
@@ -80,7 +79,7 @@ class TestLocalPool:
         serial = run_cells(_cells(7), jobs=1)
         for chunk in (1, 3, "auto"):
             with executor_mod.LocalPoolExecutor(2, chunk=chunk) as ex:
-                assert run_cells(_cells(7), executor=ex) == serial
+                assert run_cells(_cells(7), Run(executor=ex)) == serial
 
     def test_error_in_chunk_hits_only_its_cell(self):
         # One raising cell must surface its own exception without
@@ -147,25 +146,26 @@ class TestInterruptTeardown:
         # must cancel its futures but leave the transport usable.
         with LocalPoolExecutor(2) as ex:
             with pytest.raises(KeyboardInterrupt):
-                run_cells(_cells(4, worker="ex_interrupt"), executor=ex)
-            assert run_cells(_cells(3), executor=ex) == run_cells(_cells(3))
+                run_cells(_cells(4, worker="ex_interrupt"), Run(executor=ex))
+            assert run_cells(_cells(3), Run(executor=ex)) == run_cells(_cells(3))
 
 
 # ---------------------------------------------------------------------------
-# Scope activation
+# A run's executor: built from --backend when the run opens
 # ---------------------------------------------------------------------------
 
 class TestScope:
     def test_scope_routes_run_cells(self):
         serial = run_cells(_cells(5), jobs=1)
-        assert active_executor() is None
-        with executor_scope("serial") as ex:
-            assert active_executor() is ex
-            assert run_cells(_cells(5), jobs=4) == serial
-        assert active_executor() is None
+        with RunConfig(jobs=4, backend="serial").open() as run:
+            ex = run.executor
+            assert isinstance(ex, SerialExecutor)
+            assert run_cells(_cells(5), run) == serial
         assert ex.dispatched == 5
+        with RunConfig(jobs=4).open() as run:
+            assert run.executor is None  # no backend: sweeps own their pools
 
-    def test_scope_hard_teardown_on_error(self):
+    def test_scope_hard_teardown_on_error(self, monkeypatch):
         created = []
 
         class Recording(SerialExecutor):
@@ -173,10 +173,13 @@ class TestScope:
                 created.append(kill)
                 super().shutdown(kill=kill)
 
+        monkeypatch.setattr(executor_mod, "make_executor", lambda spec, jobs: Recording())
         with pytest.raises(RuntimeError):
-            with executor_scope(Recording()):
+            with RunConfig(backend="serial").open():
                 raise RuntimeError("body blew up")
-        assert created == [True]
+        with RunConfig(backend="serial").open():
+            pass
+        assert created == [True, False]
 
 
     @pytest.mark.parametrize("backend", ["serial", "chunked"])
@@ -186,11 +189,9 @@ class TestScope:
         import re
 
         from repro.harness.runner import run_batch
-        from repro.harness.supervisor import SupervisorPolicy
 
         batch = run_batch(["fig3"], quick=True, seed=1, jobs=2,
-                          backend=backend,
-                          supervisor=SupervisorPolicy(retries=1))
+                          backend=backend, retries=1)
         executed = int(re.search(r"(\d+) ok", batch.harness_summary).group(1))
         dispatched = int(re.search(r"(\d+) cell\(s\) dispatched",
                                    batch.executor_summary).group(1))

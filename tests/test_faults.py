@@ -106,12 +106,14 @@ class TestScheduleSpec:
         assert default_schedule() is None
 
     def test_env_default_and_scope(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FAULTS", raising=False)
+        monkeypatch.setenv("REPRO_FAULTS", "crash:at=1e9")
+        assert default_schedule().spec() == FaultSchedule.parse("crash:at=1e9").spec()
         with faults_scope("nfs:start=0,dur=10,factor=2") as sched:
-            assert os.environ["REPRO_FAULTS"] == sched.spec()
+            # Installed in this process; the environment is untouched.
+            assert os.environ["REPRO_FAULTS"] == "crash:at=1e9"
             inner = default_schedule()
             assert inner is not None and inner.spec() == sched.spec()
-        assert "REPRO_FAULTS" not in os.environ
+        assert default_schedule().spec() == FaultSchedule.parse("crash:at=1e9").spec()
 
 
 class TestFaultFreePassThrough:

@@ -153,7 +153,7 @@ class TestNoFalsePositives:
         assert batch.sanitize_summary.startswith("sanitize: clean")
         assert "0 errors" in batch.sanitize_summary
         assert "0 warning(s)" in batch.sanitize_summary
-        assert "[sanitize: clean" in batch.render()
+        assert "[sanitize:" not in batch.render()  # stderr-only banner
 
     def test_npb_collective_workload_clean(self):
         from repro.analysis.sanitizer import sanitize_scope

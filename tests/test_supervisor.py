@@ -24,7 +24,8 @@ import pytest
 
 from repro.errors import CellExecutionError, ConfigError, VerificationError
 from repro.harness import parallel
-from repro.harness.cellstore import STORE_VERSION, CellStore, store_scope
+from repro.config import Run, RunConfig
+from repro.harness.cellstore import STORE_VERSION, CellStore
 from repro.harness.journal import (
     FORMAT_VERSION,
     decode_value,
@@ -32,11 +33,7 @@ from repro.harness.journal import (
     payload_hash,
 )
 from repro.harness.parallel import Cell, cell_worker, run_cells
-from repro.harness.supervisor import (
-    SupervisorPolicy,
-    run_sweep,
-    supervision_scope,
-)
+from repro.harness.supervisor import run_sweep
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +166,7 @@ class TestSupervisedExecution:
     def test_clean_run_matches_plain_run_cells(self, tmp_path):
         cells = [Cell((i,), "sup_square", (i,)) for i in range(5)]
         plain = run_cells(cells, jobs=1)
-        report = run_sweep(cells, 2, policy=SupervisorPolicy(retries=1))
+        report = run_sweep(cells, jobs=2, retries=1)
         assert report.results == plain
         assert list(report.results) == list(plain)
         assert not report.failures and not report.retries
@@ -182,12 +179,11 @@ class TestSupervisedExecution:
 
     def test_unknown_worker_stays_fatal(self):
         with pytest.raises(ConfigError, match="unknown cell worker"):
-            run_sweep([Cell((1,), "no_such_worker")],
-                      policy=SupervisorPolicy(retries=2))
+            run_sweep([Cell((1,), "no_such_worker")], retries=2)
 
     def test_worker_exception_exhausts_retries(self):
         cells = [Cell((0,), "sup_square", (0,)), Cell((1,), "sup_raise", (1,))]
-        report = run_sweep(cells, 1, policy=SupervisorPolicy(retries=1))
+        report = run_sweep(cells, retries=1)
         assert report.results == {(0,): {"v": 0.0}}
         err = report.failures[(1,)]
         assert isinstance(err, CellExecutionError)
@@ -210,8 +206,7 @@ class TestSupervisedExecution:
 
     def test_repro_errors_never_retried(self):
         report = run_sweep(
-            [Cell((1,), "sup_raise_repro", (1,))],
-            1, policy=SupervisorPolicy(retries=3),
+            [Cell((1,), "sup_raise_repro", (1,))], retries=3,
         )
         err = report.failures[(1,)]
         assert err.attempts == 1          # deterministic error: no retry
@@ -221,7 +216,7 @@ class TestSupervisedExecution:
         cells = [Cell(("hang",), "sup_hang", (0,))] + [
             Cell((i,), "sup_square", (i,)) for i in range(3)
         ]
-        report = run_sweep(cells, 2, policy=SupervisorPolicy(timeout=1.0))
+        report = run_sweep(cells, jobs=2, timeout=1.0)
         err = report.failures[("hang",)]
         assert err.cause == "timeout"
         assert "watchdog" in err.detail
@@ -233,9 +228,7 @@ class TestSupervisedExecution:
         cells = [Cell(("once",), "sup_sleep_once", (7, marker))] + [
             Cell((i,), "sup_square", (i,)) for i in range(2)
         ]
-        report = run_sweep(
-            cells, 2, policy=SupervisorPolicy(timeout=1.5, retries=1)
-        )
+        report = run_sweep(cells, jobs=2, timeout=1.5, retries=1)
         assert not report.failures
         assert report.results[("once",)] == {"v": 7.0}
         assert report.retries[("once",)] == ("timeout",)
@@ -244,7 +237,7 @@ class TestSupervisedExecution:
     def test_broken_pool_degrades_to_serial(self, tmp_path):
         marker = str(tmp_path / "died")
         cells = [Cell((i,), "sup_die_once", (i, marker)) for i in range(4)]
-        report = run_sweep(cells, 2)
+        report = run_sweep(cells, jobs=2)
         assert not report.failures
         assert report.results == {(i,): {"v": float(i * 3)} for i in range(4)}
         assert report.stats.degraded >= 1
@@ -254,7 +247,7 @@ class TestSupervisedExecution:
         marker = tmp_path / "chaos"
         monkeypatch.setenv("REPRO_CHAOS_KILL", str(marker))
         cells = [Cell((i,), "sup_square", (i,)) for i in range(4)]
-        report = run_sweep(cells, 2)
+        report = run_sweep(cells, jobs=2)
         assert report.results == {(i,): {"v": float(i * i)} for i in range(4)}
         assert not report.failures
         assert report.stats.degraded >= 1
@@ -277,11 +270,11 @@ class TestSupervisedExecution:
         markers = tmp_path / "markers"
         markers.mkdir()
 
-        def _interrupted(quick=True, seed=0, jobs=1, sim_iters=None):
+        def _interrupted(run):
             cells = [Cell((0,), "sup_interrupt", (0, str(markers)))] + [
                 Cell((i,), "sup_square", (i,)) for i in (1, 2)
             ]
-            run_cells(cells, jobs=jobs)
+            run_cells(cells, run)
             return ExperimentOutput("intex", "never reached", {}, "")
 
         monkeypatch.setitem(EXPERIMENTS, "intex", _interrupted)
@@ -298,7 +291,7 @@ class TestSupervisedExecution:
     ])
     def test_policy_validated(self, policy):
         with pytest.raises(ConfigError):
-            SupervisorPolicy(**policy)
+            RunConfig(**policy)
 
     @pytest.mark.parametrize("flags", [
         ["--timeout", "0"], ["--timeout", "-1"], ["--retries", "-3"],
@@ -324,13 +317,13 @@ class TestResume:
         n, k = 6, 3
         cells = [Cell((i,), "sup_flaky", (i, k, str(arm))) for i in range(n)]
 
-        clean = run_sweep(cells, 1)
+        clean = run_sweep(cells)
         assert len(clean.results) == n
 
         # "Kill" the sweep after k cells: arm the failure, run stored.
         arm.touch()
-        with store_scope(root):
-            interrupted = run_sweep(cells, 1)
+        store = CellStore(root)
+        interrupted = run_sweep(cells, Run(store=store))
         assert len(interrupted.results) == k
         assert len(interrupted.failures) == n - k
         assert all(
@@ -341,8 +334,8 @@ class TestResume:
         # Resume: only the n-k missing cells re-execute.
         arm.unlink()
         del _CALLS[:]
-        with store_scope(root) as store:
-            resumed = run_sweep(cells, 1)
+        store = CellStore(root)
+        resumed = run_sweep(cells, Run(store=store))
         assert store.hits == k and store.published == n - k
         assert [x for _, x in _CALLS] == list(range(k, n))
         assert not resumed.failures
@@ -351,16 +344,16 @@ class TestResume:
     def test_payload_hash_mismatch_forces_re_execution(self, tmp_path,
                                                        fake_fingerprints):
         root = tmp_path / "store"
-        with store_scope(root) as store:
-            run_sweep([Cell((2,), "sup_square", (2,))])
+        store = CellStore(root)
+        run_sweep([Cell((2,), "sup_square", (2,))], Run(store=store))
         [shard] = store.shard_files()
         rec = json.loads(shard.read_text())
         rec["hash"] = "00" * 16
         rec["result"] = {"v": -1.0}
         shard.write_text(json.dumps(rec) + "\n")
         del _CALLS[:]
-        with store_scope(root) as store:
-            report = run_sweep([Cell((2,), "sup_square", (2,))])
+        store = CellStore(root)
+        report = run_sweep([Cell((2,), "sup_square", (2,))], Run(store=store))
         # The tampered record must not be trusted: the cell re-runs.
         assert store.hits == 0 and _CALLS == [("sup_square", 2)]
         assert report.results[(2,)] == {"v": 4.0}
@@ -371,9 +364,9 @@ class TestResume:
         # fig1 and fig2 both key their cells by platform name: the store
         # is content-addressed, so equal keys with different payloads
         # never serve each other.
-        with store_scope(tmp_path / "store") as store:
-            a = run_sweep([Cell(("Vayu",), "sup_square", (3,))])
-            b = run_sweep([Cell(("Vayu",), "sup_square", (4,))])
+        store = CellStore(tmp_path / "store")
+        a = run_sweep([Cell(("Vayu",), "sup_square", (3,))], Run(store=store))
+        b = run_sweep([Cell(("Vayu",), "sup_square", (4,))], Run(store=store))
         assert a.results == {("Vayu",): {"v": 9.0}}
         assert b.results == {("Vayu",): {"v": 16.0}}
         assert store.hits == 0 and store.published == 2
@@ -383,14 +376,14 @@ class TestResume:
         # serves every complete record and re-executes nothing else.
         root = tmp_path / "store"
         cells = [Cell((i,), "sup_square", (i,)) for i in range(4)]
-        with store_scope(root) as store:
-            clean = run_sweep(cells)
+        store = CellStore(root)
+        clean = run_sweep(cells, Run(store=store))
         shard = store.shard_files()[0]
         with open(shard, "a") as fh:
             fh.write('{"v": 1, "k": "')  # killed mid-write
         del _CALLS[:]
-        with store_scope(root) as store:
-            resumed = run_sweep(cells)
+        store = CellStore(root)
+        resumed = run_sweep(cells, Run(store=store))
         assert _CALLS == [] and store.hits == 4
         assert resumed.results == clean.results
 
@@ -404,16 +397,16 @@ class TestResume:
         monkeypatch.setattr(cellstore, "SHARD_WIDTH", 0)  # one shard
         root = tmp_path / "store"
         cells = [Cell((i,), "sup_square", (i,)) for i in range(3)]
-        with store_scope(root) as store:
-            clean = run_sweep(cells)
+        store = CellStore(root)
+        clean = run_sweep(cells, Run(store=store))
         [shard] = store.shard_files()
         lines = shard.read_text().splitlines()
         assert len(lines) == 3
         lines[1] = "not json"  # cell 1's record, published second
         shard.write_text("\n".join(lines) + "\n")
         del _CALLS[:]
-        with store_scope(root) as store:
-            resumed = run_sweep(cells)
+        store = CellStore(root)
+        resumed = run_sweep(cells, Run(store=store))
         assert _CALLS == [("sup_square", 1)]
         assert store.hits == 2
         assert resumed.results == clean.results
@@ -423,8 +416,8 @@ class TestResume:
         # A parseable record missing a field is never served, and verify
         # names the reason.
         root = tmp_path / "store"
-        with store_scope(root) as store:
-            run_sweep([Cell((1,), "sup_square", (1,))])
+        store = CellStore(root)
+        run_sweep([Cell((1,), "sup_square", (1,))], Run(store=store))
         [shard] = store.shard_files()
         rec = json.loads(shard.read_text())
         del rec["result"]
@@ -433,10 +426,10 @@ class TestResume:
         assert not report.clean
         assert "missing field 'result'" in report.render()
         del _CALLS[:]
-        with store_scope(root):
-            assert run_sweep([Cell((1,), "sup_square", (1,))]).results == {
-                (1,): {"v": 1.0}
-            }
+        store = CellStore(root)
+        assert run_sweep([Cell((1,), "sup_square", (1,))], Run(store=store)).results == {
+            (1,): {"v": 1.0}
+        }
         assert _CALLS == [("sup_square", 1)]
 
 
@@ -459,7 +452,7 @@ def test_supervised_experiment_byte_identical(experiment_id, tmp_path):
     plain = run_batch([experiment_id], quick=True, seed=2)
     supervised = run_batch(
         [experiment_id], quick=True, seed=2,
-        supervisor=SupervisorPolicy(retries=1), store=tmp_path / "store",
+        retries=1, store=tmp_path / "store",
     )
     assert supervised.render() == plain.render()
     assert not supervised.failures
@@ -501,8 +494,8 @@ def test_batch_partial_failure_renders_and_continues(monkeypatch, capsys):
     from repro.cli import main
     from repro.harness.experiments import EXPERIMENTS, ExperimentOutput
 
-    def _failing_experiment(quick=True, seed=0, jobs=1, sim_iters=None):
-        points = run_cells([Cell((1,), "sup_raise", (1,))], jobs=jobs)
+    def _failing_experiment(run):
+        points = run_cells([Cell((1,), "sup_raise", (1,))], run)
         return ExperimentOutput("failex", "never reached", {}, str(points))
 
     monkeypatch.setitem(EXPERIMENTS, "failex", _failing_experiment)
@@ -585,11 +578,11 @@ def test_cli_exit_codes_documented_in_help():
 
 def test_retry_policy_is_invisible_on_clean_runs():
     cells = [Cell((i,), "sup_square", (i,)) for i in range(4)]
-    with supervision_scope(SupervisorPolicy(retries=2, timeout=30.0)) as scope:
-        supervised = run_cells(cells, jobs=2)
+    run = Run(RunConfig(jobs=2, retries=2, timeout=30.0))
+    supervised = run_cells(cells, run)
     plain = run_cells(cells, jobs=1)
     assert supervised == plain
-    assert scope.banner() == (
+    assert run.summaries()["harness_summary"] == (
         "harness: 4 cell(s): 4 ok, 0 retried, 0 degraded, 0 failed"
     )
 
@@ -601,8 +594,8 @@ def test_retry_policy_is_invisible_on_clean_runs():
 class TestJournalFormatV2:
     def test_records_carry_version_and_wide_hash(self, tmp_path,
                                                  fake_fingerprints):
-        with store_scope(tmp_path / "store") as store:
-            run_sweep([Cell((3,), "sup_square", (3,))])
+        store = CellStore(tmp_path / "store")
+        run_sweep([Cell((3,), "sup_square", (3,))], Run(store=store))
         [shard] = store.shard_files()
         (rec,) = [json.loads(l) for l in shard.read_text().splitlines()]
         assert rec["v"] == STORE_VERSION
@@ -631,16 +624,16 @@ class TestJournalFormatV2:
         """A record of an unknown layout is re-simulated, never misread,
         and verify names why it is unusable."""
         root = tmp_path / "store"
-        with store_scope(root) as store:
-            run_sweep([Cell((4,), "sup_square", (4,))])
+        store = CellStore(root)
+        run_sweep([Cell((4,), "sup_square", (4,))], Run(store=store))
         [shard] = store.shard_files()
         rec = json.loads(shard.read_text())
         rec.update(v=version, result={"v": -1.0})
         shard.write_text(json.dumps(rec) + "\n")
         assert reason in CellStore(root).verify().render()
         del _CALLS[:]
-        with store_scope(root) as store:
-            report = run_sweep([Cell((4,), "sup_square", (4,))])
+        store = CellStore(root)
+        report = run_sweep([Cell((4,), "sup_square", (4,))], Run(store=store))
         assert store.hits == 0 and _CALLS == [("sup_square", 4)]
         assert report.results[(4,)] == {"v": 16.0}
 
@@ -656,8 +649,8 @@ class TestCodeFingerprintResume:
     def test_store_records_code_for_registered_worker(self, tmp_path):
         from repro.analysis.static import worker_fingerprint
 
-        with store_scope(tmp_path / "store") as store:
-            run_sweep([self.CELL])
+        store = CellStore(tmp_path / "store")
+        run_sweep([self.CELL], Run(store=store))
         [shard] = store.shard_files()
         (rec,) = [json.loads(l) for l in shard.read_text().splitlines()]
         assert rec["code"] == worker_fingerprint("faults_point")
@@ -665,10 +658,10 @@ class TestCodeFingerprintResume:
 
     def test_matching_fingerprint_resumes_byte_identically(self, tmp_path):
         root = tmp_path / "store"
-        with store_scope(root):
-            clean = run_sweep([self.CELL])
-        with store_scope(root) as store:
-            resumed = run_sweep([self.CELL])
+        store = CellStore(root)
+        clean = run_sweep([self.CELL], Run(store=store))
+        store = CellStore(root)
+        resumed = run_sweep([self.CELL], Run(store=store))
         assert store.hits == 1 and store.published == 0
         assert repr(resumed.results) == repr(clean.results)
 
@@ -676,8 +669,8 @@ class TestCodeFingerprintResume:
         import repro.analysis.static as static
 
         root = tmp_path / "store"
-        with store_scope(root):
-            run_sweep([self.CELL])
+        store = CellStore(root)
+        run_sweep([self.CELL], Run(store=store))
         [shard] = CellStore(root).shard_files()
         rec = json.loads(shard.read_text())
         rec["result"] = {"completion_time": -1.0}
@@ -688,8 +681,8 @@ class TestCodeFingerprintResume:
             static, "worker_fingerprint",
             lambda worker: "0" * 32 if worker == "faults_point" else real(worker),
         )
-        with store_scope(root) as store:
-            report = run_sweep([self.CELL])
+        store = CellStore(root)
+        report = run_sweep([self.CELL], Run(store=store))
         # The stale-code entry must not be trusted: the cell re-runs
         # and produces the genuine result.
         assert store.hits == 0
