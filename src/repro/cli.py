@@ -22,12 +22,10 @@ Commands
     content-addressed cell store rooted at a local directory (see
     ``docs/caching.md``) — re-running an interrupted run with the same
     store resumes it,
-    ``--backend SPEC`` picks the local execution backend (``serial``,
-    ``pool[:chunk=K|auto]`` or ``chunked``; see ``docs/distributed.md``),
     ``--json``/``--csv``/``--out`` export results.  The flags build one
     :class:`~repro.config.RunConfig` (flag over environment over default;
-    see ``docs/architecture.md``), and the sanitizer, perf, harness,
-    store and executor banners go to stderr.
+    see ``docs/architecture.md``), and the sanitizer, perf, harness and
+    store banners go to stderr.
 
 Exit codes
 ----------
@@ -62,11 +60,6 @@ Exit codes
     Print (or ``--check`` the stability of) the semantic code
     fingerprint of each registered cell worker — the cell store's
     code-identity key.
-``bench harness``
-    Executor dispatch-overhead microbenchmark (cells/sec for the
-    serial, pool and chunked backends); writes
-    ``BENCH_harness.json``, gates with ``--check`` and appends
-    trajectory rows with ``--append-history``.
 ``osu <platform>``
     Run the OSU latency + bandwidth pair on one platform.
 ``npb <bench> <platform> <nprocs>``
@@ -104,7 +97,7 @@ def _cmd_experiments(_args: argparse.Namespace) -> int:
 #: ``RunConfig`` fields that are also flags of ``run``/``faults sweep``.
 _CONFIG_FLAGS = (
     "seed", "jobs", "sim_iters", "faults", "replay", "fastcollect",
-    "retries", "timeout", "store", "backend",
+    "retries", "timeout", "store",
 )
 
 
@@ -122,7 +115,7 @@ def _run_config(args: argparse.Namespace, **fields: _t.Any) -> "RunConfig":
 def _print_banners(result: _t.Any) -> None:
     """The stderr-only banners of a run, in a fixed order."""
     for name in ("sanitize_summary", "perf_summary", "harness_summary",
-                 "store_summary", "executor_summary"):
+                 "store_summary"):
         banner = getattr(result, name, None)
         if banner:
             print(f"[{banner}]", file=sys.stderr)
@@ -350,22 +343,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         check_against_baseline,
         load_rows,
         render_rows,
+        run_engine_bench,
         write_rows,
     )
 
-    if args.bench_command == "harness":
-        from repro.perf.harnessbench import run_harness_bench
-
-        rows = run_harness_bench(
-            cells=args.cells, jobs=args.jobs, reps=args.reps,
-            modes=args.modes,
-        )
-    elif args.bench_command == "engine":
-        from repro.perf.enginebench import run_engine_bench
-
-        rows = run_engine_bench(reps=args.reps, workloads=args.workloads)
-    else:
-        raise AssertionError(f"unhandled bench subcommand {args.bench_command!r}")
+    rows = run_engine_bench(reps=args.reps, workloads=args.workloads)
     print(render_rows(rows))
     if args.out:
         write_rows(rows, args.out)
@@ -380,10 +362,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         failures = check_against_baseline(
             rows, load_rows(args.check), tolerance=args.tolerance
         )
-        if args.bench_command == "harness":
-            from repro.perf.harnessbench import check_speedup
-
-            failures += check_speedup(rows)
         if failures:
             for line in failures:
                 print(f"[regression] {line}", file=sys.stderr)
@@ -427,12 +405,6 @@ def _add_sweep_args(parser: argparse.ArgumentParser) -> None:
              "entries are keyed by worker + args + code fingerprint so "
              "they can never go stale; re-run with the same PATH to "
              "resume an interrupted run (see docs/caching.md)",
-    )
-    parser.add_argument(
-        "--backend", default=None, metavar="SPEC",
-        help="local execution backend for sweep cells: 'serial', "
-             "'pool[:chunk=K|auto]' or 'chunked'; output is "
-             "byte-identical on every backend (see docs/distributed.md)",
     )
 
 
@@ -669,46 +641,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None, metavar="PATH",
         help="append one {commit, workload, events_per_sec} JSONL row per "
              "workload to PATH (default BENCH_history.jsonl)",
-    )
-
-    harness_bench = bench_sub.add_parser(
-        "harness",
-        help="executor dispatch-overhead workloads (cells/sec per backend)",
-    )
-    harness_bench.add_argument(
-        "--cells", type=int, default=600,
-        help="synthetic bench_cell cells per mode (default 600)",
-    )
-    harness_bench.add_argument(
-        "--jobs", type=int, default=2,
-        help="worker processes for the pool/chunked modes (default 2)",
-    )
-    harness_bench.add_argument(
-        "--reps", type=int, default=1,
-        help="repetitions per mode, keeping the fastest (default 1)",
-    )
-    harness_bench.add_argument(
-        "--modes", nargs="+", default=None, metavar="MODE",
-        help="run only these modes (default: serial pool chunked)",
-    )
-    harness_bench.add_argument(
-        "--out", default="BENCH_harness.json", metavar="PATH",
-        help="write rows as JSON (default BENCH_harness.json; '' to skip)",
-    )
-    harness_bench.add_argument(
-        "--check", default=None, metavar="BASELINE",
-        help="compare cells/sec against a baseline JSON and enforce the "
-             "chunked-dispatch speedup floor; exit 1 on regression",
-    )
-    harness_bench.add_argument(
-        "--tolerance", type=float, default=0.30,
-        help="allowed fractional cells/sec drop for --check (default 0.30)",
-    )
-    harness_bench.add_argument(
-        "--append-history", nargs="?", const="BENCH_history.jsonl",
-        default=None, metavar="PATH",
-        help="append one {commit, workload, events_per_sec} JSONL row per "
-             "mode to PATH (default BENCH_history.jsonl)",
     )
 
     osu = sub.add_parser("osu", help="run OSU latency/bandwidth on a platform")

@@ -3,7 +3,7 @@
 Every knob of a ``repro run`` (and of ``repro faults sweep``) lives on
 :class:`RunConfig`, validated in one place, and reaches the code below
 it as one explicit argument: :meth:`RunConfig.open` opens the per-run
-resources (cell store, executor, harness tally) as a :class:`Run`, and
+resources (cell store, harness tally) as a :class:`Run`, and
 that object is passed down ``run_experiment`` → experiment functions →
 ``run_cells`` → ``run_sweep``.
 
@@ -34,7 +34,6 @@ from repro.errors import ConfigError
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.faults.schedule import FaultSchedule
     from repro.harness.cellstore import CellStore
-    from repro.harness.executor import CellExecutor
     from repro.harness.supervisor import HarnessStats
 
 
@@ -154,8 +153,7 @@ class RunConfig:
     """Every knob of one run, validated once.
 
     ``quick``/``seed``/``sim_iters`` pick what is simulated; ``jobs``
-    (``0`` = all CPUs) and ``backend`` (``serial`` |
-    ``pool[:chunk=K|auto]`` | ``chunked``) how cells are dispatched;
+    (``0`` = all CPUs) how many pool workers run a sweep's cells;
     ``retries``/``timeout`` the failure policy; ``store`` the cell-store
     directory.  The world options ``sanitize``, ``faults``, ``replay``
     and ``fastcollect`` left as ``None`` take the options in force
@@ -175,11 +173,9 @@ class RunConfig:
     retries: int = 0
     timeout: float | None = None
     store: "str | os.PathLike[str] | None" = None
-    backend: str | None = None
 
     def __post_init__(self) -> None:
         from repro.harness.cellstore import store_root
-        from repro.harness.executor import parse_backend
         from repro.harness.parallel import resolve_jobs
 
         default = world_options()
@@ -209,8 +205,6 @@ class RunConfig:
             raise ConfigError(f"timeout must be > 0 seconds: {self.timeout}")
         if self.store is not None:
             resolved["store"] = os.fspath(store_root(self.store))
-        if self.backend is not None:
-            parse_backend(self.backend)
         for name, value in resolved.items():
             object.__setattr__(self, name, value)
 
@@ -221,24 +215,15 @@ class RunConfig:
 
     @contextlib.contextmanager
     def open(self) -> _t.Iterator["Run"]:
-        """Open this run's resources and install its world options.
-
-        The executor (only with an explicit ``backend``) is shut down on
-        exit, hard if the body raised.
-        """
+        """Open this run's resources and install its world options."""
         from repro.harness.cellstore import CellStore
-        from repro.harness.executor import make_executor
 
         store = (
             CellStore(self.store, faults=self.faults)
             if self.store is not None else None
         )
-        executor = (
-            make_executor(self.backend, self.jobs)
-            if self.backend is not None else None
-        )
-        with world_scope(self.world) as reports, executor or contextlib.nullcontext():
-            yield Run(self, store=store, executor=executor, reports=reports)
+        with world_scope(self.world) as reports:
+            yield Run(self, store=store, reports=reports)
 
 
 def _harness_stats() -> "HarnessStats":
@@ -251,32 +236,29 @@ def _harness_stats() -> "HarnessStats":
 class Run:
     """One run in progress: its config plus what opening it provided.
 
-    ``store`` and ``executor`` are ``None`` when not configured (sweeps
-    then run without a store, inline at ``jobs <= 1`` and on a pool
-    they own otherwise); ``stats`` is the harness tally every sweep of
-    the run merges into; ``reports`` collects the in-process worlds'
+    ``store`` is ``None`` when not configured (sweeps then run without
+    a store); ``stats`` is the harness tally every sweep of the run
+    merges into; ``reports`` collects the in-process worlds'
     sanitizer/replay/fastcollect reports.  ``Run()`` is a default,
-    unopened run: no store, no backend, the world options in force.
+    unopened run: no store, the world options in force.
     """
 
     config: RunConfig = dataclasses.field(default_factory=RunConfig)
     store: "CellStore | None" = None
-    executor: "CellExecutor | None" = None
     stats: "HarnessStats" = dataclasses.field(default_factory=_harness_stats)
     reports: WorldReports = dataclasses.field(default_factory=WorldReports)
 
     def summaries(self) -> dict[str, str | None]:
-        """The stderr-only ``harness``/``store``/``executor`` banners.
+        """The stderr-only ``harness``/``store`` banners.
 
         The harness banner is there only under a non-default failure
-        policy (``retries`` or ``timeout``), the others only when a
-        store or backend was configured.
+        policy (``retries`` or ``timeout``), the store banner only when
+        a store was configured.
         """
         policy = self.config.retries or self.config.timeout is not None
         return {
             "harness_summary": self.stats.banner() if policy else None,
             "store_summary": self.store.banner() if self.store else None,
-            "executor_summary": self.executor.banner() if self.executor else None,
         }
 
 

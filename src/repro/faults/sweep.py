@@ -49,10 +49,6 @@ class SweepResult:
     #: Stderr-only for the same byte-identity reason: a warm-store sweep
     #: serves every cell while a cold one executes them all.
     store_summary: str | None = None
-    #: One-line ``executor: ...`` backend banner (None without an explicit
-    #: ``backend``).  Stderr-only: dispatch is scheduling detail and every
-    #: backend renders the identical grid.
-    executor_summary: str | None = None
 
     def render(self) -> str:
         """Fixed-width grid of mean time-to-completion (s); one row per
@@ -132,15 +128,14 @@ def sweep_failure_checkpoint(
 
     The grid runs under ``run`` (else a run opened from
     ``RunConfig(**options)``: ``jobs``, ``retries``, ``timeout``,
-    ``store``, ``backend``), exactly like a ``repro run`` sweep.  Cells
+    ``store``), exactly like a ``repro run`` sweep.  Cells
     that exhaust their attempts land in :attr:`SweepResult.failures` as
     ``FAILED(<cause>)`` grid entries instead of aborting the sweep.  A
     store serves cells already published — by any previous run sharing
     it — without executing them, so re-running an interrupted sweep with
-    the same store resumes it; every backend renders the same grid.  The
-    run's stderr-only banners land in :attr:`SweepResult.harness_summary`,
-    :attr:`~SweepResult.store_summary` and
-    :attr:`~SweepResult.executor_summary`.
+    the same store resumes it; any ``jobs`` renders the same grid.  The
+    run's stderr-only banners land in :attr:`SweepResult.harness_summary`
+    and :attr:`~SweepResult.store_summary`.
     """
     if not rates or not intervals:
         raise ConfigError("faults sweep needs at least one rate and one interval")

@@ -303,7 +303,7 @@ class StorePlan:
     ``served`` cells already have a result, ``to_run`` cells are ours to
     execute (a lease was claimed for every cacheable one), and
     ``deferred`` cells are being computed *right now* by another
-    executor sharing this store — the scheduler awaits their results via
+    run sharing this store — the scheduler awaits their results via
     :meth:`CellStore.await_peer` instead of computing them twice.
     """
 
@@ -548,7 +548,7 @@ class CellStore:
 
         The claim is an ``O_CREAT | O_EXCL`` lease file named by the
         cell's content address — the same lockless append-only
-        filesystem discipline publishes use, so any number of executors
+        filesystem discipline publishes use, so any number of runs
         (processes, hosts on a shared filesystem) race safely.  An
         orphaned lease — older than the TTL, or owned by a process on
         this host that has exited — is taken over through
@@ -645,13 +645,13 @@ class CellStore:
     def plan_cells(self, cells: _t.Sequence[_t.Any]) -> StorePlan:
         """Partition a sweep into store-hit / ours-to-run / in-flight-elsewhere.
 
-        The scheduling pass every executor backend runs before dispatch:
-        cells with a stored result are served; each remaining cacheable
-        cell is leased — won leases go to ``to_run``, lost ones (a peer
-        executor sharing this store is computing that cell right now) go
-        to ``deferred`` for :meth:`await_peer` to resolve after our own
-        dispatch.  Two hosts sharing one store therefore never compute
-        the same cell twice, whatever their backends.
+        The scheduling pass every sweep runs before dispatch: cells
+        with a stored result are served; each remaining cacheable cell
+        is leased — won leases go to ``to_run``, lost ones (a peer run
+        sharing this store is computing that cell right now) go to
+        ``deferred`` for :meth:`await_peer` to resolve after our own
+        dispatch.  Two runs sharing one store therefore never compute
+        the same cell twice, whatever their ``jobs``.
         """
         plan = StorePlan()
         for cell in cells:
@@ -675,7 +675,7 @@ class CellStore:
         poll: float = 0.05,
         max_wait: float | None = None,
     ) -> _t.Any:
-        """Wait for a peer executor's result for a deferred cell.
+        """Wait for a peer run's result for a deferred cell.
 
         Polls the store until the peer publishes; a released or
         orphaned lease (TTL-expired, or its owner process on this host

@@ -173,11 +173,11 @@ def run_cells(
     A thin wrapper over the sweep driver
     (:func:`repro.harness.supervisor.run_sweep`) under ``run`` (or a run
     opened from ``RunConfig(**options)``): it plans against the run's
-    cell store, dispatches through its executor (else inline for
-    ``jobs <= 1`` and on a local pool otherwise), degrades the cells of
-    a dead pool worker to inline execution, and applies its failure
-    policy.  The mapping is assembled in the order the cells were given,
-    so every backend renders byte-identical reports.  A cell that still
+    cell store, runs cells inline for ``jobs <= 1`` and on a process
+    pool otherwise, degrades the cells of a dead pool worker to inline
+    execution, and applies its failure policy.  The mapping is assembled
+    in the order the cells were given, so any ``jobs`` renders
+    byte-identical reports.  A cell that still
     fails raises its :class:`~repro.errors.CellExecutionError` here —
     the first in cell order, never completion order.
     """
@@ -294,21 +294,6 @@ def arrivef_point(seed: int) -> dict[str, float]:
     from repro.arrivef.framework import throughput_experiment
 
     return throughput_experiment(seed=seed)
-
-
-@cell_worker("bench_cell")
-def bench_cell(idx: int, spin: int = 64) -> dict[str, float]:
-    """One near-zero-cost synthetic cell for the dispatch microbenchmark.
-
-    ``repro bench harness`` sweeps hundreds of these to measure pure
-    harness overhead (pickling, IPC, scheduling) per backend; the tiny
-    deterministic spin keeps the payload from optimising away while the
-    cell stays far cheaper than any real simulation.
-    """
-    acc = 0
-    for i in range(spin):
-        acc = (acc * 31 + idx + i) % 1000003
-    return {"value": float(acc)}
 
 
 @cell_worker("faults_point")

@@ -48,11 +48,6 @@ class BatchResult:
     #: cold-store and a warm-store run, and both must render
     #: byte-identical reports.
     store_summary: str | None = None
-    #: One-line ``executor: ...`` dispatch-backend banner (None unless the
-    #: batch ran with an explicit ``backend=``).  Stderr-only like the
-    #: harness and store banners: dispatch tallies are scheduling detail,
-    #: and every backend must render byte-identical reports.
-    executor_summary: str | None = None
     #: Experiments whose sweep cells ultimately failed, by experiment id.
     #: Their outputs render as explicit ``FAILED(<cause>)`` entries and
     #: the CLI exits 3 ("partial") when this is non-empty.
@@ -147,17 +142,17 @@ def run_batch(
     The batch runs under ``config``, or a :class:`~repro.config.RunConfig`
     built from ``options`` — its fields: ``quick``, ``seed``, ``jobs``,
     ``sim_iters``, ``sanitize``, ``faults``, ``replay``, ``fastcollect``,
-    ``retries``, ``timeout``, ``store``, ``backend``.  The config is
+    ``retries``, ``timeout``, ``store``.  The config is
     opened once (:meth:`~repro.config.RunConfig.open`) and the resulting
     :class:`~repro.config.Run` is passed to every experiment, so one
-    store, one executor and one harness tally serve the whole batch and
+    store and one harness tally serve the whole batch and
     every world is built with the run's world options — inline through
     one in-process install, in pool workers through the pool initializer.
 
     Whatever the strategy, the report renders byte-identically:
 
-    * ``jobs > 1`` fans each experiment's sweep cells over a pool, and
-      ``backend`` picks an explicit executor; results merge by cell key.
+    * ``jobs > 1`` fans each experiment's sweep cells over a process
+      pool; results merge by cell key.
     * ``store`` serves cells from the content-addressed cell store and
       publishes fresh ones (:mod:`repro.harness.cellstore`); re-running
       an interrupted batch with the same store resumes it.

@@ -8,9 +8,10 @@ failures.  One pass runs:
 * **plan** — with the run's cell store (:mod:`repro.harness.cellstore`)
   stored results are served, the rest are leased to this run, and cells
   a peer holds a lease on are deferred;
-* **dispatch** — cells run inline (``jobs <= 1`` and no backend) or
-  through the run's :class:`~repro.harness.executor.CellExecutor`
-  (``submit_many`` normally, per-cell ``submit`` under a watchdog);
+* **dispatch** — cells run inline (``jobs <= 1`` or a single pending
+  cell) or on a ``ProcessPoolExecutor`` of ``min(jobs, cells)`` workers
+  owned by the sweep (all cells submitted at once; under a watchdog at
+  most ``jobs`` in flight, topped up as each completes);
 * **publish** — each fresh result goes to the store as it arrives;
 * **await** — deferred cells are awaited from the peer, or run here if
   the peer gave up;
@@ -19,7 +20,7 @@ failures.  One pass runs:
 Failure handling is always on and never changes a clean run:
 
 * a pool worker that dies (``BrokenProcessPool``) degrades its cells to
-  inline execution and recycles the backend;
+  inline execution and kills the pool;
 * a cell exception becomes a structured
   :class:`~repro.errors.CellExecutionError` on the :class:`SweepReport`
   after ``RunConfig.retries`` extra attempts (a
@@ -27,31 +28,32 @@ Failure handling is always on and never changes a clean run:
   a :class:`~repro.errors.ConfigError` stays fatal);
 * with a watchdog (``RunConfig.timeout``) a cell whose worker makes no
   progress is declared hung, the pool is torn down and the cell retried,
-  while cells merely queued behind it re-run uncharged;
+  while cells not yet sent re-run uncharged;
 * ``KeyboardInterrupt`` and ``SystemExit`` are never retried or
-  recorded: they propagate after outstanding cells are cancelled and an
-  owned pool is killed.
+  recorded: they propagate after outstanding cells are cancelled and
+  the pool is killed.
 
 Resuming an interrupted run is re-running it with the same ``--store``:
 every completed cell was published (fsynced) and is served, so only the
 missing cells execute and the report is byte-identical.
 
-The policy, store and executor all come from the explicit
+The policy and store both come from the explicit
 :class:`~repro.config.Run` a sweep is given (``repro run
---retries/--timeout/--store/--backend`` build it once per run).
+--jobs/--retries/--timeout/--store`` build it once per run).
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import traceback
 import typing as _t
-from concurrent.futures import FIRST_COMPLETED, Future, wait
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 
-from repro.config import using
+from repro.config import using, world_options
 from repro.errors import CellExecutionError, ConfigError, ReproError
-from repro.harness import executor as _executor
-from repro.harness.executor import WORKER_LOSS_ERRORS, CellExecutor
+from repro.harness import parallel
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.config import Run, RunConfig
@@ -125,13 +127,12 @@ def run_sweep(
     """Execute ``cells`` under ``run`` and return a :class:`SweepReport`.
 
     ``run`` (else one opened from ``RunConfig(**options)``) supplies
-    everything: the cell store to plan against, the executor to dispatch
-    through — without one, cells run inline for ``jobs <= 1`` and on a
-    pool of ``min(jobs, cells)`` workers owned by this sweep otherwise —
-    the failure policy (``retries``, ``timeout``) and the harness tally
-    the sweep's stats merge into.  Results merge by key in cell order
-    whatever the backend, so every strategy renders byte-identical
-    reports.
+    everything: the cell store to plan against, ``jobs`` — cells run
+    inline for ``jobs <= 1`` and on a pool of ``min(jobs, cells)``
+    workers owned by this sweep otherwise — the failure policy
+    (``retries``, ``timeout``) and the harness tally the sweep's stats
+    merge into.  Results merge by key in cell order however the cells
+    ran, so every strategy renders byte-identical reports.
     """
     with using(run, **options) as run:
         return _run_sweep(list(cells), run)
@@ -139,12 +140,10 @@ def run_sweep(
 
 def _run_sweep(cells: list["Cell"], run: "Run") -> SweepReport:
     from repro.harness.cellstore import MISS
-    from repro.harness.parallel import check_unique_keys
 
-    check_unique_keys(cells)
+    parallel.check_unique_keys(cells)
     store = run.store
     sweep = _Sweep(run.config, store)
-    pooled = 0
     try:
         pending, deferred = cells, []
         if store is not None:
@@ -152,13 +151,9 @@ def _run_sweep(cells: list["Cell"], run: "Run") -> SweepReport:
             sweep.results.update(plan.served)
             pending, deferred = plan.to_run, plan.deferred
         tasks = [_Task(c) for c in pending]
-        executor, owned = run.executor, False
-        if executor is None and run.config.jobs > 1 and len(tasks) > 1:
-            executor = _executor.LocalPoolExecutor(min(run.config.jobs, len(tasks)))
-            owned = True
-        inline = tasks if executor is None else sweep.dispatch(tasks, executor, owned)
-        if executor is not None and executor.parallel:
-            pooled = len(tasks) - len(inline)
+        jobs = min(run.config.jobs, len(tasks))
+        inline = sweep.dispatch(tasks, jobs) if jobs > 1 else tasks
+        pooled = len(tasks) - len(inline)
         for task in inline:
             sweep.run_inline(task)
         for c in deferred:
@@ -241,11 +236,9 @@ class _Sweep:
 
     def run_inline(self, task: _Task) -> None:
         """Execute one cell in this process, honouring the retry budget."""
-        from repro.harness.parallel import _execute
-
         while True:
             try:
-                value = _execute(task.cell)
+                value = parallel._execute(task.cell)
             except ConfigError:
                 raise  # misconfiguration is fatal, never a per-cell failure
             except Exception as exc:
@@ -255,53 +248,67 @@ class _Sweep:
                 self.succeed(task, value)
             return
 
-    def dispatch(
-        self, tasks: list[_Task], executor: CellExecutor, owned: bool
-    ) -> list[_Task]:
-        """Run ``tasks`` on ``executor`` in rounds; returns the demoted ones.
+
+    def dispatch(self, tasks: list[_Task], jobs: int) -> list[_Task]:
+        """Run ``tasks`` on a ``jobs``-worker pool in rounds; returns the
+        demoted ones.
 
         Each round re-dispatches the cells the previous one retried; a
-        round that lost workers (hung or dead) tears the backend down
-        hard first — a local pool rebuilds lazily for the next round and
-        the rest of the batch.  An owned executor is shut down at the
+        round that lost workers (hung or dead) kills its pool, and the
+        next round gets a fresh one.  The last pool is shut down at the
         end, and killed if anything propagates.
         """
         demoted: list[_Task] = []
+        pool: ProcessPoolExecutor | None = None
         try:
             while tasks:
-                tasks, lost, disrupted = self._round(tasks, executor)
+                if pool is None:
+                    # Workers get the world options in force through
+                    # initargs, never through the environment.
+                    pool = ProcessPoolExecutor(
+                        max_workers=jobs, initializer=parallel._pool_worker_init,
+                        initargs=(world_options(),),
+                    )
+                tasks, lost, disrupted = self._round(tasks, pool, jobs)
                 demoted += lost
                 if disrupted:
-                    executor.shutdown(kill=True)
+                    _kill_pool(pool)
+                    pool = None
         except BaseException:
-            if owned:
-                executor.shutdown(kill=True)
+            if pool is not None:
+                _kill_pool(pool)
             raise
-        if owned:
-            executor.shutdown()
+        if pool is not None:
+            pool.shutdown()
         return demoted
 
     def _round(
-        self, tasks: list[_Task], executor: CellExecutor
+        self, tasks: list[_Task], pool: ProcessPoolExecutor, jobs: int
     ) -> tuple[list[_Task], list[_Task], bool]:
         """One dispatch generation: ``(retry, demoted, disrupted)``."""
         timeout = self.config.timeout
-        try:
-            if timeout is None:
-                futures = executor.submit_many([t.cell for t in tasks])
-            else:
-                # The watchdog needs per-cell completion granularity.
-                futures = [executor.submit(t.cell) for t in tasks]
-        except WORKER_LOSS_ERRORS:
-            for task in tasks:
-                task.demoted = True
-            return [], tasks, True
-        order = {f: i for i, f in enumerate(futures)}
+        # The pool marks a future RUNNING as soon as it enters its call
+        # queue, up to ``jobs + 1`` of them.  Under a watchdog at most
+        # ``jobs`` cells are in flight, so a RUNNING cell is executing.
+        limit = len(tasks) if timeout is None else jobs
+        sent = 0
+        order: dict[Future, int] = {}
+        not_done: set[Future] = set()
         retry: list[_Task] = []
-        not_done: set[Future] = set(futures)
         broken = hung = False
         try:
-            while not_done and not broken:
+            while not broken:
+                while sent < len(tasks) and len(not_done) < limit:
+                    try:
+                        fut = pool.submit(parallel._execute, tasks[sent].cell)
+                    except BrokenProcessPool:
+                        broken = True
+                        break
+                    order[fut] = sent
+                    not_done.add(fut)
+                    sent += 1
+                if broken or not not_done:
+                    break
                 done, not_done = wait(
                     not_done, timeout=timeout, return_when=FIRST_COMPLETED
                 )
@@ -312,7 +319,7 @@ class _Sweep:
                     task = tasks[order[fut]]
                     try:
                         value = fut.result()
-                    except WORKER_LOSS_ERRORS:
+                    except BrokenProcessPool:
                         broken = True
                         retry.append(task)
                     except ConfigError:
@@ -323,7 +330,7 @@ class _Sweep:
                     else:
                         self.succeed(task, value)
         except BaseException:
-            for fut in futures:
+            for fut in order:
                 fut.cancel()
             raise
 
@@ -331,27 +338,42 @@ class _Sweep:
         running = {f for f in left if f.running()}
         for fut in left:
             fut.cancel()
+        queued = tasks[sent:]  # never sent to the pool
         if broken:
             # A dead worker poisons the whole pool: run everything it
             # still owed inline instead of gambling on fresh workers.
-            lost = retry + [tasks[order[f]] for f in left]
+            lost = retry + [tasks[order[f]] for f in left] + queued
             for task in lost:
                 task.demoted = True
             return [], lost, True
         if hung and not running:
             # Nothing even started inside a full watchdog window: the
             # pool itself is stalled, so finish the sweep inline.
-            lost = [tasks[order[f]] for f in left]
+            lost = [tasks[order[f]] for f in left] + queued
             for task in lost:
                 task.demoted = True
             return retry, lost, True
         for fut in left:
             task = tasks[order[fut]]
             if fut not in running:
-                retry.append(task)  # queued behind a hung cell: uncharged
+                retry.append(task)  # never started: uncharged
             elif self.fail(
                 task, "timeout",
                 detail=f"no completion within the {timeout:g}s watchdog window",
             ):
                 retry.append(task)
-        return retry, [], hung
+        return retry + queued, [], hung
+
+
+def _kill_pool(pool: ProcessPoolExecutor) -> None:
+    """Hard teardown that never waits on hung or dead workers: cancel
+    everything still queued, then terminate and join the workers."""
+    # ``shutdown`` forgets the worker processes, so take them first.
+    procs = list((pool._processes or {}).values())
+    pool.shutdown(wait=False, cancel_futures=True)
+    for proc in procs:
+        with contextlib.suppress(Exception):
+            proc.terminate()
+    for proc in procs:
+        with contextlib.suppress(Exception):
+            proc.join(timeout=5.0)

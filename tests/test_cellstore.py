@@ -614,27 +614,21 @@ class TestLeases:
 
 
 # ---------------------------------------------------------------------------
-# Two executors, one store: the never-compute-twice guarantee
+# Two runs, one store: the never-compute-twice guarantee
 # ---------------------------------------------------------------------------
 
-def _race_sweep(root: str, marker_dir: str, backend: str,
+def _race_sweep(root: str, marker_dir: str, jobs: int,
                 xs: list[int]) -> dict:
-    """One store-backed sweep over ``xs`` through ``backend`` (subprocess)."""
+    """One store-backed sweep over ``xs`` at ``jobs`` (subprocess)."""
     import repro.analysis.static as static
 
     real = static.worker_fingerprint
     static.worker_fingerprint = (
         lambda worker: "77" * 16 if worker == "cs_race" else real(worker)
     )
-    from repro.harness.executor import make_executor
-
     cells = [Cell((x,), "cs_race", (x, marker_dir)) for x in xs]
     store = CellStore(root)
-    ex = make_executor(backend, 2)
-    try:
-        results = run_cells(cells, Run(store=store, executor=ex))
-    finally:
-        ex.shutdown(kill=True)
+    results = run_cells(cells, Run(RunConfig(jobs=jobs), store=store))
     return {"results": results, "peer_waits": store.peer_waits,
             "published": store.published}
 
@@ -653,7 +647,8 @@ def _cs_race(x, marker_dir):
 class TestTwoExecutorsOneStore:
     def test_overlapping_sweeps_execute_each_cell_once(self, tmp_path):
         # The acceptance criterion: two processes race overlapping cells
-        # through two *different* backends sharing one store; the lease
+        # at two *different* ``jobs`` (pool and inline) sharing one
+        # store; the lease
         # protocol must ensure no cell is ever computed twice.
         root = str(tmp_path / "store")
         markers = tmp_path / "markers"
@@ -661,8 +656,8 @@ class TestTwoExecutorsOneStore:
         a_xs = list(range(8))       # 0..7
         b_xs = list(range(4, 12))   # 4..11 — four contested cells
         with ProcessPoolExecutor(max_workers=2) as pool:
-            fa = pool.submit(_race_sweep, root, str(markers), "pool:chunk=2", a_xs)
-            fb = pool.submit(_race_sweep, root, str(markers), "serial", b_xs)
+            fa = pool.submit(_race_sweep, root, str(markers), 2, a_xs)
+            fb = pool.submit(_race_sweep, root, str(markers), 1, b_xs)
             ra, rb = fa.result(timeout=300), fb.result(timeout=300)
         for x in range(12):
             runs = [p for p in markers.iterdir()

@@ -104,8 +104,6 @@ INVALID = [
     (dict(timeout=0), ["--timeout", "0"]),
     (dict(sim_iters=0), ["--sim-iters", "0"]),
     (dict(store="tcp://127.0.0.1:1"), ["--store", "tcp://127.0.0.1:1"]),
-    (dict(backend="tcp:127.0.0.1:1"), ["--backend", "tcp:127.0.0.1:1"]),
-    (dict(backend="pool:chunk=0"), ["--backend", "pool:chunk=0"]),
     (dict(faults="link:start;dur=1"), ["--faults", "link:start;dur=1"]),
 ]
 

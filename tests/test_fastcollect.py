@@ -11,6 +11,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.config import world_scope
 from repro.errors import ConfigError, MpiError, SimulationError
 from repro.harness.runner import run_batch
 from repro.perf.fastcollect import (
@@ -78,6 +79,7 @@ def _run_sweep(name: str, nprocs: int, fastcollect: bool):
     return world, result
 
 
+@pytest.mark.usefixtures("fast_path_preconditions")
 class TestEquivalence:
     """Closed-form completion == per-operation dispatch, bit for bit."""
 
@@ -171,6 +173,7 @@ class TestEquivalence:
             world.launch(program)
 
 
+@pytest.mark.usefixtures("fast_path_preconditions")
 class TestVectorized:
     """The numpy models are bit-exact mirrors of the scalar ones."""
 
@@ -257,6 +260,7 @@ class TestVectorized:
         ).launch(program)
 
 
+@pytest.mark.usefixtures("fast_path_preconditions")
 class TestFallback:
     @pytest.mark.parametrize("spec", all_platforms(), ids=lambda s: s.name)
     def test_registered_platforms_are_refused(self, spec):
@@ -309,6 +313,7 @@ class TestFallback:
         assert active.engine.batch_sleeps
 
 
+@pytest.mark.usefixtures("fast_path_preconditions")
 class TestBatchedDispatch:
     def test_sleep_coalescing_cuts_events_not_clocks(self):
         from repro.perf.enginebench import _collective_phases
@@ -385,7 +390,11 @@ class TestScopeAndReporting:
         def program(comm):
             yield from comm.allreduce(8, value=1.0)
 
-        with fastcollect_scope(True) as reports:
+        # The fast path's precondition (no sanitizer, no fault schedule)
+        # is installed here, after the env change, so the scope below
+        # is the only thing turning fastcollect on.
+        with world_scope(sanitize=False, faults=None), \
+                fastcollect_scope(True) as reports:
             assert fastcollect_enabled()
             MpiWorld(QUIET, 2, seed=1, replay=False).launch(program)
         assert len(reports) == 1

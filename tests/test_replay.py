@@ -31,6 +31,7 @@ def _run_cg(replay: bool, sim_iters: int = 16, nprocs: int = 8, seed: int = 7):
     return world.engine, result
 
 
+@pytest.mark.usefixtures("fast_path_preconditions")
 class TestEngagement:
     def test_fast_forward_cuts_events(self):
         full, _ = _run_cg(False)
@@ -70,6 +71,7 @@ class TestEngagement:
         assert f"{on.comm_percent:.2f}" == f"{off.comm_percent:.2f}"
 
 
+@pytest.mark.usefixtures("fast_path_preconditions")
 class TestFallback:
     @pytest.mark.parametrize("platform", ["vayu", "dcc", "ec2"])
     def test_registered_platforms_are_refused(self, platform):
@@ -117,6 +119,7 @@ class TestFallback:
             ReplayRecorder(world, k=1)
 
 
+@pytest.mark.usefixtures("fast_path_preconditions")
 class TestStationarity:
     def test_varying_iterations_never_replay(self):
         def _body(comm, it):
@@ -154,6 +157,7 @@ class TestStationarity:
         assert result.replay.replayed_iters > 0
 
 
+@pytest.mark.usefixtures("fast_path_preconditions")
 class TestOsuPhases:
     def test_warmup_and_timed_loops_replay_separately(self):
         from repro.osu.latency import osu_latency
@@ -205,6 +209,7 @@ class TestBatchIntegration:
 
 
 class TestEngineBench:
+    @pytest.mark.usefixtures("fast_path_preconditions")
     def test_replay_workload_event_ratio(self):
         from repro.perf.enginebench import replay_event_counts
 

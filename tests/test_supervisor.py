@@ -259,6 +259,64 @@ class TestSupervisedExecution:
         cells = [Cell((i,), "sup_die_always", (i,)) for i in range(2)]
         assert run_cells(cells, jobs=2) == {(0,): {"v": 0.0}, (1,): {"v": 1.0}}
 
+    def test_watchdog_never_charges_cells_that_never_started(self):
+        # The pool marks a queued future RUNNING as soon as it enters the
+        # call queue; a cell queued behind two hung ones never ran and
+        # must not be charged a timeout attempt.
+        cells = [Cell(("hang", i), "sup_hang", (i,)) for i in range(2)] + [
+            Cell((i,), "sup_square", (i,)) for i in range(4)
+        ]
+        report = run_sweep(cells, jobs=2, timeout=1.0)
+        assert set(report.failures) == {("hang", 0), ("hang", 1)}
+        assert {e.cause for e in report.failures.values()} == {"timeout"}
+        assert report.results == {(i,): {"v": float(i * i)} for i in range(4)}
+        assert report.stats.ok == 4 and report.stats.failed == 2
+
+    def test_disrupted_round_gets_a_fresh_pool(self, tmp_path, monkeypatch):
+        from repro.harness import supervisor
+
+        pools = []
+
+        class Recording(supervisor.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pools.append(self)
+
+        monkeypatch.setattr(supervisor, "ProcessPoolExecutor", Recording)
+        marker = str(tmp_path / "slept")
+        cells = [Cell(("once",), "sup_sleep_once", (7, marker))] + [
+            Cell((i,), "sup_square", (i,)) for i in range(3)
+        ]
+        report = run_sweep(cells, jobs=2, timeout=1.0, retries=1)
+        assert not report.failures and report.stats.degraded == 0
+        assert report.results[("once",)] == {"v": 7.0}
+        # The hung round's pool was killed; the retry ran on a new one.
+        assert len(pools) == 2
+
+    def test_keyboard_interrupt_tears_down_the_pool(self, tmp_path,
+                                                    monkeypatch):
+        from repro.harness import supervisor
+
+        workers = []
+        real_kill = supervisor._kill_pool
+
+        def recording_kill(pool):
+            workers.extend(pool._processes or {})  # worker pids
+            real_kill(pool)
+
+        monkeypatch.setattr(supervisor, "_kill_pool", recording_kill)
+        markers = tmp_path / "markers"
+        markers.mkdir()
+        cells = [Cell((i,), "sup_interrupt", (i, str(markers))) for i in range(4)]
+        with pytest.raises(KeyboardInterrupt):
+            run_cells(cells, jobs=2)
+        assert len(workers) == 2, "the sweep's pool must be torn down hard"
+        # No pool worker outlives the interrupted sweep: each one was
+        # terminated and reaped.
+        for pid in workers:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_keyboard_interrupt_never_retried(self, jobs, tmp_path,
                                               monkeypatch, capsys):
