@@ -12,7 +12,7 @@ Run:  python examples/climate_study.py
 from repro.apps.metum import MetumBenchmark
 from repro.core.analysis import render_stats_table, table3_stats
 from repro.harness.figures import render_speedup_plot
-from repro.ipm.report import render_fig7_ascii
+from repro.ipm.report import fig7_breakdown, render_fig7_ascii
 from repro.platforms import DCC, EC2, VAYU
 
 
@@ -46,7 +46,8 @@ def main():
     # --- Fig 7: per-process breakdown ---------------------------------------
     for label in ("Vayu", "DCC"):
         print(f"--- {label} ATM_STEP breakdown (Fig 7) ---")
-        print(render_fig7_ascii(at32[label].monitor, "ATM_STEP", width=44))
+        parts = fig7_breakdown(at32[label].monitor, "ATM_STEP")
+        print(render_fig7_ascii(parts, "ATM_STEP", width=44))
         print()
 
 

@@ -3,7 +3,7 @@
 Every knob of a ``repro run`` (and of ``repro faults sweep``) lives on
 :class:`RunConfig`, validated in one place, and reaches the code below
 it as one explicit argument: :meth:`RunConfig.open` opens the per-run
-resources (cell store, harness tally) as a :class:`Run`, and
+resources (cell store, harness tally, run table) as a :class:`Run`, and
 that object is passed down ``run_experiment`` → experiment functions →
 ``run_cells`` → ``run_sweep``.
 
@@ -239,14 +239,23 @@ class Run:
     ``store`` is ``None`` when not configured (sweeps then run without
     a store); ``stats`` is the harness tally every sweep of the run
     merges into; ``reports`` collects the in-process worlds'
-    sanitizer/replay/fastcollect reports.  ``Run()`` is a default,
-    unopened run: no store, the world options in force.
+    sanitizer/replay/fastcollect reports.  ``results`` is the run
+    table: every successful cell result a sweep of this run produced,
+    keyed by :func:`~repro.harness.journal.payload_hash` of the cell's
+    ``(worker, args)``.  Code and world options (the fault spec
+    included) are fixed for one run, so the payload alone decides a
+    result, and the sweep driver serves a payload it finds here
+    instead of simulating it again; the values are shared between the
+    cells that asked for them and are read-only.  ``Run()`` is a
+    default, unopened run: no store, the world options in force, an
+    empty run table.
     """
 
     config: RunConfig = dataclasses.field(default_factory=RunConfig)
     store: "CellStore | None" = None
     stats: "HarnessStats" = dataclasses.field(default_factory=_harness_stats)
     reports: WorldReports = dataclasses.field(default_factory=WorldReports)
+    results: dict[str, _t.Any] = dataclasses.field(default_factory=dict)
 
     def summaries(self) -> dict[str, str | None]:
         """The stderr-only ``harness``/``store`` banners.

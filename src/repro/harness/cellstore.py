@@ -44,6 +44,8 @@ The sweep driver (:func:`repro.harness.supervisor.run_sweep`) plans
 every sweep against the run's store (:attr:`repro.config.Run.store`,
 opened from ``repro run --store PATH`` / ``run_batch(store=...)``)
 before dispatching any cell and publishes fresh results as they arrive.
+The run table (:attr:`repro.config.Run.results`) sits in front of it:
+only the first cell of a run with a given payload reaches the store.
 Store hits merge by cell key, so a store-served sweep renders
 byte-identically to a fresh one — the CI round-trip guard holds this.
 
@@ -379,10 +381,6 @@ class CellStore:
             raise ConfigError(f"lease TTL must be > 0: {lease_ttl}")
         self.lease_ttl = lease_ttl
         self._held: set[str] = set()
-        #: Content addresses this instance published: a deferred cell
-        #: whose address is here (or in ``_held``) is a same-sweep
-        #: duplicate of one of our own cells, not a peer's.
-        self._published: set[str] = set()
         self._owner = f"{socket.gethostname()}:{os.getpid()}:{id(self):x}"
 
     # -- paths ------------------------------------------------------------
@@ -504,7 +502,6 @@ class CellStore:
             record["k"], json.dumps(record, sort_keys=True) + "\n"
         )
         self.published += 1
-        self._published.add(record["k"])
         self._release(record["k"])  # the published record supersedes our claim
         return True
 
@@ -686,15 +683,8 @@ class CellStore:
         also gives up with :data:`MISS`; computing the cell twice is
         merely redundant, never incorrect, because both publishes carry
         the same content address.
-
-        A cell deferred behind *our own* lease (two cells of one sweep
-        with different keys but the same content address) never waits:
-        the sibling's published result is served without counting a
-        peer wait, and an unpublished sibling (it failed) is an
-        immediate :data:`MISS`.
         """
         key = self._lease_key(worker, args)
-        own = key is not None and (key in self._held or key in self._published)
         if max_wait is None:
             max_wait = self.lease_ttl
         deadline = time.monotonic() + max_wait  # lint-ok: DET001 lease liveness only, never in results
@@ -703,10 +693,9 @@ class CellStore:
             if value is not MISS:
                 self.hits += 1
                 self.misses -= 1  # the planned miss became a served hit
-                if not own:
-                    self.peer_waits += 1
+                self.peer_waits += 1
                 return value
-            if key is None or own:
+            if key is None:
                 return MISS
             path = self.lease_path(key)
             if (not path.exists() or self._lease_stale(path)) and self.try_lease(

@@ -22,7 +22,8 @@ from __future__ import annotations
 import dataclasses
 import typing as _t
 
-from repro.apps.metum import MetumBenchmark
+import numpy as np
+
 from repro.analysis.stats import SectionStats, render_stats_table
 from repro.config import Run, using
 from repro.errors import ConfigError
@@ -33,7 +34,7 @@ from repro.harness.figures import (
     render_speedup_plot,
 )
 from repro.harness.parallel import Cell, run_cells
-from repro.ipm.report import fig7_breakdown, render_fig7_ascii
+from repro.ipm.report import render_fig7_ascii
 from repro.platforms import DCC, EC2, VAYU, platform_table
 
 
@@ -132,8 +133,6 @@ def exp_fig2(run: Run) -> ExperimentOutput:
     )
     # Fluctuation check: coefficient of variation of DCC's sub-eager
     # latencies after removing the size trend (vs Vayu's).
-    import numpy as np
-
     def _smallmsg_cv(curve: dict[int, float]) -> float:
         vals = np.array([v for n, v in sorted(curve.items()) if n <= 65536])
         base = vals.min()
@@ -392,17 +391,29 @@ def exp_tab3(run: Run) -> ExperimentOutput:
 
 
 def exp_fig7(run: Run) -> ExperimentOutput:
-    """Fig 7: per-process ATM_STEP breakdown on Vayu and DCC."""
+    """Fig 7: per-process ATM_STEP breakdown on Vayu and DCC.
+
+    Fig 7 is the per-process view of Table III's 32-core Vayu and DCC
+    runs, so its cells carry exactly tab3's payloads: within one run
+    they are served from tab3's results instead of simulated again.
+    """
     quick, seed = run.config.quick, run.config.seed
-    bench = MetumBenchmark(sim_steps=2 if quick else 3)
+    sim_steps = 2 if quick else 3
+    cells = [
+        Cell((spec.name,), "metum_stats", (spec.name, 32, None, seed, sim_steps))
+        for spec in (VAYU, DCC)
+    ]
+    points = run_cells(cells, run)
     sections = []
     data = {}
     for spec in (VAYU, DCC):
-        r = bench.run(spec, 32, seed=seed)
-        parts = fig7_breakdown(r.monitor, "ATM_STEP")
+        parts = {
+            part: np.asarray(values)
+            for part, values in points[(spec.name,)]["breakdown"].items()
+        }
         data[spec.name] = parts
         sections.append(f"--- {spec.name} ---")
-        sections.append(render_fig7_ascii(r.monitor, "ATM_STEP", width=40))
+        sections.append(render_fig7_ascii(parts, "ATM_STEP", width=40))
     dcc = data["DCC"]
     vayu = data["Vayu"]
     comm_dcc = dcc["comm_user"] + dcc["comm_system"]

@@ -270,9 +270,11 @@ def metum_point(
 @cell_worker("metum_stats")
 def metum_stats(
     platform: str, nprocs: int, num_nodes: int | None, seed: int, sim_steps: int
-) -> dict[str, float]:
-    """One UM run reduced to the Table-III section statistics."""
+) -> dict[str, _t.Any]:
+    """One UM run reduced to the Table-III section statistics, plus the
+    Fig-7 per-process ``ATM_STEP`` breakdown (float lists by rank)."""
     from repro.apps.metum import MetumBenchmark
+    from repro.ipm.report import fig7_breakdown
     from repro.platforms import get_platform
 
     r = MetumBenchmark(sim_steps=sim_steps).run(
@@ -285,6 +287,10 @@ def metum_stats(
         "comm_percent": r.comm_percent(),
         "imbalance_percent": r.imbalance_percent(),
         "io": r.io_time,
+        "breakdown": {
+            part: values.tolist()
+            for part, values in fig7_breakdown(r.monitor, "ATM_STEP").items()
+        },
     }
 
 

@@ -145,9 +145,12 @@ def run_batch(
     ``retries``, ``timeout``, ``store``.  The config is
     opened once (:meth:`~repro.config.RunConfig.open`) and the resulting
     :class:`~repro.config.Run` is passed to every experiment, so one
-    store and one harness tally serve the whole batch and
+    store, one harness tally and one run table serve the whole batch and
     every world is built with the run's world options — inline through
     one in-process install, in pool workers through the pool initializer.
+    The run table simulates each distinct cell payload at most once per
+    batch: fig4 and tab2 reuse the NPB points of earlier sweeps, and fig7
+    reads tab3's Vayu and DCC runs.
 
     Whatever the strategy, the report renders byte-identically:
 

@@ -5,9 +5,14 @@ package — :func:`repro.harness.parallel.run_cells` is a thin wrapper
 over it, and ``repro faults sweep`` calls it directly for per-cell
 failures.  One pass runs:
 
-* **plan** — with the run's cell store (:mod:`repro.harness.cellstore`)
-  stored results are served, the rest are leased to this run, and cells
-  a peer holds a lease on are deferred;
+* **plan** — each cell's payload (``payload_hash(worker, args)``) is
+  looked up in the run table (:attr:`repro.config.Run.results`): a
+  payload an earlier sweep of the run produced is served from it, and a
+  payload a previous cell of this sweep asks for makes a *twin* that
+  takes that cell's outcome.  Only first occurrences go on: with the
+  run's cell store (:mod:`repro.harness.cellstore`) stored results are
+  served, the rest are leased to this run, and cells a peer holds a
+  lease on are deferred;
 * **dispatch** — cells run inline (``jobs <= 1`` or a single pending
   cell) or on a ``ProcessPoolExecutor`` of ``min(jobs, cells)`` workers
   owned by the sweep (all cells submitted at once; under a watchdog at
@@ -15,7 +20,13 @@ failures.  One pass runs:
 * **publish** — each fresh result goes to the store as it arrives;
 * **await** — deferred cells are awaited from the peer, or run here if
   the peer gave up;
-* **release** — leases of cells that did not publish are dropped.
+* **release** — leases of cells that did not publish are dropped;
+* **share** — twins take their first occurrence's result (or a failure
+  under their own key), and successes join the run table.  Failures are
+  never remembered, so a later sweep attempts them again.
+
+Each distinct payload is therefore simulated at most once per run,
+whichever experiments ask for it.
 
 Failure handling is always on and never changes a clean run:
 
@@ -54,6 +65,7 @@ from concurrent.futures.process import BrokenProcessPool
 from repro.config import using, world_options
 from repro.errors import CellExecutionError, ConfigError, ReproError
 from repro.harness import parallel
+from repro.harness.journal import payload_hash
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.config import Run, RunConfig
@@ -127,12 +139,14 @@ def run_sweep(
     """Execute ``cells`` under ``run`` and return a :class:`SweepReport`.
 
     ``run`` (else one opened from ``RunConfig(**options)``) supplies
-    everything: the cell store to plan against, ``jobs`` — cells run
-    inline for ``jobs <= 1`` and on a pool of ``min(jobs, cells)``
-    workers owned by this sweep otherwise — the failure policy
-    (``retries``, ``timeout``) and the harness tally the sweep's stats
-    merge into.  Results merge by key in cell order however the cells
-    ran, so every strategy renders byte-identical reports.
+    everything: the run table of results its earlier sweeps produced,
+    the cell store to plan against, ``jobs`` — cells run inline for
+    ``jobs <= 1`` and on a pool of ``min(jobs, cells)`` workers owned by
+    this sweep otherwise — the failure policy (``retries``,
+    ``timeout``) and the harness tally the sweep's stats merge into.
+    Each distinct payload runs at most once per run.  Results merge by
+    key in cell order however the cells ran, so every strategy renders
+    byte-identical reports.
     """
     with using(run, **options) as run:
         return _run_sweep(list(cells), run)
@@ -144,10 +158,22 @@ def _run_sweep(cells: list["Cell"], run: "Run") -> SweepReport:
     parallel.check_unique_keys(cells)
     store = run.store
     sweep = _Sweep(run.config, store)
+    # Split by payload: served from the run table, twins of an earlier
+    # cell of this sweep, and first occurrences (the only ones run).
+    firsts: dict[str, "Cell"] = {}
+    twins: list[tuple["Cell", "Cell"]] = []
+    for c in cells:
+        digest = payload_hash(c.worker, c.args)
+        if digest in run.results:
+            sweep.results[c.key] = run.results[digest]
+        elif digest in firsts:
+            twins.append((c, firsts[digest]))
+        else:
+            firsts[digest] = c
     try:
-        pending, deferred = cells, []
+        pending, deferred = list(firsts.values()), []
         if store is not None:
-            plan = store.plan_cells(cells)
+            plan = store.plan_cells(pending)
             sweep.results.update(plan.served)
             pending, deferred = plan.to_run, plan.deferred
         tasks = [_Task(c) for c in pending]
@@ -159,8 +185,8 @@ def _run_sweep(cells: list["Cell"], run: "Run") -> SweepReport:
         for c in deferred:
             value = store.await_peer(c.worker, c.args)
             if value is MISS:
-                # The peer gave up (or died), or our own same-address
-                # sibling failed: the lease is ours now, run it here.
+                # The peer gave up (or died): the lease is ours now,
+                # run it here.
                 tasks.append(_Task(c))
                 sweep.run_inline(tasks[-1])
             else:
@@ -173,6 +199,18 @@ def _run_sweep(cells: list["Cell"], run: "Run") -> SweepReport:
             store.release_leases()
 
     failures = sweep.failures
+    for twin, first in twins:
+        if first.key in sweep.results:
+            sweep.results[twin.key] = sweep.results[first.key]
+        else:
+            err = failures[first.key]
+            failures[twin.key] = CellExecutionError(
+                key=twin.key, worker=err.worker, attempts=err.attempts,
+                cause=err.cause, detail=err.detail,
+            )
+    for digest, c in firsts.items():
+        if c.key in sweep.results:
+            run.results[digest] = sweep.results[c.key]
     stats = HarnessStats(
         ok=len(sweep.results),
         retried=sum(len(t.causes) > (t.cell.key in failures) for t in tasks),

@@ -116,17 +116,20 @@ def fig7_breakdown(
 
 
 def render_fig7_ascii(
-    monitor: IpmMonitor, region: str = GLOBAL_REGION, width: int = 60
+    parts: dict[str, np.ndarray], region: str = GLOBAL_REGION, width: int = 60
 ) -> str:
-    """ASCII rendering of the Fig-7 per-process stacked bars."""
-    parts = fig7_breakdown(monitor, region)
+    """ASCII rendering of the Fig-7 per-process stacked bars.
+
+    ``parts`` is a :func:`fig7_breakdown` of ``region``: arrays indexed
+    by rank, so the rank count is their length.
+    """
     totals = parts["compute"] + parts["comm_user"] + parts["comm_system"] + parts["io"]
     peak = totals.max() if totals.size else 0.0
     if peak <= 0:
         return "(no samples)"
     lines = [f"per-process time breakdown, region={region}"]
     lines.append("  rank |" + " bar (#=compute, u=comm user, s=comm system, i=io)")
-    for rank in range(monitor.nprocs):
+    for rank in range(totals.size):
         segs = []
         for label, key in (("#", "compute"), ("u", "comm_user"), ("s", "comm_system"), ("i", "io")):
             n = int(round(width * parts[key][rank] / peak))

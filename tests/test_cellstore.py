@@ -254,16 +254,20 @@ class TestRunCellsIntegration:
         assert len(_CALLS) == 3  # all re-simulated, old entries ignored
 
     def test_supervised_store_hits_counted(self, tmp_path, fake_fingerprints):
+        # The resume path: a second run on the same store is served from
+        # it (a second sweep of one run would be served by the run table).
         cells = [Cell((i,), "cs_count", (i,)) for i in range(3)]
         store = CellStore(tmp_path / "store")
-        run = Run(RunConfig(retries=1), store=store)
-        fresh = run_sweep(cells, run)
+        fresh = run_sweep(cells, Run(RunConfig(retries=1), store=store))
         assert store.hits == 0 and store.published == 3
-        served = run_sweep(cells, run)
-        assert store.hits == 3 and store.published == 3
+        store = CellStore(tmp_path / "store")
+        del _CALLS[:]
+        served = run_sweep(cells, Run(RunConfig(retries=1), store=store))
+        assert _CALLS == []
+        assert store.hits == 3 and store.published == 0
         assert served.stats.ok == 3
         assert served.results == fresh.results
-        assert store.banner().startswith("store: 6 lookup(s): 3 served")
+        assert store.banner().startswith("store: 3 lookup(s): 3 served")
 
 
 # ---------------------------------------------------------------------------
@@ -392,26 +396,26 @@ class TestLeases:
         assert mine.await_peer("cs_count", (2,), poll=0.01, max_wait=0.1) is MISS
         assert time.monotonic() - t0 < 5.0  # gave up, did not wait out the TTL
 
+    # Two cells with different keys but one payload (fig6's ("EC2", 64)
+    # / ("EC2-4", 64) pair): the sweep driver runs the first and hands its
+    # outcome to the twin, so the store never sees the second cell.
+    # Both hold at retries=1 and at jobs=2.
+    _TWIN_POLICIES = (RunConfig(retries=1), RunConfig(jobs=2))
+
     def test_own_duplicate_is_served_not_awaited(self, tmp_path,
                                                  fake_fingerprints):
-        # Two cells with different keys but one content address (fig6's
-        # ("EC2", 64) / ("EC2-4", 64) pair): the second is deferred
-        # behind our own lease and served from our own publish.
         cells = [Cell(("a",), "cs_count", (1,)), Cell(("b",), "cs_count", (1,))]
-        store = CellStore(tmp_path / "plain")
-        del _CALLS[:]
-        out = run_cells(cells, Run(store=store))
-        assert _CALLS == [("cs_count", 1)]
-        assert out[("a",)] == out[("b",)]
-        assert "peer" not in store.banner()
-        assert store.hits == 1 and store.misses == 1 and store.published == 1
-        store = CellStore(tmp_path / "retrying")
-        del _CALLS[:]
-        report = run_sweep(cells, Run(RunConfig(retries=1), store=store))
-        assert _CALLS == [("cs_count", 1)]
-        assert report.results == out
-        assert "peer" not in store.banner()
-        assert store.hits == 1 and store.published == 1
+        for i, config in enumerate(self._TWIN_POLICIES):
+            store = CellStore(tmp_path / f"store{i}")
+            del _CALLS[:]
+            report = run_sweep(cells, Run(config, store=store))
+            # One pending cell runs inline even at jobs=2.
+            assert _CALLS == [("cs_count", 1)]
+            assert report.results == {("a",): _cs_count(1), ("b",): _cs_count(1)}
+            assert report.stats.ok == 2 and not report.failures
+            assert store.hits == 0 and store.misses == 1
+            assert store.published == 1 and store.peer_waits == 0
+            assert store.stats().records == 1
 
     def test_failed_own_duplicate_does_not_wait(self, tmp_path,
                                                 fake_fingerprints,
@@ -421,11 +425,18 @@ class TestLeases:
 
         monkeypatch.setattr(time, "sleep", no_polling)
         cells = [Cell(("a",), "cs_fail", (1,)), Cell(("b",), "cs_fail", (1,))]
-        store = CellStore(tmp_path / "store")
-        report = run_sweep(cells, Run(store=store))
-        assert sorted(report.failures) == [("a",), ("b",)]
-        assert store.published == 0 and store.peer_waits == 0
-        assert list(store.leases_dir.iterdir()) == []
+        for i, config in enumerate(self._TWIN_POLICIES):
+            store = CellStore(tmp_path / f"store{i}")
+            del _CALLS[:]
+            report = run_sweep(cells, Run(config, store=store))
+            assert _CALLS == [("cs_fail", 1)] * (config.retries + 1)
+            assert sorted(report.failures) == [("a",), ("b",)]
+            a, b = report.failures[("a",)], report.failures[("b",)]
+            assert (b.key, b.worker, b.attempts, b.cause, b.detail) == (
+                ("b",), a.worker, a.attempts, a.cause, a.detail
+            )
+            assert store.published == 0 and store.peer_waits == 0
+            assert list(store.leases_dir.iterdir()) == []
 
     @staticmethod
     def _owned_by(lease, pid, host=None):

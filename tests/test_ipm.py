@@ -186,7 +186,7 @@ class TestFig7:
             prof.record_compute(1.0 + rank)
             prof.exit("step", 4.0)
             prof.finalize(4.0)
-        text = render_fig7_ascii(mon, "step")
+        text = render_fig7_ascii(fig7_breakdown(mon, "step"), "step")
         assert text.count("|") >= 3
 
     def test_invalid_nprocs(self):

@@ -16,8 +16,12 @@ Covers the driver's contracts:
 
 from __future__ import annotations
 
+import collections
+import hashlib
 import json
 import os
+import pathlib
+import tempfile
 import time
 
 import pytest
@@ -119,6 +123,22 @@ def _sup_interrupt(x, marker_dir):
     fd, _path = tempfile.mkstemp(prefix=f"cell{x}-", dir=marker_dir)
     os.close(fd)
     raise KeyboardInterrupt
+
+
+@cell_worker("sup_tally")
+def _sup_tally(x, tally_dir):
+    """Leaves one marker file per execution in ``tally_dir`` (so pool
+    executions count too); the result tells 1, 1.0 and True apart."""
+    fd, _path = tempfile.mkstemp(prefix=f"{x!r}-", dir=tally_dir)
+    os.close(fd)
+    return {"v": float(x) * 2.0, "type": type(x).__name__}
+
+
+def _tally(tally_dir):
+    """Executions of ``sup_tally`` per ``repr(x)``."""
+    return collections.Counter(
+        name.rsplit("-", 1)[0] for name in os.listdir(tally_dir)
+    )
 
 
 @pytest.fixture
@@ -489,6 +509,97 @@ class TestResume:
             (1,): {"v": 1.0}
         }
         assert _CALLS == [("sup_square", 1)]
+
+
+# ---------------------------------------------------------------------------
+# The run table: each distinct payload simulated once per run
+# ---------------------------------------------------------------------------
+
+class TestRunTable:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_shared_payloads_execute_once_per_run(self, tmp_path, jobs):
+        tally = str(tmp_path)
+        first = [Cell(("a", i), "sup_tally", (i, tally)) for i in range(4)]
+        first.append(Cell(("a", "twin"), "sup_tally", (0, tally)))
+        second = [Cell(("b", i), "sup_tally", (i, tally)) for i in range(2, 6)]
+        run = Run(RunConfig(jobs=jobs))
+        out_first = run_cells(first, run)
+        out_second = run_cells(second, run)
+        assert _tally(tally) == {repr(i): 1 for i in range(6)}
+        assert out_first[("a", "twin")] == out_first[("a", 0)]
+        assert list(out_second) == [c.key for c in second]
+        assert run.stats.ok == 9
+        # A fresh run executes its cells again and gets the same results.
+        assert run_cells(second, jobs=jobs) == out_second
+        assert run_cells(first, jobs=jobs) == out_first
+        assert _tally(tally) == {"0": 2, "1": 2, "2": 3, "3": 3, "4": 2, "5": 2}
+
+    def test_typed_payloads_are_distinct(self, tmp_path):
+        tally = str(tmp_path)
+        cells = [Cell((x,), "sup_tally", (v, tally))
+                 for x, v in (("int", 1), ("float", 1.0), ("bool", True))]
+        out = run_cells(cells, jobs=1)
+        assert _tally(tally) == {"1": 1, "1.0": 1, "True": 1}
+        assert [r["type"] for r in out.values()] == ["int", "float", "bool"]
+
+    def test_failed_cell_is_retried_by_a_later_sweep(self, tmp_path):
+        arm = tmp_path / "armed"
+        arm.touch()
+        cells = [Cell((i,), "sup_flaky", (i, 1, str(arm))) for i in range(2)]
+        run = Run()
+        del _CALLS[:]
+        failed = run_sweep(cells, run)
+        assert list(failed.failures) == [(1,)]
+        arm.unlink()
+        again = run_sweep([Cell(("again", i), c.worker, c.args)
+                           for i, c in enumerate(cells)], run)
+        assert _CALLS == [("sup_flaky", 0), ("sup_flaky", 1), ("sup_flaky", 1)]
+        assert not again.failures
+        assert again.results[("again", 1)] == {"v": 1.0}
+
+    def test_second_sweep_does_not_look_shared_cells_up(self, tmp_path,
+                                                        fake_fingerprints):
+        store = CellStore(tmp_path / "store")
+        run = Run(store=store)
+        run_sweep([Cell((i,), "sup_square", (i,)) for i in range(3)], run)
+        assert (store.hits, store.misses, store.published) == (0, 3, 3)
+        del _CALLS[:]
+        report = run_sweep(
+            [Cell(("b", i), "sup_square", (i,)) for i in range(1, 5)], run
+        )
+        assert (store.hits, store.misses, store.published) == (0, 5, 5)
+        assert _CALLS == [("sup_square", 3), ("sup_square", 4)]
+        assert report.results == {("b", i): {"v": float(i * i)} for i in range(1, 5)}
+
+
+def test_fig7_reads_tab3_runs_and_keeps_its_golden_digests():
+    """Fig 7's cells carry Table III's Vayu/DCC payloads: in one batch
+    they are served from tab3's results, and both blocks still render
+    the digests the end-to-end benchmark pins for a fault-free seed-1
+    run (``faults=""``: whatever ``REPRO_FAULTS`` says)."""
+    from repro.harness.runner import run_batch
+
+    expected = json.loads(
+        (pathlib.Path(__file__).resolve().parents[1]
+         / "benchmarks" / "e2e" / "expected.json").read_text(encoding="utf-8")
+    )
+    assert expected["seed"] == 1
+    calls: list[tuple] = []
+    real_execute = parallel._execute
+
+    def _counting(cell):
+        calls.append(cell.key)
+        return real_execute(cell)
+
+    parallel._execute = _counting
+    try:
+        batch = run_batch(["tab3", "fig7"], seed=1, faults="")
+    finally:
+        parallel._execute = real_execute
+    assert calls == [("Vayu",), ("DCC",), ("EC2",), ("EC2-4",)]
+    for eid in ("tab3", "fig7"):
+        digest = hashlib.sha256(batch.outputs[eid].render().encode("utf-8"))
+        assert digest.hexdigest() == expected["digests"]["quick"][eid], eid
 
 
 # ---------------------------------------------------------------------------
