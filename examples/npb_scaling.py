@@ -2,8 +2,9 @@
 """NPB scaling study — regenerate a panel of the paper's Fig 4.
 
 Runs one NPB benchmark (default CG, class B) across process counts on
-all three platforms, prints the speedup table, the Table-II-style
-communication percentages, and an ASCII speedup plot.
+all three platforms as ``npb_point`` cells of the sweep driver, then
+prints the speedup table, the Table-II-style communication percentages,
+and an ASCII speedup plot.
 
 Run:  python examples/npb_scaling.py [bench] [class]
       python examples/npb_scaling.py ft B
@@ -11,38 +12,45 @@ Run:  python examples/npb_scaling.py [bench] [class]
 
 import sys
 
-from repro import DCC, EC2, VAYU
-from repro.core import ScalingStudy
+from repro.analysis.stats import speedup_series
 from repro.harness.figures import render_series_table, render_speedup_plot
+from repro.harness.parallel import Cell, run_cells
 from repro.npb import get_benchmark
+
+PLATFORMS = ("DCC", "EC2", "Vayu")
 
 
 def main():
     bench = sys.argv[1] if len(sys.argv) > 1 else "cg"
     klass = sys.argv[2] if len(sys.argv) > 2 else "B"
     counts = [p for p in (1, 2, 4, 8, 16, 32, 64)
-              if get_benchmark(bench).valid_nprocs(p)]
-    if not counts:
-        counts = [1, 4, 16, 36, 64]  # BT/SP square counts
+              if get_benchmark(bench, klass=klass).valid_nprocs(p)]
 
-    curves = {}
-    comm = {}
-    for spec in (DCC, EC2, VAYU):
-        study = ScalingStudy.npb(bench, platform=spec, klass=klass)
-        curve = study.run(counts, seed=7)
-        curves[spec.name] = curve.speedups(base_procs=counts[0])
-        comm[spec.name] = curve.comm_percents()
+    cells = [
+        Cell((name, p), "npb_point", (bench, name, p, 7, klass, None))
+        for name in PLATFORMS
+        for p in counts
+    ]
+    points = run_cells(cells)
+    curves = {
+        name: speedup_series(
+            {p: points[(name, p)]["projected_time"] for p in counts}, counts[0]
+        )
+        for name in PLATFORMS
+    }
 
-    rows = {p: [curves[n][p] for n in ("DCC", "EC2", "Vayu")] for p in counts}
+    rows = {p: [curves[n][p] for n in PLATFORMS] for p in counts}
     print(render_series_table(
         f"{bench.upper()}.{klass} speedup (base np={counts[0]})",
-        ["DCC", "EC2", "Vayu"], rows, "{:.2f}", row_label="np",
+        list(PLATFORMS), rows, "{:.2f}", row_label="np",
     ))
     print()
-    comm_rows = {p: [comm[n][p] for n in ("DCC", "EC2", "Vayu")] for p in counts}
+    comm_rows = {
+        p: [points[(n, p)]["comm_percent"] for n in PLATFORMS] for p in counts
+    }
     print(render_series_table(
         "steady-state %comm (Table II style)",
-        ["DCC", "EC2", "Vayu"], comm_rows, "{:.1f}", row_label="np",
+        list(PLATFORMS), comm_rows, "{:.1f}", row_label="np",
     ))
     print()
     print(render_speedup_plot(f"{bench.upper()}.{klass} speedup", curves))

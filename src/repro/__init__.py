@@ -12,23 +12,19 @@ Package map
 =====================  ====================================================
 :mod:`repro.sim`        discrete-event engine
 :mod:`repro.hardware`   CPU / fabric / filesystem models
-:mod:`repro.virt`       hypervisors (ESX, Xen), OS noise, VM images
+:mod:`repro.virt`       hypervisors (ESX, Xen), OS noise
 :mod:`repro.platforms`  the calibrated Vayu / DCC / EC2 platforms
 :mod:`repro.smpi`       simulated MPI runtime (mpi4py-style API)
 :mod:`repro.ipm`        IPM-style monitoring and reports
 :mod:`repro.osu`        OSU micro-benchmarks
-:mod:`repro.npb`        NPB 3.3 skeletons + real numeric kernels
+:mod:`repro.npb`        NPB 3.3 communication skeletons
 :mod:`repro.apps`       MetUM and Chaste application models
-:mod:`repro.cloud`      EC2 / StarCluster / packaging / pricing
 :mod:`repro.faults`     deterministic fault injection + resilience
-:mod:`repro.sched`      ANUPBS scheduler + cloudburst policy
 :mod:`repro.arrivef`    ARRIVE-F profiling / prediction / relocation
-:mod:`repro.core`       the study API (scaling studies, comparisons)
 :mod:`repro.harness`    per-figure/table experiment registry
 =====================  ====================================================
 """
 
-from repro.core import PlatformComparison, ScalingStudy
 from repro.faults import FaultSchedule
 from repro.platforms import DCC, EC2, VAYU, get_platform
 from repro.smpi import run_program
@@ -39,8 +35,6 @@ __all__ = [
     "DCC",
     "EC2",
     "FaultSchedule",
-    "PlatformComparison",
-    "ScalingStudy",
     "VAYU",
     "__version__",
     "get_platform",

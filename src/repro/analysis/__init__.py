@@ -22,8 +22,7 @@ This package is the repository's correctness backstop (see
   that parses each module once and keeps per-definition summaries),
   closure-attributed hazard findings, SARIF output and baseline gating.
 * :mod:`repro.analysis.stats` — the derived quantities the paper
-  reports (speedups, normalised times, Table III statistics); moved
-  here from ``repro.core.analysis``, which remains as a shim.
+  reports (speedups, normalised times, Table III statistics).
 """
 
 from repro.analysis.lint import (

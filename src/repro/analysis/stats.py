@@ -70,66 +70,39 @@ class SectionStats:
         }
 
 
-class _Table3Source(_t.Protocol):
-    """What :func:`table3_stats` needs from an application result."""
-
-    platform: str
-
-    @property
-    def total_time(self) -> float: ...
-
-    def comm_time(self, region: str = ...) -> float: ...
-
-    def compute_time(self, region: str = ...) -> float: ...
-
-    def comm_percent(self, region: str = ...) -> float: ...
-
-    def imbalance_percent(self, region: str = ...) -> float: ...
-
-
 def table3_stats(
-    results: _t.Mapping[str, _t.Any] | _t.Sequence[_t.Any],
+    results: _t.Mapping[str, _t.Mapping[str, float]],
     reference_platform: str = "Vayu",
-    io_attr: str = "io_time",
 ) -> list[SectionStats]:
-    """Build Table III from application results (one per platform).
+    """Build Table III from ``{label: metum_stats result}`` (one per run).
 
-    ``results`` is either a ``{label: result}`` mapping (labels like
-    ``"EC2-4"`` distinguish placements on the same platform) or a plain
-    sequence, in which case each result's ``platform`` names it.
-    ``rcomp``/``rcomm`` are the per-rank computation/communication time
-    ratios relative to the reference platform, as the paper defines
-    them.
+    Labels like ``"EC2-4"`` distinguish placements on the same platform;
+    rows follow the mapping's order.  Each result carries the run's
+    ``time``, per-rank ``comp``/``comm`` totals, ``comm_percent``,
+    ``imbalance_percent`` and ``io`` (the
+    :func:`~repro.harness.parallel.metum_stats` cell worker's keys).
+    ``rcomp``/``rcomm`` are the computation/communication time ratios
+    relative to the reference platform, as the paper defines them.
     """
-    if isinstance(results, _t.Mapping):
-        by_name = dict(results)
-        ordered = list(results)
-    else:
-        by_name = {r.platform: r for r in results}
-        ordered = [r.platform for r in results]
-    if reference_platform not in by_name:
+    if reference_platform not in results:
         raise ConfigError(
             f"reference platform {reference_platform!r} not among results "
-            f"({sorted(by_name)})"
+            f"({sorted(results)})"
         )
-    ref = by_name[reference_platform]
-    ref_comp = ref.compute_time()
-    ref_comm = ref.comm_time()
-    rows = []
-    for label in ordered:
-        r = by_name[label]
-        rows.append(  # noqa: PERF401 - clarity over comprehension here
-            SectionStats(
-                platform=label,
-                time=r.total_time,
-                rcomp=r.compute_time() / ref_comp if ref_comp > 0 else 0.0,
-                rcomm=r.comm_time() / ref_comm if ref_comm > 0 else 0.0,
-                comm_percent=r.comm_percent(),
-                imbalance_percent=r.imbalance_percent(),
-                io_time=getattr(r, io_attr, 0.0),
-            )
+    ref = results[reference_platform]
+    ref_comp, ref_comm = ref["comp"], ref["comm"]
+    return [
+        SectionStats(
+            platform=label,
+            time=r["time"],
+            rcomp=r["comp"] / ref_comp if ref_comp > 0 else 0.0,
+            rcomm=r["comm"] / ref_comm if ref_comm > 0 else 0.0,
+            comm_percent=r["comm_percent"],
+            imbalance_percent=r["imbalance_percent"],
+            io_time=r["io"],
         )
-    return rows
+        for label, r in results.items()
+    ]
 
 
 def render_stats_table(rows: _t.Sequence[SectionStats]) -> str:

@@ -159,17 +159,6 @@ def _cmd_osu(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    from repro.npb.kernels.validate import render_verifications, run_all_verifications
-
-    records = run_all_verifications(
-        quick=not args.full,
-        progress=lambda name: print(f"[verify] {name}", file=sys.stderr),
-    )
-    print(render_verifications(records))
-    return 0 if all(r.passed for r in records) else 1
-
-
 def _cmd_lint(args: argparse.Namespace) -> int:
     import json
 
@@ -415,8 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="exit codes: 0 success (all cells ok); 3 partial — some "
                "sweep cells failed but the report rendered with "
                "FAILED(<cause>) entries; 1 fatal error (bad "
-               "configuration or unhandled failure). `repro verify`, "
-               "`repro lint` and `repro bench engine --check` keep "
+               "configuration or unhandled failure). `repro store "
+               "verify`, `repro lint` and `repro bench engine --check` keep "
                "exit 1 for their own failed-check verdicts.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -647,11 +636,6 @@ def build_parser() -> argparse.ArgumentParser:
     osu.add_argument("platform", choices=["vayu", "dcc", "ec2"])
     osu.add_argument("--seed", type=int, default=1)
 
-    verify = sub.add_parser(
-        "verify", help="run all numeric-kernel verifications"
-    )
-    verify.add_argument("--full", action="store_true", help="larger problems")
-
     npb = sub.add_parser("npb", help="run one NPB benchmark point")
     npb.add_argument("bench")
     npb.add_argument("platform", choices=["vayu", "dcc", "ec2"])
@@ -668,7 +652,6 @@ _COMMANDS: dict[str, _t.Callable[[argparse.Namespace], int]] = {
     "run": _cmd_run,
     "osu": _cmd_osu,
     "npb": _cmd_npb,
-    "verify": _cmd_verify,
     "lint": _cmd_lint,
     "fingerprint": _cmd_fingerprint,
     "faults": _cmd_faults,

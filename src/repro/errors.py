@@ -166,13 +166,5 @@ class ConfigError(ReproError):
     """Invalid platform, benchmark or experiment configuration."""
 
 
-class VerificationError(ReproError):
-    """A benchmark's numerical verification failed."""
-
-
-class CloudError(ReproError):
-    """Simulated cloud-provisioning failure (boot error, capacity, ...)."""
-
-
 class SchedulerError(ReproError):
     """Batch-scheduler misuse or inconsistent job state."""

@@ -26,16 +26,10 @@ class CoreSpec:
     flops_per_cycle:
         Sustained double-precision flops retired per cycle for the
         workload family under study (calibration constant).
-    sse4:
-        Whether the core implements SSE4.  The paper's packaging workflow
-        hit exactly this pitfall: binaries built with SSE4 enabled on
-        Vayu would not run on hosts lacking it, so the flag participates
-        in the :mod:`repro.cloud.packaging` compatibility check.
     """
 
     clock_hz: float
     flops_per_cycle: float = 1.0
-    sse4: bool = True
 
     def __post_init__(self) -> None:
         if self.clock_hz <= 0 or self.flops_per_cycle <= 0:

@@ -24,7 +24,12 @@ import typing as _t
 
 import numpy as np
 
-from repro.analysis.stats import SectionStats, render_stats_table
+from repro.analysis.stats import (
+    normalized_times,
+    render_stats_table,
+    speedup_series,
+    table3_stats,
+)
 from repro.config import Run, using
 from repro.errors import ConfigError
 from repro.harness import paper
@@ -164,6 +169,7 @@ def exp_fig3(run: Run) -> ExperimentOutput:
     ]
     points = run_cells(cells, run)
     data: dict[str, dict[str, float]] = {}
+    rows = {}
     comparisons = []
     for name in benches:
         times = {
@@ -171,6 +177,8 @@ def exp_fig3(run: Run) -> ExperimentOutput:
             for spec in _PLATFORMS
         }
         data[name] = times
+        normalized = normalized_times(times, "DCC")
+        rows[name.upper()] = [normalized[n] for n in ("DCC", "EC2", "Vayu")]
         comparisons.append(
             (
                 f"{name.upper()}.B.1 DCC wall (s)",
@@ -178,14 +186,6 @@ def exp_fig3(run: Run) -> ExperimentOutput:
                 paper.FIG3_DCC_SERIAL_SECONDS[name],
             )
         )
-    rows = {
-        name.upper(): [
-            data[name]["DCC"] / data[name]["DCC"],
-            data[name]["EC2"] / data[name]["DCC"],
-            data[name]["Vayu"] / data[name]["DCC"],
-        ]
-        for name in benches
-    }
     text = render_series_table(
         "NPB class B serial time normalised to DCC",
         ["DCC", "EC2", "Vayu"], rows, "{:.2f}", row_label="bench",
@@ -222,8 +222,7 @@ def exp_fig4(run: Run) -> ExperimentOutput:
             times = {
                 p: points[(name, spec.name, p)]["projected_time"] for p in counts
             }
-            base = times[counts[0]]
-            series[spec.name] = {p: base / t for p, t in times.items()}
+            series[spec.name] = speedup_series(times, counts[0])
         data[name] = series
         plots.append(render_speedup_plot(f"{name.upper()} speedup (class B)", series))
     return ExperimentOutput(
@@ -290,8 +289,8 @@ def exp_fig5(run: Run) -> ExperimentOutput:
         ksps = {p: points[(spec.name, p)]["ksp_time"] for p in counts}
         t8[f"{spec.name.lower()}_total"] = totals[8]
         t8[f"{spec.name.lower()}_ksp"] = ksps[8]
-        series[f"{spec.name} total"] = {p: totals[8] / t for p, t in totals.items()}
-        series[f"{spec.name} KSp"] = {p: ksps[8] / t for p, t in ksps.items()}
+        series[f"{spec.name} total"] = speedup_series(totals, 8)
+        series[f"{spec.name} KSp"] = speedup_series(ksps, 8)
     text = render_speedup_plot("Chaste speedup over 8 cores", series)
     comparisons = [
         ("Chaste Vayu t8 (s)", t8["vayu_total"], paper.FIG5_T8_ADOPTED["vayu_total"]),
@@ -333,7 +332,7 @@ def exp_fig6(run: Run) -> ExperimentOutput:
     for label, spec, nodes in _um_variants():
         times = {p: points[(label, p)]["warmed_time"] for p in counts}
         t8[label] = times[8]
-        series[label] = {p: times[8] / t for p, t in times.items()}
+        series[label] = speedup_series(times, 8)
     text = render_speedup_plot("UM warmed-time speedup over 8 cores", series)
     comparisons = [
         (f"UM {label} t8 (s)", t8[label], paper.FIG6_T8[label])
@@ -361,22 +360,13 @@ def exp_tab3(run: Run) -> ExperimentOutput:
         for label, spec, nodes in _um_variants()
     ]
     points = run_cells(cells, run)
-    ref = points[("Vayu",)]
-    ref_comp, ref_comm = ref["comp"], ref["comm"]
-    rows = []
+    rows = table3_stats(
+        {label: points[(label,)] for label, _spec, _nodes in _um_variants()},
+        reference_platform="Vayu",
+    )
     comparisons = []
-    for label, _spec, _nodes in _um_variants():
-        r = points[(label,)]
-        stats = SectionStats(
-            platform=label,
-            time=r["time"],
-            rcomp=r["comp"] / ref_comp,
-            rcomm=r["comm"] / ref_comm if ref_comm > 0 else 0.0,
-            comm_percent=r["comm_percent"],
-            imbalance_percent=r["imbalance_percent"],
-            io_time=r["io"],
-        )
-        rows.append(stats)
+    for stats in rows:
+        label = stats.platform
         p = paper.TABLE3_UM_32[label]
         comparisons.extend([
             (f"UM@32 {label} time (s)", stats.time, p["time"]),

@@ -7,12 +7,6 @@ communication pattern of each benchmark (who talks to whom, with which
 message sizes, as a function of the process count).  The skeletons run
 unchanged on any platform model.
 
-Five of the benchmarks additionally have *numeric kernels*
-(:mod:`repro.npb.kernels`): real NumPy implementations of the
-computational pattern at small scales, used to validate the skeletons'
-structure (e.g. the distributed CG driver reproduces the serial solver's
-answer bit-for-bit through simulated-MPI payload arithmetic).
-
 Benchmark selection::
 
     from repro.npb import get_benchmark
@@ -24,7 +18,6 @@ Benchmark selection::
 from repro.npb.base import BenchResult, NpbBenchmark, STEADY_REGION
 from repro.npb.classes import CLASS_NAMES, NpbClass, problem
 from repro.npb.registry import BENCHMARK_NAMES, get_benchmark, valid_nprocs
-from repro.npb.verification import VerificationRecord
 
 __all__ = [
     "BENCHMARK_NAMES",
@@ -33,7 +26,6 @@ __all__ = [
     "NpbBenchmark",
     "NpbClass",
     "STEADY_REGION",
-    "VerificationRecord",
     "get_benchmark",
     "problem",
     "valid_nprocs",

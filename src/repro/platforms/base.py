@@ -76,8 +76,6 @@ class PlatformSpec:
     #: paper's 68-90% CG communication shares arise on DCC without the
     #: average rank being anywhere near that slow.
     numa_burst_noise: float = 0.0
-    #: ISA features the hosts provide (drives packaging checks).
-    isa_features: frozenset[str] = frozenset({"sse2", "sse3", "ssse3"})
     os_name: str = "CentOS 5.7"
     interconnect_label: str = ""
     scheduler: str = ""

@@ -85,7 +85,6 @@ def make_platform(
     filesystem: str | FilesystemSpec = "nfs",
     noise: OsNoiseModel | None = None,
     numa_affinity_enforced: bool | None = None,
-    sse4: bool = True,
     description: str = "",
 ) -> PlatformSpec:
     """Assemble a :class:`PlatformSpec` from presets and scalars.
@@ -96,8 +95,7 @@ def make_platform(
     """
     if num_nodes < 1 or clock_ghz <= 0:
         raise ConfigError(f"invalid platform shape: nodes={num_nodes}, clock={clock_ghz}")
-    core = CoreSpec(clock_hz=clock_ghz * 1e9, flops_per_cycle=flops_per_cycle,
-                    sse4=sse4)
+    core = CoreSpec(clock_hz=clock_ghz * 1e9, flops_per_cycle=flops_per_cycle)
     socket = SocketSpec(
         cores=cores_per_socket,
         core=core,
@@ -128,8 +126,5 @@ def make_platform(
         numa_affinity_enforced=numa_affinity_enforced,
         numa_penalty_spread=0.0 if bare_metal else 0.05,
         numa_burst_noise=0.0 if bare_metal else 0.2,
-        isa_features=frozenset(
-            {"sse2", "sse3", "ssse3"} | ({"sse4"} if sse4 else set())
-        ),
         interconnect_label=fabric_spec.name,
     )

@@ -20,11 +20,6 @@ Calibration notes
   guest VMs" (paper V-B), so memory-bound codes pay
   ``numa_penalty_factor`` once a node's ranks span both sockets — this
   is what makes CG's speedup drop at 8 processes on DCC (Fig 4).
-* E5520 is Nehalem and has SSE4.2; the paper's SSE4 incident was about a
-  *different* non-ubiquitous feature path on one application, which we
-  conservatively model by leaving "sse4" out of the guest-visible
-  feature set (hypervisor-filtered CPUID), so the packaging check in
-  :mod:`repro.cloud.packaging` reproduces the failure mode.
 """
 
 from __future__ import annotations
@@ -37,7 +32,7 @@ from repro.platforms.base import PlatformSpec
 from repro.virt.esx import VmwareEsx
 from repro.virt.jitter import STOCK_GUEST_VM
 
-_E5520 = CoreSpec(clock_hz=2.27e9, flops_per_cycle=1.00, sse4=False)
+_E5520 = CoreSpec(clock_hz=2.27e9, flops_per_cycle=1.00)
 
 _SOCKET = SocketSpec(
     cores=4,
@@ -78,7 +73,6 @@ DCC = PlatformSpec(
     numa_penalty_factor=0.94,
     numa_penalty_spread=0.05,
     numa_burst_noise=0.35,
-    isa_features=frozenset({"sse2", "sse3", "ssse3"}),
     os_name="Centos 5.7",
     interconnect_label="1GigE",
     scheduler="(dedicated VMs)",

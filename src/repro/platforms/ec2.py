@@ -35,7 +35,7 @@ from repro.platforms.base import PlatformSpec
 from repro.virt.jitter import STOCK_GUEST_VM
 from repro.virt.xen import XenHvm
 
-_X5570 = CoreSpec(clock_hz=2.93e9, flops_per_cycle=1.10, sse4=True)
+_X5570 = CoreSpec(clock_hz=2.93e9, flops_per_cycle=1.10)
 
 _SOCKET = SocketSpec(
     cores=4,
@@ -78,7 +78,6 @@ EC2 = PlatformSpec(
     numa_penalty_factor=0.85,
     numa_penalty_spread=0.04,
     numa_burst_noise=0.05,
-    isa_features=frozenset({"sse2", "sse3", "ssse3", "sse4"}),
     os_name="CentOS 5.7",
     interconnect_label="10 GigE",
     scheduler="StarCluster/SGE",

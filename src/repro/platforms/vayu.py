@@ -34,7 +34,7 @@ from repro.platforms.base import PlatformSpec
 from repro.virt.hypervisor import NoHypervisor
 from repro.virt.jitter import QUIET_HPC_NODE
 
-_X5570 = CoreSpec(clock_hz=2.93e9, flops_per_cycle=1.10, sse4=True)
+_X5570 = CoreSpec(clock_hz=2.93e9, flops_per_cycle=1.10)
 
 _SOCKET = SocketSpec(
     cores=4,
@@ -72,7 +72,6 @@ VAYU = PlatformSpec(
     hypervisor_factory=NoHypervisor,
     noise=QUIET_HPC_NODE,
     numa_affinity_enforced=True,
-    isa_features=frozenset({"sse2", "sse3", "ssse3", "sse4"}),
     os_name="CentOS 5.7",
     interconnect_label="QDR IB",
     scheduler="ANUPBS (suspend-resume)",

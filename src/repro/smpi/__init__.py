@@ -21,8 +21,8 @@ Two things distinguish this from a functional MPI:
   simulated individually with eager/rendezvous protocols and NIC
   serialisation; collectives use topology-aware algorithm cost models);
 * payloads are optional — a skeleton benchmark passes only byte counts,
-  while validation-mode programs pass real values/arrays and get real
-  reductions and data movement.
+  while a program that passes real values/arrays gets real reductions
+  and data movement.
 """
 
 from repro.smpi.comm import ANY_SOURCE, ANY_TAG, Comm

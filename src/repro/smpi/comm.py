@@ -14,8 +14,7 @@ Naming follows mpi4py's lowercase convenience methods (``send``,
 ``recv``, ``bcast``, ``allreduce``, ...), with explicit byte counts
 instead of buffers: this simulator prices messages, it does not move
 memory — though every collective and point-to-point call *can* carry a
-real payload, which the small-class NPB validation kernels use to do
-genuine distributed arithmetic.
+real payload, delivered and reduced exactly.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Virtualisation models: hypervisors, OS noise, VM images.
+"""Virtualisation models: hypervisors and OS noise.
 
 The paper's three platforms differ in their virtualisation layer — none
 (Vayu), VMware ESX 4.0 (DCC) and Xen (EC2) — and several of its findings
@@ -22,13 +22,11 @@ from repro.virt.hypervisor import Hypervisor, NoHypervisor
 from repro.virt.esx import VmwareEsx
 from repro.virt.xen import XenHvm
 from repro.virt.jitter import OsNoiseModel
-from repro.virt.vmimage import VmImage
 
 __all__ = [
     "Hypervisor",
     "NoHypervisor",
     "OsNoiseModel",
-    "VmImage",
     "VmwareEsx",
     "XenHvm",
 ]

@@ -1,9 +1,8 @@
-"""Tests for the study API and the experiment harness."""
+"""Tests for the derived statistics and the experiment harness."""
 
 import pytest
 
-from repro.core import PlatformComparison, ScalingStudy
-from repro.core.analysis import (
+from repro.analysis.stats import (
     normalized_times,
     render_stats_table,
     speedup_series,
@@ -12,8 +11,7 @@ from repro.core.analysis import (
 from repro.errors import ConfigError
 from repro.harness import EXPERIMENTS, run_experiment
 from repro.harness.figures import percent_delta, render_series_table, render_speedup_plot
-from repro.npb import get_benchmark
-from repro.platforms import DCC, VAYU
+from repro.harness.parallel import Cell, metum_stats, run_cells
 
 
 class TestAnalysis:
@@ -40,16 +38,15 @@ class TestAnalysis:
             normalized_times({"a": 1.0}, "b")
 
     def test_table3_stats_reference_rows(self):
-        from repro.apps.metum import MetumBenchmark
-
-        bench = MetumBenchmark(sim_steps=1)
         results = {
-            "Vayu": bench.run(VAYU, 8, seed=1),
-            "DCC": bench.run(DCC, 8, seed=1),
+            "Vayu": metum_stats("Vayu", 8, None, 1, 1),
+            "DCC": metum_stats("DCC", 8, None, 1, 1),
         }
         rows = table3_stats(results, reference_platform="Vayu")
+        assert [r.platform for r in rows] == ["Vayu", "DCC"]
         assert rows[0].rcomp == pytest.approx(1.0)
         assert rows[1].rcomp > 1.2
+        assert rows[1].io_time == results["DCC"]["io"]
         text = render_stats_table(rows)
         assert "rcomp" in text and "DCC" in text
 
@@ -58,31 +55,48 @@ class TestAnalysis:
             table3_stats({}, reference_platform="Vayu")
 
 
+def _npb_sweep(bench, platforms, counts, seed=1):
+    """``{(platform, p): npb_point result}`` for one benchmark sweep."""
+    return run_cells(
+        [Cell((name, p), "npb_point", (bench, name, p, seed, "B", None))
+         for name in platforms for p in counts],
+        jobs=1,
+    )
+
+
 class TestStudyApi:
+    """Scaling studies and platform comparisons as sweeps of cells."""
+
     def test_npb_scaling_study(self):
-        study = ScalingStudy.npb("ep", platform=VAYU)
-        curve = study.run([1, 4], seed=1)
-        sp = curve.speedups()
+        points = _npb_sweep("ep", ["Vayu"], [1, 4])
+        sp = speedup_series({p: points[("Vayu", p)]["projected_time"] for p in (1, 4)})
         assert sp[1] == 1.0 and sp[4] > 3.0
-        assert set(curve.comm_percents()) == {1, 4}
+        assert {p for _name, p in points} == {1, 4}
+        assert all(0.0 <= r["comm_percent"] < 100.0 for r in points.values())
 
     def test_empty_proc_list_rejected(self):
+        points = _npb_sweep("ep", ["Vayu"], [])
+        assert points == {}
         with pytest.raises(ConfigError):
-            ScalingStudy.npb("ep", platform=VAYU).run([])
+            speedup_series({p: r["projected_time"] for (_n, p), r in points.items()})
 
     def test_metum_study_constructor(self):
-        study = ScalingStudy.metum(VAYU, sim_steps=1)
-        curve = study.run([8], seed=1)
-        assert curve.workload == "MetUM"
-        assert curve.times[8] > 0
+        out = run_cells([Cell(("Vayu", 8), "metum_point", ("Vayu", 8, None, 1, 1))],
+                        jobs=1)
+        point = out[("Vayu", 8)]
+        assert 0 < point["warmed_time"] <= point["total_time"]
 
     def test_chaste_study_constructor(self):
-        curve = ScalingStudy.chaste(VAYU, sim_steps=1).run([8], seed=1)
-        assert curve.platform == "Vayu"
+        out = run_cells([Cell(("Vayu", 8), "chaste_point", ("Vayu", 8, 1, 1))],
+                        jobs=1)
+        point = out[("Vayu", 8)]
+        assert 0 < point["ksp_time"] < point["total_time"]
 
     def test_platform_comparison_normalised(self):
-        comparison = PlatformComparison(get_benchmark("ep"), "EP")
-        out = comparison.normalized(1, reference="DCC", seed=1)
+        points = _npb_sweep("ep", ["DCC", "Vayu", "EC2"], [1])
+        out = normalized_times(
+            {name: r["projected_time"] for (name, _p), r in points.items()}, "DCC"
+        )
         assert out["DCC"] == 1.0
         assert 0.6 < out["Vayu"] < 0.9
 

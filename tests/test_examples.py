@@ -1,8 +1,8 @@
 """Smoke tests running the example scripts end to end (subprocess).
 
-Only the fast examples run in the unit suite; the two application
-studies (climate/cardiac) take a minute each and are exercised by the
-benchmark harness instead.
+Only the quickstart runs in the unit suite; the three studies
+(``npb_scaling``, ``cardiac_study``, ``climate_study``) take seconds
+each and run, with the quickstart, in CI's "Examples guard" step.
 """
 
 import pathlib
@@ -32,21 +32,12 @@ class TestExamples:
             assert platform in out
         assert "comm%" in out
 
-    def test_package_hpc_env(self):
-        out = run_example("package_hpc_env.py")
-        assert "REFUSED" in out          # the SSE4 incident
-        assert "deploy to EC2: OK" in out
-        assert "portability goal" in out
-
-    def test_cloudburst_demo(self):
-        out = run_example("cloudburst_demo.py")
-        assert "bursting" in out
-        assert "without bursting" in out
-        assert "$" in out
-
     def test_all_examples_exist_and_documented(self):
         scripts = sorted(p.name for p in EXAMPLES.glob("*.py"))
-        assert len(scripts) >= 6
+        assert scripts == [
+            "cardiac_study.py", "climate_study.py", "npb_scaling.py",
+            "quickstart.py",
+        ]
         for script in scripts:
             head = (EXAMPLES / script).read_text().split('"""')[1]
             assert len(head.strip()) > 40, f"{script} lacks a real docstring"

@@ -1,5 +1,5 @@
 """Tests for the extension surface: collective OSU benchmarks, scan/exscan,
-Cartesian helpers, IPM export, NPB class D and kernel validation."""
+Cartesian helpers, IPM export and NPB class D."""
 
 import json
 
@@ -8,7 +8,6 @@ import pytest
 from repro.errors import ConfigError, MpiError
 from repro.ipm.export import load_json, monitor_to_dict, totals_by_call, write_json
 from repro.npb import get_benchmark, problem
-from repro.npb.kernels.validate import render_verifications, run_all_verifications
 from repro.osu import osu_allreduce, osu_alltoall
 from repro.platforms import DCC, EC2, VAYU
 from repro.smpi import run_program
@@ -152,20 +151,3 @@ class TestClassD:
     def test_ft_class_d_slab_limit(self):
         bench = get_benchmark("ft", klass="D")
         assert bench.valid_nprocs(1024)  # nz = 1024 slabs
-
-
-class TestKernelValidation:
-    def test_all_verifications_pass(self):
-        records = run_all_verifications(quick=True)
-        assert len(records) == 7
-        assert all(r.passed for r in records)
-
-    def test_render_contains_status(self):
-        text = render_verifications(run_all_verifications(quick=True))
-        assert "PASS" in text and "FAIL" not in text
-
-    def test_cli_verify(self, capsys):
-        from repro.cli import main
-
-        assert main(["verify"]) == 0
-        assert "acceptance_rate" in capsys.readouterr().out

@@ -12,7 +12,6 @@ from repro.platforms.registry import register_platform
 from repro.sim import Engine
 from repro.smpi.mapping import Placement, place_ranks
 from repro.virt import NoHypervisor, OsNoiseModel, VmwareEsx, XenHvm
-from repro.virt.vmimage import ApplicationBinary, VmImage
 
 
 class TestRegistry:
@@ -183,32 +182,6 @@ class TestHypervisors:
             for _ in range(3):
                 check.exponential(1.0)
             assert main.exponential(1.0) == check.exponential(1.0)
-
-
-class TestVmImage:
-    def _image(self, isa=frozenset({"sse4"})):
-        return VmImage(
-            name="img",
-            os_name="CentOS 5.7",
-            binaries=(ApplicationBinary("app", "1.0", "icc", isa_flags=isa,
-                                        requires=("lib",)),),
-        )
-
-    def test_missing_dependencies_detected(self):
-        assert self._image().missing_dependencies() == {"app": ["lib"]}
-
-    def test_isa_check(self):
-        img = self._image()
-        assert img.check_isa({"sse2", "sse3"}) == {"app": ["sse4"]}
-        assert img.check_isa({"sse2", "sse4"}) == {}
-
-    def test_find_binary(self):
-        img = self._image()
-        assert img.find_binary("app").version == "1.0"
-        from repro.errors import CloudError
-
-        with pytest.raises(CloudError):
-            img.find_binary("ghost")
 
 
 class TestPlacementInteractions:

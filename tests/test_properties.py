@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -11,7 +10,6 @@ from repro.hardware.cpu import CoreSpec, CpuSpec, SocketSpec
 from repro.hardware.interconnect import BandwidthCurve, FabricSpec
 from repro.hardware.storage import FilesystemSpec
 from repro.npb.base import NpbBenchmark, intra_fraction
-from repro.npb.kernels.randnpb import MOD, NpbRandom
 from repro.sim import Engine, Resource, Store
 from repro.smpi.collectives.algorithms import (
     CollectiveContext,
@@ -218,38 +216,6 @@ class TestNpbHelperProperties:
     def test_intra_fraction_unit_interval(self, stride, rpn):
         f = intra_fraction(stride, rpn)
         assert 0.0 <= f <= 1.0
-
-
-# ---------------------------------------------------------------------------
-# NPB LCG properties
-# ---------------------------------------------------------------------------
-
-
-class TestLcgProperties:
-    @given(st.integers(min_value=0, max_value=10_000),
-           st.integers(min_value=0, max_value=10_000))
-    @settings(max_examples=30)
-    def test_skip_composes(self, a, b):
-        one = NpbRandom(314159265)
-        one.skip(a)
-        one.skip(b)
-        two = NpbRandom(314159265)
-        two.skip(a + b)
-        assert one.state == two.state
-
-    @given(st.integers(min_value=1, max_value=2000))
-    @settings(max_examples=30)
-    def test_draw_count_matches(self, n):
-        vals = NpbRandom().randlc(n)
-        assert vals.shape == (n,)
-        assert np.all((vals > 0) & (vals < 1))
-
-    @given(st.integers(min_value=0, max_value=MOD - 1).filter(lambda s: s % 2 == 1 and s > 0))
-    @settings(max_examples=30)
-    def test_state_stays_in_modulus(self, seed):
-        rng = NpbRandom(seed)
-        rng.randlc(100)
-        assert 0 < rng.state < MOD
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Tests for the batch scheduler, cloudburst policy and ARRIVE-F."""
+"""Tests for ARRIVE-F: profiling, prediction, migration and relocation."""
 
 import pytest
 
@@ -11,144 +11,8 @@ from repro.arrivef import (
     profile_from_monitor,
 )
 from repro.arrivef.framework import throughput_experiment
-from repro.cloud.pricing import SpotMarket
-from repro.errors import ConfigError, SchedulerError
+from repro.errors import ConfigError
 from repro.platforms import DCC, EC2, VAYU
-from repro.sched import (
-    AnupbsScheduler,
-    CloudBurstPolicy,
-    Job,
-    JobProfile,
-    JobState,
-)
-
-
-def make_job(job_id, cores=8, runtime=1000.0, submit=0.0, priority=0, **profile):
-    return Job(job_id, "user", cores, runtime, submit, priority=priority,
-               profile=JobProfile(**profile))
-
-
-class TestAnupbsScheduler:
-    def test_fifo_on_saturated_machine(self):
-        sched = AnupbsScheduler(8)
-        a, b = make_job(1, cores=8), make_job(2, cores=8)
-        sched.submit(a)
-        sched.submit(b)
-        sched.run_until_drained()
-        assert a.start_time == 0.0
-        assert b.start_time == pytest.approx(1000.0)
-        assert sched.metrics().jobs_completed == 2
-
-    def test_parallel_when_capacity_allows(self):
-        sched = AnupbsScheduler(16)
-        a, b = make_job(1), make_job(2)
-        sched.submit(a)
-        sched.submit(b)
-        sched.run_until_drained()
-        assert a.start_time == b.start_time == 0.0
-
-    def test_suspend_resume_preemption(self):
-        sched = AnupbsScheduler(8)
-        low = make_job(1, cores=8, runtime=1000.0)
-        high = make_job(2, cores=8, runtime=100.0, submit=10.0, priority=5)
-        sched.submit(low)
-        sched.submit(high)
-        sched.run_until_drained()
-        assert high.start_time == pytest.approx(10.0)  # preempted low
-        assert low.suspend_count == 1
-        assert low.finish_time == pytest.approx(1100.0)  # paused 10..110
-
-    def test_no_preemption_when_disabled(self):
-        sched = AnupbsScheduler(8, suspend_resume=False)
-        low = make_job(1, cores=8, runtime=1000.0)
-        high = make_job(2, cores=8, runtime=100.0, submit=10.0, priority=5)
-        sched.submit(low)
-        sched.submit(high)
-        sched.run_until_drained()
-        assert high.start_time == pytest.approx(1000.0)
-        assert low.suspend_count == 0
-
-    def test_oversized_job_rejected_at_submit(self):
-        sched = AnupbsScheduler(8)
-        with pytest.raises(SchedulerError):
-            sched.submit(make_job(1, cores=16))
-
-    def test_utilisation_accounting(self):
-        sched = AnupbsScheduler(10)
-        sched.submit(make_job(1, cores=5, runtime=100.0))
-        sched.run_until_drained()
-        assert sched.metrics().utilisation == pytest.approx(0.5)
-
-    def test_past_submission_rejected(self):
-        sched = AnupbsScheduler(8)
-        sched.submit(make_job(1, submit=100.0))
-        with pytest.raises(SchedulerError):
-            sched.submit(make_job(2, submit=50.0))
-
-    def test_metrics_require_completions(self):
-        with pytest.raises(SchedulerError):
-            AnupbsScheduler(8).metrics()
-
-
-class TestCloudBurstPolicy:
-    def _saturated(self):
-        sched = AnupbsScheduler(8)
-        sched.submit(make_job(1, cores=8, runtime=50000.0))
-        return sched
-
-    def test_short_queue_stays_local(self):
-        sched = AnupbsScheduler(64)
-        job = make_job(2, cores=8)
-        sched.submit(job)
-        # job started instantly; queued_wait estimate is 0 for a fresh one
-        waiting = make_job(3, cores=64, submit=0.0)
-        sched.submit(waiting)
-        policy = CloudBurstPolicy(wait_threshold=1e9)
-        decision = policy.evaluate(sched, waiting)
-        assert not decision.burst
-        assert "acceptable" in decision.reason
-
-    def test_comm_bound_jobs_refused(self):
-        sched = self._saturated()
-        job = make_job(2, comm_fraction=0.6)
-        sched.submit(job)
-        decision = CloudBurstPolicy(wait_threshold=1.0).evaluate(sched, job)
-        assert not decision.burst and "communication-bound" in decision.reason
-
-    def test_latency_sensitive_jobs_refused(self):
-        sched = self._saturated()
-        job = make_job(2, comm_fraction=0.2, msg_small_fraction=0.9)
-        sched.submit(job)
-        decision = CloudBurstPolicy(wait_threshold=1.0).evaluate(sched, job)
-        assert not decision.burst and "latency-sensitive" in decision.reason
-
-    def test_suitable_job_bursts_with_cost(self):
-        sched = self._saturated()
-        job = make_job(2, cores=8, runtime=7200.0, comm_fraction=0.05)
-        sched.submit(job)
-        policy = CloudBurstPolicy(wait_threshold=1.0)
-        decision = policy.evaluate(sched, job)
-        assert decision.burst
-        assert decision.predicted_cost_usd > 0
-        assert policy.nodes_for(make_job(9, cores=32)) == 2
-
-    def test_apply_removes_from_queue(self):
-        sched = self._saturated()
-        job = make_job(2, cores=8, runtime=7200.0, comm_fraction=0.05)
-        sched.submit(job)
-        decisions = CloudBurstPolicy(wait_threshold=1.0).apply(sched, [job])
-        assert decisions[0].burst
-        assert job.state is JobState.BURSTED
-        assert job not in sched.queue
-
-    def test_spot_used_when_cheap(self):
-        sched = self._saturated()
-        job = make_job(2, cores=8, runtime=7200.0, comm_fraction=0.05)
-        sched.submit(job)
-        market = SpotMarket(seed=4, anchor_fraction=0.2, volatility=0.0)
-        policy = CloudBurstPolicy(wait_threshold=1.0, spot_market=market)
-        decision = policy.evaluate(sched, job)
-        assert decision.burst and decision.use_spot
 
 
 class TestPredictor:
@@ -232,3 +96,34 @@ class TestArriveF:
         results = throughput_experiment(n_jobs=30, seed=1)
         assert results["mean_turnaround_naive"] > 0
         assert results["mean_turnaround_arrivef"] > 0
+
+
+class TestCloudBurstPolicy:
+    """Where ARRIVE-F lets a job burst to the commodity or cloud tier:
+    communication-bound and latency-sensitive jobs end on the HPC tier."""
+
+    def _profile(self, comm, small):
+        return OnlineProfile(comm_fraction=comm, small_msg_fraction=small,
+                             mem_boundedness=0.3, mean_msg_bytes=1024.0)
+
+    def test_comm_bound_jobs_refused(self):
+        farm = ArriveF([(DCC, 16), (VAYU, 16)], reference=VAYU, relocation=True)
+        short = FarmJob(1, 16, 600.0, 0.0, self._profile(comm=0.05, small=0.1))
+        comm_bound = FarmJob(2, 16, 7200.0, 0.0, self._profile(comm=0.6, small=0.5))
+        farm.run([short, comm_bound])
+        # Vayu is full at submission, so the job starts on DCC and moves
+        # back once Vayu frees, finishing well before a DCC-only run.
+        assert comm_bound.start_time == 0.0
+        assert comm_bound.migrated and comm_bound.platform_name == "Vayu"
+        on_dcc = farm.predictor.predict(comm_bound.profile, 7200.0, DCC)
+        assert comm_bound.finish_time < on_dcc
+
+    def test_latency_sensitive_jobs_refused(self):
+        farm = [(EC2, 32), (DCC, 32), (VAYU, 32)]
+        naive_job = FarmJob(1, 8, 3600.0, 0.0, self._profile(comm=0.2, small=0.9))
+        smart_job = FarmJob(1, 8, 3600.0, 0.0, self._profile(comm=0.2, small=0.9))
+        ArriveF(farm, reference=VAYU, relocation=False).run([naive_job])
+        ArriveF(farm, reference=VAYU, relocation=True).run([smart_job])
+        assert naive_job.platform_name == "EC2"
+        assert smart_job.platform_name == "Vayu"
+        assert smart_job.finish_time < naive_job.finish_time

@@ -235,6 +235,33 @@ class TestDotDirectories:
         assert [n for n in names if worker_fingerprint(n) is None] == []
 
 
+class TestMeasuredPath:
+    def test_every_package_is_reached_by_a_worker(self):
+        """Each package under ``repro`` holds a module in some registered
+        worker's closure: a package no cell reaches is dead weight on
+        the measured path, so it is deleted rather than kept."""
+        import repro
+
+        index = ModuleIndex.default()
+        reached = {
+            module
+            for worker in index.workers()
+            for module in worker_closure(worker, index).modules
+        }
+        root = pathlib.Path(repro.__file__).parent
+        packages = sorted(
+            ".".join(("repro", *init.parent.relative_to(root).parts))
+            for init in root.rglob("__init__.py")
+            if "__pycache__" not in init.parts
+        )
+        unreached = [
+            package.removeprefix("repro.") for package in packages
+            if not any(m == package or m.startswith(package + ".")
+                       for m in reached)
+        ]
+        assert unreached == []
+
+
 # ---------------------------------------------------------------------------
 # Fingerprint semantics
 # ---------------------------------------------------------------------------

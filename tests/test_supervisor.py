@@ -26,7 +26,7 @@ import time
 
 import pytest
 
-from repro.errors import CellExecutionError, ConfigError, VerificationError
+from repro.errors import CellExecutionError, ConfigError, SimulationError
 from repro.harness import parallel
 from repro.config import Run, RunConfig
 from repro.harness.cellstore import STORE_VERSION, CellStore
@@ -71,7 +71,7 @@ def _sup_raise(x):
 
 @cell_worker("sup_raise_repro")
 def _sup_raise_repro(x):
-    raise VerificationError(f"deterministic failure {x}")
+    raise SimulationError(f"deterministic failure {x}")
 
 
 @cell_worker("sup_hang")
@@ -230,7 +230,7 @@ class TestSupervisedExecution:
         )
         err = report.failures[(1,)]
         assert err.attempts == 1          # deterministic error: no retry
-        assert "VerificationError" in err.detail
+        assert "SimulationError" in err.detail
 
     def test_hung_cell_times_out_and_sweep_survives(self):
         cells = [Cell(("hang",), "sup_hang", (0,))] + [
