@@ -28,10 +28,6 @@ class CallStats:
         self.count = 0
         self.time = 0.0
 
-    def add(self, duration: float) -> None:
-        self.count += 1
-        self.time += duration
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<CallStats n={self.count} t={self.time:.6g}>"
 
@@ -76,10 +72,15 @@ class RankProfile:
         self.regions: dict[str, RegionStats] = {GLOBAL_REGION: RegionStats(GLOBAL_REGION)}
         self._stack: list[RegionStats] = []
         self.finish_time = 0.0
-        #: Bumped on every region enter/exit.  External caches of
-        #: :meth:`_targets`-derived buckets (the collective fast path)
-        #: key on it so a region change invalidates them.
-        self._stack_version = 0
+        #: ``open region names -> {(call, nbytes): CallStats per target}``.
+        #: A stack's buckets are resolved once and reused whenever the
+        #: same regions are open again (every timestep of a steady loop).
+        #: Buckets are never replaced once created, so a cached entry
+        #: always names the live objects.
+        self._bucket_cache: dict[
+            tuple[str, ...], dict[tuple[str, int], tuple[CallStats, ...]]
+        ] = {}
+        self._restack()
 
     # -- region management -------------------------------------------------
     def region(self, name: str) -> RegionStats:
@@ -98,7 +99,7 @@ class RankProfile:
             raise ConfigError(f"region {name!r} re-entered on rank {self.rank}")
         stats._entered_at = now
         self._stack.append(stats)
-        self._stack_version += 1
+        self._restack()
 
     def exit(self, name: str, now: float) -> None:
         if not self._stack or self._stack[-1].name != name:
@@ -108,38 +109,45 @@ class RankProfile:
                 f"top of stack is {top!r}"
             )
         stats = self._stack.pop()
-        self._stack_version += 1
+        self._restack()
         assert stats._entered_at is not None
         stats.wall_time += now - stats._entered_at
         stats._entered_at = None
 
-    def _targets(self) -> tuple[RegionStats, ...]:
-        """Buckets a sample is charged to: every open region + global.
+    def _restack(self) -> None:
+        """Re-resolve what a sample is charged to after the stack moved.
 
-        Charging the whole stack lets an enclosing region (``ATM_STEP``)
-        report totals that include its phase sub-regions, as the paper's
-        per-section analysis does.
+        The targets are every open region + global: charging the whole
+        stack lets an enclosing region (``ATM_STEP``) report totals that
+        include its phase sub-regions, as the paper's per-section
+        analysis does.
         """
-        if self._stack:
-            return (*self._stack, self.regions[GLOBAL_REGION])
-        return (self.regions[GLOBAL_REGION],)
+        self._targets = (*self._stack, self.regions[GLOBAL_REGION])
+        names = tuple(stats.name for stats in self._stack)
+        self._buckets = self._bucket_cache.setdefault(names, {})
 
     # -- sample recording ----------------------------------------------------
     def record_mpi(self, call: str, nbytes: int, duration: float) -> None:
-        key = CallKey(call, nbytes)
-        for stats in self._targets():
-            bucket = stats.mpi.get(key)
-            if bucket is None:
-                bucket = CallStats()
-                stats.mpi[key] = bucket
-            bucket.add(duration)
+        buckets = self._buckets.get((call, nbytes))
+        if buckets is None:
+            key = CallKey(call, nbytes)
+            resolved = []
+            for stats in self._targets:
+                bucket = stats.mpi.get(key)
+                if bucket is None:
+                    bucket = stats.mpi[key] = CallStats()
+                resolved.append(bucket)
+            buckets = self._buckets[call, nbytes] = tuple(resolved)
+        for bucket in buckets:
+            bucket.count += 1
+            bucket.time += duration
 
     def record_compute(self, duration: float) -> None:
-        for stats in self._targets():
+        for stats in self._targets:
             stats.compute_time += duration
 
     def record_io(self, duration: float) -> None:
-        for stats in self._targets():
+        for stats in self._targets:
             stats.io_time += duration
 
     # -- snapshot / delta (iteration replay support) ---------------------------

@@ -13,12 +13,13 @@ of that gap by fast-forwarding whole collective *phases*:
 * **Closed-form completion** — the completing rank computes the phase's
   absolute completion time arithmetically and pre-triggers the shared
   event for that instant (:meth:`~repro.sim.events.Event.schedule_at`,
-  the same machinery behind ``Engine.wake_at`` / iteration replay):
-  one heap entry per collective instead of a timeout + trigger pair.
+  the same machinery behind ``Engine.wake_at`` / iteration replay, and
+  the per-operation path): one heap entry per collective.
 * **Cached phase pricing** — the context, the per-``(memo_key, nbytes)``
-  duration, the per-rank compute cost and the IPM accounting buckets of
-  a steady phase are all cached per communicator, so the steady loop
-  reduces to dictionary hits and two heap entries per iteration.
+  duration and the per-rank compute cost of a steady phase are all
+  cached per communicator (IPM buckets are cached by the profile
+  itself), so the steady loop reduces to dictionary hits and two heap
+  entries per iteration.
 * **Batched same-phase dispatch** — when every rank of a communicator
   wakes and re-sleeps in lockstep (the compute/collective cadence of the
   NPB kernels), the engine coalesces the identical same-instant sleeps
@@ -54,11 +55,10 @@ import typing as _t
 
 from repro.config import collect_report, world_options, world_scope
 from repro.errors import ConfigError, MpiError
-from repro.ipm.monitor import CallKey
 from repro.perf.replay import perturbation_reason
 
 if _t.TYPE_CHECKING:  # pragma: no cover
-    from repro.ipm.monitor import CallStats, RankProfile
+    from repro.ipm.monitor import RankProfile
     from repro.sim.events import Event
     from repro.smpi.collectives.algorithms import CollectiveContext
     from repro.smpi.comm import Comm
@@ -131,13 +131,13 @@ class _CommCache:
 
     Everything here is a pure function of the communicator and the
     (engaged, draw-free) platform, so caching moves work earlier without
-    changing any value: the context is constant after placement, a
+    changing any value: the context is constant after placement and a
     ``(memo_key, nbytes)`` duration is exactly what the memo would
-    return, and the IPM buckets are the same objects ``record_mpi``
-    would look up (invalidated by the profile's region-stack version).
+    return.  IPM buckets need no cache here: ``RankProfile.record_mpi``
+    already resolves them once per region stack.
     """
 
-    __slots__ = ("size", "group", "profiles", "ctx", "durations", "buckets", "state", "primed")
+    __slots__ = ("size", "group", "profiles", "ctx", "durations", "state", "primed")
 
     def __init__(self, size: int, group: list[int], profiles: list["RankProfile"],
                  ctx: "CollectiveContext") -> None:
@@ -147,9 +147,6 @@ class _CommCache:
         self.ctx = ctx
         #: ``(memo_key, nbytes) -> duration`` — the phase-pricing cache.
         self.durations: dict[tuple[_t.Hashable, float], float] = {}
-        #: ``(call name, int nbytes) -> [per-local-rank (stack version,
-        #: tuple of CallStats) | None]`` — the IPM accounting fast path.
-        self.buckets: dict[tuple[str, int], list] = {}
         #: The collective currently in flight (at most one per comm: a
         #: phase completes, synchronously, before any rank can enter the
         #: next one).
@@ -216,7 +213,7 @@ class FastCollect:
         Identical per-rank wake times and IPM counters, two orders less
         bookkeeping: the completing rank prices the phase from the
         per-comm duration cache and pre-triggers the shared event for
-        the absolute completion instant — no ``call_at`` timeout, no
+        the absolute completion instant — no sanitizer hook, no
         per-operation context rebuild, no memo walk on steady state.
 
         ``null_ok`` marks finishers that map all-``None`` contributions
@@ -275,30 +272,7 @@ class FastCollect:
             self.fast_ops += 1
 
         results = yield phase.event
-        duration = eng.now - arrival
-        # IPM fast record: reuse the CallStats buckets resolved on the
-        # first occurrence of (call, size) for this rank, as long as the
-        # rank's region stack hasn't changed since.
-        n_int = int(nbytes)
-        profile = cache.profiles[my_local]
-        version = profile._stack_version
-        bkey = (name, n_int)
-        entry = cache.buckets.get(bkey)
-        if entry is None:
-            entry = [None] * cache.size
-            cache.buckets[bkey] = entry
-        cached = entry[my_local]
-        if cached is not None and cached[0] == version:
-            for bucket in cached[1]:
-                bucket.count += 1
-                bucket.time += duration
-        else:
-            profile.record_mpi(name, n_int, duration)
-            ck = CallKey(name, n_int)
-            entry[my_local] = (
-                version,
-                tuple(stats.mpi[ck] for stats in profile._targets()),
-            )
+        cache.profiles[my_local].record_mpi(name, int(nbytes), eng.now - arrival)
         return results.get(my_local) if results else None
 
     # -- compute pricing ----------------------------------------------------

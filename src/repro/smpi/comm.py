@@ -101,36 +101,37 @@ class Comm:
         NUMA-masking stalls on virtualised platforms.
         """
         world = self.world
+        rank = self.group[self.rank]
         fc = world.fastcollect
         if fc is not None and fc.active:
-            duration = fc.compute_seconds(
-                self.world_rank, flops, mem_bytes, working_set, access
-            )
+            duration = fc.compute_seconds(rank, flops, mem_bytes, working_set, access)
         else:
             duration = world.platform.compute_seconds(
-                self.world_rank, flops, mem_bytes, working_set, access
+                rank, flops, mem_bytes, working_set, access
             )
-        t0 = self.engine.now
+        t0 = world.engine.now
         if duration > 0:
             yield duration
-        world.monitor[self.world_rank].record_compute(duration)
-        world.record_interval(self.world_rank, t0, t0 + duration, "compute", "compute")
+        world.monitor.profiles[rank].record_compute(duration)
+        if world.timeline is not None:
+            world.timeline.record(rank, t0, t0 + duration, "compute", "compute")
         return duration
 
     def delay(self, seconds: float, account: str = "compute") -> _t.Generator:
         """Spend a fixed amount of virtual time (``account``: compute|io)."""
         if seconds < 0:
             raise MpiError(f"negative delay: {seconds}")
+        if account not in ("compute", "io"):
+            raise MpiError(f"delay account must be 'compute' or 'io', got {account!r}")
         t0 = self.engine.now
         if seconds > 0:
             yield seconds
         profile = self.world.monitor[self.world_rank]
-        kind = "io" if account == "io" else "compute"
         if account == "io":
             profile.record_io(seconds)
         else:
             profile.record_compute(seconds)
-        self.world.record_interval(self.world_rank, t0, t0 + seconds, kind, "delay")
+        self.world.record_interval(self.world_rank, t0, t0 + seconds, account, "delay")
         return seconds
 
     def io_read(self, nbytes: float, concurrent: int | None = None) -> _t.Generator:
@@ -235,26 +236,32 @@ class Comm:
 
     def wait(self, request: Request, _call: str | None = None) -> _t.Generator:
         """Block until ``request`` completes; returns the Message for recvs."""
-        t0 = self.engine.now
+        world = self.world
+        t0 = world.engine.now
         value = yield request.event
-        call = _call or ("MPI_Wait")
+        call = _call or "MPI_Wait"
         nbytes = value.nbytes if isinstance(value, Message) else request.nbytes
-        self.world.monitor[self.world_rank].record_mpi(call, nbytes, self.engine.now - t0)
-        self.world.record_interval(self.world_rank, t0, self.engine.now, "mpi", call)
+        rank = self.group[self.rank]
+        now = world.engine.now
+        world.monitor.profiles[rank].record_mpi(call, nbytes, now - t0)
+        if world.timeline is not None:
+            world.timeline.record(rank, t0, now, "mpi", call)
         return value
 
     def waitall(self, requests: _t.Sequence[Request]) -> _t.Generator:
         """Block until every request completes; returns their values."""
-        t0 = self.engine.now
-        values = yield self.engine.all_of([r.event for r in requests])
+        world = self.world
+        t0 = world.engine.now
+        values = yield world.engine.all_of([r.event for r in requests])
         nbytes = sum(
             v.nbytes if isinstance(v, Message) else r.nbytes
             for v, r in zip(values, requests)
         )
-        self.world.monitor[self.world_rank].record_mpi(
-            "MPI_Waitall", nbytes, self.engine.now - t0
-        )
-        self.world.record_interval(self.world_rank, t0, self.engine.now, "mpi", "MPI_Waitall")
+        rank = self.group[self.rank]
+        now = world.engine.now
+        world.monitor.profiles[rank].record_mpi("MPI_Waitall", nbytes, now - t0)
+        if world.timeline is not None:
+            world.timeline.record(rank, t0, now, "mpi", "MPI_Waitall")
         return values
 
     def send(
@@ -262,23 +269,27 @@ class Comm:
     ) -> _t.Generator:
         """Blocking send."""
         req = self.isend(dest, nbytes, tag, payload)
-        t0 = self.engine.now
+        world = self.world
+        t0 = world.engine.now
         yield req.event
-        self.world.monitor[self.world_rank].record_mpi(
-            "MPI_Send", nbytes, self.engine.now - t0
-        )
-        self.world.record_interval(self.world_rank, t0, self.engine.now, "mpi", "MPI_Send")
+        rank = self.group[self.rank]
+        now = world.engine.now
+        world.monitor.profiles[rank].record_mpi("MPI_Send", nbytes, now - t0)
+        if world.timeline is not None:
+            world.timeline.record(rank, t0, now, "mpi", "MPI_Send")
         return None
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> _t.Generator:
         """Blocking receive; returns the delivered :class:`Message`."""
         req = self.irecv(source, tag)
-        t0 = self.engine.now
+        world = self.world
+        t0 = world.engine.now
         msg: Message = yield req.event
-        self.world.monitor[self.world_rank].record_mpi(
-            "MPI_Recv", msg.nbytes, self.engine.now - t0
-        )
-        self.world.record_interval(self.world_rank, t0, self.engine.now, "mpi", "MPI_Recv")
+        rank = self.group[self.rank]
+        now = world.engine.now
+        world.monitor.profiles[rank].record_mpi("MPI_Recv", msg.nbytes, now - t0)
+        if world.timeline is not None:
+            world.timeline.record(rank, t0, now, "mpi", "MPI_Recv")
         return msg
 
     def sendrecv(
@@ -293,13 +304,15 @@ class Comm:
         """Simultaneous send+receive (the halo-exchange workhorse)."""
         rreq = self.irecv(source, recv_tag)
         sreq = self.isend(dest, send_bytes, send_tag, payload)
-        t0 = self.engine.now
-        values = yield self.engine.all_of([rreq.event, sreq.event])
+        world = self.world
+        t0 = world.engine.now
+        values = yield world.engine.all_of([rreq.event, sreq.event])
         msg: Message = values[0]
-        self.world.monitor[self.world_rank].record_mpi(
-            "MPI_Sendrecv", send_bytes + msg.nbytes, self.engine.now - t0
-        )
-        self.world.record_interval(self.world_rank, t0, self.engine.now, "mpi", "MPI_Sendrecv")
+        rank = self.group[self.rank]
+        now = world.engine.now
+        world.monitor.profiles[rank].record_mpi("MPI_Sendrecv", send_bytes + msg.nbytes, now - t0)
+        if world.timeline is not None:
+            world.timeline.record(rank, t0, now, "mpi", "MPI_Sendrecv")
         return msg
 
     # -- collectives -------------------------------------------------------------------

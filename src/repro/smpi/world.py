@@ -132,6 +132,8 @@ class MpiWorld:
         self.mailboxes = [Store(self.engine, f"mbox{r}") for r in range(nprocs)]
         self.memo = memo if memo is not None else default_memo()
         self._coll_states: dict[tuple[int, str, int], _CollState] = {}
+        #: ``comm_id -> (occupied nodes, max ranks per node)``.
+        self._comm_shapes: dict[int, tuple[int, int]] = {}
         self._next_comm_id = 1
         # Imported lazily: repro.analysis pulls in the linter, which in
         # turn reads the collective registry from this package.
@@ -396,30 +398,41 @@ class MpiWorld:
             results = (
                 finisher(state.contributions) if finisher is not None else {}
             )
-            eng.call_at(completion, lambda: state.event.succeed(results))
+            # Pre-trigger the shared event for its completion instant:
+            # one heap entry, landing where a ``timeout(completion - now)``
+            # would (the same ``now + (completion - now)`` float round trip).
+            now = eng.now
+            state.event.schedule_at(now + (completion - now), results)
 
         results = yield state.event
-        duration = eng.now - arrival
+        now = eng.now
         world_rank = comm.group[my_local]
-        self.monitor[world_rank].record_mpi(name, int(nbytes), duration)
-        self.record_interval(world_rank, arrival, eng.now, "mpi", name)
+        self.monitor.profiles[world_rank].record_mpi(name, int(nbytes), now - arrival)
+        if self.timeline is not None:
+            self.timeline.record(world_rank, arrival, now, "mpi", name)
         return results.get(my_local) if results else None
 
     def _collective_context(self, comm: "Comm") -> CollectiveContext:
-        topo = self.platform.topology
+        platform = self.platform
         group = comm.group
-        hv = self.platform.hypervisor
-        nnodes = topo.occupied_nodes(group)
-        extra = self.platform.net_extra_latency() if nnodes > 1 else 0.0
+        # Placement is fixed for the life of a world, so a communicator's
+        # node shape is resolved once; the latency draw stays per instance.
+        shape = self._comm_shapes.get(comm.comm_id)
+        if shape is None:
+            topo = platform.topology
+            shape = (topo.occupied_nodes(group), topo.max_ranks_per_node(group))
+            self._comm_shapes[comm.comm_id] = shape
+        nnodes, rpn = shape
+        extra = platform.net_extra_latency() if nnodes > 1 else 0.0
         return CollectiveContext(
             p=len(group),
             nnodes=nnodes,
-            rpn=topo.max_ranks_per_node(group),
-            net=self.platform.spec.fabric,
-            shm=self.platform.spec.shm,
+            rpn=rpn,
+            net=platform.spec.fabric,
+            shm=platform.spec.shm,
             extra_latency=extra,
-            net_bw_factor=hv.net_bw_factor(),
-            shm_bw_factor=self.platform.worst_shm_pressure(),
+            net_bw_factor=platform.hypervisor.net_bw_factor(),
+            shm_bw_factor=platform.worst_shm_pressure(),
         )
 
     # -- launching ----------------------------------------------------------------

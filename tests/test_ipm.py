@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError
 from repro.ipm import (
@@ -256,3 +258,239 @@ class TestExportRoundTrip:
         # Region-scoped totals only count that region's calls.
         solve = totals_by_call(mon, "solve")
         assert solve == {"MPI_Allreduce": pytest.approx(2 * 0.03)}
+
+
+# ---------------------------------------------------------------------------
+# The cached accounting against an uncached reference
+# ---------------------------------------------------------------------------
+
+
+class _RefRegion:
+    def __init__(self):
+        self.wall = 0.0
+        self.compute = 0.0
+        self.io = 0.0
+        self.entered = None
+        self.mpi = {}  # (call, nbytes) -> [count, time]
+
+
+class _ReferenceProfile:
+    """Uncached accounting: resolves every target and bucket per call."""
+
+    def __init__(self):
+        self.regions = {GLOBAL_REGION: _RefRegion()}
+        self.stack = []
+
+    def _targets(self):
+        return [self.regions[n] for n in self.stack] + [self.regions[GLOBAL_REGION]]
+
+    def enter(self, name, now):
+        region = self.regions.setdefault(name, _RefRegion())
+        region.entered = now
+        self.stack.append(name)
+
+    def exit(self, name, now):
+        region = self.regions[self.stack.pop()]
+        region.wall += now - region.entered
+        region.entered = None
+
+    def record_mpi(self, call, nbytes, duration):
+        for region in self._targets():
+            bucket = region.mpi.setdefault((call, nbytes), [0, 0.0])
+            bucket[0] += 1
+            bucket[1] += duration
+
+    def record_compute(self, duration):
+        for region in self._targets():
+            region.compute += duration
+
+    def record_io(self, duration):
+        for region in self._targets():
+            region.io += duration
+
+    def apply_delta(self, name, dw, dc, dio, key, dcount, dtime):
+        region = self.regions.setdefault(name, _RefRegion())
+        region.wall += dw
+        region.compute += dc
+        region.io += dio
+        bucket = region.mpi.setdefault(key, [0, 0.0])
+        bucket[0] += dcount
+        bucket[1] += dtime
+
+
+def _replay_ops(ops):
+    """Drive a RankProfile and the reference through ``ops``; skip ops
+    that would be invalid (entering an open region, exiting an empty
+    stack), so any drawn sequence is a legal program."""
+    prof = IpmMonitor(1)[0]
+    ref = _ReferenceProfile()
+    now = 0.0
+    for op in ops:
+        now += 0.25
+        kind = op[0]
+        if kind == "enter":
+            if op[1] in ref.stack:
+                continue
+            prof.enter(op[1], now)
+            ref.enter(op[1], now)
+        elif kind == "exit":
+            if not ref.stack:
+                continue
+            name = ref.stack[-1]
+            prof.exit(name, now)
+            ref.exit(name, now)
+        elif kind == "mpi":
+            prof.record_mpi(op[1], op[2], op[3])
+            ref.record_mpi(op[1], op[2], op[3])
+        elif kind == "compute":
+            prof.record_compute(op[1])
+            ref.record_compute(op[1])
+        elif kind == "io":
+            prof.record_io(op[1])
+            ref.record_io(op[1])
+        else:  # "delta"
+            _, name, dw, dc, dio, call, nbytes, dcount, dtime = op
+            prof.apply_delta(
+                {name: (dw, dc, dio, {CallKey(call, nbytes): (dcount, dtime)})}
+            )
+            ref.apply_delta(name, dw, dc, dio, (call, nbytes), dcount, dtime)
+    return prof, ref
+
+
+def _assert_same_accounting(prof, ref):
+    assert list(prof.regions) == list(ref.regions)
+    for name, expected in ref.regions.items():
+        stats = prof.regions[name]
+        assert stats.wall_time == expected.wall
+        assert stats.compute_time == expected.compute
+        assert stats.io_time == expected.io
+        # Same keys in the same insertion order, same counts, same floats.
+        assert [(k.call, k.nbytes) for k in stats.mpi] == list(expected.mpi)
+        for key, (count, time) in expected.mpi.items():
+            bucket = stats.mpi[CallKey(*key)]
+            assert (bucket.count, bucket.time) == (count, time)
+
+
+_names = st.sampled_from(["a", "b", "c"])
+_calls = st.sampled_from(["MPI_Allreduce", "MPI_Send"])
+_nbytes = st.sampled_from([4, 1024])
+_times = st.floats(min_value=0.0, max_value=1e3, allow_nan=False)
+_ops = st.one_of(
+    st.tuples(st.just("enter"), _names),
+    st.tuples(st.just("exit")),
+    st.tuples(st.just("mpi"), _calls, _nbytes, _times),
+    st.tuples(st.just("compute"), _times),
+    st.tuples(st.just("io"), _times),
+    st.tuples(
+        st.just("delta"), st.sampled_from(["a", "b", "c", "d"]), _times, _times,
+        _times, _calls, _nbytes, st.integers(min_value=0, max_value=5), _times,
+    ),
+)
+
+
+class TestCachedAccounting:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_ops, min_size=10, max_size=80))
+    def test_matches_uncached_reference(self, ops):
+        _assert_same_accounting(*_replay_ops(ops))
+
+    def test_scripted_stack_changes(self):
+        ops = [
+            ("enter", "a"), ("enter", "b"),
+            ("mpi", "MPI_Allreduce", 4, 0.1),
+            # After the inner region exits, only "a" and global are charged.
+            ("exit",), ("mpi", "MPI_Allreduce", 4, 0.2), ("compute", 0.3),
+            # Re-entering a seen stack reuses its resolved buckets.
+            ("enter", "b"), ("mpi", "MPI_Allreduce", 4, 0.4), ("io", 0.5),
+            # A key first created by apply_delta, then recorded into.
+            ("delta", "b", 0.0, 0.0, 0.0, "MPI_Send", 1024, 2, 0.6),
+            ("mpi", "MPI_Send", 1024, 0.7),
+            ("exit",), ("exit",), ("mpi", "MPI_Send", 1024, 0.8),
+            # A different stack of the same depth gets buckets of its own.
+            ("enter", "c"), ("mpi", "MPI_Allreduce", 4, 0.9), ("exit",),
+        ]
+        prof, ref = _replay_ops(ops)
+        _assert_same_accounting(prof, ref)
+        send = CallKey("MPI_Send", 1024)
+        assert prof.regions["b"].mpi[send].count == 3
+        assert prof.regions["a"].mpi[send].count == 1
+        assert prof.total.mpi[send].count == 2
+        allreduce = CallKey("MPI_Allreduce", 4)
+        assert prof.regions["b"].mpi[allreduce].count == 2
+        assert prof.regions["c"].mpi[allreduce].count == 1
+        assert prof.regions["a"].mpi[allreduce].count == 3
+        assert prof.regions["a"].compute_time == 0.3
+        assert prof.regions["b"].compute_time == 0.0
+
+    def test_class_level_wrappers_see_every_call(self, monkeypatch):
+        """Per-call instrumentation patched onto the classes (as an
+        outside tracer does) observes every MPI and compute sample."""
+        from repro.apps.metum import MetumBenchmark
+        from repro.ipm.monitor import RankProfile
+        from repro.platforms import VAYU
+        from repro.platforms.base import Platform
+        from repro.smpi.comm import Comm
+
+        counts = {"record_mpi": 0, "compute_seconds": 0, "compute": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            RankProfile, "record_mpi", counted("record_mpi", RankProfile.record_mpi)
+        )
+        monkeypatch.setattr(
+            Platform, "compute_seconds",
+            counted("compute_seconds", Platform.compute_seconds),
+        )
+        monkeypatch.setattr(Comm, "compute", counted("compute", Comm.compute))
+        result = MetumBenchmark(sim_steps=1).run(VAYU, 8, seed=1)
+        mon = result.monitor
+        assert counts["record_mpi"] == sum(p.total.mpi_calls for p in mon.profiles) > 0
+        assert counts["compute_seconds"] == counts["compute"] > 0
+
+
+# ---------------------------------------------------------------------------
+# Conservation: every second of a rank is compute, MPI or I/O
+# ---------------------------------------------------------------------------
+
+
+def _paper_world(app, platform):
+    if app == "metum":
+        from repro.apps.metum import MetumBenchmark
+
+        return MetumBenchmark(sim_steps=1).run(platform, 8, seed=1).monitor
+    if app == "chaste":
+        from repro.apps.chaste import ChasteBenchmark
+
+        return ChasteBenchmark(sim_steps=2).run(platform, 8, seed=1).monitor
+    from repro.npb import get_benchmark
+
+    return get_benchmark(app, "B", sim_iters=2).run(platform, 8, seed=1).monitor
+
+
+class TestConservation:
+    @pytest.mark.parametrize("platform", ["DCC", "EC2", "Vayu"])
+    @pytest.mark.parametrize(
+        "app", ["metum", "chaste", "cg", "ep", "ft", "is", "mg", "lu"]
+    )
+    def test_time_is_conserved_per_rank(self, app, platform):
+        from repro.platforms import get_platform
+
+        mon = _paper_world(app, get_platform(platform))
+        for prof in mon.profiles:
+            total = prof.total
+            parts = total.compute_time + total.mpi_time + total.io_time
+            assert total.wall_time > 0
+            assert abs(parts - total.wall_time) <= 1e-12 * total.wall_time
+            for name, stats in prof.regions.items():
+                if name == GLOBAL_REGION:
+                    continue
+                used = stats.compute_time + stats.mpi_time + stats.io_time
+                assert used <= stats.wall_time * (1 + 1e-12), name
+                assert stats.mpi_time <= total.mpi_time, name
+                assert stats.compute_time <= total.compute_time, name

@@ -365,6 +365,24 @@ class TestIpmIntegration:
         io = mon[0].regions["io"]
         assert io.io_time > 0 and io.compute_time == 0
 
+    def test_delay_accounts_to_compute_or_io(self):
+        def prog(comm):
+            yield from comm.delay(1.0)
+            yield from comm.delay(2.0, account="io")
+            return None
+
+        total = run_program(VAYU, 2, prog).monitor[0].total
+        assert (total.compute_time, total.io_time) == (1.0, 2.0)
+
+    @pytest.mark.parametrize("account", ["IO", "comm", ""])
+    def test_delay_rejects_unknown_account(self, account):
+        def prog(comm):
+            yield from comm.delay(1.0, account=account)
+            return None
+
+        with pytest.raises(MpiError, match="account"):
+            run_program(VAYU, 2, prog)
+
     def test_ksp_style_call_histogram(self):
         """All-reduce message sizes are recorded, enabling the paper's
         'entirely 4-byte all-reduces' style of statement."""
