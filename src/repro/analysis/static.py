@@ -24,6 +24,10 @@ that the content-addressed result cache (ROADMAP item 1) requires:
   ``code fingerprint``: the cell-store key component that ties a stored
   result to the exact code that produced it (``repro fingerprint``,
   :mod:`repro.harness.cellstore`).
+* **Persisted tables** — a cell store keeps every worker's fingerprint
+  in ``<store>/fingerprints/<digest>.json``, keyed by a hash of the
+  package's exact source bytes (:func:`stored_fingerprint_table`), so a
+  run against a warm store hashes files instead of parsing them.
 * **Interprocedural hazard propagation** — the deep linter rules
   (DET007–DET011, :mod:`repro.analysis.lint`) run over every module a
   worker reaches, and each finding is attributed to the workers whose
@@ -45,11 +49,15 @@ from __future__ import annotations
 
 import ast
 import collections
+import contextlib
 import copy
 import dataclasses
 import hashlib
 import json
+import os
 import pathlib
+import re
+import sys
 import typing as _t
 
 from repro.analysis.lint import (
@@ -198,34 +206,70 @@ def _cell_worker_name(deco: ast.expr) -> str | None:
     return None
 
 
+def _package_root(
+    root: str | pathlib.Path | None, package: str | None
+) -> tuple[pathlib.Path, str]:
+    """``(root directory, dotted package name)``; the installed
+    :mod:`repro` package when ``root`` is None."""
+    if root is None:
+        import repro
+
+        root = pathlib.Path(repro.__file__).parent
+        package = package or "repro"
+    root = pathlib.Path(root)
+    if not root.is_dir():
+        raise ConfigError(f"package root {root} is not a directory")
+    return root, package or root.name
+
+
+def package_files(root: pathlib.Path) -> list[pathlib.PurePath]:
+    """Every file :class:`ModuleIndex` indexes under ``root``, as sorted
+    paths relative to it.
+
+    The filter is on the path below the root: the root itself may sit
+    under a dot-directory (``.venv/``, a hidden worktree).
+    """
+    return sorted(
+        rel for rel in (f.relative_to(root) for f in root.rglob("*.py"))
+        if "__pycache__" not in rel.parts
+        and not any(part.startswith(".") for part in rel.parts)
+    )
+
+
+#: ``(relative path, exact bytes)`` of files to index, in listing order.
+_Sources = _t.Iterable[tuple[pathlib.PurePath, "bytes | memoryview"]]
+
+
+def package_sources(root: pathlib.Path) -> _Sources:
+    """``(relative path, bytes)`` of each of :func:`package_files`, each
+    file read once, when it is reached."""
+    for rel in package_files(root):
+        yield rel, (root / rel).read_bytes()
+
+
 class ModuleIndex:
     """Streaming AST index of every module under one package root.
 
     ``root`` is the package directory (default: the installed
-    :mod:`repro` package) and ``package`` its dotted import name.  The
-    index never imports the code it describes.  Each module is parsed
-    once and summarised — one :class:`Definition` per top-level
-    definition, its semantic hash taken there and then — and its tree is
-    dropped, so closures and fingerprints never touch an AST.  Files
-    that fail to parse are kept with no definitions.
+    :mod:`repro` package) and ``package`` its dotted import name;
+    ``sources`` optionally pins the exact bytes to index, else each of
+    :func:`package_sources` is read as it is reached.  The index never
+    imports the code it describes.  Each module is parsed once and
+    summarised — one :class:`Definition` per top-level definition, its
+    semantic hash taken there and then — and its tree is dropped, so
+    closures and fingerprints never touch an AST.  Files that fail to
+    parse are kept with no definitions.
     """
 
     def __init__(
         self,
         root: str | pathlib.Path | None = None,
         package: str | None = None,
+        sources: _Sources | None = None,
     ) -> None:
-        if root is None:
-            import repro
-
-            root = pathlib.Path(repro.__file__).parent
-            package = package or "repro"
-        self.root = pathlib.Path(root)
-        if not self.root.is_dir():
-            raise ConfigError(f"package root {self.root} is not a directory")
-        self.package = package or self.root.name
+        self.root, self.package = _package_root(root, package)
         self.modules: dict[str, _Module] = {}
-        self._load()
+        self._load(package_sources(self.root) if sources is None else sources)
 
     _default: _t.ClassVar["ModuleIndex | None"] = None
 
@@ -238,25 +282,22 @@ class ModuleIndex:
 
     @classmethod
     def reset_default(cls) -> None:
-        """Drop the cached default index (tests, editable installs)."""
+        """Drop the cached default index and fingerprint tables (tests,
+        editable installs)."""
+        global _last_table
         cls._default = None
         _fingerprint_cache.clear()
+        _last_table = None
 
     # -- construction ------------------------------------------------------
-    def _load(self) -> None:
-        # Filter on the path below the root: the root itself may sit
-        # under a dot-directory (``.venv/``, a hidden worktree).
-        rels = sorted(
-            rel for rel in (f.relative_to(self.root)
-                            for f in self.root.rglob("*.py"))
-            if "__pycache__" not in rel.parts
-            and not any(part.startswith(".") for part in rel.parts)
-        )
-        for rel in rels:
-            mod = self._index_file(rel)
+    def _load(self, sources: _Sources) -> None:
+        for rel, data in sources:
+            mod = self._index_file(rel, data)
             self.modules[mod.name] = mod
 
-    def _index_file(self, rel: pathlib.PurePath) -> _Module:
+    def _index_file(
+        self, rel: pathlib.PurePath, data: "bytes | memoryview"
+    ) -> _Module:
         """Parse and summarise one file; its source and tree die on return,
         before the next file is parsed."""
         path = self.root / rel
@@ -265,7 +306,8 @@ class ModuleIndex:
         if not is_package:
             parts.append(rel.stem)
         mod = _Module(".".join(parts), path, is_package)
-        source = path.read_text(encoding="utf-8", errors="replace")
+        # The parser normalises newlines itself, as text-mode reads did.
+        source = str(data, "utf-8", "replace")
         try:
             tree = ast.parse(source, filename=str(path))
         except SyntaxError:
@@ -562,10 +604,11 @@ def worker_fingerprint(worker: str) -> str | None:
     available", so the store neither serves nor publishes that worker's
     cells — they always execute.
 
-    The first call fingerprints every static worker at once, from the
-    default index if one is cached and otherwise from a throwaway one: a
-    store run then carries a few strings through its simulation, not
-    the index.
+    A store fills the table from its persisted copy first
+    (:func:`use_fingerprint_table`).  Otherwise the first call
+    fingerprints every static worker at once, from the default index if
+    one is cached and otherwise from a throwaway one: a store run then
+    carries a few strings through its simulation, not the index.
     """
     if not _fingerprint_cache:
         try:
@@ -574,11 +617,154 @@ def worker_fingerprint(worker: str) -> str | None:
             return None  # no package directory to index (e.g. a zipimport)
         # Publish only a complete table: a part-filled one would answer
         # None for the workers still missing, bypassing the store silently.
-        _fingerprint_cache.update({
-            name: worker_closure(name, index).fingerprint
-            for name in sorted(index.workers())
-        })
+        _fingerprint_cache.update(fingerprint_table(index))
     return _fingerprint_cache.setdefault(worker, None)
+
+
+def fingerprint_table(index: ModuleIndex) -> dict[str, str]:
+    """Every static worker's code fingerprint over ``index``."""
+    return {
+        name: worker_closure(name, index).fingerprint
+        for name in sorted(index.workers())
+    }
+
+
+# ---------------------------------------------------------------------------
+# Persisted fingerprint tables
+# ---------------------------------------------------------------------------
+
+#: Joins every table digest: bump it when the table layout or what a
+#: fingerprint covers changes, and every old table stops being found.
+TABLE_VERSION = 1
+
+_HEX32 = re.compile(r"[0-9a-f]{32}")
+_HEX64 = re.compile(r"[0-9a-f]{64}")
+
+#: The last table this process read or built, as ``(digest, table)``.
+#: Keyed by the full digest, it stands in only for the very same bytes.
+_last_table: tuple[str, dict[str, str]] | None = None
+
+
+def sources_digest(package: str, sources: _Sources) -> str:
+    """sha256 over the table version, ``sys.version``, the package name
+    and the relative path and exact bytes of every indexed file, in
+    :func:`package_files` order.
+
+    Any byte edit to any indexed file moves it, this module included, so
+    a table can never outlive the code (or the interpreter whose
+    :func:`ast.dump` its fingerprints hash) it was built from.
+    """
+    digest = hashlib.sha256(
+        json.dumps([TABLE_VERSION, sys.version, package]).encode("utf-8")
+    )
+    for rel, data in sources:
+        digest.update(f"\0{rel.as_posix()}\0{len(data)}\0".encode("utf-8"))
+        digest.update(data)
+    return digest.hexdigest()
+
+
+def read_table(path: pathlib.Path) -> tuple[dict[str, str] | None, str | None]:
+    """``(workers, None)`` for a table file that may be served, else
+    ``(None, why not)``: it must be an object whose embedded digest
+    names the file, mapping worker names to 32-hex fingerprints."""
+    try:
+        data = json.loads(path.read_bytes())
+    except OSError as exc:
+        return None, f"unreadable ({exc.strerror})"
+    except (ValueError, RecursionError):
+        return None, "not valid JSON"
+    problem = _table_problem(data, path.name)
+    return (None, problem) if problem else (data["workers"], None)
+
+
+def _table_problem(data: _t.Any, name: str) -> str | None:
+    if not isinstance(data, dict) or set(data) != {"digest", "workers"}:
+        return "table is not an object of digest and workers"
+    digest, workers = data["digest"], data["workers"]
+    if not isinstance(digest, str) or not _HEX64.fullmatch(digest):
+        return "digest is not 64 lowercase hex chars"
+    if name != f"{digest}.json":
+        return "embedded digest does not match the file name"
+    if not isinstance(workers, dict) or not workers:
+        return "workers is not a non-empty object"
+    for worker, fingerprint in workers.items():
+        if not worker or not (
+            isinstance(fingerprint, str) and _HEX32.fullmatch(fingerprint)
+        ):
+            return f"fingerprint of {worker!r} is not 32 lowercase hex chars"
+    return None
+
+
+def _write_table(path: pathlib.Path, digest: str, table: dict[str, str]) -> None:
+    """Publish ``table`` at ``path`` whole or not at all: a tmp file is
+    written, then renamed over it.  Best effort: a store that cannot be
+    written still serves, it only builds the table again next run."""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    body = json.dumps({"digest": digest, "workers": table}, indent=1,
+                      sort_keys=True)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp.write_text(body + "\n", encoding="utf-8")
+        os.replace(tmp, path)
+    except OSError:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+
+
+def stored_fingerprint_table(
+    directory: str | pathlib.Path,
+    root: str | pathlib.Path | None = None,
+    package: str | None = None,
+) -> tuple[str, dict[str, str]]:
+    """``(digest, table)`` for the package at ``root`` (default: the
+    installed :mod:`repro`), served from ``<directory>/<digest>.json``.
+
+    Every indexed file is read once and hashed (:func:`sources_digest`).
+    A valid table under that digest is served as it is, and nothing is
+    parsed.  Otherwise the table is built from an index over those very
+    bytes, never from a cached index that may predate an edit, and
+    written only once complete, so a build that fails part-way writes
+    nothing.  A table :func:`read_table` refuses is rebuilt.
+    """
+    global _last_table
+    root, package = _package_root(root, package)
+    # Every file's bytes sit in one buffer, handed back to the system in
+    # one piece on return rather than left as holes in the heap.
+    blob, spans = bytearray(), []
+    for rel, data in package_sources(root):
+        spans.append((rel, len(blob), len(blob) + len(data)))
+        blob += data
+    view = memoryview(blob)
+    sources = [(rel, view[start:end]) for rel, start, end in spans]
+    digest = sources_digest(package, sources)
+    path = pathlib.Path(directory) / f"{digest}.json"
+    table = read_table(path)[0]
+    if table is None:
+        if _last_table is not None and _last_table[0] == digest:
+            table = _last_table[1]
+        else:
+            table = fingerprint_table(ModuleIndex(root, package, sources))
+        _write_table(path, digest, table)
+    _last_table = (digest, table)
+    return digest, table
+
+
+def use_fingerprint_table(directory: str | pathlib.Path) -> str | None:
+    """Serve :func:`worker_fingerprint` from the table persisted in
+    ``directory`` (a store's ``fingerprints/``), building and persisting
+    it there first if it is missing.
+
+    Returns the current tree's digest, or None when the package cannot
+    be indexed; :func:`worker_fingerprint` then answers as it would
+    without a store.
+    """
+    try:
+        digest, table = stored_fingerprint_table(directory)
+    except ConfigError:
+        return None
+    _fingerprint_cache.clear()
+    _fingerprint_cache.update(table)
+    return digest
 
 
 # ---------------------------------------------------------------------------

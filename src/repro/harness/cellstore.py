@@ -31,12 +31,22 @@ Storage layout
 An append-friendly sharded directory, safe for concurrent writers::
 
     <root>/cells/<first-two-hex-of-key>.jsonl
+    <root>/fingerprints/<source-digest>.json
 
 Each record is one self-contained JSON line appended with a single
 ``O_APPEND`` ``write`` and fsynced, so concurrent publishers on the
 same shard interleave whole records; readers tolerate torn records
 anywhere (a half-written line is skipped, never fatal).  Duplicate keys
 are resolved last-record-wins on read and compacted by ``gc``.
+
+``fingerprints/`` holds derived data: the worker fingerprint table of
+each source tree the store has served, keyed by a digest of the
+package's exact bytes (:func:`repro.analysis.static
+.stored_fingerprint_table`).  The first time a store needs a code it
+reads the table for the current tree, so a warm run parses nothing;
+any edit to an indexed file moves the digest, and the next run builds
+and writes a fresh table.  ``gc`` drops the tables of other trees;
+``stats``, ``export`` and ``import`` ignore them.
 
 Wiring
 ------
@@ -97,6 +107,15 @@ MISS = _Miss()
 
 _HEX_DIGITS = frozenset("0123456789abcdef")
 
+#: What :func:`decode_value` raises on a garbled typed encoding (a
+#: ``__tuple__`` that is not a list, a ``__dict__`` entry that is not a
+#: pair, an unhashable key).
+_DECODE_ERRORS = (TypeError, ValueError)
+
+#: What :func:`json.loads` raises on a line that is not a record: torn
+#: JSON, or nesting too deep for the decoder.
+_JSON_ERRORS = (json.JSONDecodeError, RecursionError)
+
 
 def _is_hex(value: _t.Any, length: int | None = None) -> bool:
     """Whether ``value`` is a lowercase hex string (of ``length`` chars)."""
@@ -122,13 +141,6 @@ def store_key(
         fields.append(faults)
     blob = json.dumps(fields, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def _worker_code(worker: str) -> str | None:
-    """Static code fingerprint of ``worker`` (None: no safe cache key)."""
-    from repro.analysis.static import worker_fingerprint
-
-    return worker_fingerprint(worker)
 
 
 def record_problem(rec: _t.Any) -> str | None:
@@ -160,9 +172,16 @@ def record_problem(rec: _t.Any) -> str | None:
     faults = rec.get("faults")
     if faults is not None and (not isinstance(faults, str) or not faults):
         return "fault schedule is not a non-empty string"
-    args = decode_value(rec["args"])
+    try:
+        args = decode_value(rec["args"])
+    except _DECODE_ERRORS:
+        return "args are not a typed encoding"
     if not isinstance(args, tuple):
         return "args do not decode to a tuple"
+    try:
+        decode_value(rec["result"])
+    except _DECODE_ERRORS:
+        return "result is not a typed encoding"
     if store_key(rec["worker"], args, rec["code"], faults) != rec["k"]:
         return "key does not re-derive from (worker, args, code, faults)"
     if payload_hash(rec["worker"], args) != rec["hash"]:
@@ -171,18 +190,15 @@ def record_problem(rec: _t.Any) -> str | None:
 
 
 def build_record(
-    worker: str, args: _t.Sequence[_t.Any], result: _t.Any,
+    worker: str, args: _t.Sequence[_t.Any], result: _t.Any, code: str,
     faults: str | None = None,
-) -> dict | None:
-    """The store record for one fresh result; None for uncacheable workers.
+) -> dict:
+    """The store record for one fresh result of code fingerprint ``code``.
 
     One construction site for every record, so any two publishers of
     the same result emit byte-identical record lines.  A result computed
     under a fault schedule records its spec (and is keyed by it).
     """
-    code = _worker_code(worker)
-    if code is None:
-        return None
     record = {
         "v": STORE_VERSION,
         "k": store_key(worker, args, code, faults),
@@ -244,7 +260,8 @@ class VerifyReport:
 
     ``problems`` are structural integrity failures (a parseable record
     whose key or hash does not re-derive, or that sits in the wrong
-    shard) — these fail the gate.  ``torn_lines`` are unparseable lines
+    shard, and a fingerprint table that could not be served) — these
+    fail the gate.  ``torn_lines`` are unparseable lines
     (the signature of a writer killed mid-append); tolerated by every
     reader, so they are reported but do not fail verification.
     """
@@ -277,6 +294,8 @@ class GcReport:
     dropped_malformed: int = 0
     dropped_unknown: int = 0
     dropped_torn: int = 0
+    #: fingerprint tables of source trees other than the current one
+    dropped_tables: int = 0
     dry_run: bool = False
 
     @property
@@ -293,7 +312,8 @@ class GcReport:
             f"store gc: kept {self.kept}, {verb} {self.dropped} "
             f"({self.dropped_stale} stale, {self.dropped_duplicate} duplicate, "
             f"{self.dropped_malformed} malformed, {self.dropped_unknown} "
-            f"unknown-worker, {self.dropped_torn} torn)"
+            f"unknown-worker, {self.dropped_torn} torn), "
+            f"{verb} {self.dropped_tables} stale fingerprint table(s)"
         )
 
 
@@ -381,6 +401,8 @@ class CellStore:
             raise ConfigError(f"lease TTL must be > 0: {lease_ttl}")
         self.lease_ttl = lease_ttl
         self._held: set[str] = set()
+        self._table_digest: str | None = None
+        self._tables_read = False
         self._owner = f"{socket.gethostname()}:{os.getpid()}:{id(self):x}"
 
     # -- paths ------------------------------------------------------------
@@ -392,11 +414,19 @@ class CellStore:
     def leases_dir(self) -> pathlib.Path:
         return self.root / "leases"
 
+    @property
+    def fingerprints_dir(self) -> pathlib.Path:
+        return self.root / "fingerprints"
+
     def shard_path(self, key: str) -> pathlib.Path:
         return self.cells_dir / f"{key[:SHARD_WIDTH]}.jsonl"
 
     def lease_path(self, key: str) -> pathlib.Path:
         return self.leases_dir / f"{key}.json"
+
+    def table_files(self) -> list[pathlib.Path]:
+        """All fingerprint tables, in name order (write tmp files aside)."""
+        return sorted(self.fingerprints_dir.glob("*.json"))
 
     def shard_files(self) -> list[pathlib.Path]:
         """All shard files, in deterministic (name) order."""
@@ -423,9 +453,28 @@ class CellStore:
                 continue
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError:
+            except _JSON_ERRORS:
                 rec = None
             yield lineno, line, rec
+
+    # -- code identities --------------------------------------------------
+    def _current_tables(self) -> str | None:
+        """Digest of the current source tree, after pointing the
+        fingerprint layer at this store's tables (once per instance);
+        None when the package cannot be indexed."""
+        if not self._tables_read:
+            from repro.analysis.static import use_fingerprint_table
+
+            self._table_digest = use_fingerprint_table(self.fingerprints_dir)
+            self._tables_read = True
+        return self._table_digest
+
+    def _code(self, worker: str) -> str | None:
+        """Static code fingerprint of ``worker`` (None: no safe cache key)."""
+        from repro.analysis import static
+
+        self._current_tables()
+        return static.worker_fingerprint(worker)
 
     # -- the hot path -----------------------------------------------------
     def _find(self, worker: str, args: _t.Sequence[_t.Any]) -> _t.Any:
@@ -437,9 +486,10 @@ class CellStore:
         A hit requires the full content address to match: key, worker,
         code fingerprint and payload hash — and a record of this
         :data:`STORE_VERSION`, so a newer (or garbled) layout is
-        re-simulated rather than misread.
+        re-simulated rather than misread; a record whose result does not
+        decode is skipped the same way.
         """
-        code = _worker_code(worker)
+        code = self._code(worker)
         if code is None:
             return MISS
         key = store_key(worker, args, code, self.faults)
@@ -456,7 +506,10 @@ class CellStore:
                 and rec.get("hash") == digest
                 and "result" in rec
             ):
-                found = decode_value(rec["result"])  # last record wins
+                try:
+                    found = decode_value(rec["result"])  # last record wins
+                except _DECODE_ERRORS:
+                    continue
         return found
 
     def lookup(self, worker: str, args: _t.Sequence[_t.Any]) -> _t.Any:
@@ -495,9 +548,10 @@ class CellStore:
         self, worker: str, args: _t.Sequence[_t.Any], result: _t.Any
     ) -> bool:
         """Append one result record; False when the worker is uncacheable."""
-        record = build_record(worker, args, result, self.faults)
-        if record is None:
+        code = self._code(worker)
+        if code is None:
             return False
+        record = build_record(worker, args, result, code, self.faults)
         self._append_record_line(
             record["k"], json.dumps(record, sort_keys=True) + "\n"
         )
@@ -518,7 +572,7 @@ class CellStore:
 
     # -- leases: store-aware scheduling ------------------------------------
     def _lease_key(self, worker: str, args: _t.Sequence[_t.Any]) -> str | None:
-        code = _worker_code(worker)
+        code = self._code(worker)
         if code is None:
             return None
         return store_key(worker, args, code, self.faults)
@@ -734,8 +788,11 @@ class CellStore:
         The integrity gate CI runs after populating a store: any
         parseable record that fails :func:`record_problem`, or that
         lives in the wrong shard file, is a problem; torn lines are
-        reported but tolerated (readers skip them).
+        reported but tolerated (readers skip them).  So is a fingerprint
+        table that a run would refuse to serve (and rebuild).
         """
+        from repro.analysis.static import read_table
+
         report = VerifyReport()
         for shard in self.shard_files():
             for lineno, _line, rec in self._scan_shard(shard):
@@ -750,6 +807,10 @@ class CellStore:
                     report.problems.append(f"{where}: {problem}")
                 else:
                     report.ok += 1
+        for table in self.table_files():
+            _workers, problem = read_table(table)
+            if problem is not None:
+                report.problems.append(f"fingerprints/{table.name}: {problem}")
         return report
 
     def gc(self, *, drop_unknown: bool = False, dry_run: bool = False) -> GcReport:
@@ -762,7 +823,8 @@ class CellStore:
         and — only with ``drop_unknown`` — records for workers this
         host cannot fingerprint (they may still serve another host).
         Shards are rewritten to a temp file and atomically renamed, so
-        concurrent readers always see a complete shard.
+        concurrent readers always see a complete shard.  Fingerprint
+        tables of any source tree but the current one go too.
         """
         report = GcReport(dry_run=dry_run)
         for shard in self.shard_files():
@@ -774,7 +836,7 @@ class CellStore:
                 if record_problem(rec) is not None:
                     report.dropped_malformed += 1
                     continue
-                current = _worker_code(rec["worker"])
+                current = self._code(rec["worker"])
                 if current is None:
                     if drop_unknown:
                         report.dropped_unknown += 1
@@ -809,6 +871,15 @@ class CellStore:
                     if self._lease_stale(lease):
                         with contextlib.suppress(OSError):
                             lease.unlink()
+        current = self._current_tables()
+        if current is not None:
+            for path in sorted(self.fingerprints_dir.glob("*")):
+                if path.name.startswith(f"{current}.json"):
+                    continue  # the current table, or a write of it in flight
+                report.dropped_tables += 1
+                if not dry_run:
+                    with contextlib.suppress(OSError):
+                        path.unlink()
         return report
 
     def export_lines(self) -> _t.Iterator[str]:
@@ -868,7 +939,7 @@ class CellStore:
                     continue
                 try:
                     rec = json.loads(line)
-                except json.JSONDecodeError:
+                except _JSON_ERRORS:
                     skipped_invalid += 1
                     continue
                 if record_problem(rec) is not None:

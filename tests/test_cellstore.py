@@ -22,6 +22,7 @@ from repro.errors import ConfigError
 from repro.harness.cellstore import (
     MISS,
     CellStore,
+    build_record,
     record_problem,
     store_key,
 )
@@ -192,6 +193,18 @@ class TestPublishLookup:
         assert store.lookup("cs_count", (3,)) == {"v": 9.0}
         stats = store.stats()
         assert stats.torn_lines == 1 and stats.records == 1
+
+    def test_too_deeply_nested_line_is_torn(self, tmp_path, fake_fingerprints):
+        # A line the JSON decoder cannot nest into raises RecursionError,
+        # not JSONDecodeError; it is a torn line like any other.
+        store = CellStore(tmp_path / "store")
+        store.publish("cs_count", (3,), {"v": 9.0})
+        [shard] = store.shard_files()
+        with open(shard, "a") as fh:
+            fh.write("[" * 200_000 + "\n")
+        assert store.lookup("cs_count", (3,)) == {"v": 9.0}
+        assert store.verify().torn_lines == 1
+        assert store.gc().dropped_torn == 1
 
     def test_tampered_result_not_served(self, tmp_path, fake_fingerprints):
         # Flipping the payload hash (or key) on disk must yield a miss,
@@ -687,23 +700,43 @@ class TestTwoExecutorsOneStore:
 
 class TestExperimentByteIdentity:
     def test_warm_store_batch_is_byte_identical_with_zero_executions(
-        self, tmp_path
+        self, tmp_path, monkeypatch
     ):
         # The acceptance criterion: a full batch run twice against the
-        # same store executes zero cell workers the second time and
-        # renders byte-identically.
+        # same store executes zero cell workers the second time, and
+        # both passes render the pinned seed-1 report byte for byte.
+        # The warm pass starts with no fingerprint in memory and reads
+        # the store's persisted table: it parses no source at all.  The
+        # pinned report is fault-free (``faults=""`` overrides any
+        # ``REPRO_FAULTS``).
+        import ast
+        import hashlib
+        import pathlib
+
+        from repro.analysis.static import ModuleIndex
         from repro.harness.runner import run_batch
 
+        expected = pathlib.Path(__file__).resolve().parents[1] / \
+            "benchmarks" / "e2e" / "expected.json"
+        pinned = json.loads(expected.read_text())["report_digests"]["quick"]
+
+        def digest(batch):
+            return hashlib.sha256(batch.render().encode("utf-8")).hexdigest()
+
         root = tmp_path / "store"
-        cold = run_batch(None, quick=True, seed=0, store=root)
-        warm = run_batch(None, quick=True, seed=0, store=root)
-        assert cold.render() == warm.render()
-        assert warm.store_summary is not None
-        assert "0 executed, 0 published" in warm.store_summary
-        # And against a no-store baseline, byte for byte.
-        plain = run_batch(None, quick=True, seed=0)
-        assert plain.render() == warm.render()
-        assert plain.store_summary is None
+        cold = run_batch(None, quick=True, seed=1, faults="", store=root)
+        assert digest(cold) == pinned
+        ModuleIndex.reset_default()
+        parses = []
+        real_parse = ast.parse
+        monkeypatch.setattr(
+            ast, "parse", lambda *a, **k: parses.append(1) or real_parse(*a, **k)
+        )
+        warm = run_batch(None, quick=True, seed=1, faults="", store=root)
+        monkeypatch.undo()
+        assert digest(warm) == pinned
+        assert "88 served, 0 executed, 0 published" in warm.store_summary
+        assert parses == []
 
     def test_faults_sweep_store_round_trip(self, tmp_path):
         from repro.faults.sweep import sweep_failure_checkpoint
@@ -717,6 +750,33 @@ class TestExperimentByteIdentity:
                                         store=root, **kwargs)
         assert cold.render() == warm.render()
         assert "4 served, 0 executed" in warm.store_summary
+
+    def test_undecodable_result_is_re_executed(self, tmp_path):
+        # A record whose key, code and hash are valid but whose result
+        # is a garbled typed encoding: verify flags it, and a sweep
+        # treats it as a miss — it re-runs that cell instead of dying.
+        from repro.faults.sweep import sweep_failure_checkpoint
+
+        root = tmp_path / "store"
+        kwargs = dict(work=600.0, checkpoint_cost=5.0, restart_cost=10.0,
+                      trials=2, seed=1)
+        cold = sweep_failure_checkpoint([1e-4, 1e-3], [100.0, 200.0],
+                                        store=root, **kwargs)
+        store = CellStore(root)
+        shard = store.shard_files()[0]
+        lines = shard.read_text().splitlines()
+        rec = json.loads(lines[0])
+        rec["result"] = {"__tuple__": 5}
+        shard.write_text("\n".join([json.dumps(rec)] + lines[1:]) + "\n")
+        report = store.verify()
+        assert report.ok == 3
+        assert report.problems == [
+            f"{shard.name}:1: result is not a typed encoding"
+        ]
+        warm = sweep_failure_checkpoint([1e-4, 1e-3], [100.0, 200.0],
+                                        store=root, **kwargs)
+        assert warm.render() == cold.render()
+        assert "3 served, 1 executed, 1 published" in warm.store_summary
 
 
 # ---------------------------------------------------------------------------
@@ -755,6 +815,17 @@ class TestMaintenance:
         bad = {"v": 1, "k": "zz" * 32, "worker": "w", "args": [],
                "code": "aa", "hash": "bb" * 16, "result": {}}
         assert "64 lowercase hex" in record_problem(bad)
+        # Garbled typed encodings are reported, never raised.
+        good = build_record("w", (1,), {"v": 1.0}, "aa" * 16)
+        assert record_problem(good) is None
+        for field, garbled, reason in (
+            ("args", {"__tuple__": 5}, "args are not a typed encoding"),
+            ("args", {"__dict__": [[1]]}, "args are not a typed encoding"),
+            ("args", {"__dict__": [[[1], 2]]}, "args are not a typed encoding"),
+            ("result", {"__tuple__": 5}, "result is not a typed encoding"),
+            ("result", {"__dict__": [[[1], 2]]}, "result is not a typed encoding"),
+        ):
+            assert record_problem({**good, field: garbled}) == reason
 
     def test_gc_drops_stale_and_duplicates(self, tmp_path, fake_fingerprints):
         store = self._populated(tmp_path, fake_fingerprints)
@@ -778,6 +849,73 @@ class TestMaintenance:
         assert kept.dropped_unknown == 0 and kept.kept == 5
         dropped = store.gc(drop_unknown=True)
         assert dropped.dropped_unknown == 1 and dropped.kept == 4
+
+    @staticmethod
+    def _plant_table(store, digest, body=None):
+        path = store.fingerprints_dir / f"{digest}.json"
+        if body is None:
+            body = json.dumps({"digest": digest,
+                               "workers": {"npb_point": "0f" * 16}})
+        path.write_text(body)
+        return path
+
+    def test_first_code_need_persists_the_table(self, tmp_path,
+                                                fake_fingerprints):
+        from repro.analysis.static import ModuleIndex, fingerprint_table
+
+        store = self._populated(tmp_path, fake_fingerprints)
+        [table] = store.table_files()
+        data = json.loads(table.read_text())
+        assert table.name == f"{data['digest']}.json"
+        assert data["workers"] == fingerprint_table(ModuleIndex())
+
+    def test_gc_drops_other_trees_tables(self, tmp_path, fake_fingerprints):
+        store = self._populated(tmp_path, fake_fingerprints)
+        [current] = store.table_files()
+        stale = self._plant_table(store, "ab" * 32)
+        leftover = store.fingerprints_dir / f"{'cd' * 32}.json.123.tmp"
+        leftover.write_text("{")
+        dry = store.gc(dry_run=True)
+        assert dry.dropped_tables == 2 and stale.exists() and leftover.exists()
+        report = store.gc()
+        assert report.dropped_tables == 2
+        assert "dropped 2 stale fingerprint table(s)" in report.render()
+        assert list(store.fingerprints_dir.iterdir()) == [current]
+        assert report.kept == 5 and store.verify().clean
+
+    @pytest.mark.parametrize("body, problem", [
+        ('{"digest": "ab', "not valid JSON"),
+        (json.dumps({"digest": "ab" * 32, "workers": {"npb_point": "XY"}}),
+         "fingerprint of 'npb_point' is not 32 lowercase hex chars"),
+        (json.dumps({"digest": "cd" * 32, "workers": {"npb_point": "0f" * 16}}),
+         "embedded digest does not match the file name"),
+        (json.dumps({"digest": "ab" * 32, "workers": {}}),
+         "workers is not a non-empty object"),
+        (json.dumps(["ab" * 32]),
+         "table is not an object of digest and workers"),
+    ])
+    def test_verify_flags_malformed_tables(self, tmp_path, fake_fingerprints,
+                                           body, problem):
+        store = self._populated(tmp_path, fake_fingerprints)
+        self._plant_table(store, "ef" * 32)  # well-formed, another tree
+        assert store.verify().clean
+        path = self._plant_table(store, "ab" * 32, body)
+        report = store.verify()
+        assert report.ok == 5
+        assert report.problems == [f"fingerprints/{path.name}: {problem}"]
+
+    def test_tables_are_not_records(self, tmp_path, fake_fingerprints):
+        # Tables are derived data: stats, export and import skip them.
+        store = self._populated(tmp_path, fake_fingerprints)
+        self._plant_table(store, "ab" * 32)
+        stats = store.stats()
+        assert stats.records == 5 and stats.torn_lines == 0
+        assert stats.bytes == sum(s.stat().st_size for s in store.shard_files())
+        dump = tmp_path / "dump.jsonl"
+        assert store.export(dump) == 5
+        other = CellStore(tmp_path / "other")
+        assert other.import_file(dump) == (5, 0, 0)
+        assert not other.fingerprints_dir.exists()
 
     def test_export_import_round_trip(self, tmp_path, fake_fingerprints):
         store = self._populated(tmp_path, fake_fingerprints)

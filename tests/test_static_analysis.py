@@ -235,6 +235,114 @@ class TestDotDirectories:
         assert [n for n in names if worker_fingerprint(n) is None] == []
 
 
+# ---------------------------------------------------------------------------
+# Persisted fingerprint tables, keyed by the package's source bytes
+# ---------------------------------------------------------------------------
+
+class TestPersistedTables:
+    @pytest.fixture()
+    def pkg(self, tmp_path, monkeypatch):
+        """A fixture package under a dot-directory, with no table of
+        this process standing in for the one on disk."""
+        monkeypatch.setattr(static, "_last_table", None)
+        return write_fixpkg(tmp_path / ".venv" / "lib")
+
+    @staticmethod
+    def served(tables, pkg):
+        return static.stored_fingerprint_table(tables, pkg, "fixpkg")
+
+    @staticmethod
+    def fresh(pkg):
+        return static.fingerprint_table(fix_index(pkg))
+
+    def test_table_is_written_once_and_read_back_without_parsing(
+        self, pkg, tmp_path, monkeypatch
+    ):
+        tables = tmp_path / "fingerprints"
+        digest, table = self.served(tables, pkg)
+        assert table == self.fresh(pkg)
+        assert [p.name for p in tables.iterdir()] == [f"{digest}.json"]
+        monkeypatch.setattr(static, "_last_table", None)
+        monkeypatch.setattr(ast, "parse", None)  # any parse would raise
+        assert self.served(tables, pkg) == (digest, table)
+
+    def test_one_byte_comment_edit_moves_the_digest(self, pkg, tmp_path):
+        tables = tmp_path / "fingerprints"
+        before, table = self.served(tables, pkg)
+        with open(pkg / "maths.py", "a", encoding="utf-8") as fh:
+            fh.write("#")
+        after, again = self.served(tables, pkg)
+        assert after != before
+        assert again == table  # a comment is not a semantic edit
+        assert {p.name for p in tables.iterdir()} == \
+            {f"{before}.json", f"{after}.json"}
+
+    def test_edit_inside_a_reached_definition_moves_its_fingerprint(
+        self, pkg, tmp_path
+    ):
+        tables = tmp_path / "fingerprints"
+        _, before = self.served(tables, pkg)
+        text = (pkg / "deeper.py").read_text(encoding="utf-8")
+        (pkg / "deeper.py").write_text(
+            text.replace("TWEAK = 3", "TWEAK = 4"), encoding="utf-8"
+        )
+        _, after = self.served(tables, pkg)
+        assert after["fix_alpha"] != before["fix_alpha"]  # reaches TWEAK
+        assert after["fix_beta"] == before["fix_beta"]    # does not
+        assert after == self.fresh(pkg)
+
+    @pytest.mark.parametrize("garble", ["torn", "non-hex", "misnamed"])
+    def test_unservable_table_is_ignored_and_rewritten(
+        self, pkg, tmp_path, monkeypatch, garble
+    ):
+        tables = tmp_path / "fingerprints"
+        digest, table = self.served(tables, pkg)
+        path = tables / f"{digest}.json"
+        bogus = {name: "0f" * 16 for name in table}
+        path.write_text({
+            "torn": path.read_text()[:40],
+            "non-hex": json.dumps({"digest": digest,
+                                   "workers": {**bogus, "fix_alpha": "Z" * 32}}),
+            "misnamed": json.dumps({"digest": "ab" * 32, "workers": bogus}),
+        }[garble])
+        assert static.read_table(path)[0] is None
+        monkeypatch.setattr(static, "_last_table", None)
+        assert self.served(tables, pkg) == (digest, table)
+        assert static.read_table(path) == (table, None)
+
+    def test_table_of_another_python_is_never_read(
+        self, pkg, tmp_path, monkeypatch
+    ):
+        tables = tmp_path / "fingerprints"
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "version", "2.7.18 (elsewhere)")
+            other, table = self.served(tables, pkg)
+        # Plant valid but wrong fingerprints under the other digest.
+        bogus = {name: "0f" * 16 for name in table}
+        planted = json.dumps({"digest": other, "workers": bogus})
+        (tables / f"{other}.json").write_text(planted)
+        monkeypatch.setattr(static, "_last_table", None)
+        digest, served = self.served(tables, pkg)
+        assert digest != other and served == table
+        assert (tables / f"{other}.json").read_text() == planted
+
+    def test_failed_build_writes_no_table(self, pkg, tmp_path, monkeypatch):
+        real, calls = static.worker_closure, []
+
+        def failing(worker, index=None):
+            calls.append(worker)
+            if len(calls) == 2:
+                raise RuntimeError("interrupted")
+            return real(worker, index)
+
+        tables = tmp_path / "fingerprints"
+        monkeypatch.setattr(static, "worker_closure", failing)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            self.served(tables, pkg)
+        assert not tables.exists() or list(tables.iterdir()) == []
+        assert static._last_table is None
+
+
 class TestMeasuredPath:
     def test_every_package_is_reached_by_a_worker(self):
         """Each package under ``repro`` holds a module in some registered
