@@ -398,6 +398,10 @@ def _add_sweep_args(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.config import RunConfig
+
+    # Every --seed defaults to the run configuration's seed.
+    seed = RunConfig.__dataclass_fields__["seed"].default
     parser = argparse.ArgumentParser(
         prog="repro",
         description="HPC/private/public-cloud performance study framework",
@@ -416,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="regenerate paper experiments")
     run.add_argument("ids", nargs="+", help="experiment ids, or 'all'")
     run.add_argument("--full", action="store_true", help="full sweeps (slower)")
-    run.add_argument("--seed", type=int, default=1)
+    run.add_argument("--seed", type=int, default=seed)
     run.add_argument(
         "--jobs", type=int, default=1,
         help="worker processes for sweep cells (0 = all CPUs); output is "
@@ -493,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--trials", type=int, default=32,
         help="seeded trials averaged per cell (default 32)",
     )
-    sweep.add_argument("--seed", type=int, default=1)
+    sweep.add_argument("--seed", type=int, default=seed)
     sweep.add_argument(
         "--jobs", type=int, default=1,
         help="worker processes for sweep cells (0 = all CPUs); output is "
@@ -634,14 +638,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     osu = sub.add_parser("osu", help="run OSU latency/bandwidth on a platform")
     osu.add_argument("platform", choices=["vayu", "dcc", "ec2"])
-    osu.add_argument("--seed", type=int, default=1)
+    osu.add_argument("--seed", type=int, default=seed)
 
     npb = sub.add_parser("npb", help="run one NPB benchmark point")
     npb.add_argument("bench")
     npb.add_argument("platform", choices=["vayu", "dcc", "ec2"])
     npb.add_argument("nprocs", type=int)
     npb.add_argument("--class", dest="klass", default="B")
-    npb.add_argument("--seed", type=int, default=1)
+    npb.add_argument("--seed", type=int, default=seed)
 
     return parser
 

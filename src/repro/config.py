@@ -152,8 +152,10 @@ def collect_report(kind: str, report: _t.Any) -> None:
 class RunConfig:
     """Every knob of one run, validated once.
 
-    ``quick``/``seed``/``sim_iters`` pick what is simulated; ``jobs``
-    (``0`` = all CPUs) how many pool workers run a sweep's cells;
+    ``quick``/``seed``/``sim_iters`` pick what is simulated (the default
+    seed, 1, is the one the pinned report digests use, and every
+    ``--seed`` flag defaults to it); ``jobs`` (``0`` = all CPUs) how
+    many pool workers run a sweep's cells;
     ``retries``/``timeout`` the failure policy; ``store`` the cell-store
     directory.  The world options ``sanitize``, ``faults``, ``replay``
     and ``fastcollect`` left as ``None`` take the options in force
@@ -163,7 +165,7 @@ class RunConfig:
     """
 
     quick: bool = True
-    seed: int = 0
+    seed: int = 1
     jobs: int = 1
     sim_iters: int | None = None
     sanitize: bool | None = None
@@ -241,12 +243,13 @@ class Run:
     merges into; ``reports`` collects the in-process worlds'
     sanitizer/replay/fastcollect reports.  ``results`` is the run
     table: every successful cell result a sweep of this run produced,
-    keyed by :func:`~repro.harness.journal.payload_hash` of the cell's
-    ``(worker, args)``.  Code and world options (the fault spec
-    included) are fixed for one run, so the payload alone decides a
-    result, and the sweep driver serves a payload it finds here
-    instead of simulating it again; the values are shared between the
-    cells that asked for them and are read-only.  ``Run()`` is a
+    keyed by the cell's payload
+    (:func:`~repro.harness.supervisor.run_table_key`).  Code and world
+    options (the fault spec included) are fixed for one run, so the
+    payload alone decides a result, and the sweep driver serves a
+    payload it finds here instead of simulating it again; the values
+    are shared between the cells that asked for them and are
+    read-only.  ``Run()`` is a
     default, unopened run: no store, the world options in force, an
     empty run table.
     """
@@ -255,7 +258,7 @@ class Run:
     store: "CellStore | None" = None
     stats: "HarnessStats" = dataclasses.field(default_factory=_harness_stats)
     reports: WorldReports = dataclasses.field(default_factory=WorldReports)
-    results: dict[str, _t.Any] = dataclasses.field(default_factory=dict)
+    results: dict[tuple[str, str], _t.Any] = dataclasses.field(default_factory=dict)
 
     def summaries(self) -> dict[str, str | None]:
         """The stderr-only ``harness``/``store`` banners.

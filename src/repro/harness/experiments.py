@@ -11,10 +11,14 @@ for test/bench budgets without changing what is measured, ``quick=False``
 runs the full grids.
 
 Sweep-style experiments decompose into independent simulation *cells*
-(see :mod:`repro.harness.parallel`) keyed by config point and hand them
-to ``run_cells`` with the run; ``jobs > 1`` fans the cells over a process
-pool with results merged in cell order, so parallel and serial runs are
-byte-identical.
+(see :mod:`repro.harness.parallel`) keyed by config point.  Each one
+declares its cells through one builder ``(RunConfig) -> list[Cell]`` in
+:data:`CELLS` and hands that builder's cells to ``run_cells`` with the
+run.  :func:`repro.harness.runner.run_batch` calls the same builders up
+front and runs every declared cell of the batch in one sweep, so an
+experiment's own ``run_cells`` is then served from the run table.
+``jobs > 1`` fans the cells over a process pool with results merged in
+cell order, so parallel and serial runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from repro.analysis.stats import (
     speedup_series,
     table3_stats,
 )
-from repro.config import Run, using
+from repro.config import Run, RunConfig, using
 from repro.errors import ConfigError
 from repro.harness import paper
 from repro.harness.figures import (
@@ -85,17 +89,25 @@ def _osu_sizes(quick: bool) -> list[int]:
     return [2**k for k in range(0, 23)]
 
 
-def exp_fig1(run: Run) -> ExperimentOutput:
-    """Fig 1: OSU bandwidth on the three platforms."""
-    quick, seed = run.config.quick, run.config.seed
-    sizes = _osu_sizes(quick)
-    iters = 4 if quick else 20
-    cells = [
+def _osu_cells(
+    config: RunConfig, kind: str, iters: int, warmup: int
+) -> list[Cell]:
+    sizes = tuple(_osu_sizes(config.quick))
+    return [
         Cell((spec.name,), "osu_curve",
-             ("bandwidth", spec.name, tuple(sizes), iters, 1, seed))
+             (kind, spec.name, sizes, iters, warmup, config.seed))
         for spec in _PLATFORMS
     ]
-    curves = run_cells(cells, run)
+
+
+def _fig1_cells(config: RunConfig) -> list[Cell]:
+    return _osu_cells(config, "bandwidth", 4 if config.quick else 20, 1)
+
+
+def exp_fig1(run: Run) -> ExperimentOutput:
+    """Fig 1: OSU bandwidth on the three platforms."""
+    sizes = _osu_sizes(run.config.quick)
+    curves = run_cells(_fig1_cells(run.config), run)
     series = {spec.name: curves[(spec.name,)] for spec in _PLATFORMS}
     rows = {n: [series[s.name][n] / 1e6 for s in _PLATFORMS] for n in sizes}
     text = render_series_table(
@@ -119,17 +131,14 @@ def exp_fig1(run: Run) -> ExperimentOutput:
     return ExperimentOutput("fig1", "OSU MPI bandwidth", {"series": series}, text, comparisons)
 
 
+def _fig2_cells(config: RunConfig) -> list[Cell]:
+    return _osu_cells(config, "latency", 20 if config.quick else 100, 2)
+
+
 def exp_fig2(run: Run) -> ExperimentOutput:
     """Fig 2: OSU latency on the three platforms."""
-    quick, seed = run.config.quick, run.config.seed
-    sizes = _osu_sizes(quick)
-    iters = 20 if quick else 100
-    cells = [
-        Cell((spec.name,), "osu_curve",
-             ("latency", spec.name, tuple(sizes), iters, 2, seed))
-        for spec in _PLATFORMS
-    ]
-    curves = run_cells(cells, run)
+    sizes = _osu_sizes(run.config.quick)
+    curves = run_cells(_fig2_cells(run.config), run)
     series = {spec.name: curves[(spec.name,)] for spec in _PLATFORMS}
     rows = {n: [series[s.name][n] * 1e6 for s in _PLATFORMS] for n in sizes}
     text = render_series_table(
@@ -157,21 +166,29 @@ def exp_fig2(run: Run) -> ExperimentOutput:
     )
 
 
-def exp_fig3(run: Run) -> ExperimentOutput:
-    """Fig 3: single-process NPB times, normalised to DCC."""
-    seed, sim_iters = run.config.seed, run.config.sim_iters
-    benches = ("bt", "ep", "cg", "ft", "is", "lu", "mg", "sp")
-    cells = [
-        Cell((name, spec.name), "npb_point",
-             (name, spec.name, 1, seed, "B", sim_iters))
-        for name in benches
+_NPB_BENCHES = ("bt", "ep", "cg", "ft", "is", "lu", "mg", "sp")
+
+
+def _npb_cell(key: tuple, name: str, spec: _t.Any, p: int, config: RunConfig) -> Cell:
+    return Cell(key, "npb_point",
+                (name, spec.name, p, config.seed, "B", config.sim_iters))
+
+
+def _fig3_cells(config: RunConfig) -> list[Cell]:
+    return [
+        _npb_cell((name, spec.name), name, spec, 1, config)
+        for name in _NPB_BENCHES
         for spec in _PLATFORMS
     ]
-    points = run_cells(cells, run)
+
+
+def exp_fig3(run: Run) -> ExperimentOutput:
+    """Fig 3: single-process NPB times, normalised to DCC."""
+    points = run_cells(_fig3_cells(run.config), run)
     data: dict[str, dict[str, float]] = {}
     rows = {}
     comparisons = []
-    for name in benches:
+    for name in _NPB_BENCHES:
         times = {
             spec.name: points[(name, spec.name)]["projected_time"]
             for spec in _PLATFORMS
@@ -199,20 +216,24 @@ def _npb_counts(name: str, quick: bool) -> list[int]:
     return [1, 8, 64] if quick else [1, 2, 4, 8, 16, 32, 64]
 
 
+def _fig4_benches(quick: bool) -> tuple[str, ...]:
+    return ("cg", "ep", "is") if quick else _NPB_BENCHES
+
+
+def _fig4_cells(config: RunConfig) -> list[Cell]:
+    return [
+        _npb_cell((name, spec.name, p), name, spec, p, config)
+        for name in _fig4_benches(config.quick)
+        for spec in _PLATFORMS
+        for p in _npb_counts(name, config.quick)
+    ]
+
+
 def exp_fig4(run: Run) -> ExperimentOutput:
     """Fig 4: NPB speedup curves on the three platforms."""
-    quick, seed, sim_iters = run.config.quick, run.config.seed, run.config.sim_iters
-    benches = ("cg", "ep", "is") if quick else (
-        "bt", "ep", "cg", "ft", "is", "lu", "mg", "sp"
-    )
-    cells = [
-        Cell((name, spec.name, p), "npb_point",
-             (name, spec.name, p, seed, "B", sim_iters))
-        for name in benches
-        for spec in _PLATFORMS
-        for p in _npb_counts(name, quick)
-    ]
-    points = run_cells(cells, run)
+    quick = run.config.quick
+    benches = _fig4_benches(quick)
+    points = run_cells(_fig4_cells(run.config), run)
     plots = []
     data: dict[str, dict[str, dict[int, float]]] = {}
     for name in benches:
@@ -230,18 +251,23 @@ def exp_fig4(run: Run) -> ExperimentOutput:
     )
 
 
-def exp_tab2(run: Run) -> ExperimentOutput:
-    """Table II: IPM percentage communication for CG, FT and IS."""
-    quick, seed, sim_iters = run.config.quick, run.config.seed, run.config.sim_iters
-    counts = [2, 8, 64] if quick else [2, 4, 8, 16, 32, 64]
-    cells = [
-        Cell((name, spec.name, p), "npb_point",
-             (name, spec.name, p, seed, "B", sim_iters))
+def _tab2_counts(quick: bool) -> list[int]:
+    return [2, 8, 64] if quick else [2, 4, 8, 16, 32, 64]
+
+
+def _tab2_cells(config: RunConfig) -> list[Cell]:
+    return [
+        _npb_cell((name, spec.name, p), name, spec, p, config)
         for name in ("cg", "ft", "is")
-        for p in counts
+        for p in _tab2_counts(config.quick)
         for spec in _PLATFORMS
     ]
-    points = run_cells(cells, run)
+
+
+def exp_tab2(run: Run) -> ExperimentOutput:
+    """Table II: IPM percentage communication for CG, FT and IS."""
+    counts = _tab2_counts(run.config.quick)
+    points = run_cells(_tab2_cells(run.config), run)
     blocks = []
     comparisons = []
     data: dict[str, dict[int, tuple[float, float, float]]] = {}
@@ -271,17 +297,29 @@ def exp_tab2(run: Run) -> ExperimentOutput:
     )
 
 
+def _app_counts(quick: bool) -> list[int]:
+    """Core counts of the Chaste and UM scaling runs (Figs 5 and 6)."""
+    return [8, 32, 64] if quick else [8, 16, 32, 48, 64]
+
+
+def _sim_steps(quick: bool) -> int:
+    """Simulated steps of every Chaste and UM run."""
+    return 2 if quick else 3
+
+
+def _fig5_cells(config: RunConfig) -> list[Cell]:
+    steps = _sim_steps(config.quick)
+    return [
+        Cell((spec.name, p), "chaste_point", (spec.name, p, config.seed, steps))
+        for spec in (VAYU, DCC)
+        for p in _app_counts(config.quick)
+    ]
+
+
 def exp_fig5(run: Run) -> ExperimentOutput:
     """Fig 5: Chaste total and KSp speedups on Vayu and DCC."""
-    quick, seed = run.config.quick, run.config.seed
-    counts = [8, 32, 64] if quick else [8, 16, 32, 48, 64]
-    sim_steps = 2 if quick else 3
-    cells = [
-        Cell((spec.name, p), "chaste_point", (spec.name, p, seed, sim_steps))
-        for spec in (VAYU, DCC)
-        for p in counts
-    ]
-    points = run_cells(cells, run)
+    counts = _app_counts(run.config.quick)
+    points = run_cells(_fig5_cells(run.config), run)
     series: dict[str, dict[int, float]] = {}
     t8: dict[str, float] = {}
     for spec in (VAYU, DCC):
@@ -309,24 +347,26 @@ def _um_variants() -> list[tuple[str, _t.Any, int | None]]:
             ("EC2-4", EC2, 4)]
 
 
-def exp_fig6(run: Run) -> ExperimentOutput:
-    """Fig 6: UM 'warmed' speedups on Vayu, DCC, EC2 and EC2-4."""
-    quick, seed = run.config.quick, run.config.seed
-    counts = [8, 32, 64] if quick else [8, 16, 32, 48, 64]
-    sim_steps = 2 if quick else 3
+def _fig6_cells(config: RunConfig) -> list[Cell]:
+    steps = _sim_steps(config.quick)
 
     def _nodes(label: str, nodes: int | None, p: int) -> int | None:
         if label == "EC2" and nodes is None:
             return max(2, -(-p // 16))
         return nodes
 
-    cells = [
+    return [
         Cell((label, p), "metum_point",
-             (spec.name, p, _nodes(label, nodes, p), seed, sim_steps))
+             (spec.name, p, _nodes(label, nodes, p), config.seed, steps))
         for label, spec, nodes in _um_variants()
-        for p in counts
+        for p in _app_counts(config.quick)
     ]
-    points = run_cells(cells, run)
+
+
+def exp_fig6(run: Run) -> ExperimentOutput:
+    """Fig 6: UM 'warmed' speedups on Vayu, DCC, EC2 and EC2-4."""
+    counts = _app_counts(run.config.quick)
+    points = run_cells(_fig6_cells(run.config), run)
     series: dict[str, dict[int, float]] = {}
     t8: dict[str, float] = {}
     for label, spec, nodes in _um_variants():
@@ -344,22 +384,24 @@ def exp_fig6(run: Run) -> ExperimentOutput:
     )
 
 
-def exp_tab3(run: Run) -> ExperimentOutput:
-    """Table III: UM statistics at 32 cores."""
-    quick, seed = run.config.quick, run.config.seed
-    sim_steps = 2 if quick else 3
+def _tab3_cells(config: RunConfig) -> list[Cell]:
+    steps = _sim_steps(config.quick)
 
     def _nn(label: str, nodes: int | None) -> int | None:
         if label == "EC2" and nodes is None:
             return 2
         return nodes
 
-    cells = [
+    return [
         Cell((label,), "metum_stats",
-             (spec.name, 32, _nn(label, nodes), seed, sim_steps))
+             (spec.name, 32, _nn(label, nodes), config.seed, steps))
         for label, spec, nodes in _um_variants()
     ]
-    points = run_cells(cells, run)
+
+
+def exp_tab3(run: Run) -> ExperimentOutput:
+    """Table III: UM statistics at 32 cores."""
+    points = run_cells(_tab3_cells(run.config), run)
     rows = table3_stats(
         {label: points[(label,)] for label, _spec, _nodes in _um_variants()},
         reference_platform="Vayu",
@@ -380,6 +422,14 @@ def exp_tab3(run: Run) -> ExperimentOutput:
     )
 
 
+def _fig7_cells(config: RunConfig) -> list[Cell]:
+    steps = _sim_steps(config.quick)
+    return [
+        Cell((spec.name,), "metum_stats", (spec.name, 32, None, config.seed, steps))
+        for spec in (VAYU, DCC)
+    ]
+
+
 def exp_fig7(run: Run) -> ExperimentOutput:
     """Fig 7: per-process ATM_STEP breakdown on Vayu and DCC.
 
@@ -387,13 +437,7 @@ def exp_fig7(run: Run) -> ExperimentOutput:
     runs, so its cells carry exactly tab3's payloads: within one run
     they are served from tab3's results instead of simulated again.
     """
-    quick, seed = run.config.quick, run.config.seed
-    sim_steps = 2 if quick else 3
-    cells = [
-        Cell((spec.name,), "metum_stats", (spec.name, 32, None, seed, sim_steps))
-        for spec in (VAYU, DCC)
-    ]
-    points = run_cells(cells, run)
+    points = run_cells(_fig7_cells(run.config), run)
     sections = []
     data = {}
     for spec in (VAYU, DCC):
@@ -428,13 +472,15 @@ def exp_fig7(run: Run) -> ExperimentOutput:
     )
 
 
+def _arrivef_cells(config: RunConfig) -> list[Cell]:
+    seeds = range(4) if config.quick else range(12)
+    return [Cell((s,), "arrivef_point", (config.seed + s,)) for s in seeds]
+
+
 def exp_arrivef(run: Run) -> ExperimentOutput:
     """ARRIVE-F throughput experiment (section II)."""
-    quick, seed = run.config.quick, run.config.seed
-    seeds = range(4) if quick else range(12)
-    cells = [Cell((s,), "arrivef_point", (seed + s,)) for s in seeds]
-    points = run_cells(cells, run)
-    runs = [points[(s,)] for s in seeds]
+    points = run_cells(_arrivef_cells(run.config), run)
+    runs = list(points.values())
     best = max(r["wait_improvement_pct"] for r in runs)
     mean_impr = sum(r["wait_improvement_pct"] for r in runs) / len(runs)
     text = (
@@ -464,6 +510,23 @@ EXPERIMENTS: dict[str, _t.Callable[..., ExperimentOutput]] = {
     "tab3": exp_tab3,
     "fig7": exp_fig7,
     "arrivef": exp_arrivef,
+}
+
+#: The cells each sweeping experiment declares, by experiment id: the
+#: builder its function calls, so a batch can plan every cell before
+#: any experiment runs.  An experiment without an entry (``tab1``)
+#: runs its own sweeps, if any.
+CELLS: dict[str, _t.Callable[[RunConfig], list[Cell]]] = {
+    "fig1": _fig1_cells,
+    "fig2": _fig2_cells,
+    "fig3": _fig3_cells,
+    "fig4": _fig4_cells,
+    "tab2": _tab2_cells,
+    "fig5": _fig5_cells,
+    "fig6": _fig6_cells,
+    "tab3": _tab3_cells,
+    "fig7": _fig7_cells,
+    "arrivef": _arrivef_cells,
 }
 
 

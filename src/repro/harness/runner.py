@@ -14,9 +14,11 @@ import json
 import pathlib
 import typing as _t
 
-from repro.config import RunConfig
+from repro.config import Run, RunConfig
 from repro.errors import CellExecutionError, ConfigError
-from repro.harness.experiments import EXPERIMENTS, ExperimentOutput, run_experiment
+from repro.harness.experiments import CELLS, EXPERIMENTS, ExperimentOutput, run_experiment
+from repro.harness.parallel import Cell
+from repro.harness.supervisor import HarnessStats, run_sweep
 from repro.perf.replay import perf_banner
 
 
@@ -108,6 +110,34 @@ def _failed_output(eid: str, err: CellExecutionError) -> ExperimentOutput:
     )
 
 
+def _sweep_declared(
+    ids: _t.Sequence[str], run: Run
+) -> dict[str, CellExecutionError]:
+    """Run every cell the experiments ``ids`` declare (:data:`CELLS`) in
+    one sweep, keyed ``(experiment, key)``; returns each experiment's
+    first failed cell in its own cell order, under its own key."""
+    declared = {eid: CELLS[eid](run.config) for eid in ids if eid in CELLS}
+    if not declared:
+        return {}
+    report = run_sweep(
+        [Cell((eid, c.key), c.worker, c.args)
+         for eid, cells in declared.items() for c in cells],
+        run,
+    )
+    failed: dict[str, CellExecutionError] = {}
+    for eid, cells in declared.items():
+        err = next(
+            (report.failures[(eid, c.key)] for c in cells
+             if (eid, c.key) in report.failures), None,
+        )
+        if err is not None:
+            failed[eid] = CellExecutionError(
+                key=err.key[1], worker=err.worker, attempts=err.attempts,
+                cause=err.cause, detail=err.detail,
+            )
+    return failed
+
+
 def _in_process_note(pooled: int) -> str:
     """Banner suffix when cells ran in pool workers, whose worlds report
     in their own process."""
@@ -144,18 +174,28 @@ def run_batch(
     ``sim_iters``, ``sanitize``, ``faults``, ``replay``, ``fastcollect``,
     ``retries``, ``timeout``, ``store``.  The config is
     opened once (:meth:`~repro.config.RunConfig.open`) and the resulting
-    :class:`~repro.config.Run` is passed to every experiment, so one
-    store, one harness tally and one run table serve the whole batch and
-    every world is built with the run's world options — inline through
-    one in-process install, in pool workers through the pool initializer.
-    The run table simulates each distinct cell payload at most once per
-    batch: fig4 and tab2 reuse the NPB points of earlier sweeps, and fig7
-    reads tab3's Vayu and DCC runs.
+    :class:`~repro.config.Run` serves the whole batch — one store, one
+    harness tally, one run table — and every world is built with the
+    run's world options: inline through one in-process install, in pool
+    workers through the pool initializer.
+
+    The batch plans, runs, then renders.  Every cell the requested
+    experiments declare (:data:`~repro.harness.experiments.CELLS`) goes
+    into one sweep, in presentation order, so simulation happens before
+    the first ``progress`` call; each distinct payload is simulated at
+    most once (fig4 and tab2 reuse fig3's NPB points, fig7 reads tab3's
+    Vayu and DCC runs).  Then each experiment is called in order, after
+    ``progress(eid)``, and its sweeps are served from the run table.  An
+    experiment whose declared cell failed is not called: it renders the
+    batch sweep's failure of its first failed cell, so a failing payload
+    is attempted ``1 + retries`` times per batch however many
+    experiments share it.  Experiments that declare no cells run their
+    own sweeps when called.
 
     Whatever the strategy, the report renders byte-identically:
 
-    * ``jobs > 1`` fans each experiment's sweep cells over a process
-      pool; results merge by cell key.
+    * ``jobs > 1`` runs the batch's cells on one process pool of
+      ``min(jobs, cells)`` workers; results merge by cell key.
     * ``store`` serves cells from the content-addressed cell store and
       publishes fresh ones (:mod:`repro.harness.cellstore`); re-running
       an interrupted batch with the same store resumes it.
@@ -185,14 +225,22 @@ def run_batch(
     outputs: dict[str, ExperimentOutput] = {}
     failures: dict[str, CellExecutionError] = {}
     with config.open() as run:
+        failed = _sweep_declared(ids, run)
+        # Declared experiments re-read cells the batch sweep already
+        # tallied: a tally of their own keeps the banner counting each once.
+        served = dataclasses.replace(run, stats=HarnessStats())
         for eid in ids:
             if progress is not None:
                 progress(eid)
-            try:
-                outputs[eid] = run_experiment(eid, run)
-            except CellExecutionError as err:
-                failures[eid] = err
-                outputs[eid] = _failed_output(eid, err)
+            err = failed.get(eid)
+            if err is None:
+                try:
+                    outputs[eid] = run_experiment(eid, served if eid in CELLS else run)
+                    continue
+                except CellExecutionError as exc:
+                    err = exc
+            failures[eid] = err
+            outputs[eid] = _failed_output(eid, err)
         pooled = run.stats.pooled
         sanitize = (
             _sanitize_summary(run.reports.sanitizer, pooled) if config.sanitize else None

@@ -3,9 +3,11 @@
 :func:`run_sweep` plans, dispatches and collects every sweep in the
 package — :func:`repro.harness.parallel.run_cells` is a thin wrapper
 over it, and ``repro faults sweep`` calls it directly for per-cell
-failures.  One pass runs:
+failures.  :func:`repro.harness.runner.run_batch` runs every cell its
+experiments declare in one sweep, so a batch has one store plan and
+one pool.  One pass runs:
 
-* **plan** — each cell's payload (``payload_hash(worker, args)``) is
+* **plan** — each cell's payload (:func:`run_table_key`) is
   looked up in the run table (:attr:`repro.config.Run.results`): a
   payload an earlier sweep of the run produced is served from it, and a
   payload a previous cell of this sweep asks for makes a *twin* that
@@ -23,7 +25,9 @@ failures.  One pass runs:
 * **release** — leases of cells that did not publish are dropped;
 * **share** — twins take their first occurrence's result (or a failure
   under their own key), and successes join the run table.  Failures are
-  never remembered, so a later sweep attempts them again.
+  never remembered, so a later sweep attempts them again (a batch runs
+  every declared cell in one sweep and renders its failures, so there a
+  failing payload spends one retry budget per batch).
 
 Each distinct payload is therefore simulated at most once per run,
 whichever experiments ask for it.
@@ -65,7 +69,6 @@ from concurrent.futures.process import BrokenProcessPool
 from repro.config import using, world_options
 from repro.errors import CellExecutionError, ConfigError, ReproError
 from repro.harness import parallel
-from repro.harness.journal import payload_hash
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.config import Run, RunConfig
@@ -160,19 +163,19 @@ def _run_sweep(cells: list["Cell"], run: "Run") -> SweepReport:
     sweep = _Sweep(run.config, store)
     # Split by payload: served from the run table, twins of an earlier
     # cell of this sweep, and first occurrences (the only ones run).
-    firsts: dict[str, "Cell"] = {}
+    firsts: dict[tuple[str, str], "Cell"] = {}
     twins: list[tuple["Cell", "Cell"]] = []
     for c in cells:
-        digest = payload_hash(c.worker, c.args)
-        if digest in run.results:
-            sweep.results[c.key] = run.results[digest]
-        elif digest in firsts:
-            twins.append((c, firsts[digest]))
+        payload = run_table_key(c)
+        if payload in run.results:
+            sweep.results[c.key] = run.results[payload]
+        elif payload in firsts:
+            twins.append((c, firsts[payload]))
         else:
-            firsts[digest] = c
+            firsts[payload] = c
     try:
         pending, deferred = list(firsts.values()), []
-        if store is not None:
+        if store is not None and pending:
             plan = store.plan_cells(pending)
             sweep.results.update(plan.served)
             pending, deferred = plan.to_run, plan.deferred
@@ -208,9 +211,9 @@ def _run_sweep(cells: list["Cell"], run: "Run") -> SweepReport:
                 key=twin.key, worker=err.worker, attempts=err.attempts,
                 cause=err.cause, detail=err.detail,
             )
-    for digest, c in firsts.items():
+    for payload, c in firsts.items():
         if c.key in sweep.results:
-            run.results[digest] = sweep.results[c.key]
+            run.results[payload] = sweep.results[c.key]
     stats = HarnessStats(
         ok=len(sweep.results),
         retried=sum(len(t.causes) > (t.cell.key in failures) for t in tasks),
@@ -225,6 +228,18 @@ def _run_sweep(cells: list["Cell"], run: "Run") -> SweepReport:
         stats=stats,
         retries={t.cell.key: tuple(t.causes) for t in tasks if t.causes},
     )
+
+
+def run_table_key(cell: "Cell") -> tuple[str, str]:
+    """A cell's payload as the run table keys it: ``(worker,
+    repr(args))``.
+
+    Cell args are primitives, for which ``repr`` is exact and typed
+    (``1``, ``1.0`` and ``True`` are three payloads), like the store's
+    :func:`~repro.harness.journal.payload_hash`, at a tenth of its cost:
+    a batch keys every cell twice, once to run it and once to serve it.
+    """
+    return cell.worker, repr(cell.args)
 
 
 class _Sweep:

@@ -131,6 +131,17 @@ def test_config_is_frozen_and_canonical(clean_env):
         config.seed = 3  # type: ignore[misc]
 
 
+def test_one_seed_default():
+    """``RunConfig`` holds the one seed default, the pinned digests' seed,
+    and every ``--seed`` flag takes it."""
+    parse = build_parser().parse_args
+    assert RunConfig().seed == 1
+    assert parse(["run", "all"]).seed == RunConfig().seed
+    for argv in (["faults", "sweep", "--rates", "0.1", "--intervals", "10"],
+                 ["osu", "vayu"], ["npb", "cg", "vayu", "4"]):
+        assert parse(argv).seed == RunConfig().seed, argv
+
+
 # ---------------------------------------------------------------------------
 # World options travel without os.environ
 # ---------------------------------------------------------------------------

@@ -69,6 +69,12 @@ def _sup_raise(x):
     raise RuntimeError(f"boom {x}")
 
 
+@cell_worker("sup_raise_counted")
+def _sup_raise_counted(x):
+    _CALLS.append(("sup_raise_counted", x))
+    raise RuntimeError(f"boom {x}")
+
+
 @cell_worker("sup_raise_repro")
 def _sup_raise_repro(x):
     raise SimulationError(f"deterministic failure {x}")
@@ -574,9 +580,11 @@ class TestRunTable:
 
 def test_fig7_reads_tab3_runs_and_keeps_its_golden_digests():
     """Fig 7's cells carry Table III's Vayu/DCC payloads: in one batch
-    they are served from tab3's results, and both blocks still render
+    they are twins of tab3's cells, and both blocks still render
     the digests the end-to-end benchmark pins for a fault-free seed-1
-    run (``faults=""``: whatever ``REPRO_FAULTS`` says)."""
+    run (``faults=""``: whatever ``REPRO_FAULTS`` says).  The batch
+    sweep keys cells ``(experiment, key)``, so payloads are recorded."""
+    from repro.harness.experiments import CELLS
     from repro.harness.runner import run_batch
 
     expected = json.loads(
@@ -588,7 +596,7 @@ def test_fig7_reads_tab3_runs_and_keeps_its_golden_digests():
     real_execute = parallel._execute
 
     def _counting(cell):
-        calls.append(cell.key)
+        calls.append((cell.worker, cell.args))
         return real_execute(cell)
 
     parallel._execute = _counting
@@ -596,7 +604,9 @@ def test_fig7_reads_tab3_runs_and_keeps_its_golden_digests():
         batch = run_batch(["tab3", "fig7"], seed=1, faults="")
     finally:
         parallel._execute = real_execute
-    assert calls == [("Vayu",), ("DCC",), ("EC2",), ("EC2-4",)]
+    tab3 = [(c.worker, c.args) for c in CELLS["tab3"](RunConfig(seed=1))]
+    assert [args[0] for _worker, args in tab3] == ["Vayu", "DCC", "EC2", "EC2"]
+    assert calls == tab3
     for eid in ("tab3", "fig7"):
         digest = hashlib.sha256(batch.outputs[eid].render().encode("utf-8"))
         assert digest.hexdigest() == expected["digests"]["quick"][eid], eid
@@ -655,6 +665,76 @@ def test_batch_resume_from_store_skips_completed_cells(tmp_path):
     assert calls == []  # every cell came from the store
     assert resumed.render() == plain.render()
     assert "0 executed, 0 published" in resumed.store_summary
+
+
+def test_batch_runs_on_one_pool_with_one_store_plan(monkeypatch, tmp_path):
+    """A batch plans every declared cell up front: one store plan and
+    one process pool for all of its experiments, not one per sweep."""
+    from repro.harness import supervisor
+    from repro.harness.runner import run_batch
+
+    pools: list[int] = []
+    plans: list[int] = []
+
+    class _CountingPool(supervisor.ProcessPoolExecutor):
+        def __init__(self, *a, **k):
+            pools.append(k["max_workers"])
+            super().__init__(*a, **k)
+
+    real_plan = CellStore.plan_cells
+
+    def _counting_plan(store, cells):
+        plans.append(len(cells))
+        return real_plan(store, cells)
+
+    monkeypatch.setattr(supervisor, "ProcessPoolExecutor", _CountingPool)
+    monkeypatch.setattr(CellStore, "plan_cells", _counting_plan)
+    ids = ["fig1", "fig2", "fig4", "tab2"]
+    batch = run_batch(ids, jobs=2, seed=1, faults="", store=tmp_path / "store")
+    assert pools == [2]
+    assert len(plans) == 1
+    assert batch.render() == run_batch(ids, seed=1, faults="").render()
+
+
+def _declare(monkeypatch, eid, cells):
+    """Register a test experiment that declares ``cells`` and renders
+    their results."""
+    from repro.harness.experiments import CELLS, EXPERIMENTS, ExperimentOutput
+
+    def _experiment(run):
+        points = run_cells(cells, run)
+        return ExperimentOutput(eid, "declared", {}, str(points))
+
+    monkeypatch.setitem(CELLS, eid, lambda config: list(cells))
+    monkeypatch.setitem(EXPERIMENTS, eid, _experiment)
+
+
+def test_batch_attempts_a_shared_failing_payload_once(monkeypatch):
+    """Two declared experiments share a failing payload: the batch
+    spends one retry budget on it, and both render the same failure
+    under their own cell keys."""
+    from repro.harness.runner import run_batch
+
+    _declare(monkeypatch, "failA", [Cell((0,), "sup_square", (4,)),
+                                    Cell((1,), "sup_raise_counted", (5,))])
+    _declare(monkeypatch, "failB", [Cell(("b",), "sup_raise_counted", (5,))])
+    _declare(monkeypatch, "okC", [Cell((0,), "sup_square", (4,))])
+    _CALLS.clear()
+    batch = run_batch(["failA", "failB", "okC"], retries=2)
+    assert _CALLS.count(("sup_raise_counted", 5)) == 3  # 1 + retries
+    assert _CALLS.count(("sup_square", 4)) == 1
+    a, b = batch.failures["failA"], batch.failures["failB"]
+    assert (a.key, b.key) == ((1,), ("b",))
+    for err in (a, b):
+        assert err.cause == "worker-exception"
+    assert (a.attempts, a.cause, a.detail) == (b.attempts, b.cause, b.detail)
+    assert a.attempts == 3 and "boom 5" in a.detail
+    for eid in ("failA", "failB"):
+        assert batch.outputs[eid].title == "FAILED(worker-exception)"
+    assert batch.outputs["okC"].text == "{(0,): {'v': 16.0}}"
+    assert batch.harness_summary == (
+        "harness: 4 cell(s): 2 ok, 1 retried, 0 degraded, 2 failed"
+    )
 
 
 def test_batch_partial_failure_renders_and_continues(monkeypatch, capsys):
