@@ -19,13 +19,11 @@ Package map
 :mod:`repro.osu`        OSU micro-benchmarks
 :mod:`repro.npb`        NPB 3.3 communication skeletons
 :mod:`repro.apps`       MetUM and Chaste application models
-:mod:`repro.faults`     deterministic fault injection + resilience
 :mod:`repro.arrivef`    ARRIVE-F profiling / prediction / relocation
 :mod:`repro.harness`    per-figure/table experiment registry
 =====================  ====================================================
 """
 
-from repro.faults import FaultSchedule
 from repro.platforms import DCC, EC2, VAYU, get_platform
 from repro.smpi import run_program
 
@@ -34,7 +32,6 @@ __version__ = "1.0.0"
 __all__ = [
     "DCC",
     "EC2",
-    "FaultSchedule",
     "VAYU",
     "__version__",
     "get_platform",

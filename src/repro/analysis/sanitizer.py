@@ -351,33 +351,11 @@ class MpiSanitizer:
     # -- deadlock ----------------------------------------------------------
     def describe_pending(self) -> list[str]:
         """Human-readable descriptions of every live pending operation,
-        in rank order.  Also used by the fault layer to attach context
-        to an injected :class:`~repro.errors.RankFailedError`."""
+        in rank order."""
         pending: list[str] = []
         for rank in sorted(self._pending):
             pending.extend(op.describe() for op in self._pending[rank])
         return pending
-
-    def note_injected_failure(
-        self, ranks: _t.Sequence[int], at: float, kind: str
-    ) -> None:
-        """Record that the fault layer killed ``ranks`` at time ``at``.
-
-        A warning (not an error): the blocked operations that follow are
-        a consequence of the injected fault, not an application protocol
-        bug — which is exactly how the sanitizer distinguishes injected
-        failure from genuine deadlock.
-        """
-        self._report.diagnostics.append(Diagnostic(
-            check="injected-rank-failure", severity="warning",
-            message=(
-                f"injected {kind} at t={at:.6g} killed rank(s) "
-                f"{','.join(map(str, sorted(ranks)))}; operations blocked on "
-                "them are injected failure, not protocol deadlock"
-            ),
-            ranks=tuple(sorted(ranks)),
-            details={"kind": kind, "time": at},
-        ))
 
     def deadlock_error(self, waiting: int) -> DeadlockError:
         """Build the enriched error for a drained-queue deadlock."""

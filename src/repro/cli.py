@@ -10,14 +10,13 @@ Commands
     Regenerate experiments (``all`` for everything); ``--full`` runs the
     complete sweeps, ``--jobs N`` fans sweep cells over N processes,
     ``--sanitize`` runs every world under the MPI sanitizer,
-    ``--faults <spec>`` injects a fault schedule into every world,
     ``--replay``/``--no-replay`` control steady-iteration fast-forward,
     ``--fastcollect``/``--no-fastcollect`` control the analytic
     collective fast-forward,
     ``--sim-iters N`` overrides the NPB steady-loop length,
     ``--retries N`` retries failing cells and ``--timeout S`` adds a
-    watchdog for hung pool workers (a dead pool worker's cells always
-    degrade to inline execution),
+    watchdog for hung pool workers (the cells a dead pool worker may
+    have taken always degrade to inline execution),
     ``--store PATH`` serves/publishes cells through the
     content-addressed cell store rooted at a local directory (see
     ``docs/caching.md``) — re-running an interrupted run with the same
@@ -40,9 +39,6 @@ Exit codes
     Engine dispatch-throughput microbenchmark; writes
     ``BENCH_engine.json``, can gate against a baseline (``--check``)
     and can append a per-commit trajectory row (``--append-history``).
-``faults sweep``
-    Sweep the checkpoint/restart model over failure rate x checkpoint
-    interval (see ``docs/resilience.md``).
 ``store <op> <path>``
     Maintain a content-addressed cell store (``docs/caching.md``):
     ``stats`` tallies records/shards/workers, ``verify`` re-derives
@@ -94,10 +90,10 @@ def _cmd_experiments(_args: argparse.Namespace) -> int:
     return 0
 
 
-#: ``RunConfig`` fields that are also flags of ``run``/``faults sweep``.
+#: ``RunConfig`` fields that are also flags of ``run``.
 _CONFIG_FLAGS = (
-    "seed", "jobs", "sim_iters", "faults", "replay", "fastcollect",
-    "retries", "timeout", "store",
+    "seed", "jobs", "sim_iters", "replay", "fastcollect", "retries",
+    "timeout", "store",
 )
 
 
@@ -255,32 +251,6 @@ def _cmd_fingerprint(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_faults(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.faults.sweep import sweep_failure_checkpoint
-
-    if args.faults_command == "sweep":
-        config = _run_config(args)
-        with config.open() as run:
-            result = sweep_failure_checkpoint(
-                args.rates, args.intervals,
-                work=args.work,
-                checkpoint_cost=args.checkpoint_cost,
-                restart_cost=args.restart_cost,
-                trials=args.trials,
-                seed=config.seed,
-                run=run,
-            )
-        if args.json:
-            print(json.dumps(result.to_dict(), indent=2))
-        else:
-            print(result.render())
-        _print_banners(result)
-        return 3 if result.failures else 0
-    raise AssertionError(f"unhandled faults subcommand {args.faults_command!r}")
-
-
 def _cmd_store(args: argparse.Namespace) -> int:
     import json
 
@@ -372,31 +342,6 @@ def _cmd_npb(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_sweep_args(parser: argparse.ArgumentParser) -> None:
-    """Shared harness flags (failure policy + cell store) for sweep commands."""
-    parser.add_argument(
-        "--timeout", type=float, default=None, metavar="S",
-        help="watchdog window in seconds (> 0): if no pool cell completes "
-             "for S seconds the hung workers are killed and their cells "
-             "retried or failed (pooled cells only); adds a "
-             "[harness: ...] banner",
-    )
-    parser.add_argument(
-        "--retries", type=int, default=None, metavar="N",
-        help="additional attempts per failing or hung cell (default 0); "
-             "cells that still fail render as FAILED(<cause>) entries and "
-             "the command exits 3; adds a [harness: ...] banner",
-    )
-    parser.add_argument(
-        "--store", default=None, metavar="PATH",
-        help="serve sweep cells from (and publish fresh results to) the "
-             "content-addressed cell store rooted at directory PATH; "
-             "entries are keyed by worker + args + code fingerprint so "
-             "they can never go stale; re-run with the same PATH to "
-             "resume an interrupted run (see docs/caching.md)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     from repro.config import RunConfig
 
@@ -432,12 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
              "(deadlock/collective-mismatch/message-leak checks)",
     )
     run.add_argument(
-        "--faults", default=None, metavar="SPEC",
-        help="inject a fault schedule into every simulated world, e.g. "
-             "'nfs:start=0,dur=30,factor=4;link:start=10,dur=5,bw=0.5' "
-             "(see docs/resilience.md; also via REPRO_FAULTS)",
-    )
-    run.add_argument(
         "--replay", action="store_true", default=None,
         help="fast-forward provably steady iterations (never changes "
              "results; adds a [perf: ...] banner; also via REPRO_REPLAY)",
@@ -461,50 +400,30 @@ def build_parser() -> argparse.ArgumentParser:
         "--sim-iters", type=int, default=None, metavar="N",
         help="override the NPB steady-loop iteration count (N >= 1)",
     )
-    _add_sweep_args(run)
+    run.add_argument(
+        "--timeout", type=float, default=None, metavar="S",
+        help="watchdog window in seconds (> 0): if no pool cell completes "
+             "for S seconds the hung workers are killed and their cells "
+             "retried or failed (pooled cells only); adds a "
+             "[harness: ...] banner",
+    )
+    run.add_argument(
+        "--retries", type=int, default=None, metavar="N",
+        help="additional attempts per failing or hung cell (default 0); "
+             "cells that still fail render as FAILED(<cause>) entries and "
+             "the command exits 3; adds a [harness: ...] banner",
+    )
+    run.add_argument(
+        "--store", default=None, metavar="PATH",
+        help="serve sweep cells from (and publish fresh results to) the "
+             "content-addressed cell store rooted at directory PATH; "
+             "entries are keyed by worker + args + code fingerprint so "
+             "they can never go stale; re-run with the same PATH to "
+             "resume an interrupted run (see docs/caching.md)",
+    )
     run.add_argument("--json", help="export comparisons as JSON")
     run.add_argument("--csv", help="export comparisons as CSV")
     run.add_argument("--out", help="write the text report to a file")
-
-    faults = sub.add_parser(
-        "faults", help="fault-injection and resilience tooling"
-    )
-    faults_sub = faults.add_subparsers(dest="faults_command", required=True)
-    sweep = faults_sub.add_parser(
-        "sweep", help="sweep failure rate x checkpoint interval"
-    )
-    sweep.add_argument(
-        "--rates", type=float, nargs="+", required=True,
-        help="failure rates (per simulated second)",
-    )
-    sweep.add_argument(
-        "--intervals", type=float, nargs="+", required=True,
-        help="checkpoint intervals (seconds of useful work)",
-    )
-    sweep.add_argument(
-        "--work", type=float, default=3600.0,
-        help="total useful work per run (seconds, default 3600)",
-    )
-    sweep.add_argument(
-        "--checkpoint-cost", type=float, default=30.0,
-        help="seconds per checkpoint write (default 30)",
-    )
-    sweep.add_argument(
-        "--restart-cost", type=float, default=60.0,
-        help="seconds to relaunch after a failure (default 60)",
-    )
-    sweep.add_argument(
-        "--trials", type=int, default=32,
-        help="seeded trials averaged per cell (default 32)",
-    )
-    sweep.add_argument("--seed", type=int, default=seed)
-    sweep.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for sweep cells (0 = all CPUs); output is "
-             "identical to --jobs 1",
-    )
-    _add_sweep_args(sweep)
-    sweep.add_argument("--json", action="store_true", help="JSON output")
 
     lint = sub.add_parser(
         "lint", help="static determinism linter (DET001-DET012)"
@@ -658,7 +577,6 @@ _COMMANDS: dict[str, _t.Callable[[argparse.Namespace], int]] = {
     "npb": _cmd_npb,
     "lint": _cmd_lint,
     "fingerprint": _cmd_fingerprint,
-    "faults": _cmd_faults,
     "bench": _cmd_bench,
     "store": _cmd_store,
 }

@@ -1,18 +1,17 @@
 """How a run is configured: one frozen :class:`RunConfig`, built once.
 
-Every knob of a ``repro run`` (and of ``repro faults sweep``) lives on
-:class:`RunConfig`, validated in one place, and reaches the code below
-it as one explicit argument: :meth:`RunConfig.open` opens the per-run
-resources (cell store, harness tally, run table) as a :class:`Run`, and
-that object is passed down ``run_experiment`` → experiment functions →
+Every knob of a ``repro run`` lives on :class:`RunConfig`, validated
+in one place, and reaches the code below it as one explicit argument:
+:meth:`RunConfig.open` opens the per-run resources (cell store, harness
+tally, run table) as a :class:`Run`, and that object is passed down ``run_experiment`` → experiment functions →
 ``run_cells`` → ``run_sweep``.
 
 Precedence is one rule for every field: an explicit value (a CLI flag,
 a keyword argument) wins, else the field's environment spelling, else
-its default.  Only the four *world options* have an environment
-spelling (:data:`ENV_VARS`: ``REPRO_SANITIZE``, ``REPRO_FAULTS``,
-``REPRO_REPLAY`` and ``REPRO_FASTCOLLECT``), and this module is the one
-place that reads them (:func:`env_world_options`).
+its default.  Only the three *world options* have an environment
+spelling (:data:`ENV_VARS`: ``REPRO_SANITIZE``, ``REPRO_REPLAY`` and
+``REPRO_FASTCOLLECT``), and this module is the one place that reads
+them (:func:`env_world_options`).
 
 World options reach simulated worlds without touching ``os.environ``:
 :func:`world_scope` installs them in this process (what an open
@@ -32,7 +31,6 @@ import typing as _t
 from repro.errors import ConfigError
 
 if _t.TYPE_CHECKING:  # pragma: no cover
-    from repro.faults.schedule import FaultSchedule
     from repro.harness.cellstore import CellStore
     from repro.harness.supervisor import HarnessStats
 
@@ -44,33 +42,18 @@ if _t.TYPE_CHECKING:  # pragma: no cover
 @dataclasses.dataclass(frozen=True, slots=True)
 class WorldOptions:
     """The run-wide defaults a :class:`~repro.smpi.world.MpiWorld` takes
-    for ``sanitize=``, ``faults=`` (a canonical spec), ``replay=`` and
-    ``fastcollect=`` when it is not given them explicitly."""
+    for ``sanitize=``, ``replay=`` and ``fastcollect=`` when it is not
+    given them explicitly."""
 
     sanitize: bool = False
-    faults: str | None = None
     replay: bool = False
     fastcollect: bool = False
-
-
-def _canonical_faults(faults: "FaultSchedule | str | None") -> str | None:
-    """A fault schedule's canonical spec; ``None`` for no or an empty one."""
-    from repro.faults.schedule import FaultSchedule
-
-    if faults is None:
-        return None
-    if isinstance(faults, str):
-        faults = FaultSchedule.parse(faults)
-    elif not isinstance(faults, FaultSchedule):
-        raise ConfigError(f"faults must be a FaultSchedule or spec string: {faults!r}")
-    return None if faults.empty else faults.spec()
 
 
 #: The environment spelling of each world option: the only environment
 #: variables read as configuration.
 ENV_VARS = {
     "sanitize": "REPRO_SANITIZE",
-    "faults": "REPRO_FAULTS",
     "replay": "REPRO_REPLAY",
     "fastcollect": "REPRO_FASTCOLLECT",
 }
@@ -79,17 +62,12 @@ ENV_VARS = {
 def env_world_options() -> WorldOptions:
     """The process default: the world options' environment spellings.
 
-    ``""`` and ``"0"`` mean off (for ``REPRO_FAULTS``: no schedule).
+    ``""`` and ``"0"`` mean off.
     """
-    env = {
-        name: os.environ.get(var, "").strip()  # lint-ok: DET008 the one sanctioned feature-gate reader, read before simulation starts
+    return WorldOptions(**{
+        name: os.environ.get(var, "").strip() not in ("", "0")  # lint-ok: DET008 the one sanctioned feature-gate reader, read before simulation starts
         for name, var in ENV_VARS.items()
-    }
-    faults = env.pop("faults")
-    return WorldOptions(
-        faults=_canonical_faults(faults) if faults != "0" else None,
-        **{name: value not in ("", "0") for name, value in env.items()},
-    )
+    })
 
 
 @dataclasses.dataclass(slots=True)
@@ -157,11 +135,10 @@ class RunConfig:
     ``--seed`` flag defaults to it); ``jobs`` (``0`` = all CPUs) how
     many pool workers run a sweep's cells;
     ``retries``/``timeout`` the failure policy; ``store`` the cell-store
-    directory.  The world options ``sanitize``, ``faults``, ``replay``
-    and ``fastcollect`` left as ``None`` take the options in force
+    directory.  The world options ``sanitize``, ``replay`` and
+    ``fastcollect`` left as ``None`` take the options in force
     (:func:`world_options`: an install, else the environment); after
-    construction they are plain values and ``faults`` is a canonical
-    spec or ``None``.
+    construction they are plain bools.
     """
 
     quick: bool = True
@@ -169,7 +146,6 @@ class RunConfig:
     jobs: int = 1
     sim_iters: int | None = None
     sanitize: bool | None = None
-    faults: "str | FaultSchedule | None" = None
     replay: bool | None = None
     fastcollect: bool | None = None
     retries: int = 0
@@ -184,12 +160,7 @@ class RunConfig:
         resolved: dict[str, _t.Any] = {}
         for name in ENV_VARS:
             value = getattr(self, name)
-            if value is None:
-                resolved[name] = getattr(default, name)
-            elif name == "faults":
-                resolved[name] = _canonical_faults(value)
-            else:
-                resolved[name] = bool(value)
+            resolved[name] = getattr(default, name) if value is None else bool(value)
         for name in ("seed", "jobs", "retries"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
@@ -220,10 +191,7 @@ class RunConfig:
         """Open this run's resources and install its world options."""
         from repro.harness.cellstore import CellStore
 
-        store = (
-            CellStore(self.store, faults=self.faults)
-            if self.store is not None else None
-        )
+        store = CellStore(self.store) if self.store is not None else None
         with world_scope(self.world) as reports:
             yield Run(self, store=store, reports=reports)
 
@@ -245,11 +213,10 @@ class Run:
     table: every successful cell result a sweep of this run produced,
     keyed by the cell's payload
     (:func:`~repro.harness.supervisor.run_table_key`).  Code and world
-    options (the fault spec included) are fixed for one run, so the
-    payload alone decides a result, and the sweep driver serves a
-    payload it finds here instead of simulating it again; the values
-    are shared between the cells that asked for them and are
-    read-only.  ``Run()`` is a
+    options are fixed for one run, so the payload alone decides a
+    result, and the sweep driver serves a payload it finds here instead
+    of simulating it again; the values are shared between the cells
+    that asked for them and are read-only.  ``Run()`` is a
     default, unopened run: no store, the world options in force, an
     empty run table.
     """

@@ -61,45 +61,6 @@ class DeadlockError(SimulationError):
         super().__init__(message)
 
 
-class RankFailedError(DeadlockError):
-    """Ranks were killed by an injected fault (node crash, spot reclaim).
-
-    Raised by :meth:`~repro.smpi.world.MpiWorld.launch` when a
-    :class:`~repro.faults.FaultSchedule` kills ranks mid-run — either
-    immediately at the end of the run, or earlier through the engine's
-    ``deadlock_factory`` plumbing when surviving ranks block on an
-    operation against a dead rank (which distinguishes an injected
-    failure from a genuine protocol deadlock).  Carries the killed world
-    ranks, the simulated failure time and the fault kind so a resilience
-    harness can account for wasted work and restart cost.
-    """
-
-    def __init__(
-        self,
-        failed_ranks: _t.Sequence[int],
-        waiting: int = 0,
-        message: str | None = None,
-        pending_ops: _t.Sequence[str] = (),
-        failed_at: float | None = None,
-        kind: str = "node-crash",
-    ) -> None:
-        self.failed_ranks = tuple(failed_ranks)
-        self.failed_at = failed_at
-        self.kind = kind
-        if message is None:
-            ranks = ",".join(map(str, self.failed_ranks))
-            at = f" at t={failed_at:.6g}" if failed_at is not None else ""
-            message = (
-                f"injected {kind}{at} killed rank(s) {ranks}"
-                + (f"; {waiting} surviving process(es) blocked" if waiting else "")
-            )
-            if pending_ops:
-                message += "\npending operations:\n" + "\n".join(
-                    f"  {op}" for op in pending_ops
-                )
-        super().__init__(waiting, message=message, pending_ops=pending_ops)
-
-
 class MpiError(ReproError):
     """Misuse of the simulated MPI API (bad rank, truncated recv, ...)."""
 

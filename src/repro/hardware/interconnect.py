@@ -128,21 +128,6 @@ class FabricSpec:
         return nbytes > self.eager_threshold
 
 
-def loss_retransmit_factor(loss_rate: float) -> float:
-    """Expected transmission-count multiplier under packet loss.
-
-    With independent per-packet loss probability ``p`` and stop-and-wait
-    retransmission, each packet is sent ``1 / (1 - p)`` times in
-    expectation; the fault layer multiplies wire time by this during a
-    link-degradation window.  (TCP's congestion response makes real loss
-    costlier still; this is the optimistic lower bound, consistent with
-    the rest of the first-order fabric model.)
-    """
-    if not (0.0 <= loss_rate < 1.0):
-        raise ConfigError(f"loss_rate must be in [0,1): {loss_rate}")
-    return 1.0 / (1.0 - loss_rate)
-
-
 def EthernetFabric(
     name: str,
     *,

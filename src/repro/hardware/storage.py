@@ -63,44 +63,6 @@ class FilesystemSpec:
         )
 
 
-class TimeVaryingFilesystem:
-    """A filesystem whose operation times scale with simulated time.
-
-    Wraps a :class:`FilesystemSpec` and multiplies every operation's
-    duration by ``factor_fn(engine.now)`` — how the fault layer models
-    NFS brown-outs (server overload, failover) without touching the
-    frozen spec.  With a factor of 1 the wrapper is numerically
-    transparent.
-    """
-
-    def __init__(
-        self,
-        base: FilesystemSpec,
-        engine,
-        factor_fn,
-    ) -> None:
-        self.base = base
-        self.engine = engine
-        self._factor_fn = factor_fn
-
-    @property
-    def name(self) -> str:
-        return self.base.name
-
-    def read_time(self, nbytes: float, concurrent_clients: int = 1) -> float:
-        """See :meth:`FilesystemSpec.read_time`; scaled by the factor at
-        the operation's start time."""
-        return self.base.read_time(nbytes, concurrent_clients) * self._factor_fn(
-            self.engine.now
-        )
-
-    def write_time(self, nbytes: float, concurrent_clients: int = 1) -> float:
-        """See :meth:`FilesystemSpec.write_time`; scaled like reads."""
-        return self.base.write_time(nbytes, concurrent_clients) * self._factor_fn(
-            self.engine.now
-        )
-
-
 #: Vayu's Lustre over QDR IB: striped, high per-client throughput.
 #: Calibrated so a 1.6 GB serial read costs ~4.5 s (paper Table III).
 LUSTRE_VAYU = FilesystemSpec(

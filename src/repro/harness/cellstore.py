@@ -14,10 +14,7 @@ content hash of
   (:func:`repro.analysis.static.worker_fingerprint` — the semantic
   identity of every function the worker can reach), and
 * the encoding's **format version** (so an encoding change can never
-  alias old records), and
-* the canonical spec of the run's **fault schedule**, when one is in
-  force — a faulted result is a different result, so it can never be
-  served to a fault-free run (fault-free keys are unchanged by this).
+  alias old records).
 
 Because the code fingerprint participates in the key, entries can never
 go stale: editing any function in a worker's call-graph closure moves
@@ -124,21 +121,16 @@ def _is_hex(value: _t.Any, length: int | None = None) -> bool:
     return bool(value) and all(c in _HEX_DIGITS for c in value)
 
 
-def store_key(
-    worker: str, args: _t.Sequence[_t.Any], code: str, faults: str | None = None
-) -> str:
+def store_key(worker: str, args: _t.Sequence[_t.Any], code: str) -> str:
     """Canonical content-address of one cell result.
 
     The digest covers ``(encoding format version, worker, encoded args,
-    code fingerprint)`` plus, when one is in force, the canonical fault
-    schedule spec; any change to the worker's reachable code (or to the
-    typed encoding itself) moves the key, which is the store's entire
-    staleness story — entries are immutable and can only ever stop
-    being found.
+    code fingerprint)``; any change to the worker's reachable code (or
+    to the typed encoding itself) moves the key, which is the store's
+    entire staleness story — entries are immutable and can only ever
+    stop being found.
     """
     fields = [JOURNAL_FORMAT_VERSION, worker, encode_value(tuple(args)), code]
-    if faults is not None:
-        fields.append(faults)
     blob = json.dumps(fields, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
@@ -169,9 +161,6 @@ def record_problem(rec: _t.Any) -> str | None:
         return "code fingerprint is not lowercase hex"
     if not _is_hex(rec["hash"], 32):
         return "payload hash is not 32 lowercase hex chars"
-    faults = rec.get("faults")
-    if faults is not None and (not isinstance(faults, str) or not faults):
-        return "fault schedule is not a non-empty string"
     try:
         args = decode_value(rec["args"])
     except _DECODE_ERRORS:
@@ -182,35 +171,30 @@ def record_problem(rec: _t.Any) -> str | None:
         decode_value(rec["result"])
     except _DECODE_ERRORS:
         return "result is not a typed encoding"
-    if store_key(rec["worker"], args, rec["code"], faults) != rec["k"]:
-        return "key does not re-derive from (worker, args, code, faults)"
+    if store_key(rec["worker"], args, rec["code"]) != rec["k"]:
+        return "key does not re-derive from (worker, args, code)"
     if payload_hash(rec["worker"], args) != rec["hash"]:
         return "payload hash does not re-derive from (worker, args)"
     return None
 
 
 def build_record(
-    worker: str, args: _t.Sequence[_t.Any], result: _t.Any, code: str,
-    faults: str | None = None,
+    worker: str, args: _t.Sequence[_t.Any], result: _t.Any, code: str
 ) -> dict:
     """The store record for one fresh result of code fingerprint ``code``.
 
     One construction site for every record, so any two publishers of
-    the same result emit byte-identical record lines.  A result computed
-    under a fault schedule records its spec (and is keyed by it).
+    the same result emit byte-identical record lines.
     """
-    record = {
+    return {
         "v": STORE_VERSION,
-        "k": store_key(worker, args, code, faults),
+        "k": store_key(worker, args, code),
         "worker": worker,
         "args": encode_value(tuple(args)),
         "code": code,
         "hash": payload_hash(worker, args),
         "result": encode_value(result),
     }
-    if faults is not None:
-        record["faults"] = faults
-    return record
 
 
 # ---------------------------------------------------------------------------
@@ -380,18 +364,13 @@ class CellStore:
     and safe to use from many processes at once: publishes are single
     ``O_APPEND`` writes and reads tolerate torn records.  Hit/miss/
     publish counters accumulate on the instance — the source of the
-    ``store: ...`` banner a batch prints to stderr.  ``faults`` is the
-    canonical fault-schedule spec the run's cells execute under (None:
-    fault-free); it joins every key this instance looks up, leases and
-    publishes.
+    ``store: ...`` banner a batch prints to stderr.
     """
 
     def __init__(
-        self, root: str | pathlib.Path, *, lease_ttl: float = LEASE_TTL,
-        faults: str | None = None,
+        self, root: str | pathlib.Path, *, lease_ttl: float = LEASE_TTL
     ) -> None:
         self.root = store_root(root)
-        self.faults = faults
         self.hits = 0
         self.misses = 0
         self.published = 0
@@ -492,7 +471,7 @@ class CellStore:
         code = self._code(worker)
         if code is None:
             return MISS
-        key = store_key(worker, args, code, self.faults)
+        key = store_key(worker, args, code)
         digest = payload_hash(worker, args)
         found: _t.Any = MISS
         for _lineno, _line, rec in self._scan_shard(self.shard_path(key)):
@@ -502,7 +481,6 @@ class CellStore:
                 and rec.get("v") == STORE_VERSION
                 and rec.get("worker") == worker
                 and rec.get("code") == code
-                and rec.get("faults") == self.faults
                 and rec.get("hash") == digest
                 and "result" in rec
             ):
@@ -551,10 +529,10 @@ class CellStore:
         code = self._code(worker)
         if code is None:
             return False
-        record = build_record(worker, args, result, code, self.faults)
-        self._append_record_line(
-            record["k"], json.dumps(record, sort_keys=True) + "\n"
-        )
+        record = build_record(worker, args, result, code)
+        # Unsorted: the line keeps the result's dict key order, so a
+        # served result equals a fresh one down to its repr.
+        self._append_record_line(record["k"], json.dumps(record) + "\n")
         self.published += 1
         self._release(record["k"])  # the published record supersedes our claim
         return True
@@ -575,7 +553,7 @@ class CellStore:
         code = self._code(worker)
         if code is None:
             return None
-        return store_key(worker, args, code, self.faults)
+        return store_key(worker, args, code)
 
     def _lease_stale(self, path: pathlib.Path) -> bool:
         """Whether a lease (or takeover marker) is orphaned.

@@ -174,11 +174,10 @@ def run_cells(
     (:func:`repro.harness.supervisor.run_sweep`) under ``run`` (or a run
     opened from ``RunConfig(**options)``): it plans against the run's
     cell store, runs cells inline for ``jobs <= 1`` and on a process
-    pool otherwise, degrades the cells of a dead pool worker to inline
-    execution, and applies its failure policy.  The mapping is assembled
-    in the order the cells were given, so any ``jobs`` renders
-    byte-identical reports.  A cell that still
-    fails raises its :class:`~repro.errors.CellExecutionError` here —
+    pool otherwise, degrades the cells a dead pool worker may have taken
+    to inline execution, and applies its failure policy.  The mapping is
+    assembled in the order the cells were given, so any ``jobs`` renders
+    byte-identical reports.  A cell that still fails raises its :class:`~repro.errors.CellExecutionError` here —
     the first in cell order, never completion order.
     """
     from repro.harness.supervisor import run_sweep
@@ -301,38 +300,3 @@ def arrivef_point(seed: int) -> dict[str, float]:
 
     return throughput_experiment(seed=seed)
 
-
-@cell_worker("faults_point")
-def faults_point(
-    rate: float,
-    interval: float,
-    work: float,
-    checkpoint_cost: float,
-    restart_cost: float,
-    trials: int,
-    seed: int,
-) -> dict[str, float]:
-    """One (failure rate x checkpoint interval) resilience-sweep cell.
-
-    The cell's random stream is derived from its own parameters, not
-    from execution order, so a sweep renders byte-identically whichever
-    process (or order) the cell runs in.
-    """
-    from repro.faults.checkpoint import CheckpointPolicy, simulate_completion
-    from repro.sim.rng import RandomStreams
-
-    policy = CheckpointPolicy(interval, checkpoint_cost, restart_cost)
-    stream = RandomStreams(seed).child("faults-sweep").stream(
-        f"rate={rate!r}:interval={interval!r}"
-    )
-    completion = restarts = wasted = 0.0
-    for _ in range(trials):
-        stats = simulate_completion(work, policy, rate, stream)
-        completion += stats.completion_time
-        restarts += stats.restarts
-        wasted += stats.wasted_work
-    return {
-        "completion_time": completion / trials,
-        "restarts": restarts / trials,
-        "wasted_work": wasted / trials,
-    }

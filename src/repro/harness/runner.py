@@ -27,10 +27,6 @@ class BatchResult:
     """All outputs of one harness batch."""
 
     outputs: dict[str, ExperimentOutput]
-    #: Canonical fault-schedule spec the batch ran under (None: fault-free);
-    #: the one run option :meth:`render` shows, as a closing
-    #: ``[faults: ...]`` line — it changes the results.
-    faults_spec: str | None = None
     #: One-line MPI-sanitizer summary (None when the batch ran
     #: unsanitized).  Like every banner below it is *not* part of
     #: :meth:`render`, and the CLI prints it to stderr: it counts only the
@@ -56,10 +52,7 @@ class BatchResult:
     failures: dict[str, CellExecutionError] = dataclasses.field(default_factory=dict)
 
     def render(self) -> str:
-        body = "\n\n".join(o.render() for o in self.outputs.values())
-        if self.faults_spec is not None:
-            body += f"\n\n[faults: {self.faults_spec}]"
-        return body
+        return "\n\n".join(o.render() for o in self.outputs.values())
 
     def comparison_rows(self) -> list[dict[str, _t.Any]]:
         """Flat (experiment, metric, measured, paper, delta%) rows."""
@@ -171,9 +164,9 @@ def run_batch(
 
     The batch runs under ``config``, or a :class:`~repro.config.RunConfig`
     built from ``options`` — its fields: ``quick``, ``seed``, ``jobs``,
-    ``sim_iters``, ``sanitize``, ``faults``, ``replay``, ``fastcollect``,
-    ``retries``, ``timeout``, ``store``.  The config is
-    opened once (:meth:`~repro.config.RunConfig.open`) and the resulting
+    ``sim_iters``, ``sanitize``, ``replay``, ``fastcollect``, ``retries``,
+    ``timeout``, ``store``.  The config is opened once
+    (:meth:`~repro.config.RunConfig.open`) and the resulting
     :class:`~repro.config.Run` serves the whole batch — one store, one
     harness tally, one run table — and every world is built with the
     run's world options: inline through one in-process install, in pool
@@ -208,9 +201,6 @@ def run_batch(
       whose cells ultimately fail becomes a ``FAILED(<cause>)`` entry (in
       :attr:`BatchResult.failures`) while the rest of the batch runs.
 
-    ``faults`` installs a fault schedule in every world; its canonical
-    spec closes the report (``[faults: ...]``) and joins every cell's
-    store key, so a faulted result is never served to a fault-free run.
     ``sim_iters`` overrides the NPB steady-loop iteration count.
     """
     if config is None:
@@ -253,6 +243,6 @@ def run_batch(
             ) + _in_process_note(pooled)
         summaries = run.summaries()
     return BatchResult(
-        outputs, faults_spec=config.faults, sanitize_summary=sanitize,
-        perf_summary=perf, failures=failures, **summaries,
+        outputs, sanitize_summary=sanitize, perf_summary=perf,
+        failures=failures, **summaries,
     )

@@ -2,8 +2,7 @@
 
 :func:`run_sweep` plans, dispatches and collects every sweep in the
 package — :func:`repro.harness.parallel.run_cells` is a thin wrapper
-over it, and ``repro faults sweep`` calls it directly for per-cell
-failures.  :func:`repro.harness.runner.run_batch` runs every cell its
+over it.  :func:`repro.harness.runner.run_batch` runs every cell its
 experiments declare in one sweep, so a batch has one store plan and
 one pool.  One pass runs:
 
@@ -34,8 +33,10 @@ whichever experiments ask for it.
 
 Failure handling is always on and never changes a clean run:
 
-* a pool worker that dies (``BrokenProcessPool``) degrades its cells to
-  inline execution and kills the pool;
+* a pool worker that dies (``BrokenProcessPool``) kills the pool: the
+  cells the pool may have taken (the first ``jobs + 1`` unfinished)
+  degrade to inline execution, and the rest go, uncharged, to a fresh
+  pool;
 * a cell exception becomes a structured
   :class:`~repro.errors.CellExecutionError` on the :class:`SweepReport`
   after ``RunConfig.retries`` extra attempts (a
@@ -347,7 +348,7 @@ class _Sweep:
         sent = 0
         order: dict[Future, int] = {}
         not_done: set[Future] = set()
-        retry: list[_Task] = []
+        retry: list[int] = []  # positions in ``tasks``
         broken = hung = False
         try:
             while not broken:
@@ -374,12 +375,12 @@ class _Sweep:
                         value = fut.result()
                     except BrokenProcessPool:
                         broken = True
-                        retry.append(task)
+                        retry.append(order[fut])
                     except ConfigError:
                         raise
                     except Exception as exc:
                         if self.fail(task, "worker-exception", exc):
-                            retry.append(task)
+                            retry.append(order[fut])
                     else:
                         self.succeed(task, value)
         except BaseException:
@@ -393,29 +394,37 @@ class _Sweep:
             fut.cancel()
         queued = tasks[sent:]  # never sent to the pool
         if broken:
-            # A dead worker poisons the whole pool: run everything it
-            # still owed inline instead of gambling on fresh workers.
-            lost = retry + [tasks[order[f]] for f in left] + queued
+            # A dead worker poisons the whole pool, and the cell that
+            # killed it is one a worker had taken.  The pool feeds its
+            # call queue in submission order, so only the first
+            # ``jobs + 1`` unfinished cells can have been taken: run
+            # those inline, and hand the rest, uncharged, to the fresh
+            # pool of the next round.  Each broken round demotes at
+            # least one cell, so the sweep ends even if every pool dies.
+            unfinished = [
+                tasks[i] for i in sorted(retry + [order[f] for f in left])
+            ] + queued
+            lost = unfinished[:jobs + 1]
             for task in lost:
                 task.demoted = True
-            return [], lost, True
+            return unfinished[jobs + 1:], lost, True
         if hung and not running:
             # Nothing even started inside a full watchdog window: the
             # pool itself is stalled, so finish the sweep inline.
             lost = [tasks[order[f]] for f in left] + queued
             for task in lost:
                 task.demoted = True
-            return retry, lost, True
+            return [tasks[i] for i in retry], lost, True
         for fut in left:
             task = tasks[order[fut]]
             if fut not in running:
-                retry.append(task)  # never started: uncharged
+                retry.append(order[fut])  # never started: uncharged
             elif self.fail(
                 task, "timeout",
                 detail=f"no completion within the {timeout:g}s watchdog window",
             ):
-                retry.append(task)
-        return retry + queued, [], hung
+                retry.append(order[fut])
+        return [tasks[i] for i in retry] + queued, [], hung
 
 
 def _kill_pool(pool: ProcessPoolExecutor) -> None:

@@ -33,10 +33,10 @@ Fast-forwarding is a pure optimization: per-rank wake times, IPM
 counters and rendered reports are bit-identical to the per-operation
 path.  That only holds when nothing observes or perturbs the skipped
 per-event execution, so the fast path shares replay's disqualifier
-(:func:`repro.perf.replay.perturbation_reason`): a sanitizer, a fault
-schedule, timeline tracing, the engine tracer, or a platform that
-samples randomness per message/burst all force the per-operation path,
-with the reason recorded in the :class:`FastCollectReport`.  Ad-hoc
+(:func:`repro.perf.replay.perturbation_reason`): a sanitizer, timeline
+tracing, the engine tracer, or a platform that samples randomness per
+message/burst all force the per-operation path, with the reason
+recorded in the :class:`FastCollectReport`.  Ad-hoc
 collectives with no ``memo_key`` (cost not determined by
 ``(ctx, nbytes)``) also take the per-operation path.
 

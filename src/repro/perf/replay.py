@@ -40,8 +40,8 @@ run is observed or perturbed:
   :meth:`repro.platforms.base.Platform.replay_unsafe_reason`; note that
   *every registered paper platform* is stochastic, so replay only
   engages on explicitly quietened variants (:func:`deterministic_variant`);
-* the MPI sanitizer, the fault injector, timeline tracing or the engine
-  tracer is attached;
+* the MPI sanitizer, timeline tracing or the engine tracer is
+  attached;
 * a loop never goes stationary (the decision simply stays "simulate").
 
 Enabling
@@ -102,16 +102,14 @@ def perturbation_reason(world: "MpiWorld") -> str | None:
 
     The shared disqualifier of both iteration replay and the collective
     fast-forward (:mod:`repro.perf.fastcollect`): any observer or
-    perturbation of the per-event execution — the MPI sanitizer, an
-    armed fault schedule, timeline tracing, the engine tracer, or a
-    platform that samples randomness per message/computation — means
+    perturbation of the per-event execution — the MPI sanitizer,
+    timeline tracing, the engine tracer, or a platform that samples
+    randomness per message/computation — means
     skipping events would change what is observed or sampled.  Returns
     ``None`` when every cost is draw-free and unobserved.
     """
     if world.sanitizer is not None:
         return "MPI sanitizer attached"
-    if world.fault_injector is not None:
-        return "fault schedule installed"
     if world.timeline is not None:
         return "timeline tracing enabled"
     if world.engine.tracer is not None:
@@ -379,10 +377,9 @@ class ReplayRecorder:
     """Per-world iteration recorder + stationarity verifier.
 
     Constructed last in ``MpiWorld.__init__`` so every disqualifier
-    (sanitizer, fault injector, timeline, engine tracer, stochastic
-    platform models) is already known; when one applies the recorder is
-    *inactive* — it records nothing, fast-forwards nothing, and merely
-    reports why.
+    (sanitizer, timeline, engine tracer, stochastic platform models) is
+    already known; when one applies the recorder is *inactive* — it
+    records nothing, fast-forwards nothing, and merely reports why.
     """
 
     def __init__(

@@ -193,10 +193,6 @@ class Platform:
         self._noise_spike_rng = rng.stream("noise-spike")
         self._models: dict[int, RankComputeModel] = {}
         self._shm_pressure: dict[int, float] = {}
-        #: Fault-injection hooks (a :class:`~repro.faults.FaultInjector`);
-        #: ``None`` — the common case — keeps every query a pure
-        #: pass-through so fault-free runs stay bit-identical.
-        self.fault_hooks: _t.Any = None
 
     # -- placement-dependent model resolution -----------------------------
     def finalize_placement(self) -> None:
@@ -306,10 +302,7 @@ class Platform:
         noisy = base + self.spec.noise.sample(
             self._compute_rng, base, spike_rng=self._noise_spike_rng
         )
-        noisy += self.hypervisor.compute_jitter(self._compute_rng, base)
-        if self.fault_hooks is not None:
-            noisy += self.fault_hooks.stolen_extra(self.engine.now, base)
-        return noisy
+        return noisy + self.hypervisor.compute_jitter(self._compute_rng, base)
 
     # -- replay safety ------------------------------------------------------
     def replay_unsafe_reason(self) -> str | None:
@@ -319,7 +312,7 @@ class Platform:
         steady-state iteration; that is only sound when every cost on
         this platform is a pure function of its inputs.  Any sampled
         perturbation — OS noise, hypervisor jitter, masked-NUMA burst
-        noise, fault windows — makes iterations genuinely distinct, so
+        noise — makes iterations genuinely distinct, so
         the recorder stays off and every iteration is simulated.
         Call after placement: per-rank noise amplitudes are resolved by
         :meth:`finalize_placement`.
@@ -331,8 +324,6 @@ class Platform:
             return f"hypervisor samples jitter ({self.hypervisor.name})"
         if any(m.numa_noise != 0.0 for m in self._models.values()):
             return "masked-NUMA burst noise is stochastic"
-        if self.fault_hooks is not None:
-            return "fault-injection hooks are installed"
         return None
 
     def replay_safe(self) -> bool:
@@ -341,17 +332,12 @@ class Platform:
 
     def net_extra_latency(self) -> float:
         """Sample the hypervisor's extra network latency for one message."""
-        extra = self.hypervisor.net_extra_latency(self._net_rng)
-        if self.fault_hooks is not None:
-            extra += self.fault_hooks.net_extra_latency_at(self.engine.now)
-        return extra
+        return self.hypervisor.net_extra_latency(self._net_rng)
 
     def net_serialize(self, nbytes: int) -> float:
         """NIC serialisation time for an inter-node message."""
-        t = self.spec.fabric.serialize_time(nbytes) / self.hypervisor.net_bw_factor()
-        if self.fault_hooks is not None:
-            t *= self.fault_hooks.net_time_factor(self.engine.now)
-        return t
+        fabric = self.spec.fabric
+        return fabric.serialize_time(nbytes) / self.hypervisor.net_bw_factor()
 
     @property
     def net_rng(self) -> "np.random.Generator":

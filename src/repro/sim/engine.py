@@ -210,23 +210,6 @@ class Engine:
             return self.deadlock_factory(self._blocked)
         return DeadlockError(self._blocked)
 
-    def chain_deadlock_factory(
-        self,
-        factory: _t.Callable[
-            [int, "_t.Callable[[int], DeadlockError] | None"], DeadlockError
-        ],
-    ) -> None:
-        """Compose a richer deadlock reporter over the installed one.
-
-        ``factory(blocked, prev)`` receives the previously installed
-        plain factory (or ``None``).  Diagnostic layers (the MPI
-        sanitizer, the fault injector) stack in installation order: the
-        newest layer decides whether to claim the condition or delegate
-        to ``prev``.
-        """
-        prev = self.deadlock_factory
-        self.deadlock_factory = lambda blocked: factory(blocked, prev)
-
     # -- running ----------------------------------------------------------
     def step(self) -> float:
         """Dispatch the next event; return the new simulated time."""

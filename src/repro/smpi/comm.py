@@ -154,25 +154,6 @@ class Comm:
         self.world.record_interval(self.world_rank, t0, t0 + duration, "io", "write")
         return duration
 
-    def checkpoint(self, nbytes: float = 0.0, concurrent: int | None = None) -> _t.Generator:
-        """Declare an application checkpoint (a fault-tolerance cut).
-
-        Writes ``nbytes`` to the shared filesystem (when > 0) and
-        records the completion time with the fault layer: on an injected
-        crash, only work since the last checkpoint *all* ranks completed
-        is counted as wasted by the restart harness
-        (:func:`repro.faults.run_with_restarts`).  Zero-cost and
-        side-effect-free when no fault schedule is installed and
-        ``nbytes`` is 0.
-        """
-        duration = 0.0
-        if nbytes > 0:
-            duration = yield from self.io_write(nbytes, concurrent)
-        injector = self.world.fault_injector
-        if injector is not None:
-            injector.note_checkpoint(self.world_rank, self.engine.now)
-        return duration
-
     # -- IPM regions ---------------------------------------------------------------
     @contextlib.contextmanager
     def region(self, name: str) -> _t.Iterator[None]:

@@ -26,8 +26,6 @@ from repro.smpi.message import Message, Request
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.analysis.sanitizer import SanitizerReport
-    from repro.faults.report import ResilienceReport
-    from repro.faults.schedule import FaultSchedule
     from repro.perf.fastcollect import FastCollectReport
     from repro.perf.replay import ReplayReport
     from repro.smpi.comm import Comm
@@ -73,13 +71,6 @@ class MpiWorld:
         options (:func:`repro.analysis.sanitizer.sanitize_enabled`).
         The sanitizer observes without scheduling events, so sanitized
         runs keep bit-identical virtual timestamps.
-    faults:
-        A :class:`~repro.faults.FaultSchedule`, a spec string (see
-        :mod:`repro.faults.schedule`), or ``None`` to defer to the run's
-        world options (:func:`repro.faults.schedule.default_schedule`).  A non-empty schedule
-        installs a :class:`~repro.faults.FaultInjector`; with no
-        schedule every fault hook is a pure pass-through and the run is
-        bit-identical to one built before the fault layer existed.
     replay:
         Attach the steady-state iteration recorder
         (:class:`~repro.perf.replay.ReplayRecorder`): marked steady
@@ -87,10 +78,9 @@ class MpiWorld:
         are fast-forwarded analytically instead of re-simulated.
         ``None`` (the default) defers to the run's world options
         (:func:`repro.perf.replay.replay_enabled`).  The recorder
-        auto-falls-back to full simulation whenever the sanitizer, the
-        fault injector, tracing or a stochastic platform model is
-        present — replay is a pure optimization, never a semantics
-        change.
+        auto-falls-back to full simulation whenever the sanitizer,
+        tracing or a stochastic platform model is present — replay is a
+        pure optimization, never a semantics change.
     fastcollect:
         Attach the analytic collective fast-forward
         (:class:`~repro.perf.fastcollect.FastCollect`): collectives on a
@@ -99,9 +89,9 @@ class MpiWorld:
         per-operation path, with byte-identical wake times and IPM
         counters.  ``None`` (the default) defers to the run's world
         options (:func:`repro.perf.fastcollect.fastcollect_enabled`).
-        Shares replay's auto-fallback discipline (sanitizer, faults,
-        tracing, stochastic platforms ⇒ per-operation path with a
-        recorded reason).
+        Shares replay's auto-fallback discipline (sanitizer, tracing,
+        stochastic platforms ⇒ per-operation path with a recorded
+        reason).
     """
 
     def __init__(
@@ -113,7 +103,6 @@ class MpiWorld:
         timeline: bool = False,
         memo: CollectiveMemo | None = None,
         sanitize: bool | None = None,
-        faults: "FaultSchedule | str | None" = None,
         replay: bool | None = None,
         fastcollect: bool | None = None,
     ) -> None:
@@ -142,21 +131,12 @@ class MpiWorld:
         if sanitize is None:
             sanitize = sanitize_enabled()
         self.sanitizer = MpiSanitizer(self) if sanitize else None
-        # The injector chains its deadlock factory over the sanitizer's,
-        # so it must be installed after the sanitizer.
-        from repro.faults.injector import FaultInjector
-        from repro.faults.schedule import resolve_schedule
-
-        schedule = resolve_schedule(faults)
-        self.fault_injector = (
-            FaultInjector(self, schedule) if schedule is not None else None
-        )
         #: Optional per-rank interval trace (memory-heavy; off by default).
         from repro.ipm.timeline import Timeline
 
         self.timeline = Timeline(nprocs) if timeline else None
         # The replay recorder is constructed last so every disqualifier
-        # (sanitizer, injector, timeline, engine tracer) is already known.
+        # (sanitizer, timeline, engine tracer) is already known.
         from repro.perf.replay import ReplayRecorder, replay_enabled
 
         if replay is None:
@@ -454,26 +434,14 @@ class MpiWorld:
             )
             procs.append(proc)
 
-        injector = self.fault_injector
-        if injector is not None:
-            injector.arm(procs)
         done = self.engine.all_of(procs)
         self.engine.run(done)
-        if injector is not None:
-            # The run is over: pull un-fired crash events out of the heap
-            # so the drain below cannot advance the clock to their times.
-            injector.disarm()
-        # Drain any stragglers (e.g. in-flight message arrivals), exactly
-        # as a fault-free run would — the sanitizer's finalize checks
-        # depend on seeing every delivered message.
+        # Drain any stragglers (e.g. in-flight message arrivals): the
+        # sanitizer's finalize checks depend on seeing every delivered
+        # message.
         self.engine.run()
         for rank in range(self.nprocs):
             self.monitor[rank].finalize(finish_times[rank])
-        if injector is not None and injector.killed_ranks:
-            # Raised before sanitizer finalize: unmatched operations
-            # involving dead ranks are a consequence of the injected
-            # fault, not an application protocol bug.
-            raise injector.failure_error()
         report = None
         if self.sanitizer is not None:
             from repro.errors import SanitizerError
@@ -492,7 +460,6 @@ class MpiWorld:
             wall_time=self.engine.now,
             rank_results=[p.value for p in procs],
             sanitizer_report=report,
-            resilience=injector.finalize_report() if injector is not None else None,
             replay=(
                 self.replay.finalize_report() if self.replay is not None else None
             ),
@@ -513,8 +480,6 @@ class RunResult:
     rank_results: list[_t.Any]
     #: Structured sanitizer output (None when the run was unsanitized).
     sanitizer_report: "SanitizerReport | None" = None
-    #: What the fault layer injected (None when no schedule was installed).
-    resilience: "ResilienceReport | None" = None
     #: What the iteration recorder captured/fast-forwarded (None when
     #: replay was not requested for this world).
     replay: "ReplayReport | None" = None

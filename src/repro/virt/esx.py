@@ -35,11 +35,6 @@ class VmwareEsx(Hypervisor):
     #: vSwitch scheduling delays and timeslice noise are sampled per
     #: message/burst.
     deterministic = False
-    #: Stolen-time windows hit ESX guests harder than the raw CPU-share
-    #: arithmetic: the vSwitch service is co-scheduled with guest vCPUs,
-    #: so while the CPU is stolen, pending network servicing backs up too
-    #: (the same contention behind the paper's fluctuating OSU latencies).
-    steal_amplification = 1.25
 
     def __init__(
         self,

@@ -49,26 +49,6 @@ class Hypervisor:
         """Extra compute time injected into a burst of ``duration`` seconds."""
         return 0.0
 
-    #: Multiplier on stolen-time stalls: layers whose housekeeping is
-    #: co-scheduled with guest vCPUs amplify a steal window beyond the
-    #: raw CPU-share arithmetic (overridden by concrete hypervisors).
-    steal_amplification: float = 1.0
-
-    def steal_burst(self, duration: float, frac: float) -> float:
-        """Extra wall seconds a stolen-time window adds to a compute burst.
-
-        With fraction ``frac`` of the CPU stolen, a burst needing
-        ``duration`` seconds of CPU occupies ``duration / (1 - frac)``
-        wall seconds; the return value is the difference, scaled by
-        :attr:`steal_amplification`.  Used by the fault layer's
-        stolen-time windows (:class:`repro.faults.StolenTimeBurst`).
-        """
-        if frac <= 0.0:
-            return 0.0
-        if frac >= 1.0:
-            raise ValueError(f"steal fraction must be < 1: {frac}")
-        return duration * frac / (1.0 - frac) * self.steal_amplification
-
     def describe(self) -> str:
         """One-line description for reports."""
         return self.name

@@ -32,10 +32,6 @@ class XenHvm(Hypervisor):
     system_time_share = 0.6
     #: Scheduler delays and HT jitter are sampled per message/burst.
     deterministic = False
-    #: With SMT siblings exposed as vCPUs, a stolen sibling degrades the
-    #: co-resident thread as well, so steal windows cost slightly more
-    #: than their CPU share alone.
-    steal_amplification = 1.15
 
     def __init__(
         self,

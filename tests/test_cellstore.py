@@ -54,9 +54,10 @@ def _cs_fail(x):
     raise RuntimeError(f"cs_fail({x})")
 
 
-#: A cheap, real, statically fingerprintable cell (1 trial).
-FAULTS_CELL = Cell(("r", 0.001), "faults_point",
-                   (0.001, 300.0, 600.0, 5.0, 10.0, 1, 1))
+#: Cheap, real, statically fingerprintable cells: NPB CG class S on
+#: two Vayu ranks, one per seed.
+NPB_CELLS = [Cell((seed,), "npb_point", ("cg", "Vayu", 2, seed, "S", None))
+             for seed in range(1, 5)]
 
 
 @pytest.fixture
@@ -93,28 +94,52 @@ class TestStoreKey:
         assert key != store_key("w", (1, ("a", 3), {1: 0.5}), "ab" * 16)
 
     def test_fault_free_key_pinned(self):
-        # A fault-free key is the same digest it always was, so existing
-        # stores keep serving; a fault schedule moves it.
+        # A key is the digest fault-free runs always had (the fault term
+        # left with the simulated-fault layer), so existing stores keep
+        # serving the records whose code fingerprint still matches.
         args = ("cg", "Vayu", 64, 1, "B", None)
         key = store_key("npb_point", args, "ab" * 16)
         assert key == (
             "05b8d7f51663f3c4046235d17197afec588daf89b6f5b61f102748e004dcc67e"
         )
-        assert store_key("npb_point", args, "ab" * 16, None) == key
-        faulted = store_key("npb_point", args, "ab" * 16, "crash:at=1.0,node=0")
-        assert faulted != key
-        assert faulted != store_key("npb_point", args, "ab" * 16, "crash:at=2.0,node=0")
 
-    def test_faulted_records_verify_and_stay_apart(self, tmp_path,
-                                                  fake_fingerprints):
-        plain = CellStore(tmp_path / "store")
-        faulted = CellStore(tmp_path / "store", faults="crash:at=1.0,node=0")
-        faulted.publish("cs_count", (1,), {"v": -1.0})
-        assert plain.lookup("cs_count", (1,)) is MISS
-        plain.publish("cs_count", (1,), {"v": 1.0})
-        assert faulted.lookup("cs_count", (1,)) == {"v": -1.0}
-        assert plain.lookup("cs_count", (1,)) == {"v": 1.0}
-        assert plain.verify().clean and plain.verify().ok == 2
+    def test_old_faulted_record_is_never_served(self, tmp_path,
+                                                fake_fingerprints):
+        # Stores written before the simulated-fault layer was removed can
+        # hold records computed under a fault schedule: a "faults" field
+        # whose spec was the fifth field of the keyed blob.  One such
+        # line, planted in the very shard a plain lookup scans, is a
+        # miss; verify reports it and gc drops it, without a crash.
+        import hashlib
+
+        from repro.harness.cellstore import JOURNAL_FORMAT_VERSION
+        from repro.harness.journal import encode_value
+
+        store = CellStore(tmp_path / "store")
+        args = (1,)
+        record = build_record("cs_count", args, {"v": -1.0}, "aa" * 16)
+        spec = "crash:at=1.0,node=0"
+        blob = json.dumps(
+            [JOURNAL_FORMAT_VERSION, "cs_count", encode_value(args), "aa" * 16, spec],
+            sort_keys=True, separators=(",", ":"),
+        )
+        faulted = {**record, "faults": spec,
+                   "k": hashlib.sha256(blob.encode("utf-8")).hexdigest()}
+        assert faulted["k"] != record["k"]
+        shard = store.shard_path(record["k"])
+        shard.parent.mkdir(parents=True)
+        shard.write_text(json.dumps(faulted, sort_keys=True) + "\n")
+        assert store.lookup("cs_count", args) is MISS
+        report = store.verify()
+        assert report.ok == 0 and report.problems == [
+            f"{shard.name}:1: key does not re-derive from (worker, args, code)"
+        ]
+        store.publish("cs_count", args, {"v": 1.0})
+        assert store.lookup("cs_count", args) == {"v": 1.0}
+        gc = store.gc()
+        assert gc.kept == 1 and gc.dropped_malformed == 1
+        assert store.verify().clean and store.verify().ok == 1
+        assert store.lookup("cs_count", args) == {"v": 1.0}
 
     def test_code_fingerprint_moves_the_key(self):
         # The whole staleness story: editing reachable code changes the
@@ -287,37 +312,40 @@ class TestRunCellsIntegration:
 # Concurrent writers
 # ---------------------------------------------------------------------------
 
-def _publish_block(root: str, rates: list[float]) -> int:
-    """Publish one deterministic faults_point record per rate (subprocess)."""
+def _npb_args(seed: int) -> tuple:
+    return ("cg", "Vayu", 2, seed, "S", None)
+
+
+def _npb_result(seed: int) -> dict[str, float]:
+    return {"projected_time": seed * 2.0, "per_iter_time": seed / 8,
+            "comm_percent": float(seed)}
+
+
+def _publish_block(root: str, seeds: list[int]) -> int:
+    """Publish one deterministic npb_point record per seed (subprocess)."""
     store = CellStore(root)
     n = 0
-    for rate in rates:
-        args = (rate, 300.0, 600.0, 5.0, 10.0, 1, 1)
-        result = {"completion_time": rate * 2.0, "restarts": 0.0,
-                  "wasted_work": rate}
-        if store.publish("faults_point", args, result):
+    for seed in seeds:
+        if store.publish("npb_point", _npb_args(seed), _npb_result(seed)):
             n += 1
     return n
 
 
 class TestConcurrentWriters:
     def test_disjoint_and_overlapping_writers(self, tmp_path):
-        # Two real processes publish concurrently: disjoint rate blocks
+        # Two real processes publish concurrently: disjoint seed blocks
         # plus a shared overlap (same key, same deterministic payload).
         root = str(tmp_path / "store")
-        a = [0.001 * i for i in range(1, 9)]        # .001 .. .008
-        b = [0.001 * i for i in range(5, 13)]       # .005 .. .012 (overlap 4)
+        a = list(range(1, 9))        # 1 .. 8
+        b = list(range(5, 13))       # 5 .. 12 (overlap 4)
         with ProcessPoolExecutor(max_workers=2) as pool:
             fa = pool.submit(_publish_block, root, a)
             fb = pool.submit(_publish_block, root, b)
             assert fa.result() == 8 and fb.result() == 8
         store = CellStore(root)
         every = sorted(set(a) | set(b))
-        for rate in every:
-            args = (rate, 300.0, 600.0, 5.0, 10.0, 1, 1)
-            value = store.lookup("faults_point", args)
-            assert value == {"completion_time": rate * 2.0, "restarts": 0.0,
-                             "wasted_work": rate}
+        for seed in every:
+            assert store.lookup("npb_point", _npb_args(seed)) == _npb_result(seed)
         stats = store.stats()
         assert stats.unique_keys == len(every) == 12
         assert stats.records == 16  # overlap appended twice, served once
@@ -700,31 +728,21 @@ class TestTwoExecutorsOneStore:
 
 class TestExperimentByteIdentity:
     def test_warm_store_batch_is_byte_identical_with_zero_executions(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, quick_report_digest
     ):
         # The acceptance criterion: a full batch run twice against the
         # same store executes zero cell workers the second time, and
         # both passes render the pinned seed-1 report byte for byte.
         # The warm pass starts with no fingerprint in memory and reads
-        # the store's persisted table: it parses no source at all.  The
-        # pinned report is fault-free (``faults=""`` overrides any
-        # ``REPRO_FAULTS``).
+        # the store's persisted table: it parses no source at all.
         import ast
-        import hashlib
-        import pathlib
 
         from repro.analysis.static import ModuleIndex
         from repro.harness.runner import run_batch
 
-        expected = pathlib.Path(__file__).resolve().parents[1] / \
-            "benchmarks" / "e2e" / "expected.json"
-        pinned = json.loads(expected.read_text())["report_digests"]["quick"]
-
-        def digest(batch):
-            return hashlib.sha256(batch.render().encode("utf-8")).hexdigest()
-
+        digest, pinned = quick_report_digest
         root = tmp_path / "store"
-        cold = run_batch(None, quick=True, seed=1, faults="", store=root)
+        cold = run_batch(None, quick=True, seed=1, store=root)
         assert digest(cold) == pinned
         ModuleIndex.reset_default()
         parses = []
@@ -732,36 +750,18 @@ class TestExperimentByteIdentity:
         monkeypatch.setattr(
             ast, "parse", lambda *a, **k: parses.append(1) or real_parse(*a, **k)
         )
-        warm = run_batch(None, quick=True, seed=1, faults="", store=root)
+        warm = run_batch(None, quick=True, seed=1, store=root)
         monkeypatch.undo()
         assert digest(warm) == pinned
         assert "88 served, 0 executed, 0 published" in warm.store_summary
         assert parses == []
 
-    def test_faults_sweep_store_round_trip(self, tmp_path):
-        from repro.faults.sweep import sweep_failure_checkpoint
-
-        root = tmp_path / "store"
-        kwargs = dict(work=600.0, checkpoint_cost=5.0, restart_cost=10.0,
-                      trials=2, seed=1)
-        cold = sweep_failure_checkpoint([1e-4, 1e-3], [100.0, 200.0],
-                                        store=root, **kwargs)
-        warm = sweep_failure_checkpoint([1e-4, 1e-3], [100.0, 200.0],
-                                        store=root, **kwargs)
-        assert cold.render() == warm.render()
-        assert "4 served, 0 executed" in warm.store_summary
-
     def test_undecodable_result_is_re_executed(self, tmp_path):
         # A record whose key, code and hash are valid but whose result
         # is a garbled typed encoding: verify flags it, and a sweep
         # treats it as a miss — it re-runs that cell instead of dying.
-        from repro.faults.sweep import sweep_failure_checkpoint
-
         root = tmp_path / "store"
-        kwargs = dict(work=600.0, checkpoint_cost=5.0, restart_cost=10.0,
-                      trials=2, seed=1)
-        cold = sweep_failure_checkpoint([1e-4, 1e-3], [100.0, 200.0],
-                                        store=root, **kwargs)
+        cold = run_cells(NPB_CELLS, store=root)
         store = CellStore(root)
         shard = store.shard_files()[0]
         lines = shard.read_text().splitlines()
@@ -773,10 +773,10 @@ class TestExperimentByteIdentity:
         assert report.problems == [
             f"{shard.name}:1: result is not a typed encoding"
         ]
-        warm = sweep_failure_checkpoint([1e-4, 1e-3], [100.0, 200.0],
-                                        store=root, **kwargs)
-        assert warm.render() == cold.render()
-        assert "3 served, 1 executed, 1 published" in warm.store_summary
+        with RunConfig(store=root).open() as run:
+            warm = run_cells(NPB_CELLS, run)
+        assert warm == cold
+        assert "3 served, 1 executed, 1 published" in run.store.banner()
 
 
 # ---------------------------------------------------------------------------

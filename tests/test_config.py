@@ -3,9 +3,8 @@
 Covers validation and precedence of :class:`RunConfig` (flag over
 environment over default, one table), that a run configures its worlds
 without writing ``os.environ`` — inline through one in-process install,
-in pool workers through the pool initializer — that reports are
-byte-identical across ``--jobs`` whatever world options are on, and that
-a fault schedule can never poison the cell store.
+in pool workers through the pool initializer — and that reports are
+byte-identical across ``--jobs`` whatever world options are on.
 """
 
 from __future__ import annotations
@@ -17,14 +16,10 @@ import pytest
 from repro.cli import _run_config, build_parser, main
 from repro.config import RunConfig, WorldOptions, world_options, world_scope
 from repro.errors import ConfigError
-from repro.faults import FaultSchedule
 from repro.harness.parallel import Cell, cell_worker, run_cells
 from repro.harness.runner import run_batch
 
-WORLD_ENV = ("REPRO_SANITIZE", "REPRO_FAULTS", "REPRO_REPLAY", "REPRO_FASTCOLLECT")
-
-#: A schedule that degrades every link for the whole run.
-LINK_FAULT = "link:start=0,dur=1e9,bw=0.5"
+WORLD_ENV = ("REPRO_SANITIZE", "REPRO_REPLAY", "REPRO_FASTCOLLECT")
 
 
 @pytest.fixture
@@ -53,9 +48,6 @@ def _cfg_probe(i):
 # Precedence: flag > env > default, for every field with an env spelling
 # ---------------------------------------------------------------------------
 
-_CANON = FaultSchedule.parse(LINK_FAULT).spec()
-_OTHER = "nfs:start=0,dur=30,factor=4"
-
 #: (field, env var, env value, flag argv, flag value, env-resolved value, default)
 PRECEDENCE = [
     ("sanitize", "REPRO_SANITIZE", "1", ["--sanitize"], True, True, False),
@@ -63,9 +55,6 @@ PRECEDENCE = [
     ("replay", "REPRO_REPLAY", "0", ["--replay"], True, False, False),
     ("fastcollect", "REPRO_FASTCOLLECT", "1", ["--no-fastcollect"], False, True, False),
     ("fastcollect", "REPRO_FASTCOLLECT", "0", ["--fastcollect"], True, False, False),
-    ("faults", "REPRO_FAULTS", LINK_FAULT, ["--faults", _OTHER],
-     FaultSchedule.parse(_OTHER).spec(), _CANON, None),
-    ("faults", "REPRO_FAULTS", "0", ["--faults", LINK_FAULT], _CANON, None, None),
 ]
 
 
@@ -104,7 +93,6 @@ INVALID = [
     (dict(timeout=0), ["--timeout", "0"]),
     (dict(sim_iters=0), ["--sim-iters", "0"]),
     (dict(store="tcp://127.0.0.1:1"), ["--store", "tcp://127.0.0.1:1"]),
-    (dict(faults="link:start;dur=1"), ["--faults", "link:start;dur=1"]),
 ]
 
 
@@ -122,11 +110,26 @@ def test_invalid_values_are_config_errors(fields, argv, capsys, tmp_path,
     assert list(tmp_path.iterdir()) == []  # nothing ran, nothing was created
 
 
+def test_no_fault_schedule_option(clean_env, capsys):
+    """No option configures simulated faults: ``run --faults`` and
+    ``faults sweep`` are usage errors and ``REPRO_FAULTS`` is not read."""
+    parse = build_parser().parse_args
+    for argv in (["run", "fig3", "--faults", "link:start=0,dur=1,bw=0.5"],
+                 ["faults", "sweep", "--rates", "0.1", "--intervals", "10"]):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+    clean_env.setenv("REPRO_FAULTS", "link:start=0,dur=1e9,bw=0.5")
+    assert RunConfig().world == WorldOptions()
+    with pytest.raises(TypeError):
+        RunConfig(faults="link:start=0,dur=1e9,bw=0.5")
+
+
 def test_config_is_frozen_and_canonical(clean_env):
-    config = RunConfig(jobs=0, faults=f" {LINK_FAULT} ", store=os.curdir)
+    config = RunConfig(jobs=0, store=os.curdir)
     assert config.jobs == (os.cpu_count() or 1)
-    assert config.faults == _CANON and config.store == os.curdir
-    assert RunConfig(faults="").faults is None
+    assert config.store == os.curdir
     with pytest.raises(AttributeError):
         config.seed = 3  # type: ignore[misc]
 
@@ -137,8 +140,7 @@ def test_one_seed_default():
     parse = build_parser().parse_args
     assert RunConfig().seed == 1
     assert parse(["run", "all"]).seed == RunConfig().seed
-    for argv in (["faults", "sweep", "--rates", "0.1", "--intervals", "10"],
-                 ["osu", "vayu"], ["npb", "cg", "vayu", "4"]):
+    for argv in (["osu", "vayu"], ["npb", "cg", "vayu", "4"]):
         assert parse(argv).seed == RunConfig().seed, argv
 
 
@@ -183,35 +185,6 @@ def test_report_independent_of_jobs(clean_env, flags, capsys):
         banner = "[sanitize: clean" if "--sanitize" in flags else "[perf: "
         assert banner in captured.err and banner not in captured.out
     assert outs[0] == outs[1]
-
-
-# ---------------------------------------------------------------------------
-# A fault schedule never poisons the store
-# ---------------------------------------------------------------------------
-
-def test_faulted_run_does_not_poison_a_plain_run(clean_env, tmp_path, capsys):
-    store = str(tmp_path / "store")
-    assert main(["run", "tab2"]) == 0
-    plain = capsys.readouterr().out
-    assert main(["run", "tab2", "--faults", LINK_FAULT, "--store", store]) == 0
-    faulted = capsys.readouterr().out
-    assert faulted != plain and faulted.endswith(f"[faults: {_CANON}]\n")
-    assert main(["run", "tab2", "--store", store]) == 0
-    captured = capsys.readouterr()
-    assert captured.out == plain
-    assert "0 served, 27 executed" in captured.err
-
-
-def test_plain_store_never_serves_a_faulted_run(clean_env, tmp_path):
-    store = tmp_path / "store"
-    faulted = run_batch(["tab2"], seed=1, faults=LINK_FAULT)
-    plain = run_batch(["tab2"], seed=1, store=store)
-    served = run_batch(["tab2"], seed=1, faults=LINK_FAULT, store=store)
-    assert served.render() == faulted.render() != plain.render()
-    assert "0 served, 27 executed, 27 published" in served.store_summary
-    again = run_batch(["tab2"], seed=1, faults=LINK_FAULT, store=store)
-    assert again.render() == faulted.render()
-    assert "27 served, 0 executed" in again.store_summary
 
 
 def test_nested_scopes_collect_into_every_open_collector(clean_env):

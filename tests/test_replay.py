@@ -84,13 +84,6 @@ class TestFallback:
         assert not world.replay.active
         assert "sanitizer" in world.replay.reason
 
-    def test_faults_force_fallback(self):
-        world = MpiWorld(
-            QUIET, 4, seed=1, faults="nfs:start=0,dur=10,factor=2", replay=True
-        )
-        assert not world.replay.active
-        assert "fault" in world.replay.reason
-
     def test_timeline_forces_fallback(self):
         world = MpiWorld(QUIET, 4, seed=1, timeline=True, replay=True)
         assert not world.replay.active
@@ -174,21 +167,18 @@ class TestOsuPhases:
 
 
 class TestBatchIntegration:
-    def test_all_experiments_byte_identical(self):
-        """Replay on vs off across every registered experiment."""
-        off = run_batch(None, quick=True, seed=3, replay=False, fastcollect=False)
-        on = run_batch(None, quick=True, seed=3, replay=True)
-        assert off.perf_summary is None
+    def test_all_experiments_byte_identical(self, quick_report_digest):
+        """Replay on across every registered experiment renders the
+        pinned seed-1 report; the [perf: ...] banner is stderr-only."""
+        digest, pinned = quick_report_digest
+        on = run_batch(None, quick=True, seed=1, replay=True)
         assert on.perf_summary is not None and on.perf_summary.startswith("perf:")
-        for eid, out in off.outputs.items():
-            assert on.outputs[eid].render() == out.render(), eid
-        assert on.comparison_rows() == off.comparison_rows()
-        # The [perf: ...] banner is stderr-only: the reports are identical.
-        assert on.render() == off.render()
+        assert digest(on) == pinned
 
     def test_batch_exports_identical(self, tmp_path):
-        off = run_batch(["fig3"], quick=True, seed=3, replay=False)
+        off = run_batch(["fig3"], quick=True, seed=3, replay=False, fastcollect=False)
         on = run_batch(["fig3"], quick=True, seed=3, replay=True)
+        assert off.perf_summary is None
         for batch, tag in ((off, "off"), (on, "on")):
             batch.write_json(tmp_path / f"{tag}.json")
             batch.write_csv(tmp_path / f"{tag}.csv")

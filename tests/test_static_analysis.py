@@ -344,16 +344,42 @@ class TestPersistedTables:
 
 
 class TestMeasuredPath:
+    """Everything in ``repro`` must be on the path ``run all --full``
+    measures.
+
+    Package reach alone is not enough: while the simulated-fault layer
+    existed, ``MpiWorld.__init__`` imported ``repro.faults.injector``, so
+    every worker reached ``repro.faults`` and a reach-only guard passed.
+    Its ``faults_point`` worker, though, was registered and never
+    dispatched by any experiment.  So every registered worker must be
+    dispatched first, and reach counts only the dispatched ones.
+    """
+
+    @staticmethod
+    def _dispatched_workers() -> set[str]:
+        from repro.config import RunConfig
+        from repro.harness.experiments import CELLS
+
+        config = RunConfig(quick=False)
+        return {cell.worker for build in CELLS.values() for cell in build(config)}
+
+    def test_every_worker_is_dispatched_by_run_all_full(self):
+        """Each registered worker is dispatched by some experiment's
+        declared cells under ``--full``: a worker no experiment runs is
+        dead weight, so it is deleted rather than kept."""
+        registered = set(ModuleIndex.default().workers())
+        assert sorted(registered - self._dispatched_workers()) == []
+
     def test_every_package_is_reached_by_a_worker(self):
-        """Each package under ``repro`` holds a module in some registered
-        worker's closure: a package no cell reaches is dead weight on
-        the measured path, so it is deleted rather than kept."""
+        """Each package under ``repro`` holds a module in the closure of
+        a worker ``run all --full`` dispatches: a package no dispatched
+        cell reaches is dead weight on the measured path."""
         import repro
 
         index = ModuleIndex.default()
         reached = {
             module
-            for worker in index.workers()
+            for worker in sorted(self._dispatched_workers())
             for module in worker_closure(worker, index).modules
         }
         root = pathlib.Path(repro.__file__).parent
@@ -527,7 +553,7 @@ class TestFingerprints:
         ]
         assert outs[0] == outs[1]
         data = json.loads(outs[0])
-        assert set(data) >= {"npb_point", "osu_curve", "faults_point"}
+        assert set(data) >= {"npb_point", "osu_curve", "arrivef_point"}
         assert all(len(v["fingerprint"]) == 32 for v in data.values())
 
 

@@ -54,6 +54,14 @@ def _sup_square(x):
     return {"v": float(x * x)}
 
 
+@cell_worker("sup_slow_square")
+def _sup_slow_square(x):
+    """``sup_square`` that takes 50 ms: long enough that a pool notices a
+    dead worker before the survivors finish the sweep."""
+    time.sleep(0.05)
+    return {"v": float(x * x)}
+
+
 @cell_worker("sup_flaky")
 def _sup_flaky(x, fail_above, arm_path):
     """Deterministic computation that raises for x >= fail_above while
@@ -159,6 +167,22 @@ def fake_fingerprints(monkeypatch):
         static, "worker_fingerprint",
         lambda worker: "5a" * 16 if worker.startswith("sup_") else real(worker),
     )
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """``max_workers`` of every process pool the sweep driver starts."""
+    from repro.harness import supervisor
+
+    sizes: list[int] = []
+
+    class _CountingPool(supervisor.ProcessPoolExecutor):
+        def __init__(self, *a, **k):
+            sizes.append(k["max_workers"])
+            super().__init__(*a, **k)
+
+    monkeypatch.setattr(supervisor, "ProcessPoolExecutor", _CountingPool)
+    return sizes
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +302,20 @@ class TestSupervisedExecution:
         assert not report.failures
         assert report.stats.degraded >= 1
         assert marker.exists()
+
+    def test_chaos_kill_demotes_only_cells_the_pool_took(
+        self, tmp_path, monkeypatch, pool_sizes
+    ):
+        # One dead worker must not serialise the sweep: only the first
+        # jobs + 1 unfinished cells can have been taken by the dead
+        # pool, so only they run inline; the rest go to one fresh pool.
+        monkeypatch.setenv("REPRO_CHAOS_KILL", str(tmp_path / "chaos"))
+        cells = [Cell((i,), "sup_slow_square", (i,)) for i in range(12)]
+        report = run_sweep(cells, jobs=2)
+        assert report.results == {(i,): {"v": float(i * i)} for i in range(12)}
+        assert not report.failures
+        assert 1 <= report.stats.degraded <= 3
+        assert pool_sizes == [2, 2]
 
     def test_default_policy_degrades_broken_pool(self):
         # Degradation is not opt-in: a plain run_cells whose every pool
@@ -581,9 +619,9 @@ class TestRunTable:
 def test_fig7_reads_tab3_runs_and_keeps_its_golden_digests():
     """Fig 7's cells carry Table III's Vayu/DCC payloads: in one batch
     they are twins of tab3's cells, and both blocks still render
-    the digests the end-to-end benchmark pins for a fault-free seed-1
-    run (``faults=""``: whatever ``REPRO_FAULTS`` says).  The batch
-    sweep keys cells ``(experiment, key)``, so payloads are recorded."""
+    the digests the end-to-end benchmark pins for a seed-1 run.  The
+    batch sweep keys cells ``(experiment, key)``, so payloads are
+    recorded."""
     from repro.harness.experiments import CELLS
     from repro.harness.runner import run_batch
 
@@ -601,7 +639,7 @@ def test_fig7_reads_tab3_runs_and_keeps_its_golden_digests():
 
     parallel._execute = _counting
     try:
-        batch = run_batch(["tab3", "fig7"], seed=1, faults="")
+        batch = run_batch(["tab3", "fig7"], seed=1)
     finally:
         parallel._execute = real_execute
     tab3 = [(c.worker, c.args) for c in CELLS["tab3"](RunConfig(seed=1))]
@@ -667,33 +705,25 @@ def test_batch_resume_from_store_skips_completed_cells(tmp_path):
     assert "0 executed, 0 published" in resumed.store_summary
 
 
-def test_batch_runs_on_one_pool_with_one_store_plan(monkeypatch, tmp_path):
+def test_batch_runs_on_one_pool_with_one_store_plan(monkeypatch, tmp_path,
+                                                   pool_sizes):
     """A batch plans every declared cell up front: one store plan and
     one process pool for all of its experiments, not one per sweep."""
-    from repro.harness import supervisor
     from repro.harness.runner import run_batch
 
-    pools: list[int] = []
     plans: list[int] = []
-
-    class _CountingPool(supervisor.ProcessPoolExecutor):
-        def __init__(self, *a, **k):
-            pools.append(k["max_workers"])
-            super().__init__(*a, **k)
-
     real_plan = CellStore.plan_cells
 
     def _counting_plan(store, cells):
         plans.append(len(cells))
         return real_plan(store, cells)
 
-    monkeypatch.setattr(supervisor, "ProcessPoolExecutor", _CountingPool)
     monkeypatch.setattr(CellStore, "plan_cells", _counting_plan)
     ids = ["fig1", "fig2", "fig4", "tab2"]
-    batch = run_batch(ids, jobs=2, seed=1, faults="", store=tmp_path / "store")
-    assert pools == [2]
+    batch = run_batch(ids, jobs=2, seed=1, store=tmp_path / "store")
+    assert pool_sizes == [2]
     assert len(plans) == 1
-    assert batch.render() == run_batch(ids, seed=1, faults="").render()
+    assert batch.render() == run_batch(ids, seed=1).render()
 
 
 def _declare(monkeypatch, eid, cells):
@@ -754,66 +784,6 @@ def test_batch_partial_failure_renders_and_continues(monkeypatch, capsys):
     assert "=== failex: FAILED(worker-exception) ===" in out
     assert "FAILED(worker-exception): cell (1,)" in out
     assert "tab1: Experimental platforms" in out  # batch kept going
-
-
-def test_faults_sweep_partial_failure_grid(monkeypatch, capsys):
-    """Failed sweep cells render as FAILED(<cause>) grid entries; the
-    command exits 3 and the rest of the grid survives."""
-    import repro.faults.checkpoint as checkpoint
-    from repro.cli import main
-
-    real = checkpoint.simulate_completion
-
-    def _sabotaged(work, policy, rate, stream):
-        if rate >= 0.05:
-            raise RuntimeError("sabotaged cell")
-        return real(work, policy, rate, stream)
-
-    monkeypatch.setattr(checkpoint, "simulate_completion", _sabotaged)
-    rc = main([
-        "faults", "sweep", "--rates", "0.01", "0.05", "--intervals", "10",
-        "--work", "100", "--trials", "2",
-    ])
-    out = capsys.readouterr().out
-    assert rc == 3
-    assert "FAILED(worker-exception)" in out
-    assert "# best cell: rate=0.01" in out
-    assert "# failed cell: rate=0.05" in out
-
-
-def test_faults_sweep_resume_byte_identical(tmp_path, monkeypatch):
-    """Acceptance: a sweep interrupted after k of n cells and re-run
-    against its store renders byte-identically to an uninterrupted one."""
-    import repro.faults.checkpoint as checkpoint
-    from repro.faults.sweep import sweep_failure_checkpoint
-
-    kwargs = dict(
-        work=100.0, checkpoint_cost=1.0, restart_cost=2.0, trials=2, seed=3
-    )
-    rates, intervals = [0.01, 0.05], [10.0, 25.0]
-    root = tmp_path / "store"
-
-    clean = sweep_failure_checkpoint(rates, intervals, **kwargs)
-
-    real = checkpoint.simulate_completion
-
-    def _sabotaged(work, policy, rate, stream):
-        if rate >= 0.05:
-            raise RuntimeError("interrupted")
-        return real(work, policy, rate, stream)
-
-    monkeypatch.setattr(checkpoint, "simulate_completion", _sabotaged)
-    interrupted = sweep_failure_checkpoint(
-        rates, intervals, **kwargs, store=root,
-    )
-    assert len(interrupted.cells) == 2 and len(interrupted.failures) == 2
-    monkeypatch.setattr(checkpoint, "simulate_completion", real)
-
-    resumed = sweep_failure_checkpoint(rates, intervals, **kwargs, store=root)
-    assert not resumed.failures
-    assert resumed.render() == clean.render()
-    assert resumed.to_dict() == clean.to_dict()
-    assert "2 served, 2 executed, 2 published" in resumed.store_summary
 
 
 def test_cli_exit_codes_documented_in_help():
@@ -890,10 +860,7 @@ class TestJournalFormatV2:
 class TestCodeFingerprintResume:
     """Resume is keyed by code identity for statically known workers."""
 
-    CELL = Cell(
-        ("r", 0.001), "faults_point",
-        (0.001, 300.0, 600.0, 5.0, 10.0, 1, 1),
-    )
+    CELL = Cell((1,), "npb_point", ("cg", "Vayu", 2, 1, "S", None))
 
     def test_store_records_code_for_registered_worker(self, tmp_path):
         from repro.analysis.static import worker_fingerprint
@@ -902,7 +869,7 @@ class TestCodeFingerprintResume:
         run_sweep([self.CELL], Run(store=store))
         [shard] = store.shard_files()
         (rec,) = [json.loads(l) for l in shard.read_text().splitlines()]
-        assert rec["code"] == worker_fingerprint("faults_point")
+        assert rec["code"] == worker_fingerprint("npb_point")
         assert len(rec["code"]) == 32
 
     def test_matching_fingerprint_resumes_byte_identically(self, tmp_path):
@@ -922,17 +889,17 @@ class TestCodeFingerprintResume:
         run_sweep([self.CELL], Run(store=store))
         [shard] = CellStore(root).shard_files()
         rec = json.loads(shard.read_text())
-        rec["result"] = {"completion_time": -1.0}
+        rec["result"] = {"projected_time": -1.0}
         shard.write_text(json.dumps(rec) + "\n")
         # The worker's code has "changed": its fingerprint moves.
         real = static.worker_fingerprint
         monkeypatch.setattr(
             static, "worker_fingerprint",
-            lambda worker: "0" * 32 if worker == "faults_point" else real(worker),
+            lambda worker: "0" * 32 if worker == "npb_point" else real(worker),
         )
         store = CellStore(root)
         report = run_sweep([self.CELL], Run(store=store))
         # The stale-code entry must not be trusted: the cell re-runs
         # and produces the genuine result.
         assert store.hits == 0
-        assert report.results[self.CELL.key]["completion_time"] > 0
+        assert report.results[self.CELL.key]["projected_time"] > 0
