@@ -9,9 +9,11 @@ The remaining tests measure the simulation engine itself — events
 dispatched per second on the :mod:`repro.perf.enginebench` workloads
 (timeout-heavy, point-to-point ping-pong, the fast-forwarded
 compute/allreduce cadence, and the replay-enabled NPB steady loop) — so
-the sim-layer fast paths have dedicated before/after numbers.  Results are written to
-``BENCH_engine.json`` in the working directory at session end; the same
-rows come from ``python -m repro bench engine``.
+the sim-layer fast paths have dedicated before/after numbers.  With
+timing on, results are written to ``BENCH_engine.json`` in the working
+directory once the module's tests are done; under ``--benchmark-disable``
+nothing is written, so a behaviour-only run leaves the committed
+baseline alone.  The same rows come from ``python -m repro bench engine``.
 """
 
 from __future__ import annotations
@@ -26,8 +28,24 @@ from repro.perf.enginebench import (
     write_rows,
 )
 
-#: Accumulates {workload: {events, seconds, events_per_sec, ...}} rows.
-_ENGINE_ROWS: dict[str, dict[str, float]] = {}
+
+@pytest.fixture(scope="module")
+def engine_rows(request):
+    """Collects {workload: {events, seconds, events_per_sec, ...}} rows;
+    writes ``BENCH_engine.json`` once all exist, when timing is on."""
+    rows: dict[str, dict[str, float]] = {}
+    yield rows
+    config = request.config
+    timing = config.getoption("benchmark_enable") or not config.getoption(
+        "benchmark_disable"
+    )
+    if not rows or not timing:
+        return
+    write_rows(rows, "BENCH_engine.json")
+    rates = ", ".join(
+        f"{k}={v['events_per_sec']:,.0f} ev/s" for k, v in sorted(rows.items())
+    )
+    print(f"\n[engine-throughput] {rates} -> BENCH_engine.json")
 
 
 def test_arrivef(run_and_report):
@@ -39,7 +57,7 @@ def test_arrivef(run_and_report):
 
 
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
-def test_engine_throughput(workload):
+def test_engine_throughput(workload, engine_rows):
     """Dispatch rate of the engine on one archetypal workload."""
     row = run_workload(workload)  # raises if too small to measure
     if workload == "replay":
@@ -58,15 +76,4 @@ def test_engine_throughput(workload):
             f"fastcollect eliminated only {row['events_ratio']:.2f}x events"
         )
         assert row["fast_ops"] > 0, "fastcollect never engaged"
-    _ENGINE_ROWS[workload] = row
-
-
-def teardown_module(_module) -> None:
-    """Write ``BENCH_engine.json`` once all throughput rows exist."""
-    if not _ENGINE_ROWS:
-        return
-    write_rows(_ENGINE_ROWS, "BENCH_engine.json")
-    rates = ", ".join(
-        f"{k}={v['events_per_sec']:,.0f} ev/s" for k, v in sorted(_ENGINE_ROWS.items())
-    )
-    print(f"\n[engine-throughput] {rates} -> BENCH_engine.json")
+    engine_rows[workload] = row

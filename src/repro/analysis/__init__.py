@@ -38,7 +38,6 @@ from repro.analysis.sanitizer import (
     MpiSanitizer,
     SanitizerReport,
     sanitize_enabled,
-    sanitize_scope,
 )
 from repro.analysis.static import (
     Definition,
@@ -80,7 +79,6 @@ __all__ = [
     "render_findings",
     "render_stats_table",
     "sanitize_enabled",
-    "sanitize_scope",
     "speedup_series",
     "table3_stats",
     "worker_closure",

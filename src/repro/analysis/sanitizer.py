@@ -23,9 +23,10 @@ run executes:
   from out-of-range sources.
 
 Enable per world (``MpiWorld(..., sanitize=True)``), per scope
-(:func:`sanitize_scope`), per run (``run_batch(sanitize=True)`` and the
-``--sanitize`` CLI flag, see :mod:`repro.config`) or by default via the
-``REPRO_SANITIZE`` environment variable.  The checks
+(``repro.config.world_scope(sanitize=True)``), per run
+(``run_batch(sanitize=True)`` and the ``--sanitize`` CLI flag, see
+:mod:`repro.config`) or by default via the ``REPRO_SANITIZE``
+environment variable.  The checks
 observe the simulation without scheduling events, so enabling them
 never changes virtual timestamps: a sanitized run is bit-identical to
 an unsanitized one.
@@ -33,11 +34,10 @@ an unsanitized one.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import typing as _t
 
-from repro.config import collect_report, world_options, world_scope
+from repro.config import collect_report, world_options
 from repro.errors import DeadlockError, SanitizerError
 
 if _t.TYPE_CHECKING:  # pragma: no cover
@@ -135,19 +135,6 @@ class SanitizerReport:
 def sanitize_enabled() -> bool:
     """Default ``sanitize=`` for worlds that don't pass one explicitly."""
     return world_options().sanitize
-
-
-@contextlib.contextmanager
-def sanitize_scope() -> _t.Iterator[list[SanitizerReport]]:
-    """Enable the sanitizer for every world built in this process inside
-    the block; yields the live list of their reports.
-
-    Pool workers get the setting from the run that dispatches to them
-    (:mod:`repro.config`); their reports surface only through the errors
-    they raise, which propagate across the pool boundary.
-    """
-    with world_scope(sanitize=True) as reports:
-        yield reports.sanitizer
 
 
 def _record_report(report: SanitizerReport) -> None:
@@ -294,13 +281,15 @@ class MpiSanitizer:
         nbytes: float,
         my_local: int,
         done: _t.Any,
+        uneven: bool,
     ) -> None:
         """Check one rank's arrival at collective ``seq`` of ``comm``.
 
         ``done`` is the completion event shared by all member ranks.
         Raises :class:`~repro.errors.SanitizerError` on op or root
         divergence; byte-count divergence is recorded as a warning when
-        the instance completes.
+        the instance completes, unless the phase is ``uneven`` (a
+        composite phase, whose per-rank volumes legitimately differ).
         """
         self._report.collectives_checked += 1
         world_rank = comm.group[my_local]
@@ -325,7 +314,8 @@ class MpiSanitizer:
                 },
             ))
         rec.arrived.add(world_rank)
-        rec.nbytes_by_rank[world_rank] = nbytes
+        if not uneven:
+            rec.nbytes_by_rank[world_rank] = nbytes
         op = _PendingOp("coll", world_rank, name=f"{name} (comm {comm.comm_id}, call #{seq})",
                         nbytes=nbytes, posted_at=self.world.engine.now)
         ops = self._pending[world_rank]

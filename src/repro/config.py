@@ -97,7 +97,13 @@ def world_scope(
 ) -> _t.Iterator[WorldReports]:
     """Install ``options`` (default: the ones in force, with ``changes``)
     for every world built in this process inside the block; yields the
-    reports of the worlds finalized meanwhile."""
+    reports of the worlds finalized meanwhile.
+
+    This is the one in-process install of every world option:
+    ``world_scope(sanitize=True) as reports`` sanitizes the block's
+    worlds and collects ``reports.sanitizer``; ``replay=`` and
+    ``fastcollect=`` work the same way.
+    """
     options = dataclasses.replace(options or world_options(), **changes)
     reports = WorldReports()
     _INSTALLED.append(options)  # lint-ok: DET007 in-process option install, restored on exit

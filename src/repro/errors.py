@@ -83,11 +83,11 @@ class CellExecutionError(ReproError):
     """One sweep cell ultimately failed under the sweep driver.
 
     Carries the cell ``key`` and registered ``worker`` name, the number
-    of execution ``attempts`` made, the classified ``cause`` — one of
-    ``"timeout"`` (no completion within the driver's watchdog window),
-    ``"worker-death"`` (the pool process hosting the cell died), or
-    ``"worker-exception"`` (the worker function raised) — and
-    ``detail`` (traceback text or a one-line explanation).
+    of execution ``attempts`` made, the classified ``cause`` —
+    ``"timeout"`` (no completion within the driver's watchdog window) or
+    ``"worker-exception"`` (the worker function raised) — and ``detail``
+    (traceback text or a one-line explanation).  A dead pool worker is
+    not a cause: the driver runs the cells it may have taken inline.
 
     The driver (:func:`repro.harness.supervisor.run_sweep`) collects one
     instance per exhausted cell onto its
@@ -95,9 +95,6 @@ class CellExecutionError(ReproError):
     :func:`repro.harness.parallel.run_cells` raises the first in cell
     order, and ``run_batch`` renders it as a ``FAILED(<cause>)`` entry.
     """
-
-    #: The recognised failure classifications.
-    CAUSES = ("timeout", "worker-death", "worker-exception")
 
     def __init__(
         self,

@@ -25,7 +25,6 @@ from repro.perf.fastcollect import (
     FastCollect,
     FastCollectReport,
     fastcollect_enabled,
-    fastcollect_scope,
 )
 from repro.perf.memo import (
     CollectiveMemo,
@@ -41,7 +40,6 @@ from repro.perf.replay import (
     perf_banner,
     perturbation_reason,
     replay_enabled,
-    replay_scope,
 )
 
 __all__ = [
@@ -55,10 +53,8 @@ __all__ = [
     "default_memo",
     "deterministic_variant",
     "fastcollect_enabled",
-    "fastcollect_scope",
     "memo_stats",
     "perf_banner",
     "perturbation_reason",
     "replay_enabled",
-    "replay_scope",
 ]

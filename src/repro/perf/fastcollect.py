@@ -43,17 +43,17 @@ collectives with no ``memo_key`` (cost not determined by
 Enabling
 --------
 Off by default.  Turn it on per world (``MpiWorld(..., fastcollect=True)``),
-per scope (:func:`fastcollect_scope`), per run (the ``--fastcollect`` CLI
-flag, see :mod:`repro.config`) or by default via ``REPRO_FASTCOLLECT=1``.
+per scope (``repro.config.world_scope(fastcollect=True)``), per run (the
+``--fastcollect`` CLI flag, see :mod:`repro.config`) or by default via
+``REPRO_FASTCOLLECT=1``.
 """
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import typing as _t
 
-from repro.config import collect_report, world_options, world_scope
+from repro.config import collect_report, world_options
 from repro.errors import ConfigError, MpiError
 from repro.perf.replay import perturbation_reason
 
@@ -67,15 +67,6 @@ if _t.TYPE_CHECKING:  # pragma: no cover
 def fastcollect_enabled() -> bool:
     """Default for worlds that don't pass ``fastcollect=`` explicitly."""
     return world_options().fastcollect
-
-
-@contextlib.contextmanager
-def fastcollect_scope(enabled: bool = True) -> _t.Iterator[list["FastCollectReport"]]:
-    """Force the fast path on (or off) for every world built in this
-    process inside the block; yields the reports of the worlds finalized
-    here."""
-    with world_scope(fastcollect=enabled) as reports:
-        yield reports.fastcollect
 
 
 def _note_report(report: "FastCollectReport") -> None:

@@ -47,18 +47,17 @@ run is observed or perturbed:
 Enabling
 --------
 Replay is **off by default**.  Turn it on per world
-(``MpiWorld(..., replay=True)``), per scope (:func:`replay_scope`), per
-run (the ``--replay`` CLI flag, see :mod:`repro.config`) or by default
-via ``REPRO_REPLAY=1``.
+(``MpiWorld(..., replay=True)``), per scope
+(``repro.config.world_scope(replay=True)``), per run (the ``--replay``
+CLI flag, see :mod:`repro.config`) or by default via ``REPRO_REPLAY=1``.
 """
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import typing as _t
 
-from repro.config import collect_report, world_options, world_scope
+from repro.config import collect_report, world_options
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.ipm.monitor import CallKey, RankProfile
@@ -83,14 +82,6 @@ DEFAULT_REL_TOL = 1e-9
 def replay_enabled() -> bool:
     """Default for worlds that don't pass ``replay=`` explicitly."""
     return world_options().replay
-
-
-@contextlib.contextmanager
-def replay_scope(enabled: bool = True) -> _t.Iterator[list["ReplayReport"]]:
-    """Force replay on (or off) for every world built in this process
-    inside the block; yields the reports of the worlds finalized here."""
-    with world_scope(replay=enabled) as reports:
-        yield reports.replay
 
 
 def _note_report(report: "ReplayReport") -> None:
@@ -175,8 +166,9 @@ def perf_banner(
     """The ``[perf: ...]`` batch-banner line: memo cache + replay +
     collective fast-forward stats.
 
-    ``reports`` / ``fastcollect`` are the report lists collected by
-    :func:`replay_scope` / :func:`repro.perf.fastcollect.fastcollect_scope`;
+    ``reports`` / ``fastcollect`` are the report lists a
+    :func:`repro.config.world_scope` collected (``.replay`` /
+    ``.fastcollect``);
     passing ``None`` omits that segment (the corresponding layer was not
     requested for the batch).
     """

@@ -591,11 +591,16 @@ class Comm:
         message-by-message (e.g. LU's pipelined wavefront sweeps, BT/SP's
         ADI line solves) model the phase analytically: all ranks
         synchronise and ``time_fn(ctx, nbytes)`` prices the whole phase.
-        The accounting is identical to a collective's.  A ``memo_key``
+        The accounting is identical to a collective's.  Each rank passes
+        its own ``nbytes``, which may differ between ranks (a halo
+        exchange on an uneven partition); the sanitizer does not flag
+        that.  A ``memo_key``
         that uniquely pins down ``time_fn`` (including every closed-over
         parameter) opts the phase cost into the collective memo cache.
         """
-        return self.world.collective(self, name, nbytes, time_fn, memo_key=memo_key)
+        return self.world.collective(
+            self, name, nbytes, time_fn, memo_key=memo_key, uneven=True
+        )
 
     # -- communicator management ---------------------------------------------------------
     def split(self, color: int, key: int | None = None) -> _t.Generator:

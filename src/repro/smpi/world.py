@@ -294,6 +294,7 @@ class MpiWorld:
         memo_key: _t.Hashable = None,
         root: int | None = None,
         null_ok: bool = False,
+        uneven: bool = False,
     ) -> _t.Generator:
         """One synchronising collective for the calling rank (dispatch).
 
@@ -310,8 +311,11 @@ class MpiWorld:
         Leave it ``None`` for ad-hoc composite phases whose cost depends
         on state outside the context.
 
-        ``root`` is purely diagnostic: rooted collectives pass it so the
-        sanitizer can detect cross-rank root divergence.  ``null_ok``
+        ``root`` and ``uneven`` are purely diagnostic: rooted collectives
+        pass ``root`` so the sanitizer can detect cross-rank root
+        divergence, and phases whose per-rank byte counts legitimately
+        differ (:meth:`~repro.smpi.comm.Comm.composite`) pass
+        ``uneven=True`` so it skips its byte-count check.  ``null_ok``
         marks finishers that map all-``None`` contributions to
         all-``None`` results (see
         :meth:`repro.perf.fastcollect.FastCollect.collective`).
@@ -326,7 +330,8 @@ class MpiWorld:
                 comm, name, nbytes, time_fn, contribution, finisher, memo_key, null_ok
             )
         return self._collective_slow(
-            comm, name, nbytes, time_fn, contribution, finisher, memo_key, root
+            comm, name, nbytes, time_fn, contribution, finisher, memo_key, root,
+            uneven,
         )
 
     def _collective_slow(
@@ -339,6 +344,7 @@ class MpiWorld:
         finisher: _t.Callable[[dict[int, _t.Any]], dict[int, _t.Any]] | None,
         memo_key: _t.Hashable,
         root: int | None,
+        uneven: bool,
     ) -> _t.Generator:
         """The per-operation collective path (sanitizer-aware)."""
         eng = self.engine
@@ -355,7 +361,7 @@ class MpiWorld:
             )
         if self.sanitizer is not None:
             self.sanitizer.on_collective(
-                comm, name, seq, root, nbytes, my_local, state.event
+                comm, name, seq, root, nbytes, my_local, state.event, uneven
             )
         arrival = eng.now
         state.arrivals[my_local] = arrival

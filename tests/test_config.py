@@ -188,15 +188,15 @@ def test_report_independent_of_jobs(clean_env, flags, capsys):
 
 
 def test_nested_scopes_collect_into_every_open_collector(clean_env):
-    from repro.perf.replay import deterministic_variant, replay_scope
+    from repro.perf.replay import deterministic_variant
     from repro.platforms import VAYU
     from repro.smpi import MpiWorld
 
     def program(comm):
         yield from comm.barrier()
 
-    with replay_scope(True) as outer:
-        with replay_scope(True) as inner:
+    with world_scope(replay=True) as outer:
+        with world_scope(replay=True) as inner:
             MpiWorld(deterministic_variant(VAYU), 2, seed=1).launch(program)
         MpiWorld(deterministic_variant(VAYU), 2, seed=1).launch(program)
-    assert (len(outer), len(inner)) == (2, 1)
+    assert (len(outer.replay), len(inner.replay)) == (2, 1)

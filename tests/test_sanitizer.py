@@ -1,12 +1,15 @@
 """Runtime MPI-sanitizer coverage: each seeded defect class is caught
-by exactly the intended check, and clean paper workloads stay clean."""
+by exactly the intended check, and clean programs stay clean and
+unperturbed.  That every paper experiment runs clean under ``sanitize``
+is a row of the golden strategy table (``tests/test_golden.py``)."""
 
 import pytest
 
+from repro.config import world_scope
 from repro.errors import ConfigError, DeadlockError, SanitizerError
 from repro.harness.parallel import cell_worker
-from repro.harness.runner import run_batch
 from repro.platforms import get_platform
+from repro.smpi.collectives import COLLECTIVE_METHODS
 from repro.smpi.world import MpiWorld
 
 VAYU = get_platform("vayu")
@@ -85,6 +88,18 @@ class TestCollectiveMismatch:
         assert diag.check == "collective-mismatch"
         assert "root=0" in str(diag.details["ops"]) and "root=1" in str(diag.details["ops"])
 
+    def test_composite_phase_names_are_still_checked(self):
+        """Composite phases skip only the byte check: op names still
+        have to agree."""
+
+        def prog(comm):
+            name = "MPI_Sendrecv(a)" if comm.rank == 0 else "MPI_Sendrecv(b)"
+            yield from comm.composite(name, 64, _phase_time)
+
+        with pytest.raises(SanitizerError) as exc:
+            MpiWorld(VAYU, 2, sanitize=True).launch(prog)
+        assert exc.value.diagnostics[0].check == "collective-mismatch"
+
     def test_nbytes_divergence_is_warning_only(self):
         def prog(comm):
             result = yield from comm.allreduce(8 * (comm.rank + 1), value=1)
@@ -128,6 +143,97 @@ class TestFinalizeChecks:
         assert exc.value.diagnostics[0].check == "invalid-peer"
 
 
+def _phase_time(ctx, nbytes):
+    """Cost of a custom phase: a latency plus a bandwidth term."""
+    return 1e-6 + nbytes / 1e9
+
+
+def _split(comm):
+    sub = yield from comm.split(comm.rank % 2)
+    total = yield from sub.allreduce(8, value=comm.rank)
+    return (sub.size, sub.rank, total)
+
+
+def _dup(comm):
+    dup = yield from comm.dup()
+    total = yield from dup.allreduce(8, value=comm.rank)
+    return (dup.size, dup.rank, total)
+
+
+def _ring(comm):
+    nxt, prv = (comm.rank + 1) % comm.size, (comm.rank - 1) % comm.size
+    msg = yield from comm.sendrecv(nxt, 1024 * (comm.rank + 1), prv)
+    return msg.nbytes
+
+
+def _nonblocking(comm):
+    nxt, prv = (comm.rank + 1) % comm.size, (comm.rank - 1) % comm.size
+    requests = [
+        comm.irecv(prv, tag=1), comm.irecv(nxt, tag=2),
+        comm.isend(nxt, 256, tag=1), comm.isend(prv, 65536, tag=2),
+    ]
+    values = yield from comm.waitall(requests)
+    return [msg.nbytes for msg in values[:2]]
+
+
+#: One correct program per ``COLLECTIVE_METHODS`` entry, plus the
+#: point-to-point patterns the paper workloads use.  ``composite`` is an
+#: uneven phase: each rank moves a different volume, as a halo exchange
+#: on an uneven partition does.
+PROGRAMS = {
+    "barrier": lambda comm: comm.barrier(),
+    "bcast": lambda comm: comm.bcast(64, root=1, value=comm.rank),
+    "reduce": lambda comm: comm.reduce(64, root=2, value=comm.rank),
+    "allreduce": lambda comm: comm.allreduce(8, value=comm.rank),
+    "gather": lambda comm: comm.gather(32, root=3, value=comm.rank),
+    "allgather": lambda comm: comm.allgather(32, value=comm.rank),
+    "scatter": lambda comm: comm.scatter(
+        32, root=0, values=list(range(comm.size)) if comm.rank == 0 else None
+    ),
+    "alltoall": lambda comm: comm.alltoall(
+        512, values=[10 * comm.rank + j for j in range(comm.size)]
+    ),
+    "alltoallv": lambda comm: comm.alltoallv(1024, max_pair=512.0),
+    "reduce_scatter": lambda comm: comm.reduce_scatter(1024, value=comm.rank),
+    "scan": lambda comm: comm.scan(8, value=comm.rank + 1),
+    "exscan": lambda comm: comm.exscan(8, value=comm.rank + 1),
+    "split": _split,
+    "dup": _dup,
+    "composite": lambda comm: comm.composite(
+        "MPI_Sendrecv(halo)", 4096 * (comm.rank + 1), _phase_time
+    ),
+    "collective": lambda comm: comm.world.collective(
+        comm, "custom_phase", 16, _phase_time
+    ),
+    "sendrecv-ring": _ring,
+    "nonblocking": _nonblocking,
+}
+
+
+def _twice(step):
+    """A program that runs ``step`` twice around uneven compute bursts,
+    so ranks arrive at different times; returns both results and the
+    rank's clock."""
+
+    def program(comm):
+        yield from comm.compute(flops=1e6 * (comm.rank + 1))
+        first = yield from step(comm)
+        yield from comm.compute(flops=2e6)
+        second = yield from step(comm)
+        return (first, second, comm.wtime())
+
+    return program
+
+
+def _ipm_totals(result):
+    """Every rank's whole-run IPM accounting."""
+    return [
+        (p.total.wall_time, p.total.compute_time,
+         {(k.call, k.nbytes): (s.count, s.time) for k, s in p.total.mpi.items()})
+        for p in result.monitor.profiles
+    ]
+
+
 class TestNoFalsePositives:
     def test_sanitize_does_not_change_timing(self):
         def ring(comm):
@@ -146,24 +252,31 @@ class TestNoFalsePositives:
         assert report.clean
         assert report.sends_checked == 20 and report.collectives_checked == 20
 
-    def test_paper_experiment_clean_under_sanitize(self):
-        """One full paper experiment runs --sanitize with zero diagnostics."""
-        batch = run_batch(["fig1"], quick=True, seed=1, sanitize=True)
-        assert batch.sanitize_summary is not None
-        assert batch.sanitize_summary.startswith("sanitize: clean")
-        assert "0 errors" in batch.sanitize_summary
-        assert "0 warning(s)" in batch.sanitize_summary
-        assert "[sanitize:" not in batch.render()  # stderr-only banner
+    @pytest.mark.parametrize("name", sorted(PROGRAMS))
+    def test_program_unperturbed_and_clean(self, name):
+        """Sanitizing a world changes none of its results, and a correct
+        program gets a clean report."""
+        program = _twice(PROGRAMS[name])
+        plain = MpiWorld(VAYU, 4, seed=3, sanitize=False).launch(program)
+        checked = MpiWorld(VAYU, 4, seed=3, sanitize=True).launch(program)
+        assert checked.wall_time == plain.wall_time
+        assert checked.rank_results == plain.rank_results
+        assert _ipm_totals(checked) == _ipm_totals(plain)
+        report = checked.sanitizer_report
+        assert report.clean, report.render()
+        assert report.sends_checked + report.collectives_checked > 0
+
+    def test_programs_cover_every_collective(self):
+        assert COLLECTIVE_METHODS <= set(PROGRAMS)
 
     def test_npb_collective_workload_clean(self):
-        from repro.analysis.sanitizer import sanitize_scope
         from repro.npb import get_benchmark
 
-        with sanitize_scope() as reports:
+        with world_scope(sanitize=True) as reports:
             get_benchmark("cg").run(VAYU, 4, seed=1)
-        assert reports, "no sanitized worlds were finalized"
-        assert all(r.clean for r in reports)
-        assert sum(r.collectives_checked for r in reports) > 0
+        assert reports.sanitizer, "no sanitized worlds were finalized"
+        assert all(r.clean for r in reports.sanitizer)
+        assert sum(r.collectives_checked for r in reports.sanitizer) > 0
 
 
 class TestWorkerRegistration:
