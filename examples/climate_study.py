@@ -1,12 +1,11 @@
 #!/usr/bin/env python3
 """Climate-model study — MetUM across the platforms (Fig 6 + Table III).
 
-Reproduces the paper's UM analysis on the sweep driver: the four
-speedup series (``metum_point`` cells), the 32-core statistics table
-with Vayu-relative computation/communication ratios (``metum_stats``
-cells), and a per-process Fig-7 breakdown, read from the same
-``metum_stats`` results, showing DCC's system-time-dominated
-communication.
+Reproduces the paper's UM analysis on the sweep driver from one sweep of
+``metum_point`` cells: the four speedup series, then, read from the same
+32-core runs, the statistics table with Vayu-relative
+computation/communication ratios and a per-process Fig-7 breakdown
+showing DCC's system-time-dominated communication.
 
 Run:  python examples/climate_study.py
 """
@@ -49,13 +48,8 @@ def main():
     print(render_speedup_plot("UM warmed-time speedup over 8 cores", series))
     print()
 
-    # --- Table III: 32-core statistics --------------------------------------
-    at32 = run_cells([
-        Cell((label,), "metum_stats",
-             (platform, 32, _nodes(label, nodes, 32), SEED, SIM_STEPS))
-        for label, platform, nodes in VARIANTS
-    ])
-    stats = {label: at32[(label,)] for label, _platform, _nodes_ in VARIANTS}
+    # --- Table III: 32-core statistics, from the Fig 6 runs ----------------
+    stats = {label: points[(label, 32)] for label, _platform, _nodes_ in VARIANTS}
     print("UM statistics at 32 cores (Table III):")
     print(render_stats_table(table3_stats(stats, reference_platform="Vayu")))
     print()

@@ -74,13 +74,13 @@ def table3_stats(
     results: _t.Mapping[str, _t.Mapping[str, float]],
     reference_platform: str = "Vayu",
 ) -> list[SectionStats]:
-    """Build Table III from ``{label: metum_stats result}`` (one per run).
+    """Build Table III from ``{label: metum_point result}`` (one per run).
 
     Labels like ``"EC2-4"`` distinguish placements on the same platform;
     rows follow the mapping's order.  Each result carries the run's
-    ``time``, per-rank ``comp``/``comm`` totals, ``comm_percent``,
+    ``total_time``, per-rank ``comp``/``comm`` totals, ``comm_percent``,
     ``imbalance_percent`` and ``io`` (the
-    :func:`~repro.harness.parallel.metum_stats` cell worker's keys).
+    :func:`~repro.harness.parallel.metum_point` cell worker's keys).
     ``rcomp``/``rcomm`` are the computation/communication time ratios
     relative to the reference platform, as the paper defines them.
     """
@@ -94,7 +94,7 @@ def table3_stats(
     return [
         SectionStats(
             platform=label,
-            time=r["time"],
+            time=r["total_time"],
             rcomp=r["comp"] / ref_comp if ref_comp > 0 else 0.0,
             rcomm=r["comm"] / ref_comm if ref_comm > 0 else 0.0,
             comm_percent=r["comm_percent"],

@@ -385,17 +385,16 @@ def exp_fig6(run: Run) -> ExperimentOutput:
 
 
 def _tab3_cells(config: RunConfig) -> list[Cell]:
-    steps = _sim_steps(config.quick)
+    """Fig 6's 32-core cells, keyed ``(label,)``.
 
-    def _nn(label: str, nodes: int | None) -> int | None:
-        if label == "EC2" and nodes is None:
-            return 2
-        return nodes
-
+    Table III and Fig 7 are IPM views of the 32-core runs Fig 6 times,
+    so their cells carry exactly Fig 6's payloads and a run simulates
+    each of those worlds once.
+    """
     return [
-        Cell((label,), "metum_stats",
-             (spec.name, 32, _nn(label, nodes), config.seed, steps))
-        for label, spec, nodes in _um_variants()
+        Cell(cell.key[:1], cell.worker, cell.args)
+        for cell in _fig6_cells(config)
+        if cell.key[1] == 32
     ]
 
 
@@ -423,19 +422,16 @@ def exp_tab3(run: Run) -> ExperimentOutput:
 
 
 def _fig7_cells(config: RunConfig) -> list[Cell]:
-    steps = _sim_steps(config.quick)
-    return [
-        Cell((spec.name,), "metum_stats", (spec.name, 32, None, config.seed, steps))
-        for spec in (VAYU, DCC)
-    ]
+    return [cell for cell in _tab3_cells(config)
+            if cell.key[0] in (VAYU.name, DCC.name)]
 
 
 def exp_fig7(run: Run) -> ExperimentOutput:
     """Fig 7: per-process ATM_STEP breakdown on Vayu and DCC.
 
-    Fig 7 is the per-process view of Table III's 32-core Vayu and DCC
-    runs, so its cells carry exactly tab3's payloads: within one run
-    they are served from tab3's results instead of simulated again.
+    Fig 7 is the per-process view of Fig 6's 32-core Vayu and DCC runs
+    (also Table III's), so within one run its cells are served from
+    those results instead of simulated again.
     """
     points = run_cells(_fig7_cells(run.config), run)
     sections = []

@@ -255,23 +255,10 @@ def chaste_point(
 @cell_worker("metum_point")
 def metum_point(
     platform: str, nprocs: int, num_nodes: int | None, seed: int, sim_steps: int
-) -> dict[str, float]:
-    """One UM run: the 'warmed' (I/O-free steady) time."""
-    from repro.apps.metum import MetumBenchmark
-    from repro.platforms import get_platform
-
-    r = MetumBenchmark(sim_steps=sim_steps).run(
-        get_platform(platform), nprocs, num_nodes=num_nodes, seed=seed
-    )
-    return {"warmed_time": r.warmed_time, "total_time": r.total_time}
-
-
-@cell_worker("metum_stats")
-def metum_stats(
-    platform: str, nprocs: int, num_nodes: int | None, seed: int, sim_steps: int
 ) -> dict[str, _t.Any]:
-    """One UM run reduced to the Table-III section statistics, plus the
-    Fig-7 per-process ``ATM_STEP`` breakdown (float lists by rank)."""
+    """One UM run: the 'warmed' (I/O-free steady) and total times, the
+    Table-III section statistics, and the Fig-7 per-process ``ATM_STEP``
+    breakdown (float lists by rank)."""
     from repro.apps.metum import MetumBenchmark
     from repro.ipm.report import fig7_breakdown
     from repro.platforms import get_platform
@@ -280,7 +267,8 @@ def metum_stats(
         get_platform(platform), nprocs, num_nodes=num_nodes, seed=seed
     )
     return {
-        "time": r.total_time,
+        "warmed_time": r.warmed_time,
+        "total_time": r.total_time,
         "comp": r.compute_time(),
         "comm": r.comm_time(),
         "comm_percent": r.comm_percent(),

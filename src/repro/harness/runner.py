@@ -176,8 +176,8 @@ def run_batch(
     experiments declare (:data:`~repro.harness.experiments.CELLS`) goes
     into one sweep, in presentation order, so simulation happens before
     the first ``progress`` call; each distinct payload is simulated at
-    most once (fig4 and tab2 reuse fig3's NPB points, fig7 reads tab3's
-    Vayu and DCC runs).  Then each experiment is called in order, after
+    most once (fig4 and tab2 reuse fig3's NPB points, tab3 and fig7 read
+    fig6's UM runs).  Then each experiment is called in order, after
     ``progress(eid)``, and its sweeps are served from the run table.  An
     experiment whose declared cell failed is not called: it renders the
     batch sweep's failure of its first failed cell, so a failing payload

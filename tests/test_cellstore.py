@@ -308,6 +308,17 @@ class TestRunCellsIntegration:
         assert served.results == fresh.results
         assert store.banner().startswith("store: 3 lookup(s): 3 served")
 
+    def test_fig6_store_serves_tab3_and_fig7(self, tmp_path):
+        # Table III and Fig 7 read Fig 6's 32-core UM runs, so a store
+        # filled by one command serves them to the next.
+        from repro.harness.runner import run_batch
+
+        run_batch(["fig6"], seed=1, store=tmp_path / "store")
+        later = run_batch(["tab3", "fig7"], seed=1, store=tmp_path / "store")
+        assert later.store_summary == (
+            "store: 4 lookup(s): 4 served, 0 executed, 0 published"
+        )
+
 
 # ---------------------------------------------------------------------------
 # Concurrent writers

@@ -11,7 +11,7 @@ from repro.analysis.stats import (
 from repro.errors import ConfigError
 from repro.harness import EXPERIMENTS, run_experiment
 from repro.harness.figures import percent_delta, render_series_table, render_speedup_plot
-from repro.harness.parallel import Cell, metum_stats, run_cells
+from repro.harness.parallel import Cell, metum_point, run_cells
 
 
 class TestAnalysis:
@@ -39,14 +39,15 @@ class TestAnalysis:
 
     def test_table3_stats_reference_rows(self):
         results = {
-            "Vayu": metum_stats("Vayu", 8, None, 1, 1),
-            "DCC": metum_stats("DCC", 8, None, 1, 1),
+            "Vayu": metum_point("Vayu", 8, None, 1, 1),
+            "DCC": metum_point("DCC", 8, None, 1, 1),
         }
         rows = table3_stats(results, reference_platform="Vayu")
         assert [r.platform for r in rows] == ["Vayu", "DCC"]
         assert rows[0].rcomp == pytest.approx(1.0)
         assert rows[1].rcomp > 1.2
         assert rows[1].io_time == results["DCC"]["io"]
+        assert rows[1].time == results["DCC"]["total_time"]
         text = render_stats_table(rows)
         assert "rcomp" in text and "DCC" in text
 

@@ -96,5 +96,5 @@ def test_strategy_renders_the_golden_report(
         assert batch.perf_summary.startswith("perf: ")
         assert "replay" in batch.perf_summary and "fastcollect" in batch.perf_summary
     if row == "store-warm":
-        assert "88 served, 0 executed, 0 published" in batch.store_summary
+        assert "84 served, 0 executed, 0 published" in batch.store_summary
         assert parses == 0

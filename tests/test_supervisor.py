@@ -616,12 +616,12 @@ class TestRunTable:
         assert report.results == {("b", i): {"v": float(i * i)} for i in range(1, 5)}
 
 
-def test_fig7_reads_tab3_runs_and_keeps_its_golden_digests():
-    """Fig 7's cells carry Table III's Vayu/DCC payloads: in one batch
-    they are twins of tab3's cells, and both blocks still render
-    the digests the end-to-end benchmark pins for a seed-1 run.  The
-    batch sweep keys cells ``(experiment, key)``, so payloads are
-    recorded."""
+def test_tab3_and_fig7_read_fig6_runs_and_keep_their_golden_digests():
+    """Table III and Fig 7 are IPM views of Fig 6's 32-core UM runs: in
+    one batch their cells are twins of fig6's, so the batch simulates
+    only Fig 6's distinct payloads (11 of its 12 quick cells: EC2 and
+    EC2-4 share the 64-core run), and all three blocks still render the
+    digests the end-to-end benchmark pins for a seed-1 run."""
     from repro.harness.experiments import CELLS
     from repro.harness.runner import run_batch
 
@@ -639,13 +639,15 @@ def test_fig7_reads_tab3_runs_and_keeps_its_golden_digests():
 
     parallel._execute = _counting
     try:
-        batch = run_batch(["tab3", "fig7"], seed=1)
+        batch = run_batch(["fig6", "tab3", "fig7"], seed=1)
     finally:
         parallel._execute = real_execute
-    tab3 = [(c.worker, c.args) for c in CELLS["tab3"](RunConfig(seed=1))]
-    assert [args[0] for _worker, args in tab3] == ["Vayu", "DCC", "EC2", "EC2"]
-    assert calls == tab3
-    for eid in ("tab3", "fig7"):
+    fig6 = list(dict.fromkeys(
+        (c.worker, c.args) for c in CELLS["fig6"](RunConfig(seed=1))
+    ))
+    assert len(fig6) == 11
+    assert calls == fig6
+    for eid in ("fig6", "tab3", "fig7"):
         digest = hashlib.sha256(batch.outputs[eid].render().encode("utf-8"))
         assert digest.hexdigest() == expected["digests"]["quick"][eid], eid
 
