@@ -14,9 +14,6 @@ Commands
     ``--fastcollect``/``--no-fastcollect`` control the analytic
     collective fast-forward,
     ``--sim-iters N`` overrides the NPB steady-loop length,
-    ``--retries N`` retries failing cells and ``--timeout S`` adds a
-    watchdog for hung pool workers (the cells a dead pool worker may
-    have taken always degrade to inline execution),
     ``--store PATH`` serves/publishes cells through the
     content-addressed cell store rooted at a local directory (see
     ``docs/caching.md``) — re-running an interrupted run with the same
@@ -31,8 +28,8 @@ Exit codes
 ``0``
     Success — every requested cell/experiment completed.
 ``3``
-    Partial — some sweep cells ultimately failed, but the
-    report rendered with explicit ``FAILED(<cause>)`` entries.
+    Partial — some sweep cells failed, but the report
+    rendered with explicit ``FAILED(worker-exception)`` entries.
 ``1``
     Fatal — bad configuration or an unhandled failure; no report.
 ``bench engine``
@@ -91,10 +88,7 @@ def _cmd_experiments(_args: argparse.Namespace) -> int:
 
 
 #: ``RunConfig`` fields that are also flags of ``run``.
-_CONFIG_FLAGS = (
-    "seed", "jobs", "sim_iters", "replay", "fastcollect", "retries",
-    "timeout", "store",
-)
+_CONFIG_FLAGS = ("seed", "jobs", "sim_iters", "replay", "fastcollect", "store")
 
 
 def _run_config(args: argparse.Namespace, **fields: _t.Any) -> "RunConfig":
@@ -352,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="HPC/private/public-cloud performance study framework",
         epilog="exit codes: 0 success (all cells ok); 3 partial — some "
                "sweep cells failed but the report rendered with "
-               "FAILED(<cause>) entries; 1 fatal error (bad "
+               "FAILED(worker-exception) entries; 1 fatal error (bad "
                "configuration or unhandled failure). `repro store "
                "verify`, `repro lint` and `repro bench engine --check` keep "
                "exit 1 for their own failed-check verdicts.",
@@ -399,19 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--sim-iters", type=int, default=None, metavar="N",
         help="override the NPB steady-loop iteration count (N >= 1)",
-    )
-    run.add_argument(
-        "--timeout", type=float, default=None, metavar="S",
-        help="watchdog window in seconds (> 0): if no pool cell completes "
-             "for S seconds the hung workers are killed and their cells "
-             "retried or failed (pooled cells only); adds a "
-             "[harness: ...] banner",
-    )
-    run.add_argument(
-        "--retries", type=int, default=None, metavar="N",
-        help="additional attempts per failing or hung cell (default 0); "
-             "cells that still fail render as FAILED(<cause>) entries and "
-             "the command exits 3; adds a [harness: ...] banner",
     )
     run.add_argument(
         "--store", default=None, metavar="PATH",
@@ -590,8 +571,7 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
     except (ReproError, ValueError) as exc:
         # Fatal: bad configuration or an unhandled failure (exit 1);
         # sweeps with failed cells return 3 from the command itself.
-        # ValueError covers argument-validation errors raised below
-        # argparse, e.g. a negative --jobs.
+        # ValueError covers argument-validation errors raised below argparse.
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:  # e.g. piping into `head`

@@ -139,8 +139,7 @@ class RunConfig:
     ``quick``/``seed``/``sim_iters`` pick what is simulated (the default
     seed, 1, is the one the pinned report digests use, and every
     ``--seed`` flag defaults to it); ``jobs`` (``0`` = all CPUs) how
-    many pool workers run a sweep's cells;
-    ``retries``/``timeout`` the failure policy; ``store`` the cell-store
+    many pool workers run a sweep's cells; ``store`` the cell-store
     directory.  The world options ``sanitize``, ``replay`` and
     ``fastcollect`` left as ``None`` take the options in force
     (:func:`world_options`: an install, else the environment); after
@@ -154,34 +153,27 @@ class RunConfig:
     sanitize: bool | None = None
     replay: bool | None = None
     fastcollect: bool | None = None
-    retries: int = 0
-    timeout: float | None = None
     store: "str | os.PathLike[str] | None" = None
 
     def __post_init__(self) -> None:
         from repro.harness.cellstore import store_root
-        from repro.harness.parallel import resolve_jobs
 
         default = world_options()
         resolved: dict[str, _t.Any] = {}
         for name in ENV_VARS:
             value = getattr(self, name)
             resolved[name] = getattr(default, name) if value is None else bool(value)
-        for name in ("seed", "jobs", "retries"):
+        optional = () if self.sim_iters is None else ("sim_iters",)
+        for name in ("seed", "jobs", *optional):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ConfigError(f"{name} must be an int: {value!r}")
         if self.jobs < 0:
             raise ConfigError(f"jobs must be >= 0 (0 = all CPUs): {self.jobs}")
-        resolved["jobs"] = resolve_jobs(self.jobs)
-        if self.sim_iters is not None and not (
-            isinstance(self.sim_iters, int) and self.sim_iters >= 1
-        ):
+        if self.jobs == 0:
+            resolved["jobs"] = os.cpu_count() or 1
+        if self.sim_iters is not None and self.sim_iters < 1:
             raise ConfigError(f"sim_iters must be >= 1: {self.sim_iters}")
-        if self.retries < 0:
-            raise ConfigError(f"retries must be >= 0: {self.retries}")
-        if self.timeout is not None and not self.timeout > 0:
-            raise ConfigError(f"timeout must be > 0 seconds: {self.timeout}")
         if self.store is not None:
             resolved["store"] = os.fspath(store_root(self.store))
         for name, value in resolved.items():
@@ -236,13 +228,11 @@ class Run:
     def summaries(self) -> dict[str, str | None]:
         """The stderr-only ``harness``/``store`` banners.
 
-        The harness banner is there only under a non-default failure
-        policy (``retries`` or ``timeout``), the store banner only when
-        a store was configured.
+        The harness banner is there only when a cell degraded or failed,
+        the store banner only when a store was configured.
         """
-        policy = self.config.retries or self.config.timeout is not None
         return {
-            "harness_summary": self.stats.banner() if policy else None,
+            "harness_summary": self.stats.banner(),
             "store_summary": self.store.banner() if self.store else None,
         }
 

@@ -80,44 +80,33 @@ class SanitizerError(MpiError):
 
 
 class CellExecutionError(ReproError):
-    """One sweep cell ultimately failed under the sweep driver.
+    """One sweep cell failed under the sweep driver.
 
-    Carries the cell ``key`` and registered ``worker`` name, the number
-    of execution ``attempts`` made, the classified ``cause`` —
-    ``"timeout"`` (no completion within the driver's watchdog window) or
-    ``"worker-exception"`` (the worker function raised) — and ``detail``
-    (traceback text or a one-line explanation).  A dead pool worker is
-    not a cause: the driver runs the cells it may have taken inline.
+    Carries the cell ``key``, the registered ``worker`` name and
+    ``detail`` (the worker's traceback).  A cell is a deterministic
+    function of its arguments, so it is attempted once: a cell that
+    raises would raise the same way again.  A dead pool worker is not a
+    failure: the driver runs the cells it may have taken inline.
 
     The driver (:func:`repro.harness.supervisor.run_sweep`) collects one
-    instance per exhausted cell onto its
+    instance per failed cell onto its
     :class:`~repro.harness.supervisor.SweepReport`;
     :func:`repro.harness.parallel.run_cells` raises the first in cell
-    order, and ``run_batch`` renders it as a ``FAILED(<cause>)`` entry.
+    order, and ``run_batch`` renders it as a ``FAILED(worker-exception)``
+    entry.
     """
 
     def __init__(
         self,
         key: _t.Sequence[_t.Any],
         worker: str,
-        attempts: int,
-        cause: str,
         detail: str = "",
-        message: str | None = None,
     ) -> None:
         self.key = tuple(key)
         self.worker = worker
-        self.attempts = attempts
-        self.cause = cause
         self.detail = detail
-        if message is None:
-            message = (
-                f"cell {self.key!r} [{worker}] failed after {attempts} "
-                f"attempt(s): {cause}"
-            )
-            if detail:
-                message += f"\n{detail}"
-        super().__init__(message)
+        message = f"cell {self.key!r} [{worker}] failed"
+        super().__init__(f"{message}\n{detail}" if detail else message)
 
 
 class ConfigError(ReproError):

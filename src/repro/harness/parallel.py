@@ -17,7 +17,8 @@ plain dicts/floats — the contract that keeps cells cheap to ship to a
 
 :func:`run_cells` hands every sweep to the one driver,
 :func:`repro.harness.supervisor.run_sweep` (store planning, dispatch,
-degradation of dead workers, retries and the watchdog).
+degradation of dead workers, and structured failures of cells that
+raise).
 """
 
 from __future__ import annotations
@@ -149,22 +150,6 @@ def check_unique_keys(cells: _t.Sequence[Cell]) -> None:
         )
 
 
-def resolve_jobs(jobs: int | None) -> int:
-    """Normalise a ``--jobs`` value (``None``/``0`` → all CPUs).
-
-    Only ``None`` and ``0`` mean "all CPUs"; a negative value is a typo
-    (``--jobs -2``) that used to be silently promoted to all-CPUs and
-    now raises a clear :class:`ValueError` instead.
-    """
-    if jobs is None or jobs == 0:
-        return os.cpu_count() or 1
-    if jobs < 0:
-        raise ValueError(
-            f"jobs must be >= 0 (0 or omitted = all CPUs), got {jobs}"
-        )
-    return jobs
-
-
 def run_cells(
     cells: _t.Sequence[Cell], run: Run | None = None, **options: _t.Any
 ) -> dict[tuple, _t.Any]:
@@ -174,11 +159,12 @@ def run_cells(
     (:func:`repro.harness.supervisor.run_sweep`) under ``run`` (or a run
     opened from ``RunConfig(**options)``): it plans against the run's
     cell store, runs cells inline for ``jobs <= 1`` and on a process
-    pool otherwise, degrades the cells a dead pool worker may have taken
-    to inline execution, and applies its failure policy.  The mapping is
-    assembled in the order the cells were given, so any ``jobs`` renders
-    byte-identical reports.  A cell that still fails raises its :class:`~repro.errors.CellExecutionError` here —
-    the first in cell order, never completion order.
+    pool otherwise, and degrades the cells a dead pool worker may have
+    taken to inline execution.  The mapping is assembled in the order
+    the cells were given, so any ``jobs`` renders byte-identical
+    reports.  A cell that raised raises its
+    :class:`~repro.errors.CellExecutionError` here — the first in cell
+    order, never completion order.
     """
     from repro.harness.supervisor import run_sweep
 

@@ -36,9 +36,9 @@ class BatchResult:
     #: One-line memo/replay/fastcollect banner (None unless replay or
     #: fastcollect was on); stderr-only, in-process counts like the above.
     perf_summary: str | None = None
-    #: One-line ``harness: ...`` retry/degrade banner (None unless the
-    #: batch ran with ``retries`` or ``timeout``).  Its retry and degrade
-    #: tallies vary between a run that lost a worker and a clean one.
+    #: One-line ``harness: ...`` degrade/failure banner (None unless a
+    #: cell degraded or failed).  Its degrade tally varies between a run
+    #: that lost a worker and a clean one.
     harness_summary: str | None = None
     #: One-line ``store: ...`` cell-store banner (None when the batch ran
     #: without a store).  Also stderr-only and absent from
@@ -46,8 +46,8 @@ class BatchResult:
     #: cold-store and a warm-store run, and both must render
     #: byte-identical reports.
     store_summary: str | None = None
-    #: Experiments whose sweep cells ultimately failed, by experiment id.
-    #: Their outputs render as explicit ``FAILED(<cause>)`` entries and
+    #: Experiments whose sweep cells failed, by experiment id.  Their
+    #: outputs render as explicit ``FAILED(worker-exception)`` entries and
     #: the CLI exits 3 ("partial") when this is non-empty.
     failures: dict[str, CellExecutionError] = dataclasses.field(default_factory=dict)
 
@@ -92,14 +92,14 @@ class BatchResult:
 
 
 def _failed_output(eid: str, err: CellExecutionError) -> ExperimentOutput:
-    """Render an experiment whose cells ultimately failed as an explicit
-    ``FAILED(<cause>)`` entry instead of dying mid-batch."""
+    """Render an experiment whose cells failed as an explicit
+    ``FAILED(worker-exception)`` entry instead of dying mid-batch."""
     first_line = str(err).splitlines()[0]
     return ExperimentOutput(
         experiment_id=eid,
-        title=f"FAILED({err.cause})",
-        data={"error": str(err), "cell_key": err.key, "attempts": err.attempts},
-        text=f"FAILED({err.cause}): {first_line}",
+        title="FAILED(worker-exception)",
+        data={"error": str(err), "cell_key": err.key},
+        text=f"FAILED(worker-exception): {first_line}",
     )
 
 
@@ -124,10 +124,7 @@ def _sweep_declared(
              if (eid, c.key) in report.failures), None,
         )
         if err is not None:
-            failed[eid] = CellExecutionError(
-                key=err.key[1], worker=err.worker, attempts=err.attempts,
-                cause=err.cause, detail=err.detail,
-            )
+            failed[eid] = CellExecutionError(err.key[1], err.worker, err.detail)
     return failed
 
 
@@ -164,13 +161,12 @@ def run_batch(
 
     The batch runs under ``config``, or a :class:`~repro.config.RunConfig`
     built from ``options`` — its fields: ``quick``, ``seed``, ``jobs``,
-    ``sim_iters``, ``sanitize``, ``replay``, ``fastcollect``, ``retries``,
-    ``timeout``, ``store``.  The config is opened once
-    (:meth:`~repro.config.RunConfig.open`) and the resulting
-    :class:`~repro.config.Run` serves the whole batch — one store, one
-    harness tally, one run table — and every world is built with the
-    run's world options: inline through one in-process install, in pool
-    workers through the pool initializer.
+    ``sim_iters``, ``sanitize``, ``replay``, ``fastcollect``, ``store``.
+    The config is opened once (:meth:`~repro.config.RunConfig.open`)
+    and the resulting :class:`~repro.config.Run` serves the whole batch
+    — one store, one harness tally, one run table — and every world is
+    built with the run's world options: inline through one in-process
+    install, in pool workers through the pool initializer.
 
     The batch plans, runs, then renders.  Every cell the requested
     experiments declare (:data:`~repro.harness.experiments.CELLS`) goes
@@ -181,9 +177,8 @@ def run_batch(
     ``progress(eid)``, and its sweeps are served from the run table.  An
     experiment whose declared cell failed is not called: it renders the
     batch sweep's failure of its first failed cell, so a failing payload
-    is attempted ``1 + retries`` times per batch however many
-    experiments share it.  Experiments that declare no cells run their
-    own sweeps when called.
+    is attempted once per batch however many experiments share it.
+    Experiments that declare no cells run their own sweeps when called.
 
     Whatever the strategy, the report renders byte-identically:
 
@@ -197,8 +192,8 @@ def run_batch(
       (:attr:`BatchResult.sanitize_summary`,
       :attr:`BatchResult.perf_summary`) are stderr-only and count the
       worlds of this process only.
-    * ``retries``/``timeout`` set the failure policy; an experiment
-      whose cells ultimately fail becomes a ``FAILED(<cause>)`` entry (in
+    * an experiment whose cell raised becomes a
+      ``FAILED(worker-exception)`` entry (in
       :attr:`BatchResult.failures`) while the rest of the batch runs.
 
     ``sim_iters`` overrides the NPB steady-loop iteration count.

@@ -16,8 +16,7 @@ one pool.  One pass runs:
   lease on are deferred;
 * **dispatch** — cells run inline (``jobs <= 1`` or a single pending
   cell) or on a ``ProcessPoolExecutor`` of ``min(jobs, cells)`` workers
-  owned by the sweep (all cells submitted at once; under a watchdog at
-  most ``jobs`` in flight, topped up as each completes);
+  owned by the sweep (all cells submitted at once);
 * **publish** — each fresh result goes to the store as it arrives;
 * **await** — deferred cells are awaited from the peer, or run here if
   the peer gave up;
@@ -26,36 +25,32 @@ one pool.  One pass runs:
   under their own key), and successes join the run table.  Failures are
   never remembered, so a later sweep attempts them again (a batch runs
   every declared cell in one sweep and renders its failures, so there a
-  failing payload spends one retry budget per batch).
+  failing payload is attempted once per batch).
 
 Each distinct payload is therefore simulated at most once per run,
 whichever experiments ask for it.
 
-Failure handling is always on and never changes a clean run:
+A cell is a deterministic function of its arguments, so it runs at
+most once: a cell that raised would raise the same way again.  Failure
+handling covers what can really go wrong and never changes a clean run:
 
 * a pool worker that dies (``BrokenProcessPool``) kills the pool: the
   cells the pool may have taken (the first ``jobs + 1`` unfinished)
-  degrade to inline execution, and the rest go, uncharged, to a fresh
-  pool;
+  degrade to inline execution, and the rest go to a fresh pool;
 * a cell exception becomes a structured
   :class:`~repro.errors.CellExecutionError` on the :class:`SweepReport`
-  after ``RunConfig.retries`` extra attempts (a
-  :class:`~repro.errors.ReproError` is deterministic and never retried;
-  a :class:`~repro.errors.ConfigError` stays fatal);
-* with a watchdog (``RunConfig.timeout``) a cell whose worker makes no
-  progress is declared hung, the pool is torn down and the cell retried,
-  while cells not yet sent re-run uncharged;
-* ``KeyboardInterrupt`` and ``SystemExit`` are never retried or
-  recorded: they propagate after outstanding cells are cancelled and
-  the pool is killed.
+  (a :class:`~repro.errors.ConfigError` stays fatal);
+* ``KeyboardInterrupt`` and ``SystemExit`` are never recorded: they
+  propagate after outstanding cells are cancelled and the pool is
+  killed.
 
 Resuming an interrupted run is re-running it with the same ``--store``:
 every completed cell was published (fsynced) and is served, so only the
 missing cells execute and the report is byte-identical.
 
-The policy and store both come from the explicit
+``jobs`` and the store both come from the explicit
 :class:`~repro.config.Run` a sweep is given (``repro run
---jobs/--retries/--timeout/--store`` build it once per run).
+--jobs/--store`` build it once per run).
 """
 
 from __future__ import annotations
@@ -68,11 +63,11 @@ from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wai
 from concurrent.futures.process import BrokenProcessPool
 
 from repro.config import using, world_options
-from repro.errors import CellExecutionError, ConfigError, ReproError
+from repro.errors import CellExecutionError, ConfigError
 from repro.harness import parallel
 
 if _t.TYPE_CHECKING:  # pragma: no cover
-    from repro.config import Run, RunConfig
+    from repro.config import Run
     from repro.harness.parallel import Cell
 
 
@@ -85,7 +80,6 @@ class HarnessStats:
     """Cell tallies for one sweep (or, merged, one whole batch)."""
 
     ok: int = 0
-    retried: int = 0
     degraded: int = 0
     failed: int = 0
     #: Cells that ran in pool workers (not part of the banner): their
@@ -94,17 +88,18 @@ class HarnessStats:
 
     def merge(self, other: "HarnessStats") -> None:
         self.ok += other.ok
-        self.retried += other.retried
         self.degraded += other.degraded
         self.failed += other.failed
         self.pooled += other.pooled
 
-    def banner(self) -> str:
-        """The one-line ``harness: ...`` banner (stderr only)."""
+    def banner(self) -> str | None:
+        """The one-line ``harness: ...`` banner (stderr only), or
+        ``None`` for a clean run: no cell degraded or failed."""
+        if not (self.degraded or self.failed):
+            return None
         return (
             f"harness: {self.ok + self.failed} cell(s): {self.ok} ok, "
-            f"{self.retried} retried, {self.degraded} degraded, "
-            f"{self.failed} failed"
+            f"{self.degraded} degraded, {self.failed} failed"
         )
 
 
@@ -113,29 +108,17 @@ class SweepReport:
     """Outcome of one :func:`run_sweep` call.
 
     ``results`` holds successful cells and ``failures`` the cells that
-    exhausted their attempts, both keyed and ordered by cell; ``retries``
-    records the classified cause of every failed attempt per cell —
-    bookkeeping that never affects the result payloads.
+    raised, both keyed and ordered by cell.
     """
 
     results: dict[tuple, _t.Any]
     failures: dict[tuple, CellExecutionError]
     stats: HarnessStats
-    retries: dict[tuple, tuple[str, ...]]
 
 
 # ---------------------------------------------------------------------------
 # The driver
 # ---------------------------------------------------------------------------
-
-@dataclasses.dataclass(slots=True)
-class _Task:
-    """Mutable per-cell state: one entry in ``causes`` per failed attempt."""
-
-    cell: "Cell"
-    causes: list[str] = dataclasses.field(default_factory=list)
-    demoted: bool = False
-
 
 def run_sweep(
     cells: _t.Sequence["Cell"], run: "Run | None" = None, **options: _t.Any
@@ -146,11 +129,10 @@ def run_sweep(
     everything: the run table of results its earlier sweeps produced,
     the cell store to plan against, ``jobs`` — cells run inline for
     ``jobs <= 1`` and on a pool of ``min(jobs, cells)`` workers owned by
-    this sweep otherwise — the failure policy (``retries``,
-    ``timeout``) and the harness tally the sweep's stats merge into.
-    Each distinct payload runs at most once per run.  Results merge by
-    key in cell order however the cells ran, so every strategy renders
-    byte-identical reports.
+    this sweep otherwise — and the harness tally the sweep's stats merge
+    into.  Each distinct payload runs at most once per run.  Results
+    merge by key in cell order however the cells ran, so every strategy
+    renders byte-identical reports.
     """
     with using(run, **options) as run:
         return _run_sweep(list(cells), run)
@@ -161,7 +143,7 @@ def _run_sweep(cells: list["Cell"], run: "Run") -> SweepReport:
 
     parallel.check_unique_keys(cells)
     store = run.store
-    sweep = _Sweep(run.config, store)
+    sweep = _Sweep(store)
     # Split by payload: served from the run table, twins of an earlier
     # cell of this sweep, and first occurrences (the only ones run).
     firsts: dict[tuple[str, str], "Cell"] = {}
@@ -180,19 +162,17 @@ def _run_sweep(cells: list["Cell"], run: "Run") -> SweepReport:
             plan = store.plan_cells(pending)
             sweep.results.update(plan.served)
             pending, deferred = plan.to_run, plan.deferred
-        tasks = [_Task(c) for c in pending]
-        jobs = min(run.config.jobs, len(tasks))
-        inline = sweep.dispatch(tasks, jobs) if jobs > 1 else tasks
-        pooled = len(tasks) - len(inline)
-        for task in inline:
-            sweep.run_inline(task)
+        jobs = min(run.config.jobs, len(pending))
+        demoted = sweep.dispatch(pending, jobs) if jobs > 1 else []
+        inline = demoted if jobs > 1 else pending
+        for c in inline:
+            sweep.run_inline(c)
         for c in deferred:
             value = store.await_peer(c.worker, c.args)
             if value is MISS:
                 # The peer gave up (or died): the lease is ours now,
                 # run it here.
-                tasks.append(_Task(c))
-                sweep.run_inline(tasks[-1])
+                sweep.run_inline(c)
             else:
                 sweep.results[c.key] = value
     finally:
@@ -208,26 +188,21 @@ def _run_sweep(cells: list["Cell"], run: "Run") -> SweepReport:
             sweep.results[twin.key] = sweep.results[first.key]
         else:
             err = failures[first.key]
-            failures[twin.key] = CellExecutionError(
-                key=twin.key, worker=err.worker, attempts=err.attempts,
-                cause=err.cause, detail=err.detail,
-            )
+            failures[twin.key] = CellExecutionError(twin.key, err.worker, err.detail)
     for payload, c in firsts.items():
         if c.key in sweep.results:
             run.results[payload] = sweep.results[c.key]
     stats = HarnessStats(
         ok=len(sweep.results),
-        retried=sum(len(t.causes) > (t.cell.key in failures) for t in tasks),
-        degraded=sum(t.demoted for t in tasks),
+        degraded=len(demoted),
         failed=len(failures),
-        pooled=pooled,
+        pooled=len(pending) - len(inline),
     )
     run.stats.merge(stats)
     return SweepReport(
         results={c.key: sweep.results[c.key] for c in cells if c.key in sweep.results},
         failures={c.key: failures[c.key] for c in cells if c.key in failures},
         stats=stats,
-        retries={t.cell.key: tuple(t.causes) for t in tasks if t.causes},
     )
 
 
@@ -244,191 +219,119 @@ def run_table_key(cell: "Cell") -> tuple[str, str]:
 
 
 class _Sweep:
-    """Results, failures and the attempt accounting of one sweep."""
+    """Results and failures of one sweep."""
 
-    def __init__(self, config: "RunConfig", store: _t.Any) -> None:
-        self.config = config
+    def __init__(self, store: _t.Any) -> None:
         self.store = store
         self.results: dict[tuple, _t.Any] = {}
         self.failures: dict[tuple, CellExecutionError] = {}
 
-    def succeed(self, task: _Task, value: _t.Any) -> None:
-        self.results[task.cell.key] = value
+    def succeed(self, cell: "Cell", value: _t.Any) -> None:
+        self.results[cell.key] = value
         if self.store is not None:
-            self.store.publish(task.cell.worker, task.cell.args, value)
+            self.store.publish(cell.worker, cell.args, value)
 
-    def fail(
-        self,
-        task: _Task,
-        cause: str,
-        exc: BaseException | None = None,
-        detail: str = "",
-    ) -> bool:
-        """Charge one failed attempt; True when the cell gets another.
+    def fail(self, cell: "Cell", exc: Exception) -> None:
+        """Record the exception a cell raised as its failure."""
+        detail = "".join(
+            traceback.format_exception(type(exc), exc, exc.__traceback__)
+        ).rstrip()
+        self.failures[cell.key] = CellExecutionError(cell.key, cell.worker, detail)
 
-        A :class:`~repro.errors.ReproError` is a deterministic simulation
-        error that would recur identically, so it is never retried.
-        """
-        task.causes.append(cause)
-        if (
-            not isinstance(exc, ReproError)
-            and len(task.causes) <= self.config.retries
-        ):
-            return True
-        if exc is not None:
-            detail = "".join(
-                traceback.format_exception(type(exc), exc, exc.__traceback__)
-            ).rstrip()
-        self.failures[task.cell.key] = CellExecutionError(
-            key=task.cell.key,
-            worker=task.cell.worker,
-            attempts=len(task.causes),
-            cause=cause,
-            detail=detail,
-        )
-        return False
-
-    def run_inline(self, task: _Task) -> None:
-        """Execute one cell in this process, honouring the retry budget."""
-        while True:
-            try:
-                value = parallel._execute(task.cell)
-            except ConfigError:
-                raise  # misconfiguration is fatal, never a per-cell failure
-            except Exception as exc:
-                if self.fail(task, "worker-exception", exc):
-                    continue
-            else:
-                self.succeed(task, value)
-            return
-
-
-    def dispatch(self, tasks: list[_Task], jobs: int) -> list[_Task]:
-        """Run ``tasks`` on a ``jobs``-worker pool in rounds; returns the
-        demoted ones.
-
-        Each round re-dispatches the cells the previous one retried; a
-        round that lost workers (hung or dead) kills its pool, and the
-        next round gets a fresh one.  The last pool is shut down at the
-        end, and killed if anything propagates.
-        """
-        demoted: list[_Task] = []
-        pool: ProcessPoolExecutor | None = None
+    def run_inline(self, cell: "Cell") -> None:
+        """Execute one cell in this process."""
         try:
-            while tasks:
-                if pool is None:
-                    # Workers get the world options in force through
-                    # initargs, never through the environment.
-                    pool = ProcessPoolExecutor(
-                        max_workers=jobs, initializer=parallel._pool_worker_init,
-                        initargs=(world_options(),),
-                    )
-                tasks, lost, disrupted = self._round(tasks, pool, jobs)
-                demoted += lost
-                if disrupted:
-                    _kill_pool(pool)
-                    pool = None
-        except BaseException:
-            if pool is not None:
+            value = parallel._execute(cell)
+        except ConfigError:
+            raise  # misconfiguration is fatal, never a per-cell failure
+        except Exception as exc:
+            self.fail(cell, exc)
+        else:
+            self.succeed(cell, value)
+
+    def dispatch(self, cells: list["Cell"], jobs: int) -> list["Cell"]:
+        """Run ``cells`` on a ``jobs``-worker pool; returns the demoted
+        ones.
+
+        A pool that breaks is killed, and the cells it still owed past
+        the demoted ones go to a fresh pool.  The last pool is shut
+        down at the end, and killed if anything propagates.
+        """
+        demoted: list["Cell"] = []
+        while cells:
+            # Workers get the world options in force through initargs,
+            # never through the environment.
+            pool = ProcessPoolExecutor(
+                max_workers=jobs, initializer=parallel._pool_worker_init,
+                initargs=(world_options(),),
+            )
+            try:
+                cells, lost = self._round(cells, pool, jobs)
+            except BaseException:
                 _kill_pool(pool)
-            raise
-        if pool is not None:
-            pool.shutdown()
+                raise
+            if lost:
+                demoted += lost
+                _kill_pool(pool)
+            else:
+                pool.shutdown()
         return demoted
 
     def _round(
-        self, tasks: list[_Task], pool: ProcessPoolExecutor, jobs: int
-    ) -> tuple[list[_Task], list[_Task], bool]:
-        """One dispatch generation: ``(retry, demoted, disrupted)``."""
-        timeout = self.config.timeout
-        # The pool marks a future RUNNING as soon as it enters its call
-        # queue, up to ``jobs + 1`` of them.  Under a watchdog at most
-        # ``jobs`` cells are in flight, so a RUNNING cell is executing.
-        limit = len(tasks) if timeout is None else jobs
-        sent = 0
+        self, cells: list["Cell"], pool: ProcessPoolExecutor, jobs: int
+    ) -> tuple[list["Cell"], list["Cell"]]:
+        """One pool's dispatch: ``(rest, demoted)``, both empty unless the
+        pool broke."""
         order: dict[Future, int] = {}
         not_done: set[Future] = set()
-        retry: list[int] = []  # positions in ``tasks``
-        broken = hung = False
+        owed: list[int] = []  # positions in ``cells`` of broken futures
+        broken = False
         try:
-            while not broken:
-                while sent < len(tasks) and len(not_done) < limit:
-                    try:
-                        fut = pool.submit(parallel._execute, tasks[sent].cell)
-                    except BrokenProcessPool:
-                        broken = True
-                        break
-                    order[fut] = sent
-                    not_done.add(fut)
-                    sent += 1
-                if broken or not not_done:
+            for i, cell in enumerate(cells):
+                try:
+                    fut = pool.submit(parallel._execute, cell)
+                except BrokenProcessPool:
+                    broken = True
                     break
-                done, not_done = wait(
-                    not_done, timeout=timeout, return_when=FIRST_COMPLETED
-                )
-                if not done:
-                    hung = True
-                    break
+                order[fut] = i
+            not_done = set(order)
+            while not broken and not_done:
+                done, not_done = wait(not_done, return_when=FIRST_COMPLETED)
                 for fut in sorted(done, key=order.__getitem__):
-                    task = tasks[order[fut]]
                     try:
                         value = fut.result()
                     except BrokenProcessPool:
                         broken = True
-                        retry.append(order[fut])
+                        owed.append(order[fut])
                     except ConfigError:
                         raise
                     except Exception as exc:
-                        if self.fail(task, "worker-exception", exc):
-                            retry.append(order[fut])
+                        self.fail(cells[order[fut]], exc)
                     else:
-                        self.succeed(task, value)
+                        self.succeed(cells[order[fut]], value)
         except BaseException:
             for fut in order:
                 fut.cancel()
             raise
-
-        left = sorted(not_done, key=order.__getitem__)
-        running = {f for f in left if f.running()}
-        for fut in left:
+        if not broken:
+            return [], []
+        # A dead worker poisons the whole pool, and the cell that killed
+        # it is one a worker had taken.  The pool feeds its call queue
+        # in submission order, so only the first ``jobs + 1`` unfinished
+        # cells can have been taken: run those inline, and hand the rest
+        # to the fresh pool of the next round.  Each broken round
+        # demotes at least one cell, so the sweep ends even if every
+        # pool dies.
+        for fut in not_done:
             fut.cancel()
-        queued = tasks[sent:]  # never sent to the pool
-        if broken:
-            # A dead worker poisons the whole pool, and the cell that
-            # killed it is one a worker had taken.  The pool feeds its
-            # call queue in submission order, so only the first
-            # ``jobs + 1`` unfinished cells can have been taken: run
-            # those inline, and hand the rest, uncharged, to the fresh
-            # pool of the next round.  Each broken round demotes at
-            # least one cell, so the sweep ends even if every pool dies.
-            unfinished = [
-                tasks[i] for i in sorted(retry + [order[f] for f in left])
-            ] + queued
-            lost = unfinished[:jobs + 1]
-            for task in lost:
-                task.demoted = True
-            return unfinished[jobs + 1:], lost, True
-        if hung and not running:
-            # Nothing even started inside a full watchdog window: the
-            # pool itself is stalled, so finish the sweep inline.
-            lost = [tasks[order[f]] for f in left] + queued
-            for task in lost:
-                task.demoted = True
-            return [tasks[i] for i in retry], lost, True
-        for fut in left:
-            task = tasks[order[fut]]
-            if fut not in running:
-                retry.append(order[fut])  # never started: uncharged
-            elif self.fail(
-                task, "timeout",
-                detail=f"no completion within the {timeout:g}s watchdog window",
-            ):
-                retry.append(order[fut])
-        return [tasks[i] for i in retry] + queued, [], hung
+        unfinished = [
+            cells[i] for i in sorted(owed + [order[f] for f in not_done])
+        ] + cells[len(order):]
+        return unfinished[jobs + 1:], unfinished[:jobs + 1]
 
 
 def _kill_pool(pool: ProcessPoolExecutor) -> None:
-    """Hard teardown that never waits on hung or dead workers: cancel
+    """Hard teardown that never waits on dead workers: cancel
     everything still queued, then terminate and join the workers."""
     # ``shutdown`` forgets the worker processes, so take them first.
     procs = list((pool._processes or {}).values())

@@ -297,11 +297,11 @@ class TestRunCellsIntegration:
         # it (a second sweep of one run would be served by the run table).
         cells = [Cell((i,), "cs_count", (i,)) for i in range(3)]
         store = CellStore(tmp_path / "store")
-        fresh = run_sweep(cells, Run(RunConfig(retries=1), store=store))
+        fresh = run_sweep(cells, Run(store=store))
         assert store.hits == 0 and store.published == 3
         store = CellStore(tmp_path / "store")
         del _CALLS[:]
-        served = run_sweep(cells, Run(RunConfig(retries=1), store=store))
+        served = run_sweep(cells, Run(store=store))
         assert _CALLS == []
         assert store.hits == 3 and store.published == 0
         assert served.stats.ok == 3
@@ -452,8 +452,8 @@ class TestLeases:
     # Two cells with different keys but one payload (fig6's ("EC2", 64)
     # / ("EC2-4", 64) pair): the sweep driver runs the first and hands its
     # outcome to the twin, so the store never sees the second cell.
-    # Both hold at retries=1 and at jobs=2.
-    _TWIN_POLICIES = (RunConfig(retries=1), RunConfig(jobs=2))
+    # Both hold inline and at jobs=2.
+    _TWIN_POLICIES = (RunConfig(), RunConfig(jobs=2))
 
     def test_own_duplicate_is_served_not_awaited(self, tmp_path,
                                                  fake_fingerprints):
@@ -482,12 +482,10 @@ class TestLeases:
             store = CellStore(tmp_path / f"store{i}")
             del _CALLS[:]
             report = run_sweep(cells, Run(config, store=store))
-            assert _CALLS == [("cs_fail", 1)] * (config.retries + 1)
+            assert _CALLS == [("cs_fail", 1)]
             assert sorted(report.failures) == [("a",), ("b",)]
             a, b = report.failures[("a",)], report.failures[("b",)]
-            assert (b.key, b.worker, b.attempts, b.cause, b.detail) == (
-                ("b",), a.worker, a.attempts, a.cause, a.detail
-            )
+            assert (b.key, b.worker, b.detail) == (("b",), a.worker, a.detail)
             assert store.published == 0 and store.peer_waits == 0
             assert list(store.leases_dir.iterdir()) == []
 

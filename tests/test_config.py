@@ -9,6 +9,7 @@ byte-identical across ``--jobs`` whatever world options are on.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 
 import pytest
@@ -89,8 +90,6 @@ def test_install_sits_between_explicit_values_and_env(clean_env):
 
 INVALID = [
     (dict(jobs=-2), ["--jobs", "-2"]),
-    (dict(retries=-1), ["--retries", "-1"]),
-    (dict(timeout=0), ["--timeout", "0"]),
     (dict(sim_iters=0), ["--sim-iters", "0"]),
     (dict(store="tcp://127.0.0.1:1"), ["--store", "tcp://127.0.0.1:1"]),
 ]
@@ -108,6 +107,30 @@ def test_invalid_values_are_config_errors(fields, argv, capsys, tmp_path,
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
     assert list(tmp_path.iterdir()) == []  # nothing ran, nothing was created
+
+
+@pytest.mark.parametrize("name", ["seed", "jobs", "sim_iters"])
+def test_bool_is_not_an_int(name):
+    """``True`` is an ``int`` to Python but never a seed, a job count or
+    an iteration count."""
+    with pytest.raises(ConfigError, match=f"{name} must be an int"):
+        RunConfig(**{name: True})
+
+
+def test_no_failure_policy_option(capsys):
+    """A cell is deterministic and runs once: no option retries it or
+    watches it.  ``run --retries``/``--timeout`` are usage errors."""
+    parse = build_parser().parse_args
+    for argv in (["run", "fig3", "--retries", "1"],
+                 ["run", "fig3", "--timeout", "5"]):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+    assert [f.name for f in dataclasses.fields(RunConfig)] == [
+        "quick", "seed", "jobs", "sim_iters", "sanitize", "replay",
+        "fastcollect", "store",
+    ]
 
 
 def test_no_fault_schedule_option(clean_env, capsys):

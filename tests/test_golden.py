@@ -28,7 +28,6 @@ STORE = "<store>"
 ROWS = {
     "inline": {},
     "jobs2": {"jobs": 2},
-    "jobs2-retries1": {"jobs": 2, "retries": 1},
     "sanitize": {"sanitize": True},
     "replay-fastcollect": {"replay": True, "fastcollect": True},
     "store-cold": {"store": STORE, "jobs": 2},
@@ -81,7 +80,6 @@ def test_strategy_renders_the_golden_report(
         "store": batch.store_summary,
     }
     expected = {
-        "jobs2-retries1": {"harness"},
         "sanitize": {"sanitize"},
         "replay-fastcollect": {"perf"},
         "store-cold": {"store"},

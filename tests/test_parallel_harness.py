@@ -7,11 +7,14 @@ seed, for every registered experiment.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
+from repro.config import RunConfig
 from repro.errors import ConfigError
 from repro.harness.experiments import EXPERIMENTS
-from repro.harness.parallel import Cell, cell_worker, resolve_jobs, run_cells
+from repro.harness.parallel import Cell, cell_worker, run_cells
 from repro.harness.runner import run_batch
 
 
@@ -71,17 +74,17 @@ def test_duplicate_worker_registration_rejected():
 
 
 def test_resolve_jobs():
-    assert resolve_jobs(3) == 3
-    assert resolve_jobs(None) >= 1
-    assert resolve_jobs(0) >= 1
+    # The run configuration resolves ``jobs``: 0 means all CPUs.
+    assert RunConfig(jobs=3).jobs == 3
+    assert RunConfig(jobs=0).jobs == (os.cpu_count() or 1)
 
 
 def test_resolve_jobs_rejects_negative():
-    # A `--jobs -2` typo used to silently mean "all CPUs"; only None/0
-    # may mean that.
-    for jobs in (-1, -2, -64):
-        with pytest.raises(ValueError, match="jobs must be >= 0"):
-            resolve_jobs(jobs)
+    # A `--jobs -2` typo used to silently mean "all CPUs"; only 0 may
+    # mean that, and ``None`` is not a job count.
+    for jobs in (-1, -2, -64, None):
+        with pytest.raises(ConfigError, match="jobs must be"):
+            RunConfig(jobs=jobs)
 
 
 def test_empty_cell_list():

@@ -3,15 +3,15 @@
 Covers the driver's contracts:
 
 * clean-run byte-identity — every registered experiment renders
-  byte-identically with a retry policy and a store as without;
+  byte-identically with a store as without;
 * resume by store — a sweep that failed after k of n cells and is
   re-run against the same store renders byte-identically to an
   uninterrupted one, re-executing only the n−k missing cells;
-* watchdog timeout, bounded retries, retry exhaustion and degradation
-  of a broken pool's cells to inline execution, by default;
-* ``KeyboardInterrupt`` is never retried or recorded;
-* structured ``CellExecutionError`` surfacing, policy validation and the
-  CLI's 0 / 3 / 1 exit-code contract.
+* each cell runs at most once: a cell that raises fails at once, and a
+  broken pool's cells degrade to inline execution;
+* ``KeyboardInterrupt`` is never recorded;
+* structured ``CellExecutionError`` surfacing, the harness banner and
+  the CLI's 0 / 3 / 1 exit-code contract.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import hashlib
 import json
 import os
 import pathlib
+import re
 import tempfile
 import time
 
@@ -86,24 +87,6 @@ def _sup_raise_counted(x):
 @cell_worker("sup_raise_repro")
 def _sup_raise_repro(x):
     raise SimulationError(f"deterministic failure {x}")
-
-
-@cell_worker("sup_hang")
-def _sup_hang(x):
-    time.sleep(60.0)
-    return {"v": float(x)}
-
-
-@cell_worker("sup_sleep_once")
-def _sup_sleep_once(x, marker):
-    """Hangs on its first execution (claims the marker), instant after."""
-    try:
-        fd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        return {"v": float(x)}
-    os.close(fd)
-    time.sleep(60.0)
-    return {"v": float(x)}
 
 
 @cell_worker("sup_die_once")
@@ -216,10 +199,10 @@ class TestSupervisedExecution:
     def test_clean_run_matches_plain_run_cells(self, tmp_path):
         cells = [Cell((i,), "sup_square", (i,)) for i in range(5)]
         plain = run_cells(cells, jobs=1)
-        report = run_sweep(cells, jobs=2, retries=1)
+        report = run_sweep(cells, jobs=2)
         assert report.results == plain
         assert list(report.results) == list(plain)
-        assert not report.failures and not report.retries
+        assert not report.failures
         assert report.stats.ok == 5 and report.stats.failed == 0
 
     def test_duplicate_keys_rejected(self):
@@ -229,60 +212,43 @@ class TestSupervisedExecution:
 
     def test_unknown_worker_stays_fatal(self):
         with pytest.raises(ConfigError, match="unknown cell worker"):
-            run_sweep([Cell((1,), "no_such_worker")], retries=2)
+            run_sweep([Cell((1,), "no_such_worker")])
 
     def test_worker_exception_exhausts_retries(self):
-        cells = [Cell((0,), "sup_square", (0,)), Cell((1,), "sup_raise", (1,))]
-        report = run_sweep(cells, retries=1)
+        """A cell is deterministic, so one attempt is all it gets: the
+        exception becomes its failure at once."""
+        cells = [Cell((0,), "sup_square", (0,)),
+                 Cell((1,), "sup_raise_counted", (1,))]
+        del _CALLS[:]
+        report = run_sweep(cells)
+        assert _CALLS == [("sup_square", 0), ("sup_raise_counted", 1)]
         assert report.results == {(0,): {"v": 0.0}}
         err = report.failures[(1,)]
         assert isinstance(err, CellExecutionError)
-        assert err.cause == "worker-exception"
-        assert err.attempts == 2          # first try + one retry
+        assert (err.key, err.worker) == ((1,), "sup_raise_counted")
         assert "boom 1" in err.detail and "RuntimeError" in err.detail
-        assert report.retries[(1,)] == ("worker-exception", "worker-exception")
         assert report.stats.failed == 1 and report.stats.ok == 1
-        assert report.stats.retried == 1
 
     def test_default_policy_wraps_cell_exceptions(self):
-        # No retries by default, and run_cells raises the structured
-        # error rather than the worker's own exception.
+        # run_cells raises the structured error rather than the
+        # worker's own exception.
         with pytest.raises(CellExecutionError) as excinfo:
             run_cells([Cell((0,), "sup_square", (0,)),
                        Cell((1,), "sup_raise", (1,))])
         err = excinfo.value
-        assert err.key == (1,) and err.attempts == 1
-        assert err.cause == "worker-exception"
+        assert err.key == (1,) and err.worker == "sup_raise"
+        assert str(err).startswith("cell (1,) [sup_raise] failed\n")
 
     def test_repro_errors_never_retried(self):
-        report = run_sweep(
-            [Cell((1,), "sup_raise_repro", (1,))], retries=3,
-        )
-        err = report.failures[(1,)]
-        assert err.attempts == 1          # deterministic error: no retry
-        assert "SimulationError" in err.detail
-
-    def test_hung_cell_times_out_and_sweep_survives(self):
-        cells = [Cell(("hang",), "sup_hang", (0,))] + [
-            Cell((i,), "sup_square", (i,)) for i in range(3)
-        ]
-        report = run_sweep(cells, jobs=2, timeout=1.0)
-        err = report.failures[("hang",)]
-        assert err.cause == "timeout"
-        assert "watchdog" in err.detail
-        assert report.results[(2,)] == {"v": 4.0}
-        assert report.stats.ok == 3 and report.stats.failed == 1
-
-    def test_hung_cell_retried_then_succeeds(self, tmp_path):
-        marker = str(tmp_path / "slept")
-        cells = [Cell(("once",), "sup_sleep_once", (7, marker))] + [
-            Cell((i,), "sup_square", (i,)) for i in range(2)
-        ]
-        report = run_sweep(cells, jobs=2, timeout=1.5, retries=1)
-        assert not report.failures
-        assert report.results[("once",)] == {"v": 7.0}
-        assert report.retries[("once",)] == ("timeout",)
-        assert report.stats.retried == 1
+        # A simulation error is a per-cell failure, not a fatal one (only
+        # ConfigError is fatal), on a pool as inline.
+        cells = [Cell((1,), "sup_raise_repro", (1,)),
+                 Cell((2,), "sup_square", (2,))]
+        for jobs in (1, 2):
+            report = run_sweep(cells, jobs=jobs)
+            assert list(report.failures) == [(1,)]
+            assert "SimulationError" in report.failures[(1,)].detail
+            assert report.results == {(2,): {"v": 4.0}}
 
     def test_broken_pool_degrades_to_serial(self, tmp_path):
         marker = str(tmp_path / "died")
@@ -323,40 +289,6 @@ class TestSupervisedExecution:
         cells = [Cell((i,), "sup_die_always", (i,)) for i in range(2)]
         assert run_cells(cells, jobs=2) == {(0,): {"v": 0.0}, (1,): {"v": 1.0}}
 
-    def test_watchdog_never_charges_cells_that_never_started(self):
-        # The pool marks a queued future RUNNING as soon as it enters the
-        # call queue; a cell queued behind two hung ones never ran and
-        # must not be charged a timeout attempt.
-        cells = [Cell(("hang", i), "sup_hang", (i,)) for i in range(2)] + [
-            Cell((i,), "sup_square", (i,)) for i in range(4)
-        ]
-        report = run_sweep(cells, jobs=2, timeout=1.0)
-        assert set(report.failures) == {("hang", 0), ("hang", 1)}
-        assert {e.cause for e in report.failures.values()} == {"timeout"}
-        assert report.results == {(i,): {"v": float(i * i)} for i in range(4)}
-        assert report.stats.ok == 4 and report.stats.failed == 2
-
-    def test_disrupted_round_gets_a_fresh_pool(self, tmp_path, monkeypatch):
-        from repro.harness import supervisor
-
-        pools = []
-
-        class Recording(supervisor.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                pools.append(self)
-
-        monkeypatch.setattr(supervisor, "ProcessPoolExecutor", Recording)
-        marker = str(tmp_path / "slept")
-        cells = [Cell(("once",), "sup_sleep_once", (7, marker))] + [
-            Cell((i,), "sup_square", (i,)) for i in range(3)
-        ]
-        report = run_sweep(cells, jobs=2, timeout=1.0, retries=1)
-        assert not report.failures and report.stats.degraded == 0
-        assert report.results[("once",)] == {"v": 7.0}
-        # The hung round's pool was killed; the retry ran on a new one.
-        assert len(pools) == 2
-
     def test_keyboard_interrupt_tears_down_the_pool(self, tmp_path,
                                                     monkeypatch):
         from repro.harness import supervisor
@@ -384,8 +316,8 @@ class TestSupervisedExecution:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_keyboard_interrupt_never_retried(self, jobs, tmp_path,
                                               monkeypatch, capsys):
-        """Ctrl-C in a cell propagates at once under ``--retries 1``:
-        the cell runs once, nothing is recorded, the batch stops."""
+        """Ctrl-C in a cell propagates at once: the cell runs once,
+        nothing is recorded, the batch stops."""
         from repro.cli import main
         from repro.harness.experiments import EXPERIMENTS, ExperimentOutput
 
@@ -401,31 +333,10 @@ class TestSupervisedExecution:
 
         monkeypatch.setitem(EXPERIMENTS, "intex", _interrupted)
         with pytest.raises(KeyboardInterrupt):
-            main(["run", "intex", "tab1", "--retries", "1",
-                  "--jobs", str(jobs)])
+            main(["run", "intex", "tab1", "--jobs", str(jobs)])
         assert len(list(markers.glob("cell0-*"))) == 1
         err = capsys.readouterr().err
         assert "[running] tab1" not in err  # the sweep did not go on
-
-    @pytest.mark.parametrize("policy", [
-        dict(timeout=0), dict(timeout=-1.0), dict(timeout=float("nan")),
-        dict(retries=-3),
-    ])
-    def test_policy_validated(self, policy):
-        with pytest.raises(ConfigError):
-            RunConfig(**policy)
-
-    @pytest.mark.parametrize("flags", [
-        ["--timeout", "0"], ["--timeout", "-1"], ["--retries", "-3"],
-    ])
-    def test_bad_policy_flags_exit_1(self, flags, capsys):
-        from repro.cli import main
-
-        assert main(["run", "fig3", "--jobs", "2", *flags]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ")
-
 
 # ---------------------------------------------------------------------------
 # Resume: re-running against the same store
@@ -449,8 +360,7 @@ class TestResume:
         assert len(interrupted.results) == k
         assert len(interrupted.failures) == n - k
         assert all(
-            err.cause == "worker-exception"
-            for err in interrupted.failures.values()
+            "flaky cell" in err.detail for err in interrupted.failures.values()
         )
 
         # Resume: only the n-k missing cells re-execute.
@@ -664,19 +574,17 @@ def _experiment_ids():
 
 @pytest.mark.parametrize("experiment_id", _experiment_ids())
 def test_supervised_experiment_byte_identical(experiment_id, tmp_path):
-    """Acceptance: every registered experiment rendered with a retry
-    policy and a store is byte-identical to a plain run."""
+    """Acceptance: every registered experiment rendered with a store is
+    byte-identical to a plain run, and neither prints a harness banner."""
     from repro.harness.runner import run_batch
 
     plain = run_batch([experiment_id], quick=True, seed=2)
     supervised = run_batch(
-        [experiment_id], quick=True, seed=2,
-        retries=1, store=tmp_path / "store",
+        [experiment_id], quick=True, seed=2, store=tmp_path / "store",
     )
     assert supervised.render() == plain.render()
     assert not supervised.failures
-    assert supervised.harness_summary is not None
-    assert supervised.harness_summary.startswith("harness: ")
+    assert supervised.harness_summary is None
     assert plain.harness_summary is None
 
 
@@ -743,8 +651,8 @@ def _declare(monkeypatch, eid, cells):
 
 def test_batch_attempts_a_shared_failing_payload_once(monkeypatch):
     """Two declared experiments share a failing payload: the batch
-    spends one retry budget on it, and both render the same failure
-    under their own cell keys."""
+    attempts it once, and both render the same failure under their own
+    cell keys."""
     from repro.harness.runner import run_batch
 
     _declare(monkeypatch, "failA", [Cell((0,), "sup_square", (4,)),
@@ -752,20 +660,18 @@ def test_batch_attempts_a_shared_failing_payload_once(monkeypatch):
     _declare(monkeypatch, "failB", [Cell(("b",), "sup_raise_counted", (5,))])
     _declare(monkeypatch, "okC", [Cell((0,), "sup_square", (4,))])
     _CALLS.clear()
-    batch = run_batch(["failA", "failB", "okC"], retries=2)
-    assert _CALLS.count(("sup_raise_counted", 5)) == 3  # 1 + retries
+    batch = run_batch(["failA", "failB", "okC"])
+    assert _CALLS.count(("sup_raise_counted", 5)) == 1
     assert _CALLS.count(("sup_square", 4)) == 1
     a, b = batch.failures["failA"], batch.failures["failB"]
     assert (a.key, b.key) == ((1,), ("b",))
-    for err in (a, b):
-        assert err.cause == "worker-exception"
-    assert (a.attempts, a.cause, a.detail) == (b.attempts, b.cause, b.detail)
-    assert a.attempts == 3 and "boom 5" in a.detail
+    assert (a.worker, a.detail) == (b.worker, b.detail)
+    assert "boom 5" in a.detail
     for eid in ("failA", "failB"):
         assert batch.outputs[eid].title == "FAILED(worker-exception)"
     assert batch.outputs["okC"].text == "{(0,): {'v': 16.0}}"
     assert batch.harness_summary == (
-        "harness: 4 cell(s): 2 ok, 1 retried, 0 degraded, 2 failed"
+        "harness: 4 cell(s): 2 ok, 0 degraded, 2 failed"
     )
 
 
@@ -797,14 +703,24 @@ def test_cli_exit_codes_documented_in_help():
     assert "cells failed" in text
 
 
-def test_retry_policy_is_invisible_on_clean_runs():
-    cells = [Cell((i,), "sup_square", (i,)) for i in range(4)]
-    run = Run(RunConfig(jobs=2, retries=2, timeout=30.0))
-    supervised = run_cells(cells, run)
-    plain = run_cells(cells, jobs=1)
-    assert supervised == plain
-    assert run.summaries()["harness_summary"] == (
-        "harness: 4 cell(s): 4 ok, 0 retried, 0 degraded, 0 failed"
+def test_harness_banner_follows_the_outcome(monkeypatch, tmp_path):
+    """The ``harness:`` banner is printed when a cell degraded or failed,
+    and a clean run prints none: a clean pooled batch has no banner, the
+    same batch with a pool worker killed mid-sweep shows its degraded
+    cells."""
+    from repro.harness.runner import run_batch
+
+    _declare(monkeypatch, "bannerex",
+             [Cell((i,), "sup_slow_square", (i,)) for i in range(6)])
+    clean = run_batch(["bannerex"], jobs=2)
+    assert clean.harness_summary is None
+    monkeypatch.setenv("REPRO_CHAOS_KILL", str(tmp_path / "chaos"))
+    chaos = run_batch(["bannerex"], jobs=2)
+    assert (tmp_path / "chaos").exists()
+    assert chaos.render() == clean.render() and not chaos.failures
+    assert re.fullmatch(
+        r"harness: 6 cell\(s\): 6 ok, [1-3] degraded, 0 failed",
+        chaos.harness_summary,
     )
 
 
