@@ -20,7 +20,7 @@ This package is the repository's correctness backstop (see
   of registered cell workers, semantic code fingerprints (the
   cell store's code-identity key, minted by a streaming module index
   that parses each module once and keeps per-definition summaries),
-  closure-attributed hazard findings, SARIF output and baseline gating.
+  closure-attributed hazard findings.
 * :mod:`repro.analysis.stats` — the derived quantities the paper
   reports (speedups, normalised times, Table III statistics).
 """

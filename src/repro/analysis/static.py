@@ -33,9 +33,8 @@ that the content-addressed result cache (ROADMAP item 1) requires:
   worker reaches, and each finding is attributed to the workers whose
   closure contains it; DET001–DET006 stay covered by the per-file scan
   that ``repro lint --deep`` also performs.
-* **Reporting & gating** — :class:`StaticReport` renders as text, JSON
-  or SARIF 2.1.0, and :func:`new_findings` gates against a committed
-  baseline so CI fails only on findings that are actually new.
+* **Reporting & gating** — :class:`StaticReport` renders as text or
+  JSON, and ``repro lint --deep`` exits 1 on any finding.
 
 The analysis is deliberately conservative: a reference it cannot resolve
 (builtins, third-party modules, true dynamic dispatch) is ignored, and a
@@ -60,11 +59,7 @@ import re
 import sys
 import typing as _t
 
-from repro.analysis.lint import (
-    DEEP_RULES,
-    LintFinding,
-    lint_source,
-)
+from repro.analysis.lint import DEEP_RULES, lint_source
 from repro.errors import ConfigError
 
 #: Width of every fingerprint this module mints (hex chars of SHA-256).
@@ -909,83 +904,3 @@ def _owning_span(
         if start <= line <= end:
             return name
     return None
-
-
-# ---------------------------------------------------------------------------
-# SARIF + baseline gating
-# ---------------------------------------------------------------------------
-
-def to_sarif(
-    findings: _t.Sequence[LintFinding | StaticFinding],
-    rules: _t.Mapping[str, str],
-) -> dict[str, _t.Any]:
-    """SARIF 2.1.0 document for ``findings`` (lint and/or deep)."""
-    used = sorted({f.rule for f in findings})
-    results = []
-    for f in findings:
-        message = f.message
-        workers = getattr(f, "workers", ())
-        if workers:
-            message += f" [workers: {', '.join(workers)}]"
-        results.append({
-            "ruleId": f.rule,
-            "level": "error",
-            "message": {"text": message},
-            "locations": [{
-                "physicalLocation": {
-                    "artifactLocation": {"uri": str(f.path).replace("\\", "/")},
-                    "region": {
-                        "startLine": max(f.line, 1),
-                        "startColumn": max(f.col, 1),
-                    },
-                },
-            }],
-        })
-    return {
-        "$schema": (
-            "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-            "Schemata/sarif-schema-2.1.0.json"
-        ),
-        "version": "2.1.0",
-        "runs": [{
-            "tool": {
-                "driver": {
-                    "name": "repro-lint",
-                    "informationUri": "https://example.invalid/repro",
-                    "rules": [
-                        {
-                            "id": rule,
-                            "shortDescription": {"text": rules.get(rule, rule)},
-                        }
-                        for rule in used
-                    ],
-                },
-            },
-            "results": results,
-        }],
-    }
-
-
-def load_baseline(path: str | pathlib.Path) -> set[tuple[str, str]]:
-    """Load a committed findings baseline: ``{(path, rule), ...}``.
-
-    The baseline intentionally ignores line numbers — a finding moves
-    with unrelated edits; gating is on *new* ``(file, rule)`` pairs.
-    """
-    p = pathlib.Path(path)
-    if not p.exists():
-        raise ConfigError(f"baseline file not found: {p}")
-    try:
-        data = json.loads(p.read_text(encoding="utf-8"))
-        rows = data["findings"] if isinstance(data, dict) else data
-        return {(str(r["path"]), str(r["rule"])) for r in rows}
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise ConfigError(f"malformed baseline {p}: {exc}") from None
-
-
-def new_findings(
-    findings: _t.Sequence[LintFinding | StaticFinding],
-    baseline: set[tuple[str, str]],
-) -> list[LintFinding | StaticFinding]:
-    """Findings not covered by the committed baseline."""
-    return [f for f in findings if (str(f.path), f.rule) not in baseline]

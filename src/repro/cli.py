@@ -10,9 +10,6 @@ Commands
     Regenerate experiments (``all`` for everything); ``--full`` runs the
     complete sweeps, ``--jobs N`` fans sweep cells over N processes,
     ``--sanitize`` runs every world under the MPI sanitizer,
-    ``--replay``/``--no-replay`` control steady-iteration fast-forward,
-    ``--fastcollect``/``--no-fastcollect`` control the analytic
-    collective fast-forward,
     ``--sim-iters N`` overrides the NPB steady-loop length,
     ``--store PATH`` serves/publishes cells through the
     content-addressed cell store rooted at a local directory (see
@@ -20,8 +17,8 @@ Commands
     store resumes it,
     ``--json``/``--csv``/``--out`` export results.  The flags build one
     :class:`~repro.config.RunConfig` (flag over environment over default;
-    see ``docs/architecture.md``), and the sanitizer, perf, harness and
-    store banners go to stderr.
+    see ``docs/architecture.md``), and the sanitizer, harness and store
+    banners go to stderr.
 
 Exit codes
 ----------
@@ -32,10 +29,6 @@ Exit codes
     rendered with explicit ``FAILED(worker-exception)`` entries.
 ``1``
     Fatal — bad configuration or an unhandled failure; no report.
-``bench engine``
-    Engine dispatch-throughput microbenchmark; writes
-    ``BENCH_engine.json``, can gate against a baseline (``--check``)
-    and can append a per-commit trajectory row (``--append-history``).
 ``store <op> <path>``
     Maintain a content-addressed cell store (``docs/caching.md``):
     ``stats`` tallies records/shards/workers, ``verify`` re-derives
@@ -47,8 +40,8 @@ Exit codes
     Static determinism linter over ``src``/``benchmarks`` (or the given
     paths); exits 1 when findings remain (see ``docs/analysis.md``).
     ``--deep`` adds the whole-program analysis (call-graph closures,
-    DET007-DET011, per-worker code fingerprints); ``--format sarif``
-    and ``--baseline`` support CI gating on new findings only.
+    DET007-DET011, per-worker code fingerprints); ``--json`` prints the
+    findings as JSON.
 ``fingerprint [workers...]``
     Print (or ``--check`` the stability of) the semantic code
     fingerprint of each registered cell worker — the cell store's
@@ -88,7 +81,7 @@ def _cmd_experiments(_args: argparse.Namespace) -> int:
 
 
 #: ``RunConfig`` fields that are also flags of ``run``.
-_CONFIG_FLAGS = ("seed", "jobs", "sim_iters", "replay", "fastcollect", "store")
+_CONFIG_FLAGS = ("seed", "jobs", "sim_iters", "store")
 
 
 def _run_config(args: argparse.Namespace, **fields: _t.Any) -> "RunConfig":
@@ -104,8 +97,7 @@ def _run_config(args: argparse.Namespace, **fields: _t.Any) -> "RunConfig":
 
 def _print_banners(result: _t.Any) -> None:
     """The stderr-only banners of a run, in a fixed order."""
-    for name in ("sanitize_summary", "perf_summary", "harness_summary",
-                 "store_summary"):
+    for name in ("sanitize_summary", "harness_summary", "store_summary"):
         banner = getattr(result, name, None)
         if banner:
             print(f"[{banner}]", file=sys.stderr)
@@ -152,11 +144,8 @@ def _cmd_osu(args: argparse.Namespace) -> int:
 def _cmd_lint(args: argparse.Namespace) -> int:
     import json
 
-    from repro.analysis.lint import RULES, lint_paths, render_findings
+    from repro.analysis.lint import lint_paths, render_findings
 
-    fmt = args.format
-    if args.json:  # pre---format spelling, kept for compatibility
-        fmt = "json"
     paths = args.paths or ["src", "benchmarks"]
     # Per-file scan stays intra-file (DET001-DET006); the deep rules
     # (DET007-DET011) are interprocedural by definition and run over
@@ -168,27 +157,19 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
         report = analyze_workers()
         findings.extend(report.findings)
-    if args.baseline:
-        from repro.analysis.static import load_baseline, new_findings
-
-        findings = new_findings(findings, load_baseline(args.baseline))
-    if fmt == "sarif":
-        from repro.analysis.static import to_sarif
-
-        print(json.dumps(to_sarif(findings, RULES), indent=2))
-    elif fmt == "json":
+    if args.json:
         payload: _t.Any = [
             {"path": f.path, "line": f.line, "col": f.col,
              "rule": f.rule, "message": f.message,
              **({"workers": list(f.workers)} if hasattr(f, "workers") else {})}
             for f in findings
         ]
-        if args.deep and report is not None:
+        if report is not None:
             payload = {"findings": payload,
                        "workers": report.to_dict()["workers"]}
         print(json.dumps(payload, indent=2))
     else:
-        if args.deep and report is not None:
+        if report is not None:
             for c in report.closures:
                 print(f"  {c.describe()}")
         plain = [f for f in findings if not hasattr(f, "workers")]
@@ -290,39 +271,6 @@ def _cmd_store(args: argparse.Namespace) -> int:
     raise AssertionError(f"unhandled store subcommand {args.store_command!r}")
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.perf.enginebench import (
-        append_history,
-        check_against_baseline,
-        load_rows,
-        render_rows,
-        run_engine_bench,
-        write_rows,
-    )
-
-    rows = run_engine_bench(reps=args.reps, workloads=args.workloads)
-    print(render_rows(rows))
-    if args.out:
-        write_rows(rows, args.out)
-        print(f"[written] {args.out}", file=sys.stderr)
-    if args.append_history:
-        records = append_history(rows, args.append_history)
-        print(
-            f"[appended] {len(records)} row(s) to {args.append_history}",
-            file=sys.stderr,
-        )
-    if args.check:
-        failures = check_against_baseline(
-            rows, load_rows(args.check), tolerance=args.tolerance
-        )
-        if failures:
-            for line in failures:
-                print(f"[regression] {line}", file=sys.stderr)
-            return 1
-        print(f"[ok] within {args.tolerance:.0%} of {args.check}", file=sys.stderr)
-    return 0
-
-
 def _cmd_npb(args: argparse.Namespace) -> int:
     from repro.npb import get_benchmark
     from repro.platforms import get_platform
@@ -348,8 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
                "sweep cells failed but the report rendered with "
                "FAILED(worker-exception) entries; 1 fatal error (bad "
                "configuration or unhandled failure). `repro store "
-               "verify`, `repro lint` and `repro bench engine --check` keep "
-               "exit 1 for their own failed-check verdicts.",
+               "verify` and `repro lint` keep exit 1 for their own "
+               "failed-check verdicts.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -369,26 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--sanitize", action="store_true",
         help="run every simulated world under the MPI sanitizer "
              "(deadlock/collective-mismatch/message-leak checks)",
-    )
-    run.add_argument(
-        "--replay", action="store_true", default=None,
-        help="fast-forward provably steady iterations (never changes "
-             "results; adds a [perf: ...] banner; also via REPRO_REPLAY)",
-    )
-    run.add_argument(
-        "--no-replay", dest="replay", action="store_false",
-        help="force iteration replay off, overriding REPRO_REPLAY",
-    )
-    run.add_argument(
-        "--fastcollect", action="store_true", default=None,
-        help="fast-forward whole collective phases analytically (never "
-             "changes results; adds a [perf: ...] banner; also via "
-             "REPRO_FASTCOLLECT)",
-    )
-    run.add_argument(
-        "--no-fastcollect", dest="fastcollect", action="store_false",
-        help="force collective fast-forward off, overriding "
-             "REPRO_FASTCOLLECT",
     )
     run.add_argument(
         "--sim-iters", type=int, default=None, metavar="N",
@@ -413,25 +341,13 @@ def build_parser() -> argparse.ArgumentParser:
         "paths", nargs="*",
         help="files/directories to lint (default: src benchmarks)",
     )
-    lint.add_argument(
-        "--json", action="store_true",
-        help="JSON findings (same as --format json)",
-    )
+    lint.add_argument("--json", action="store_true", help="JSON findings")
     lint.add_argument(
         "--deep", action="store_true",
         help="whole-program analysis: resolve every registered cell "
              "worker's call-graph closure, enable the interprocedural "
              "rules (DET007-DET011) over it, and print per-worker code "
              "fingerprints",
-    )
-    lint.add_argument(
-        "--format", choices=["text", "json", "sarif"], default="text",
-        help="output format (default text)",
-    )
-    lint.add_argument(
-        "--baseline", default=None, metavar="PATH",
-        help="suppress findings whose (path, rule) pair appears in this "
-             "committed baseline JSON; exit 1 only on new findings",
     )
 
     fingerprint = sub.add_parser(
@@ -504,38 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
     st_import.add_argument("path", help="store root directory")
     st_import.add_argument("file", help="exported JSONL file to merge")
 
-    bench = sub.add_parser("bench", help="performance microbenchmarks")
-    bench_sub = bench.add_subparsers(dest="bench_command", required=True)
-    engine = bench_sub.add_parser(
-        "engine", help="engine dispatch-throughput workloads"
-    )
-    engine.add_argument(
-        "--out", default="BENCH_engine.json", metavar="PATH",
-        help="write rows as JSON (default BENCH_engine.json; '' to skip)",
-    )
-    engine.add_argument(
-        "--check", default=None, metavar="BASELINE",
-        help="compare events/sec against a baseline JSON; exit 1 on regression",
-    )
-    engine.add_argument(
-        "--reps", type=int, default=1,
-        help="repetitions per workload, keeping the fastest (default 1)",
-    )
-    engine.add_argument(
-        "--tolerance", type=float, default=0.30,
-        help="allowed fractional events/sec drop for --check (default 0.30)",
-    )
-    engine.add_argument(
-        "--workloads", nargs="+", default=None, metavar="NAME",
-        help="run only these workloads (default: all registered)",
-    )
-    engine.add_argument(
-        "--append-history", nargs="?", const="BENCH_history.jsonl",
-        default=None, metavar="PATH",
-        help="append one {commit, workload, events_per_sec} JSONL row per "
-             "workload to PATH (default BENCH_history.jsonl)",
-    )
-
     osu = sub.add_parser("osu", help="run OSU latency/bandwidth on a platform")
     osu.add_argument("platform", choices=["vayu", "dcc", "ec2"])
     osu.add_argument("--seed", type=int, default=seed)
@@ -558,7 +442,6 @@ _COMMANDS: dict[str, _t.Callable[[argparse.Namespace], int]] = {
     "npb": _cmd_npb,
     "lint": _cmd_lint,
     "fingerprint": _cmd_fingerprint,
-    "bench": _cmd_bench,
     "store": _cmd_store,
 }
 

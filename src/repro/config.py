@@ -8,10 +8,9 @@ tally, run table) as a :class:`Run`, and that object is passed down ``run_experi
 
 Precedence is one rule for every field: an explicit value (a CLI flag,
 a keyword argument) wins, else the field's environment spelling, else
-its default.  Only the three *world options* have an environment
-spelling (:data:`ENV_VARS`: ``REPRO_SANITIZE``, ``REPRO_REPLAY`` and
-``REPRO_FASTCOLLECT``), and this module is the one place that reads
-them (:func:`env_world_options`).
+its default.  Only the one *world option*, ``sanitize``, has an
+environment spelling (:data:`ENV_VARS`: ``REPRO_SANITIZE``), and this
+module is the one place that reads it (:func:`env_world_options`).
 
 World options reach simulated worlds without touching ``os.environ``:
 :func:`world_scope` installs them in this process (what an open
@@ -41,21 +40,16 @@ if _t.TYPE_CHECKING:  # pragma: no cover
 
 @dataclasses.dataclass(frozen=True, slots=True)
 class WorldOptions:
-    """The run-wide defaults a :class:`~repro.smpi.world.MpiWorld` takes
-    for ``sanitize=``, ``replay=`` and ``fastcollect=`` when it is not
-    given them explicitly."""
+    """The run-wide default a :class:`~repro.smpi.world.MpiWorld` takes
+    for ``sanitize=`` when it is not given it explicitly."""
 
     sanitize: bool = False
-    replay: bool = False
-    fastcollect: bool = False
 
 
 #: The environment spelling of each world option: the only environment
 #: variables read as configuration.
 ENV_VARS = {
     "sanitize": "REPRO_SANITIZE",
-    "replay": "REPRO_REPLAY",
-    "fastcollect": "REPRO_FASTCOLLECT",
 }
 
 
@@ -76,8 +70,6 @@ class WorldReports:
     :func:`world_scope` (pool-worker worlds report in their own process)."""
 
     sanitizer: list = dataclasses.field(default_factory=list)
-    replay: list = dataclasses.field(default_factory=list)
-    fastcollect: list = dataclasses.field(default_factory=list)
 
 
 #: Installed world options, innermost last (empty: the environment rules).
@@ -101,8 +93,7 @@ def world_scope(
 
     This is the one in-process install of every world option:
     ``world_scope(sanitize=True) as reports`` sanitizes the block's
-    worlds and collects ``reports.sanitizer``; ``replay=`` and
-    ``fastcollect=`` work the same way.
+    worlds and collects ``reports.sanitizer``.
     """
     options = dataclasses.replace(options or world_options(), **changes)
     reports = WorldReports()
@@ -140,10 +131,9 @@ class RunConfig:
     seed, 1, is the one the pinned report digests use, and every
     ``--seed`` flag defaults to it); ``jobs`` (``0`` = all CPUs) how
     many pool workers run a sweep's cells; ``store`` the cell-store
-    directory.  The world options ``sanitize``, ``replay`` and
-    ``fastcollect`` left as ``None`` take the options in force
-    (:func:`world_options`: an install, else the environment); after
-    construction they are plain bools.
+    directory.  The world option ``sanitize`` left as ``None`` takes
+    the options in force (:func:`world_options`: an install, else the
+    environment); after construction it is a plain bool.
     """
 
     quick: bool = True
@@ -151,8 +141,6 @@ class RunConfig:
     jobs: int = 1
     sim_iters: int | None = None
     sanitize: bool | None = None
-    replay: bool | None = None
-    fastcollect: bool | None = None
     store: "str | os.PathLike[str] | None" = None
 
     def __post_init__(self) -> None:
@@ -207,7 +195,7 @@ class Run:
     ``store`` is ``None`` when not configured (sweeps then run without
     a store); ``stats`` is the harness tally every sweep of the run
     merges into; ``reports`` collects the in-process worlds'
-    sanitizer/replay/fastcollect reports.  ``results`` is the run
+    sanitizer reports.  ``results`` is the run
     table: every successful cell result a sweep of this run produced,
     keyed by the cell's payload
     (:func:`~repro.harness.supervisor.run_table_key`).  Code and world

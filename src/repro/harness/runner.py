@@ -19,7 +19,6 @@ from repro.errors import CellExecutionError, ConfigError
 from repro.harness.experiments import CELLS, EXPERIMENTS, ExperimentOutput, run_experiment
 from repro.harness.parallel import Cell
 from repro.harness.supervisor import HarnessStats, run_sweep
-from repro.perf.replay import perf_banner
 
 
 @dataclasses.dataclass(slots=True)
@@ -33,9 +32,6 @@ class BatchResult:
     #: worlds of this process, which depends on ``jobs``, and the report
     #: must stay byte-identical whatever the execution strategy.
     sanitize_summary: str | None = None
-    #: One-line memo/replay/fastcollect banner (None unless replay or
-    #: fastcollect was on); stderr-only, in-process counts like the above.
-    perf_summary: str | None = None
     #: One-line ``harness: ...`` degrade/failure banner (None unless a
     #: cell degraded or failed).  Its degrade tally varies between a run
     #: that lost a worker and a clean one.
@@ -128,16 +124,9 @@ def _sweep_declared(
     return failed
 
 
-def _in_process_note(pooled: int) -> str:
-    """Banner suffix when cells ran in pool workers, whose worlds report
-    in their own process."""
-    if not pooled:
-        return ""
-    return f" · counts cover in-process worlds only: {pooled} cell(s) ran in pool workers"
-
-
 def _sanitize_summary(reports: _t.Sequence[_t.Any], pooled: int) -> str:
-    """The ``sanitize: ...`` banner over this process's sanitized worlds."""
+    """The ``sanitize: ...`` banner over this process's sanitized worlds;
+    worlds of cells that ran in pool workers report in their own process."""
     nwarn = sum(len(r.warnings()) for r in reports)
     worlds = "in-process world(s)" if pooled else "world(s)"
     summary = (
@@ -145,7 +134,10 @@ def _sanitize_summary(reports: _t.Sequence[_t.Any], pooled: int) -> str:
         f"{sum(r.sends_checked for r in reports)} send(s), "
         f"{sum(r.collectives_checked for r in reports)} collective "
         f"op(s) checked, {nwarn} warning(s), 0 errors"
-    ) + _in_process_note(pooled)
+    )
+    if pooled:
+        summary += (f" · counts cover in-process worlds only: {pooled} "
+                    "cell(s) ran in pool workers")
     details = [d.render() for r in reports for d in r.warnings()]
     return "\n".join([summary, *details])
 
@@ -161,7 +153,7 @@ def run_batch(
 
     The batch runs under ``config``, or a :class:`~repro.config.RunConfig`
     built from ``options`` — its fields: ``quick``, ``seed``, ``jobs``,
-    ``sim_iters``, ``sanitize``, ``replay``, ``fastcollect``, ``store``.
+    ``sim_iters``, ``sanitize``, ``store``.
     The config is opened once (:meth:`~repro.config.RunConfig.open`)
     and the resulting :class:`~repro.config.Run` serves the whole batch
     — one store, one harness tally, one run table — and every world is
@@ -187,11 +179,9 @@ def run_batch(
     * ``store`` serves cells from the content-addressed cell store and
       publishes fresh ones (:mod:`repro.harness.cellstore`); re-running
       an interrupted batch with the same store resumes it.
-    * ``sanitize``, ``replay`` and ``fastcollect`` observe or
-      fast-forward worlds without changing results; their banners
-      (:attr:`BatchResult.sanitize_summary`,
-      :attr:`BatchResult.perf_summary`) are stderr-only and count the
-      worlds of this process only.
+    * ``sanitize`` observes worlds without changing results; its
+      banner (:attr:`BatchResult.sanitize_summary`) is stderr-only and
+      counts the worlds of this process only.
     * an experiment whose cell raised becomes a
       ``FAILED(worker-exception)`` entry (in
       :attr:`BatchResult.failures`) while the rest of the batch runs.
@@ -230,14 +220,7 @@ def run_batch(
         sanitize = (
             _sanitize_summary(run.reports.sanitizer, pooled) if config.sanitize else None
         )
-        perf = None
-        if config.replay or config.fastcollect:
-            perf = perf_banner(
-                run.reports.replay if config.replay else None,
-                fastcollect=run.reports.fastcollect if config.fastcollect else None,
-            ) + _in_process_note(pooled)
         summaries = run.summaries()
     return BatchResult(
-        outputs, sanitize_summary=sanitize, perf_summary=perf,
-        failures=failures, **summaries,
+        outputs, sanitize_summary=sanitize, failures=failures, **summaries,
     )

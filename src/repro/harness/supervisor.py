@@ -83,7 +83,7 @@ class HarnessStats:
     degraded: int = 0
     failed: int = 0
     #: Cells that ran in pool workers (not part of the banner): their
-    #: worlds' sanitizer/replay/fastcollect reports stay in the worker.
+    #: worlds' sanitizer reports stay in the worker.
     pooled: int = 0
 
     def merge(self, other: "HarnessStats") -> None:

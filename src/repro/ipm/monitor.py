@@ -150,76 +150,6 @@ class RankProfile:
         for stats in self._targets:
             stats.io_time += duration
 
-    # -- snapshot / delta (iteration replay support) ---------------------------
-    def snapshot(self) -> dict[str, tuple[float, float, float, dict[CallKey, tuple[int, float]]]]:
-        """Freeze the current counters of every region.
-
-        The shape — ``{region: (wall, compute, io, {CallKey: (count,
-        time)})}`` — is what :meth:`delta_since` diffs against and
-        :meth:`apply_delta` adds back, so one steady-loop iteration can
-        be captured as a pure counter difference and replayed any number
-        of times without re-simulating it (:mod:`repro.perf.replay`).
-        Open regions contribute no wall time here: their wall accrues at
-        :meth:`RegionStats.exit` from the (replay-advanced) clock.
-        """
-        return {
-            name: (
-                stats.wall_time,
-                stats.compute_time,
-                stats.io_time,
-                {k: (s.count, s.time) for k, s in stats.mpi.items()},
-            )
-            for name, stats in self.regions.items()
-        }
-
-    def delta_since(
-        self, snap: dict[str, tuple[float, float, float, dict[CallKey, tuple[int, float]]]]
-    ) -> dict[str, tuple[float, float, float, dict[CallKey, tuple[int, float]]]]:
-        """Counter growth since ``snap`` (regions with no growth omitted)."""
-        delta: dict[str, tuple[float, float, float, dict[CallKey, tuple[int, float]]]] = {}
-        empty: dict[CallKey, tuple[int, float]] = {}
-        for name, stats in self.regions.items():
-            base = snap.get(name)
-            bw, bc, bio, bmpi = base if base is not None else (0.0, 0.0, 0.0, empty)
-            mpi: dict[CallKey, tuple[int, float]] = {}
-            for key, bucket in stats.mpi.items():
-                prev = bmpi.get(key)
-                dcount = bucket.count - (prev[0] if prev is not None else 0)
-                dtime = bucket.time - (prev[1] if prev is not None else 0.0)
-                if dcount or dtime:
-                    mpi[key] = (dcount, dtime)
-            dw = stats.wall_time - bw
-            dc = stats.compute_time - bc
-            dio = stats.io_time - bio
-            if dw or dc or dio or mpi:
-                delta[name] = (dw, dc, dio, mpi)
-        return delta
-
-    def apply_delta(
-        self,
-        delta: dict[str, tuple[float, float, float, dict[CallKey, tuple[int, float]]]],
-        reps: int = 1,
-    ) -> None:
-        """Add ``delta`` to the counters ``reps`` times.
-
-        Applied as ``reps`` sequential passes — not one pre-scaled pass —
-        so the float accumulation order matches ``reps`` genuinely
-        simulated iterations as closely as possible.
-        """
-        for _ in range(reps):
-            for name, (dw, dc, dio, mpi) in delta.items():
-                stats = self.region(name)
-                stats.wall_time += dw
-                stats.compute_time += dc
-                stats.io_time += dio
-                for key, (dcount, dtime) in mpi.items():
-                    bucket = stats.mpi.get(key)
-                    if bucket is None:
-                        bucket = CallStats()
-                        stats.mpi[key] = bucket
-                    bucket.count += dcount
-                    bucket.time += dtime
-
     # -- totals ---------------------------------------------------------------
     @property
     def total(self) -> RegionStats:

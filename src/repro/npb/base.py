@@ -112,12 +112,7 @@ class NpbBenchmark(abc.ABC):
             yield from comm.barrier()
             with comm.region(STEADY_REGION):
                 for it in range(bench.sim_iters):
-                    yield from comm.iteration_scope(
-                        it,
-                        bench.sim_iters,
-                        lambda it=it: bench.iteration(comm, it),
-                        label=f"npb:{bench.name}",
-                    )
+                    yield from bench.iteration(comm, it)
             return None
 
         program.__name__ = f"npb_{bench.name}"

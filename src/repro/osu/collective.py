@@ -20,27 +20,19 @@ COLLECTIVE_SIZES = tuple(4 * 4**k for k in range(0, 10))
 
 
 def _allreduce_program(comm, sizes, iterations, warmup) -> _t.Generator:
-    # Vector-price the whole size sweep up front: a no-op unless the
-    # world runs with the collective fast-forward enabled.
-    comm.prime_collectives("allreduce", sizes)
     results: dict[int, float] = {}
     for size in sizes:
         for phase, count in (("warmup", warmup), ("timed", iterations)):
             yield from comm.barrier()
             if phase == "timed":
                 t_start = comm.wtime()
-            for i in range(count):
-                yield from comm.iteration_scope(
-                    i, count,
-                    lambda: comm.allreduce(size, value=0.0),
-                    label=f"allreduce:{size}:{phase}",
-                )
+            for _ in range(count):
+                yield from comm.allreduce(size, value=0.0)
         results[size] = (comm.wtime() - t_start) / iterations
     return results
 
 
 def _alltoall_program(comm, sizes, iterations, warmup) -> _t.Generator:
-    comm.prime_collectives("alltoall", [size * comm.size for size in sizes])
     results: dict[int, float] = {}
     for size in sizes:
         total = size * comm.size  # per-rank total, OSU's per-pair "size"
@@ -48,12 +40,8 @@ def _alltoall_program(comm, sizes, iterations, warmup) -> _t.Generator:
             yield from comm.barrier()
             if phase == "timed":
                 t_start = comm.wtime()
-            for i in range(count):
-                yield from comm.iteration_scope(
-                    i, count,
-                    lambda: comm.alltoall(total),
-                    label=f"alltoall:{size}:{phase}",
-                )
+            for _ in range(count):
+                yield from comm.alltoall(total)
         results[size] = (comm.wtime() - t_start) / iterations
     return results
 

@@ -112,29 +112,6 @@ class CollectiveMemo:
             table[key] = value
         return value
 
-    def seed(
-        self,
-        algo_key: _t.Hashable,
-        ctx: "CollectiveContext",
-        nbytes: float,
-        value: float,
-    ) -> None:
-        """Pre-populate one entry without touching the hit/miss counters.
-
-        Used by vectorized priming (:meth:`Comm.prime_collectives`): the
-        caller vouches that ``value`` is bit-equal to what
-        ``time_fn(ctx, nbytes)`` would return — the same contract
-        ``algo_key`` already carries.  Existing entries are never
-        overwritten and the ``max_entries`` cap is respected, so seeding
-        can only move evaluations earlier, never change a result.
-        """
-        if not self.enabled:
-            return
-        table = self._table
-        key = (algo_key, ctx, nbytes)
-        if key not in table and len(table) < self.max_entries:
-            table[key] = value
-
     def clear(self) -> None:
         """Drop all entries and counters."""
         self._table.clear()

@@ -304,32 +304,6 @@ class Platform:
         )
         return noisy + self.hypervisor.compute_jitter(self._compute_rng, base)
 
-    # -- replay safety ------------------------------------------------------
-    def replay_unsafe_reason(self) -> str | None:
-        """Why iteration replay must not engage here, or ``None`` if safe.
-
-        Replay (:mod:`repro.perf.replay`) extrapolates one captured
-        steady-state iteration; that is only sound when every cost on
-        this platform is a pure function of its inputs.  Any sampled
-        perturbation — OS noise, hypervisor jitter, masked-NUMA burst
-        noise — makes iterations genuinely distinct, so
-        the recorder stays off and every iteration is simulated.
-        Call after placement: per-rank noise amplitudes are resolved by
-        :meth:`finalize_placement`.
-        """
-        noise = self.spec.noise
-        if noise.frac != 0.0 or noise.spike_prob != 0.0:
-            return f"OS-noise model is stochastic ({noise!r})"
-        if not self.hypervisor.deterministic:
-            return f"hypervisor samples jitter ({self.hypervisor.name})"
-        if any(m.numa_noise != 0.0 for m in self._models.values()):
-            return "masked-NUMA burst noise is stochastic"
-        return None
-
-    def replay_safe(self) -> bool:
-        """True when every performance model here is draw-free."""
-        return self.replay_unsafe_reason() is None
-
     def net_extra_latency(self) -> float:
         """Sample the hypervisor's extra network latency for one message."""
         return self.hypervisor.net_extra_latency(self._net_rng)

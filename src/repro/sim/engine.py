@@ -36,7 +36,7 @@ class _Sleep:
     Only the engine may schedule these; user code never sees them.
     """
 
-    __slots__ = ("engine", "callback", "more")
+    __slots__ = ("engine", "callback")
 
     #: Label used when a tracer records the dispatch.
     name = "sleep"
@@ -44,20 +44,13 @@ class _Sleep:
     def __init__(self, engine: "Engine") -> None:
         self.engine = engine
         self.callback: _t.Callable[[], None] | None = None
-        #: Extra wake-ups coalesced onto this token (batch-sleep mode).
-        self.more: list[_t.Callable[[], None]] | None = None
 
     def _dispatch(self) -> None:
         cb = self.callback
-        extra = self.more
         self.callback = None
-        self.more = None
         self.engine._sleep_pool.append(self)
         if cb is not None:
             cb()
-        if extra is not None:
-            for fn in extra:
-                fn()
 
 
 class Engine:
@@ -87,14 +80,6 @@ class Engine:
         self.dispatched: int = 0
         #: Free list of recycled :class:`_Sleep` tokens.
         self._sleep_pool: list[_Sleep] = []
-        #: Coalesce back-to-back same-instant numeric sleeps onto one
-        #: heap entry (see :meth:`_sleep`).  Off by default; enabled by
-        #: the collective fast-forward (:mod:`repro.perf.fastcollect`)
-        #: when a whole communicator wakes and re-sleeps in lockstep.
-        self.batch_sleeps: bool = False
-        self._batch_token: _Sleep | None = None
-        self._batch_seq: int = -1
-        self._batch_when: float = 0.0
         #: Optional richer deadlock reporter.  When set (e.g. by the MPI
         #: sanitizer), a queue-drained-while-blocked condition raises
         #: ``deadlock_factory(blocked_count)`` instead of a bare
@@ -138,44 +123,14 @@ class Engine:
 
         The fast path behind numeric process yields: no :class:`Timeout`
         allocation, no callback-list churn, no value plumbing.
-
-        With :attr:`batch_sleeps` set, consecutive ``_sleep`` calls with
-        *no intervening heap push* that target the same instant ride the
-        previous call's token instead of pushing their own entry.  The
-        guard (``_seq`` unchanged since the token was pushed) proves no
-        other entry can sort between the token and a hypothetical fresh
-        one, and the appended callbacks run in exactly the order fresh
-        same-instant entries would have — dispatch order is identical,
-        only the heap traffic shrinks.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule event in the past ({delay!r})")
-        when = self.now + delay
-        if self.batch_sleeps:
-            if self._batch_seq == self._seq and self._batch_when == when:
-                token = self._batch_token
-                # A recycled token (callback already cleared by dispatch)
-                # cannot match: re-pushing it would have bumped _seq.
-                if token is not None and token.callback is not None:
-                    if token.more is None:
-                        token.more = [callback]
-                    else:
-                        token.more.append(callback)
-                    return
-            pool = self._sleep_pool
-            token = pool.pop() if pool else _Sleep(self)
-            token.callback = callback
-            self._seq += 1
-            heapq.heappush(self._heap, (when, self._seq, token))
-            self._batch_token = token
-            self._batch_seq = self._seq
-            self._batch_when = when
-            return
         pool = self._sleep_pool
         token = pool.pop() if pool else _Sleep(self)
         token.callback = callback
         self._seq += 1
-        heapq.heappush(self._heap, (when, self._seq, token))
+        heapq.heappush(self._heap, (self.now + delay, self._seq, token))
 
     def call_at(self, when: float, fn: _t.Callable[[], None]) -> Event:
         """Run ``fn()`` at absolute simulated time ``when`` (>= now)."""
@@ -186,23 +141,6 @@ class Engine:
         ev = Timeout(self, when - self.now)
         ev.add_callback(lambda _ev: fn())
         return ev
-
-    def wake_at(self, when: float, value: _t.Any = None) -> Event:
-        """An event firing at *absolute* simulated time ``when`` (>= now).
-
-        The bulk clock-advance primitive behind iteration replay
-        (:mod:`repro.perf.replay`): a process yields one ``wake_at`` and
-        resumes exactly at ``when``, replacing an entire iteration's worth
-        of heap traffic.  Unlike ``timeout(when - now)`` the event lands
-        on ``when`` itself — no ``now + (when - now)`` float round trip —
-        so a replayed clock hits the analytically accumulated target
-        bit-for-bit.
-        """
-        if when < self.now:
-            raise SimulationError(
-                f"wake_at({when!r}) is in the past (now={self.now!r})"
-            )
-        return Event(self, "wake_at").schedule_at(when, value)
 
     def _deadlock(self) -> DeadlockError:
         """Build the error for a drained queue with blocked processes."""

@@ -102,13 +102,9 @@ class Comm:
         """
         world = self.world
         rank = self.group[self.rank]
-        fc = world.fastcollect
-        if fc is not None and fc.active:
-            duration = fc.compute_seconds(rank, flops, mem_bytes, working_set, access)
-        else:
-            duration = world.platform.compute_seconds(
-                rank, flops, mem_bytes, working_set, access
-            )
+        duration = world.platform.compute_seconds(
+            rank, flops, mem_bytes, working_set, access
+        )
         t0 = world.engine.now
         if duration > 0:
             yield duration
@@ -164,42 +160,6 @@ class Comm:
             yield
         finally:
             profile.exit(name, self.engine.now)
-
-    # -- steady-loop marking (iteration replay) ------------------------------------
-    def iteration_scope(
-        self,
-        it: int,
-        total: int,
-        body: _t.Callable[[], _t.Generator],
-        label: str = "steady",
-    ) -> _t.Generator:
-        """Run iteration ``it`` of a ``total``-iteration steady loop.
-
-        ``body`` is a zero-argument callable returning the iteration's
-        generator; with no replay recorder attached this is exactly
-        ``yield from body()``.  With an active recorder
-        (:class:`~repro.perf.replay.ReplayRecorder`) the first few
-        iterations are simulated and captured, and once every rank's
-        consecutive captures match, the remaining iterations are
-        fast-forwarded analytically — see :mod:`repro.perf.replay`.
-        ``label`` keys the loop (so e.g. an OSU warm-up phase and its
-        timed phase are judged independently); all ranks of the
-        communicator must mark the same loops with the same labels.
-        """
-        recorder = self.world.replay
-        if recorder is None or not recorder.active:
-            yield from body()
-            return None
-        session = recorder.session(self, label, total)
-        action = session.begin(self, it)
-        if action == "skip":
-            return None
-        if action == "replay":
-            yield from session.fast_forward(self, it)
-            return None
-        result = yield from body()
-        session.capture(self, it)
-        return result
 
     # -- point-to-point ---------------------------------------------------------------
     def isend(
@@ -300,10 +260,6 @@ class Comm:
     # Each method returns the dispatched generator from
     # ``MpiWorld.collective`` directly (callers ``yield from`` it either
     # way), which keeps one generator frame off the per-operation path.
-    # ``null_ok=True`` asserts the finisher maps all-``None``
-    # contributions to all-``None`` results, so the fast path may skip
-    # it for value-free steady loops; gather/allgather return lists even
-    # for ``None`` contributions and must keep the default.
 
     def barrier(self) -> _t.Generator:
         """Synchronise all ranks."""
@@ -322,7 +278,7 @@ class Comm:
         return self.world.collective(
             self, "MPI_Bcast", nbytes, _alg.bcast_time,
             contribution=value if self.rank == root else None,
-            finisher=finisher, memo_key="bcast", root=root, null_ok=True,
+            finisher=finisher, memo_key="bcast", root=root,
         )
 
     def reduce(
@@ -341,7 +297,6 @@ class Comm:
         return self.world.collective(
             self, "MPI_Reduce", nbytes, _alg.reduce_time,
             contribution=value, finisher=finisher, memo_key="reduce", root=root,
-            null_ok=True,
         )
 
     def allreduce(
@@ -359,7 +314,6 @@ class Comm:
         return self.world.collective(
             self, "MPI_Allreduce", nbytes, _alg.allreduce_time,
             contribution=value, finisher=finisher, memo_key="allreduce",
-            null_ok=True,
         )
 
     def gather(self, nbytes: float, root: int = 0, value: _t.Any = None) -> _t.Generator:
@@ -404,7 +358,7 @@ class Comm:
         return self.world.collective(
             self, "MPI_Scatter", nbytes, _alg.scatter_time,
             contribution=values if self.rank == root else None,
-            finisher=finisher, memo_key="scatter", root=root, null_ok=True,
+            finisher=finisher, memo_key="scatter", root=root,
         )
 
     def alltoall(
@@ -428,7 +382,6 @@ class Comm:
         return self.world.collective(
             self, "MPI_Alltoall", nbytes_total, _alg.alltoall_time,
             contribution=values, finisher=finisher, memo_key="alltoall",
-            null_ok=True,
         )
 
     def alltoallv(
@@ -456,7 +409,7 @@ class Comm:
         return self.world.collective(
             self, "MPI_Alltoallv", total_send, time_fn,
             contribution=values, finisher=finisher,
-            memo_key=("alltoallv", max_pair), null_ok=True,
+            memo_key=("alltoallv", max_pair),
         )
 
     def reduce_scatter(self, nbytes_total: float, value: _t.Any = None) -> _t.Generator:
@@ -470,7 +423,6 @@ class Comm:
             self, "MPI_Reduce_scatter", nbytes_total,
             lambda ctx, n: _alg.reduce_scatter_time(ctx, n),
             contribution=value, finisher=finisher, memo_key="reduce_scatter",
-            null_ok=True,
         )
 
     def scan(
@@ -495,7 +447,6 @@ class Comm:
         return self.world.collective(
             self, "MPI_Scan", nbytes, _alg.allreduce_time,
             contribution=value, finisher=finisher, memo_key="allreduce",
-            null_ok=True,
         )
 
     def exscan(
@@ -520,23 +471,7 @@ class Comm:
         return self.world.collective(
             self, "MPI_Exscan", nbytes, _alg.allreduce_time,
             contribution=value, finisher=finisher, memo_key="allreduce",
-            null_ok=True,
         )
-
-    def prime_collectives(self, op: str, sizes: _t.Sequence[float]) -> int:
-        """Vector-price collective ``op`` for every size in ``sizes``.
-
-        With an active collective fast-forward this evaluates the
-        vectorized cost model (:mod:`repro.smpi.collectives.vectorized`)
-        once for the whole size sweep and seeds the results into the
-        memo and this communicator's duration cache; otherwise it is a
-        no-op.  Returns the number of sizes newly priced.  A plain call
-        (no ``yield``): priming consumes no virtual time.
-        """
-        fc = self.world.fastcollect
-        if fc is None:
-            return 0
-        return fc.prime(self, op, sizes)
 
     # -- Cartesian topology helpers -----------------------------------------
     def cart_coords(self, dims: _t.Sequence[int], rank: int | None = None) -> tuple[int, ...]:

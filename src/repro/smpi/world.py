@@ -26,8 +26,6 @@ from repro.smpi.message import Message, Request
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.analysis.sanitizer import SanitizerReport
-    from repro.perf.fastcollect import FastCollectReport
-    from repro.perf.replay import ReplayReport
     from repro.smpi.comm import Comm
 
 
@@ -71,27 +69,6 @@ class MpiWorld:
         options (:func:`repro.analysis.sanitizer.sanitize_enabled`).
         The sanitizer observes without scheduling events, so sanitized
         runs keep bit-identical virtual timestamps.
-    replay:
-        Attach the steady-state iteration recorder
-        (:class:`~repro.perf.replay.ReplayRecorder`): marked steady
-        loops whose iterations prove stationary on a draw-free platform
-        are fast-forwarded analytically instead of re-simulated.
-        ``None`` (the default) defers to the run's world options
-        (:func:`repro.perf.replay.replay_enabled`).  The recorder
-        auto-falls-back to full simulation whenever the sanitizer,
-        tracing or a stochastic platform model is present — replay is a
-        pure optimization, never a semantics change.
-    fastcollect:
-        Attach the analytic collective fast-forward
-        (:class:`~repro.perf.fastcollect.FastCollect`): collectives on a
-        draw-free, unobserved world complete through one pre-triggered
-        event priced from per-communicator caches instead of the
-        per-operation path, with byte-identical wake times and IPM
-        counters.  ``None`` (the default) defers to the run's world
-        options (:func:`repro.perf.fastcollect.fastcollect_enabled`).
-        Shares replay's auto-fallback discipline (sanitizer, tracing,
-        stochastic platforms ⇒ per-operation path with a recorded
-        reason).
     """
 
     def __init__(
@@ -103,8 +80,6 @@ class MpiWorld:
         timeline: bool = False,
         memo: CollectiveMemo | None = None,
         sanitize: bool | None = None,
-        replay: bool | None = None,
-        fastcollect: bool | None = None,
     ) -> None:
         if isinstance(platform, PlatformSpec):
             self.engine = Engine(seed=seed)
@@ -135,20 +110,6 @@ class MpiWorld:
         from repro.ipm.timeline import Timeline
 
         self.timeline = Timeline(nprocs) if timeline else None
-        # The replay recorder is constructed last so every disqualifier
-        # (sanitizer, timeline, engine tracer) is already known.
-        from repro.perf.replay import ReplayRecorder, replay_enabled
-
-        if replay is None:
-            replay = replay_enabled()
-        self.replay = ReplayRecorder(self) if replay else None
-        # The collective fast-forward shares the recorder's disqualifier
-        # and is likewise constructed after every observer/perturber.
-        from repro.perf.fastcollect import FastCollect, fastcollect_enabled
-
-        if fastcollect is None:
-            fastcollect = fastcollect_enabled()
-        self.fastcollect = FastCollect(self) if fastcollect else None
 
     def record_interval(
         self, rank: int, start: float, end: float, kind: str, label: str
@@ -293,10 +254,9 @@ class MpiWorld:
         finisher: _t.Callable[[dict[int, _t.Any]], dict[int, _t.Any]] | None = None,
         memo_key: _t.Hashable = None,
         root: int | None = None,
-        null_ok: bool = False,
         uneven: bool = False,
     ) -> _t.Generator:
-        """One synchronising collective for the calling rank (dispatch).
+        """One synchronising collective for the calling rank.
 
         ``time_fn(ctx, nbytes)`` supplies the algorithm cost;
         ``finisher`` maps the {local rank: contribution} dict to a
@@ -315,38 +275,8 @@ class MpiWorld:
         pass ``root`` so the sanitizer can detect cross-rank root
         divergence, and phases whose per-rank byte counts legitimately
         differ (:meth:`~repro.smpi.comm.Comm.composite`) pass
-        ``uneven=True`` so it skips its byte-count check.  ``null_ok``
-        marks finishers that map all-``None`` contributions to
-        all-``None`` results (see
-        :meth:`repro.perf.fastcollect.FastCollect.collective`).
-
-        With an active :class:`~repro.perf.fastcollect.FastCollect` and
-        a ``memo_key``, the operation takes the closed-form fast path;
-        otherwise the per-operation path below.
+        ``uneven=True`` so it skips its byte-count check.
         """
-        fc = self.fastcollect
-        if fc is not None and fc.active and memo_key is not None:
-            return fc.collective(
-                comm, name, nbytes, time_fn, contribution, finisher, memo_key, null_ok
-            )
-        return self._collective_slow(
-            comm, name, nbytes, time_fn, contribution, finisher, memo_key, root,
-            uneven,
-        )
-
-    def _collective_slow(
-        self,
-        comm: "Comm",
-        name: str,
-        nbytes: float,
-        time_fn: _t.Callable[[CollectiveContext, float], float],
-        contribution: _t.Any,
-        finisher: _t.Callable[[dict[int, _t.Any]], dict[int, _t.Any]] | None,
-        memo_key: _t.Hashable,
-        root: int | None,
-        uneven: bool,
-    ) -> _t.Generator:
-        """The per-operation collective path (sanitizer-aware)."""
         eng = self.engine
         my_local = comm.rank
         seq = comm._bump_seq()
@@ -370,9 +300,6 @@ class MpiWorld:
 
         if len(state.arrivals) == state.expected:
             del self._coll_states[key]
-            fc = self.fastcollect
-            if fc is not None and fc.active:
-                fc.slow_ops += 1
             ctx = self._collective_context(comm)
             if memo_key is not None:
                 duration = self.memo.time(memo_key, ctx, state.nbytes_seen, time_fn)
@@ -466,14 +393,6 @@ class MpiWorld:
             wall_time=self.engine.now,
             rank_results=[p.value for p in procs],
             sanitizer_report=report,
-            replay=(
-                self.replay.finalize_report() if self.replay is not None else None
-            ),
-            fastcollect=(
-                self.fastcollect.finalize_report()
-                if self.fastcollect is not None
-                else None
-            ),
         )
 
 
@@ -486,11 +405,9 @@ class RunResult:
     rank_results: list[_t.Any]
     #: Structured sanitizer output (None when the run was unsanitized).
     sanitizer_report: "SanitizerReport | None" = None
-    #: What the iteration recorder captured/fast-forwarded (None when
-    #: replay was not requested for this world).
-    replay: "ReplayReport | None" = None
-    #: What the collective fast-forward did (None when not requested).
-    fastcollect: "FastCollectReport | None" = None
+    #: Always ``None`` (no world fast-forwards); the e2e benchmark's tracer reads both.
+    replay = None
+    fastcollect = None
 
     @property
     def monitor(self) -> IpmMonitor:

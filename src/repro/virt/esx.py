@@ -32,9 +32,6 @@ class VmwareEsx(Hypervisor):
     masks_numa = True
     exposes_smt_as_cores = False
     system_time_share = 0.85
-    #: vSwitch scheduling delays and timeslice noise are sampled per
-    #: message/burst.
-    deterministic = False
 
     def __init__(
         self,

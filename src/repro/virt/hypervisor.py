@@ -31,11 +31,6 @@ class Hypervisor:
     #: Fraction of communication time attributed to system time in
     #: guest-side profiles (bare metal: interrupt handling only).
     system_time_share: float = 0.1
-    #: Whether this layer's perturbations are draw-free.  Concrete
-    #: hypervisors that sample per-message or per-burst jitter set this
-    #: False; iteration replay (:mod:`repro.perf.replay`) only engages
-    #: on platforms whose every cost is a pure function of its inputs.
-    deterministic: bool = True
 
     def net_extra_latency(self, rng: np.random.Generator) -> float:
         """Additional one-way latency for one message (seconds)."""

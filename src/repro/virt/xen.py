@@ -30,8 +30,6 @@ class XenHvm(Hypervisor):
     masks_numa = True
     exposes_smt_as_cores = True
     system_time_share = 0.6
-    #: Scheduler delays and HT jitter are sampled per message/burst.
-    deterministic = False
 
     def __init__(
         self,

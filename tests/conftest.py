@@ -8,20 +8,6 @@ import pathlib
 
 import pytest
 
-from repro.config import world_scope
-
-
-@pytest.fixture
-def fast_path_preconditions():
-    """Worlds built without the MPI sanitizer.
-
-    It forces replay and fastcollect off, so a test that asserts a fast
-    path engages states that precondition here instead of inheriting
-    ``REPRO_SANITIZE`` from the environment.
-    """
-    with world_scope(sanitize=False):
-        yield
-
 
 @pytest.fixture
 def quick_report_digest():

@@ -20,7 +20,7 @@ from repro.errors import ConfigError
 from repro.harness.parallel import Cell, cell_worker, run_cells
 from repro.harness.runner import run_batch
 
-WORLD_ENV = ("REPRO_SANITIZE", "REPRO_REPLAY", "REPRO_FASTCOLLECT")
+WORLD_ENV = ("REPRO_SANITIZE",)
 
 
 @pytest.fixture
@@ -35,11 +35,9 @@ def clean_env(monkeypatch):
 def _cfg_probe(i):
     """Reports the world options the executing process observes."""
     from repro.analysis.sanitizer import sanitize_enabled
-    from repro.perf.replay import replay_enabled
 
     return {
         "pid": os.getpid(),
-        "replay": replay_enabled(),
         "sanitize": sanitize_enabled(),
         "env": {name: os.environ.get(name) for name in WORLD_ENV},
     }
@@ -52,10 +50,6 @@ def _cfg_probe(i):
 #: (field, env var, env value, flag argv, flag value, env-resolved value, default)
 PRECEDENCE = [
     ("sanitize", "REPRO_SANITIZE", "1", ["--sanitize"], True, True, False),
-    ("replay", "REPRO_REPLAY", "1", ["--no-replay"], False, True, False),
-    ("replay", "REPRO_REPLAY", "0", ["--replay"], True, False, False),
-    ("fastcollect", "REPRO_FASTCOLLECT", "1", ["--no-fastcollect"], False, True, False),
-    ("fastcollect", "REPRO_FASTCOLLECT", "0", ["--fastcollect"], True, False, False),
 ]
 
 
@@ -77,11 +71,43 @@ def test_precedence_flag_over_env_over_default(
 
 
 def test_install_sits_between_explicit_values_and_env(clean_env):
+    clean_env.setenv("REPRO_SANITIZE", "1")
+    with world_scope(WorldOptions(sanitize=False)):
+        assert RunConfig().world == WorldOptions(sanitize=False)
+        assert RunConfig(sanitize=True).sanitize
+    assert world_options().sanitize
+
+
+def test_no_fast_path_options(clean_env, capsys):
+    """No option fast-forwards a world: the fast-path flags and ``bench
+    engine`` are usage errors, their environment spellings are not read,
+    and neither the run configuration nor a world takes them."""
+    from repro.platforms import VAYU
+    from repro.smpi import MpiWorld
+
+    for argv in (["run", "fig3", "--replay"], ["run", "fig3", "--fastcollect"],
+                 ["bench", "engine"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+    def program(comm):
+        yield from comm.allreduce(8, value=1.0)
+
+    plain = MpiWorld(VAYU, 2, seed=1).launch(program)
     clean_env.setenv("REPRO_REPLAY", "1")
-    with world_scope(WorldOptions(sanitize=True)):
-        assert RunConfig().world == WorldOptions(sanitize=True)
-        assert RunConfig(replay=True).replay
-    assert world_options().replay and not world_options().sanitize
+    clean_env.setenv("REPRO_FASTCOLLECT", "1")
+    assert world_options() == WorldOptions()
+    assert _run_config(build_parser().parse_args(["run", "fig3"])) == RunConfig()
+    again = MpiWorld(VAYU, 2, seed=1).launch(program)
+    assert (again.wall_time, again.rank_results) == (plain.wall_time, plain.rank_results)
+    assert again.replay is None and again.fastcollect is None
+    with pytest.raises(TypeError):
+        RunConfig(replay=True)
+    with pytest.raises(TypeError):
+        MpiWorld(VAYU, 2, fastcollect=True)
+    assert [f.name for f in dataclasses.fields(WorldOptions)] == ["sanitize"]
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +154,7 @@ def test_no_failure_policy_option(capsys):
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
     assert [f.name for f in dataclasses.fields(RunConfig)] == [
-        "quick", "seed", "jobs", "sim_iters", "sanitize", "replay",
-        "fastcollect", "store",
+        "quick", "seed", "jobs", "sim_iters", "sanitize", "store",
     ]
 
 
@@ -185,12 +210,12 @@ def test_run_batch_never_writes_environ_and_reaches_pool_workers(
 
     monkeypatch.setitem(EXPERIMENTS, "probe", _probe)
     before = dict(os.environ)
-    batch = run_batch(["probe", "tab1"], replay=True, sanitize=True, jobs=2)
+    batch = run_batch(["probe", "tab1"], sanitize=True, jobs=2)
     assert dict(os.environ) == before
     pooled = [v for k, v in seen.items() if k != "inline"]
     assert any(v["pid"] != os.getpid() for v in pooled)  # really in workers
     for observed in [*pooled, seen["inline"]]:
-        assert observed["replay"] and observed["sanitize"]
+        assert observed["sanitize"]
         assert observed["env"] == {name: None for name in WORLD_ENV}
     assert batch.sanitize_summary.startswith("sanitize: clean — 0 in-process world(s)")
     assert "in-process worlds only: 4 cell(s) ran in pool workers" in batch.sanitize_summary
@@ -198,28 +223,47 @@ def test_run_batch_never_writes_environ_and_reaches_pool_workers(
     assert world_options() == WorldOptions()
 
 
-@pytest.mark.parametrize("flags", [["--sanitize"], ["--replay", "--fastcollect"]])
+@pytest.mark.parametrize("flags", [["--sanitize"]])
 def test_report_independent_of_jobs(clean_env, flags, capsys):
     outs = []
     for jobs in ("1", "2"):
         assert main(["run", "fig4", *flags, "--jobs", jobs]) == 0
         captured = capsys.readouterr()
         outs.append(captured.out)
-        banner = "[sanitize: clean" if "--sanitize" in flags else "[perf: "
-        assert banner in captured.err and banner not in captured.out
+        assert "[sanitize: clean" in captured.err
+        assert "[sanitize: clean" not in captured.out
     assert outs[0] == outs[1]
 
 
 def test_nested_scopes_collect_into_every_open_collector(clean_env):
-    from repro.perf.replay import deterministic_variant
     from repro.platforms import VAYU
     from repro.smpi import MpiWorld
 
     def program(comm):
         yield from comm.barrier()
 
-    with world_scope(replay=True) as outer:
-        with world_scope(replay=True) as inner:
-            MpiWorld(deterministic_variant(VAYU), 2, seed=1).launch(program)
-        MpiWorld(deterministic_variant(VAYU), 2, seed=1).launch(program)
-    assert (len(outer.replay), len(inner.replay)) == (2, 1)
+    with world_scope(sanitize=True) as outer:
+        with world_scope(sanitize=True) as inner:
+            MpiWorld(VAYU, 2, seed=1).launch(program)
+        MpiWorld(VAYU, 2, seed=1).launch(program)
+    assert (len(outer.sanitizer), len(inner.sanitizer)) == (2, 1)
+
+
+# ---------------------------------------------------------------------------
+# sim_iters reaches the NPB steady loop
+# ---------------------------------------------------------------------------
+
+def test_sim_iters_validation():
+    with pytest.raises(ConfigError):
+        run_batch(["tab1"], sim_iters=0)
+
+
+def test_sim_iters_reaches_benchmark():
+    from repro.harness.parallel import npb_point
+    from repro.npb import get_benchmark
+    from repro.platforms import get_platform
+
+    point = npb_point("cg", "vayu", 2, 0, "B", 6)
+    direct = get_benchmark("cg", sim_iters=6).run(get_platform("vayu"), 2, seed=0)
+    assert point["projected_time"] == direct.projected_time
+    assert point["per_iter_time"] == direct.per_iter_time

@@ -3,8 +3,8 @@
 Each row runs every registered experiment (quick grids, seed 1) under
 one execution strategy and must render the report whose digest the
 end-to-end benchmark pins (``benchmarks/e2e/expected.json``), with JSON
-and CSV exports equal to the inline row's.  Rows that turn a world
-option on also check that option's stderr-only banner; the store rows
+and CSV exports equal to the inline row's.  The sanitize row also checks
+the sanitizer's stderr-only banner; the store rows
 check that a warm store serves every cell and parses no source.
 """
 
@@ -18,9 +18,9 @@ import pytest
 from repro.analysis.static import ModuleIndex
 from repro.harness.runner import run_batch
 
-#: Every world option off unless a row turns it on, so no row inherits
-#: a ``REPRO_*`` setting from the environment.
-OFF = {"sanitize": False, "replay": False, "fastcollect": False}
+#: The sanitizer off unless a row turns it on, so no row inherits
+#: ``REPRO_SANITIZE`` from the environment.
+OFF = {"sanitize": False}
 #: Row name -> ``run_batch`` options.  ``STORE`` stands for the module's
 #: cell-store directory: the cold row fills it from a pool, the warm row
 #: re-runs inline against it.
@@ -29,7 +29,6 @@ ROWS = {
     "inline": {},
     "jobs2": {"jobs": 2},
     "sanitize": {"sanitize": True},
-    "replay-fastcollect": {"replay": True, "fastcollect": True},
     "store-cold": {"store": STORE, "jobs": 2},
     "store-warm": {"store": STORE},
 }
@@ -75,13 +74,11 @@ def test_strategy_renders_the_golden_report(
 
     banners = {
         "sanitize": batch.sanitize_summary,
-        "perf": batch.perf_summary,
         "harness": batch.harness_summary,
         "store": batch.store_summary,
     }
     expected = {
         "sanitize": {"sanitize"},
-        "replay-fastcollect": {"perf"},
         "store-cold": {"store"},
         "store-warm": {"store"},
     }.get(row, set())
@@ -90,9 +87,6 @@ def test_strategy_renders_the_golden_report(
         # Every world ran in this process, so the banner covers them all.
         assert batch.sanitize_summary.startswith("sanitize: clean — ")
         assert batch.sanitize_summary.endswith(" 0 warning(s), 0 errors")
-    if row == "replay-fastcollect":
-        assert batch.perf_summary.startswith("perf: ")
-        assert "replay" in batch.perf_summary and "fastcollect" in batch.perf_summary
     if row == "store-warm":
         assert "84 served, 0 executed, 0 published" in batch.store_summary
         assert parses == 0

@@ -308,17 +308,8 @@ class _ReferenceProfile:
         for region in self._targets():
             region.io += duration
 
-    def apply_delta(self, name, dw, dc, dio, key, dcount, dtime):
-        region = self.regions.setdefault(name, _RefRegion())
-        region.wall += dw
-        region.compute += dc
-        region.io += dio
-        bucket = region.mpi.setdefault(key, [0, 0.0])
-        bucket[0] += dcount
-        bucket[1] += dtime
 
-
-def _replay_ops(ops):
+def _run_ops(ops):
     """Drive a RankProfile and the reference through ``ops``; skip ops
     that would be invalid (entering an open region, exiting an empty
     stack), so any drawn sequence is a legal program."""
@@ -345,15 +336,9 @@ def _replay_ops(ops):
         elif kind == "compute":
             prof.record_compute(op[1])
             ref.record_compute(op[1])
-        elif kind == "io":
+        else:  # "io"
             prof.record_io(op[1])
             ref.record_io(op[1])
-        else:  # "delta"
-            _, name, dw, dc, dio, call, nbytes, dcount, dtime = op
-            prof.apply_delta(
-                {name: (dw, dc, dio, {CallKey(call, nbytes): (dcount, dtime)})}
-            )
-            ref.apply_delta(name, dw, dc, dio, (call, nbytes), dcount, dtime)
     return prof, ref
 
 
@@ -381,10 +366,6 @@ _ops = st.one_of(
     st.tuples(st.just("mpi"), _calls, _nbytes, _times),
     st.tuples(st.just("compute"), _times),
     st.tuples(st.just("io"), _times),
-    st.tuples(
-        st.just("delta"), st.sampled_from(["a", "b", "c", "d"]), _times, _times,
-        _times, _calls, _nbytes, st.integers(min_value=0, max_value=5), _times,
-    ),
 )
 
 
@@ -392,7 +373,7 @@ class TestCachedAccounting:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(_ops, min_size=10, max_size=80))
     def test_matches_uncached_reference(self, ops):
-        _assert_same_accounting(*_replay_ops(ops))
+        _assert_same_accounting(*_run_ops(ops))
 
     def test_scripted_stack_changes(self):
         ops = [
@@ -402,17 +383,15 @@ class TestCachedAccounting:
             ("exit",), ("mpi", "MPI_Allreduce", 4, 0.2), ("compute", 0.3),
             # Re-entering a seen stack reuses its resolved buckets.
             ("enter", "b"), ("mpi", "MPI_Allreduce", 4, 0.4), ("io", 0.5),
-            # A key first created by apply_delta, then recorded into.
-            ("delta", "b", 0.0, 0.0, 0.0, "MPI_Send", 1024, 2, 0.6),
             ("mpi", "MPI_Send", 1024, 0.7),
             ("exit",), ("exit",), ("mpi", "MPI_Send", 1024, 0.8),
             # A different stack of the same depth gets buckets of its own.
             ("enter", "c"), ("mpi", "MPI_Allreduce", 4, 0.9), ("exit",),
         ]
-        prof, ref = _replay_ops(ops)
+        prof, ref = _run_ops(ops)
         _assert_same_accounting(prof, ref)
         send = CallKey("MPI_Send", 1024)
-        assert prof.regions["b"].mpi[send].count == 3
+        assert prof.regions["b"].mpi[send].count == 1
         assert prof.regions["a"].mpi[send].count == 1
         assert prof.total.mpi[send].count == 2
         allreduce = CallKey("MPI_Allreduce", 4)

@@ -104,6 +104,43 @@ class TestTimeouts:
             eng.call_at(0.5, lambda: None)
 
 
+class TestScheduleAt:
+    def test_value_delivered_at_absolute_time(self):
+        eng = Engine(seed=0)
+        ev = eng.event("x")
+        ev.schedule_at(5.0, "payload")
+        woke = []
+
+        def waiter():
+            value = yield ev
+            woke.append((eng.now, value))
+
+        eng.process(waiter(), name="w")
+        eng.run()
+        assert woke == [(5.0, "payload")]
+
+    def test_past_is_rejected(self):
+        eng = Engine(seed=0)
+
+        def advance():
+            yield 3.0
+
+        eng.process(advance(), name="advance")
+        eng.run()
+        assert eng.now == 3.0
+        with pytest.raises(SimulationError, match="in the past"):
+            eng.event("x").schedule_at(1.0)
+
+    def test_double_trigger_rejected(self):
+        eng = Engine(seed=0)
+        ev = eng.event("x")
+        ev.schedule_at(1.0, "a")
+        with pytest.raises(SimulationError, match="already triggered"):
+            ev.schedule_at(2.0, "b")
+        with pytest.raises(SimulationError, match="already triggered"):
+            ev.succeed("c")
+
+
 class TestProcesses:
     def test_process_returns_value(self):
         eng = Engine()

@@ -23,14 +23,10 @@ import textwrap
 import pytest
 
 from repro.analysis import static
-from repro.analysis.lint import RULES
 from repro.analysis.static import (
     ModuleIndex,
     analyze_workers,
     definition_fingerprint,
-    load_baseline,
-    new_findings,
-    to_sarif,
     worker_closure,
     worker_fingerprint,
 )
@@ -636,65 +632,21 @@ class TestDeepAttribution:
 
 
 # ---------------------------------------------------------------------------
-# SARIF + baseline gating
+# Reporting: the deep-lint gate
 # ---------------------------------------------------------------------------
 
 class TestReporting:
-    def test_sarif_document_shape(self, fixpkg):
-        report = analyze_workers(fix_index(fixpkg))
-        doc = to_sarif(report.findings, RULES)
-        assert doc["version"] == "2.1.0"
-        (run,) = doc["runs"]
-        assert run["results"], "expected fixture findings in SARIF"
-        result = run["results"][0]
-        assert result["ruleId"].startswith("DET")
-        assert "workers:" in result["message"]["text"]
-        region = result["locations"][0]["physicalLocation"]["region"]
-        assert region["startLine"] >= 1
-        rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-        assert {r["ruleId"] for r in run["results"]} <= rule_ids
-
-    def test_baseline_gates_only_new_findings(self, fixpkg, tmp_path):
-        report = analyze_workers(fix_index(fixpkg))
-        assert report.findings
-        baseline_path = tmp_path / "base.json"
-        baseline_path.write_text(json.dumps({
-            "findings": [
-                {"path": f.path, "rule": f.rule} for f in report.findings
-            ],
-        }), encoding="utf-8")
-        baseline = load_baseline(baseline_path)
-        assert new_findings(report.findings, baseline) == []
-        # A finding in a file the baseline has never seen stays fatal.
-        assert new_findings(report.findings, set()) == list(report.findings)
-
-    def test_missing_baseline_rejected(self, tmp_path):
-        with pytest.raises(ConfigError, match="baseline"):
-            load_baseline(tmp_path / "nope.json")
-
-    def test_committed_repo_baseline_is_loadable_and_empty(self):
-        assert load_baseline(REPO / "STATIC_BASELINE.json") == set()
-
-    def test_cli_sarif_baseline_pipeline(self, fixpkg, tmp_path, capsys,
-                                         monkeypatch):
-        # `repro lint --deep` must exit 1 on the dirty fixture, then 0
-        # once the baseline covers its findings.
+    def test_cli_deep_gate(self, fixpkg, capsys, monkeypatch):
+        # `repro lint --deep` exits 1 on the dirty fixture, and its JSON
+        # form lists the same findings with their workers.
         monkeypatch.setattr(
             "repro.analysis.static.ModuleIndex.default",
             classmethod(lambda cls: fix_index(fixpkg)),
         )
         assert main(["lint", "--deep", str(fixpkg)]) == 1
         capsys.readouterr()
-        assert main(["lint", "--deep", "--format", "sarif",
-                     str(fixpkg)]) == 1
-        sarif = json.loads(capsys.readouterr().out)
-        rows = [
-            {"path": (r["locations"][0]["physicalLocation"]
-                      ["artifactLocation"]["uri"]),
-             "rule": r["ruleId"]}
-            for r in sarif["runs"][0]["results"]
-        ]
-        base = tmp_path / "base.json"
-        base.write_text(json.dumps({"findings": rows}), encoding="utf-8")
-        assert main(["lint", "--deep", "--baseline", str(base),
-                     str(fixpkg)]) == 0
+        assert main(["lint", "--deep", "--json", str(fixpkg)]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        deep = [f for f in doc["findings"] if "workers" in f]
+        assert deep, "expected deep findings on the dirty fixture"
+        assert all(f["rule"].startswith("DET") and f["workers"] for f in deep)
