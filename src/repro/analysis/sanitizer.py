@@ -37,7 +37,7 @@ from __future__ import annotations
 import dataclasses
 import typing as _t
 
-from repro.config import collect_report, world_options
+from repro.config import collect_sanitizer_report, world_options
 from repro.errors import DeadlockError, SanitizerError
 
 if _t.TYPE_CHECKING:  # pragma: no cover
@@ -135,10 +135,6 @@ class SanitizerReport:
 def sanitize_enabled() -> bool:
     """Default ``sanitize=`` for worlds that don't pass one explicitly."""
     return world_options().sanitize
-
-
-def _record_report(report: SanitizerReport) -> None:
-    collect_report("sanitizer", report)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +359,7 @@ class MpiSanitizer:
             details={"pending_ops": list(pending), "cycle": list(cycle or ())},
         )
         self._report.diagnostics.append(diag)
-        _record_report(self._report)
+        collect_sanitizer_report(self._report)
         return DeadlockError(waiting, pending_ops=pending, cycle=cycle)
 
     def _wait_edges(self) -> dict[int, set[int]]:
@@ -450,7 +446,7 @@ class MpiSanitizer:
                         message=f"posted send never completed: {op.describe()}",
                         ranks=(rank,), details={"peer": op.peer, "tag": op.tag},
                     ))
-        _record_report(self._report)
+        collect_sanitizer_report(self._report)
         return self._report
 
     def report(self) -> SanitizerReport:

@@ -9,8 +9,8 @@ tally, run table) as a :class:`Run`, and that object is passed down ``run_experi
 Precedence is one rule for every field: an explicit value (a CLI flag,
 a keyword argument) wins, else the field's environment spelling, else
 its default.  Only the one *world option*, ``sanitize``, has an
-environment spelling (:data:`ENV_VARS`: ``REPRO_SANITIZE``), and this
-module is the one place that reads it (:func:`env_world_options`).
+environment spelling, ``REPRO_SANITIZE``, and this module is the one
+place that reads it (:func:`env_world_options`).
 
 World options reach simulated worlds without touching ``os.environ``:
 :func:`world_scope` installs them in this process (what an open
@@ -46,22 +46,12 @@ class WorldOptions:
     sanitize: bool = False
 
 
-#: The environment spelling of each world option: the only environment
-#: variables read as configuration.
-ENV_VARS = {
-    "sanitize": "REPRO_SANITIZE",
-}
-
-
 def env_world_options() -> WorldOptions:
-    """The process default: the world options' environment spellings.
-
-    ``""`` and ``"0"`` mean off.
+    """The process default: ``REPRO_SANITIZE``, the only environment
+    variable read as configuration.  ``""`` and ``"0"`` mean off.
     """
-    return WorldOptions(**{
-        name: os.environ.get(var, "").strip() not in ("", "0")  # lint-ok: DET008 the one sanctioned feature-gate reader, read before simulation starts
-        for name, var in ENV_VARS.items()
-    })
+    value = os.environ.get("REPRO_SANITIZE", "")  # lint-ok: DET008 the one sanctioned feature-gate reader, read before simulation starts
+    return WorldOptions(sanitize=value.strip() not in ("", "0"))
 
 
 @dataclasses.dataclass(slots=True)
@@ -85,17 +75,21 @@ def world_options() -> WorldOptions:
 
 @contextlib.contextmanager
 def world_scope(
-    options: WorldOptions | None = None, **changes: _t.Any
+    options: WorldOptions | None = None, *, sanitize: bool | None = None
 ) -> _t.Iterator[WorldReports]:
-    """Install ``options`` (default: the ones in force, with ``changes``)
-    for every world built in this process inside the block; yields the
-    reports of the worlds finalized meanwhile.
+    """Install ``options`` (default: the ones in force), with
+    ``sanitize`` when given, for every world built in this process
+    inside the block; yields the reports of the worlds finalized
+    meanwhile.
 
-    This is the one in-process install of every world option:
+    This is the one in-process install of the world options:
     ``world_scope(sanitize=True) as reports`` sanitizes the block's
     worlds and collects ``reports.sanitizer``.
     """
-    options = dataclasses.replace(options or world_options(), **changes)
+    if sanitize is not None:
+        options = WorldOptions(sanitize=sanitize)
+    elif options is None:
+        options = world_options()
     reports = WorldReports()
     _INSTALLED.append(options)  # lint-ok: DET007 in-process option install, restored on exit
     _COLLECTORS.append(reports)  # lint-ok: DET007 observer-side report collection, never in results
@@ -113,10 +107,10 @@ def install_worker_options(options: WorldOptions) -> None:
     _COLLECTORS.clear()
 
 
-def collect_report(kind: str, report: _t.Any) -> None:
-    """Hand a finalized world's ``kind`` report to every open collector."""
+def collect_sanitizer_report(report: _t.Any) -> None:
+    """Hand a finalized world's sanitizer report to every open collector."""
     for reports in _COLLECTORS:
-        getattr(reports, kind).append(report)
+        reports.sanitizer.append(report)
 
 
 # ---------------------------------------------------------------------------
@@ -146,11 +140,10 @@ class RunConfig:
     def __post_init__(self) -> None:
         from repro.harness.cellstore import store_root
 
-        default = world_options()
-        resolved: dict[str, _t.Any] = {}
-        for name in ENV_VARS:
-            value = getattr(self, name)
-            resolved[name] = getattr(default, name) if value is None else bool(value)
+        sanitize = self.sanitize
+        resolved: dict[str, _t.Any] = {
+            "sanitize": world_options().sanitize if sanitize is None else bool(sanitize),
+        }
         optional = () if self.sim_iters is None else ("sim_iters",)
         for name in ("seed", "jobs", *optional):
             value = getattr(self, name)
@@ -170,7 +163,7 @@ class RunConfig:
     @property
     def world(self) -> WorldOptions:
         """The world options of this run."""
-        return WorldOptions(**{name: getattr(self, name) for name in ENV_VARS})
+        return WorldOptions(sanitize=self.sanitize)
 
     @contextlib.contextmanager
     def open(self) -> _t.Iterator["Run"]:

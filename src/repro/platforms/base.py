@@ -126,7 +126,7 @@ class RankComputeModel:
     to linear at high process counts on the bare-metal platform.
     """
 
-    __slots__ = ("flop_rate", "mem_bw", "cache_share", "numa_noise")
+    __slots__ = ("flop_rate", "mem_bw", "cache_share", "numa_noise", "shapes")
 
     #: DRAM-traffic floor: even cache-resident sweeps miss compulsorily.
     MISS_FLOOR = 0.08
@@ -142,6 +142,10 @@ class RankComputeModel:
         self.mem_bw = mem_bw
         self.cache_share = cache_share
         self.numa_noise = numa_noise
+        #: ``(flops, mem_bytes, working_set) -> seconds(...)``: the model
+        #: is fixed for the life of a world, so each burst shape's
+        #: noise-free roofline is computed once.
+        self.shapes: dict[tuple[float, float, float], tuple[float, float]] = {}
 
     def miss_factor(self, working_set: float) -> float:
         """Fraction of declared traffic that actually reaches DRAM."""
@@ -281,8 +285,15 @@ class Platform:
         access: str = "stream",
     ) -> float:
         """Duration of a compute burst on ``rank``, noise included."""
-        model = self.compute_model(rank)
-        base, boundedness = model.seconds(flops, mem_bytes, working_set)
+        try:
+            model = self._models[rank]
+        except KeyError:
+            model = self.compute_model(rank)  # raises the ConfigError
+        shape = (flops, mem_bytes, working_set)
+        roofline = model.shapes.get(shape)
+        if roofline is None:
+            roofline = model.shapes[shape] = model.seconds(*shape)
+        base, boundedness = roofline
         if base <= 0.0:
             return 0.0
         if boundedness > 1.0 and model.numa_noise > 0.0:

@@ -11,9 +11,9 @@ Hot-path notes
 branches inlines the dispatch loop with bound locals (``heap``, ``pop``)
 instead of calling :meth:`step` per event, hoists the tracer check out of
 the loop, and drains same-timestamp batches without re-storing the clock.
-Numeric process sleeps (the dominant event class in the MPI skeletons) go
-through a free list of :class:`_Sleep` wake-up tokens rather than
-allocating a fresh :class:`Timeout` per ``yield`` — see :meth:`_sleep`.
+Numeric process sleeps (the dominant event class in the MPI skeletons)
+push the process's own wake-up token rather than a fresh
+:class:`Timeout` per ``yield`` — see :mod:`repro.sim.process`.
 """
 
 from __future__ import annotations
@@ -25,32 +25,6 @@ from repro.errors import DeadlockError, SimulationError
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.rng import RandomStreams
 from repro.sim.trace import Tracer
-
-
-class _Sleep:
-    """A pooled wake-up token for plain delays (engine-internal).
-
-    Unlike an :class:`Event` it has exactly one callback, carries no
-    value, and returns itself to the engine's free list as soon as it is
-    dispatched, so a million-sleep run allocates a handful of tokens.
-    Only the engine may schedule these; user code never sees them.
-    """
-
-    __slots__ = ("engine", "callback")
-
-    #: Label used when a tracer records the dispatch.
-    name = "sleep"
-
-    def __init__(self, engine: "Engine") -> None:
-        self.engine = engine
-        self.callback: _t.Callable[[], None] | None = None
-
-    def _dispatch(self) -> None:
-        cb = self.callback
-        self.callback = None
-        self.engine._sleep_pool.append(self)
-        if cb is not None:
-            cb()
 
 
 class Engine:
@@ -78,8 +52,6 @@ class Engine:
         self._blocked: int = 0
         #: Total events dispatched (exposed for performance accounting).
         self.dispatched: int = 0
-        #: Free list of recycled :class:`_Sleep` tokens.
-        self._sleep_pool: list[_Sleep] = []
         #: Optional richer deadlock reporter.  When set (e.g. by the MPI
         #: sanitizer), a queue-drained-while-blocked condition raises
         #: ``deadlock_factory(blocked_count)`` instead of a bare
@@ -117,20 +89,6 @@ class Engine:
             raise SimulationError(f"cannot schedule event in the past ({delay!r})")
         self._seq += 1
         heapq.heappush(self._heap, (self.now + delay, self._seq, event))
-
-    def _sleep(self, delay: float, callback: _t.Callable[[], None]) -> None:
-        """Run ``callback()`` after ``delay`` using a pooled wake-up token.
-
-        The fast path behind numeric process yields: no :class:`Timeout`
-        allocation, no callback-list churn, no value plumbing.
-        """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule event in the past ({delay!r})")
-        pool = self._sleep_pool
-        token = pool.pop() if pool else _Sleep(self)
-        token.callback = callback
-        self._seq += 1
-        heapq.heappush(self._heap, (self.now + delay, self._seq, token))
 
     def call_at(self, when: float, fn: _t.Callable[[], None]) -> Event:
         """Run ``fn()`` at absolute simulated time ``when`` (>= now)."""

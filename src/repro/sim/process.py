@@ -12,11 +12,17 @@ behaviour in virtual time by yielding:
 A process is itself an :class:`Event` that succeeds with the generator's
 return value (or fails with its uncaught exception), so processes can wait
 on each other by yielding them.
+
+Hot path: :meth:`Process._step` is the only frame between a heap entry
+and the generator it wakes.  A sleep pushes the process's own
+:class:`_Sleep` token, whose dispatch *is* the step; an event wait
+appends the step itself to the event's callbacks.
 """
 
 from __future__ import annotations
 
 import typing as _t
+from heapq import heappush as _heappush
 
 from repro.errors import SimulationError
 from repro.sim.events import Event
@@ -25,10 +31,41 @@ if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Engine
 
 
+class _Sleep:
+    """A process's wake-up token for its start and its numeric sleeps.
+
+    It stands in the heap where an :class:`Event` would, but its
+    ``_dispatch`` is the owning process's bound :meth:`Process._step`,
+    so dispatching it resumes the generator directly.  A process has at
+    most one wake-up pending (it cannot yield again before it is woken),
+    so each process owns exactly one token and never allocates another.
+    User code never sees these.
+    """
+
+    __slots__ = ("_dispatch",)
+
+    #: Label used when a tracer records the dispatch.
+    name = "sleep"
+
+    def __init__(self, step: _t.Callable[[], None]) -> None:
+        self._dispatch = step
+
+
+class _Woken:
+    """What a :class:`_Sleep` wake delivers: no value and no failure."""
+
+    __slots__ = ()
+    _value = None
+    _exc = None
+
+
+_WOKEN = _Woken()
+
+
 class Process(Event):
     """A simulated process executing a generator in virtual time."""
 
-    __slots__ = ("generator", "_waiting_on")
+    __slots__ = ("generator", "_wake", "_resume")
 
     def __init__(self, engine: "Engine", generator: _t.Generator, name: str = "") -> None:
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
@@ -38,104 +75,73 @@ class Process(Event):
             )
         super().__init__(engine, name=name or getattr(generator, "__name__", "process"))
         self.generator = generator
-        self._waiting_on: Event | None = None
+        #: The bound step, appended to the callbacks of an awaited event.
+        self._resume = self._step
+        self._wake = _Sleep(self._resume)
         # Start the process at the current simulated instant (but after the
         # caller's current event finishes dispatching) for determinism.
-        kick = engine.event(f"start:{self.name}")
-        kick.add_callback(self._resume)
-        kick.succeed(None)
+        engine._seq += 1
+        _heappush(engine._heap, (engine.now, engine._seq, self._wake))
 
-    @property
-    def alive(self) -> bool:
-        """True while the generator has not yet finished."""
-        return not self.triggered
+    def _step(self, event: _t.Any = _WOKEN) -> None:
+        """Resume the generator with ``event``'s outcome and act on its
+        next yield (engine-internal).
 
-    def interrupt(self, exc: BaseException | None = None) -> None:
-        """Throw ``exc`` (default :class:`Interrupted`) into the process."""
-        if self.triggered:
-            raise SimulationError(f"cannot interrupt finished process {self.name!r}")
-        exc = exc or Interrupted(self)
-        if self._waiting_on is not None:
-            # The pending event may still fire later (an in-flight message
-            # delivery, a collective completing); drop our claim on it now
-            # so the interrupt below is the only resumption and the
-            # blocked-process count stays balanced.
-            self._waiting_on = None
-            self.engine._blocked -= 1
-        wake = self.engine.event(f"interrupt:{self.name}")
-        wake.add_callback(lambda _ev: self._step(exc, is_error=True))
-        wake.succeed(None)
-
-    # -- engine plumbing --------------------------------------------------
-    def _resume(self, event: Event) -> None:
-        """Callback invoked when the event we were waiting on fires."""
-        self._waiting_on = None
-        if event._exc is not None:
-            self._step(event._exc, is_error=True)
-        else:
-            self._step(event._value, is_error=False)
-
-    def _step(self, value: _t.Any, *, is_error: bool) -> None:
-        if self.triggered:
-            # A late wake-up (e.g. a pooled sleep token firing after an
-            # interrupt already terminated the process) has nothing to
-            # deliver.
-            return
+        Called with no argument by the process's :class:`_Sleep` token,
+        and with the awaited event as that event's callback.
+        """
         engine = self.engine
-        try:
-            if is_error:
-                target = self.generator.throw(value)
-            else:
-                target = self.generator.send(value)
-        except StopIteration as stop:
-            self.succeed(stop.value)
-            return
-        except Interrupted:
-            # An unhandled interrupt terminates the process quietly.
-            self.succeed(None)
-            return
-        except BaseException as exc:  # noqa: BLE001 - deliberate catch-all
-            self.fail(exc)
-            return
+        if event is not _WOKEN:
+            engine._blocked -= 1
+        generator = self.generator
+        while True:
+            exc = event._exc
+            try:
+                if exc is None:
+                    target = generator.send(event._value)
+                else:
+                    target = generator.throw(exc)
+            except StopIteration as stop:
+                self._finish()
+                self.succeed(stop.value)
+                return
+            except BaseException as error:  # noqa: BLE001 - deliberate catch-all
+                self._finish()
+                self.fail(error)
+                return
 
-        if isinstance(target, (int, float)):
-            # Plain sleep: the dominant yield in every skeleton.  A pooled
-            # wake-up token replaces the Timeout allocation, the callback
-            # list, and the blocked-process accounting (a sleeper always
-            # keeps the queue non-empty, so it can never deadlock).
-            engine._sleep(target, self._sleep_wake)
-            return
-        if not isinstance(target, Event):
-            err = SimulationError(
+            if isinstance(target, Event):
+                callbacks = target.callbacks
+                if callbacks is not None:
+                    engine._blocked += 1
+                    callbacks.append(self._resume)
+                    return
+                # Already dispatched: resume at once, at the same instant.
+                event = target
+                continue
+            if isinstance(target, (int, float)):
+                # Plain sleep, the dominant yield in every skeleton: push
+                # the process's own token (a sleeper keeps the queue
+                # non-empty, so it never counts as blocked).
+                if target < 0:
+                    raise SimulationError(
+                        f"cannot schedule event in the past ({target!r})"
+                    )
+                engine._seq += 1
+                _heappush(engine._heap, (engine.now + target, engine._seq, self._wake))
+                return
+            self._finish()
+            self.fail(SimulationError(
                 f"process {self.name!r} yielded {target!r}; expected an Event "
                 "or a numeric delay"
-            )
-            self.fail(err)
+            ))
             return
-        self._waiting_on = target
-        engine._blocked += 1
-        target.add_callback(self._resume_unblock)
 
-    def _resume_unblock(self, event: Event) -> None:
-        if self._waiting_on is not event:
-            # Stale wake-up: an interrupt already detached the process
-            # from this event (its blocked count was settled there).
-            return
-        self.engine._blocked -= 1
-        self._resume(event)
-
-    def _sleep_wake(self) -> None:
-        """Wake from a pooled numeric sleep (no value, no failure)."""
-        self._step(None, is_error=False)
+    def _finish(self) -> None:
+        # The bound step refers back to the process: drop it once the
+        # generator is done, so a finished process is freed by reference
+        # counting instead of waiting for the cycle collector.
+        self._resume = self._wake = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "done" if self.triggered else ("waiting" if self._waiting_on else "ready")
-        return f"<Process {self.name!r} {state}>"
-
-
-class Interrupted(Exception):
-    """Raised inside a process by :meth:`Process.interrupt`."""
-
-    def __init__(self, process: Process) -> None:
-        super().__init__(f"process {process.name!r} interrupted")
-        self.process = process
+        return f"<Process {self.name!r} {'done' if self.triggered else 'live'}>"

@@ -74,11 +74,6 @@ class Comm:
         """Current virtual time (``MPI_Wtime``)."""
         return self.world.engine.now
 
-    def _bump_seq(self) -> int:
-        seq = self._seq
-        self._seq += 1
-        return seq
-
     def _world_rank_of(self, local: int) -> int:
         if not (0 <= local < self.size):
             raise MpiError(f"rank {local} out of range for size {self.size}")

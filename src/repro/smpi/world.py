@@ -279,7 +279,8 @@ class MpiWorld:
         """
         eng = self.engine
         my_local = comm.rank
-        seq = comm._bump_seq()
+        seq = comm._seq
+        comm._seq = seq + 1
         key = (comm.comm_id, name, seq)
         state = self._coll_states.get(key)
         if state is None:
@@ -296,7 +297,8 @@ class MpiWorld:
         arrival = eng.now
         state.arrivals[my_local] = arrival
         state.contributions[my_local] = contribution
-        state.nbytes_seen = max(state.nbytes_seen, nbytes)
+        if nbytes > state.nbytes_seen:  # max(), keeping its first-wins tie
+            state.nbytes_seen = nbytes
 
         if len(state.arrivals) == state.expected:
             del self._coll_states[key]

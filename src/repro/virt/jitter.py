@@ -50,20 +50,26 @@ class OsNoiseModel:
     ) -> float:
         """Extra seconds of noise injected into a ``duration``-second burst.
 
-        The spike draws always happen — exactly two per burst, from
-        ``spike_rng`` (default: ``rng``) — even when ``spike_prob`` is 0,
-        so two models differing only in their spike parameters consume
-        identical draw counts and otherwise-identical runs stay aligned
-        sample-for-sample.  Callers that share ``rng`` with other models
-        should pass a dedicated ``spike_rng`` so spike-parameter tweaks
-        cannot reshuffle unrelated samples either.
+        ``rng`` gives one exponential draw per burst.  The spike takes
+        two more draws, from ``spike_rng`` when one is given, else from
+        ``rng`` — always, even when ``spike_prob`` is 0, so two models
+        differing only in their spike parameters consume identical draw
+        counts from a shared stream and otherwise-identical runs stay
+        aligned sample-for-sample.  A dedicated ``spike_rng`` has no
+        other consumer, so with ``spike_prob`` 0 its draws, which could
+        never add a spike, are skipped.  Callers that share ``rng`` with
+        other models should pass a dedicated ``spike_rng`` so
+        spike-parameter tweaks cannot reshuffle unrelated samples either.
         """
         if duration <= 0:
             return 0.0
         extra = duration * self.frac * rng.exponential(1.0)
-        spikes = spike_rng if spike_rng is not None else rng
-        hit = float(spikes.random())
-        magnitude = float(spikes.standard_exponential())
+        if spike_rng is None:
+            spike_rng = rng
+        elif self.spike_prob == 0.0:
+            return extra
+        hit = float(spike_rng.random())
+        magnitude = float(spike_rng.standard_exponential())
         if hit < self.spike_prob:
             extra += magnitude * self.spike_seconds
         return extra

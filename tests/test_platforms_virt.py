@@ -184,6 +184,20 @@ class TestHypervisors:
             assert main.exponential(1.0) == check.exponential(1.0)
 
 
+    def test_zero_spike_prob_skips_dedicated_spike_stream(self):
+        """With ``spike_prob`` 0 no spike can be added, so a dedicated
+        spike stream is left untouched, while the main stream still
+        advances by one exponential per burst."""
+        main = np.random.default_rng(7)
+        spikes = np.random.default_rng(11)
+        state = spikes.bit_generator.state
+        model = OsNoiseModel(frac=0.5, spike_prob=0.0, spike_seconds=1.0)
+        got = [model.sample(main, 2.0, spike_rng=spikes) for _ in range(4)]
+        assert spikes.bit_generator.state == state
+        check = np.random.default_rng(7)
+        assert got == [2.0 * 0.5 * check.exponential(1.0) for _ in range(4)]
+        assert main.bit_generator.state == check.bit_generator.state
+
 class TestPlacementInteractions:
     def test_finalize_required_after_placement(self):
         plat = Platform(VAYU, Engine())

@@ -237,6 +237,150 @@ class TestProcesses:
             eng.run()
 
 
+class TestProcessStepping:
+    """Edge cases of the one-frame step: a sleep pushes the process's own
+    wake-up token, and an event wait resumes straight from the event."""
+
+    def test_negative_numeric_yield_raises_out_of_run(self):
+        eng = Engine()
+
+        def prog():
+            yield 1.0
+            yield -0.5
+
+        eng.process(prog())
+        with pytest.raises(SimulationError, match="in the past"):
+            eng.run()
+        assert eng.now == 1.0
+
+    def test_int_yields_sleep(self):
+        eng = Engine()
+        seen = []
+
+        def prog():
+            yield 2
+            seen.append(eng.now)
+            yield 0
+            seen.append(eng.now)
+            yield 3
+            return eng.now
+
+        p = eng.process(prog())
+        eng.run()
+        assert seen == [2.0, 2.0]
+        assert p.value == 5.0 and type(p.value) is float
+
+    def test_already_dispatched_event_resumes_at_once(self):
+        eng = Engine()
+        done = eng.event()
+        done.succeed("v")
+        order = []
+
+        def late():
+            yield 1.0
+            assert done.callbacks is None  # dispatched long ago
+            order.append(("before", eng.now))
+            value = yield done
+            order.append((value, eng.now))
+            value = yield done  # twice: still no wait
+            order.append((value, eng.now))
+
+        def bystander():
+            yield 1.0
+            order.append(("bystander", eng.now))
+
+        eng.process(late())
+        eng.process(bystander())
+        eng.run()
+        # ``late`` ran through both yields before the bystander woke,
+        # at the same instant, and left nothing blocked.
+        assert order == [("before", 1.0), ("v", 1.0), ("v", 1.0),
+                         ("bystander", 1.0)]
+        assert eng._blocked == 0
+
+    def test_already_failed_event_throws_into_the_generator(self):
+        eng = Engine()
+        broken = eng.event()
+        broken.fail(KeyError("k"))
+
+        def prog():
+            yield 1.0
+            try:
+                yield broken
+            except KeyError:
+                return "caught"
+
+        p = eng.process(prog())
+        eng.run()
+        assert p.value == "caught"
+
+    def test_generator_exception_fails_process_and_reaches_waiters(self):
+        eng = Engine()
+        gate = eng.event()
+
+        def bad():
+            yield gate
+            raise RuntimeError("inner")
+
+        def waiter(proc):
+            try:
+                yield proc
+            except RuntimeError as exc:
+                return f"caught {exc}"
+
+        child = eng.process(bad())
+        outer = eng.process(waiter(child))
+        seen = []
+        child.add_callback(lambda ev: seen.append(ev.ok))
+        eng.call_at(2.0, lambda: gate.succeed())
+        eng.run()
+        assert child.triggered and not child.ok
+        with pytest.raises(RuntimeError, match="inner"):
+            _ = child.value
+        assert outer.value == "caught inner"
+        assert seen == [False]
+        assert eng._blocked == 0
+
+    def test_start_is_after_the_current_dispatch_in_schedule_order(self):
+        eng = Engine()
+        order = []
+
+        def prog(tag):
+            order.append((tag, eng.now))
+            yield 0.0
+
+        def spawner():
+            yield 1.0
+            eng.process(prog("a"))
+            eng.process(prog("b"))
+            order.append(("spawner", eng.now))
+
+        eng.process(spawner())
+        eng.run()
+        assert order == [("spawner", 1.0), ("a", 1.0), ("b", 1.0)]
+
+    def test_finished_process_is_freed_without_the_cycle_collector(self):
+        import gc
+        import weakref
+
+        eng = Engine()
+
+        def prog():
+            yield 1.0
+            yield eng.timeout(1.0)
+
+        gen = prog()
+        ref = weakref.ref(gen)
+        p = eng.process(gen)
+        eng.run()
+        del gen
+        gc.disable()
+        try:
+            del p
+            assert ref() is None
+        finally:
+            gc.enable()
+
 class TestConditions:
     def test_all_of_collects_values(self):
         eng = Engine()
