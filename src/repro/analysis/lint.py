@@ -18,7 +18,7 @@ DET004    iteration over an unordered ``set`` literal/comprehension/call —
           string hashing is randomised per process; sort before iterating
 DET005    parallel cell worker that is not picklable-by-construction
           (``@cell_worker`` on a nested function, or registering a lambda)
-DET006    collective call (``yield from comm.bcast(...)`` etc.) under
+DET006    collective call (``yield from comm.allreduce(...)`` etc.) under
           rank-dependent control flow — a classic MPI deadlock pattern
 DET007    function mutates (or rebinds) a module-level global — hidden
           state that differs between pool workers and across runs

@@ -10,8 +10,7 @@ by up to 33% in the original experiments.
 
 Components:
 
-* :mod:`repro.arrivef.profiler` — lightweight online profiles, directly
-  from the simulator's IPM monitors or synthetic;
+* :mod:`repro.arrivef.profiler` — lightweight online job profiles;
 * :mod:`repro.arrivef.predictor` — cross-platform runtime prediction
   from the calibrated platform models;
 * :mod:`repro.arrivef.migration` — live-migration cost model;
@@ -19,7 +18,7 @@ Components:
   throughput experiment.
 """
 
-from repro.arrivef.profiler import OnlineProfile, profile_from_monitor
+from repro.arrivef.profiler import OnlineProfile
 from repro.arrivef.predictor import PlatformPredictor
 from repro.arrivef.migration import MigrationModel
 from repro.arrivef.framework import ArriveF, FarmJob, RelocationPlan
@@ -31,5 +30,4 @@ __all__ = [
     "OnlineProfile",
     "PlatformPredictor",
     "RelocationPlan",
-    "profile_from_monitor",
 ]

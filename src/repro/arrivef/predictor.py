@@ -91,16 +91,3 @@ class PlatformPredictor:
         if runtime_on_reference <= 0:
             raise ConfigError(f"bad reference runtime: {runtime_on_reference}")
         return runtime_on_reference * self.slowdown(profile, target)
-
-    def best_platform(
-        self,
-        profile: OnlineProfile,
-        candidates: list[PlatformSpec],
-    ) -> tuple[PlatformSpec, float]:
-        """The candidate with the smallest predicted slowdown."""
-        if not candidates:
-            raise ConfigError("no candidate platforms")
-        scored = [(self.slowdown(profile, c), c) for c in candidates]
-        scored.sort(key=lambda pair: pair[0])
-        best_slowdown, best = scored[0]
-        return best, best_slowdown

@@ -1,12 +1,9 @@
 """Online job profiling (ARRIVE-F's measurement stage).
 
 ARRIVE-F "carries out a lightweight 'online' profiling of the CPU,
-communication and memory subsystems of all the active jobs".  In this
-reproduction the same information is available exactly: the simulator's
-IPM monitor records per-rank compute and MPI time with message-size
-histograms, and the platform model knows the memory-boundedness of each
-burst.  :func:`profile_from_monitor` distils a monitor into the compact
-:class:`OnlineProfile` the predictor consumes.
+communication and memory subsystems of all the active jobs".
+:class:`OnlineProfile` is the compact subsystem profile the predictor
+consumes; the farm experiment builds one per synthetic job.
 """
 
 from __future__ import annotations
@@ -14,7 +11,6 @@ from __future__ import annotations
 import dataclasses
 
 from repro.errors import ConfigError
-from repro.ipm.monitor import GLOBAL_REGION, IpmMonitor
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -23,7 +19,7 @@ class OnlineProfile:
 
     #: Fraction of runtime in MPI communication.
     comm_fraction: float
-    #: Fraction of MPI time in messages at or below ``small_cutoff``.
+    #: Fraction of MPI time in small (latency-bound) messages.
     small_msg_fraction: float
     #: Memory-bandwidth-bound fraction of the compute time.
     mem_boundedness: float
@@ -37,46 +33,3 @@ class OnlineProfile:
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
                 raise ConfigError(f"{name} out of range: {v}")
-
-
-#: Message-size boundary between "latency-bound" and "bandwidth-bound".
-SMALL_MESSAGE_CUTOFF = 4096
-
-
-def profile_from_monitor(
-    monitor: IpmMonitor,
-    region: str = GLOBAL_REGION,
-    mem_boundedness: float = 0.3,
-) -> OnlineProfile:
-    """Distil an IPM monitor into an :class:`OnlineProfile`.
-
-    ``mem_boundedness`` cannot be recovered from MPI accounting alone on
-    real systems either (ARRIVE-F samples hardware counters for it);
-    callers that know their workload pass it explicitly.
-    """
-    comm = compute = io = 0.0
-    small_time = 0.0
-    total_bytes = 0.0
-    total_calls = 0
-    for prof in monitor.profiles:
-        stats = prof.regions.get(region)
-        if stats is None:
-            continue
-        compute += stats.compute_time
-        io += stats.io_time
-        for key, cs in stats.mpi.items():
-            comm += cs.time
-            total_bytes += key.nbytes * cs.count
-            total_calls += cs.count
-            if key.nbytes <= SMALL_MESSAGE_CUTOFF:
-                small_time += cs.time
-    total = comm + compute + io
-    if total <= 0:
-        raise ConfigError(f"region {region!r} holds no samples")
-    return OnlineProfile(
-        comm_fraction=comm / total,
-        small_msg_fraction=(small_time / comm) if comm > 0 else 0.0,
-        mem_boundedness=mem_boundedness,
-        mean_msg_bytes=(total_bytes / total_calls) if total_calls else 0.0,
-        io_fraction=io / total,
-    )

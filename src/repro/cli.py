@@ -19,23 +19,11 @@ Commands
     :class:`~repro.config.RunConfig` (flag over environment over default;
     see ``docs/architecture.md``), and the sanitizer, harness and store
     banners go to stderr.
-
-Exit codes
-----------
-``0``
-    Success — every requested cell/experiment completed.
-``3``
-    Partial — some sweep cells failed, but the report
-    rendered with explicit ``FAILED(worker-exception)`` entries.
-``1``
-    Fatal — bad configuration or an unhandled failure; no report.
 ``store <op> <path>``
     Maintain a content-addressed cell store (``docs/caching.md``):
     ``stats`` tallies records/shards/workers, ``verify`` re-derives
     every record's key and payload hash (exit 1 on integrity problems),
-    ``gc`` compacts stale/duplicate/malformed records, ``export`` and
-    ``import`` stream records between stores as a single JSONL file in
-    bounded memory.
+    ``gc`` compacts stale/duplicate/malformed records.
 ``lint [paths...]``
     Static determinism linter over ``src``/``benchmarks`` (or the given
     paths); exits 1 when findings remain (see ``docs/analysis.md``).
@@ -50,6 +38,16 @@ Exit codes
     Run the OSU latency + bandwidth pair on one platform.
 ``npb <bench> <platform> <nprocs>``
     Run one NPB benchmark point and print its result.
+
+Exit codes
+----------
+``0``
+    Success — every requested cell/experiment completed.
+``3``
+    Partial — some sweep cells failed, but the report
+    rendered with explicit ``FAILED(worker-exception)`` entries.
+``1``
+    Fatal — bad configuration or an unhandled failure; no report.
 """
 
 from __future__ import annotations
@@ -249,25 +247,6 @@ def _cmd_store(args: argparse.Namespace) -> int:
         )
         print(report.render())
         return 0
-    if args.store_command == "export":
-        if args.out:
-            count = store.export(args.out)
-            print(f"[exported] {count} record(s) to {args.out}", file=sys.stderr)
-        else:
-            count = 0
-            for line in store.export_lines():
-                print(line)
-                count += 1
-            print(f"[exported] {count} record(s)", file=sys.stderr)
-        return 0
-    if args.store_command == "import":
-        added, dup, invalid = store.import_file(args.file)
-        print(
-            f"[imported] {added} record(s) added, {dup} already present, "
-            f"{invalid} invalid skipped",
-            file=sys.stderr,
-        )
-        return 0 if invalid == 0 else 1
     raise AssertionError(f"unhandled store subcommand {args.store_command!r}")
 
 
@@ -402,23 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also drop records for workers this host cannot fingerprint "
              "(default: keep them — they may still serve another host)",
     )
-    st_export = store_sub.add_parser(
-        "export",
-        help="dump all records as one deterministic JSONL stream for "
-             "cross-host sharing",
-    )
-    st_export.add_argument("path", help="store root directory")
-    st_export.add_argument(
-        "--out", default=None, metavar="FILE",
-        help="write to FILE instead of stdout",
-    )
-    st_import = store_sub.add_parser(
-        "import",
-        help="merge an exported JSONL file into a store (each record is "
-             "re-validated; existing keys are kept)",
-    )
-    st_import.add_argument("path", help="store root directory")
-    st_import.add_argument("file", help="exported JSONL file to merge")
 
     osu = sub.add_parser("osu", help="run OSU latency/bandwidth on a platform")
     osu.add_argument("platform", choices=["vayu", "dcc", "ec2"])

@@ -43,7 +43,7 @@ package's exact bytes (:func:`repro.analysis.static
 reads the table for the current tree, so a warm run parses nothing;
 any edit to an indexed file moves the digest, and the next run builds
 and writes a fresh table.  ``gc`` drops the tables of other trees;
-``stats``, ``export`` and ``import`` ignore them.
+``stats`` ignores them.
 
 Wiring
 ------
@@ -57,9 +57,8 @@ Store hits merge by cell key, so a store-served sweep renders
 byte-identically to a fresh one — the CI round-trip guard holds this.
 
 The ``repro store`` CLI exposes maintenance: ``stats``, ``verify``
-(full integrity re-derivation of every key and payload hash), ``gc``
-(drop stale/duplicate/malformed records) and ``export``/``import`` for
-cross-host sharing.  See ``docs/caching.md``.
+(full integrity re-derivation of every key and payload hash) and ``gc``
+(drop stale/duplicate/malformed records).  See ``docs/caching.md``.
 """
 
 from __future__ import annotations
@@ -138,7 +137,7 @@ def store_key(worker: str, args: _t.Sequence[_t.Any], code: str) -> str:
 def record_problem(rec: _t.Any) -> str | None:
     """Why ``rec`` is not a well-formed store record (None: it is).
 
-    Shared by :meth:`CellStore.verify`, ``gc`` and ``import``: a record
+    Shared by :meth:`CellStore.verify` and ``gc``: a record
     is well-formed when every field is present and the key re-derives
     from the payload — so a corrupted or hand-edited record can never
     be served as a different cell's result.
@@ -859,83 +858,3 @@ class CellStore:
                     with contextlib.suppress(OSError):
                         path.unlink()
         return report
-
-    def export_lines(self) -> _t.Iterator[str]:
-        """All well-formed records as JSON lines, sorted by key.
-
-        Duplicates collapse last-wins; the output is deterministic for
-        a given store content, so two hosts can diff their exports.
-        Streams one shard at a time: a key's 2-hex prefix names its
-        shard, so shards partition the key space, shard files sorted by
-        name yield global key order, and the working set is bounded by
-        the largest shard — never the whole store.
-        """
-        for shard in self.shard_files():
-            records: dict[str, str] = {}
-            for _lineno, line, rec in self._scan_shard(shard):
-                if rec is None or record_problem(rec) is not None:
-                    continue
-                records[rec["k"]] = line
-            for key in sorted(records):
-                yield records[key]
-
-    def export(self, path: str | pathlib.Path) -> int:
-        """Write :meth:`export_lines` to ``path``; returns the record count."""
-        count = 0
-        out = pathlib.Path(path)
-        with open(out, "w", encoding="utf-8") as fh:
-            for line in self.export_lines():
-                fh.write(line + "\n")
-                count += 1
-        return count
-
-    def import_file(self, path: str | pathlib.Path) -> tuple[int, int, int]:
-        """Merge an exported JSONL file into this store.
-
-        Every record is re-validated (:func:`record_problem`) before it
-        is appended to its shard — a tampered export cannot plant a
-        record whose key does not re-derive from its payload.  Returns
-        ``(added, skipped_existing, skipped_invalid)``.
-
-        Streams the file line by line (never materializing it) with a
-        one-shard existing-keys cache, reloaded when the incoming key's
-        shard changes.  Sorted dumps (what :meth:`export` writes) load
-        each shard's keys exactly once; unsorted input stays correct,
-        just with more cache reloads.  Memory is bounded by the largest
-        shard's key set, so arbitrarily large dumps transport cleanly.
-        """
-        src = pathlib.Path(path)
-        if not src.exists():
-            raise ConfigError(f"store import file not found: {src}")
-        cached_shard: str | None = None
-        existing: set[str] = set()
-        added = skipped_existing = skipped_invalid = 0
-        with open(src, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.rstrip("\n")
-                if not line.strip():
-                    continue
-                try:
-                    rec = json.loads(line)
-                except _JSON_ERRORS:
-                    skipped_invalid += 1
-                    continue
-                if record_problem(rec) is not None:
-                    skipped_invalid += 1
-                    continue
-                prefix = rec["k"][:SHARD_WIDTH]
-                if prefix != cached_shard:
-                    cached_shard = prefix
-                    existing = set()
-                    for _lineno, _l, old in self._scan_shard(
-                        self.shard_path(rec["k"])
-                    ):
-                        if isinstance(old, dict) and isinstance(old.get("k"), str):
-                            existing.add(old["k"])
-                if rec["k"] in existing:
-                    skipped_existing += 1
-                    continue
-                self._append_record_line(rec["k"], line + "\n")
-                existing.add(rec["k"])
-                added += 1
-        return added, skipped_existing, skipped_invalid

@@ -28,11 +28,7 @@ from repro.ipm.monitor import (
     RankProfile,
     RegionStats,
 )
-from repro.ipm.loadbalance import (
-    imbalance_irregularity,
-    imbalance_percent,
-    imbalance_profile,
-)
+from repro.ipm.loadbalance import imbalance_percent
 from repro.ipm.report import (
     IpmReport,
     comm_percent,
@@ -51,9 +47,7 @@ __all__ = [
     "RegionStats",
     "comm_percent",
     "fig7_breakdown",
-    "imbalance_irregularity",
     "imbalance_percent",
-    "imbalance_profile",
     "render_fig7_ascii",
     "summarize",
 ]

@@ -1,16 +1,9 @@
-"""Load-imbalance metrics.
+"""Load-imbalance metric.
 
-The paper reports a "% imbal" figure per run (Table III) and discusses
-"a greater degree and a higher irregularity of load imbalance on DCC".
-We expose both notions:
-
-* :func:`imbalance_percent` — the scalar
-  ``100 * (max - mean) / max`` over per-rank compute times, i.e. the
-  fraction of the critical path the busiest rank spends ahead of the
-  average (0 = perfectly balanced);
-* :func:`imbalance_profile` — the full per-rank compute-time vector for
-  a region, from which "irregularity" (its coefficient of variation) is
-  derived.
+The paper reports a "% imbal" figure per run (Table III):
+:func:`imbalance_percent` is the scalar ``100 * (max - mean) / max``
+over per-rank compute times, i.e. the fraction of the critical path the
+busiest rank spends ahead of the average (0 = perfectly balanced).
 """
 
 from __future__ import annotations
@@ -49,21 +42,3 @@ def imbalance_percent(monitor: IpmMonitor, region: str = GLOBAL_REGION) -> float
     if denom <= 0:
         return 0.0
     return float(100.0 * (comp.max() - comp.mean()) / denom)
-
-
-def imbalance_profile(monitor: IpmMonitor, region: str = GLOBAL_REGION) -> np.ndarray:
-    """Per-rank compute times for ``region`` (one entry per rank)."""
-    return _compute_vector(monitor, region)
-
-
-def imbalance_irregularity(monitor: IpmMonitor, region: str = GLOBAL_REGION) -> float:
-    """Coefficient of variation of per-rank compute time (dimensionless).
-
-    The paper's qualitative "more irregular on DCC" claim is tested by
-    comparing this figure across platforms.
-    """
-    comp = _compute_vector(monitor, region)
-    mean = comp.mean()
-    if mean <= 0:
-        return 0.0
-    return float(comp.std() / mean)

@@ -7,33 +7,22 @@ on the simulated MPI:
   (``osu_latency``): half the averaged round-trip time per message size;
 * :func:`~repro.osu.bandwidth.osu_bandwidth` — windowed streaming
   bandwidth (``osu_bw``): a window of non-blocking sends per iteration,
-  one short ack per window;
-* :func:`~repro.osu.bandwidth.osu_bibw` — bidirectional bandwidth
-  (``osu_bibw``);
-* :func:`~repro.osu.multi.osu_multi_lat` — multi-pair latency
-  (``osu_multi_lat``), which exposes NIC sharing between pairs.
+  one short ack per window.
 
-All take a platform spec and return a ``{message size: value}`` mapping,
+Both take a platform spec and return a ``{message size: value}`` mapping,
 measured between two ranks on *distinct* nodes (as the paper does:
 "sustained message passing bandwidth and latency between two compute
 nodes").
 """
 
 from repro.osu.latency import osu_latency
-from repro.osu.bandwidth import osu_bandwidth, osu_bibw
-from repro.osu.collective import COLLECTIVE_SIZES, osu_allreduce, osu_alltoall
-from repro.osu.multi import osu_multi_lat
+from repro.osu.bandwidth import osu_bandwidth
 
 #: The OSU default message-size sweep (powers of two, 1 B .. 4 MB).
 DEFAULT_SIZES = tuple(2**k for k in range(0, 23))
 
 __all__ = [
-    "COLLECTIVE_SIZES",
     "DEFAULT_SIZES",
-    "osu_allreduce",
-    "osu_alltoall",
     "osu_bandwidth",
-    "osu_bibw",
     "osu_latency",
-    "osu_multi_lat",
 ]

@@ -30,14 +30,6 @@ def all_platforms() -> list[PlatformSpec]:
     return [DCC, EC2, VAYU]
 
 
-def register_platform(spec: PlatformSpec) -> None:
-    """Add a user-defined platform to the registry."""
-    key = spec.name.lower()
-    if key in _REGISTRY:
-        raise ConfigError(f"platform {spec.name!r} already registered")
-    _REGISTRY[key] = spec
-
-
 def platform_table(specs: list[PlatformSpec] | None = None) -> str:
     """Render the paper's Table I for ``specs`` (default: all platforms)."""
     specs = specs if specs is not None else all_platforms()

@@ -11,8 +11,7 @@ This subpackage is the substrate for every performance experiment in
 * :class:`~repro.sim.resources.Resource` and
   :class:`~repro.sim.resources.Store` — contention and message queues;
 * :class:`~repro.sim.rng.RandomStreams` — named, reproducible random
-  streams;
-* :class:`~repro.sim.trace.Tracer` — optional structured event tracing.
+  streams.
 
 Design notes
 ------------
@@ -25,15 +24,13 @@ and all randomness flows through :class:`~repro.sim.rng.RandomStreams`.
 """
 
 from repro.sim.engine import Engine
-from repro.sim.events import AllOf, AnyOf, Event, Timeout
+from repro.sim.events import AllOf, Event, Timeout
 from repro.sim.process import Process
 from repro.sim.resources import Resource, Store
 from repro.sim.rng import RandomStreams
-from repro.sim.trace import TraceRecord, Tracer
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Engine",
     "Event",
     "Process",
@@ -41,6 +38,4 @@ __all__ = [
     "RandomStreams",
     "Store",
     "Timeout",
-    "TraceRecord",
-    "Tracer",
 ]

@@ -9,8 +9,7 @@ Hot-path notes
 --------------
 ``run`` is the single hottest function of every sweep, so each of its
 branches inlines the dispatch loop with bound locals (``heap``, ``pop``)
-instead of calling :meth:`step` per event, hoists the tracer check out of
-the loop, and drains same-timestamp batches without re-storing the clock.
+and drains same-timestamp batches without re-storing the clock.
 Numeric process sleeps (the dominant event class in the MPI skeletons)
 push the process's own wake-up token rather than a fresh
 :class:`Timeout` per ``yield`` — see :mod:`repro.sim.process`.
@@ -22,9 +21,8 @@ import heapq
 import typing as _t
 
 from repro.errors import DeadlockError, SimulationError
-from repro.sim.events import AllOf, AnyOf, Event, Timeout
+from repro.sim.events import AllOf, Event, Timeout
 from repro.sim.rng import RandomStreams
-from repro.sim.trace import Tracer
 
 
 class Engine:
@@ -36,18 +34,13 @@ class Engine:
         Root seed for :attr:`rng`; every stochastic model in the
         simulation must derive its randomness from this tree so that a
         run is fully reproducible.
-    trace:
-        When true, a :class:`~repro.sim.trace.Tracer` is attached and
-        records every dispatched event (useful in tests and debugging,
-        too slow for production sweeps).
     """
 
-    def __init__(self, seed: int = 0, trace: bool = False) -> None:
+    def __init__(self, seed: int = 0) -> None:
         self.now: float = 0.0
         self._heap: list[tuple[float, int, Event]] = []
         self._seq: int = 0
         self.rng = RandomStreams(seed)
-        self.tracer: Tracer | None = Tracer() if trace else None
         #: Number of processes currently blocked on an untriggered event.
         self._blocked: int = 0
         #: Total events dispatched (exposed for performance accounting).
@@ -71,10 +64,6 @@ class Engine:
     def all_of(self, events: _t.Sequence[Event]) -> AllOf:
         """Composite event firing when every event in ``events`` fires."""
         return AllOf(self, events)
-
-    def any_of(self, events: _t.Sequence[Event]) -> AnyOf:
-        """Composite event firing when the first of ``events`` fires."""
-        return AnyOf(self, events)
 
     def process(self, generator: _t.Generator, name: str = "") -> "Process":
         """Spawn a simulated process driving ``generator``."""
@@ -107,18 +96,6 @@ class Engine:
         return DeadlockError(self._blocked)
 
     # -- running ----------------------------------------------------------
-    def step(self) -> float:
-        """Dispatch the next event; return the new simulated time."""
-        if not self._heap:
-            raise SimulationError("step() on an empty event queue")
-        when, _seq, event = heapq.heappop(self._heap)
-        self.now = when
-        self.dispatched += 1
-        if self.tracer is not None:
-            self.tracer.record(self.now, "dispatch", event.name or type(event).__name__)
-        event._dispatch()
-        return self.now
-
     def run(self, until: float | Event | None = None) -> _t.Any:
         """Run the event loop.
 
@@ -136,12 +113,6 @@ class Engine:
         pop = heapq.heappop
         if isinstance(until, Event):
             target = until
-            if self.tracer is not None:
-                while target.callbacks is not None:
-                    if not heap:
-                        raise self._deadlock()
-                    self.step()
-                return target.value
             # An event's callback list becomes None exactly once, when it
             # is dispatched — so this single check replaces the
             # (triggered and dispatched) pair per iteration.
@@ -158,47 +129,35 @@ class Engine:
                 self.dispatched += n
             return target.value
         if until is None:
-            if self.tracer is not None:
-                while heap:
-                    self.step()
-            else:
-                n = 0
-                try:
-                    while heap:
-                        when, _seq, event = pop(heap)
-                        self.now = when
-                        n += 1
-                        event._dispatch()
-                        # Same-timestamp batch: skip the clock store.
-                        while heap and heap[0][0] == when:
-                            _w, _seq, event = pop(heap)
-                            n += 1
-                            event._dispatch()
-                finally:
-                    self.dispatched += n
-            if self._blocked:
-                raise self._deadlock()
-            return None
-        horizon = float(until)
-        if self.tracer is not None:
-            while heap and heap[0][0] <= horizon:
-                self.step()
-        else:
             n = 0
             try:
-                while heap and heap[0][0] <= horizon:
+                while heap:
                     when, _seq, event = pop(heap)
                     self.now = when
                     n += 1
                     event._dispatch()
+                    # Same-timestamp batch: skip the clock store.
+                    while heap and heap[0][0] == when:
+                        _w, _seq, event = pop(heap)
+                        n += 1
+                        event._dispatch()
             finally:
                 self.dispatched += n
+            if self._blocked:
+                raise self._deadlock()
+            return None
+        horizon = float(until)
+        n = 0
+        try:
+            while heap and heap[0][0] <= horizon:
+                when, _seq, event = pop(heap)
+                self.now = when
+                n += 1
+                event._dispatch()
+        finally:
+            self.dispatched += n
         self.now = max(self.now, horizon)
         return None
-
-    def peek(self) -> float:
-        """Time of the next queued event, or ``inf`` if the queue is empty."""
-        return self._heap[0][0] if self._heap else float("inf")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

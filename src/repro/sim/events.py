@@ -164,12 +164,11 @@ class Timeout(Event):
         return f"<Timeout {self.delay:g}>"
 
 
-class _Condition(Event):
-    """Base for :class:`AllOf` / :class:`AnyOf` composite events.
+class AllOf(Event):
+    """Fires once *all* constituent events have fired.
 
-    Each constituent's position is captured at registration time, so
-    firing never searches the sequence (and duplicate event objects in
-    the sequence report their own position, not the first occurrence).
+    Succeeds with the list of constituent values (in constructor order);
+    fails with the first failure observed.
     """
 
     __slots__ = ("events", "_n_fired")
@@ -181,24 +180,10 @@ class _Condition(Event):
         if not self.events:
             self.succeed([])
             return
-        on_fire = self._on_fire
-        for i, ev in enumerate(self.events):
-            ev.add_callback(lambda e, _i=i: on_fire(e, _i))
+        for ev in self.events:
+            ev.add_callback(self._on_fire)
 
-    def _on_fire(self, ev: Event, index: int) -> None:
-        raise NotImplementedError
-
-
-class AllOf(_Condition):
-    """Fires once *all* constituent events have fired.
-
-    Succeeds with the list of constituent values (in constructor order);
-    fails with the first failure observed.
-    """
-
-    __slots__ = ()
-
-    def _on_fire(self, ev: Event, index: int) -> None:
+    def _on_fire(self, ev: Event) -> None:
         if self.triggered:
             return
         if not ev.ok:
@@ -207,20 +192,3 @@ class AllOf(_Condition):
         self._n_fired += 1
         if self._n_fired == len(self.events):
             self.succeed([e.value for e in self.events])
-
-
-class AnyOf(_Condition):
-    """Fires as soon as *any* constituent event fires.
-
-    Succeeds with the ``(index, value)`` of the first event to fire.
-    """
-
-    __slots__ = ()
-
-    def _on_fire(self, ev: Event, index: int) -> None:
-        if self.triggered:
-            return
-        if not ev.ok:
-            self.fail(ev._exc)  # type: ignore[arg-type]
-            return
-        self.succeed((index, ev.value))

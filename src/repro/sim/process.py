@@ -44,9 +44,6 @@ class _Sleep:
 
     __slots__ = ("_dispatch",)
 
-    #: Label used when a tracer records the dispatch.
-    name = "sleep"
-
     def __init__(self, step: _t.Callable[[], None]) -> None:
         self._dispatch = step
 

@@ -20,10 +20,7 @@ from repro.smpi.collectives.algorithms import (
     allreduce_time,
     alltoall_time,
     barrier_time,
-    bcast_time,
     gather_time,
-    reduce_scatter_time,
-    reduce_time,
     scatter_time,
 )
 
@@ -33,9 +30,8 @@ from repro.smpi.collectives.algorithms import (
 #: collectives: calling one under rank-dependent control flow deadlocks
 #: the ranks that skip it.
 COLLECTIVE_METHODS: frozenset[str] = frozenset({
-    "barrier", "bcast", "reduce", "allreduce", "gather", "allgather",
-    "scatter", "alltoall", "alltoallv", "reduce_scatter", "scan",
-    "exscan", "split", "dup", "composite", "collective",
+    "barrier", "allreduce", "scatter", "alltoall", "alltoallv", "split",
+    "composite", "collective",
 })
 
 __all__ = [
@@ -45,9 +41,6 @@ __all__ = [
     "allreduce_time",
     "alltoall_time",
     "barrier_time",
-    "bcast_time",
     "gather_time",
-    "reduce_scatter_time",
-    "reduce_time",
     "scatter_time",
 ]

@@ -5,8 +5,6 @@ ranks have arrived, for the standard algorithms used by OpenMPI-era
 runtimes:
 
 ========== =====================================================
-bcast      binomial tree (small), pipelined scatter+allgather (large)
-reduce     mirror of bcast plus reduction arithmetic
 allreduce  recursive doubling (small), ring reduce-scatter+allgather (large)
 allgather  ring
 alltoall   pairwise exchange over ``p - 1`` rounds
@@ -137,25 +135,6 @@ def barrier_time(ctx: CollectiveContext) -> float:
     return inter * ctx.net_msg(_BARRIER_BYTES) + intra * ctx.shm_msg(_BARRIER_BYTES)
 
 
-def bcast_time(ctx: CollectiveContext, nbytes: float) -> float:
-    """Binomial-tree broadcast, pipelined for large messages."""
-    inter, intra = ctx.tree_rounds()
-    if nbytes <= ctx.net.eager_threshold or ctx.p == 1:
-        return inter * ctx.net_msg(nbytes) + intra * ctx.shm_msg(nbytes)
-    # Large: scatter + ring allgather ~ two full passes of the data over
-    # the slowest link plus the tree latency terms.
-    bw = ctx.net.bw.at(nbytes) * ctx.net_bw_factor
-    pipeline = 2.0 * nbytes * (ctx.p - 1) / ctx.p / bw
-    latency_terms = inter * ctx.net_msg(0.0) + intra * ctx.shm_msg(0.0)
-    return pipeline + latency_terms
-
-
-def reduce_time(ctx: CollectiveContext, nbytes: float) -> float:
-    """Reduction to a root: broadcast mirror plus combine arithmetic."""
-    inter, intra = ctx.tree_rounds()
-    return bcast_time(ctx, nbytes) + _reduce_cost(nbytes, inter + intra)
-
-
 def allreduce_time(ctx: CollectiveContext, nbytes: float) -> float:
     """Recursive doubling (small) or ring reduce-scatter+allgather (large).
 
@@ -181,13 +160,6 @@ def allreduce_time(ctx: CollectiveContext, nbytes: float) -> float:
 def allgather_time(ctx: CollectiveContext, nbytes_contrib: float) -> float:
     """Ring allgather of a ``nbytes_contrib`` block per rank."""
     return ctx.ring_pass(nbytes_contrib)
-
-
-def reduce_scatter_time(ctx: CollectiveContext, nbytes_total: float) -> float:
-    """Ring reduce-scatter of an ``nbytes_total`` buffer (one pass)."""
-    if ctx.p == 1:
-        return 0.0
-    return ctx.ring_pass(nbytes_total / ctx.p) + _reduce_cost(nbytes_total, 1)
 
 
 def alltoall_time(ctx: CollectiveContext, nbytes_per_rank: float) -> float:

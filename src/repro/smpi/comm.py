@@ -11,7 +11,7 @@ argument.  All blocking operations are generators — call them with
         return s
 
 Naming follows mpi4py's lowercase convenience methods (``send``,
-``recv``, ``bcast``, ``allreduce``, ...), with explicit byte counts
+``recv``, ``allreduce``, ``alltoall``, ...), with explicit byte counts
 instead of buffers: this simulator prices messages, it does not move
 memory — though every collective and point-to-point call *can* carry a
 real payload, delivered and reduced exactly.
@@ -100,12 +100,9 @@ class Comm:
         duration = world.platform.compute_seconds(
             rank, flops, mem_bytes, working_set, access
         )
-        t0 = world.engine.now
         if duration > 0:
             yield duration
         world.monitor.profiles[rank].record_compute(duration)
-        if world.timeline is not None:
-            world.timeline.record(rank, t0, t0 + duration, "compute", "compute")
         return duration
 
     def delay(self, seconds: float, account: str = "compute") -> _t.Generator:
@@ -114,7 +111,6 @@ class Comm:
             raise MpiError(f"negative delay: {seconds}")
         if account not in ("compute", "io"):
             raise MpiError(f"delay account must be 'compute' or 'io', got {account!r}")
-        t0 = self.engine.now
         if seconds > 0:
             yield seconds
         profile = self.world.monitor[self.world_rank]
@@ -122,27 +118,22 @@ class Comm:
             profile.record_io(seconds)
         else:
             profile.record_compute(seconds)
-        self.world.record_interval(self.world_rank, t0, t0 + seconds, account, "delay")
         return seconds
 
     def io_read(self, nbytes: float, concurrent: int | None = None) -> _t.Generator:
         """Read from the platform's shared filesystem."""
         clients = concurrent if concurrent is not None else self.size
         duration = self.world.platform.fs.read_time(nbytes, clients)
-        t0 = self.engine.now
         yield duration
         self.world.monitor[self.world_rank].record_io(duration)
-        self.world.record_interval(self.world_rank, t0, t0 + duration, "io", "read")
         return duration
 
     def io_write(self, nbytes: float, concurrent: int | None = None) -> _t.Generator:
         """Write to the platform's shared filesystem."""
         clients = concurrent if concurrent is not None else self.size
         duration = self.world.platform.fs.write_time(nbytes, clients)
-        t0 = self.engine.now
         yield duration
         self.world.monitor[self.world_rank].record_io(duration)
-        self.world.record_interval(self.world_rank, t0, t0 + duration, "io", "write")
         return duration
 
     # -- IPM regions ---------------------------------------------------------------
@@ -180,8 +171,6 @@ class Comm:
         rank = self.group[self.rank]
         now = world.engine.now
         world.monitor.profiles[rank].record_mpi(call, nbytes, now - t0)
-        if world.timeline is not None:
-            world.timeline.record(rank, t0, now, "mpi", call)
         return value
 
     def waitall(self, requests: _t.Sequence[Request]) -> _t.Generator:
@@ -196,8 +185,6 @@ class Comm:
         rank = self.group[self.rank]
         now = world.engine.now
         world.monitor.profiles[rank].record_mpi("MPI_Waitall", nbytes, now - t0)
-        if world.timeline is not None:
-            world.timeline.record(rank, t0, now, "mpi", "MPI_Waitall")
         return values
 
     def send(
@@ -211,8 +198,6 @@ class Comm:
         rank = self.group[self.rank]
         now = world.engine.now
         world.monitor.profiles[rank].record_mpi("MPI_Send", nbytes, now - t0)
-        if world.timeline is not None:
-            world.timeline.record(rank, t0, now, "mpi", "MPI_Send")
         return None
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> _t.Generator:
@@ -224,8 +209,6 @@ class Comm:
         rank = self.group[self.rank]
         now = world.engine.now
         world.monitor.profiles[rank].record_mpi("MPI_Recv", msg.nbytes, now - t0)
-        if world.timeline is not None:
-            world.timeline.record(rank, t0, now, "mpi", "MPI_Recv")
         return msg
 
     def sendrecv(
@@ -247,8 +230,6 @@ class Comm:
         rank = self.group[self.rank]
         now = world.engine.now
         world.monitor.profiles[rank].record_mpi("MPI_Sendrecv", send_bytes + msg.nbytes, now - t0)
-        if world.timeline is not None:
-            world.timeline.record(rank, t0, now, "mpi", "MPI_Sendrecv")
         return msg
 
     # -- collectives -------------------------------------------------------------------
@@ -261,37 +242,6 @@ class Comm:
         return self.world.collective(
             self, "MPI_Barrier", 0, lambda ctx, n: _alg.barrier_time(ctx),
             memo_key="barrier",
-        )
-
-    def bcast(self, nbytes: float, root: int = 0, value: _t.Any = None) -> _t.Generator:
-        """Broadcast ``nbytes`` from ``root``; returns root's ``value``."""
-
-        def finisher(contribs: dict[int, _t.Any]) -> dict[int, _t.Any]:
-            v = contribs.get(root)
-            return {r: v for r in contribs}
-
-        return self.world.collective(
-            self, "MPI_Bcast", nbytes, _alg.bcast_time,
-            contribution=value if self.rank == root else None,
-            finisher=finisher, memo_key="bcast", root=root,
-        )
-
-    def reduce(
-        self,
-        nbytes: float,
-        root: int = 0,
-        value: _t.Any = None,
-        op: _t.Callable[[_t.Any, _t.Any], _t.Any] = _sum_op,
-    ) -> _t.Generator:
-        """Reduce to ``root``; non-roots receive ``None``."""
-
-        def finisher(contribs: dict[int, _t.Any]) -> dict[int, _t.Any]:
-            total = _combine(contribs, op)
-            return {r: (total if r == root else None) for r in contribs}
-
-        return self.world.collective(
-            self, "MPI_Reduce", nbytes, _alg.reduce_time,
-            contribution=value, finisher=finisher, memo_key="reduce", root=root,
         )
 
     def allreduce(
@@ -309,30 +259,6 @@ class Comm:
         return self.world.collective(
             self, "MPI_Allreduce", nbytes, _alg.allreduce_time,
             contribution=value, finisher=finisher, memo_key="allreduce",
-        )
-
-    def gather(self, nbytes: float, root: int = 0, value: _t.Any = None) -> _t.Generator:
-        """Gather per-rank contributions to ``root`` (list in rank order)."""
-
-        def finisher(contribs: dict[int, _t.Any]) -> dict[int, _t.Any]:
-            ordered = [contribs[r] for r in sorted(contribs)]
-            return {r: (ordered if r == root else None) for r in contribs}
-
-        return self.world.collective(
-            self, "MPI_Gather", nbytes, _alg.gather_time,
-            contribution=value, finisher=finisher, memo_key="gather", root=root,
-        )
-
-    def allgather(self, nbytes: float, value: _t.Any = None) -> _t.Generator:
-        """All-gather; every rank receives the full list."""
-
-        def finisher(contribs: dict[int, _t.Any]) -> dict[int, _t.Any]:
-            ordered = [contribs[r] for r in sorted(contribs)]
-            return {r: ordered for r in contribs}
-
-        return self.world.collective(
-            self, "MPI_Allgather", nbytes, _alg.allgather_time,
-            contribution=value, finisher=finisher, memo_key="allgather",
         )
 
     def scatter(
@@ -407,107 +333,6 @@ class Comm:
             memo_key=("alltoallv", max_pair),
         )
 
-    def reduce_scatter(self, nbytes_total: float, value: _t.Any = None) -> _t.Generator:
-        """Reduce-scatter of an ``nbytes_total`` buffer."""
-
-        def finisher(contribs: dict[int, _t.Any]) -> dict[int, _t.Any]:
-            total = _combine(contribs, _sum_op)
-            return {r: total for r in contribs}
-
-        return self.world.collective(
-            self, "MPI_Reduce_scatter", nbytes_total,
-            lambda ctx, n: _alg.reduce_scatter_time(ctx, n),
-            contribution=value, finisher=finisher, memo_key="reduce_scatter",
-        )
-
-    def scan(
-        self,
-        nbytes: float,
-        value: _t.Any = None,
-        op: _t.Callable[[_t.Any, _t.Any], _t.Any] = _sum_op,
-    ) -> _t.Generator:
-        """Inclusive prefix reduction: rank ``i`` receives the fold of
-        contributions from ranks ``0..i`` (``MPI_Scan``)."""
-
-        def finisher(contribs: dict[int, _t.Any]) -> dict[int, _t.Any]:
-            out: dict[int, _t.Any] = {}
-            acc: _t.Any = None
-            for r in sorted(contribs):
-                v = contribs[r]
-                if v is not None:
-                    acc = v if acc is None else op(acc, v)
-                out[r] = acc
-            return out
-
-        return self.world.collective(
-            self, "MPI_Scan", nbytes, _alg.allreduce_time,
-            contribution=value, finisher=finisher, memo_key="allreduce",
-        )
-
-    def exscan(
-        self,
-        nbytes: float,
-        value: _t.Any = None,
-        op: _t.Callable[[_t.Any, _t.Any], _t.Any] = _sum_op,
-    ) -> _t.Generator:
-        """Exclusive prefix reduction: rank ``i`` receives the fold of
-        ranks ``0..i-1`` (``None`` on rank 0), as ``MPI_Exscan``."""
-
-        def finisher(contribs: dict[int, _t.Any]) -> dict[int, _t.Any]:
-            out: dict[int, _t.Any] = {}
-            acc: _t.Any = None
-            for r in sorted(contribs):
-                out[r] = acc
-                v = contribs[r]
-                if v is not None:
-                    acc = v if acc is None else op(acc, v)
-            return out
-
-        return self.world.collective(
-            self, "MPI_Exscan", nbytes, _alg.allreduce_time,
-            contribution=value, finisher=finisher, memo_key="allreduce",
-        )
-
-    # -- Cartesian topology helpers -----------------------------------------
-    def cart_coords(self, dims: _t.Sequence[int], rank: int | None = None) -> tuple[int, ...]:
-        """Coordinates of ``rank`` (default: this rank) on a row-major
-        Cartesian grid of shape ``dims`` (``MPI_Cart_coords``)."""
-        import math
-
-        if math.prod(dims) != self.size:
-            raise MpiError(f"dims {tuple(dims)} do not tile {self.size} ranks")
-        r = self.rank if rank is None else rank
-        coords = []
-        for extent in reversed(dims):
-            coords.append(r % extent)
-            r //= extent
-        return tuple(reversed(coords))
-
-    def cart_rank(self, dims: _t.Sequence[int], coords: _t.Sequence[int]) -> int:
-        """Rank at ``coords`` on the grid (periodic wrap per dimension)."""
-        import math
-
-        if math.prod(dims) != self.size:
-            raise MpiError(f"dims {tuple(dims)} do not tile {self.size} ranks")
-        rank = 0
-        for extent, c in zip(dims, coords):
-            rank = rank * extent + (c % extent)
-        return rank
-
-    def cart_shift(
-        self, dims: _t.Sequence[int], axis: int, displacement: int = 1
-    ) -> tuple[int, int]:
-        """(source, destination) ranks for a periodic shift along ``axis``
-        (``MPI_Cart_shift`` with periodic boundaries)."""
-        coords = list(self.cart_coords(dims))
-        if not (0 <= axis < len(dims)):
-            raise MpiError(f"axis {axis} out of range for dims {tuple(dims)}")
-        ahead = list(coords)
-        behind = list(coords)
-        ahead[axis] += displacement
-        behind[axis] -= displacement
-        return self.cart_rank(dims, behind), self.cart_rank(dims, ahead)
-
     def composite(
         self,
         name: str,
@@ -564,11 +389,6 @@ class Comm:
         )
         world_group = [self.group[m] for m in members]
         return Comm(self.world, world_group, pos, cid)
-
-    def dup(self) -> _t.Generator:
-        """Duplicate this communicator (collective)."""
-        new = yield from self.split(0, key=self.rank)
-        return new
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Comm id={self.comm_id} rank={self.rank}/{self.size}>"

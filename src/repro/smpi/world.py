@@ -77,7 +77,6 @@ class MpiWorld:
         nprocs: int,
         placement: Placement | None = None,
         seed: int = 0,
-        timeline: bool = False,
         memo: CollectiveMemo | None = None,
         sanitize: bool | None = None,
     ) -> None:
@@ -106,17 +105,6 @@ class MpiWorld:
         if sanitize is None:
             sanitize = sanitize_enabled()
         self.sanitizer = MpiSanitizer(self) if sanitize else None
-        #: Optional per-rank interval trace (memory-heavy; off by default).
-        from repro.ipm.timeline import Timeline
-
-        self.timeline = Timeline(nprocs) if timeline else None
-
-    def record_interval(
-        self, rank: int, start: float, end: float, kind: str, label: str
-    ) -> None:
-        """Record an activity interval when timeline tracing is enabled."""
-        if self.timeline is not None:
-            self.timeline.record(rank, start, end, kind, label)
 
     # -- communicator factory ----------------------------------------------
     def comm_world(self, rank: int) -> "Comm":
@@ -296,7 +284,8 @@ class MpiWorld:
             )
         arrival = eng.now
         state.arrivals[my_local] = arrival
-        state.contributions[my_local] = contribution
+        if finisher is not None:  # only a finisher reads contributions
+            state.contributions[my_local] = contribution
         if nbytes > state.nbytes_seen:  # max(), keeping its first-wins tie
             state.nbytes_seen = nbytes
 
@@ -320,11 +309,9 @@ class MpiWorld:
             state.event.schedule_at(now + (completion - now), results)
 
         results = yield state.event
-        now = eng.now
-        world_rank = comm.group[my_local]
-        self.monitor.profiles[world_rank].record_mpi(name, int(nbytes), now - arrival)
-        if self.timeline is not None:
-            self.timeline.record(world_rank, arrival, now, "mpi", name)
+        self.monitor.profiles[comm.group[my_local]].record_mpi(
+            name, int(nbytes), eng.now - arrival
+        )
         return results.get(my_local) if results else None
 
     def _collective_context(self, comm: "Comm") -> CollectiveContext:

@@ -3,7 +3,7 @@
 Covers the tentpole guarantees: content-addressed keys that bake in the
 worker's code fingerprint (never-stale discipline), torn-record-tolerant
 concurrent publishing, and the ``repro store`` maintenance CLI
-(stats/verify/gc/export/import).  That a cold and a warm store render
+(stats/verify/gc).  That a cold and a warm store render
 every registered experiment byte-identically is a row pair of the golden
 strategy table (``tests/test_golden.py``).
 """
@@ -545,7 +545,8 @@ class TestLeases:
         cold = run_batch(["fig4"], quick=True, seed=1,
                          store=tmp_path / "reference")
         keys = [json.loads(line)["k"]
-                for line in CellStore(tmp_path / "reference").export_lines()]
+                for shard in CellStore(tmp_path / "reference").shard_files()
+                for line in shard.read_text().splitlines()]
         assert keys
         leases = tmp_path / "store" / "leases"
         leases.mkdir(parents=True)
@@ -761,7 +762,7 @@ class TestExperimentByteIdentity:
 
 
 # ---------------------------------------------------------------------------
-# Maintenance: verify / gc / export / import
+# Maintenance: verify / gc
 # ---------------------------------------------------------------------------
 
 class TestMaintenance:
@@ -886,74 +887,12 @@ class TestMaintenance:
         assert report.problems == [f"fingerprints/{path.name}: {problem}"]
 
     def test_tables_are_not_records(self, tmp_path, fake_fingerprints):
-        # Tables are derived data: stats, export and import skip them.
+        # Tables are derived data: stats skips them.
         store = self._populated(tmp_path, fake_fingerprints)
         self._plant_table(store, "ab" * 32)
         stats = store.stats()
         assert stats.records == 5 and stats.torn_lines == 0
         assert stats.bytes == sum(s.stat().st_size for s in store.shard_files())
-        dump = tmp_path / "dump.jsonl"
-        assert store.export(dump) == 5
-        other = CellStore(tmp_path / "other")
-        assert other.import_file(dump) == (5, 0, 0)
-        assert not other.fingerprints_dir.exists()
-
-    def test_export_import_round_trip(self, tmp_path, fake_fingerprints):
-        store = self._populated(tmp_path, fake_fingerprints)
-        dump = tmp_path / "dump.jsonl"
-        assert store.export(dump) == 5
-        other = CellStore(tmp_path / "other")
-        assert other.import_file(dump) == (5, 0, 0)
-        assert other.lookup("cs_count", (2,)) == {"v": 2.0}
-        assert other.verify().clean
-        # Re-import is idempotent; tampered lines are refused.
-        assert other.import_file(dump) == (0, 5, 0)
-        with open(dump, "a") as fh:
-            fh.write('{"v": 1, "k": "ab"}\n')
-        third = CellStore(tmp_path / "third")
-        assert third.import_file(dump) == (5, 0, 1)
-
-    def test_export_is_deterministic(self, tmp_path, fake_fingerprints):
-        store = self._populated(tmp_path, fake_fingerprints)
-        assert list(store.export_lines()) == list(store.export_lines())
-
-    def test_export_streams_in_global_key_order(self, tmp_path,
-                                                fake_fingerprints):
-        # export_lines holds one shard at a time; that is only sound
-        # because a key's 2-hex prefix names its shard, so walking
-        # shard files in name order yields globally sorted keys.  This
-        # is the invariant that keeps export memory bounded by the
-        # largest shard instead of the whole store.
-        store = CellStore(tmp_path / "store")
-        for x in range(20):  # enough keys to populate several shards
-            store.publish("cs_count", (x,), {"v": float(x)})
-        keys = [json.loads(line)["k"] for line in store.export_lines()]
-        assert len(keys) == 20
-        assert keys == sorted(keys)
-        assert len(store.shard_files()) > 1  # the claim is non-vacuous
-
-    def test_import_streams_unsorted_dumps(self, tmp_path,
-                                           fake_fingerprints):
-        # import_file reads line by line with a one-shard key cache;
-        # unsorted input (worst case for the cache) must still land
-        # every record exactly once and dedupe across cache reloads.
-        store = CellStore(tmp_path / "store")
-        for x in range(20):
-            store.publish("cs_count", (x,), {"v": float(x)})
-        lines = list(store.export_lines())
-        shuffled = list(reversed(lines))  # anti-sorted: reload per line
-        dup_key = json.loads(lines[0])["k"]
-        shuffled.append(lines[0])  # a duplicate after many reloads
-        dump = tmp_path / "dump.jsonl"
-        dump.write_text("\n".join(shuffled) + "\n")
-        other = CellStore(tmp_path / "other")
-        assert other.import_file(dump) == (20, 1, 0)
-        assert other.verify().clean
-        assert [json.loads(l)["k"] for l in other.export_lines()] == sorted(
-            json.loads(l)["k"] for l in lines
-        )
-        assert other.lookup("cs_count", (7,)) == {"v": 7.0}
-        assert dup_key in {json.loads(l)["k"] for l in other.export_lines()}
 
 
 # ---------------------------------------------------------------------------
@@ -990,16 +929,11 @@ class TestStoreCli:
             fh.write(json.dumps(rec) + "\n")
         assert main(["store", "verify", root]) == 1
 
-    def test_gc_export_import_commands(self, tmp_path, fake_fingerprints,
-                                       capsys):
+    def test_gc_command(self, tmp_path, fake_fingerprints, capsys):
         root = self._populated_root(tmp_path, fake_fingerprints)
         assert main(["store", "gc", root, "--dry-run"]) == 0
         assert "would drop" in capsys.readouterr().out
-        dump = str(tmp_path / "dump.jsonl")
-        assert main(["store", "export", root, "--out", dump]) == 0
-        other = str(tmp_path / "other")
-        assert main(["store", "import", other, dump]) == 0
-        assert main(["store", "verify", other]) == 0
+        assert main(["store", "verify", root]) == 0
 
     def test_run_store_flag_round_trip(self, tmp_path, capsys):
         root = str(tmp_path / "store")

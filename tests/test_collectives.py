@@ -15,10 +15,7 @@ from repro.smpi.collectives.algorithms import (
     alltoall_time,
     alltoallv_time,
     barrier_time,
-    bcast_time,
     gather_time,
-    reduce_scatter_time,
-    reduce_time,
     scatter_time,
 )
 
@@ -124,19 +121,14 @@ class TestCosts:
         skewed = alltoallv_time(c, 1e6, max_pair=4e6 / c.p)
         assert skewed > 2 * balanced
 
-    def test_bcast_reduce_scatter_gather_positive(self):
+    def test_scatter_gather_positive(self):
         c = ctx()
-        for fn in (bcast_time, reduce_time, gather_time, scatter_time,
-                   allgather_time, reduce_scatter_time):
+        for fn in (gather_time, scatter_time, allgather_time):
             assert fn(c, 4096) > 0.0
-
-    def test_reduce_costs_more_than_bcast(self):
-        c = ctx()
-        assert reduce_time(c, 1 << 20) > bcast_time(c, 1 << 20)
 
     def test_negative_free_for_zero_bytes(self):
         c = ctx()
-        assert bcast_time(c, 0.0) >= 0.0
+        assert gather_time(c, 0.0) >= 0.0
         assert allgather_time(c, 0.0) >= 0.0
 
 

@@ -10,10 +10,10 @@ import pytest
 from repro.apps.chaste import ChasteBenchmark
 from repro.apps.metum import MetumBenchmark
 from repro.harness import run_experiment
-from repro.ipm.export import monitor_to_dict
 from repro.npb import get_benchmark
 from repro.osu import osu_bandwidth, osu_latency
 from repro.platforms import DCC, EC2, VAYU
+from tests.test_world_pins import world_digest
 
 
 class TestDeterminism:
@@ -33,10 +33,8 @@ class TestDeterminism:
 
     def test_full_monitor_state_identical(self):
         """Not just wall time: every accounting bucket must agree."""
-        runs = [
-            get_benchmark("mg").run(DCC, 8, seed=5).monitor for _ in range(2)
-        ]
-        assert monitor_to_dict(runs[0]) == monitor_to_dict(runs[1])
+        runs = [get_benchmark("mg").run(DCC, 8, seed=5) for _ in range(2)]
+        assert world_digest(runs[0]) == world_digest(runs[1])
 
     def test_application_runs_repeat(self):
         a = MetumBenchmark(sim_steps=1).run(EC2, 16, seed=7)

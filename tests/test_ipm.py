@@ -1,6 +1,5 @@
 """Unit tests for the IPM-style monitoring framework."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,9 +11,7 @@ from repro.ipm import (
     IpmMonitor,
     comm_percent,
     fig7_breakdown,
-    imbalance_irregularity,
     imbalance_percent,
-    imbalance_profile,
     render_fig7_ascii,
     summarize,
 )
@@ -152,14 +149,6 @@ class TestImbalance:
         mon = self._mon([2.0, 4.0], wall=10.0)
         assert imbalance_percent(mon, "r") == pytest.approx(10.0)
 
-    def test_profile_vector(self):
-        vec = imbalance_profile(self._mon([1.0, 2.0, 3.0]), "r")
-        assert np.allclose(vec, [1.0, 2.0, 3.0])
-
-    def test_irregularity_is_cv(self):
-        mon = self._mon([1.0, 3.0])
-        assert imbalance_irregularity(mon, "r") == pytest.approx(0.5)
-
     def test_empty_region_zero(self):
         assert imbalance_percent(self._mon([1.0]), "missing") == 0.0
 
@@ -198,66 +187,6 @@ class TestFig7:
     def test_callkey_hashable(self):
         assert CallKey("MPI_Send", 8) == CallKey("MPI_Send", 8)
         assert len({CallKey("a", 1), CallKey("a", 1), CallKey("b", 1)}) == 2
-
-
-class TestExportRoundTrip:
-    def _multi_region_monitor(self):
-        mon = make_monitor(2)
-        for rank in range(2):
-            prof = mon[rank]
-            prof.enter("advect", 0.0)
-            prof.record_compute(1.0 + rank)
-            prof.record_mpi("MPI_Isend", 512, 0.05 * (rank + 1))
-            prof.record_mpi("MPI_Isend", 512, 0.05)
-            prof.record_mpi("MPI_Allreduce", 8, 0.02)
-            prof.exit("advect", 2.0)
-            prof.enter("solve", 2.0)
-            prof.record_mpi("MPI_Allreduce", 8, 0.03)
-            prof.record_io(0.4)
-            prof.exit("solve", 5.0)
-            prof.finalize(5.0)
-        return mon
-
-    def test_write_load_preserves_buckets_and_regions(self, tmp_path):
-        from repro.ipm.export import load_json, write_json
-
-        mon = self._multi_region_monitor()
-        path = tmp_path / "profile.json"
-        write_json(mon, path)
-        data = load_json(path)
-
-        assert data["nprocs"] == 2
-        assert data["regions"] == mon.region_names()
-        for rank, rank_data in enumerate(data["ranks"]):
-            prof = mon[rank]
-            assert rank_data["rank"] == rank
-            assert list(rank_data["regions"]) == sorted(prof.regions)
-            advect = rank_data["regions"]["advect"]
-            # Per-(call, bytes) buckets survive with counts and times.
-            by_key = {(c["call"], c["bytes"]): c for c in advect["calls"]}
-            assert by_key[("MPI_Isend", 512)]["count"] == 2
-            assert by_key[("MPI_Isend", 512)]["time"] == pytest.approx(
-                0.05 * (rank + 1) + 0.05
-            )
-            assert by_key[("MPI_Allreduce", 8)]["count"] == 1
-            # Buckets are emitted in deterministic (call, bytes) order.
-            assert [c["call"] for c in advect["calls"]] == sorted(
-                c["call"] for c in advect["calls"]
-            )
-
-    def test_totals_by_call_matches_monitor(self):
-        from repro.ipm.export import totals_by_call
-
-        mon = self._multi_region_monitor()
-        totals = totals_by_call(mon)
-        # Global region sees every call from both ranks.
-        assert totals["MPI_Allreduce"] == pytest.approx(2 * (0.02 + 0.03))
-        assert totals["MPI_Isend"] == pytest.approx(
-            (0.05 + 0.05) + (0.10 + 0.05)
-        )
-        # Region-scoped totals only count that region's calls.
-        solve = totals_by_call(mon, "solve")
-        assert solve == {"MPI_Allreduce": pytest.approx(2 * 0.03)}
 
 
 # ---------------------------------------------------------------------------

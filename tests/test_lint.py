@@ -123,12 +123,12 @@ class TestDET006RankDependentCollective:
         src = (
             "def prog(comm):\n"
             "    if comm.rank == 0:\n"
-            "        yield from comm.bcast(8)\n"
+            "        yield from comm.allreduce(8)\n"
         )
         assert rules_for(src) == ["DET006"]
 
     def test_unconditional_collective_is_fine(self):
-        src = "def prog(comm):\n    yield from comm.bcast(8)\n"
+        src = "def prog(comm):\n    yield from comm.allreduce(8)\n"
         assert rules_for(src) == []
 
     def test_point_to_point_under_rank_branch_is_fine(self):
@@ -315,7 +315,7 @@ class TestDET011CollectiveInHandler:
         src = (
             "def prog(comm):\n"
             "    try:\n"
-            "        yield from comm.bcast(1)\n"
+            "        yield from comm.allreduce(1)\n"
             "    except ValueError:\n"
             "        yield from comm.barrier()\n"
         )
@@ -335,7 +335,7 @@ class TestDET011CollectiveInHandler:
         src = (
             "def prog(comm):\n"
             "    try:\n"
-            "        yield from comm.bcast(1)\n"
+            "        yield from comm.allreduce(1)\n"
             "    except ValueError:\n"
             "        pass\n"
         )

@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.harness.paper import FIG1_LANDMARKS
-from repro.osu import DEFAULT_SIZES, osu_bandwidth, osu_bibw, osu_latency, osu_multi_lat
+from repro.osu import DEFAULT_SIZES, osu_bandwidth, osu_latency
 from repro.platforms import DCC, EC2, VAYU
 
 SIZES = [1, 1024, 65536, 262144, 1 << 22]
@@ -70,25 +70,6 @@ class TestBandwidth:
         bw = osu_bandwidth(EC2, [262144, 1 << 22], iterations=4)
         assert bw[1 << 22] < bw[262144]
 
-    def test_bibw_exceeds_unidirectional(self):
-        uni = osu_bandwidth(VAYU, [1 << 20], iterations=4)[1 << 20]
-        bi = osu_bibw(VAYU, [1 << 20], iterations=4)[1 << 20]
-        assert bi > 1.3 * uni
-
     def test_default_sizes_span_osu_range(self):
         assert DEFAULT_SIZES[0] == 1 and DEFAULT_SIZES[-1] == 1 << 22
 
-
-class TestMultiLatency:
-    def test_pairs_contend_for_nic(self):
-        single = osu_multi_lat(DCC, pairs=1, sizes=[1 << 16], iterations=10)
-        four = osu_multi_lat(DCC, pairs=4, sizes=[1 << 16], iterations=10)
-        assert four[1 << 16] > 1.5 * single[1 << 16]
-
-    def test_pairs_capped_by_node_slots(self):
-        with pytest.raises(ConfigError):
-            osu_multi_lat(DCC, pairs=9)
-
-    def test_invalid_pairs(self):
-        with pytest.raises(ConfigError):
-            osu_multi_lat(DCC, pairs=0)

@@ -77,7 +77,7 @@ def test_algorithms_and_sizes_never_collide():
     memo = CollectiveMemo()
     ctx = _ctx()
     memo.time("allreduce", ctx, 4096, alg.allreduce_time)
-    memo.time("bcast", ctx, 4096, alg.bcast_time)
+    memo.time("alltoall", ctx, 4096, alg.alltoall_time)
     memo.time("allreduce", ctx, 8192, alg.allreduce_time)
     assert len(memo) == 3
     assert memo.stats().misses == 3

@@ -1,14 +1,11 @@
 """Tests for the platform models and virtualisation layer."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
 from repro.errors import ConfigError
 from repro.platforms import DCC, EC2, VAYU, all_platforms, get_platform, platform_table
 from repro.platforms.base import Platform, RankComputeModel
-from repro.platforms.registry import register_platform
 from repro.sim import Engine
 from repro.smpi.mapping import Placement, place_ranks
 from repro.virt import NoHypervisor, OsNoiseModel, VmwareEsx, XenHvm
@@ -25,10 +22,6 @@ class TestRegistry:
 
     def test_all_platforms_in_paper_order(self):
         assert [p.name for p in all_platforms()] == ["DCC", "EC2", "Vayu"]
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ConfigError):
-            register_platform(dataclasses.replace(VAYU))
 
     def test_table1_matches_paper_values(self):
         table = platform_table()

@@ -17,7 +17,7 @@ from repro.smpi.collectives.algorithms import (
     allreduce_time,
     alltoall_time,
     barrier_time,
-    bcast_time,
+    gather_time,
 )
 
 # ---------------------------------------------------------------------------
@@ -94,7 +94,7 @@ class TestCollectiveProperties:
     @given(contexts(), sizes)
     @settings(max_examples=60)
     def test_all_costs_nonnegative_finite(self, ctx, n):
-        for fn in (allreduce_time, allgather_time, alltoall_time, bcast_time):
+        for fn in (allreduce_time, allgather_time, alltoall_time, gather_time):
             t = fn(ctx, float(n))
             assert t >= 0.0 and math.isfinite(t)
         assert barrier_time(ctx) >= 0.0

@@ -60,11 +60,11 @@ class TestDeadlockWaitForGraph:
 
 class TestCollectiveMismatch:
     def test_op_divergence(self):
-        """One rank calls bcast while the other calls allreduce."""
+        """One rank calls scatter while the other calls allreduce."""
 
         def prog(comm):
             if comm.rank == 0:  # lint-ok: DET006 deliberate defect under test
-                yield from comm.bcast(64)
+                yield from comm.scatter(64)
             else:
                 yield from comm.allreduce(64)
 
@@ -74,13 +74,13 @@ class TestCollectiveMismatch:
         assert diag.check == "collective-mismatch"
         assert diag.severity == "error"
         assert set(diag.ranks) == {0, 1}
-        assert set(diag.details["ops"].values()) == {"MPI_Bcast(root=0)", "MPI_Allreduce"}
+        assert set(diag.details["ops"].values()) == {"MPI_Scatter(root=0)", "MPI_Allreduce"}
 
     def test_root_divergence(self):
         """Same op, different roots — silent corruption without the check."""
 
         def prog(comm):
-            yield from comm.bcast(64, root=comm.rank % 2)
+            yield from comm.scatter(64, root=comm.rank % 2)
 
         with pytest.raises(SanitizerError) as exc:
             MpiWorld(VAYU, 2, sanitize=True).launch(prog)
@@ -154,12 +154,6 @@ def _split(comm):
     return (sub.size, sub.rank, total)
 
 
-def _dup(comm):
-    dup = yield from comm.dup()
-    total = yield from dup.allreduce(8, value=comm.rank)
-    return (dup.size, dup.rank, total)
-
-
 def _ring(comm):
     nxt, prv = (comm.rank + 1) % comm.size, (comm.rank - 1) % comm.size
     msg = yield from comm.sendrecv(nxt, 1024 * (comm.rank + 1), prv)
@@ -182,11 +176,7 @@ def _nonblocking(comm):
 #: on an uneven partition does.
 PROGRAMS = {
     "barrier": lambda comm: comm.barrier(),
-    "bcast": lambda comm: comm.bcast(64, root=1, value=comm.rank),
-    "reduce": lambda comm: comm.reduce(64, root=2, value=comm.rank),
     "allreduce": lambda comm: comm.allreduce(8, value=comm.rank),
-    "gather": lambda comm: comm.gather(32, root=3, value=comm.rank),
-    "allgather": lambda comm: comm.allgather(32, value=comm.rank),
     "scatter": lambda comm: comm.scatter(
         32, root=0, values=list(range(comm.size)) if comm.rank == 0 else None
     ),
@@ -194,11 +184,7 @@ PROGRAMS = {
         512, values=[10 * comm.rank + j for j in range(comm.size)]
     ),
     "alltoallv": lambda comm: comm.alltoallv(1024, max_pair=512.0),
-    "reduce_scatter": lambda comm: comm.reduce_scatter(1024, value=comm.rank),
-    "scan": lambda comm: comm.scan(8, value=comm.rank + 1),
-    "exscan": lambda comm: comm.exscan(8, value=comm.rank + 1),
     "split": _split,
-    "dup": _dup,
     "composite": lambda comm: comm.composite(
         "MPI_Sendrecv(halo)", 4096 * (comm.rank + 1), _phase_time
     ),

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import DeadlockError, SimulationError
-from repro.sim import AllOf, AnyOf, Engine, Event, Resource, Store, Timeout
+from repro.sim import AllOf, Engine, Event, Resource, Store, Timeout
 
 
 class TestEventBasics:
@@ -395,19 +395,6 @@ class TestConditions:
         eng.run()
         assert p.value == ["a", "b"]
         assert eng.now == pytest.approx(2.0)
-
-    def test_any_of_returns_first(self):
-        eng = Engine()
-        slow, fast = eng.timeout(5.0, "slow"), eng.timeout(1.0, "fast")
-        cond = eng.any_of([slow, fast])
-
-        def waiter():
-            idx, val = yield cond
-            return idx, val, eng.now
-
-        p = eng.process(waiter())
-        eng.run()
-        assert p.value == (1, "fast", 1.0)
 
     def test_all_of_empty_fires_immediately(self):
         eng = Engine()

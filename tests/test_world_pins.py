@@ -40,8 +40,22 @@ def _cg(platform):
     return get_benchmark("cg", "S", sim_iters=4).run(platform, NPROCS, seed=1)
 
 
+def _allreduce_program(comm, sizes, iterations, warmup):
+    """The OSU all-reduce timing loop: a barrier, then back-to-back
+    all-reduces per message size."""
+    results: dict[int, float] = {}
+    for size in sizes:
+        for phase, count in (("warmup", warmup), ("timed", iterations)):
+            yield from comm.barrier()
+            if phase == "timed":
+                t_start = comm.wtime()
+            for _ in range(count):
+                yield from comm.allreduce(size, value=0.0)
+        results[size] = (comm.wtime() - t_start) / iterations
+    return results
+
+
 def _osu_allreduce(platform):
-    from repro.osu.collective import _allreduce_program
     from repro.smpi import Placement, run_program
 
     return run_program(
