@@ -10,8 +10,6 @@ showing DCC's system-time-dominated communication.
 Run:  python examples/climate_study.py
 """
 
-import numpy as np
-
 from repro.analysis.stats import render_stats_table, speedup_series, table3_stats
 from repro.harness.figures import render_speedup_plot
 from repro.harness.parallel import Cell, run_cells
@@ -57,9 +55,7 @@ def main():
     # --- Fig 7: per-process breakdown, from the Table III runs --------------
     for label in ("Vayu", "DCC"):
         print(f"--- {label} ATM_STEP breakdown (Fig 7) ---")
-        parts = {part: np.asarray(values)
-                 for part, values in stats[label]["breakdown"].items()}
-        print(render_fig7_ascii(parts, "ATM_STEP", width=44))
+        print(render_fig7_ascii(stats[label]["breakdown"], "ATM_STEP", width=44))
         print()
 
 

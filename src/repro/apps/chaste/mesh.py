@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 
-import numpy as np
-
 from repro.errors import ConfigError
 
 #: Paper figures for the high-resolution rabbit heart.
@@ -57,6 +55,8 @@ def partition_stats(
     partition surface, and interior partitions have ~6 neighbours
     (boundary ones fewer).
     """
+    import numpy as np
+
     if not (0 <= rank < p):
         raise ConfigError(f"invalid rank {rank} of {p}")
     rng = np.random.default_rng(np.random.SeedSequence((seed, p, rank)))

@@ -69,7 +69,6 @@ import hashlib
 import json
 import os
 import pathlib
-import socket
 import time
 import typing as _t
 
@@ -341,7 +340,7 @@ def _owner_dead(path: pathlib.Path) -> bool:
         pid = int(pid)
     except (OSError, ValueError, KeyError, TypeError, AttributeError):
         return False
-    if host != socket.gethostname() or pid <= 0 or pid == os.getpid():
+    if host != os.uname().nodename or pid <= 0 or pid == os.getpid():
         return False
     try:
         os.kill(pid, 0)
@@ -381,7 +380,7 @@ class CellStore:
         self._held: set[str] = set()
         self._table_digest: str | None = None
         self._tables_read = False
-        self._owner = f"{socket.gethostname()}:{os.getpid()}:{id(self):x}"
+        self._owner = f"{os.uname().nodename}:{os.getpid()}:{id(self):x}"
 
     # -- paths ------------------------------------------------------------
     @property

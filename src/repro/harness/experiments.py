@@ -26,8 +26,6 @@ from __future__ import annotations
 import dataclasses
 import typing as _t
 
-import numpy as np
-
 from repro.analysis.stats import (
     normalized_times,
     render_stats_table,
@@ -145,13 +143,6 @@ def exp_fig2(run: Run) -> ExperimentOutput:
         "OSU latency (us)", [s.name for s in _PLATFORMS], rows, "{:.2f}",
         row_label="bytes",
     )
-    # Fluctuation check: coefficient of variation of DCC's sub-eager
-    # latencies after removing the size trend (vs Vayu's).
-    def _smallmsg_cv(curve: dict[int, float]) -> float:
-        vals = np.array([v for n, v in sorted(curve.items()) if n <= 65536])
-        base = vals.min()
-        return float((vals - base).std() / vals.mean())
-
     comparisons = [
         (
             "DCC/Vayu small-message latency ratio",
@@ -160,9 +151,7 @@ def exp_fig2(run: Run) -> ExperimentOutput:
         ),
     ]
     return ExperimentOutput(
-        "fig2", "OSU MPI latency",
-        {"series": series, "dcc_cv": _smallmsg_cv(series["DCC"])},
-        text, comparisons,
+        "fig2", "OSU MPI latency", {"series": series}, text, comparisons
     )
 
 
@@ -437,17 +426,15 @@ def exp_fig7(run: Run) -> ExperimentOutput:
     sections = []
     data = {}
     for spec in (VAYU, DCC):
-        parts = {
-            part: np.asarray(values)
-            for part, values in points[(spec.name,)]["breakdown"].items()
-        }
+        parts = points[(spec.name,)]["breakdown"]
         data[spec.name] = parts
         sections.append(f"--- {spec.name} ---")
         sections.append(render_fig7_ascii(parts, "ATM_STEP", width=40))
-    dcc = data["DCC"]
-    vayu = data["Vayu"]
-    comm_dcc = dcc["comm_user"] + dcc["comm_system"]
-    comm_vayu = vayu["comm_user"] + vayu["comm_system"]
+
+    def comm_share(point: dict[str, _t.Any]) -> float:
+        sums = point["breakdown_sums"]
+        return sums["comm"] / (sums["comm"] + sums["compute"])
+
     # Note: the system-time *attribution* share is a model constant
     # (hypervisor.system_time_share), so comparing it to the paper's
     # "primarily system time" would be circular; only the emergent
@@ -455,10 +442,7 @@ def exp_fig7(run: Run) -> ExperimentOutput:
     comparisons = [
         (
             "DCC/Vayu comm proportion ratio",
-            float(
-                (comm_dcc.sum() / (comm_dcc.sum() + dcc["compute"].sum()))
-                / (comm_vayu.sum() / (comm_vayu.sum() + vayu["compute"].sum()))
-            ),
+            comm_share(points[(DCC.name,)]) / comm_share(points[(VAYU.name,)]),
             42.0 / 13.0,  # Table III proportions
         ),
     ]

@@ -244,7 +244,8 @@ def metum_point(
 ) -> dict[str, _t.Any]:
     """One UM run: the 'warmed' (I/O-free steady) and total times, the
     Table-III section statistics, and the Fig-7 per-process ``ATM_STEP``
-    breakdown (float lists by rank)."""
+    breakdown (float lists by rank) with its compute and communication
+    sums over ranks."""
     from repro.apps.metum import MetumBenchmark
     from repro.ipm.report import fig7_breakdown
     from repro.platforms import get_platform
@@ -252,6 +253,7 @@ def metum_point(
     r = MetumBenchmark(sim_steps=sim_steps).run(
         get_platform(platform), nprocs, num_nodes=num_nodes, seed=seed
     )
+    parts = fig7_breakdown(r.monitor, "ATM_STEP")
     return {
         "warmed_time": r.warmed_time,
         "total_time": r.total_time,
@@ -260,9 +262,12 @@ def metum_point(
         "comm_percent": r.comm_percent(),
         "imbalance_percent": r.imbalance_percent(),
         "io": r.io_time,
-        "breakdown": {
-            part: values.tolist()
-            for part, values in fig7_breakdown(r.monitor, "ATM_STEP").items()
+        "breakdown": {part: values.tolist() for part, values in parts.items()},
+        # Summed here, in numpy's pairwise order, so that Fig 7's ratio
+        # is the same whether or not the renderer imports numpy.
+        "breakdown_sums": {
+            "compute": float(parts["compute"].sum()),
+            "comm": float((parts["comm_user"] + parts["comm_system"]).sum()),
         },
     }
 

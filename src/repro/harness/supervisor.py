@@ -51,6 +51,14 @@ missing cells execute and the report is byte-identical.
 ``jobs`` and the store both come from the explicit
 :class:`~repro.config.Run` a sweep is given (``repro run
 --jobs/--store`` build it once per run).
+
+The pool machinery (``concurrent.futures`` and the ``multiprocessing``
+modules under it) is imported by the first :meth:`_Sweep.dispatch`,
+not with this module: an inline run and a run served wholly from the
+store start no pool, so they never pay its import.  Before the first
+pool forks, ``dispatch`` imports numpy, which every cell that
+simulates needs, so the workers inherit it instead of each importing
+it again.
 """
 
 from __future__ import annotations
@@ -59,14 +67,15 @@ import contextlib
 import dataclasses
 import traceback
 import typing as _t
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 
 from repro.config import using, world_options
 from repro.errors import CellExecutionError, ConfigError
 from repro.harness import parallel
 
 if _t.TYPE_CHECKING:  # pragma: no cover
+    from concurrent.futures import Future
+    from concurrent.futures.process import ProcessPoolExecutor
+
     from repro.config import Run
     from repro.harness.parallel import Cell
 
@@ -257,6 +266,10 @@ class _Sweep:
         the demoted ones go to a fresh pool.  The last pool is shut
         down at the end, and killed if anything propagates.
         """
+        from concurrent.futures.process import ProcessPoolExecutor
+
+        import numpy  # noqa: F401  (imported once here, inherited by the workers)
+
         demoted: list["Cell"] = []
         while cells:
             # Workers get the world options in force through initargs,
@@ -282,6 +295,9 @@ class _Sweep:
     ) -> tuple[list["Cell"], list["Cell"]]:
         """One pool's dispatch: ``(rest, demoted)``, both empty unless the
         pool broke."""
+        from concurrent.futures import FIRST_COMPLETED, wait
+        from concurrent.futures.process import BrokenProcessPool
+
         order: dict[Future, int] = {}
         not_done: set[Future] = set()
         owed: list[int] = []  # positions in ``cells`` of broken futures

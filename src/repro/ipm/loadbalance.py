@@ -8,12 +8,17 @@ busiest rank spends ahead of the average (0 = perfectly balanced).
 
 from __future__ import annotations
 
-import numpy as np
+import typing as _t
 
 from repro.ipm.monitor import GLOBAL_REGION, IpmMonitor
 
+if _t.TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
+
 
 def _compute_vector(monitor: IpmMonitor, region: str) -> np.ndarray:
+    import numpy as np
+
     values = []
     for profile in monitor.profiles:
         stats = profile.regions.get(region)

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
-
-import numpy as np
+import typing as _t
 
 from repro.ipm.loadbalance import imbalance_percent
 from repro.ipm.monitor import GLOBAL_REGION, IpmMonitor
+
+if _t.TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -95,6 +97,8 @@ def fig7_breakdown(
     the paper's Fig 7b shows DCC's MPI time "is primarily in system
     time", whereas Vayu's is not.
     """
+    import numpy as np
+
     n = monitor.nprocs
     compute = np.zeros(n)
     comm = np.zeros(n)
@@ -116,20 +120,27 @@ def fig7_breakdown(
 
 
 def render_fig7_ascii(
-    parts: dict[str, np.ndarray], region: str = GLOBAL_REGION, width: int = 60
+    parts: _t.Mapping[str, _t.Sequence[float]],
+    region: str = GLOBAL_REGION,
+    width: int = 60,
 ) -> str:
     """ASCII rendering of the Fig-7 per-process stacked bars.
 
-    ``parts`` is a :func:`fig7_breakdown` of ``region``: arrays indexed
-    by rank, so the rank count is their length.
+    ``parts`` is a :func:`fig7_breakdown` of ``region``, as arrays or as
+    float lists indexed by rank, so the rank count is their length.
     """
-    totals = parts["compute"] + parts["comm_user"] + parts["comm_system"] + parts["io"]
-    peak = totals.max() if totals.size else 0.0
+    totals = [
+        compute + user + system + io
+        for compute, user, system, io in zip(
+            parts["compute"], parts["comm_user"], parts["comm_system"], parts["io"]
+        )
+    ]
+    peak = max(totals, default=0.0)
     if peak <= 0:
         return "(no samples)"
     lines = [f"per-process time breakdown, region={region}"]
     lines.append("  rank |" + " bar (#=compute, u=comm user, s=comm system, i=io)")
-    for rank in range(totals.size):
+    for rank in range(len(totals)):
         segs = []
         for label, key in (("#", "compute"), ("u", "comm_user"), ("s", "comm_system"), ("i", "io")):
             n = int(round(width * parts[key][rank] / peak))

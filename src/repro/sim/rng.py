@@ -8,13 +8,19 @@ name into a :class:`numpy.random.SeedSequence`, so
 * the same ``(root seed, name)`` pair always yields the same stream, and
 * adding a new consumer never perturbs the draws seen by existing ones
   (unlike a single shared generator).
+
+numpy is imported by the first :meth:`RandomStreams.stream` call, not
+with this module: a run whose every cell is served from the cell store
+draws no random number, so it never pays numpy's import.
 """
 
 from __future__ import annotations
 
 import hashlib
+import typing as _t
 
-import numpy as np
+if _t.TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 
 def _name_to_key(name: str) -> tuple[int, ...]:
@@ -35,6 +41,8 @@ class RandomStreams:
         """Return (and cache) the generator for ``name``."""
         gen = self._cache.get(name)
         if gen is None:
+            import numpy as np
+
             ss = np.random.SeedSequence(
                 entropy=self.seed, spawn_key=self._entropy + _name_to_key(name)
             )

@@ -236,12 +236,13 @@ class Comm:
     # Each method returns the dispatched generator from
     # ``MpiWorld.collective`` directly (callers ``yield from`` it either
     # way), which keeps one generator frame off the per-operation path.
+    # Finishers and cost functions are module-level: only the completing
+    # rank's would run, so no rank builds one per call.
 
     def barrier(self) -> _t.Generator:
         """Synchronise all ranks."""
         return self.world.collective(
-            self, "MPI_Barrier", 0, lambda ctx, n: _alg.barrier_time(ctx),
-            memo_key="barrier",
+            self, "MPI_Barrier", 0, _barrier_time, memo_key="barrier",
         )
 
     def allreduce(
@@ -251,35 +252,21 @@ class Comm:
         op: _t.Callable[[_t.Any, _t.Any], _t.Any] = _sum_op,
     ) -> _t.Generator:
         """All-reduce; every rank receives the combined value."""
-
-        def finisher(contribs: dict[int, _t.Any]) -> dict[int, _t.Any]:
-            total = _combine(contribs, op)
-            return {r: total for r in contribs}
-
         return self.world.collective(
             self, "MPI_Allreduce", nbytes, _alg.allreduce_time,
-            contribution=value, finisher=finisher, memo_key="allreduce",
+            contribution=value, finisher=_allreduce_finish, finisher_arg=op,
+            memo_key="allreduce",
         )
 
     def scatter(
         self, nbytes: float, root: int = 0, values: _t.Sequence[_t.Any] | None = None
     ) -> _t.Generator:
         """Scatter ``values`` (given at root) to all ranks."""
-
-        def finisher(contribs: dict[int, _t.Any]) -> dict[int, _t.Any]:
-            vals = contribs.get(root)
-            if vals is None:
-                return {r: None for r in contribs}
-            if len(vals) != len(contribs):
-                raise MpiError(
-                    f"scatter needs {len(contribs)} values, got {len(vals)}"
-                )
-            return {r: vals[r] for r in contribs}
-
         return self.world.collective(
             self, "MPI_Scatter", nbytes, _alg.scatter_time,
             contribution=values if self.rank == root else None,
-            finisher=finisher, memo_key="scatter", root=root,
+            finisher=_scatter_finish, finisher_arg=root, memo_key="scatter",
+            root=root,
         )
 
     def alltoall(
@@ -288,21 +275,9 @@ class Comm:
         """All-to-all; ``nbytes_total`` is the payload each rank sends in
         total (NPB convention).  With ``values`` (length ``size``), rank
         ``i`` receives ``[values_j[i] for j]``."""
-
-        def finisher(contribs: dict[int, _t.Any]) -> dict[int, _t.Any]:
-            if all(v is None for v in contribs.values()):
-                return {r: None for r in contribs}
-            out: dict[int, _t.Any] = {}
-            for r in contribs:
-                out[r] = [
-                    (contribs[s][r] if contribs[s] is not None else None)
-                    for s in sorted(contribs)
-                ]
-            return out
-
         return self.world.collective(
             self, "MPI_Alltoall", nbytes_total, _alg.alltoall_time,
-            contribution=values, finisher=finisher, memo_key="alltoall",
+            contribution=values, finisher=_alltoall_finish, memo_key="alltoall",
         )
 
     def alltoallv(
@@ -316,20 +291,9 @@ class Comm:
         def time_fn(ctx: _alg.CollectiveContext, n: float) -> float:
             return _alg.alltoallv_time(ctx, n, max_pair)
 
-        def finisher(contribs: dict[int, _t.Any]) -> dict[int, _t.Any]:
-            if all(v is None for v in contribs.values()):
-                return {r: None for r in contribs}
-            return {
-                r: [
-                    (contribs[s][r] if contribs[s] is not None else None)
-                    for s in sorted(contribs)
-                ]
-                for r in contribs
-            }
-
         return self.world.collective(
             self, "MPI_Alltoallv", total_send, time_fn,
-            contribution=values, finisher=finisher,
+            contribution=values, finisher=_alltoall_finish,
             memo_key=("alltoallv", max_pair),
         )
 
@@ -365,33 +329,77 @@ class Comm:
         members ordered by ``(key, parent rank)``.
         """
         sort_key = key if key is not None else self.rank
-
-        def finisher(contribs: dict[int, _t.Any]) -> dict[int, _t.Any]:
-            # contribs: local rank -> (color, key)
-            out: dict[int, _t.Any] = {}
-            groups: dict[int, list[tuple[int, int]]] = {}
-            for r, (c, k) in contribs.items():
-                groups.setdefault(c, []).append((k, r))
-            base_id = self.world.alloc_comm_id()
-            for idx, c in enumerate(sorted(groups)):
-                members = [r for _k, r in sorted(groups[c])]
-                for pos, r in enumerate(members):
-                    out[r] = (base_id + idx, members, pos)
-            # Reserve ids for every group deterministically.
-            for _ in range(len(groups) - 1):
-                self.world.alloc_comm_id()
-            return out
-
         cid, members, pos = yield from self.world.collective(
-            self, "MPI_Comm_split", 16, lambda ctx, n: _alg.allgather_time(ctx, 16),
-            contribution=(color, sort_key), finisher=finisher,
-            memo_key="comm_split",
+            self, "MPI_Comm_split", 16, _split_time,
+            contribution=(color, sort_key), finisher=_split_finish,
+            finisher_arg=self.world, memo_key="comm_split",
         )
         world_group = [self.group[m] for m in members]
         return Comm(self.world, world_group, pos, cid)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Comm id={self.comm_id} rank={self.rank}/{self.size}>"
+
+
+# -- cost functions and finishers --------------------------------------------
+# ``MpiWorld.collective`` calls a finisher once, on the completing rank,
+# as ``finisher(contributions, finisher_arg)``: contributions by local
+# rank in, results by local rank out.
+
+def _barrier_time(ctx: _alg.CollectiveContext, nbytes: float) -> float:
+    return _alg.barrier_time(ctx)
+
+
+def _split_time(ctx: _alg.CollectiveContext, nbytes: float) -> float:
+    return _alg.allgather_time(ctx, 16)
+
+
+def _allreduce_finish(
+    contribs: dict[int, _t.Any], op: _t.Callable[[_t.Any, _t.Any], _t.Any]
+) -> dict[int, _t.Any]:
+    total = _combine(contribs, op)
+    return {r: total for r in contribs}
+
+
+def _scatter_finish(contribs: dict[int, _t.Any], root: int) -> dict[int, _t.Any]:
+    vals = contribs.get(root)
+    if vals is None:
+        return {r: None for r in contribs}
+    if len(vals) != len(contribs):
+        raise MpiError(f"scatter needs {len(contribs)} values, got {len(vals)}")
+    return {r: vals[r] for r in contribs}
+
+
+def _alltoall_finish(contribs: dict[int, _t.Any], _arg: None) -> dict[int, _t.Any]:
+    """``alltoall`` and ``alltoallv``: rank ``r`` gets every sender's
+    ``r``-th value, in sender order."""
+    if all(v is None for v in contribs.values()):
+        return {r: None for r in contribs}
+    return {
+        r: [
+            (contribs[s][r] if contribs[s] is not None else None)
+            for s in sorted(contribs)
+        ]
+        for r in contribs
+    }
+
+
+def _split_finish(contribs: dict[int, _t.Any], world: "MpiWorld") -> dict[int, _t.Any]:
+    """``split``: contributions are ``(color, key)``; each rank gets
+    ``(comm id, members, position)`` of its color's group."""
+    out: dict[int, _t.Any] = {}
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for r, (c, k) in contribs.items():
+        groups.setdefault(c, []).append((k, r))
+    base_id = world.alloc_comm_id()
+    for idx, c in enumerate(sorted(groups)):
+        members = [r for _k, r in sorted(groups[c])]
+        for pos, r in enumerate(members):
+            out[r] = (base_id + idx, members, pos)
+    # Reserve ids for every group deterministically.
+    for _ in range(len(groups) - 1):
+        world.alloc_comm_id()
+    return out
 
 
 def _combine(

@@ -239,7 +239,8 @@ class MpiWorld:
         nbytes: float,
         time_fn: _t.Callable[[CollectiveContext, float], float],
         contribution: _t.Any = None,
-        finisher: _t.Callable[[dict[int, _t.Any]], dict[int, _t.Any]] | None = None,
+        finisher: _t.Callable[[dict[int, _t.Any], _t.Any], dict[int, _t.Any]] | None = None,
+        finisher_arg: _t.Any = None,
         memo_key: _t.Hashable = None,
         root: int | None = None,
         uneven: bool = False,
@@ -247,10 +248,12 @@ class MpiWorld:
         """One synchronising collective for the calling rank.
 
         ``time_fn(ctx, nbytes)`` supplies the algorithm cost;
-        ``finisher`` maps the {local rank: contribution} dict to a
-        {local rank: result} dict once everyone has arrived (identity
-        results of ``None`` when omitted).  The returned generator
-        yields until completion and returns this rank's result.
+        ``finisher(contributions, finisher_arg)`` maps the {local rank:
+        contribution} dict to a {local rank: result} dict once everyone
+        has arrived (identity results of ``None`` when omitted); only the
+        completing rank's ``finisher_arg`` is used.  The returned
+        generator yields until completion and returns this rank's
+        result.
 
         ``memo_key`` opts the cost into the world's
         :class:`~repro.perf.memo.CollectiveMemo`: it must uniquely
@@ -300,7 +303,8 @@ class MpiWorld:
                 raise MpiError(f"negative collective time from {name}: {duration}")
             completion = max(state.arrivals.values()) + duration
             results = (
-                finisher(state.contributions) if finisher is not None else {}
+                finisher(state.contributions, finisher_arg)
+                if finisher is not None else {}
             )
             # Pre-trigger the shared event for its completion instant:
             # one heap entry, landing where a ``timeout(completion - now)``

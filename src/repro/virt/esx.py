@@ -20,9 +20,12 @@ Calibration notes (paper section V-A and IV):
 
 from __future__ import annotations
 
-import numpy as np
+import typing as _t
 
 from repro.virt.hypervisor import Hypervisor
+
+if _t.TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 
 class VmwareEsx(Hypervisor):

@@ -16,7 +16,10 @@ A hypervisor perturbs the bare-hardware models in four ways:
 
 from __future__ import annotations
 
-import numpy as np
+import typing as _t
+
+if _t.TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 
 class Hypervisor:

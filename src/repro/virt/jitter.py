@@ -17,10 +17,12 @@ spike term rare long ones (kernel threads, hypervisor housekeeping).
 from __future__ import annotations
 
 import dataclasses
-
-import numpy as np
+import typing as _t
 
 from repro.errors import ConfigError
+
+if _t.TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 
 @dataclasses.dataclass(frozen=True, slots=True)

@@ -18,9 +18,12 @@ clusters):
 
 from __future__ import annotations
 
-import numpy as np
+import typing as _t
 
 from repro.virt.hypervisor import Hypervisor
+
+if _t.TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 
 class XenHvm(Hypervisor):

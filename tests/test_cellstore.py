@@ -492,10 +492,8 @@ class TestLeases:
     @staticmethod
     def _owned_by(lease, pid, host=None):
         """Rewrite ``lease`` as held by process ``pid`` on ``host``."""
-        import socket
-
         key = lease.name[:-len(".json")]
-        owner = f"{host or socket.gethostname()}:{pid}:dead"
+        owner = f"{host or os.uname().nodename}:{pid}:dead"
         lease.write_text(json.dumps({"owner": owner, "k": key}))
 
     @staticmethod

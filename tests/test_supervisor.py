@@ -154,17 +154,18 @@ def fake_fingerprints(monkeypatch):
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """``max_workers`` of every process pool the sweep driver starts."""
-    from repro.harness import supervisor
+    """``max_workers`` of every process pool the sweep driver starts
+    (``dispatch`` imports the pool class when it makes a pool)."""
+    from concurrent.futures import process
 
     sizes: list[int] = []
 
-    class _CountingPool(supervisor.ProcessPoolExecutor):
+    class _CountingPool(process.ProcessPoolExecutor):
         def __init__(self, *a, **k):
             sizes.append(k["max_workers"])
             super().__init__(*a, **k)
 
-    monkeypatch.setattr(supervisor, "ProcessPoolExecutor", _CountingPool)
+    monkeypatch.setattr(process, "ProcessPoolExecutor", _CountingPool)
     return sizes
 
 
