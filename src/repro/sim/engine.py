@@ -12,7 +12,9 @@ branches inlines the dispatch loop with bound locals (``heap``, ``pop``)
 and drains same-timestamp batches without re-storing the clock.
 Numeric process sleeps (the dominant event class in the MPI skeletons)
 push the process's own wake-up token rather than a fresh
-:class:`Timeout` per ``yield`` — see :mod:`repro.sim.process`.
+:class:`Timeout` per ``yield`` — see :mod:`repro.sim.process` — and
+:meth:`Engine.call_at` and the MPI transfer steps push
+:class:`~repro.sim.events.Call` tokens, whose dispatch is the call.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import heapq
 import typing as _t
 
 from repro.errors import DeadlockError, SimulationError
-from repro.sim.events import AllOf, Event, Timeout
+from repro.sim.events import AllOf, Call, Event, Timeout
 from repro.sim.rng import RandomStreams
 
 
@@ -79,15 +81,20 @@ class Engine:
         self._seq += 1
         heapq.heappush(self._heap, (self.now + delay, self._seq, event))
 
-    def call_at(self, when: float, fn: _t.Callable[[], None]) -> Event:
-        """Run ``fn()`` at absolute simulated time ``when`` (>= now)."""
-        if when < self.now:
+    def call_at(self, when: float, fn: _t.Callable[[], None]) -> None:
+        """Run ``fn()`` at absolute simulated time ``when`` (>= now).
+
+        One heap entry, a :class:`~repro.sim.events.Call` of ``fn``, at
+        ``now + (when - now)`` — where a ``timeout(when - now)`` would
+        land, float round trip included.
+        """
+        now = self.now
+        if when < now:
             raise SimulationError(
-                f"call_at({when!r}) is in the past (now={self.now!r})"
+                f"call_at({when!r}) is in the past (now={now!r})"
             )
-        ev = Timeout(self, when - self.now)
-        ev.add_callback(lambda _ev: fn())
-        return ev
+        self._seq += 1
+        heapq.heappush(self._heap, (now + float(when - now), self._seq, Call(fn)))
 
     def _deadlock(self) -> DeadlockError:
         """Build the error for a drained queue with blocked processes."""

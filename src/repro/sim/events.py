@@ -20,6 +20,23 @@ if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 _PENDING = object()
 
 
+class Call:
+    """A heap entry whose dispatch calls ``fn()`` directly.
+
+    It stands in the engine's heap where an :class:`Event` would, but
+    carries no value and no callbacks: dispatching it *is* the call.
+    Process wake-ups (:mod:`repro.sim.process`),
+    :meth:`~repro.sim.engine.Engine.call_at` and the steps of MPI
+    transfers (:mod:`repro.smpi.world`) are pushed as these.  User code
+    never sees one.
+    """
+
+    __slots__ = ("_dispatch",)
+
+    def __init__(self, fn: _t.Callable[[], None]) -> None:
+        self._dispatch = fn
+
+
 class Event:
     """A one-shot event on an :class:`~repro.sim.engine.Engine`.
 
@@ -184,11 +201,15 @@ class AllOf(Event):
             ev.add_callback(self._on_fire)
 
     def _on_fire(self, ev: Event) -> None:
-        if self.triggered:
+        # Reads the slots, not the ``triggered``/``ok``/``value``
+        # properties: only a dispatched event calls back, so ``ev`` has
+        # fired, and once every constituent has, each holds its value.
+        if self._value is not _PENDING or self._exc is not None:
             return
-        if not ev.ok:
-            self.fail(ev._exc)  # type: ignore[arg-type]
+        exc = ev._exc
+        if exc is not None:
+            self.fail(exc)
             return
         self._n_fired += 1
         if self._n_fired == len(self.events):
-            self.succeed([e.value for e in self.events])
+            self.succeed([e._value for e in self.events])

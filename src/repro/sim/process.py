@@ -14,8 +14,8 @@ return value (or fails with its uncaught exception), so processes can wait
 on each other by yielding them.
 
 Hot path: :meth:`Process._step` is the only frame between a heap entry
-and the generator it wakes.  A sleep pushes the process's own
-:class:`_Sleep` token, whose dispatch *is* the step; an event wait
+and the generator it wakes.  A sleep pushes the process's own wake-up
+token (a :class:`~repro.sim.events.Call` of the step); an event wait
 appends the step itself to the event's callbacks.
 """
 
@@ -25,31 +25,14 @@ import typing as _t
 from heapq import heappush as _heappush
 
 from repro.errors import SimulationError
-from repro.sim.events import Event
+from repro.sim.events import Call, Event
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Engine
 
 
-class _Sleep:
-    """A process's wake-up token for its start and its numeric sleeps.
-
-    It stands in the heap where an :class:`Event` would, but its
-    ``_dispatch`` is the owning process's bound :meth:`Process._step`,
-    so dispatching it resumes the generator directly.  A process has at
-    most one wake-up pending (it cannot yield again before it is woken),
-    so each process owns exactly one token and never allocates another.
-    User code never sees these.
-    """
-
-    __slots__ = ("_dispatch",)
-
-    def __init__(self, step: _t.Callable[[], None]) -> None:
-        self._dispatch = step
-
-
 class _Woken:
-    """What a :class:`_Sleep` wake delivers: no value and no failure."""
+    """What a wake-up token delivers: no value and no failure."""
 
     __slots__ = ()
     _value = None
@@ -74,7 +57,10 @@ class Process(Event):
         self.generator = generator
         #: The bound step, appended to the callbacks of an awaited event.
         self._resume = self._step
-        self._wake = _Sleep(self._resume)
+        # The wake-up token for the start and every numeric sleep.  A
+        # process has at most one wake-up pending (it cannot yield again
+        # before it is woken), so it owns exactly one token.
+        self._wake = Call(self._resume)
         # Start the process at the current simulated instant (but after the
         # caller's current event finishes dispatching) for determinism.
         engine._seq += 1
@@ -84,7 +70,7 @@ class Process(Event):
         """Resume the generator with ``event``'s outcome and act on its
         next yield (engine-internal).
 
-        Called with no argument by the process's :class:`_Sleep` token,
+        Called with no argument by the process's wake-up token,
         and with the awaited event as that event's callback.
         """
         engine = self.engine

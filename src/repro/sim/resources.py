@@ -36,6 +36,7 @@ class Resource:
         self.engine = engine
         self.capacity = capacity
         self.name = name
+        self._event_name = f"acquire:{name}"  # formatted once, not per request
         self._in_use = 0
         self._queue: collections.deque[Event] = collections.deque()
         #: Cumulative (holders x seconds) for utilisation accounting.
@@ -68,7 +69,7 @@ class Resource:
     # -- protocol ---------------------------------------------------------
     def request(self) -> Event:
         """Return an event that fires when the caller holds the resource."""
-        ev = self.engine.event(f"acquire:{self.name}")
+        ev = Event(self.engine, self._event_name)
         self._account()
         if self._in_use < self.capacity:
             self._in_use += 1
@@ -108,6 +109,7 @@ class Store:
     def __init__(self, engine: "Engine", name: str = "") -> None:
         self.engine = engine
         self.name = name
+        self._event_name = f"get:{name}"  # formatted once, not per get
         self._items: collections.deque[_t.Any] = collections.deque()
         self._getters: collections.deque[tuple[Event, _t.Callable[[_t.Any], bool] | None]] = (
             collections.deque()
@@ -127,7 +129,7 @@ class Store:
 
     def get(self, match: _t.Callable[[_t.Any], bool] | None = None) -> Event:
         """Return an event firing with the first (matching) item."""
-        ev = self.engine.event(f"get:{self.name}")
+        ev = Event(self.engine, self._event_name)
         if match is None:
             if self._items:
                 ev.succeed(self._items.popleft())

@@ -5,12 +5,21 @@ an :class:`~repro.ipm.monitor.IpmMonitor` and the per-rank mailboxes
 together, and implements the point-to-point wire protocol (eager /
 rendezvous with NIC serialisation) and the synchronising collective
 mechanism described in :mod:`repro.smpi.collectives`.
+
+The ranks are the only simulated processes.  A point-to-point transfer
+is a chain of heap-scheduled steps: an inter-node send (:class:`_Send`)
+and a receive (:class:`_Recv`) are each the request's event and run
+their steps straight from the event heap, pushing the same heap entries,
+in the same order, that a process per message would; an intra-node send
+is one delivery call plus a timeout.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import typing as _t
+from functools import partial
+from heapq import heappush as _heappush
 
 from repro.errors import ConfigError, MpiError
 from repro.ipm.monitor import IpmMonitor
@@ -18,14 +27,17 @@ from repro.ipm.report import IpmReport, summarize
 from repro.perf.memo import CollectiveMemo, default_memo
 from repro.platforms.base import Platform, PlatformSpec
 from repro.sim.engine import Engine
-from repro.sim.events import Event
+from repro.sim.events import Call, Event
 from repro.sim.resources import Store
 from repro.smpi.collectives.algorithms import CollectiveContext
+from repro.smpi.comm import ANY_SOURCE, ANY_TAG
 from repro.smpi.mapping import Placement, place_ranks
 from repro.smpi.message import Message, Request
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.analysis.sanitizer import SanitizerReport
+    from repro.hardware.node import Node
+    from repro.sim.resources import Resource
     from repro.smpi.comm import Comm
 
 
@@ -40,6 +52,172 @@ class _CollState:
         self.contributions: dict[int, _t.Any] = {}
         self.event = event
         self.nbytes_seen: float = 0.0
+
+
+class _Transfer(Event):
+    """Base of the point-to-point transfer steppers, :class:`_Send` and
+    :class:`_Recv`.
+
+    A transfer is its request's event, and it needs no simulated
+    process: each step is a bound method, run from the heap by the
+    transfer's one :class:`~repro.sim.events.Call` token (its start and
+    its delays; at most one is pending at a time) or from the callbacks
+    of an event it awaits.  Every step pushes the heap entry a process
+    would have pushed at that point, in the same order: a delay lands at
+    ``now + float(delay)`` as a timeout would, and the start at ``now``
+    after the caller's dispatch.  An event wait counts in
+    ``engine._blocked`` as a blocked process does, so a deadlock report
+    is unchanged.  A step that raised would escape
+    :meth:`~repro.sim.engine.Engine.run` rather than fail the request;
+    :meth:`MpiWorld.post_send` validates its inputs up front, so no step
+    raises.
+    """
+
+    __slots__ = ("world", "msg", "_token")
+
+    def __init__(self, world: "MpiWorld", name: str, start: _t.Callable[[], None]) -> None:
+        eng = world.engine
+        Event.__init__(self, eng, name)
+        self.world = world
+        self._token = token = Call(start)
+        eng._seq += 1
+        _heappush(eng._heap, (eng.now, eng._seq, token))
+
+    def _sleep(self, delay: float, step: _t.Callable[[], None]) -> None:
+        """Run ``step`` ``delay`` seconds from now."""
+        eng = self.engine
+        token = self._token
+        token._dispatch = step
+        eng._seq += 1
+        _heappush(eng._heap, (eng.now + float(delay), eng._seq, token))
+
+
+class _Send(_Transfer):
+    """One inter-node send: eager, or rendezvous (RTS, wait for the
+    receiver's CTS, then the data), with the data serialised through the
+    source node's NIC.  Succeeds with ``None`` once the data has left
+    the NIC."""
+
+    __slots__ = ("nic",)
+
+    def __init__(
+        self, world: "MpiWorld", nic: "Resource", src: int, dst: int, nbytes: int,
+        tag: int, payload: _t.Any,
+    ) -> None:
+        self.nic = nic  # the source node's transmit side
+        self.msg = Message(source=src, dest=dst, tag=tag, nbytes=nbytes, payload=payload)
+        _Transfer.__init__(self, world, "send", self._overhead)
+
+    def _overhead(self) -> None:
+        self._sleep(self.world.platform.spec.fabric.o_send, self._post)
+
+    def _post(self) -> None:
+        """After the send overhead: send the RTS, or go to the NIC."""
+        plat = self.world.platform
+        fabric = plat.spec.fabric
+        msg = self.msg
+        if not fabric.uses_rendezvous(msg.nbytes):
+            self._request_nic()
+            return
+        eng = self.engine
+        msg.is_rts = True
+        msg.cts_event = cts = eng.event("cts")
+        msg.data_ready = eng.event("data")
+        rts_arrival = eng.now + fabric.latency + plat.net_extra_latency()
+        eng.call_at(rts_arrival, self._deliver)
+        eng._blocked += 1
+        cts.callbacks.append(self._on_cts)
+
+    def _on_cts(self, cts: Event) -> None:
+        """The receiver matched the RTS at ``cts.value``; the CTS flies back."""
+        eng = self.engine
+        eng._blocked -= 1
+        plat = self.world.platform
+        cts_arrival = cts._value + plat.spec.fabric.latency + plat.net_extra_latency()
+        if cts_arrival > eng.now:
+            self._sleep(cts_arrival - eng.now, self._request_nic)
+        else:
+            self._request_nic()
+
+    def _request_nic(self) -> None:
+        self.engine._blocked += 1
+        self.nic.request().callbacks.append(self._on_nic)
+
+    def _on_nic(self, _grant: Event) -> None:
+        self.engine._blocked -= 1
+        self._sleep(self.world.platform.net_serialize(self.msg.nbytes), self._serialized)
+
+    def _serialized(self) -> None:
+        """The data has left the NIC: it lands one wire latency later."""
+        eng = self.engine
+        plat = self.world.platform
+        msg = self.msg
+        self.nic.release()
+        arrival = eng.now + plat.spec.fabric.latency + plat.net_extra_latency()
+        msg.arrival_time = arrival
+        eng.call_at(arrival, self._land if msg.is_rts else self._deliver)
+        self._token = None  # its bound step refers back to self
+        self.succeed(None)
+
+    def _deliver(self) -> None:
+        """Put the message (eager data or RTS) in the receiver's mailbox."""
+        self.world.mailboxes[self.msg.dest].put(self.msg)
+
+    def _land(self) -> None:
+        """The rendezvous data arrived: release the matched receive."""
+        msg = self.msg
+        msg.data_ready.succeed(msg.arrival_time)  # type: ignore[union-attr]
+
+
+class _Recv(_Transfer):
+    """One receive: match a message in the mailbox, release a rendezvous
+    sender with the CTS and wait for its data, then pay the receive
+    overhead.  Succeeds with the delivered
+    :class:`~repro.smpi.message.Message`."""
+
+    __slots__ = ("rank", "source", "tag")
+
+    def __init__(self, world: "MpiWorld", rank: int, source: int, tag: int) -> None:
+        self.rank = rank
+        self.source = source
+        self.tag = tag
+        self.msg: Message | None = None
+        _Transfer.__init__(self, world, "recv", self._post)
+
+    def _match(self, msg: Message) -> bool:
+        return (self.source == ANY_SOURCE or msg.source == self.source) and (
+            self.tag == ANY_TAG or msg.tag == self.tag
+        )
+
+    def _post(self) -> None:
+        self.engine._blocked += 1
+        self.world.mailboxes[self.rank].get(self._match).callbacks.append(self._on_match)
+
+    def _on_match(self, got: Event) -> None:
+        eng = self.engine
+        eng._blocked -= 1
+        self.msg = msg = got._value
+        if msg.is_rts:
+            msg.cts_event.succeed(eng.now)
+            eng._blocked += 1
+            msg.data_ready.callbacks.append(self._on_data)
+        else:
+            self._overhead()
+
+    def _on_data(self, _landed: Event) -> None:
+        self.engine._blocked -= 1
+        self._overhead()
+
+    def _overhead(self) -> None:
+        fabric = self.world.platform.topology.fabric_between(self.msg.source, self.rank)
+        if fabric.o_recv > 0:
+            self._sleep(fabric.o_recv, self._done)
+        else:
+            self._done()
+
+    def _done(self) -> None:
+        self._token = None  # its bound step refers back to self
+        self.succeed(self.msg)
 
 
 class MpiWorld:
@@ -124,34 +302,38 @@ class MpiWorld:
         self, src: int, dst: int, nbytes: int, tag: int, payload: _t.Any
     ) -> Request:
         """Start a send; returns a request whose event fires at local
-        completion (data handed to the network/receiver)."""
+        completion (data handed to the network/receiver).
+
+        Every input is checked here, before any transfer step is
+        scheduled: the steps run straight from the event heap, so an
+        exception inside one would escape :meth:`Engine.run` instead of
+        failing the request.
+        """
         if not (0 <= dst < self.nprocs):
             raise MpiError(f"send to invalid rank {dst} (world size {self.nprocs})")
         if nbytes < 0:
             raise MpiError(f"negative message size: {nbytes}")
-        eng = self.engine
+        start = self.engine.now
         topo = self.platform.topology
-        start = eng.now
-        if topo.same_node(src, dst):
-            done = self._send_intranode(src, dst, nbytes, tag, payload)
+        node = topo.node_of(src)
+        if node is topo.node_of(dst):
+            done = self._send_intranode(node, src, dst, nbytes, tag, payload)
         else:
-            done = eng.process(
-                self._send_internode(src, dst, nbytes, tag, payload),
-                name=f"send:{src}->{dst}",
-            )
+            done = _Send(self, node.nic_tx, src, dst, nbytes, tag, payload)
         req = Request(kind="send", event=done, start_time=start, nbytes=nbytes, peer=dst, tag=tag)
         if self.sanitizer is not None:
             self.sanitizer.on_send(src, dst, nbytes, tag, req)
         return req
 
     def _send_intranode(
-        self, src: int, dst: int, nbytes: int, tag: int, payload: _t.Any
+        self, node: "Node", src: int, dst: int, nbytes: int, tag: int, payload: _t.Any
     ) -> Event:
-        """Shared-memory copy: cheap enough to implement with callbacks."""
+        """Shared-memory copy on ``node``: one delivery call and one
+        local timeout."""
         eng = self.engine
         topo = self.platform.topology
         shm = self.platform.spec.shm
-        bw = shm.bw.at(nbytes) * self.platform.shm_pressure(topo.node_of(src).index)
+        bw = shm.bw.at(nbytes) * self.platform.shm_pressure(node.index)
         if topo.cross_socket(src, dst):
             bw *= topo.cross_socket_bw_factor
         copy = nbytes / bw if nbytes > 0 else 0.0
@@ -162,74 +344,17 @@ class MpiWorld:
         arrival = eng.now + sender_busy + shm.latency
         msg = Message(source=src, dest=dst, tag=tag, nbytes=nbytes, payload=payload,
                       arrival_time=arrival)
-        eng.call_at(arrival, lambda: self.mailboxes[dst].put(msg))
+        eng.call_at(arrival, partial(self.mailboxes[dst].put, msg))
         return eng.timeout(sender_busy)
-
-    def _send_internode(
-        self, src: int, dst: int, nbytes: int, tag: int, payload: _t.Any
-    ) -> _t.Generator:
-        """Eager/rendezvous transfer through the NIC and fabric."""
-        eng = self.engine
-        plat = self.platform
-        fabric = plat.spec.fabric
-        src_node = plat.topology.node_of(src)
-        yield eng.timeout(fabric.o_send)
-
-        rendezvous = fabric.uses_rendezvous(nbytes)
-        msg = Message(source=src, dest=dst, tag=tag, nbytes=nbytes, payload=payload)
-        if rendezvous:
-            msg.is_rts = True
-            msg.cts_event = eng.event(f"cts:{src}->{dst}")
-            msg.data_ready = eng.event(f"data:{src}->{dst}")
-            rts_arrival = eng.now + fabric.latency + plat.net_extra_latency()
-            eng.call_at(rts_arrival, lambda: self.mailboxes[dst].put(msg))
-            matched_at = yield msg.cts_event  # receiver matched the RTS
-            cts_arrival = matched_at + fabric.latency + plat.net_extra_latency()
-            if cts_arrival > eng.now:
-                yield eng.timeout(cts_arrival - eng.now)
-
-        # Serialise the data through the (possibly shared) NIC.
-        yield src_node.nic_tx.request()
-        try:
-            yield eng.timeout(plat.net_serialize(nbytes))
-        finally:
-            src_node.nic_tx.release()
-        arrival = eng.now + fabric.latency + plat.net_extra_latency()
-        msg.arrival_time = arrival
-        if rendezvous:
-            data_ready = msg.data_ready
-            assert data_ready is not None
-            eng.call_at(arrival, lambda: data_ready.succeed(arrival))
-        else:
-            eng.call_at(arrival, lambda: self.mailboxes[dst].put(msg))
-        return None
 
     def post_recv(self, rank: int, source: int, tag: int) -> Request:
         """Start a receive; the request event fires with the Message."""
         eng = self.engine
-        proc = eng.process(self._recv_process(rank, source, tag), name=f"recv:{rank}")
-        req = Request(kind="recv", event=proc, start_time=eng.now, nbytes=0, peer=source, tag=tag)
+        done = _Recv(self, rank, source, tag)
+        req = Request(kind="recv", event=done, start_time=eng.now, nbytes=0, peer=source, tag=tag)
         if self.sanitizer is not None:
             self.sanitizer.on_recv(rank, source, tag, req)
         return req
-
-    def _recv_process(self, rank: int, source: int, tag: int) -> _t.Generator:
-        from repro.smpi.comm import ANY_SOURCE, ANY_TAG
-
-        def match(m: Message) -> bool:
-            return (source == ANY_SOURCE or m.source == source) and (
-                tag == ANY_TAG or m.tag == tag
-            )
-
-        msg: Message = yield self.mailboxes[rank].get(match)
-        fabric = self.platform.topology.fabric_between(msg.source, rank)
-        if msg.is_rts:
-            assert msg.cts_event is not None and msg.data_ready is not None
-            msg.cts_event.succeed(self.engine.now)
-            yield msg.data_ready
-        if fabric.o_recv > 0:
-            yield self.engine.timeout(fabric.o_recv)
-        return msg
 
     # -- collectives ------------------------------------------------------------
     def collective(

@@ -96,6 +96,19 @@ class TestTimeouts:
         eng.run()
         assert hits == [4.0]
 
+    def test_call_at_is_one_heap_entry(self):
+        """One entry, landing where ``timeout(when - now)`` would."""
+        eng = Engine()
+        eng.timeout(1.1)
+        eng.run()
+        hits = []
+        assert eng.call_at(5.7, lambda: hits.append(eng.now)) is None
+        assert len(eng._heap) == 1
+        assert eng._heap[0][0] == 1.1 + (5.7 - 1.1) != 5.7
+        eng.run()
+        assert hits == [1.1 + (5.7 - 1.1)]
+        assert eng.dispatched == 2
+
     def test_call_at_past_rejected(self):
         eng = Engine()
         eng.timeout(1.0)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.errors import ConfigError, MpiError
+from repro.ipm.monitor import GLOBAL_REGION
 from repro.platforms import DCC, EC2, VAYU
 from repro.smpi import ANY_SOURCE, MpiWorld, Placement, run_program
 from repro.smpi.mapping import place_ranks
@@ -198,6 +199,123 @@ class TestPointToPoint:
 
         alone = run_program(DCC, 2, solo, placement=two_node_placement())
         assert t_contended > alone.rank_results[1] * 1.5
+
+
+class TestTransferSteps:
+    """Exact virtual times of the inter-node transfer steps on Vayu (no
+    hypervisor latency noise) and the deadlock reports of transfers that
+    never complete."""
+
+    FABRIC = VAYU.fabric
+
+    @staticmethod
+    def serialize(nbytes):
+        return MpiWorld(VAYU, 2, placement=two_node_placement()).platform.net_serialize(nbytes)
+
+    def run_pair(self, sender, receiver):
+        def prog(comm):
+            if comm.rank == 0:
+                return (yield from sender(comm))
+            return (yield from receiver(comm))
+
+        return run_program(VAYU, 2, prog, placement=two_node_placement()).rank_results
+
+    @staticmethod
+    def timed_send(nbytes):
+        def sender(comm):
+            yield from comm.send(1, nbytes)
+            return comm.wtime()
+
+        return sender
+
+    @staticmethod
+    def timed_recv(delay):
+        def receiver(comm):
+            if delay:
+                yield from comm.delay(delay)
+            msg = yield from comm.recv(0)
+            return msg, comm.wtime()
+
+        return receiver
+
+    def test_recv_posted_before_arrival(self):
+        f = self.FABRIC
+        sent, (msg, received) = self.run_pair(self.timed_send(64), self.timed_recv(0.0))
+        arrival = f.o_send + self.serialize(64) + f.latency
+        assert sent == pytest.approx(f.o_send + self.serialize(64), rel=1e-12)
+        assert msg.arrival_time == pytest.approx(arrival, rel=1e-12)
+        assert received == pytest.approx(arrival + f.o_recv, rel=1e-12)
+
+    def test_recv_posted_after_arrival(self):
+        f = self.FABRIC
+        sent, (msg, received) = self.run_pair(self.timed_send(64), self.timed_recv(1.0))
+        assert sent == pytest.approx(f.o_send + self.serialize(64), rel=1e-12)
+        assert msg.arrival_time < 1.0
+        assert received == pytest.approx(1.0 + f.o_recv, rel=1e-12)
+
+    def test_rendezvous_waits_for_a_late_receiver(self):
+        f = self.FABRIC
+        big = f.eager_threshold + 1
+        sent, (msg, received) = self.run_pair(self.timed_send(big), self.timed_recv(1.0))
+        # The RTS waits in the mailbox; the CTS leaves at 1.0 and takes
+        # one latency back, then the data is serialised and flies.
+        assert msg.is_rts and msg.nbytes == big
+        assert sent == pytest.approx(1.0 + f.latency + self.serialize(big), rel=1e-12)
+        assert msg.arrival_time == pytest.approx(sent + f.latency, rel=1e-12)
+        assert received == pytest.approx(msg.arrival_time + f.o_recv, rel=1e-12)
+
+    @pytest.mark.parametrize("internode", [False, True])
+    def test_zero_byte_message(self, internode):
+        def prog(comm):
+            if comm.rank == 0:
+                yield from comm.send(1, 0, payload="empty")
+                return None
+            msg = yield from comm.recv(0)
+            return msg.nbytes, msg.payload, comm.wtime()
+
+        placement = two_node_placement() if internode else Placement(num_nodes=1)
+        res = run_program(VAYU, 2, prog, placement=placement)
+        nbytes, payload, received = res.rank_results[1]
+        assert (nbytes, payload) == (0, "empty")
+        if internode:
+            f = self.FABRIC
+            assert received == pytest.approx(f.o_send + f.latency + f.o_recv, rel=1e-12)
+        calls = res.monitor.profiles[1].regions[GLOBAL_REGION].mpi
+        assert [(key.call, key.nbytes) for key in calls] == [("MPI_Recv", 0)]
+
+    @pytest.mark.parametrize("sanitize", [False, True])
+    def test_unmatched_recv_deadlock(self, sanitize):
+        """The rank and its receive both count as blocked, as they did
+        when a receive was a simulated process."""
+        from repro.errors import DeadlockError
+
+        def prog(comm):
+            if comm.rank == 0:
+                yield from comm.recv(1)
+            return None
+
+        world = MpiWorld(VAYU, 2, placement=two_node_placement(), sanitize=sanitize)
+        with pytest.raises(DeadlockError) as exc:
+            world.launch(prog)
+        assert exc.value.waiting == 2
+        if sanitize:
+            assert exc.value.pending_ops == (
+                "rank 0: recv from rank 1 (tag=ANY_TAG) posted at t=0",
+            )
+
+    def test_unmatched_rendezvous_send_deadlock(self):
+        """A rendezvous send whose RTS is never matched waits for the CTS."""
+        from repro.errors import DeadlockError
+
+        def prog(comm):
+            if comm.rank == 0:
+                yield from comm.send(1, VAYU.fabric.eager_threshold + 1)
+            return None
+
+        world = MpiWorld(VAYU, 2, placement=two_node_placement(), sanitize=False)
+        with pytest.raises(DeadlockError) as exc:
+            world.launch(prog)
+        assert exc.value.waiting == 2
 
 
 class TestCollectives:
