@@ -16,11 +16,10 @@ This package is the repository's correctness backstop (see
   ``--deep`` adds the interprocedural cache-safety rules
   (DET007-DET011).
 * :mod:`repro.analysis.static` — the whole-program analyzer
-  (``repro lint --deep``, ``repro fingerprint``): call-graph closures
-  of registered cell workers, semantic code fingerprints (the
-  cell store's code-identity key, minted by a streaming module index
-  that parses each module once and keeps per-definition summaries),
-  closure-attributed hazard findings.
+  (``repro lint --deep``): call-graph closures of registered cell
+  workers over a streaming module index, closure-attributed hazard
+  findings, and the cell store's code identity (a digest of the
+  package's source bytes).
 * :mod:`repro.analysis.stats` — the derived quantities the paper
   reports (speedups, normalised times, Table III statistics).
 """
@@ -46,7 +45,6 @@ from repro.analysis.static import (
     StaticReport,
     WorkerClosure,
     analyze_workers,
-    definition_fingerprint,
     worker_closure,
     worker_fingerprint,
 )
@@ -71,7 +69,6 @@ __all__ = [
     "StaticReport",
     "WorkerClosure",
     "analyze_workers",
-    "definition_fingerprint",
     "lint_file",
     "lint_paths",
     "lint_source",

@@ -1,33 +1,21 @@
-"""Whole-program static cache-safety analysis and semantic code fingerprints.
+"""Whole-program static cache-safety analysis and the cell store's code identity.
 
 The repo's reproducibility story has two dynamic layers (the runtime MPI
-sanitizer and the byte-identity CI guards) and, until now, one *per-file*
-static layer (``repro lint``).  This module adds the whole-program layer
-that the content-addressed result cache (ROADMAP item 1) requires:
+sanitizer and the byte-identity CI guards) and one *per-file* static
+layer (``repro lint``).  This module adds the whole-program layer behind
+``repro lint --deep``, and the code identity that keys the cell store:
 
 * **Module index** — :class:`ModuleIndex` parses every module under a
   package root with the stdlib :mod:`ast` (nothing is imported), once,
   and records its import bindings and one compact summary per top-level
-  definition (function, class, method, assignment): its semantic hash,
-  the dotted names it loads, its local imports and class bases.  Each
-  tree is dropped once summarised; nothing later touches an AST.
+  definition (function, class, method, assignment): the dotted names it
+  loads, its local imports and class bases.  Each tree is dropped once
+  summarised; nothing later touches an AST.
 * **Call-graph closure** — starting from a registered cell worker
   (``@cell_worker`` in :mod:`repro.harness.parallel`), name and
   attribute references are resolved through import bindings — including
   function-local imports, re-exports and relative imports — into the
   transitive set of definitions the worker can reach.
-* **Semantic fingerprints** — each definition is hashed over a canonical
-  AST dump with docstrings stripped, so the fingerprint is invariant
-  under comments, docstrings and formatting but changes with any
-  semantic edit.  Each definition is hashed once per index.  Folding
-  the sorted per-definition hashes over a worker's closure yields its
-  ``code fingerprint``: the cell-store key component that ties a stored
-  result to the exact code that produced it (``repro fingerprint``,
-  :mod:`repro.harness.cellstore`).
-* **Persisted tables** — a cell store keeps every worker's fingerprint
-  in ``<store>/fingerprints/<digest>.json``, keyed by a hash of the
-  package's exact source bytes (:func:`stored_fingerprint_table`), so a
-  run against a warm store hashes files instead of parsing them.
 * **Interprocedural hazard propagation** — the deep linter rules
   (DET007–DET011, :mod:`repro.analysis.lint`) run over every module a
   worker reaches, and each finding is attributed to the workers whose
@@ -35,34 +23,36 @@ that the content-addressed result cache (ROADMAP item 1) requires:
   that ``repro lint --deep`` also performs.
 * **Reporting & gating** — :class:`StaticReport` renders as text or
   JSON, and ``repro lint --deep`` exits 1 on any finding.
+* **Code identity** — :func:`worker_fingerprint` gives every worker
+  registered from the package one code identity: a digest of the
+  package's exact source bytes (:func:`sources_digest`), hashed once per
+  process, never parsed.  It is the cell-store key component that ties
+  a stored result to the code that produced it
+  (:mod:`repro.harness.cellstore`).
 
 The analysis is deliberately conservative: a reference it cannot resolve
 (builtins, third-party modules, true dynamic dispatch) is ignored, and a
 reference that *might* hit a definition (e.g. a class looked up through
 a registry dict literal) pulls the whole definition into the closure.
-Over-approximating the closure can only make fingerprints more
-sensitive, never stale — the safe direction for a cache key.
+Over-approximating a closure can only attribute a finding to more
+workers, never hide one.
 """
 
 from __future__ import annotations
 
 import ast
 import collections
-import contextlib
-import copy
 import dataclasses
 import hashlib
 import json
-import os
 import pathlib
-import re
 import sys
 import typing as _t
 
 from repro.analysis.lint import DEEP_RULES, lint_source
 from repro.errors import ConfigError
 
-#: Width of every fingerprint this module mints (hex chars of SHA-256).
+#: Width of the code identity (hex chars of SHA-256).
 FINGERPRINT_WIDTH = 32
 
 #: Resolution depth cap for re-export chains (``from .x import y`` hops).
@@ -84,13 +74,12 @@ class Definition:
     """Summary of one top-level definition: a function, class, method or
     assignment.
 
-    It holds what closures and fingerprints need and nothing else: the
-    AST it was read from is dropped once its module has been indexed.
+    It holds what closures need and nothing else: the AST it was read
+    from is dropped once its module has been indexed.
     """
 
     module: str       #: dotted module name, e.g. ``repro.harness.parallel``
     qualname: str     #: ``name`` or ``Class.method``
-    fingerprint: str  #: :func:`definition_fingerprint` of the statement
     loads: tuple[tuple[str, ...], ...]  #: dotted names it references
     scope: _Bindings  #: import bindings made anywhere inside it
     bases: tuple[tuple[str, ...], ...] = ()  #: dotted class bases
@@ -158,17 +147,13 @@ def _scan(node: ast.AST, methods: _t.Sequence[ast.AST] = ()) -> list[_Refs]:
     method being walked twice.  Nodes are visited in :func:`ast.walk`
     order, which restricted to one method is that method's own walk
     order: where two imports bind the same alias, the same one wins as
-    in a walk of the method alone.  The walk also strips every docstring
-    under ``node`` in place, once, as :func:`definition_fingerprint`
-    does on its copy.
+    in a walk of the method alone.
     """
     slot = {id(m): i for i, m in enumerate(methods, 1)}
     out: list[_Refs] = [([], {}) for _ in range(len(methods) + 1)]
     todo = collections.deque([(node, 0)])
     while todo:
         sub, owner = todo.popleft()
-        if isinstance(sub, _DOCSTRING_NODES):
-            _drop_docstring(sub)
         for child in ast.iter_child_nodes(sub):
             todo.append((child, owner or slot.get(id(child), 0)))
         sinks = (out[0], out[owner]) if owner else (out[0],)
@@ -231,8 +216,8 @@ def package_files(root: pathlib.Path) -> list[pathlib.PurePath]:
     )
 
 
-#: ``(relative path, exact bytes)`` of files to index, in listing order.
-_Sources = _t.Iterable[tuple[pathlib.PurePath, "bytes | memoryview"]]
+#: ``(relative path, exact bytes)`` of a package's files, in listing order.
+_Sources = _t.Iterable[tuple[pathlib.PurePath, bytes]]
 
 
 def package_sources(root: pathlib.Path) -> _Sources:
@@ -246,25 +231,24 @@ class ModuleIndex:
     """Streaming AST index of every module under one package root.
 
     ``root`` is the package directory (default: the installed
-    :mod:`repro` package) and ``package`` its dotted import name;
-    ``sources`` optionally pins the exact bytes to index, else each of
-    :func:`package_sources` is read as it is reached.  The index never
+    :mod:`repro` package) and ``package`` its dotted import name; each
+    of :func:`package_sources` is read as it is reached.  The index never
     imports the code it describes.  Each module is parsed once and
-    summarised — one :class:`Definition` per top-level definition, its
-    semantic hash taken there and then — and its tree is dropped, so
-    closures and fingerprints never touch an AST.  Files that fail to
-    parse are kept with no definitions.
+    summarised — one :class:`Definition` per top-level definition — and
+    its tree is dropped, so closures never touch an AST.  Files that
+    fail to parse are kept with no definitions.
     """
 
     def __init__(
         self,
         root: str | pathlib.Path | None = None,
         package: str | None = None,
-        sources: _Sources | None = None,
     ) -> None:
         self.root, self.package = _package_root(root, package)
         self.modules: dict[str, _Module] = {}
-        self._load(package_sources(self.root) if sources is None else sources)
+        for rel, data in package_sources(self.root):
+            mod = self._index_file(rel, data)
+            self.modules[mod.name] = mod
 
     _default: _t.ClassVar["ModuleIndex | None"] = None
 
@@ -277,22 +261,14 @@ class ModuleIndex:
 
     @classmethod
     def reset_default(cls) -> None:
-        """Drop the cached default index and fingerprint tables (tests,
+        """Drop the cached default index and code identity (tests,
         editable installs)."""
-        global _last_table
+        global _package_code
         cls._default = None
-        _fingerprint_cache.clear()
-        _last_table = None
+        _package_code = None
 
     # -- construction ------------------------------------------------------
-    def _load(self, sources: _Sources) -> None:
-        for rel, data in sources:
-            mod = self._index_file(rel, data)
-            self.modules[mod.name] = mod
-
-    def _index_file(
-        self, rel: pathlib.PurePath, data: "bytes | memoryview"
-    ) -> _Module:
+    def _index_file(self, rel: pathlib.PurePath, data: bytes) -> _Module:
         """Parse and summarise one file; its source and tree die on return,
         before the next file is parsed."""
         path = self.root / rel
@@ -354,11 +330,10 @@ class ModuleIndex:
         bases: tuple[tuple[str, ...], ...] = (),
         is_class: bool = False,
     ) -> Definition:
-        """Summarise and hash ``node``, given its ``refs`` if already
-        scanned (the scan strips docstrings, so it precedes the dump)."""
+        """Summarise ``node``, given its ``refs`` if already scanned."""
         imports, loads = refs if refs is not None else _scan(node)[0]
         return Definition(
-            mod.name, qualname, _hash(_dump(node)), tuple(loads),
+            mod.name, qualname, tuple(loads),
             _import_bindings(imports, mod.name, mod.is_package),
             bases, is_class,
         )
@@ -487,82 +462,27 @@ def _dotted_name(node: ast.AST) -> tuple[str, ...] | None:
 
 
 # ---------------------------------------------------------------------------
-# Semantic fingerprints
+# Worker closures and the cell store's code identity
 # ---------------------------------------------------------------------------
-
-#: Nodes whose leading string expression is a docstring.
-_DOCSTRING_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Module)
-
-
-def _drop_docstring(node: ast.AST) -> None:
-    body = node.body
-    if (
-        body
-        and isinstance(body[0], ast.Expr)
-        and isinstance(body[0].value, ast.Constant)
-        and isinstance(body[0].value.value, str)
-    ):
-        del body[0]
-
-
-def _strip_docstrings(node: ast.AST) -> None:
-    """Remove docstring expressions everywhere under ``node`` (in place)."""
-    for sub in ast.walk(node):
-        if isinstance(sub, _DOCSTRING_NODES):
-            _drop_docstring(sub)
-
-
-def _dump(node: ast.AST) -> str:
-    return ast.dump(node, include_attributes=False)
-
-
-def _hash(blob: str) -> str:
-    digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()
-    return digest[:FINGERPRINT_WIDTH]
-
-
-def definition_fingerprint(node: ast.AST) -> str:
-    """Canonical semantic hash of one definition.
-
-    The hash is taken over :func:`ast.dump` without source locations and
-    with docstrings stripped, so it is invariant under comments,
-    docstrings, blank lines and formatting — but any change to the code
-    itself (names, constants, structure, decorators, annotations)
-    produces a different value.  :class:`ModuleIndex` mints the same
-    hash without the copy, having stripped its module's docstrings once.
-    """
-    clean = copy.deepcopy(node)
-    _strip_docstrings(clean)
-    return _hash(_dump(clean))
-
-
-def fold_fingerprints(items: _t.Iterable[tuple[str, str, str]]) -> str:
-    """Order-independent fold of ``(module, qualname, hash)`` triples."""
-    lines = sorted(f"{m}:{q}={h}" for m, q, h in items)
-    digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
-    return digest[:FINGERPRINT_WIDTH]
-
 
 @dataclasses.dataclass(frozen=True, slots=True)
 class WorkerClosure:
-    """One worker's resolved call-graph closure and code fingerprint."""
+    """One worker's resolved call-graph closure."""
 
     worker: str
     root: tuple[str, str]                    #: (module, qualname) of the worker fn
-    fingerprint: str
     definitions: tuple[tuple[str, str], ...]  #: sorted (module, qualname) pairs
     modules: tuple[str, ...]                  #: sorted reachable modules
 
     def describe(self) -> str:
         return (
-            f"{self.worker:<16} {self.fingerprint}  "
-            f"({len(self.definitions)} definition(s), "
+            f"{self.worker:<16} ({len(self.definitions)} definition(s), "
             f"{len(self.modules)} module(s))"
         )
 
 
 def worker_closure(worker: str, index: ModuleIndex | None = None) -> WorkerClosure:
-    """Closure + fingerprint for one registered worker."""
+    """Closure of one registered worker."""
     index = index or ModuleIndex.default()
     workers = index.workers()
     try:
@@ -573,84 +493,23 @@ def worker_closure(worker: str, index: ModuleIndex | None = None) -> WorkerClosu
             f"{sorted(workers)}"
         ) from None
     defs = index.closure([root])
-    fingerprint = fold_fingerprints(
-        (d.module, d.qualname, d.fingerprint) for d in defs
-    )
     return WorkerClosure(
         worker=worker,
         root=root.key,
-        fingerprint=fingerprint,
         definitions=tuple(d.key for d in defs),
         modules=tuple(sorted({d.module for d in defs})),
     )
 
 
-#: Per-process cache for :func:`worker_fingerprint` (the cell-store hot
-#: path): every static worker's fingerprint, plus ``None`` for names asked
-#: about that are not static workers.  Empty until the first call.
-_fingerprint_cache: dict[str, str | None] = {}
-
-
-def worker_fingerprint(worker: str) -> str | None:
-    """Code fingerprint of ``worker``, or ``None`` if it is not statically
-    registered (e.g. a test-local worker defined outside the package).
-
-    This is the cell-store hook: ``None`` means "no code identity
-    available", so the store neither serves nor publishes that worker's
-    cells — they always execute.
-
-    A store fills the table from its persisted copy first
-    (:func:`use_fingerprint_table`).  Otherwise the first call
-    fingerprints every static worker at once, from the default index if
-    one is cached and otherwise from a throwaway one: a store run then
-    carries a few strings through its simulation, not the index.
-    """
-    if not _fingerprint_cache:
-        try:
-            index = ModuleIndex._default or ModuleIndex()
-        except ConfigError:
-            return None  # no package directory to index (e.g. a zipimport)
-        # Publish only a complete table: a part-filled one would answer
-        # None for the workers still missing, bypassing the store silently.
-        _fingerprint_cache.update(fingerprint_table(index))
-    return _fingerprint_cache.setdefault(worker, None)
-
-
-def fingerprint_table(index: ModuleIndex) -> dict[str, str]:
-    """Every static worker's code fingerprint over ``index``."""
-    return {
-        name: worker_closure(name, index).fingerprint
-        for name in sorted(index.workers())
-    }
-
-
-# ---------------------------------------------------------------------------
-# Persisted fingerprint tables
-# ---------------------------------------------------------------------------
-
-#: Joins every table digest: bump it when the table layout or what a
-#: fingerprint covers changes, and every old table stops being found.
-TABLE_VERSION = 1
-
-_HEX32 = re.compile(r"[0-9a-f]{32}")
-_HEX64 = re.compile(r"[0-9a-f]{64}")
-
-#: The last table this process read or built, as ``(digest, table)``.
-#: Keyed by the full digest, it stands in only for the very same bytes.
-_last_table: tuple[str, dict[str, str]] | None = None
-
-
 def sources_digest(package: str, sources: _Sources) -> str:
-    """sha256 over the table version, ``sys.version``, the package name
-    and the relative path and exact bytes of every indexed file, in
-    :func:`package_files` order.
+    """sha256 over ``sys.version``, the package name and the relative
+    path and exact bytes of every file, in :func:`package_files` order.
 
-    Any byte edit to any indexed file moves it, this module included, so
-    a table can never outlive the code (or the interpreter whose
-    :func:`ast.dump` its fingerprints hash) it was built from.
+    Any byte edit to any file of the package moves it, a comment
+    included, and so does another interpreter.
     """
     digest = hashlib.sha256(
-        json.dumps([TABLE_VERSION, sys.version, package]).encode("utf-8")
+        json.dumps([sys.version, package]).encode("utf-8")
     )
     for rel, data in sources:
         digest.update(f"\0{rel.as_posix()}\0{len(data)}\0".encode("utf-8"))
@@ -658,108 +517,35 @@ def sources_digest(package: str, sources: _Sources) -> str:
     return digest.hexdigest()
 
 
-def read_table(path: pathlib.Path) -> tuple[dict[str, str] | None, str | None]:
-    """``(workers, None)`` for a table file that may be served, else
-    ``(None, why not)``: it must be an object whose embedded digest
-    names the file, mapping worker names to 32-hex fingerprints."""
-    try:
-        data = json.loads(path.read_bytes())
-    except OSError as exc:
-        return None, f"unreadable ({exc.strerror})"
-    except (ValueError, RecursionError):
-        return None, "not valid JSON"
-    problem = _table_problem(data, path.name)
-    return (None, problem) if problem else (data["workers"], None)
+#: :func:`sources_digest` of the installed package, cut to
+#: :data:`FINGERPRINT_WIDTH`; ``None`` until the first store lookup.
+_package_code: str | None = None
 
 
-def _table_problem(data: _t.Any, name: str) -> str | None:
-    if not isinstance(data, dict) or set(data) != {"digest", "workers"}:
-        return "table is not an object of digest and workers"
-    digest, workers = data["digest"], data["workers"]
-    if not isinstance(digest, str) or not _HEX64.fullmatch(digest):
-        return "digest is not 64 lowercase hex chars"
-    if name != f"{digest}.json":
-        return "embedded digest does not match the file name"
-    if not isinstance(workers, dict) or not workers:
-        return "workers is not a non-empty object"
-    for worker, fingerprint in workers.items():
-        if not worker or not (
-            isinstance(fingerprint, str) and _HEX32.fullmatch(fingerprint)
-        ):
-            return f"fingerprint of {worker!r} is not 32 lowercase hex chars"
-    return None
+def worker_fingerprint(worker: str) -> str | None:
+    """The cell store's code identity for ``worker``, or ``None``.
 
-
-def _write_table(path: pathlib.Path, digest: str, table: dict[str, str]) -> None:
-    """Publish ``table`` at ``path`` whole or not at all: a tmp file is
-    written, then renamed over it.  Best effort: a store that cannot be
-    written still serves, it only builds the table again next run."""
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    body = json.dumps({"digest": digest, "workers": table}, indent=1,
-                      sort_keys=True)
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp.write_text(body + "\n", encoding="utf-8")
-        os.replace(tmp, path)
-    except OSError:
-        with contextlib.suppress(OSError):
-            tmp.unlink()
-
-
-def stored_fingerprint_table(
-    directory: str | pathlib.Path,
-    root: str | pathlib.Path | None = None,
-    package: str | None = None,
-) -> tuple[str, dict[str, str]]:
-    """``(digest, table)`` for the package at ``root`` (default: the
-    installed :mod:`repro`), served from ``<directory>/<digest>.json``.
-
-    Every indexed file is read once and hashed (:func:`sources_digest`).
-    A valid table under that digest is served as it is, and nothing is
-    parsed.  Otherwise the table is built from an index over those very
-    bytes, never from a cached index that may predate an edit, and
-    written only once complete, so a build that fails part-way writes
-    nothing.  A table :func:`read_table` refuses is rebuilt.
+    Every worker registered from a ``repro.`` module shares one identity:
+    the source digest of the installed package, hashed once per process
+    at first use.  ``None`` means "no code identity available" — a worker
+    registered elsewhere (e.g. from a test module), or a package that is
+    not a directory (e.g. a zipimport) — and the store then neither
+    serves nor publishes that worker's cells: they always execute.
     """
-    global _last_table
-    root, package = _package_root(root, package)
-    # Every file's bytes sit in one buffer, handed back to the system in
-    # one piece on return rather than left as holes in the heap.
-    blob, spans = bytearray(), []
-    for rel, data in package_sources(root):
-        spans.append((rel, len(blob), len(blob) + len(data)))
-        blob += data
-    view = memoryview(blob)
-    sources = [(rel, view[start:end]) for rel, start, end in spans]
-    digest = sources_digest(package, sources)
-    path = pathlib.Path(directory) / f"{digest}.json"
-    table = read_table(path)[0]
-    if table is None:
-        if _last_table is not None and _last_table[0] == digest:
-            table = _last_table[1]
-        else:
-            table = fingerprint_table(ModuleIndex(root, package, sources))
-        _write_table(path, digest, table)
-    _last_table = (digest, table)
-    return digest, table
+    global _package_code
+    from repro.harness.parallel import _WORKERS
 
-
-def use_fingerprint_table(directory: str | pathlib.Path) -> str | None:
-    """Serve :func:`worker_fingerprint` from the table persisted in
-    ``directory`` (a store's ``fingerprints/``), building and persisting
-    it there first if it is missing.
-
-    Returns the current tree's digest, or None when the package cannot
-    be indexed; :func:`worker_fingerprint` then answers as it would
-    without a store.
-    """
-    try:
-        digest, table = stored_fingerprint_table(directory)
-    except ConfigError:
+    fn = _WORKERS.get(worker)
+    if fn is None or not fn.__module__.startswith("repro."):
         return None
-    _fingerprint_cache.clear()
-    _fingerprint_cache.update(table)
-    return digest
+    if _package_code is None:
+        try:
+            root, package = _package_root(None, None)
+        except ConfigError:
+            return None
+        digest = sources_digest(package, package_sources(root))
+        _package_code = digest[:FINGERPRINT_WIDTH]
+    return _package_code
 
 
 # ---------------------------------------------------------------------------
@@ -815,7 +601,6 @@ class StaticReport:
             "workers": [
                 {
                     "worker": c.worker,
-                    "fingerprint": c.fingerprint,
                     "root": list(c.root),
                     "definitions": len(c.definitions),
                     "modules": list(c.modules),
@@ -832,7 +617,7 @@ def analyze_workers(
 ) -> StaticReport:
     """Run the whole-program analysis over registered cell workers.
 
-    Computes every requested worker's closure and fingerprint, deep-lints
+    Computes every requested worker's closure, deep-lints
     each module any closure touches (rules DET007–DET011 plus DET000 for
     unparsable files), and keeps a finding when its enclosing top-level
     definition — or the module body itself — is reachable, attributing

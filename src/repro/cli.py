@@ -28,12 +28,8 @@ Commands
     Static determinism linter over ``src``/``benchmarks`` (or the given
     paths); exits 1 when findings remain (see ``docs/analysis.md``).
     ``--deep`` adds the whole-program analysis (call-graph closures,
-    DET007-DET011, per-worker code fingerprints); ``--json`` prints the
+    DET007-DET011, each worker's closure size); ``--json`` prints the
     findings as JSON.
-``fingerprint [workers...]``
-    Print (or ``--check`` the stability of) the semantic code
-    fingerprint of each registered cell worker — the cell store's
-    code-identity key.
 ``osu <platform>``
     Run the OSU latency + bandwidth pair on one platform.
 ``npb <bench> <platform> <nprocs>``
@@ -179,51 +175,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return 1 if findings else 0
 
 
-def _cmd_fingerprint(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.analysis.static import ModuleIndex, worker_closure
-
-    index = ModuleIndex()
-    names = sorted(index.workers()) if (args.all or not args.workers) \
-        else list(args.workers)
-    closures = [worker_closure(w, index) for w in names]
-    if args.check:
-        # Recompute from a second fresh index, which parses and hashes
-        # every module again: any nondeterminism in parsing, traversal or
-        # hashing shows up as a mismatch in a closure or its fingerprint.
-        fresh = ModuleIndex()
-        for c in closures:
-            again = worker_closure(c.worker, fresh)
-            if again != c:
-                field = next(
-                    f for f in ("fingerprint", "root", "definitions", "modules")
-                    if getattr(again, f) != getattr(c, f)
-                )
-                was, now = getattr(c, field), getattr(again, field)
-                if field in ("definitions", "modules"):
-                    detail = f"{field} differ: {sorted(set(was) ^ set(now))}"
-                else:
-                    detail = f"{field} {was} != {now}"
-                print(f"[unstable] {c.worker}: {detail}", file=sys.stderr)
-                return 1
-        print(f"[ok] {len(closures)} fingerprint(s) stable", file=sys.stderr)
-    if args.json:
-        print(json.dumps(
-            {c.worker: {
-                "fingerprint": c.fingerprint,
-                "root": list(c.root),
-                "definitions": len(c.definitions),
-                "modules": list(c.modules),
-            } for c in closures},
-            indent=2, sort_keys=True,
-        ))
-    else:
-        for c in closures:
-            print(c.describe())
-    return 0
-
-
 def _cmd_store(args: argparse.Namespace) -> int:
     import json
 
@@ -305,8 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--store", default=None, metavar="PATH",
         help="serve sweep cells from (and publish fresh results to) the "
              "content-addressed cell store rooted at directory PATH; "
-             "entries are keyed by worker + args + code fingerprint so "
-             "they can never go stale; re-run with the same PATH to "
+             "entries are keyed by worker + args + the package's source "
+             "digest so they can never go stale; re-run with the same PATH to "
              "resume an interrupted run (see docs/caching.md)",
     )
     run.add_argument("--json", help="export comparisons as JSON")
@@ -325,29 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--deep", action="store_true",
         help="whole-program analysis: resolve every registered cell "
              "worker's call-graph closure, enable the interprocedural "
-             "rules (DET007-DET011) over it, and print per-worker code "
-             "fingerprints",
-    )
-
-    fingerprint = sub.add_parser(
-        "fingerprint",
-        help="semantic code fingerprints of registered cell workers",
-    )
-    fingerprint.add_argument(
-        "workers", nargs="*",
-        help="worker names (default: all statically registered workers)",
-    )
-    fingerprint.add_argument(
-        "--all", action="store_true",
-        help="fingerprint every statically registered worker",
-    )
-    fingerprint.add_argument(
-        "--check", action="store_true",
-        help="recompute each fingerprint from a fresh module index and "
-             "exit 1 on any instability",
-    )
-    fingerprint.add_argument(
-        "--json", action="store_true", help="JSON output"
+             "rules (DET007-DET011) over it, and print each worker's "
+             "closure size",
     )
 
     store = sub.add_parser(
@@ -368,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     st_verify.add_argument("path", help="store root directory")
     st_gc = store_sub.add_parser(
         "gc",
-        help="compact the store: drop stale (code-fingerprint-mismatched), "
+        help="compact the store: drop stale (written by other code), "
              "duplicate, malformed and torn records",
     )
     st_gc.add_argument("path", help="store root directory")
@@ -378,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     st_gc.add_argument(
         "--drop-unknown", action="store_true",
-        help="also drop records for workers this host cannot fingerprint "
+        help="also drop records of workers with no code identity here "
              "(default: keep them — they may still serve another host)",
     )
 
@@ -403,7 +333,6 @@ _COMMANDS: dict[str, _t.Callable[[argparse.Namespace], int]] = {
     "osu": _cmd_osu,
     "npb": _cmd_npb,
     "lint": _cmd_lint,
-    "fingerprint": _cmd_fingerprint,
     "store": _cmd_store,
 }
 

@@ -149,6 +149,8 @@ class RunConfig:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ConfigError(f"{name} must be an int: {value!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0: {self.seed}")
         if self.jobs < 0:
             raise ConfigError(f"jobs must be >= 0 (0 = all CPUs): {self.jobs}")
         if self.jobs == 0:

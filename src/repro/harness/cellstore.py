@@ -10,40 +10,30 @@ content hash of
 * its **encoded arguments** (the typed encoding of
   :mod:`repro.harness.journal`, so tuples and int-keyed dicts hash
   stably),
-* the worker's static **code fingerprint**
-  (:func:`repro.analysis.static.worker_fingerprint` — the semantic
-  identity of every function the worker can reach), and
+* the worker's **code identity**
+  (:func:`repro.analysis.static.worker_fingerprint` — a digest of the
+  package's exact source bytes, shared by every package worker), and
 * the encoding's **format version** (so an encoding change can never
   alias old records).
 
-Because the code fingerprint participates in the key, entries can never
-go stale: editing any function in a worker's call-graph closure moves
-the key, so old results simply stop being found — they are garbage, not
-hazards — and ``repro store gc`` reclaims them.  A worker without a
-static fingerprint (e.g. one registered from a test module) bypasses
-the store entirely: no code identity means no safe cache key.
+Because the code identity participates in the key, entries can never
+go stale: any byte edit to the package moves every key, so old results
+simply stop being found — they are garbage, not hazards — and
+``repro store gc`` reclaims them.  A worker without a code identity
+(e.g. one registered from a test module) bypasses the store entirely:
+no code identity means no safe cache key.
 
 Storage layout
 --------------
 An append-friendly sharded directory, safe for concurrent writers::
 
     <root>/cells/<first-two-hex-of-key>.jsonl
-    <root>/fingerprints/<source-digest>.json
 
 Each record is one self-contained JSON line appended with a single
 ``O_APPEND`` ``write`` and fsynced, so concurrent publishers on the
 same shard interleave whole records; readers tolerate torn records
 anywhere (a half-written line is skipped, never fatal).  Duplicate keys
 are resolved last-record-wins on read and compacted by ``gc``.
-
-``fingerprints/`` holds derived data: the worker fingerprint table of
-each source tree the store has served, keyed by a digest of the
-package's exact bytes (:func:`repro.analysis.static
-.stored_fingerprint_table`).  The first time a store needs a code it
-reads the table for the current tree, so a warm run parses nothing;
-any edit to an indexed file moves the digest, and the next run builds
-and writes a fresh table.  ``gc`` drops the tables of other trees;
-``stats`` ignores them.
 
 Wiring
 ------
@@ -123,8 +113,8 @@ def store_key(worker: str, args: _t.Sequence[_t.Any], code: str) -> str:
     """Canonical content-address of one cell result.
 
     The digest covers ``(encoding format version, worker, encoded args,
-    code fingerprint)``; any change to the worker's reachable code (or
-    to the typed encoding itself) moves the key, which is the store's
+    code identity)``; any change to the package's code (or to the typed
+    encoding itself) moves the key, which is the store's
     entire staleness story — entries are immutable and can only ever
     stop being found.
     """
@@ -156,7 +146,7 @@ def record_problem(rec: _t.Any) -> str | None:
     if not isinstance(rec["worker"], str) or not rec["worker"]:
         return "worker is not a non-empty string"
     if not _is_hex(rec["code"]):
-        return "code fingerprint is not lowercase hex"
+        return "code identity is not lowercase hex"
     if not _is_hex(rec["hash"], 32):
         return "payload hash is not 32 lowercase hex chars"
     try:
@@ -179,7 +169,7 @@ def record_problem(rec: _t.Any) -> str | None:
 def build_record(
     worker: str, args: _t.Sequence[_t.Any], result: _t.Any, code: str
 ) -> dict:
-    """The store record for one fresh result of code fingerprint ``code``.
+    """The store record for one fresh result of code identity ``code``.
 
     One construction site for every record, so any two publishers of
     the same result emit byte-identical record lines.
@@ -242,8 +232,7 @@ class VerifyReport:
 
     ``problems`` are structural integrity failures (a parseable record
     whose key or hash does not re-derive, or that sits in the wrong
-    shard, and a fingerprint table that could not be served) — these
-    fail the gate.  ``torn_lines`` are unparseable lines
+    shard) — these fail the gate.  ``torn_lines`` are unparseable lines
     (the signature of a writer killed mid-append); tolerated by every
     reader, so they are reported but do not fail verification.
     """
@@ -276,8 +265,6 @@ class GcReport:
     dropped_malformed: int = 0
     dropped_unknown: int = 0
     dropped_torn: int = 0
-    #: fingerprint tables of source trees other than the current one
-    dropped_tables: int = 0
     dry_run: bool = False
 
     @property
@@ -294,8 +281,7 @@ class GcReport:
             f"store gc: kept {self.kept}, {verb} {self.dropped} "
             f"({self.dropped_stale} stale, {self.dropped_duplicate} duplicate, "
             f"{self.dropped_malformed} malformed, {self.dropped_unknown} "
-            f"unknown-worker, {self.dropped_torn} torn), "
-            f"{verb} {self.dropped_tables} stale fingerprint table(s)"
+            f"unknown-worker, {self.dropped_torn} torn)"
         )
 
 
@@ -378,8 +364,6 @@ class CellStore:
             raise ConfigError(f"lease TTL must be > 0: {lease_ttl}")
         self.lease_ttl = lease_ttl
         self._held: set[str] = set()
-        self._table_digest: str | None = None
-        self._tables_read = False
         self._owner = f"{os.uname().nodename}:{os.getpid()}:{id(self):x}"
 
     # -- paths ------------------------------------------------------------
@@ -391,19 +375,11 @@ class CellStore:
     def leases_dir(self) -> pathlib.Path:
         return self.root / "leases"
 
-    @property
-    def fingerprints_dir(self) -> pathlib.Path:
-        return self.root / "fingerprints"
-
     def shard_path(self, key: str) -> pathlib.Path:
         return self.cells_dir / f"{key[:SHARD_WIDTH]}.jsonl"
 
     def lease_path(self, key: str) -> pathlib.Path:
         return self.leases_dir / f"{key}.json"
-
-    def table_files(self) -> list[pathlib.Path]:
-        """All fingerprint tables, in name order (write tmp files aside)."""
-        return sorted(self.fingerprints_dir.glob("*.json"))
 
     def shard_files(self) -> list[pathlib.Path]:
         """All shard files, in deterministic (name) order."""
@@ -435,22 +411,10 @@ class CellStore:
             yield lineno, line, rec
 
     # -- code identities --------------------------------------------------
-    def _current_tables(self) -> str | None:
-        """Digest of the current source tree, after pointing the
-        fingerprint layer at this store's tables (once per instance);
-        None when the package cannot be indexed."""
-        if not self._tables_read:
-            from repro.analysis.static import use_fingerprint_table
-
-            self._table_digest = use_fingerprint_table(self.fingerprints_dir)
-            self._tables_read = True
-        return self._table_digest
-
     def _code(self, worker: str) -> str | None:
-        """Static code fingerprint of ``worker`` (None: no safe cache key)."""
+        """Code identity of ``worker`` (None: no safe cache key)."""
         from repro.analysis import static
 
-        self._current_tables()
         return static.worker_fingerprint(worker)
 
     # -- the hot path -----------------------------------------------------
@@ -461,7 +425,7 @@ class CellStore:
         polling loop (:meth:`await_peer` re-reads a shard many times for
         one logical lookup; counting each poll would garble the banner).
         A hit requires the full content address to match: key, worker,
-        code fingerprint and payload hash — and a record of this
+        code identity and payload hash — and a record of this
         :data:`STORE_VERSION`, so a newer (or garbled) layout is
         re-simulated rather than misread; a record whose result does not
         decode is skipped the same way.
@@ -492,7 +456,7 @@ class CellStore:
         """The stored result for ``(worker, args)``, or :data:`MISS`.
 
         A hit requires the full content address to match: the record's
-        key (which bakes in the code fingerprint current *now*), its
+        key (which bakes in the code identity current *now*), its
         payload hash, and its worker name.  An entry published by
         different code therefore can never be served — the never-stale
         discipline shared with ``CollectiveMemo``.
@@ -764,11 +728,8 @@ class CellStore:
         The integrity gate CI runs after populating a store: any
         parseable record that fails :func:`record_problem`, or that
         lives in the wrong shard file, is a problem; torn lines are
-        reported but tolerated (readers skip them).  So is a fingerprint
-        table that a run would refuse to serve (and rebuild).
+        reported but tolerated (readers skip them).
         """
-        from repro.analysis.static import read_table
-
         report = VerifyReport()
         for shard in self.shard_files():
             for lineno, _line, rec in self._scan_shard(shard):
@@ -783,24 +744,19 @@ class CellStore:
                     report.problems.append(f"{where}: {problem}")
                 else:
                     report.ok += 1
-        for table in self.table_files():
-            _workers, problem = read_table(table)
-            if problem is not None:
-                report.problems.append(f"fingerprints/{table.name}: {problem}")
         return report
 
     def gc(self, *, drop_unknown: bool = False, dry_run: bool = False) -> GcReport:
         """Compact the store, dropping records that can never be served.
 
         Dropped: malformed/torn records, duplicate keys (last record
-        wins, matching read semantics), records whose code fingerprint
-        differs from the worker's *current* fingerprint (stale — the
-        never-stale key discipline means they are unreachable garbage),
-        and — only with ``drop_unknown`` — records for workers this
-        host cannot fingerprint (they may still serve another host).
-        Shards are rewritten to a temp file and atomically renamed, so
-        concurrent readers always see a complete shard.  Fingerprint
-        tables of any source tree but the current one go too.
+        wins, matching read semantics), records whose code identity
+        differs from the worker's *current* one (stale — the never-stale
+        key discipline means they are unreachable garbage), and — only
+        with ``drop_unknown`` — records of workers with no code identity
+        on this host (they may still serve another host).  Shards are
+        rewritten to a temp file and atomically renamed, so concurrent
+        readers always see a complete shard.
         """
         report = GcReport(dry_run=dry_run)
         for shard in self.shard_files():
@@ -847,13 +803,4 @@ class CellStore:
                     if self._lease_stale(lease):
                         with contextlib.suppress(OSError):
                             lease.unlink()
-        current = self._current_tables()
-        if current is not None:
-            for path in sorted(self.fingerprints_dir.glob("*")):
-                if path.name.startswith(f"{current}.json"):
-                    continue  # the current table, or a write of it in flight
-                report.dropped_tables += 1
-                if not dry_run:
-                    with contextlib.suppress(OSError):
-                        path.unlink()
         return report

@@ -39,15 +39,6 @@ class Resource:
         self._event_name = f"acquire:{name}"  # formatted once, not per request
         self._in_use = 0
         self._queue: collections.deque[Event] = collections.deque()
-        #: Cumulative (holders x seconds) for utilisation accounting.
-        self._busy_integral = 0.0
-        self._last_change = engine.now
-
-    # -- accounting -------------------------------------------------------
-    def _account(self) -> None:
-        now = self.engine.now
-        self._busy_integral += self._in_use * (now - self._last_change)
-        self._last_change = now
 
     @property
     def in_use(self) -> int:
@@ -59,18 +50,10 @@ class Resource:
         """Number of requests waiting for a grant."""
         return len(self._queue)
 
-    def utilisation(self) -> float:
-        """Mean holders over the lifetime of the resource (0..capacity)."""
-        self._account()
-        if self._last_change == 0:
-            return 0.0
-        return self._busy_integral / self._last_change
-
     # -- protocol ---------------------------------------------------------
     def request(self) -> Event:
         """Return an event that fires when the caller holds the resource."""
         ev = Event(self.engine, self._event_name)
-        self._account()
         if self._in_use < self.capacity:
             self._in_use += 1
             ev.succeed(self)
@@ -82,7 +65,6 @@ class Resource:
         """Release one unit; grants the oldest queued request, if any."""
         if self._in_use <= 0:
             raise SimulationError(f"release() on idle resource {self.name!r}")
-        self._account()
         if self._queue:
             # Hand the slot directly to the next waiter: in_use is unchanged.
             self._queue.popleft().succeed(self)

@@ -1,7 +1,7 @@
 """Tests for the content-addressed global cell store.
 
 Covers the tentpole guarantees: content-addressed keys that bake in the
-worker's code fingerprint (never-stale discipline), torn-record-tolerant
+worker's code identity (never-stale discipline), torn-record-tolerant
 concurrent publishing, and the ``repro store`` maintenance CLI
 (stats/verify/gc).  That a cold and a warm store render
 every registered experiment byte-identically is a row pair of the golden
@@ -55,7 +55,7 @@ def _cs_fail(x):
     raise RuntimeError(f"cs_fail({x})")
 
 
-#: Cheap, real, statically fingerprintable cells: NPB CG class S on
+#: Cheap, real cells with a code identity: NPB CG class S on
 #: two Vayu ranks, one per seed.
 NPB_CELLS = [Cell((seed,), "npb_point", ("cg", "Vayu", 2, seed, "S", None))
              for seed in range(1, 5)]
@@ -65,8 +65,8 @@ NPB_CELLS = [Cell((seed,), "npb_point", ("cg", "Vayu", 2, seed, "S", None))
 def fake_fingerprints(monkeypatch):
     """Give the test-local ``cs_*`` workers controllable code identities.
 
-    The static analyzer cannot see workers registered from a test
-    module, so this patches :func:`repro.analysis.static.worker_fingerprint`
+    Workers registered from a test module have no code identity, so
+    this patches :func:`repro.analysis.static.worker_fingerprint`
     (the single source the store imports) with a
     mutable mapping the test can edit to simulate a code change.
     """
@@ -143,8 +143,8 @@ class TestStoreKey:
         assert store.lookup("cs_count", args) == {"v": 1.0}
 
     def test_code_fingerprint_moves_the_key(self):
-        # The whole staleness story: editing reachable code changes the
-        # fingerprint, which changes the key, so old entries just stop
+        # The whole staleness story: editing the package changes the
+        # code identity, which changes the key, so old entries just stop
         # being found.
         args = (1, 2)
         assert store_key("w", args, "aa" * 16) != store_key("w", args, "bb" * 16)
@@ -829,68 +829,6 @@ class TestMaintenance:
         assert kept.dropped_unknown == 0 and kept.kept == 5
         dropped = store.gc(drop_unknown=True)
         assert dropped.dropped_unknown == 1 and dropped.kept == 4
-
-    @staticmethod
-    def _plant_table(store, digest, body=None):
-        path = store.fingerprints_dir / f"{digest}.json"
-        if body is None:
-            body = json.dumps({"digest": digest,
-                               "workers": {"npb_point": "0f" * 16}})
-        path.write_text(body)
-        return path
-
-    def test_first_code_need_persists_the_table(self, tmp_path,
-                                                fake_fingerprints):
-        from repro.analysis.static import ModuleIndex, fingerprint_table
-
-        store = self._populated(tmp_path, fake_fingerprints)
-        [table] = store.table_files()
-        data = json.loads(table.read_text())
-        assert table.name == f"{data['digest']}.json"
-        assert data["workers"] == fingerprint_table(ModuleIndex())
-
-    def test_gc_drops_other_trees_tables(self, tmp_path, fake_fingerprints):
-        store = self._populated(tmp_path, fake_fingerprints)
-        [current] = store.table_files()
-        stale = self._plant_table(store, "ab" * 32)
-        leftover = store.fingerprints_dir / f"{'cd' * 32}.json.123.tmp"
-        leftover.write_text("{")
-        dry = store.gc(dry_run=True)
-        assert dry.dropped_tables == 2 and stale.exists() and leftover.exists()
-        report = store.gc()
-        assert report.dropped_tables == 2
-        assert "dropped 2 stale fingerprint table(s)" in report.render()
-        assert list(store.fingerprints_dir.iterdir()) == [current]
-        assert report.kept == 5 and store.verify().clean
-
-    @pytest.mark.parametrize("body, problem", [
-        ('{"digest": "ab', "not valid JSON"),
-        (json.dumps({"digest": "ab" * 32, "workers": {"npb_point": "XY"}}),
-         "fingerprint of 'npb_point' is not 32 lowercase hex chars"),
-        (json.dumps({"digest": "cd" * 32, "workers": {"npb_point": "0f" * 16}}),
-         "embedded digest does not match the file name"),
-        (json.dumps({"digest": "ab" * 32, "workers": {}}),
-         "workers is not a non-empty object"),
-        (json.dumps(["ab" * 32]),
-         "table is not an object of digest and workers"),
-    ])
-    def test_verify_flags_malformed_tables(self, tmp_path, fake_fingerprints,
-                                           body, problem):
-        store = self._populated(tmp_path, fake_fingerprints)
-        self._plant_table(store, "ef" * 32)  # well-formed, another tree
-        assert store.verify().clean
-        path = self._plant_table(store, "ab" * 32, body)
-        report = store.verify()
-        assert report.ok == 5
-        assert report.problems == [f"fingerprints/{path.name}: {problem}"]
-
-    def test_tables_are_not_records(self, tmp_path, fake_fingerprints):
-        # Tables are derived data: stats skips them.
-        store = self._populated(tmp_path, fake_fingerprints)
-        self._plant_table(store, "ab" * 32)
-        stats = store.stats()
-        assert stats.records == 5 and stats.torn_lines == 0
-        assert stats.bytes == sum(s.stat().st_size for s in store.shard_files())
 
 
 # ---------------------------------------------------------------------------

@@ -115,6 +115,7 @@ def test_no_fast_path_options(clean_env, capsys):
 # ---------------------------------------------------------------------------
 
 INVALID = [
+    (dict(seed=-1), ["--seed", "-1"]),
     (dict(jobs=-2), ["--jobs", "-2"]),
     (dict(sim_iters=0), ["--sim-iters", "0"]),
     (dict(store="tcp://127.0.0.1:1"), ["--store", "tcp://127.0.0.1:1"]),

@@ -3,9 +3,9 @@
 Each row runs every registered experiment (quick grids, seed 1) under
 one execution strategy and must render the report whose digest the
 end-to-end benchmark pins (``benchmarks/e2e/expected.json``), and write
-the JSON and CSV exports pinned in :data:`EXPORT_DIGESTS`.  The sanitize row also checks
-the sanitizer's stderr-only banner; the store rows
-check that a warm store serves every cell and parses no source.
+the JSON and CSV exports pinned in :data:`EXPORT_DIGESTS`, without
+parsing any source.  The sanitize row also checks the sanitizer's
+stderr-only banner; the warm store row checks that it serves every cell.
 """
 
 from __future__ import annotations
@@ -52,8 +52,8 @@ def golden(tmp_path_factory):
         if row not in done:
             if row == "store-warm":
                 batch("store-cold")
-                # A warm run starts with no fingerprint in memory: it
-                # must read the table the cold run persisted.
+            if row.startswith("store-"):
+                # A store run starts with no code identity in memory.
                 ModuleIndex.reset_default()
             options = {**OFF, **{k: store if v == STORE else v for k, v in ROWS[row].items()}}
             with mock.patch.object(ast, "parse", wraps=ast.parse) as parse:
@@ -98,4 +98,4 @@ def test_strategy_renders_the_golden_report(
         assert batch.sanitize_summary.endswith(" 0 warning(s), 0 errors")
     if row == "store-warm":
         assert "84 served, 0 executed, 0 published" in batch.store_summary
-        assert parses == 0
+    assert parses == 0

@@ -460,20 +460,6 @@ class TestResource:
         with pytest.raises(ValueError):
             Resource(eng, capacity=0)
 
-    def test_utilisation_accounting(self):
-        eng = Engine()
-        res = Resource(eng, capacity=1)
-
-        def worker():
-            yield res.request()
-            yield eng.timeout(2.0)
-            res.release()
-            yield eng.timeout(2.0)
-
-        eng.process(worker())
-        eng.run()
-        assert res.utilisation() == pytest.approx(0.5)
-
 
 class TestStore:
     def test_put_then_get(self):

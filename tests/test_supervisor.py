@@ -777,19 +777,24 @@ class TestJournalFormatV2:
 
 
 class TestCodeFingerprintResume:
-    """Resume is keyed by code identity for statically known workers."""
+    """Resume is keyed by the package's source digest for its workers."""
 
     CELL = Cell((1,), "npb_point", ("cg", "Vayu", 2, 1, "S", None))
 
     def test_store_records_code_for_registered_worker(self, tmp_path):
-        from repro.analysis.static import worker_fingerprint
+        import pathlib
+
+        import repro
+        from repro.analysis.static import package_sources, sources_digest
 
         store = CellStore(tmp_path / "store")
         run_sweep([self.CELL], Run(store=store))
         [shard] = store.shard_files()
         (rec,) = [json.loads(l) for l in shard.read_text().splitlines()]
-        assert rec["code"] == worker_fingerprint("npb_point")
-        assert len(rec["code"]) == 32
+        root = pathlib.Path(repro.__file__).parent
+        assert rec["code"] == sources_digest(
+            "repro", package_sources(root)
+        )[:32]
 
     def test_matching_fingerprint_resumes_byte_identically(self, tmp_path):
         root = tmp_path / "store"
@@ -810,12 +815,9 @@ class TestCodeFingerprintResume:
         rec = json.loads(shard.read_text())
         rec["result"] = {"projected_time": -1.0}
         shard.write_text(json.dumps(rec) + "\n")
-        # The worker's code has "changed": its fingerprint moves.
-        real = static.worker_fingerprint
-        monkeypatch.setattr(
-            static, "worker_fingerprint",
-            lambda worker: "0" * 32 if worker == "npb_point" else real(worker),
-        )
+        # The package's code has "changed": its source digest moves.
+        static.worker_fingerprint("npb_point")
+        monkeypatch.setattr(static, "_package_code", "0" * 32)
         store = CellStore(root)
         report = run_sweep([self.CELL], Run(store=store))
         # The stale-code entry must not be trusted: the cell re-runs
