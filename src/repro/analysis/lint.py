@@ -35,12 +35,14 @@ DET012    stale ``lint-ok`` suppression: the suppressed rule did not
           fire on that line
 ========  ==================================================================
 
-Rules DET007–DET011 are *deep* rules: they only run during the
-whole-program closure analysis (``repro lint --deep``, backed by
-:mod:`repro.analysis.static`), where a finding can be attributed to the
-cell workers whose transitive call graph reaches it.  Plain
-``repro lint`` keeps to the intra-file rules DET000–DET006 (plus the
-DET012 staleness audit of suppressions for those rules).
+Rules DET007–DET011 are *deep* rules: they run only in the deep pass
+(``repro lint --deep``, :func:`lint_package`), which judges every file of
+the installed package — the files whose bytes key the cell store
+(:func:`repro.analysis.static.package_files`).  Plain ``repro lint``
+keeps to the intra-file rules DET000–DET006 (plus the DET012 staleness
+audit of suppressions for those rules).  A host-side line that trips a
+deep rule without being able to change a cell's result carries a
+suppression that says why.
 
 Suppress a finding by ending the offending line with a comment of the
 form ``# lint-ok: DET001 <reason>`` (rule list optional: a bare
@@ -79,9 +81,9 @@ RULES: dict[str, str] = {
     "DET012": "stale lint-ok suppression (rule did not fire)",
 }
 
-#: Rules that only run under the whole-program closure analysis
-#: (``repro lint --deep``); plain per-file lint never fires them, and a
-#: suppression listing one is not considered stale outside deep mode.
+#: Rules that only run in the deep pass (``repro lint --deep``); plain
+#: lint never fires them, and a suppression listing one is not
+#: considered stale outside deep mode.
 DEEP_RULES: frozenset[str] = frozenset(
     {"DET007", "DET008", "DET009", "DET010", "DET011"}
 )
@@ -587,9 +589,8 @@ def lint_source(
 ) -> list[LintFinding]:
     """Lint one source string; returns the unsuppressed findings.
 
-    ``deep=True`` additionally runs the closure-analysis rules
-    DET007–DET011 (normally driven by :mod:`repro.analysis.static`,
-    which also attributes their findings to cell workers).  Suppression
+    ``deep=True`` additionally runs the deep rules DET007–DET011
+    (normally driven by :func:`lint_package`).  Suppression
     comments whose listed rules did not fire — counting only the rules
     enabled in this mode — are reported as DET012, which is itself never
     suppressible.
@@ -646,7 +647,7 @@ def lint_file(
     """
     p = pathlib.Path(path)
     try:
-        source = p.read_text(encoding="utf-8")
+        source = p.read_text(encoding="utf-8")  # lint-ok: DET008 the linter's input, never a cell's
     except (UnicodeDecodeError, OSError) as exc:
         return [LintFinding(
             path=str(p), line=0, col=0, rule="DET000",
@@ -686,6 +687,26 @@ def lint_paths(
     for f in iter_python_files(paths):
         findings.extend(lint_file(f, deep=deep))
     return findings
+
+
+def lint_package(root: str | pathlib.Path | None = None) -> list[LintFinding]:
+    """The deep pass: lint every file of the package at ``root`` (default:
+    the installed :mod:`repro`) with the deep rules enabled.
+
+    Its scope is :func:`repro.analysis.static.package_files`, the files
+    whose bytes key the cell store.  Only the deep rules' findings are
+    kept, with DET000 (unparsable) and DET012 (a stale suppression,
+    deep-rule ones included); the plain rules are left to
+    :func:`lint_paths`.
+    """
+    from repro.analysis.static import _package_root, package_files
+
+    root, _ = _package_root(root, None)
+    return [
+        f for rel in package_files(root)
+        for f in lint_file(root / rel, deep=True)
+        if f.rule in DEEP_RULES or f.rule in ("DET000", "DET012")
+    ]
 
 
 def render_findings(findings: _t.Sequence[LintFinding]) -> str:

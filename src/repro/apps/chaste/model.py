@@ -219,11 +219,10 @@ class ChasteBenchmark:
         *,
         placement: Placement | None = None,
         seed: int = 0,
-        reps: int = 1,
     ) -> ChasteResult:
         result = run_program(
             platform, nprocs, self.make_program(),
-            placement=placement, seed=seed, reps=reps,
+            placement=placement, seed=seed,
         )
         mon = result.monitor
         steady = max(

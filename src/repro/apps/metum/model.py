@@ -273,12 +273,11 @@ class MetumBenchmark:
         *,
         num_nodes: int | None = None,
         seed: int = 0,
-        reps: int = 1,
     ) -> MetumResult:
         placement = self.placement_for(platform, nprocs, num_nodes)
         result = run_program(
             platform, nprocs, self.make_program(),
-            placement=placement, seed=seed, reps=reps,
+            placement=placement, seed=seed,
         )
         mon = result.monitor
         steady = max(

@@ -27,9 +27,9 @@ Commands
 ``lint [paths...]``
     Static determinism linter over ``src``/``benchmarks`` (or the given
     paths); exits 1 when findings remain (see ``docs/analysis.md``).
-    ``--deep`` adds the whole-program analysis (call-graph closures,
-    DET007-DET011, each worker's closure size); ``--json`` prints the
-    findings as JSON.
+    ``--deep`` adds the deep rules (DET007-DET011) over every file of
+    the installed package, the files whose bytes key the cell store;
+    ``--json`` prints the findings as one JSON list.
 ``osu <platform>``
     Run the OSU latency + bandwidth pair on one platform.
 ``npb <bench> <platform> <nprocs>``
@@ -136,42 +136,20 @@ def _cmd_osu(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
+    import dataclasses
     import json
 
-    from repro.analysis.lint import lint_paths, render_findings
+    from repro.analysis.lint import lint_package, lint_paths, render_findings
 
-    paths = args.paths or ["src", "benchmarks"]
-    # Per-file scan stays intra-file (DET001-DET006); the deep rules
-    # (DET007-DET011) are interprocedural by definition and run over
-    # the worker call-graph closures in analyze_workers() below.
-    findings: list[_t.Any] = list(lint_paths(paths))
-    report = None
+    # The given paths get the plain rules (DET000-DET006, DET012); the
+    # deep rules (DET007-DET011) judge the installed package's files.
+    findings = lint_paths(args.paths or ["src", "benchmarks"])
     if args.deep:
-        from repro.analysis.static import analyze_workers
-
-        report = analyze_workers()
-        findings.extend(report.findings)
+        findings += lint_package()
     if args.json:
-        payload: _t.Any = [
-            {"path": f.path, "line": f.line, "col": f.col,
-             "rule": f.rule, "message": f.message,
-             **({"workers": list(f.workers)} if hasattr(f, "workers") else {})}
-            for f in findings
-        ]
-        if report is not None:
-            payload = {"findings": payload,
-                       "workers": report.to_dict()["workers"]}
-        print(json.dumps(payload, indent=2))
+        print(json.dumps([dataclasses.asdict(f) for f in findings], indent=2))
     else:
-        if report is not None:
-            for c in report.closures:
-                print(f"  {c.describe()}")
-        plain = [f for f in findings if not hasattr(f, "workers")]
-        deep = [f for f in findings if hasattr(f, "workers")]
-        if plain or not deep:
-            print(render_findings(plain))
-        for f in deep:
-            print(f.render())
+        print(render_findings(findings))
     return 1 if findings else 0
 
 
@@ -274,10 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--json", action="store_true", help="JSON findings")
     lint.add_argument(
         "--deep", action="store_true",
-        help="whole-program analysis: resolve every registered cell "
-             "worker's call-graph closure, enable the interprocedural "
-             "rules (DET007-DET011) over it, and print each worker's "
-             "closure size",
+        help="also run the deep rules (DET007-DET011) over every file "
+             "of the installed package, the files whose bytes key the "
+             "cell store",
     )
 
     store = sub.add_parser(

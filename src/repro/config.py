@@ -96,15 +96,15 @@ def world_scope(
     try:
         yield reports
     finally:
-        _COLLECTORS.pop()
-        _INSTALLED.pop()
+        _COLLECTORS.pop()  # lint-ok: DET007 undoes the append above
+        _INSTALLED.pop()  # lint-ok: DET007 undoes the append above
 
 
 def install_worker_options(options: WorldOptions) -> None:
     """Pool-worker initializer hook: ``options`` rule this process, and
     collectors inherited from a forking parent are dropped."""
-    _INSTALLED[:] = [options]
-    _COLLECTORS.clear()
+    _INSTALLED[:] = [options]  # lint-ok: DET007 pool start-up installs the dispatching run's options
+    _COLLECTORS.clear()  # lint-ok: DET007 pool start-up drops a forking parent's observers
 
 
 def collect_sanitizer_report(report: _t.Any) -> None:

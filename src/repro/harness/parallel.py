@@ -82,7 +82,7 @@ _IS_POOL_WORKER = False
 def _pool_worker_init(options: WorldOptions) -> None:
     """Pool-worker initializer: mark this process as a pool worker and
     install the dispatching run's world options in it."""
-    global _IS_POOL_WORKER
+    global _IS_POOL_WORKER  # lint-ok: DET007 set once at pool start-up; only the chaos hook reads it
     _IS_POOL_WORKER = True
     install_worker_options(options)
 
@@ -97,7 +97,7 @@ def _maybe_chaos_kill() -> None:
     inline execution and the sweep still completes.  Never fires in the
     dispatching process itself, and is a no-op when the variable is unset.
     """
-    spec = os.environ.get("REPRO_CHAOS_KILL")
+    spec = os.environ.get("REPRO_CHAOS_KILL")  # lint-ok: DET008 may end this process, never changes a cell's result
     if not spec or not _IS_POOL_WORKER:
         return
     marker = spec

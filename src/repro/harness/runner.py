@@ -75,7 +75,7 @@ class BatchResult:
     def write_csv(self, path: str | pathlib.Path) -> None:
         """Comparison rows as CSV."""
         rows = self.comparison_rows()
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", newline="") as fh:  # lint-ok: DET008 writes the CSV export; it reads nothing
             writer = csv.DictWriter(
                 fh, fieldnames=["experiment", "metric", "measured", "paper", "delta_pct"]
             )

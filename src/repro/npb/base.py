@@ -125,7 +125,6 @@ class NpbBenchmark(abc.ABC):
         *,
         placement: Placement | None = None,
         seed: int = 0,
-        reps: int = 1,
     ) -> BenchResult:
         """Execute the skeleton and return a :class:`BenchResult`."""
         if not self.valid_nprocs(nprocs):
@@ -134,7 +133,7 @@ class NpbBenchmark(abc.ABC):
             )
         result = run_program(
             platform, nprocs, self.make_program(),
-            placement=placement, seed=seed, reps=reps,
+            placement=placement, seed=seed,
         )
         steady = max(
             p.regions[STEADY_REGION].wall_time

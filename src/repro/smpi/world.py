@@ -545,21 +545,8 @@ def run_program(
     *args: _t.Any,
     placement: Placement | None = None,
     seed: int = 0,
-    reps: int = 1,
     **kwargs: _t.Any,
 ) -> RunResult:
-    """Convenience wrapper: build a world, run, optionally repeat.
-
-    With ``reps > 1`` the run is repeated with distinct seeds and the
-    result with the *minimum* wall time is returned — the paper's
-    protocol ("each run was repeated 5 times, with the minimum time
-    being used").
-    """
-    best: RunResult | None = None
-    for rep in range(max(1, reps)):
-        world = MpiWorld(platform, nprocs, placement=placement, seed=seed + 1000 * rep)
-        result = world.launch(program, *args, **kwargs)
-        if best is None or result.wall_time < best.wall_time:
-            best = result
-    assert best is not None
-    return best
+    """Convenience wrapper: build one world and run ``program`` on it."""
+    world = MpiWorld(platform, nprocs, placement=placement, seed=seed)
+    return world.launch(program, *args, **kwargs)

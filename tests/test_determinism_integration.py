@@ -66,12 +66,6 @@ class TestCrossLayerConsistency:
         # Different simulated-iteration counts project to similar totals.
         assert short.projected_time == pytest.approx(long.projected_time, rel=0.1)
 
-    def test_reps_minimum_never_worse(self):
-        bench = get_benchmark("ep")
-        one = bench.run(EC2, 16, seed=11, reps=1).projected_time
-        best = bench.run(EC2, 16, seed=11, reps=3).projected_time
-        assert best <= one + 1e-12
-
     def test_wall_time_ge_any_region(self):
         r = MetumBenchmark(sim_steps=1).run(DCC, 8, seed=1)
         for prof in r.monitor.profiles:

@@ -16,7 +16,7 @@ from unittest import mock
 
 import pytest
 
-from repro.analysis.static import ModuleIndex
+from repro.analysis import static
 from repro.harness.runner import run_batch
 
 #: The sanitizer off unless a row turns it on, so no row inherits
@@ -54,7 +54,7 @@ def golden(tmp_path_factory):
                 batch("store-cold")
             if row.startswith("store-"):
                 # A store run starts with no code identity in memory.
-                ModuleIndex.reset_default()
+                static._package_code = None
             options = {**OFF, **{k: store if v == STORE else v for k, v in ROWS[row].items()}}
             with mock.patch.object(ast, "parse", wraps=ast.parse) as parse:
                 done[row] = run_batch(None, quick=True, seed=1, **options), parse.call_count

@@ -1,9 +1,10 @@
 """Set-up loads only what every run needs.
 
-numpy is imported by the first random stream and the process pool by
-the first pool, so the set-up imports, a warm ``run_batch`` and a warm
-``python -m repro run all`` load neither.  Each check runs in a fresh
-interpreter, because this one has imported both long ago.
+numpy is imported by the first random stream, the process pool by the
+first pool and the determinism linter by ``repro lint`` alone, so the
+set-up imports, a warm ``run_batch`` and a warm ``python -m repro run
+all`` load none of them.  Each check runs in a fresh interpreter,
+because this one has imported them long ago.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ import pytest
 import repro
 from repro.harness.runner import run_batch
 
-#: Modules a run must not load unless it simulates or starts a pool.
-DEFERRED = ("numpy", "concurrent.futures.process")
+#: Modules a run must not load unless it simulates or starts a pool;
+#: the linter no run loads.
+DEFERRED = ("numpy", "concurrent.futures.process", "repro.analysis.lint")
 #: Prints which of :data:`DEFERRED` are loaded, as a JSON list.
 LOADED = f"import json, sys; print(json.dumps([m for m in {DEFERRED!r} if m in sys.modules]))"
 

@@ -1,13 +1,13 @@
-"""Whole-program static analysis and the cell store's code identity.
+"""The deep lint's scope and the cell store's code identity.
 
-Exercises ``repro.analysis.static`` against a synthetic fixture package
-(worker discovery, call-graph closure through imports/re-exports/
-methods, closure-attributed deep findings, indexing under
-dot-directories) and against the real repo (``repro lint --deep``
-cleanliness, every dispatched worker and package on the measured path),
-and the code identity the store keys on: a digest of the package's
-source bytes, one per package, shared by every package worker, hashed
-without parsing, and absent for workers registered outside it.
+Exercises the deep pass (``repro lint --deep``,
+:func:`repro.analysis.lint.lint_package`) against a synthetic fixture
+package (every file judged, reachable or not; dot-directories) and
+against the real repo (cleanliness, the file list it visits, one JSON
+shape), every dispatched worker and package on the measured path, and
+the code identity the store keys on: a digest of the package's source
+bytes, one per package, shared by every package worker, hashed without
+parsing, and absent for workers registered outside it.
 """
 
 from __future__ import annotations
@@ -22,13 +22,8 @@ import textwrap
 
 import pytest
 
-from repro.analysis import static
-from repro.analysis.static import (
-    ModuleIndex,
-    analyze_workers,
-    worker_closure,
-    worker_fingerprint,
-)
+from repro.analysis import lint, static
+from repro.analysis.static import worker_fingerprint
 from repro.cli import main
 from repro.config import Run
 from repro.errors import ConfigError
@@ -106,42 +101,21 @@ def fixpkg(tmp_path):
     return write_fixpkg(tmp_path)
 
 
-def fix_index(root: pathlib.Path) -> ModuleIndex:
-    return ModuleIndex(root, package="fixpkg")
+def deep_findings(root: pathlib.Path) -> list[tuple[str, int, str]]:
+    """``(path relative to root, line, rule)`` of the deep pass's findings."""
+    return [
+        (pathlib.Path(f.path).relative_to(root).as_posix(), f.line, f.rule)
+        for f in lint.lint_package(root)
+    ]
 
 
 # ---------------------------------------------------------------------------
-# Worker discovery and call-graph closure
+# Filling the code identity
 # ---------------------------------------------------------------------------
 
 class TestClosure:
-    def test_workers_discovered_statically(self, fixpkg):
-        assert set(fix_index(fixpkg).workers()) == {"fix_alpha", "fix_beta"}
-
-    def test_direct_call_chain_resolved(self, fixpkg):
-        c = worker_closure("fix_alpha", fix_index(fixpkg))
-        names = set(c.definitions)
-        assert ("fixpkg.maths", "double") in names
-        assert ("fixpkg.deeper", "offset") in names
-        assert ("fixpkg.deeper", "TWEAK") in names  # constants bust the cache
-
-    def test_registry_indirection_pulls_value_in(self, fixpkg):
-        # beta reaches cubed through a dict-literal registry: lookup()
-        # is resolved, and lookup's module pulls TABLE and cubed in.
-        c = worker_closure("fix_beta", fix_index(fixpkg))
-        names = set(c.definitions)
-        assert ("fixpkg.registry", "lookup") in names
-        assert ("fixpkg.registry", "TABLE") in names
-        assert ("fixpkg.maths", "cubed") in names
-
-    def test_unreachable_function_excluded(self, fixpkg):
-        c = worker_closure("fix_alpha", fix_index(fixpkg))
-        assert ("fixpkg.workers", "unreachable") not in set(c.definitions)
-        assert ("fixpkg.maths", "cubed") not in set(c.definitions)
-
-    def test_unknown_worker_rejected(self, fixpkg):
-        with pytest.raises(ConfigError, match="unknown cell worker"):
-            worker_closure("no_such", fix_index(fixpkg))
+    """The code identity is filled once per process, from the whole
+    package or not at all."""
 
     def test_unindexable_package_fingerprints_none(self, monkeypatch):
         """No package directory (e.g. a zipimport): the store is bypassed
@@ -195,20 +169,20 @@ def runtime_repro_workers() -> list[str]:
 
 class TestDotDirectories:
     def test_fixture_under_dot_directory_indexes_the_same(self, tmp_path):
-        plain = fix_index(write_fixpkg(tmp_path / "plain"))
-        hidden = fix_index(write_fixpkg(tmp_path / ".venv" / "lib"))
-        assert set(hidden.workers()) == set(plain.workers()) \
-            == {"fix_alpha", "fix_beta"}
-        for worker in plain.workers():
-            assert worker_closure(worker, hidden) == \
-                worker_closure(worker, plain)
+        plain = write_fixpkg(tmp_path / "plain")
+        hidden = write_fixpkg(tmp_path / ".venv" / "lib")
+        assert static.package_files(hidden) == static.package_files(plain)
+        assert deep_findings(hidden) == deep_findings(plain) != []
 
     def test_dot_files_below_the_root_are_still_skipped(self, fixpkg):
         (fixpkg / ".scratch").mkdir()
         (fixpkg / ".scratch" / "junk.py").write_text(
-            "def junk():\n    return 1\n", encoding="utf-8"
+            "import os\n\ndef junk():\n    return os.getenv('HOME')\n",
+            encoding="utf-8",
         )
-        assert not any(".scratch" in m for m in fix_index(fixpkg).modules)
+        assert not any(".scratch" in rel.parts
+                       for rel in static.package_files(fixpkg))
+        assert not any(".scratch" in path for path, _, _ in deep_findings(fixpkg))
 
     @pytest.mark.parametrize("where", ["installed", "dot-directory copy"])
     def test_every_runtime_worker_has_a_fingerprint(
@@ -258,7 +232,7 @@ class TestFingerprints:
         return static.sources_digest("fixpkg", static.package_sources(pkg))
 
     def test_one_byte_comment_edit_moves_the_digest(self, fixpkg):
-        # workers.unreachable is in no worker's closure.
+        # workers.py's edit is a comment after a function no worker calls.
         before = self.digest(fixpkg)
         assert self.digest(fixpkg) == before
         with open(fixpkg / "workers.py", "a", encoding="utf-8") as fh:
@@ -351,21 +325,40 @@ class TestMeasuredPath:
         """Each registered worker is dispatched by some experiment's
         declared cells under ``--full``: a worker no experiment runs is
         dead weight, so it is deleted rather than kept."""
-        registered = set(ModuleIndex.default().workers())
+        registered = set(runtime_repro_workers())
         assert sorted(registered - self._dispatched_workers()) == []
 
     def test_every_package_is_reached_by_a_worker(self):
-        """Each package under ``repro`` holds a module in the closure of
-        a worker ``run all --full`` dispatches: a package no dispatched
-        cell reaches is dead weight on the measured path."""
+        """Each package under ``repro`` holds a function called while the
+        first quick cell of each worker ``run all --full`` dispatches
+        runs: a package no dispatched cell calls into is dead weight on
+        the measured path.  Reach is measured, not inferred: the cells
+        run under a profile hook that records each called function's
+        module."""
         import repro
+        from repro.config import RunConfig
+        from repro.harness.experiments import CELLS
+        from repro.harness.parallel import _execute
 
-        index = ModuleIndex.default()
-        reached = {
-            module
-            for worker in sorted(self._dispatched_workers())
-            for module in worker_closure(worker, index).modules
-        }
+        first: dict[str, Cell] = {}
+        for build in CELLS.values():
+            for cell in build(RunConfig(quick=True)):
+                first.setdefault(cell.worker, cell)
+        dispatched = sorted(self._dispatched_workers())
+        assert set(dispatched) <= set(first)
+
+        reached: set[str] = set()
+
+        def profile(frame, event, arg):
+            if event == "call":
+                reached.add(frame.f_globals.get("__name__", ""))
+
+        sys.setprofile(profile)
+        try:
+            for worker in dispatched:
+                _execute(first[worker])
+        finally:
+            sys.setprofile(None)
         root = pathlib.Path(repro.__file__).parent
         packages = sorted(
             ".".join(("repro", *init.parent.relative_to(root).parts))
@@ -381,32 +374,44 @@ class TestMeasuredPath:
 
 
 # ---------------------------------------------------------------------------
-# Deep findings: closure attribution
+# The deep pass: every file of the package
 # ---------------------------------------------------------------------------
 
 class TestDeepAttribution:
-    def test_env_read_attributed_to_reaching_workers(self, fixpkg):
-        report = analyze_workers(fix_index(fixpkg))
-        det008 = [f for f in report.findings if f.rule == "DET008"]
-        # offset() reads os.environ and both workers... only alpha
-        # reaches deeper.offset; beta goes through the registry to cubed.
-        assert det008, report.render()
-        assert any(f.workers == ("fix_alpha",) for f in det008)
+    """Deep findings are attributed to files, every file of the package,
+    not to the workers that reach them."""
 
-    def test_hazard_in_unreachable_function_dropped(self, fixpkg):
-        report = analyze_workers(fix_index(fixpkg))
-        # workers.unreachable reads os.environ but nothing reaches it.
-        assert not any("workers.py" in f.path for f in report.findings), (
-            report.render()
-        )
+    def test_hazard_in_unreachable_function_reported(self, fixpkg):
+        """``workers.unreachable`` reads ``os.environ`` and no worker
+        calls it: the deep pass judges it anyway, as it does
+        ``deeper.offset``, which a worker does reach."""
+        det008 = [(path, rule) for path, _, rule in deep_findings(fixpkg)
+                  if rule == "DET008"]
+        assert ("workers.py", "DET008") in det008
+        assert ("deeper.py", "DET008") in det008
+
+    def test_deep_pass_visits_exactly_the_package_files(self, monkeypatch):
+        """The deep lint's scope is the code identity's: every file
+        ``sources_digest`` hashes, and no other."""
+        import repro
+
+        root = pathlib.Path(repro.__file__).parent
+        visited: list[pathlib.Path] = []
+        real = lint.lint_file
+
+        def recording(path, **options):
+            visited.append(pathlib.Path(path))
+            return real(path, **options)
+
+        monkeypatch.setattr(lint, "lint_file", recording)
+        assert lint.lint_package() == []
+        assert visited == [root / rel for rel in static.package_files(root)]
 
     def test_repo_deep_lint_clean(self, capsys):
         """Acceptance criterion: ``repro lint --deep`` exits 0 on the repo."""
         assert main(["lint", "--deep", str(REPO / "src"),
                      str(REPO / "benchmarks")]) == 0
-        out = capsys.readouterr().out
-        assert "lint: clean" in out
-        assert "npb_point" in out  # closure summary printed
+        assert capsys.readouterr().out == "lint: clean\n"
 
 
 # ---------------------------------------------------------------------------
@@ -414,17 +419,31 @@ class TestDeepAttribution:
 # ---------------------------------------------------------------------------
 
 class TestReporting:
-    def test_cli_deep_gate(self, fixpkg, capsys, monkeypatch):
-        # `repro lint --deep` exits 1 on the dirty fixture, and its JSON
-        # form lists the same findings with their workers.
-        monkeypatch.setattr(
-            "repro.analysis.static.ModuleIndex.default",
-            classmethod(lambda cls: fix_index(fixpkg)),
+    @pytest.fixture()
+    def deep_fixture(self, fixpkg, monkeypatch):
+        """The fixture package, plus one plain finding, standing in for
+        the installed package under ``repro lint --deep``."""
+        (fixpkg / "clock.py").write_text(
+            "import time\n\ndef stamp():\n    return time.time()\n",
+            encoding="utf-8",
         )
-        assert main(["lint", "--deep", str(fixpkg)]) == 1
-        capsys.readouterr()
-        assert main(["lint", "--deep", "--json", str(fixpkg)]) == 1
-        doc = json.loads(capsys.readouterr().out)
-        deep = [f for f in doc["findings"] if "workers" in f]
-        assert deep, "expected deep findings on the dirty fixture"
-        assert all(f["rule"].startswith("DET") and f["workers"] for f in deep)
+        real = lint.lint_package
+        monkeypatch.setattr(lint, "lint_package", lambda: real(fixpkg))
+        return fixpkg
+
+    def test_cli_deep_gate(self, deep_fixture, capsys):
+        # `repro lint --deep` exits 1 on the fixture's deep findings.
+        assert main(["lint", "--deep", str(deep_fixture)]) == 1
+        out = capsys.readouterr().out
+        assert "workers.py" in out and "DET008" in out
+
+    def test_deep_json_is_the_plain_list_shape(self, deep_fixture, capsys):
+        """``--deep --json`` prints one list of findings shaped like plain
+        ``--json``: the plain findings first, then the deep ones."""
+        assert main(["lint", "--json", str(deep_fixture)]) == 1
+        plain = json.loads(capsys.readouterr().out)
+        assert main(["lint", "--deep", "--json", str(deep_fixture)]) == 1
+        deep = json.loads(capsys.readouterr().out)
+        assert [f["rule"] for f in plain] == ["DET001"]
+        assert deep[:1] == plain and len(deep) > 1
+        assert {tuple(f) for f in deep} == {tuple(plain[0])}

@@ -141,8 +141,8 @@ def _tally(tally_dir):
 @pytest.fixture
 def fake_fingerprints(monkeypatch):
     """Give the test-local ``sup_*`` workers code identities so the store
-    serves and publishes them (the static analyzer cannot see workers
-    registered from a test module)."""
+    serves and publishes them (a worker registered from a test module
+    has no code identity)."""
     import repro.analysis.static as static
 
     real = static.worker_fingerprint
