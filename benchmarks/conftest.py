@@ -25,15 +25,16 @@ def run_and_report(benchmark, report_sink):
     """Benchmark one experiment and stash its rendering."""
 
     def _run(experiment_id: str, quick: bool = True):
-        from repro.harness import run_experiment
+        from repro.harness import run_batch
 
-        result = benchmark.pedantic(
-            run_experiment,
-            args=(experiment_id,),
+        batch = benchmark.pedantic(
+            run_batch,
+            args=([experiment_id],),
             kwargs={"quick": quick, "seed": 1},
             iterations=1,
             rounds=1,
         )
+        result = batch.outputs[experiment_id]
         report_sink.append(result.render())
         return result
 

@@ -12,7 +12,8 @@ Run:  python examples/climate_study.py
 
 from repro.analysis.stats import render_stats_table, speedup_series, table3_stats
 from repro.harness.figures import render_speedup_plot
-from repro.harness.parallel import Cell, run_cells
+from repro.harness.parallel import Cell
+from repro.harness.supervisor import run_cells
 from repro.ipm.report import render_fig7_ascii
 
 SEED, SIM_STEPS = 7, 3
@@ -36,7 +37,7 @@ def main():
              (platform, p, _nodes(label, nodes, p), SEED, SIM_STEPS))
         for label, platform, nodes in VARIANTS
         for p in COUNTS
-    ])
+    ]).results
     series = {}
     for label, _platform, _nodes_ in VARIANTS:
         times = {p: points[(label, p)]["warmed_time"] for p in COUNTS}

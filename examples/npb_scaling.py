@@ -14,7 +14,8 @@ import sys
 
 from repro.analysis.stats import speedup_series
 from repro.harness.figures import render_series_table, render_speedup_plot
-from repro.harness.parallel import Cell, run_cells
+from repro.harness.parallel import Cell
+from repro.harness.supervisor import run_cells
 from repro.npb import get_benchmark
 
 PLATFORMS = ("DCC", "EC2", "Vayu")
@@ -31,7 +32,7 @@ def main():
         for name in PLATFORMS
         for p in counts
     ]
-    points = run_cells(cells)
+    points = run_cells(cells).results
     curves = {
         name: speedup_series(
             {p: points[(name, p)]["projected_time"] for p in counts}, counts[0]

@@ -23,8 +23,9 @@ DET006    collective call (``yield from comm.allreduce(...)`` etc.) under
 DET007    function mutates (or rebinds) a module-level global — hidden
           state that differs between pool workers and across runs
 DET008    environment/filesystem read (``os.environ``, ``os.getenv``,
-          ``open``, ``read_text``/``read_bytes``) in simulation code —
-          results must depend only on the cell payload
+          ``open`` unless its mode is a write-only literal,
+          ``read_text``/``read_bytes``) in simulation code — results
+          must depend only on the cell payload
 DET009    set order escaping into an ordered value (``list(set(...))``,
           ``tuple({...})``, ``",".join(set(...))``)
 DET010    cell worker captures an unpicklable value (lambda default
@@ -57,6 +58,7 @@ from __future__ import annotations
 import ast
 import dataclasses
 import io
+import os
 import pathlib
 import re
 import tokenize
@@ -115,6 +117,20 @@ _MUTATING_METHODS = frozenset({
 })
 #: Attribute calls that read file contents (DET008).
 _FS_READ_METHODS = frozenset({"read_text", "read_bytes"})
+
+
+def _write_only(call: ast.Call) -> bool:
+    """Whether an ``open()`` call's mode is a literal that cannot read:
+    ``"w"``, ``"a"`` or ``"x"`` (``b``/``t`` allowed), with no ``"+"``."""
+    mode = call.args[1] if len(call.args) > 1 else next(
+        (k.value for k in call.keywords if k.arg == "mode"), None
+    )
+    return (
+        isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+        and len(set(mode.value) & set("wax")) == 1
+        and set(mode.value) <= set("waxbt")
+    )
+
 
 _SUPPRESS_RE = re.compile(
     r"lint-ok(?:\s*:\s*(?P<rules>[A-Z]+\d+(?:\s*,\s*[A-Z]+\d+)*))?"
@@ -483,7 +499,7 @@ class _FileLinter(ast.NodeVisitor):
             if len(dotted) == 1 and head in self.getenv_names:
                 self._flag(node, "DET008", "os.getenv() read")
                 return
-            if len(dotted) == 1 and head == "open":
+            if len(dotted) == 1 and head == "open" and not _write_only(node):
                 self._flag(node, "DET008", "open() in simulation code")
                 return
         if (
@@ -707,6 +723,27 @@ def lint_package(root: str | pathlib.Path | None = None) -> list[LintFinding]:
         for f in lint_file(root / rel, deep=True)
         if f.rule in DEEP_RULES or f.rule in ("DET000", "DET012")
     ]
+
+
+def lint_run(
+    paths: _t.Iterable[str | pathlib.Path], *, deep: bool = False
+) -> list[LintFinding]:
+    """What ``repro lint [--deep] PATHS`` reports: the plain pass over
+    ``paths``, then, with ``deep``, the deep pass (:func:`lint_package`).
+
+    Both passes judge a package file that ``paths`` cover, so both
+    report its DET000 and the DET012 of a stale plain-rule suppression
+    in it; each such finding is reported once, under the path given.
+    """
+    findings = lint_paths(paths)
+    if deep:
+        seen = {_identity(f) for f in findings}
+        findings += [f for f in lint_package() if _identity(f) not in seen]
+    return findings
+
+
+def _identity(f: LintFinding) -> tuple[str, int, int, str, str]:
+    return os.path.realpath(f.path), f.line, f.col, f.rule, f.message
 
 
 def render_findings(findings: _t.Sequence[LintFinding]) -> str:

@@ -87,22 +87,11 @@ def sources_digest(package: str, sources: _Sources) -> str:
 _package_code: str | None = None
 
 
-def worker_fingerprint(worker: str) -> str | None:
-    """The cell store's code identity for ``worker``, or ``None``.
-
-    Every worker registered from a ``repro.`` module shares one identity:
-    the source digest of the installed package, hashed once per process
-    at first use.  ``None`` means "no code identity available" — a worker
-    registered elsewhere (e.g. from a test module), or a package that is
-    not a directory (e.g. a zipimport) — and the store then neither
-    serves nor publishes that worker's cells: they always execute.
-    """
+def package_code() -> str | None:
+    """The installed package's source digest, cut to
+    :data:`FINGERPRINT_WIDTH` and hashed once per process at first use;
+    ``None`` for a package that is not a directory (e.g. a zipimport)."""
     global _package_code  # lint-ok: DET007 once-per-process cache of the source digest; every fill stores the same value
-    from repro.harness.parallel import _WORKERS
-
-    fn = _WORKERS.get(worker)
-    if fn is None or not fn.__module__.startswith("repro."):
-        return None
     if _package_code is None:
         try:
             root, package = _package_root(None, None)
@@ -111,3 +100,20 @@ def worker_fingerprint(worker: str) -> str | None:
         digest = sources_digest(package, package_sources(root))
         _package_code = digest[:FINGERPRINT_WIDTH]
     return _package_code
+
+
+def worker_fingerprint(worker: str) -> str | None:
+    """The cell store's code identity for ``worker``, or ``None``.
+
+    Every worker registered from a ``repro.`` module shares one identity,
+    :func:`package_code`.  ``None`` means "no code identity available" —
+    a worker registered elsewhere (e.g. from a test module), or a
+    package that is not a directory — and the store then neither
+    serves nor publishes that worker's cells: they always execute.
+    """
+    from repro.harness.parallel import _WORKERS
+
+    fn = _WORKERS.get(worker)
+    if fn is None or not fn.__module__.startswith("repro."):
+        return None
+    return package_code()

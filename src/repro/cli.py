@@ -139,13 +139,11 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     import dataclasses
     import json
 
-    from repro.analysis.lint import lint_package, lint_paths, render_findings
+    from repro.analysis.lint import lint_run, render_findings
 
     # The given paths get the plain rules (DET000-DET006, DET012); the
     # deep rules (DET007-DET011) judge the installed package's files.
-    findings = lint_paths(args.paths or ["src", "benchmarks"])
-    if args.deep:
-        findings += lint_package()
+    findings = lint_run(args.paths or ["src", "benchmarks"], deep=args.deep)
     if args.json:
         print(json.dumps([dataclasses.asdict(f) for f in findings], indent=2))
     else:
@@ -171,9 +169,7 @@ def _cmd_store(args: argparse.Namespace) -> int:
         print(report.render())
         return 0 if report.clean else 1
     if args.store_command == "gc":
-        report = store.gc(
-            drop_unknown=args.drop_unknown, dry_run=args.dry_run
-        )
+        report = store.gc(dry_run=args.dry_run)
         print(report.render())
         return 0
     raise AssertionError(f"unhandled store subcommand {args.store_command!r}")
@@ -282,11 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     st_gc.add_argument(
         "--dry-run", action="store_true",
         help="report what would be dropped without rewriting shards",
-    )
-    st_gc.add_argument(
-        "--drop-unknown", action="store_true",
-        help="also drop records of workers with no code identity here "
-             "(default: keep them — they may still serve another host)",
     )
 
     osu = sub.add_parser("osu", help="run OSU latency/bandwidth on a platform")

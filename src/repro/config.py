@@ -3,8 +3,8 @@
 Every knob of a ``repro run`` lives on :class:`RunConfig`, validated
 in one place, and reaches the code below it as one explicit argument:
 :meth:`RunConfig.open` opens the per-run resources (cell store, harness
-tally, run table) as a :class:`Run`, and that object is passed down ``run_experiment`` → experiment functions →
-``run_cells`` → ``run_sweep``.
+tally) as a :class:`Run`, and that object is passed down ``run_batch`` →
+``run_experiments`` → ``run_cells``.
 
 Precedence is one rule for every field: an explicit value (a CLI flag,
 a keyword argument) wins, else the field's environment spelling, else
@@ -190,23 +190,14 @@ class Run:
     ``store`` is ``None`` when not configured (sweeps then run without
     a store); ``stats`` is the harness tally every sweep of the run
     merges into; ``reports`` collects the in-process worlds'
-    sanitizer reports.  ``results`` is the run
-    table: every successful cell result a sweep of this run produced,
-    keyed by the cell's payload
-    (:func:`~repro.harness.supervisor.run_table_key`).  Code and world
-    options are fixed for one run, so the payload alone decides a
-    result, and the sweep driver serves a payload it finds here instead
-    of simulating it again; the values are shared between the cells
-    that asked for them and are read-only.  ``Run()`` is a
-    default, unopened run: no store, the world options in force, an
-    empty run table.
+    sanitizer reports.  ``Run()`` is a default, unopened run: no store,
+    the world options in force.
     """
 
     config: RunConfig = dataclasses.field(default_factory=RunConfig)
     store: "CellStore | None" = None
     stats: "HarnessStats" = dataclasses.field(default_factory=_harness_stats)
     reports: WorldReports = dataclasses.field(default_factory=WorldReports)
-    results: dict[tuple[str, str], _t.Any] = dataclasses.field(default_factory=dict)
 
     def summaries(self) -> dict[str, str | None]:
         """The stderr-only ``harness``/``store`` banners.

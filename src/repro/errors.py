@@ -88,12 +88,11 @@ class CellExecutionError(ReproError):
     raises would raise the same way again.  A dead pool worker is not a
     failure: the driver runs the cells it may have taken inline.
 
-    The driver (:func:`repro.harness.supervisor.run_sweep`) collects one
+    The driver (:func:`repro.harness.supervisor.run_cells`) collects one
     instance per failed cell onto its
-    :class:`~repro.harness.supervisor.SweepReport`;
-    :func:`repro.harness.parallel.run_cells` raises the first in cell
-    order, and ``run_batch`` renders it as a ``FAILED(worker-exception)``
-    entry.
+    :class:`~repro.harness.supervisor.SweepReport` and never raises it;
+    ``run_batch`` renders an experiment's first failed cell as a
+    ``FAILED(worker-exception)`` entry.
     """
 
     def __init__(

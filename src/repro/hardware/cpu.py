@@ -104,11 +104,6 @@ class CpuSpec:
             return self.physical_cores * self.smt
         return self.physical_cores
 
-    @property
-    def total_mem_bw(self) -> float:
-        """Aggregate sustained memory bandwidth across all sockets."""
-        return self.sockets * self.socket.mem_bw
-
     def core_throughput_factor(self, ranks_on_node: int) -> float:
         """Per-rank pipeline-throughput factor for ``ranks_on_node`` ranks.
 

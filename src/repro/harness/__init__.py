@@ -8,14 +8,15 @@ can show paper-vs-measured side by side.
 
 Usage::
 
-    from repro.harness import run_experiment, EXPERIMENTS
-    out = run_experiment("fig4", quick=True)
+    from repro.harness import run_batch
+    out = run_batch(["fig4"], quick=True).outputs["fig4"]
     print(out.render())
 """
 
-from repro.harness.experiments import EXPERIMENTS, ExperimentOutput, run_experiment
+from repro.harness.experiments import EXPERIMENTS, ExperimentOutput
 from repro.harness.figures import render_series_table, render_speedup_plot
-from repro.harness.supervisor import SweepReport, run_sweep
+from repro.harness.runner import run_batch
+from repro.harness.supervisor import SweepReport, run_cells
 from repro.harness import paper
 
 __all__ = [
@@ -25,6 +26,6 @@ __all__ = [
     "paper",
     "render_series_table",
     "render_speedup_plot",
-    "run_experiment",
-    "run_sweep",
+    "run_batch",
+    "run_cells",
 ]

@@ -37,14 +37,14 @@ are resolved last-record-wins on read and compacted by ``gc``.
 
 Wiring
 ------
-The sweep driver (:func:`repro.harness.supervisor.run_sweep`) plans
+The sweep driver (:func:`repro.harness.supervisor.run_cells`) plans
 every sweep against the run's store (:attr:`repro.config.Run.store`,
 opened from ``repro run --store PATH`` / ``run_batch(store=...)``)
 before dispatching any cell and publishes fresh results as they arrive.
-The run table (:attr:`repro.config.Run.results`) sits in front of it:
-only the first cell of a run with a given payload reaches the store.
-Store hits merge by cell key, so a store-served sweep renders
-byte-identically to a fresh one — the CI round-trip guard holds this.
+A batch is one sweep, and only the first cell of a sweep with a given
+payload reaches the store.  Store hits merge by cell key, so a
+store-served sweep renders byte-identically to a fresh one — the CI
+round-trip guard holds this.
 
 The ``repro store`` CLI exposes maintenance: ``stats``, ``verify``
 (full integrity re-derivation of every key and payload hash) and ``gc``
@@ -263,7 +263,6 @@ class GcReport:
     dropped_stale: int = 0
     dropped_duplicate: int = 0
     dropped_malformed: int = 0
-    dropped_unknown: int = 0
     dropped_torn: int = 0
     dry_run: bool = False
 
@@ -271,8 +270,7 @@ class GcReport:
     def dropped(self) -> int:
         return (
             self.dropped_stale + self.dropped_duplicate
-            + self.dropped_malformed + self.dropped_unknown
-            + self.dropped_torn
+            + self.dropped_malformed + self.dropped_torn
         )
 
     def render(self) -> str:
@@ -280,8 +278,7 @@ class GcReport:
         return (
             f"store gc: kept {self.kept}, {verb} {self.dropped} "
             f"({self.dropped_stale} stale, {self.dropped_duplicate} duplicate, "
-            f"{self.dropped_malformed} malformed, {self.dropped_unknown} "
-            f"unknown-worker, {self.dropped_torn} torn)"
+            f"{self.dropped_malformed} malformed, {self.dropped_torn} torn)"
         )
 
 
@@ -746,18 +743,22 @@ class CellStore:
                     report.ok += 1
         return report
 
-    def gc(self, *, drop_unknown: bool = False, dry_run: bool = False) -> GcReport:
+    def gc(self, *, dry_run: bool = False) -> GcReport:
         """Compact the store, dropping records that can never be served.
 
         Dropped: malformed/torn records, duplicate keys (last record
-        wins, matching read semantics), records whose code identity
-        differs from the worker's *current* one (stale — the never-stale
-        key discipline means they are unreachable garbage), and — only
-        with ``drop_unknown`` — records of workers with no code identity
-        on this host (they may still serve another host).  Shards are
-        rewritten to a temp file and atomically renamed, so concurrent
-        readers always see a complete shard.
+        wins, matching read semantics), and records whose code identity
+        is not this package's source digest
+        (:func:`~repro.analysis.static.package_code`), whatever their
+        worker: stale — the never-stale key discipline means they are
+        unreachable garbage.  A package with no code identity judges
+        nothing stale.  Shards are rewritten to a temp file and
+        atomically renamed, so concurrent readers always see a complete
+        shard.
         """
+        from repro.analysis import static
+
+        code = static.package_code()
         report = GcReport(dry_run=dry_run)
         for shard in self.shard_files():
             survivors: dict[str, str] = {}  # key -> line, last wins
@@ -768,12 +769,7 @@ class CellStore:
                 if record_problem(rec) is not None:
                     report.dropped_malformed += 1
                     continue
-                current = self._code(rec["worker"])
-                if current is None:
-                    if drop_unknown:
-                        report.dropped_unknown += 1
-                        continue
-                elif current != rec["code"]:
+                if code is not None and rec["code"] != code:
                     report.dropped_stale += 1
                     continue
                 if rec["k"] in survivors:
@@ -789,7 +785,7 @@ class CellStore:
             body = "".join(
                 survivors[k] + "\n" for k in sorted(survivors)
             )
-            with open(tmp, "w", encoding="utf-8") as fh:  # lint-ok: DET008 gc rewrites a shard; it reads nothing
+            with open(tmp, "w", encoding="utf-8") as fh:
                 fh.write(body)
                 fh.flush()
                 os.fsync(fh.fileno())

@@ -1,24 +1,24 @@
 """The per-figure/table experiment registry.
 
 Each experiment regenerates one artefact of the paper's evaluation and
-returns an :class:`ExperimentOutput` holding the structured data, a text
-rendering (the "same rows/series the paper reports"), and a list of
-paper-vs-measured comparison points.
+is two functions.  Its builder ``(RunConfig) -> list[Cell]`` in
+:data:`CELLS` declares the independent simulation *cells* (see
+:mod:`repro.harness.parallel`) it needs, keyed by config point; ``tab1``
+declares none.  Its renderer in :data:`EXPERIMENTS`, ``(RunConfig,
+{key: result}) -> ExperimentOutput``, turns those cells' results into
+the structured data, a text rendering (the "same rows/series the paper
+reports") and a list of paper-vs-measured comparison points.  A
+renderer never sweeps.
 
-Every experiment function takes the open :class:`~repro.config.Run` and
-reads what it needs from ``run.config``: ``quick=True`` trims sweep sizes
-for test/bench budgets without changing what is measured, ``quick=False``
-runs the full grids.
+Both read what they need from the config: ``quick=True`` trims sweep
+sizes for test/bench budgets without changing what is measured,
+``quick=False`` runs the full grids.
 
-Sweep-style experiments decompose into independent simulation *cells*
-(see :mod:`repro.harness.parallel`) keyed by config point.  Each one
-declares its cells through one builder ``(RunConfig) -> list[Cell]`` in
-:data:`CELLS` and hands that builder's cells to ``run_cells`` with the
-run.  :func:`repro.harness.runner.run_batch` calls the same builders up
-front and runs every declared cell of the batch in one sweep, so an
-experiment's own ``run_cells`` is then served from the run table.
-``jobs > 1`` fans the cells over a process pool with results merged in
-cell order, so parallel and serial runs are byte-identical.
+:func:`run_experiments` is a batch: it runs every cell its experiments
+declare in one sweep, then renders each experiment from its slice of
+the results.  ``jobs > 1`` fans the cells over a process pool with
+results merged in cell order, so parallel and serial runs are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -32,15 +32,16 @@ from repro.analysis.stats import (
     speedup_series,
     table3_stats,
 )
-from repro.config import Run, RunConfig, using
-from repro.errors import ConfigError
+from repro.config import Run, RunConfig
+from repro.errors import CellExecutionError
 from repro.harness import paper
 from repro.harness.figures import (
     percent_delta,
     render_series_table,
     render_speedup_plot,
 )
-from repro.harness.parallel import Cell, run_cells
+from repro.harness.parallel import Cell
+from repro.harness.supervisor import run_cells
 from repro.ipm.report import render_fig7_ascii
 from repro.platforms import DCC, EC2, VAYU, platform_table
 
@@ -75,7 +76,7 @@ class ExperimentOutput:
 _PLATFORMS = (DCC, EC2, VAYU)
 
 
-def exp_tab1(run: Run) -> ExperimentOutput:
+def exp_tab1(config: RunConfig, points: dict) -> ExperimentOutput:
     """Table I: the experimental platforms."""
     text = platform_table()
     return ExperimentOutput("tab1", "Experimental platforms", {"table": text}, text)
@@ -102,11 +103,10 @@ def _fig1_cells(config: RunConfig) -> list[Cell]:
     return _osu_cells(config, "bandwidth", 4 if config.quick else 20, 1)
 
 
-def exp_fig1(run: Run) -> ExperimentOutput:
+def exp_fig1(config: RunConfig, points: dict) -> ExperimentOutput:
     """Fig 1: OSU bandwidth on the three platforms."""
-    sizes = _osu_sizes(run.config.quick)
-    curves = run_cells(_fig1_cells(run.config), run)
-    series = {spec.name: curves[(spec.name,)] for spec in _PLATFORMS}
+    sizes = _osu_sizes(config.quick)
+    series = {spec.name: points[(spec.name,)] for spec in _PLATFORMS}
     rows = {n: [series[s.name][n] / 1e6 for s in _PLATFORMS] for n in sizes}
     text = render_series_table(
         "OSU bandwidth (MB/s)", [s.name for s in _PLATFORMS], rows, "{:.1f}",
@@ -133,11 +133,10 @@ def _fig2_cells(config: RunConfig) -> list[Cell]:
     return _osu_cells(config, "latency", 20 if config.quick else 100, 2)
 
 
-def exp_fig2(run: Run) -> ExperimentOutput:
+def exp_fig2(config: RunConfig, points: dict) -> ExperimentOutput:
     """Fig 2: OSU latency on the three platforms."""
-    sizes = _osu_sizes(run.config.quick)
-    curves = run_cells(_fig2_cells(run.config), run)
-    series = {spec.name: curves[(spec.name,)] for spec in _PLATFORMS}
+    sizes = _osu_sizes(config.quick)
+    series = {spec.name: points[(spec.name,)] for spec in _PLATFORMS}
     rows = {n: [series[s.name][n] * 1e6 for s in _PLATFORMS] for n in sizes}
     text = render_series_table(
         "OSU latency (us)", [s.name for s in _PLATFORMS], rows, "{:.2f}",
@@ -171,9 +170,8 @@ def _fig3_cells(config: RunConfig) -> list[Cell]:
     ]
 
 
-def exp_fig3(run: Run) -> ExperimentOutput:
+def exp_fig3(config: RunConfig, points: dict) -> ExperimentOutput:
     """Fig 3: single-process NPB times, normalised to DCC."""
-    points = run_cells(_fig3_cells(run.config), run)
     data: dict[str, dict[str, float]] = {}
     rows = {}
     comparisons = []
@@ -218,11 +216,10 @@ def _fig4_cells(config: RunConfig) -> list[Cell]:
     ]
 
 
-def exp_fig4(run: Run) -> ExperimentOutput:
+def exp_fig4(config: RunConfig, points: dict) -> ExperimentOutput:
     """Fig 4: NPB speedup curves on the three platforms."""
-    quick = run.config.quick
+    quick = config.quick
     benches = _fig4_benches(quick)
-    points = run_cells(_fig4_cells(run.config), run)
     plots = []
     data: dict[str, dict[str, dict[int, float]]] = {}
     for name in benches:
@@ -253,10 +250,9 @@ def _tab2_cells(config: RunConfig) -> list[Cell]:
     ]
 
 
-def exp_tab2(run: Run) -> ExperimentOutput:
+def exp_tab2(config: RunConfig, points: dict) -> ExperimentOutput:
     """Table II: IPM percentage communication for CG, FT and IS."""
-    counts = _tab2_counts(run.config.quick)
-    points = run_cells(_tab2_cells(run.config), run)
+    counts = _tab2_counts(config.quick)
     blocks = []
     comparisons = []
     data: dict[str, dict[int, tuple[float, float, float]]] = {}
@@ -305,10 +301,9 @@ def _fig5_cells(config: RunConfig) -> list[Cell]:
     ]
 
 
-def exp_fig5(run: Run) -> ExperimentOutput:
+def exp_fig5(config: RunConfig, points: dict) -> ExperimentOutput:
     """Fig 5: Chaste total and KSp speedups on Vayu and DCC."""
-    counts = _app_counts(run.config.quick)
-    points = run_cells(_fig5_cells(run.config), run)
+    counts = _app_counts(config.quick)
     series: dict[str, dict[int, float]] = {}
     t8: dict[str, float] = {}
     for spec in (VAYU, DCC):
@@ -352,10 +347,9 @@ def _fig6_cells(config: RunConfig) -> list[Cell]:
     ]
 
 
-def exp_fig6(run: Run) -> ExperimentOutput:
+def exp_fig6(config: RunConfig, points: dict) -> ExperimentOutput:
     """Fig 6: UM 'warmed' speedups on Vayu, DCC, EC2 and EC2-4."""
-    counts = _app_counts(run.config.quick)
-    points = run_cells(_fig6_cells(run.config), run)
+    counts = _app_counts(config.quick)
     series: dict[str, dict[int, float]] = {}
     t8: dict[str, float] = {}
     for label, spec, nodes in _um_variants():
@@ -377,7 +371,7 @@ def _tab3_cells(config: RunConfig) -> list[Cell]:
     """Fig 6's 32-core cells, keyed ``(label,)``.
 
     Table III and Fig 7 are IPM views of the 32-core runs Fig 6 times,
-    so their cells carry exactly Fig 6's payloads and a run simulates
+    so their cells carry exactly Fig 6's payloads and a batch simulates
     each of those worlds once.
     """
     return [
@@ -387,9 +381,8 @@ def _tab3_cells(config: RunConfig) -> list[Cell]:
     ]
 
 
-def exp_tab3(run: Run) -> ExperimentOutput:
+def exp_tab3(config: RunConfig, points: dict) -> ExperimentOutput:
     """Table III: UM statistics at 32 cores."""
-    points = run_cells(_tab3_cells(run.config), run)
     rows = table3_stats(
         {label: points[(label,)] for label, _spec, _nodes in _um_variants()},
         reference_platform="Vayu",
@@ -415,14 +408,13 @@ def _fig7_cells(config: RunConfig) -> list[Cell]:
             if cell.key[0] in (VAYU.name, DCC.name)]
 
 
-def exp_fig7(run: Run) -> ExperimentOutput:
+def exp_fig7(config: RunConfig, points: dict) -> ExperimentOutput:
     """Fig 7: per-process ATM_STEP breakdown on Vayu and DCC.
 
     Fig 7 is the per-process view of Fig 6's 32-core Vayu and DCC runs
-    (also Table III's), so within one run its cells are served from
-    those results instead of simulated again.
+    (also Table III's), so within one batch its cells are twins of
+    those and are not simulated again.
     """
-    points = run_cells(_fig7_cells(run.config), run)
     sections = []
     data = {}
     for spec in (VAYU, DCC):
@@ -457,9 +449,8 @@ def _arrivef_cells(config: RunConfig) -> list[Cell]:
     return [Cell((s,), "arrivef_point", (config.seed + s,)) for s in seeds]
 
 
-def exp_arrivef(run: Run) -> ExperimentOutput:
+def exp_arrivef(config: RunConfig, points: dict) -> ExperimentOutput:
     """ARRIVE-F throughput experiment (section II)."""
-    points = run_cells(_arrivef_cells(run.config), run)
     runs = list(points.values())
     best = max(r["wait_improvement_pct"] for r in runs)
     mean_impr = sum(r["wait_improvement_pct"] for r in runs) / len(runs)
@@ -477,8 +468,8 @@ def exp_arrivef(run: Run) -> ExperimentOutput:
     )
 
 
-#: The registry, in the paper's presentation order.
-EXPERIMENTS: dict[str, _t.Callable[..., ExperimentOutput]] = {
+#: The renderers, by experiment id, in the paper's presentation order.
+EXPERIMENTS: dict[str, _t.Callable[[RunConfig, dict], ExperimentOutput]] = {
     "tab1": exp_tab1,
     "fig1": exp_fig1,
     "fig2": exp_fig2,
@@ -492,10 +483,8 @@ EXPERIMENTS: dict[str, _t.Callable[..., ExperimentOutput]] = {
     "arrivef": exp_arrivef,
 }
 
-#: The cells each sweeping experiment declares, by experiment id: the
-#: builder its function calls, so a batch can plan every cell before
-#: any experiment runs.  An experiment without an entry (``tab1``)
-#: runs its own sweeps, if any.
+#: The cells each experiment declares, by experiment id; an experiment
+#: without an entry (``tab1``) declares none.
 CELLS: dict[str, _t.Callable[[RunConfig], list[Cell]]] = {
     "fig1": _fig1_cells,
     "fig2": _fig2_cells,
@@ -510,24 +499,51 @@ CELLS: dict[str, _t.Callable[[RunConfig], list[Cell]]] = {
 }
 
 
-def run_experiment(
-    experiment_id: str, run: Run | None = None, **options: _t.Any
-) -> ExperimentOutput:
-    """Run one registered experiment by id, under ``run`` (else a run
-    opened from ``RunConfig(**options)``: ``quick``, ``seed``, ``jobs``,
-    ``sim_iters``, ...).
+def _failed_output(eid: str, err: CellExecutionError) -> ExperimentOutput:
+    """Render an experiment whose cells failed as an explicit
+    ``FAILED(worker-exception)`` entry instead of dying mid-batch."""
+    first_line = str(err).splitlines()[0]
+    return ExperimentOutput(
+        experiment_id=eid,
+        title="FAILED(worker-exception)",
+        data={"error": str(err), "cell_key": err.key},
+        text=f"FAILED(worker-exception): {first_line}",
+    )
 
-    ``jobs > 1`` fans the experiment's independent sweep cells over a
-    process pool; results are merged deterministically, so the output is
-    byte-identical to a ``jobs=1`` run at the same seed.  ``sim_iters``
-    overrides the NPB steady-loop iteration count (non-NPB experiments
-    ignore it).
+
+def run_experiments(
+    ids: _t.Sequence[str],
+    run: Run,
+    progress: _t.Callable[[str], None] | None = None,
+) -> tuple[dict[str, ExperimentOutput], dict[str, CellExecutionError]]:
+    """Run the experiments ``ids`` under ``run`` as one batch: ``(outputs,
+    failures)``, both by experiment id.
+
+    Every cell the experiments declare goes into one sweep, keyed
+    ``(experiment, key)``, in the order of ``ids``.  Then each
+    experiment, in that order, after ``progress(eid)``, is rendered from
+    its own cells' results under their own keys.  An experiment with a
+    failed cell is not rendered: it becomes a ``FAILED(worker-exception)``
+    entry for its first failed cell in its own cell order, under its own
+    key.
     """
-    try:
-        fn = EXPERIMENTS[experiment_id]
-    except KeyError:
-        raise ConfigError(
-            f"unknown experiment {experiment_id!r}; available: {sorted(EXPERIMENTS)}"
-        ) from None
-    with using(run, **options) as run:
-        return fn(run)
+    declared = {eid: CELLS[eid](run.config) if eid in CELLS else [] for eid in ids}
+    report = run_cells(
+        [Cell((eid, c.key), c.worker, c.args)
+         for eid, cells in declared.items() for c in cells],
+        run,
+    )
+    outputs: dict[str, ExperimentOutput] = {}
+    failures: dict[str, CellExecutionError] = {}
+    for eid, cells in declared.items():
+        if progress is not None:
+            progress(eid)
+        err = next((report.failures[(eid, c.key)] for c in cells
+                    if (eid, c.key) in report.failures), None)
+        if err is None:
+            points = {c.key: report.results[(eid, c.key)] for c in cells}
+            outputs[eid] = EXPERIMENTS[eid](run.config, points)
+        else:
+            failures[eid] = CellExecutionError(err.key[1], err.worker, err.detail)
+            outputs[eid] = _failed_output(eid, failures[eid])
+    return outputs, failures

@@ -5,8 +5,8 @@ config-point, seed)`` simulation such as "CG class B on Vayu at 16
 processes with seed 1".  Every simulation builds its own engine from an
 explicit seed and touches no shared state, so cells can run in any
 process in any order; determinism then only requires that results are
-**merged by cell key, never by completion order**, which
-:func:`run_cells` guarantees.  ``jobs=1`` executes the very same worker
+**merged by cell key, never by completion order**, which the sweep
+driver guarantees.  ``jobs=1`` executes the very same worker
 functions inline, so serial and parallel sweeps render byte-identical
 reports.
 
@@ -15,8 +15,8 @@ Workers are plain module-level functions (registered with
 plain dicts/floats — the contract that keeps cells cheap to ship to a
 ``ProcessPoolExecutor`` and trivially deterministic to merge.
 
-:func:`run_cells` hands every sweep to the one driver,
-:func:`repro.harness.supervisor.run_sweep` (store planning, dispatch,
+Every sweep goes through the one driver,
+:func:`repro.harness.supervisor.run_cells` (store planning, dispatch,
 degradation of dead workers, and structured failures of cells that
 raise).
 """
@@ -28,7 +28,7 @@ import os
 import tempfile
 import typing as _t
 
-from repro.config import Run, WorldOptions, install_worker_options
+from repro.config import WorldOptions, install_worker_options
 from repro.errors import ConfigError
 
 
@@ -37,7 +37,7 @@ class Cell:
     """One independent simulation unit of a sweep.
 
     ``key`` is the stable merge identity (a tuple of primitives, unique
-    within one :func:`run_cells` call); ``worker`` names a registered
+    within one sweep); ``worker`` names a registered
     worker function; ``args`` are its positional arguments.
     """
 
@@ -148,30 +148,6 @@ def check_unique_keys(cells: _t.Sequence[Cell]) -> None:
         raise ConfigError(
             f"duplicate cell keys ({len(dupes)} distinct): {shown}{more}"
         )
-
-
-def run_cells(
-    cells: _t.Sequence[Cell], run: Run | None = None, **options: _t.Any
-) -> dict[tuple, _t.Any]:
-    """Execute ``cells`` and return ``{cell.key: result}`` in cell order.
-
-    A thin wrapper over the sweep driver
-    (:func:`repro.harness.supervisor.run_sweep`) under ``run`` (or a run
-    opened from ``RunConfig(**options)``): it plans against the run's
-    cell store, runs cells inline for ``jobs <= 1`` and on a process
-    pool otherwise, and degrades the cells a dead pool worker may have
-    taken to inline execution.  The mapping is assembled in the order
-    the cells were given, so any ``jobs`` renders byte-identical
-    reports.  A cell that raised raises its
-    :class:`~repro.errors.CellExecutionError` here — the first in cell
-    order, never completion order.
-    """
-    from repro.harness.supervisor import run_sweep
-
-    report = run_sweep(cells, run, **options)
-    if report.failures:
-        raise next(iter(report.failures.values()))
-    return report.results
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,9 @@ import json
 import pathlib
 import typing as _t
 
-from repro.config import Run, RunConfig
+from repro.config import RunConfig
 from repro.errors import CellExecutionError, ConfigError
-from repro.harness.experiments import CELLS, EXPERIMENTS, ExperimentOutput, run_experiment
-from repro.harness.parallel import Cell
-from repro.harness.supervisor import HarnessStats, run_sweep
+from repro.harness.experiments import EXPERIMENTS, ExperimentOutput, run_experiments
 
 
 @dataclasses.dataclass(slots=True)
@@ -75,7 +73,7 @@ class BatchResult:
     def write_csv(self, path: str | pathlib.Path) -> None:
         """Comparison rows as CSV."""
         rows = self.comparison_rows()
-        with open(path, "w", newline="") as fh:  # lint-ok: DET008 writes the CSV export; it reads nothing
+        with open(path, "w", newline="") as fh:
             writer = csv.DictWriter(
                 fh, fieldnames=["experiment", "metric", "measured", "paper", "delta_pct"]
             )
@@ -85,43 +83,6 @@ class BatchResult:
     def write_text(self, path: str | pathlib.Path) -> None:
         """The full human-readable report."""
         pathlib.Path(path).write_text(self.render() + "\n")
-
-
-def _failed_output(eid: str, err: CellExecutionError) -> ExperimentOutput:
-    """Render an experiment whose cells failed as an explicit
-    ``FAILED(worker-exception)`` entry instead of dying mid-batch."""
-    first_line = str(err).splitlines()[0]
-    return ExperimentOutput(
-        experiment_id=eid,
-        title="FAILED(worker-exception)",
-        data={"error": str(err), "cell_key": err.key},
-        text=f"FAILED(worker-exception): {first_line}",
-    )
-
-
-def _sweep_declared(
-    ids: _t.Sequence[str], run: Run
-) -> dict[str, CellExecutionError]:
-    """Run every cell the experiments ``ids`` declare (:data:`CELLS`) in
-    one sweep, keyed ``(experiment, key)``; returns each experiment's
-    first failed cell in its own cell order, under its own key."""
-    declared = {eid: CELLS[eid](run.config) for eid in ids if eid in CELLS}
-    if not declared:
-        return {}
-    report = run_sweep(
-        [Cell((eid, c.key), c.worker, c.args)
-         for eid, cells in declared.items() for c in cells],
-        run,
-    )
-    failed: dict[str, CellExecutionError] = {}
-    for eid, cells in declared.items():
-        err = next(
-            (report.failures[(eid, c.key)] for c in cells
-             if (eid, c.key) in report.failures), None,
-        )
-        if err is not None:
-            failed[eid] = CellExecutionError(err.key[1], err.worker, err.detail)
-    return failed
 
 
 def _sanitize_summary(reports: _t.Sequence[_t.Any], pooled: int) -> str:
@@ -156,21 +117,22 @@ def run_batch(
     ``sim_iters``, ``sanitize``, ``store``.
     The config is opened once (:meth:`~repro.config.RunConfig.open`)
     and the resulting :class:`~repro.config.Run` serves the whole batch
-    — one store, one harness tally, one run table — and every world is
-    built with the run's world options: inline through one in-process
-    install, in pool workers through the pool initializer.
+    — one store, one harness tally — and every world is built with the
+    run's world options: inline through one in-process install, in pool
+    workers through the pool initializer.
 
-    The batch plans, runs, then renders.  Every cell the requested
-    experiments declare (:data:`~repro.harness.experiments.CELLS`) goes
-    into one sweep, in presentation order, so simulation happens before
-    the first ``progress`` call; each distinct payload is simulated at
-    most once (fig4 and tab2 reuse fig3's NPB points, tab3 and fig7 read
-    fig6's UM runs).  Then each experiment is called in order, after
-    ``progress(eid)``, and its sweeps are served from the run table.  An
-    experiment whose declared cell failed is not called: it renders the
-    batch sweep's failure of its first failed cell, so a failing payload
-    is attempted once per batch however many experiments share it.
-    Experiments that declare no cells run their own sweeps when called.
+    The batch is one sweep, then renders
+    (:func:`~repro.harness.experiments.run_experiments`).  Every cell
+    the requested experiments declare
+    (:data:`~repro.harness.experiments.CELLS`) goes into the sweep, in
+    presentation order, so simulation happens before the first
+    ``progress`` call; each distinct payload is simulated at most once
+    (fig4 and tab2 reuse fig3's NPB points, tab3 and fig7 read fig6's UM
+    runs).  Then each experiment is rendered in order, after
+    ``progress(eid)``, from its own cells' results.  An experiment whose
+    cell failed renders the sweep's failure of its first failed cell, so
+    a failing payload is attempted once per batch however many
+    experiments share it.
 
     Whatever the strategy, the report renders byte-identically:
 
@@ -197,25 +159,8 @@ def run_batch(
     if unknown:
         raise ConfigError(f"unknown experiments: {unknown}")
 
-    outputs: dict[str, ExperimentOutput] = {}
-    failures: dict[str, CellExecutionError] = {}
     with config.open() as run:
-        failed = _sweep_declared(ids, run)
-        # Declared experiments re-read cells the batch sweep already
-        # tallied: a tally of their own keeps the banner counting each once.
-        served = dataclasses.replace(run, stats=HarnessStats())
-        for eid in ids:
-            if progress is not None:
-                progress(eid)
-            err = failed.get(eid)
-            if err is None:
-                try:
-                    outputs[eid] = run_experiment(eid, served if eid in CELLS else run)
-                    continue
-                except CellExecutionError as exc:
-                    err = exc
-            failures[eid] = err
-            outputs[eid] = _failed_output(eid, err)
+        outputs, failures = run_experiments(ids, run, progress)
         pooled = run.stats.pooled
         sanitize = (
             _sanitize_summary(run.reports.sanitizer, pooled) if config.sanitize else None

@@ -1,19 +1,16 @@
 """The sweep driver: the one path from a list of cells to ``{key: result}``.
 
-:func:`run_sweep` plans, dispatches and collects every sweep in the
-package — :func:`repro.harness.parallel.run_cells` is a thin wrapper
-over it.  :func:`repro.harness.runner.run_batch` runs every cell its
-experiments declare in one sweep, so a batch has one store plan and
-one pool.  One pass runs:
+:func:`run_cells` plans, dispatches and collects every sweep in the
+package.  A batch (:func:`repro.harness.runner.run_batch`) is one
+sweep: every cell its experiments declare, so it has one store plan
+and one pool.  One pass runs:
 
-* **plan** — each cell's payload (:func:`run_table_key`) is
-  looked up in the run table (:attr:`repro.config.Run.results`): a
-  payload an earlier sweep of the run produced is served from it, and a
-  payload a previous cell of this sweep asks for makes a *twin* that
-  takes that cell's outcome.  Only first occurrences go on: with the
-  run's cell store (:mod:`repro.harness.cellstore`) stored results are
-  served, the rest are leased to this run, and cells a peer holds a
-  lease on are deferred;
+* **plan** — a cell whose payload ``(worker, repr(args))`` an earlier
+  cell of the sweep asks for is a *twin* that takes that cell's
+  outcome.  Only first occurrences go on: with the run's cell store
+  (:mod:`repro.harness.cellstore`) stored results are served, the rest
+  are leased to this run, and cells a peer holds a lease on are
+  deferred;
 * **dispatch** — cells run inline (``jobs <= 1`` or a single pending
   cell) or on a ``ProcessPoolExecutor`` of ``min(jobs, cells)`` workers
   owned by the sweep (all cells submitted at once);
@@ -21,14 +18,12 @@ one pool.  One pass runs:
 * **await** — deferred cells are awaited from the peer, or run here if
   the peer gave up;
 * **release** — leases of cells that did not publish are dropped;
-* **share** — twins take their first occurrence's result (or a failure
-  under their own key), and successes join the run table.  Failures are
-  never remembered, so a later sweep attempts them again (a batch runs
-  every declared cell in one sweep and renders its failures, so there a
-  failing payload is attempted once per batch).
+* **share** — twins take their first occurrence's result, or a failure
+  under their own key.
 
-Each distinct payload is therefore simulated at most once per run,
-whichever experiments ask for it.
+Each distinct payload is therefore simulated at most once per sweep,
+whichever experiments ask for it, and a failing payload is attempted
+once.
 
 A cell is a deterministic function of its arguments, so it runs at
 most once: a cell that raised would raise the same way again.  Failure
@@ -114,7 +109,7 @@ class HarnessStats:
 
 @dataclasses.dataclass(slots=True)
 class SweepReport:
-    """Outcome of one :func:`run_sweep` call.
+    """Outcome of one :func:`run_cells` call.
 
     ``results`` holds successful cells and ``failures`` the cells that
     raised, both keyed and ordered by cell.
@@ -129,42 +124,38 @@ class SweepReport:
 # The driver
 # ---------------------------------------------------------------------------
 
-def run_sweep(
+def run_cells(
     cells: _t.Sequence["Cell"], run: "Run | None" = None, **options: _t.Any
 ) -> SweepReport:
     """Execute ``cells`` under ``run`` and return a :class:`SweepReport`.
 
     ``run`` (else one opened from ``RunConfig(**options)``) supplies
-    everything: the run table of results its earlier sweeps produced,
     the cell store to plan against, ``jobs`` — cells run inline for
     ``jobs <= 1`` and on a pool of ``min(jobs, cells)`` workers owned by
     this sweep otherwise — and the harness tally the sweep's stats merge
-    into.  Each distinct payload runs at most once per run.  Results
-    merge by key in cell order however the cells ran, so every strategy
-    renders byte-identical reports.
+    into.  Results merge by key in cell order however the cells ran, so
+    every strategy renders byte-identical reports.
     """
     with using(run, **options) as run:
-        return _run_sweep(list(cells), run)
+        return _run_cells(list(cells), run)
 
 
-def _run_sweep(cells: list["Cell"], run: "Run") -> SweepReport:
+def _run_cells(cells: list["Cell"], run: "Run") -> SweepReport:
     from repro.harness.cellstore import MISS
 
     parallel.check_unique_keys(cells)
     store = run.store
     sweep = _Sweep(store)
-    # Split by payload: served from the run table, twins of an earlier
-    # cell of this sweep, and first occurrences (the only ones run).
+    # Split by payload: twins of an earlier cell of this sweep, and
+    # first occurrences (the only ones run).  Cell args are primitives,
+    # for which ``repr`` is exact and typed (``1``, ``1.0`` and ``True``
+    # are three payloads).
     firsts: dict[tuple[str, str], "Cell"] = {}
     twins: list[tuple["Cell", "Cell"]] = []
     for c in cells:
-        payload = run_table_key(c)
-        if payload in run.results:
-            sweep.results[c.key] = run.results[payload]
-        elif payload in firsts:
-            twins.append((c, firsts[payload]))
-        else:
-            firsts[payload] = c
+        first = firsts.setdefault((c.worker, repr(c.args)), c)
+        if first is not c:
+            twins.append((c, first))
     try:
         pending, deferred = list(firsts.values()), []
         if store is not None and pending:
@@ -198,9 +189,6 @@ def _run_sweep(cells: list["Cell"], run: "Run") -> SweepReport:
         else:
             err = failures[first.key]
             failures[twin.key] = CellExecutionError(twin.key, err.worker, err.detail)
-    for payload, c in firsts.items():
-        if c.key in sweep.results:
-            run.results[payload] = sweep.results[c.key]
     stats = HarnessStats(
         ok=len(sweep.results),
         degraded=len(demoted),
@@ -213,18 +201,6 @@ def _run_sweep(cells: list["Cell"], run: "Run") -> SweepReport:
         failures={c.key: failures[c.key] for c in cells if c.key in failures},
         stats=stats,
     )
-
-
-def run_table_key(cell: "Cell") -> tuple[str, str]:
-    """A cell's payload as the run table keys it: ``(worker,
-    repr(args))``.
-
-    Cell args are primitives, for which ``repr`` is exact and typed
-    (``1``, ``1.0`` and ``True`` are three payloads), like the store's
-    :func:`~repro.harness.journal.payload_hash`, at a tenth of its cost:
-    a batch keys every cell twice, once to run it and once to serve it.
-    """
-    return cell.worker, repr(cell.args)
 
 
 class _Sweep:

@@ -209,8 +209,3 @@ def mixed_msg_time(ctx, nbytes: float, stride: int) -> float:
     return frac * ctx.shm_msg(nbytes) + (1.0 - frac) * ctx.net_msg(
         nbytes, link_share=max(1, min(ctx.rpn, stride))
     )
-
-
-def pow2_divisors_ok(n: int, parts: int) -> bool:
-    """True when ``parts`` divides ``n`` exactly (grid divisibility)."""
-    return parts >= 1 and n % parts == 0

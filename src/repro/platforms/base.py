@@ -37,8 +37,6 @@ from repro.virt.hypervisor import Hypervisor, NoHypervisor
 from repro.virt.jitter import OsNoiseModel
 
 if _t.TYPE_CHECKING:  # pragma: no cover
-    import numpy as np
-
     from repro.sim.engine import Engine
 
 
@@ -85,11 +83,6 @@ class PlatformSpec:
             raise ConfigError(f"platform needs >= 1 node: {self}")
         if not (0.0 < self.numa_penalty_factor <= 1.0):
             raise ConfigError(f"bad numa_penalty_factor: {self.numa_penalty_factor}")
-
-    @property
-    def total_cores(self) -> int:
-        """Schedulable core slots across the whole platform."""
-        return self.num_nodes * self.node.cpu.schedulable_slots
 
     def table1_row(self) -> dict[str, str]:
         """This platform's column of the paper's Table I."""
@@ -323,11 +316,6 @@ class Platform:
         """NIC serialisation time for an inter-node message."""
         fabric = self.spec.fabric
         return fabric.serialize_time(nbytes) / self.hypervisor.net_bw_factor()
-
-    @property
-    def net_rng(self) -> "np.random.Generator":
-        """Random stream used by network-level stochastic models."""
-        return self._net_rng
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Platform {self.spec.name} nodes={self.spec.num_nodes}>"

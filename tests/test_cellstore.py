@@ -27,8 +27,8 @@ from repro.harness.cellstore import (
     record_problem,
     store_key,
 )
-from repro.harness.parallel import Cell, cell_worker, run_cells
-from repro.harness.supervisor import run_sweep
+from repro.harness.parallel import Cell, cell_worker
+from repro.harness.supervisor import run_cells
 
 #: Inline executions of the counting test worker (jobs=1 runs in-process).
 _CALLS: list[tuple] = []
@@ -61,6 +61,10 @@ NPB_CELLS = [Cell((seed,), "npb_point", ("cg", "Vayu", 2, seed, "S", None))
              for seed in range(1, 5)]
 
 
+#: The package code identity under :func:`fake_fingerprints`.
+PACKAGE_CODE = "aa" * 16
+
+
 @pytest.fixture
 def fake_fingerprints(monkeypatch):
     """Give the test-local ``cs_*`` workers controllable code identities.
@@ -68,17 +72,19 @@ def fake_fingerprints(monkeypatch):
     Workers registered from a test module have no code identity, so
     this patches :func:`repro.analysis.static.worker_fingerprint`
     (the single source the store imports) with a
-    mutable mapping the test can edit to simulate a code change.
+    mutable mapping the test can edit to simulate a code change.  The
+    package's own identity, which ``gc`` judges records by, is
+    :data:`PACKAGE_CODE`, the code they start with.
     """
     import repro.analysis.static as static
 
-    fingerprints = {"cs_count": "aa" * 16, "cs_plain": "bb" * 16,
-                    "cs_fail": "cc" * 16}
+    fingerprints = dict.fromkeys(("cs_count", "cs_plain", "cs_fail"), PACKAGE_CODE)
     real = static.worker_fingerprint
     monkeypatch.setattr(
         static, "worker_fingerprint",
         lambda worker: fingerprints.get(worker, real(worker)),
     )
+    monkeypatch.setattr(static, "package_code", lambda: PACKAGE_CODE)
     return fingerprints
 
 
@@ -253,12 +259,12 @@ class TestRunCellsIntegration:
         cells = [Cell((i,), "cs_count", (i,)) for i in range(4)]
         store = CellStore(tmp_path / "store")
         del _CALLS[:]
-        first = run_cells(cells, Run(store=store))
+        first = run_cells(cells, Run(store=store)).results
         assert len(_CALLS) == 4
         assert store.published == 4
         store = CellStore(tmp_path / "store")
         del _CALLS[:]
-        second = run_cells(cells, Run(store=store))
+        second = run_cells(cells, Run(store=store)).results
         assert _CALLS == []  # simulate once...
         assert store.hits == 4 and store.misses == 0
         assert second == first
@@ -271,7 +277,7 @@ class TestRunCellsIntegration:
         cells = [Cell((i,), "cs_count", (i,)) for i in range(5)]
         store = CellStore(tmp_path / "store")
         del _CALLS[:]
-        out = run_cells(cells, Run(store=store))
+        out = run_cells(cells, Run(store=store)).results
         assert store.hits == 2 and store.misses == 3
         assert [x for _, x in _CALLS] == [0, 2, 4]
         assert list(out) == [(i,) for i in range(5)]
@@ -294,14 +300,14 @@ class TestRunCellsIntegration:
 
     def test_supervised_store_hits_counted(self, tmp_path, fake_fingerprints):
         # The resume path: a second run on the same store is served from
-        # it (a second sweep of one run would be served by the run table).
+        # it.
         cells = [Cell((i,), "cs_count", (i,)) for i in range(3)]
         store = CellStore(tmp_path / "store")
-        fresh = run_sweep(cells, Run(store=store))
+        fresh = run_cells(cells, Run(store=store))
         assert store.hits == 0 and store.published == 3
         store = CellStore(tmp_path / "store")
         del _CALLS[:]
-        served = run_sweep(cells, Run(store=store))
+        served = run_cells(cells, Run(store=store))
         assert _CALLS == []
         assert store.hits == 3 and store.published == 0
         assert served.stats.ok == 3
@@ -461,7 +467,7 @@ class TestLeases:
         for i, config in enumerate(self._TWIN_POLICIES):
             store = CellStore(tmp_path / f"store{i}")
             del _CALLS[:]
-            report = run_sweep(cells, Run(config, store=store))
+            report = run_cells(cells, Run(config, store=store))
             # One pending cell runs inline even at jobs=2.
             assert _CALLS == [("cs_count", 1)]
             assert report.results == {("a",): _cs_count(1), ("b",): _cs_count(1)}
@@ -481,7 +487,7 @@ class TestLeases:
         for i, config in enumerate(self._TWIN_POLICIES):
             store = CellStore(tmp_path / f"store{i}")
             del _CALLS[:]
-            report = run_sweep(cells, Run(config, store=store))
+            report = run_cells(cells, Run(config, store=store))
             assert _CALLS == [("cs_fail", 1)]
             assert sorted(report.failures) == [("a",), ("b",)]
             a, b = report.failures[("a",)], report.failures[("b",)]
@@ -689,7 +695,7 @@ def _race_sweep(root: str, marker_dir: str, jobs: int,
     )
     cells = [Cell((x,), "cs_race", (x, marker_dir)) for x in xs]
     store = CellStore(root)
-    results = run_cells(cells, Run(RunConfig(jobs=jobs), store=store))
+    results = run_cells(cells, Run(RunConfig(jobs=jobs), store=store)).results
     return {"results": results, "peer_waits": store.peer_waits,
             "published": store.published}
 
@@ -741,7 +747,7 @@ class TestExperimentByteIdentity:
         # is a garbled typed encoding: verify flags it, and a sweep
         # treats it as a miss — it re-runs that cell instead of dying.
         root = tmp_path / "store"
-        cold = run_cells(NPB_CELLS, store=root)
+        cold = run_cells(NPB_CELLS, store=root).results
         store = CellStore(root)
         shard = store.shard_files()[0]
         lines = shard.read_text().splitlines()
@@ -754,7 +760,7 @@ class TestExperimentByteIdentity:
             f"{shard.name}:1: result is not a typed encoding"
         ]
         with RunConfig(store=root).open() as run:
-            warm = run_cells(NPB_CELLS, run)
+            warm = run_cells(NPB_CELLS, run).results
         assert warm == cold
         assert "3 served, 1 executed, 1 published" in run.store.banner()
 
@@ -808,9 +814,9 @@ class TestMaintenance:
             assert record_problem({**good, field: garbled}) == reason
 
     def test_gc_drops_stale_and_duplicates(self, tmp_path, fake_fingerprints):
+        fake_fingerprints["cs_plain"] = "ee" * 16  # cs_plain's entry: other code
         store = self._populated(tmp_path, fake_fingerprints)
         store.publish("cs_count", (0,), {"v": 0.5})  # duplicate key
-        fake_fingerprints["cs_plain"] = "ee" * 16    # stales cs_plain's entry
         dry = store.gc(dry_run=True)
         assert dry.dry_run and dry.dropped_stale == 1 and dry.dropped_duplicate == 1
         report = store.gc()
@@ -823,12 +829,50 @@ class TestMaintenance:
         assert after.records == 4 and after.unique_keys == 4
 
     def test_gc_unknown_worker_records(self, tmp_path, fake_fingerprints):
+        # A worker that is no longer registered is judged like any
+        # other: by its record's code.
+        fake_fingerprints["cs_plain"] = "ee" * 16
         store = self._populated(tmp_path, fake_fingerprints)
         del fake_fingerprints["cs_plain"]  # now unfingerprintable here
-        kept = store.gc()
-        assert kept.dropped_unknown == 0 and kept.kept == 5
-        dropped = store.gc(drop_unknown=True)
-        assert dropped.dropped_unknown == 1 and dropped.kept == 4
+        report = store.gc()
+        assert report.dropped_stale == 1 and report.kept == 4
+        assert store.stats().workers == {"cs_count": 4}
+
+    def test_gc_drops_foreign_code_whatever_the_worker(self, tmp_path):
+        # Judged by the real package digest: a record of a registered
+        # worker and one of a worker that no longer exists, both written
+        # by other code, are stale; a record with this package's code is
+        # kept, registered worker or not.
+        from repro.analysis import static
+
+        code = static.package_code()
+        assert code is not None
+        store = CellStore(tmp_path / "store")
+        records = [
+            build_record("npb_point", ("cg", "Vayu", 2, 1, "S", None), {"v": 1.0},
+                         "ee" * 16),
+            build_record("metum_stats", ("Vayu", 32), {"v": 2.0}, "ee" * 16),
+            build_record("metum_stats", ("Vayu", 64), {"v": 3.0}, code),
+        ]
+        for rec in records:
+            path = store.shard_path(rec["k"])
+            path.parent.mkdir(parents=True, exist_ok=True)
+            with open(path, "a", encoding="utf-8") as fh:
+                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        report = store.gc()
+        assert report.dropped_stale == 2 and report.kept == 1
+        assert store.stats().workers == {"metum_stats": 1}
+
+    def test_gc_without_package_code_drops_nothing_stale(
+        self, tmp_path, fake_fingerprints, monkeypatch
+    ):
+        import repro.analysis.static as static
+
+        fake_fingerprints["cs_plain"] = "ee" * 16
+        store = self._populated(tmp_path, fake_fingerprints)
+        monkeypatch.setattr(static, "package_code", lambda: None)
+        report = store.gc()
+        assert report.dropped_stale == 0 and report.kept == 5
 
 
 # ---------------------------------------------------------------------------
@@ -870,6 +914,9 @@ class TestStoreCli:
         assert main(["store", "gc", root, "--dry-run"]) == 0
         assert "would drop" in capsys.readouterr().out
         assert main(["store", "verify", root]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["store", "gc", root, "--drop-unknown"])
+        assert exc.value.code == 2
 
     def test_run_store_flag_round_trip(self, tmp_path, capsys):
         root = str(tmp_path / "store")

@@ -17,7 +17,7 @@ import pytest
 from repro.cli import _run_config, build_parser, main
 from repro.config import RunConfig, WorldOptions, world_options, world_scope
 from repro.errors import ConfigError
-from repro.harness.parallel import Cell, cell_worker, run_cells
+from repro.harness.parallel import Cell, cell_worker
 from repro.harness.runner import run_batch
 
 WORLD_ENV = ("REPRO_SANITIZE",)
@@ -200,15 +200,18 @@ def test_one_seed_default():
 def test_run_batch_never_writes_environ_and_reaches_pool_workers(
     clean_env, monkeypatch
 ):
-    from repro.harness.experiments import EXPERIMENTS, ExperimentOutput
+    from repro.harness.experiments import CELLS, EXPERIMENTS, ExperimentOutput
 
     seen: dict = {}
 
-    def _probe(run):
-        seen.update(run_cells([Cell((i,), "cfg_probe", (i,)) for i in range(4)], run))
+    def _probe(config, points):
+        seen.update(points)
         seen["inline"] = _cfg_probe(-1)
         return ExperimentOutput("probe", "world-option probe", {}, "")
 
+    monkeypatch.setitem(
+        CELLS, "probe", lambda config: [Cell((i,), "cfg_probe", (i,)) for i in range(4)]
+    )
     monkeypatch.setitem(EXPERIMENTS, "probe", _probe)
     before = dict(os.environ)
     batch = run_batch(["probe", "tab1"], sanitize=True, jobs=2)

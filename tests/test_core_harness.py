@@ -9,9 +9,9 @@ from repro.analysis.stats import (
     table3_stats,
 )
 from repro.errors import ConfigError
-from repro.harness import EXPERIMENTS, run_experiment
+from repro.harness import EXPERIMENTS, run_batch, run_cells
 from repro.harness.figures import percent_delta, render_series_table, render_speedup_plot
-from repro.harness.parallel import Cell, metum_point, run_cells
+from repro.harness.parallel import Cell, metum_point
 
 
 class TestAnalysis:
@@ -62,7 +62,7 @@ def _npb_sweep(bench, platforms, counts, seed=1):
         [Cell((name, p), "npb_point", (bench, name, p, seed, "B", None))
          for name in platforms for p in counts],
         jobs=1,
-    )
+    ).results
 
 
 class TestStudyApi:
@@ -83,13 +83,13 @@ class TestStudyApi:
 
     def test_metum_study_constructor(self):
         out = run_cells([Cell(("Vayu", 8), "metum_point", ("Vayu", 8, None, 1, 1))],
-                        jobs=1)
+                        jobs=1).results
         point = out[("Vayu", 8)]
         assert 0 < point["warmed_time"] <= point["total_time"]
 
     def test_chaste_study_constructor(self):
         out = run_cells([Cell(("Vayu", 8), "chaste_point", ("Vayu", 8, 1, 1))],
-                        jobs=1)
+                        jobs=1).results
         point = out[("Vayu", 8)]
         assert 0 < point["ksp_time"] < point["total_time"]
 
@@ -111,20 +111,20 @@ class TestHarness:
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(ConfigError):
-            run_experiment("fig99")
+            run_batch(["fig99"])
 
     def test_fig3_comparisons_within_band(self):
-        out = run_experiment("fig3", quick=True, seed=1)
+        out = run_batch(["fig3"], quick=True, seed=1).outputs["fig3"]
         for metric, measured, ref in out.comparisons:
             assert measured == pytest.approx(ref, rel=0.2), metric
 
     def test_tab3_render_contains_all_rows(self):
-        out = run_experiment("tab3", quick=True, seed=1)
+        out = run_batch(["tab3"], quick=True, seed=1).outputs["tab3"]
         for label in ("Vayu", "DCC", "EC2", "EC2-4"):
             assert label in out.text
 
     def test_render_includes_comparisons(self):
-        out = run_experiment("fig1", quick=True, seed=1)
+        out = run_batch(["fig1"], quick=True, seed=1).outputs["fig1"]
         rendered = out.render()
         assert "paper-vs-measured" in rendered and "EC2 peak" in rendered
 

@@ -9,7 +9,7 @@ import pytest
 
 from repro.apps.chaste import ChasteBenchmark
 from repro.apps.metum import MetumBenchmark
-from repro.harness import run_experiment
+from repro.harness import run_batch
 from repro.npb import get_benchmark
 from repro.osu import osu_bandwidth, osu_latency
 from repro.platforms import DCC, EC2, VAYU
@@ -46,8 +46,8 @@ class TestDeterminism:
         assert c.total_time == d.total_time
 
     def test_experiment_outputs_repeat(self):
-        a = run_experiment("fig3", quick=True, seed=3)
-        b = run_experiment("fig3", quick=True, seed=3)
+        a = run_batch(["fig3"], quick=True, seed=3).outputs["fig3"]
+        b = run_batch(["fig3"], quick=True, seed=3).outputs["fig3"]
         assert a.comparisons == b.comparisons
 
 

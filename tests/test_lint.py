@@ -269,6 +269,19 @@ class TestDET008EnvironmentReads:
         )
         assert deep_rules_for(src) == ["DET008", "DET008"]
 
+    @pytest.mark.parametrize("call", [
+        "open(p, 'w')", "open(p, 'wb')", "open(p, mode='a')", "open(p, 'x', newline='')",
+    ])
+    def test_write_only_open_is_not_a_read(self, call):
+        assert deep_rules_for(f"def f(p):\n    return {call}\n") == []
+
+    @pytest.mark.parametrize("call", [
+        "open(p, 'r')", "open(p, 'a+')", "open(p, 'w+b')", "open(p, mode)",
+        "open(p, mode=mode)", "open(p, encoding='utf-8')",
+    ])
+    def test_other_open_modes_are_reads(self, call):
+        assert deep_rules_for(f"def f(p, mode):\n    return {call}\n") == ["DET008"]
+
     def test_plain_mode_stays_silent(self):
         src = "import os\ndef f():\n    return os.environ.get('X')\n"
         assert rules_for(src) == []

@@ -14,8 +14,9 @@ import pytest
 from repro.config import RunConfig
 from repro.errors import ConfigError
 from repro.harness.experiments import EXPERIMENTS
-from repro.harness.parallel import Cell, cell_worker, run_cells
+from repro.harness.parallel import Cell, cell_worker
 from repro.harness.runner import run_batch
+from repro.harness.supervisor import run_cells
 
 
 # ---------------------------------------------------------------------------
@@ -29,14 +30,14 @@ def _echo(*args):
 
 def test_run_cells_merges_in_cell_order():
     cells = [Cell((k,), "test_echo", (k * 10,)) for k in (3, 1, 2)]
-    out = run_cells(cells, jobs=1)
+    out = run_cells(cells, jobs=1).results
     assert list(out) == [(3,), (1,), (2,)], "merge order is cell order, not sorted"
     assert out[(1,)] == (10,)
 
 
 def test_run_cells_parallel_merge_matches_serial():
     cells = [Cell((k,), "test_echo", (k,)) for k in range(6)]
-    assert run_cells(cells, jobs=4) == run_cells(cells, jobs=1)
+    assert run_cells(cells, jobs=4).results == run_cells(cells, jobs=1).results
 
 
 def test_run_cells_rejects_duplicate_keys():
@@ -88,7 +89,8 @@ def test_resolve_jobs_rejects_negative():
 
 
 def test_empty_cell_list():
-    assert run_cells([], jobs=4) == {}
+    report = run_cells([], jobs=4)
+    assert report.results == {} and report.failures == {}
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from repro.config import Run
 from repro.errors import ConfigError
 from repro.harness.cellstore import CellStore
 from repro.harness.parallel import Cell, cell_worker
-from repro.harness.supervisor import run_sweep
+from repro.harness.supervisor import run_cells
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 
@@ -294,7 +294,7 @@ class TestFingerprints:
         del _LOCAL_CALLS[:]
         for _ in range(2):
             store = CellStore(root)
-            report = run_sweep(cells, Run(store=store))
+            report = run_cells(cells, Run(store=store))
             assert report.results == {(2,): {"v": 4.0}, (3,): {"v": 9.0}}
             assert store.hits == 0 and store.published == 0
         assert _LOCAL_CALLS == [2, 3, 2, 3]
@@ -436,6 +436,23 @@ class TestReporting:
         assert main(["lint", "--deep", str(deep_fixture)]) == 1
         out = capsys.readouterr().out
         assert "workers.py" in out and "DET008" in out
+
+    def test_finding_of_both_passes_reported_once(self, fixpkg, monkeypatch,
+                                                   capsys):
+        """A stale plain-rule suppression in a package file is judged by
+        the plain pass (under the path given, here relative) and by the
+        deep pass (under the package root): it is reported once."""
+        with open(fixpkg / "maths.py", "a", encoding="utf-8") as fh:
+            fh.write("X = 1  # lint-ok: DET001 stale\n")
+        real = lint.lint_package
+        monkeypatch.setattr(lint, "lint_package", lambda: real(fixpkg))
+        monkeypatch.chdir(fixpkg.parent)
+        assert main(["lint", "--deep", "fixpkg"]) == 1
+        out = capsys.readouterr().out
+        stale = [line for line in out.splitlines() if "DET012" in line and ":" in line
+                 and "lint:" not in line]
+        assert stale == [line for line in stale if line.startswith("fixpkg/maths.py:")]
+        assert len(stale) == 1, out
 
     def test_deep_json_is_the_plain_list_shape(self, deep_fixture, capsys):
         """``--deep --json`` prints one list of findings shaped like plain

@@ -1,4 +1,4 @@
-"""Tests for the one sweep driver (``repro.harness.supervisor.run_sweep``).
+"""Tests for the one sweep driver (``repro.harness.supervisor.run_cells``).
 
 Covers the driver's contracts:
 
@@ -37,8 +37,8 @@ from repro.harness.journal import (
     encode_value,
     payload_hash,
 )
-from repro.harness.parallel import Cell, cell_worker, run_cells
-from repro.harness.supervisor import run_sweep
+from repro.harness.parallel import Cell, cell_worker
+from repro.harness.supervisor import run_cells
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +199,8 @@ class TestJournal:
 class TestSupervisedExecution:
     def test_clean_run_matches_plain_run_cells(self, tmp_path):
         cells = [Cell((i,), "sup_square", (i,)) for i in range(5)]
-        plain = run_cells(cells, jobs=1)
-        report = run_sweep(cells, jobs=2)
+        plain = run_cells(cells, jobs=1).results
+        report = run_cells(cells, jobs=2)
         assert report.results == plain
         assert list(report.results) == list(plain)
         assert not report.failures
@@ -209,11 +209,11 @@ class TestSupervisedExecution:
     def test_duplicate_keys_rejected(self):
         cells = [Cell((1,), "sup_square", (1,)), Cell((1,), "sup_square", (2,))]
         with pytest.raises(ConfigError, match="duplicate cell keys"):
-            run_sweep(cells)
+            run_cells(cells)
 
     def test_unknown_worker_stays_fatal(self):
         with pytest.raises(ConfigError, match="unknown cell worker"):
-            run_sweep([Cell((1,), "no_such_worker")])
+            run_cells([Cell((1,), "no_such_worker")])
 
     def test_worker_exception_exhausts_retries(self):
         """A cell is deterministic, so one attempt is all it gets: the
@@ -221,7 +221,7 @@ class TestSupervisedExecution:
         cells = [Cell((0,), "sup_square", (0,)),
                  Cell((1,), "sup_raise_counted", (1,))]
         del _CALLS[:]
-        report = run_sweep(cells)
+        report = run_cells(cells)
         assert _CALLS == [("sup_square", 0), ("sup_raise_counted", 1)]
         assert report.results == {(0,): {"v": 0.0}}
         err = report.failures[(1,)]
@@ -231,12 +231,12 @@ class TestSupervisedExecution:
         assert report.stats.failed == 1 and report.stats.ok == 1
 
     def test_default_policy_wraps_cell_exceptions(self):
-        # run_cells raises the structured error rather than the
-        # worker's own exception.
-        with pytest.raises(CellExecutionError) as excinfo:
-            run_cells([Cell((0,), "sup_square", (0,)),
-                       Cell((1,), "sup_raise", (1,))])
-        err = excinfo.value
+        # The worker's own exception becomes a structured error on the
+        # report; the sweep does not raise it.
+        report = run_cells([Cell((0,), "sup_square", (0,)),
+                            Cell((1,), "sup_raise", (1,))])
+        err = report.failures[(1,)]
+        assert isinstance(err, CellExecutionError)
         assert err.key == (1,) and err.worker == "sup_raise"
         assert str(err).startswith("cell (1,) [sup_raise] failed\n")
 
@@ -246,7 +246,7 @@ class TestSupervisedExecution:
         cells = [Cell((1,), "sup_raise_repro", (1,)),
                  Cell((2,), "sup_square", (2,))]
         for jobs in (1, 2):
-            report = run_sweep(cells, jobs=jobs)
+            report = run_cells(cells, jobs=jobs)
             assert list(report.failures) == [(1,)]
             assert "SimulationError" in report.failures[(1,)].detail
             assert report.results == {(2,): {"v": 4.0}}
@@ -254,7 +254,7 @@ class TestSupervisedExecution:
     def test_broken_pool_degrades_to_serial(self, tmp_path):
         marker = str(tmp_path / "died")
         cells = [Cell((i,), "sup_die_once", (i, marker)) for i in range(4)]
-        report = run_sweep(cells, jobs=2)
+        report = run_cells(cells, jobs=2)
         assert not report.failures
         assert report.results == {(i,): {"v": float(i * 3)} for i in range(4)}
         assert report.stats.degraded >= 1
@@ -264,7 +264,7 @@ class TestSupervisedExecution:
         marker = tmp_path / "chaos"
         monkeypatch.setenv("REPRO_CHAOS_KILL", str(marker))
         cells = [Cell((i,), "sup_square", (i,)) for i in range(4)]
-        report = run_sweep(cells, jobs=2)
+        report = run_cells(cells, jobs=2)
         assert report.results == {(i,): {"v": float(i * i)} for i in range(4)}
         assert not report.failures
         assert report.stats.degraded >= 1
@@ -278,7 +278,7 @@ class TestSupervisedExecution:
         # pool, so only they run inline; the rest go to one fresh pool.
         monkeypatch.setenv("REPRO_CHAOS_KILL", str(tmp_path / "chaos"))
         cells = [Cell((i,), "sup_slow_square", (i,)) for i in range(12)]
-        report = run_sweep(cells, jobs=2)
+        report = run_cells(cells, jobs=2)
         assert report.results == {(i,): {"v": float(i * i)} for i in range(12)}
         assert not report.failures
         assert 1 <= report.stats.degraded <= 3
@@ -288,7 +288,7 @@ class TestSupervisedExecution:
         # Degradation is not opt-in: a plain run_cells whose every pool
         # worker dies still completes, inline.
         cells = [Cell((i,), "sup_die_always", (i,)) for i in range(2)]
-        assert run_cells(cells, jobs=2) == {(0,): {"v": 0.0}, (1,): {"v": 1.0}}
+        assert run_cells(cells, jobs=2).results == {(0,): {"v": 0.0}, (1,): {"v": 1.0}}
 
     def test_keyboard_interrupt_tears_down_the_pool(self, tmp_path,
                                                     monkeypatch):
@@ -320,19 +320,12 @@ class TestSupervisedExecution:
         """Ctrl-C in a cell propagates at once: the cell runs once,
         nothing is recorded, the batch stops."""
         from repro.cli import main
-        from repro.harness.experiments import EXPERIMENTS, ExperimentOutput
 
         markers = tmp_path / "markers"
         markers.mkdir()
-
-        def _interrupted(run):
-            cells = [Cell((0,), "sup_interrupt", (0, str(markers)))] + [
-                Cell((i,), "sup_square", (i,)) for i in (1, 2)
-            ]
-            run_cells(cells, run)
-            return ExperimentOutput("intex", "never reached", {}, "")
-
-        monkeypatch.setitem(EXPERIMENTS, "intex", _interrupted)
+        _declare(monkeypatch, "intex",
+                 [Cell((0,), "sup_interrupt", (0, str(markers)))]
+                 + [Cell((i,), "sup_square", (i,)) for i in (1, 2)])
         with pytest.raises(KeyboardInterrupt):
             main(["run", "intex", "tab1", "--jobs", str(jobs)])
         assert len(list(markers.glob("cell0-*"))) == 1
@@ -351,13 +344,13 @@ class TestResume:
         n, k = 6, 3
         cells = [Cell((i,), "sup_flaky", (i, k, str(arm))) for i in range(n)]
 
-        clean = run_sweep(cells)
+        clean = run_cells(cells)
         assert len(clean.results) == n
 
         # "Kill" the sweep after k cells: arm the failure, run stored.
         arm.touch()
         store = CellStore(root)
-        interrupted = run_sweep(cells, Run(store=store))
+        interrupted = run_cells(cells, Run(store=store))
         assert len(interrupted.results) == k
         assert len(interrupted.failures) == n - k
         assert all(
@@ -368,7 +361,7 @@ class TestResume:
         arm.unlink()
         del _CALLS[:]
         store = CellStore(root)
-        resumed = run_sweep(cells, Run(store=store))
+        resumed = run_cells(cells, Run(store=store))
         assert store.hits == k and store.published == n - k
         assert [x for _, x in _CALLS] == list(range(k, n))
         assert not resumed.failures
@@ -378,7 +371,7 @@ class TestResume:
                                                        fake_fingerprints):
         root = tmp_path / "store"
         store = CellStore(root)
-        run_sweep([Cell((2,), "sup_square", (2,))], Run(store=store))
+        run_cells([Cell((2,), "sup_square", (2,))], Run(store=store))
         [shard] = store.shard_files()
         rec = json.loads(shard.read_text())
         rec["hash"] = "00" * 16
@@ -386,7 +379,7 @@ class TestResume:
         shard.write_text(json.dumps(rec) + "\n")
         del _CALLS[:]
         store = CellStore(root)
-        report = run_sweep([Cell((2,), "sup_square", (2,))], Run(store=store))
+        report = run_cells([Cell((2,), "sup_square", (2,))], Run(store=store))
         # The tampered record must not be trusted: the cell re-runs.
         assert store.hits == 0 and _CALLS == [("sup_square", 2)]
         assert report.results[(2,)] == {"v": 4.0}
@@ -398,8 +391,8 @@ class TestResume:
         # is content-addressed, so equal keys with different payloads
         # never serve each other.
         store = CellStore(tmp_path / "store")
-        a = run_sweep([Cell(("Vayu",), "sup_square", (3,))], Run(store=store))
-        b = run_sweep([Cell(("Vayu",), "sup_square", (4,))], Run(store=store))
+        a = run_cells([Cell(("Vayu",), "sup_square", (3,))], Run(store=store))
+        b = run_cells([Cell(("Vayu",), "sup_square", (4,))], Run(store=store))
         assert a.results == {("Vayu",): {"v": 9.0}}
         assert b.results == {("Vayu",): {"v": 16.0}}
         assert store.hits == 0 and store.published == 2
@@ -410,13 +403,13 @@ class TestResume:
         root = tmp_path / "store"
         cells = [Cell((i,), "sup_square", (i,)) for i in range(4)]
         store = CellStore(root)
-        clean = run_sweep(cells, Run(store=store))
+        clean = run_cells(cells, Run(store=store))
         shard = store.shard_files()[0]
         with open(shard, "a") as fh:
             fh.write('{"v": 1, "k": "')  # killed mid-write
         del _CALLS[:]
         store = CellStore(root)
-        resumed = run_sweep(cells, Run(store=store))
+        resumed = run_cells(cells, Run(store=store))
         assert _CALLS == [] and store.hits == 4
         assert resumed.results == clean.results
 
@@ -431,7 +424,7 @@ class TestResume:
         root = tmp_path / "store"
         cells = [Cell((i,), "sup_square", (i,)) for i in range(3)]
         store = CellStore(root)
-        clean = run_sweep(cells, Run(store=store))
+        clean = run_cells(cells, Run(store=store))
         [shard] = store.shard_files()
         lines = shard.read_text().splitlines()
         assert len(lines) == 3
@@ -439,7 +432,7 @@ class TestResume:
         shard.write_text("\n".join(lines) + "\n")
         del _CALLS[:]
         store = CellStore(root)
-        resumed = run_sweep(cells, Run(store=store))
+        resumed = run_cells(cells, Run(store=store))
         assert _CALLS == [("sup_square", 1)]
         assert store.hits == 2
         assert resumed.results == clean.results
@@ -450,7 +443,7 @@ class TestResume:
         # names the reason.
         root = tmp_path / "store"
         store = CellStore(root)
-        run_sweep([Cell((1,), "sup_square", (1,))], Run(store=store))
+        run_cells([Cell((1,), "sup_square", (1,))], Run(store=store))
         [shard] = store.shard_files()
         rec = json.loads(shard.read_text())
         del rec["result"]
@@ -460,71 +453,41 @@ class TestResume:
         assert "missing field 'result'" in report.render()
         del _CALLS[:]
         store = CellStore(root)
-        assert run_sweep([Cell((1,), "sup_square", (1,))], Run(store=store)).results == {
+        assert run_cells([Cell((1,), "sup_square", (1,))], Run(store=store)).results == {
             (1,): {"v": 1.0}
         }
         assert _CALLS == [("sup_square", 1)]
 
 
 # ---------------------------------------------------------------------------
-# The run table: each distinct payload simulated once per run
+# Twins: each distinct payload simulated once per sweep
 # ---------------------------------------------------------------------------
 
-class TestRunTable:
+class TestTwins:
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_shared_payloads_execute_once_per_run(self, tmp_path, jobs):
+    def test_shared_payloads_execute_once_per_sweep(self, tmp_path, jobs):
         tally = str(tmp_path)
-        first = [Cell(("a", i), "sup_tally", (i, tally)) for i in range(4)]
-        first.append(Cell(("a", "twin"), "sup_tally", (0, tally)))
-        second = [Cell(("b", i), "sup_tally", (i, tally)) for i in range(2, 6)]
+        cells = [Cell(("a", i), "sup_tally", (i, tally)) for i in range(4)]
+        cells += [Cell(("b", i), "sup_tally", (i, tally)) for i in range(2, 6)]
+        cells.append(Cell(("a", "twin"), "sup_tally", (0, tally)))
         run = Run(RunConfig(jobs=jobs))
-        out_first = run_cells(first, run)
-        out_second = run_cells(second, run)
+        out = run_cells(cells, run).results
         assert _tally(tally) == {repr(i): 1 for i in range(6)}
-        assert out_first[("a", "twin")] == out_first[("a", 0)]
-        assert list(out_second) == [c.key for c in second]
+        assert out[("a", "twin")] == out[("a", 0)]
+        assert out[("b", 3)] == out[("a", 3)]
+        assert list(out) == [c.key for c in cells]
         assert run.stats.ok == 9
-        # A fresh run executes its cells again and gets the same results.
-        assert run_cells(second, jobs=jobs) == out_second
-        assert run_cells(first, jobs=jobs) == out_first
-        assert _tally(tally) == {"0": 2, "1": 2, "2": 3, "3": 3, "4": 2, "5": 2}
+        # A second sweep executes its cells again and gets the same results.
+        assert run_cells(cells, jobs=jobs).results == out
+        assert _tally(tally) == {repr(i): 2 for i in range(6)}
 
     def test_typed_payloads_are_distinct(self, tmp_path):
         tally = str(tmp_path)
         cells = [Cell((x,), "sup_tally", (v, tally))
                  for x, v in (("int", 1), ("float", 1.0), ("bool", True))]
-        out = run_cells(cells, jobs=1)
+        out = run_cells(cells, jobs=1).results
         assert _tally(tally) == {"1": 1, "1.0": 1, "True": 1}
         assert [r["type"] for r in out.values()] == ["int", "float", "bool"]
-
-    def test_failed_cell_is_retried_by_a_later_sweep(self, tmp_path):
-        arm = tmp_path / "armed"
-        arm.touch()
-        cells = [Cell((i,), "sup_flaky", (i, 1, str(arm))) for i in range(2)]
-        run = Run()
-        del _CALLS[:]
-        failed = run_sweep(cells, run)
-        assert list(failed.failures) == [(1,)]
-        arm.unlink()
-        again = run_sweep([Cell(("again", i), c.worker, c.args)
-                           for i, c in enumerate(cells)], run)
-        assert _CALLS == [("sup_flaky", 0), ("sup_flaky", 1), ("sup_flaky", 1)]
-        assert not again.failures
-        assert again.results[("again", 1)] == {"v": 1.0}
-
-    def test_second_sweep_does_not_look_shared_cells_up(self, tmp_path,
-                                                        fake_fingerprints):
-        store = CellStore(tmp_path / "store")
-        run = Run(store=store)
-        run_sweep([Cell((i,), "sup_square", (i,)) for i in range(3)], run)
-        assert (store.hits, store.misses, store.published) == (0, 3, 3)
-        del _CALLS[:]
-        report = run_sweep(
-            [Cell(("b", i), "sup_square", (i,)) for i in range(1, 5)], run
-        )
-        assert (store.hits, store.misses, store.published) == (0, 5, 5)
-        assert _CALLS == [("sup_square", 3), ("sup_square", 4)]
-        assert report.results == {("b", i): {"v": float(i * i)} for i in range(1, 5)}
 
 
 def test_tab3_and_fig7_read_fig6_runs_and_keep_their_golden_digests():
@@ -637,13 +600,35 @@ def test_batch_runs_on_one_pool_with_one_store_plan(monkeypatch, tmp_path,
     assert batch.render() == run_batch(ids, seed=1).render()
 
 
+@pytest.mark.parametrize("ids", [["tab1"], ["fig1"], ["tab1", "fig1", "fig2", "fig3"]])
+def test_batch_is_one_sweep(monkeypatch, ids):
+    """A batch calls the sweep driver once, whatever experiments it is
+    given, and through the name the end-to-end tracer wraps
+    (``experiments.run_cells``): no renderer sweeps."""
+    from repro.harness import experiments
+    from repro.harness.runner import run_batch
+
+    sweeps: list[int] = []
+    real = experiments.run_cells
+
+    def _counting(cells, *a, **k):
+        sweeps.append(len(cells))
+        return real(cells, *a, **k)
+
+    monkeypatch.setattr(experiments, "run_cells", _counting)
+    batch = run_batch(ids, seed=1)
+    declared = sum(len(experiments.CELLS[eid](RunConfig(seed=1)))
+                   for eid in ids if eid in experiments.CELLS)
+    assert sweeps == [declared]
+    assert list(batch.outputs) == ids and not batch.failures
+
+
 def _declare(monkeypatch, eid, cells):
     """Register a test experiment that declares ``cells`` and renders
     their results."""
     from repro.harness.experiments import CELLS, EXPERIMENTS, ExperimentOutput
 
-    def _experiment(run):
-        points = run_cells(cells, run)
+    def _experiment(config, points):
         return ExperimentOutput(eid, "declared", {}, str(points))
 
     monkeypatch.setitem(CELLS, eid, lambda config: list(cells))
@@ -680,13 +665,8 @@ def test_batch_partial_failure_renders_and_continues(monkeypatch, capsys):
     """A failing experiment becomes FAILED(<cause>); the batch keeps
     running and the CLI exits 3."""
     from repro.cli import main
-    from repro.harness.experiments import EXPERIMENTS, ExperimentOutput
 
-    def _failing_experiment(run):
-        points = run_cells([Cell((1,), "sup_raise", (1,))], run)
-        return ExperimentOutput("failex", "never reached", {}, str(points))
-
-    monkeypatch.setitem(EXPERIMENTS, "failex", _failing_experiment)
+    _declare(monkeypatch, "failex", [Cell((1,), "sup_raise", (1,))])
     rc = main(["run", "failex", "tab1"])
     out = capsys.readouterr().out
     assert rc == 3
@@ -733,7 +713,7 @@ class TestJournalFormatV2:
     def test_records_carry_version_and_wide_hash(self, tmp_path,
                                                  fake_fingerprints):
         store = CellStore(tmp_path / "store")
-        run_sweep([Cell((3,), "sup_square", (3,))], Run(store=store))
+        run_cells([Cell((3,), "sup_square", (3,))], Run(store=store))
         [shard] = store.shard_files()
         (rec,) = [json.loads(l) for l in shard.read_text().splitlines()]
         assert rec["v"] == STORE_VERSION
@@ -763,7 +743,7 @@ class TestJournalFormatV2:
         and verify names why it is unusable."""
         root = tmp_path / "store"
         store = CellStore(root)
-        run_sweep([Cell((4,), "sup_square", (4,))], Run(store=store))
+        run_cells([Cell((4,), "sup_square", (4,))], Run(store=store))
         [shard] = store.shard_files()
         rec = json.loads(shard.read_text())
         rec.update(v=version, result={"v": -1.0})
@@ -771,7 +751,7 @@ class TestJournalFormatV2:
         assert reason in CellStore(root).verify().render()
         del _CALLS[:]
         store = CellStore(root)
-        report = run_sweep([Cell((4,), "sup_square", (4,))], Run(store=store))
+        report = run_cells([Cell((4,), "sup_square", (4,))], Run(store=store))
         assert store.hits == 0 and _CALLS == [("sup_square", 4)]
         assert report.results[(4,)] == {"v": 16.0}
 
@@ -788,7 +768,7 @@ class TestCodeFingerprintResume:
         from repro.analysis.static import package_sources, sources_digest
 
         store = CellStore(tmp_path / "store")
-        run_sweep([self.CELL], Run(store=store))
+        run_cells([self.CELL], Run(store=store))
         [shard] = store.shard_files()
         (rec,) = [json.loads(l) for l in shard.read_text().splitlines()]
         root = pathlib.Path(repro.__file__).parent
@@ -799,9 +779,9 @@ class TestCodeFingerprintResume:
     def test_matching_fingerprint_resumes_byte_identically(self, tmp_path):
         root = tmp_path / "store"
         store = CellStore(root)
-        clean = run_sweep([self.CELL], Run(store=store))
+        clean = run_cells([self.CELL], Run(store=store))
         store = CellStore(root)
-        resumed = run_sweep([self.CELL], Run(store=store))
+        resumed = run_cells([self.CELL], Run(store=store))
         assert store.hits == 1 and store.published == 0
         assert repr(resumed.results) == repr(clean.results)
 
@@ -810,7 +790,7 @@ class TestCodeFingerprintResume:
 
         root = tmp_path / "store"
         store = CellStore(root)
-        run_sweep([self.CELL], Run(store=store))
+        run_cells([self.CELL], Run(store=store))
         [shard] = CellStore(root).shard_files()
         rec = json.loads(shard.read_text())
         rec["result"] = {"projected_time": -1.0}
@@ -819,7 +799,7 @@ class TestCodeFingerprintResume:
         static.worker_fingerprint("npb_point")
         monkeypatch.setattr(static, "_package_code", "0" * 32)
         store = CellStore(root)
-        report = run_sweep([self.CELL], Run(store=store))
+        report = run_cells([self.CELL], Run(store=store))
         # The stale-code entry must not be trusted: the cell re-runs
         # and produces the genuine result.
         assert store.hits == 0
