@@ -34,6 +34,8 @@ def run_and_report(benchmark, report_sink):
             iterations=1,
             rounds=1,
         )
+        if batch.failures:
+            raise batch.failures[experiment_id]
         result = batch.outputs[experiment_id]
         report_sink.append(result.render())
         return result

@@ -32,12 +32,15 @@ def _nodes(label, nodes, p):
 
 def main():
     # --- Fig 6: warmed-time speedups over 8 cores ---------------------------
-    points = run_cells([
+    report = run_cells([
         Cell((label, p), "metum_point",
              (platform, p, _nodes(label, nodes, p), SEED, SIM_STEPS))
         for label, platform, nodes in VARIANTS
         for p in COUNTS
-    ]).results
+    ])
+    if report.failures:
+        raise next(iter(report.failures.values()))
+    points = report.results
     series = {}
     for label, _platform, _nodes_ in VARIANTS:
         times = {p: points[(label, p)]["warmed_time"] for p in COUNTS}

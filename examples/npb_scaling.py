@@ -32,7 +32,10 @@ def main():
         for name in PLATFORMS
         for p in counts
     ]
-    points = run_cells(cells).results
+    report = run_cells(cells)
+    if report.failures:
+        raise next(iter(report.failures.values()))
+    points = report.results
     curves = {
         name: speedup_series(
             {p: points[(name, p)]["projected_time"] for p in counts}, counts[0]

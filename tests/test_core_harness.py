@@ -102,6 +102,14 @@ class TestStudyApi:
         assert 0.6 < out["Vayu"] < 0.9
 
 
+def _output(experiment_id, **options):
+    """One experiment's output from a batch, failing the test if any of
+    its cells failed (a failed experiment renders with no comparisons)."""
+    batch = run_batch([experiment_id], **options)
+    assert not batch.failures, batch.failures
+    return batch.outputs[experiment_id]
+
+
 class TestHarness:
     def test_registry_covers_every_artifact(self):
         assert set(EXPERIMENTS) == {
@@ -114,17 +122,17 @@ class TestHarness:
             run_batch(["fig99"])
 
     def test_fig3_comparisons_within_band(self):
-        out = run_batch(["fig3"], quick=True, seed=1).outputs["fig3"]
+        out = _output("fig3", quick=True, seed=1)
         for metric, measured, ref in out.comparisons:
             assert measured == pytest.approx(ref, rel=0.2), metric
 
     def test_tab3_render_contains_all_rows(self):
-        out = run_batch(["tab3"], quick=True, seed=1).outputs["tab3"]
+        out = _output("tab3", quick=True, seed=1)
         for label in ("Vayu", "DCC", "EC2", "EC2-4"):
             assert label in out.text
 
     def test_render_includes_comparisons(self):
-        out = run_batch(["fig1"], quick=True, seed=1).outputs["fig1"]
+        out = _output("fig1", quick=True, seed=1)
         rendered = out.render()
         assert "paper-vs-measured" in rendered and "EC2 peak" in rendered
 

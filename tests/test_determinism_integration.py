@@ -46,9 +46,11 @@ class TestDeterminism:
         assert c.total_time == d.total_time
 
     def test_experiment_outputs_repeat(self):
-        a = run_batch(["fig3"], quick=True, seed=3).outputs["fig3"]
-        b = run_batch(["fig3"], quick=True, seed=3).outputs["fig3"]
-        assert a.comparisons == b.comparisons
+        a = run_batch(["fig3"], quick=True, seed=3)
+        b = run_batch(["fig3"], quick=True, seed=3)
+        assert not a.failures and not b.failures
+        assert a.outputs["fig3"].comparisons
+        assert a.outputs["fig3"].comparisons == b.outputs["fig3"].comparisons
 
 
 class TestCrossLayerConsistency:
