@@ -1,7 +1,9 @@
 """OSU MPI micro-benchmarks (paper section V-A, Figs 1-2).
 
 Faithful re-implementations of the OSU micro-benchmark measurement loops
-on the simulated MPI:
+between two ranks on two nodes, evaluated as recurrences over message
+times that equal, float for float, the same loops run as simulated MPI
+programs (``_latency_program``, ``_bw_program``, kept as the oracle):
 
 * :func:`~repro.osu.latency.osu_latency` — ping-pong latency
   (``osu_latency``): half the averaged round-trip time per message size;

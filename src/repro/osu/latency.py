@@ -1,12 +1,19 @@
-"""``osu_latency``: ping-pong latency vs message size (paper Fig 2)."""
+"""``osu_latency``: ping-pong latency vs message size (paper Fig 2).
+
+:func:`osu_latency` evaluates the ping-pong between two ranks on two
+nodes as a recurrence over message times (:class:`_Wire`), with no
+event engine.  :func:`_latency_program` is the same loop as a simulated
+MPI program; it is the oracle the recurrence must equal, float for
+float.
+"""
 
 from __future__ import annotations
 
 import typing as _t
 
 from repro.errors import ConfigError
-from repro.platforms.base import PlatformSpec
-from repro.smpi import Placement, run_program
+from repro.platforms.base import Platform, PlatformSpec
+from repro.sim.engine import Engine
 
 
 def _pingpong(comm, peer: int, size: int) -> _t.Generator:
@@ -35,6 +42,47 @@ def _latency_program(
     return results
 
 
+class _Wire:
+    """Message times between two ranks on two nodes, as the engine's
+    point-to-point protocol (:mod:`repro.smpi.world`) computes them.
+
+    Each step does the engine's float operations in its order: a delay
+    lands at ``now + delay``, and a ``call_at`` at ``now + ((now +
+    latency + draw) - now)``.  The draws come from the stream a world
+    on ``spec`` with ``seed`` would draw from, and must be taken in the
+    order the world takes them.
+    """
+
+    def __init__(self, spec: PlatformSpec, seed: int) -> None:
+        plat = Platform(spec, Engine(seed=seed))
+        self.platform = plat
+        self.fabric = fabric = spec.fabric
+        self.draw = plat.net_extra_latency
+        self.latency = fabric.latency
+        self.o_send = float(fabric.o_send)
+        self.o_recv = float(fabric.o_recv)
+
+    def land(self, now: float) -> float:
+        """When a message (or an RTS or CTS) sent at ``now`` lands."""
+        return now + ((now + self.latency + self.draw()) - now)
+
+    def received(self, landed: float) -> float:
+        """When a receive matched at ``landed`` completes."""
+        return landed + self.o_recv if self.o_recv > 0 else landed
+
+    def serialize(self, size: int) -> float:
+        """The NIC's serialisation time for ``size`` bytes."""
+        return float(self.platform.net_serialize(size))
+
+    def oneway(self, now: float, size: int, ser: float) -> float:
+        """Completion of a receive already posted for a ``size``-byte
+        message that is sent at ``now`` through an idle NIC."""
+        t = now + self.o_send
+        if self.fabric.uses_rendezvous(size):
+            t = self.land(self.land(t))  # the RTS, then the CTS back
+        return self.received(self.land(t + ser))
+
+
 def osu_latency(
     platform: PlatformSpec,
     sizes: _t.Sequence[int] | None = None,
@@ -54,14 +102,16 @@ def osu_latency(
         raise ConfigError(f"invalid message sizes: {sizes}")
     if platform.num_nodes < 2:
         raise ConfigError("osu_latency needs two nodes")
-    result = run_program(
-        platform,
-        2,
-        _latency_program,
-        sizes,
-        iterations,
-        warmup,
-        placement=Placement(num_nodes=2, ranks_per_node=1),
-        seed=seed,
-    )
-    return result.rank_results[0]
+    wire = _Wire(platform, seed)
+    oneway = wire.oneway
+    results: dict[int, float] = {}
+    now = 0.0  # rank 0's clock; each receive is posted before its message lands
+    for size in sizes:
+        ser = wire.serialize(size)
+        for phase, count in (("warmup", warmup), ("timed", iterations)):
+            if phase == "timed":
+                t_start = now
+            for _ in range(count):
+                now = oneway(oneway(now, size, ser), size, ser)
+        results[size] = (now - t_start) / (2.0 * iterations)
+    return results

@@ -153,13 +153,14 @@ class Comm:
     ) -> Request:
         """Non-blocking send of ``nbytes`` to local rank ``dest``."""
         return self.world.post_send(
-            self.world_rank, self._world_rank_of(dest), nbytes, tag, payload
+            self.world_rank, self._world_rank_of(dest), nbytes, tag, payload,
+            self.comm_id,
         )
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
         """Non-blocking receive."""
         src_world = source if source == ANY_SOURCE else self._world_rank_of(source)
-        return self.world.post_recv(self.world_rank, src_world, tag)
+        return self.world.post_recv(self.world_rank, src_world, tag, self.comm_id)
 
     def wait(self, request: Request, _call: str | None = None) -> _t.Generator:
         """Block until ``request`` completes; returns the Message for recvs."""

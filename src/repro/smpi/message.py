@@ -17,6 +17,9 @@ class Message:
     tag: int
     nbytes: int
     payload: _t.Any = None
+    #: Id of the communicator it was sent on; only a receive posted on
+    #: the same communicator matches it.
+    comm_id: int = 0
     #: Virtual time the message became available at the receiver.
     arrival_time: float = 0.0
     #: True for a rendezvous RTS control envelope (matching only).

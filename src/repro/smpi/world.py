@@ -102,10 +102,11 @@ class _Send(_Transfer):
 
     def __init__(
         self, world: "MpiWorld", nic: "Resource", src: int, dst: int, nbytes: int,
-        tag: int, payload: _t.Any,
+        tag: int, payload: _t.Any, comm_id: int,
     ) -> None:
         self.nic = nic  # the source node's transmit side
-        self.msg = Message(source=src, dest=dst, tag=tag, nbytes=nbytes, payload=payload)
+        self.msg = Message(source=src, dest=dst, tag=tag, nbytes=nbytes, payload=payload,
+                           comm_id=comm_id)
         _Transfer.__init__(self, world, "send", self._overhead)
 
     def _overhead(self) -> None:
@@ -175,18 +176,23 @@ class _Recv(_Transfer):
     overhead.  Succeeds with the delivered
     :class:`~repro.smpi.message.Message`."""
 
-    __slots__ = ("rank", "source", "tag")
+    __slots__ = ("rank", "source", "tag", "comm_id")
 
-    def __init__(self, world: "MpiWorld", rank: int, source: int, tag: int) -> None:
+    def __init__(
+        self, world: "MpiWorld", rank: int, source: int, tag: int, comm_id: int
+    ) -> None:
         self.rank = rank
         self.source = source
         self.tag = tag
+        self.comm_id = comm_id
         self.msg: Message | None = None
         _Transfer.__init__(self, world, "recv", self._post)
 
     def _match(self, msg: Message) -> bool:
-        return (self.source == ANY_SOURCE or msg.source == self.source) and (
-            self.tag == ANY_TAG or msg.tag == self.tag
+        return (
+            msg.comm_id == self.comm_id
+            and (self.source == ANY_SOURCE or msg.source == self.source)
+            and (self.tag == ANY_TAG or msg.tag == self.tag)
         )
 
     def _post(self) -> None:
@@ -299,10 +305,12 @@ class MpiWorld:
 
     # -- point-to-point wire protocol ----------------------------------------
     def post_send(
-        self, src: int, dst: int, nbytes: int, tag: int, payload: _t.Any
+        self, src: int, dst: int, nbytes: int, tag: int, payload: _t.Any,
+        comm_id: int = 0,
     ) -> Request:
-        """Start a send; returns a request whose event fires at local
-        completion (data handed to the network/receiver).
+        """Start a send on communicator ``comm_id``; returns a request
+        whose event fires at local completion (data handed to the
+        network/receiver).
 
         Every input is checked here, before any transfer step is
         scheduled: the steps run straight from the event heap, so an
@@ -317,16 +325,17 @@ class MpiWorld:
         topo = self.platform.topology
         node = topo.node_of(src)
         if node is topo.node_of(dst):
-            done = self._send_intranode(node, src, dst, nbytes, tag, payload)
+            done = self._send_intranode(node, src, dst, nbytes, tag, payload, comm_id)
         else:
-            done = _Send(self, node.nic_tx, src, dst, nbytes, tag, payload)
+            done = _Send(self, node.nic_tx, src, dst, nbytes, tag, payload, comm_id)
         req = Request(kind="send", event=done, start_time=start, nbytes=nbytes, peer=dst, tag=tag)
         if self.sanitizer is not None:
             self.sanitizer.on_send(src, dst, nbytes, tag, req)
         return req
 
     def _send_intranode(
-        self, node: "Node", src: int, dst: int, nbytes: int, tag: int, payload: _t.Any
+        self, node: "Node", src: int, dst: int, nbytes: int, tag: int, payload: _t.Any,
+        comm_id: int,
     ) -> Event:
         """Shared-memory copy on ``node``: one delivery call and one
         local timeout."""
@@ -343,14 +352,15 @@ class MpiWorld:
         sender_busy = shm.o_send + copy + handshake
         arrival = eng.now + sender_busy + shm.latency
         msg = Message(source=src, dest=dst, tag=tag, nbytes=nbytes, payload=payload,
-                      arrival_time=arrival)
+                      comm_id=comm_id, arrival_time=arrival)
         eng.call_at(arrival, partial(self.mailboxes[dst].put, msg))
         return eng.timeout(sender_busy)
 
-    def post_recv(self, rank: int, source: int, tag: int) -> Request:
-        """Start a receive; the request event fires with the Message."""
+    def post_recv(self, rank: int, source: int, tag: int, comm_id: int = 0) -> Request:
+        """Start a receive on communicator ``comm_id``; the request event
+        fires with the Message."""
         eng = self.engine
-        done = _Recv(self, rank, source, tag)
+        done = _Recv(self, rank, source, tag, comm_id)
         req = Request(kind="recv", event=done, start_time=eng.now, nbytes=0, peer=source, tag=tag)
         if self.sanitizer is not None:
             self.sanitizer.on_recv(rank, source, tag, req)

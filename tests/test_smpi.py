@@ -432,6 +432,29 @@ class TestCommSplit:
         assert res.rank_results[0] == [0, 2, 4]
         assert res.rank_results[1] == [1, 3, 5]
 
+    @pytest.mark.parametrize("nodes", [1, 2])
+    def test_recv_matches_only_its_communicator(self, nodes):
+        """A wildcard-source receive on a sub-communicator must not take
+        a message sent on the world communicator, even one that landed
+        first."""
+
+        def prog(comm):
+            sub = yield from comm.split(comm.rank // 2)
+            if comm.rank == 0:
+                yield from comm.delay(1e-3)  # the world message lands first
+                yield from sub.send(1, 64, tag=5, payload="sub")
+            elif comm.rank == 3:
+                yield from comm.send(1, 64, tag=5, payload="world")
+            elif comm.rank == 1:
+                first = yield from sub.recv(tag=5)
+                second = yield from comm.recv(3, tag=5)
+                return first.payload, second.payload
+            return None
+
+        placement = Placement(num_nodes=nodes, ranks_per_node=4 // nodes)
+        res = run_program(VAYU, 4, prog, placement=placement)
+        assert res.rank_results[1] == ("sub", "world")
+
 
 class TestIpmIntegration:
     def test_region_accounting(self):
