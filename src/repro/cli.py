@@ -52,7 +52,7 @@ import argparse
 import sys
 import typing as _t
 
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.config import RunConfig
@@ -157,6 +157,9 @@ def _cmd_store(args: argparse.Namespace) -> int:
     from repro.harness.cellstore import CellStore
 
     store = CellStore(args.path)
+    if not store.root.is_dir():
+        # A mistyped path would otherwise read as an empty, healthy store.
+        raise ConfigError(f"store {args.path!r} is not an existing directory")
     if args.store_command == "stats":
         stats = store.stats()
         if args.json:

@@ -35,6 +35,11 @@ same shard interleave whole records; readers tolerate torn records
 anywhere (a half-written line is skipped, never fatal).  Duplicate keys
 are resolved last-record-wins on read and compacted by ``gc``.
 
+Two runs sharing a store coordinate only through these appends: a cell
+both of them miss is simulated by each, and both append the same
+record line (every record is built by :func:`build_record`), which
+``gc`` later compacts.  The only cost is the duplicated simulation.
+
 Wiring
 ------
 The sweep driver (:func:`repro.harness.supervisor.run_cells`) plans
@@ -53,13 +58,11 @@ The ``repro store`` CLI exposes maintenance: ``stats``, ``verify``
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import hashlib
 import json
 import os
 import pathlib
-import time
 import typing as _t
 
 from repro.errors import ConfigError
@@ -75,9 +78,6 @@ STORE_VERSION = 1
 
 #: Hex chars of the key used to pick a shard file (256 shards).
 SHARD_WIDTH = 2
-
-#: Default seconds before another host may take over an unpublished lease.
-LEASE_TTL = 600.0
 
 
 class _Miss:
@@ -284,54 +284,35 @@ class GcReport:
 
 @dataclasses.dataclass(slots=True)
 class StorePlan:
-    """A dispatch plan: every cell of a sweep, partitioned by the store.
+    """A dispatch plan: every cell of a sweep, split by the store.
 
     Produced by :meth:`CellStore.plan_cells` before any dispatch:
-    ``served`` cells already have a result, ``to_run`` cells are ours to
-    execute (a lease was claimed for every cacheable one), and
-    ``deferred`` cells are being computed *right now* by another
-    run sharing this store — the scheduler awaits their results via
-    :meth:`CellStore.await_peer` instead of computing them twice.
+    ``served`` cells already have a result, ``to_run`` cells execute.
     """
 
     served: dict[tuple, _t.Any] = dataclasses.field(default_factory=dict)
     to_run: list[_t.Any] = dataclasses.field(default_factory=list)
-    deferred: list[_t.Any] = dataclasses.field(default_factory=list)
 
 
 def store_root(spec: "str | os.PathLike[str]") -> pathlib.Path:
     """The directory a ``--store`` spec names.
 
     A ``<scheme>://`` spec is rejected rather than silently becoming a
-    local directory named after the scheme.
+    local directory named after the scheme, and so is a path that exists
+    but is not a directory: the first publish would fail on it, after a
+    cell had been simulated.  A path that does not exist yet is valid;
+    the first publish creates it.
     """
-    if "://" in os.fspath(spec):
+    text = os.fspath(spec)
+    if "://" in text:
         raise ConfigError(
-            f"store spec {os.fspath(spec)!r} is not a directory path; only local "
+            f"store spec {text!r} is not a directory path; only local "
             "directory stores are supported"
         )
-    return pathlib.Path(spec)
-
-
-def _owner_dead(path: pathlib.Path) -> bool:
-    """Whether ``path``'s lease names an owner process on this host that
-    has exited (an unreadable lease, a takeover marker, another host or
-    a live pid: False)."""
-    try:
-        owner = json.loads(path.read_text(encoding="utf-8"))["owner"]  # lint-ok: DET008 lease bookkeeping, outside any cell
-        host, pid, _id = owner.split(":")
-        pid = int(pid)
-    except (OSError, ValueError, KeyError, TypeError, AttributeError):
-        return False
-    if host != os.uname().nodename or pid <= 0 or pid == os.getpid():
-        return False
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return True
-    except PermissionError:
-        pass  # alive, under another user
-    return False
+    root = pathlib.Path(spec)
+    if root.exists() and not root.is_dir():
+        raise ConfigError(f"store {text!r} exists and is not a directory")
+    return root
 
 
 # ---------------------------------------------------------------------------
@@ -348,35 +329,19 @@ class CellStore:
     ``store: ...`` banner a batch prints to stderr.
     """
 
-    def __init__(
-        self, root: str | pathlib.Path, *, lease_ttl: float = LEASE_TTL
-    ) -> None:
+    def __init__(self, root: str | pathlib.Path) -> None:
         self.root = store_root(root)
         self.hits = 0
         self.misses = 0
         self.published = 0
-        self.peer_waits = 0
-        self.takeovers = 0
-        if not lease_ttl > 0:
-            raise ConfigError(f"lease TTL must be > 0: {lease_ttl}")
-        self.lease_ttl = lease_ttl
-        self._held: set[str] = set()
-        self._owner = f"{os.uname().nodename}:{os.getpid()}:{id(self):x}"
 
     # -- paths ------------------------------------------------------------
     @property
     def cells_dir(self) -> pathlib.Path:
         return self.root / "cells"
 
-    @property
-    def leases_dir(self) -> pathlib.Path:
-        return self.root / "leases"
-
     def shard_path(self, key: str) -> pathlib.Path:
         return self.cells_dir / f"{key[:SHARD_WIDTH]}.jsonl"
-
-    def lease_path(self, key: str) -> pathlib.Path:
-        return self.leases_dir / f"{key}.json"
 
     def shard_files(self) -> list[pathlib.Path]:
         """All shard files, in deterministic (name) order."""
@@ -418,10 +383,8 @@ class CellStore:
     def _find(self, worker: str, args: _t.Sequence[_t.Any]) -> _t.Any:
         """Uncounted lookup — :data:`MISS` or the stored result.
 
-        The counter-free primitive behind :meth:`lookup` and the peer
-        polling loop (:meth:`await_peer` re-reads a shard many times for
-        one logical lookup; counting each poll would garble the banner).
-        A hit requires the full content address to match: key, worker,
+        The counter-free primitive behind :meth:`lookup` and
+        :meth:`plan_cells`, which count their own hits and misses.  A hit requires the full content address to match: key, worker,
         code identity and payload hash — and a record of this
         :data:`STORE_VERSION`, so a newer (or garbled) layout is
         re-simulated rather than misread; a record whose result does not
@@ -493,209 +456,36 @@ class CellStore:
         # served result equals a fresh one down to its repr.
         self._append_record_line(record["k"], json.dumps(record) + "\n")
         self.published += 1
-        self._release(record["k"])  # the published record supersedes our claim
         return True
 
     def banner(self) -> str:
         """One-line ``store: ...`` summary (stderr only, never in reports)."""
-        text = (
+        return (
             f"store: {self.hits + self.misses} lookup(s): "
             f"{self.hits} served, {self.misses} executed, "
             f"{self.published} published"
         )
-        if self.peer_waits:
-            text += f", {self.peer_waits} awaited from peer(s)"
-        return text
-
-    # -- leases: store-aware scheduling ------------------------------------
-    def _lease_key(self, worker: str, args: _t.Sequence[_t.Any]) -> str | None:
-        code = self._code(worker)
-        if code is None:
-            return None
-        return store_key(worker, args, code)
-
-    def _lease_stale(self, path: pathlib.Path) -> bool:
-        """Whether a lease (or takeover marker) is orphaned.
-
-        It is when it outlived the TTL, or at once when its owner
-        (``host:pid:id``) is a process on this host that no longer
-        exists — a killed run's leases must not block the re-run that
-        resumes it.  A live (or reused) pid falls back to the TTL.
-        """
-        try:
-            age = time.time() - path.stat().st_mtime  # lint-ok: DET001 lease liveness only, never in results
-        except OSError:
-            return False  # gone: not stale, just released
-        return age > self.lease_ttl or _owner_dead(path)
-
-    def try_lease(self, worker: str, args: _t.Sequence[_t.Any]) -> bool:
-        """Claim the right to compute ``(worker, args)``; False: a peer has it.
-
-        Uncacheable workers have no content address and therefore no
-        lease: ``True``, just run it.
-
-        The claim is an ``O_CREAT | O_EXCL`` lease file named by the
-        cell's content address — the same lockless append-only
-        filesystem discipline publishes use, so any number of runs
-        (processes, hosts on a shared filesystem) race safely.  An
-        orphaned lease — older than the TTL, or owned by a process on
-        this host that has exited — is taken over through
-        :meth:`_take_over_stale`, whose exclusive-marker protocol
-        guarantees at most one racer wins.
-        """
-        key = self._lease_key(worker, args)
-        if key is None:
-            return True
-        path = self.lease_path(key)
-        payload = json.dumps({"owner": self._owner, "k": key}, sort_keys=True)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        try:
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644)
-        except FileExistsError:
-            if not self._lease_stale(path):
-                return False
-            return self._take_over_stale(path, key, payload)
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-        self._held.add(key)
-        return True
-
-    def _take_over_stale(
-        self, path: pathlib.Path, key: str, payload: str
-    ) -> bool:
-        """Atomically take over a stale lease; True only for one winner.
-
-        The old protocol (write a tmp file, ``os.replace`` it over the
-        lease, read back to confirm) was last-write-wins: two racers
-        that both replaced *before* either read back each saw their own
-        payload and both claimed the lease.  The fix is an exclusive
-        takeover **marker** (``<key>.takeover``, ``O_CREAT | O_EXCL``):
-
-        1. only one racer can create the marker — everyone else loses
-           immediately;
-        2. the marker holder re-checks that the lease is *still* stale
-           (a racer that completed a takeover in the meantime has
-           refreshed it — backing off here is what closes the old
-           protocol's double-win window);
-        3. the stale lease is unlinked and a fresh one created with the
-           normal ``O_EXCL`` path, so even a brand-new claimant sneaking
-           into the gap demotes us to a loser instead of being
-           clobbered;
-        4. the marker is removed (markers are TTL-reaped by ``gc``
-           should a holder crash between 1 and 4).
-        """
-        marker = self.leases_dir / f"{key}.takeover"
-        try:
-            mfd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644)
-        except FileExistsError:
-            # Another racer is mid-takeover; unless its marker is itself
-            # orphaned (holder crashed), we lose.  A stale marker is
-            # removed so the *next* attempt can proceed.
-            if self._lease_stale(marker):
-                with contextlib.suppress(OSError):
-                    marker.unlink()
-            return False
-        os.close(mfd)
-        try:
-            if not self._lease_stale(path):
-                return False  # a completed takeover refreshed it first
-            with contextlib.suppress(OSError):
-                path.unlink()
-            try:
-                fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644)
-            except FileExistsError:
-                return False  # a fresh claimant won the re-creation race
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-            self.takeovers += 1
-            self._held.add(key)
-            return True
-        finally:
-            with contextlib.suppress(OSError):
-                marker.unlink()
-
-    def _release(self, key: str) -> None:
-        if key in self._held:
-            self._held.discard(key)
-            with contextlib.suppress(OSError):
-                self.lease_path(key).unlink()
-
-    def release_leases(self) -> None:
-        """Drop every lease this instance still holds (error-path cleanup).
-
-        Called by the harness when a sweep aborts, so peers waiting on
-        our unpublished cells fall back to computing them immediately
-        instead of waiting out the TTL.
-        """
-        for key in list(self._held):
-            self._release(key)
 
     def plan_cells(self, cells: _t.Sequence[_t.Any]) -> StorePlan:
-        """Partition a sweep into store-hit / ours-to-run / in-flight-elsewhere.
+        """Split a sweep into served cells and cells to run.
 
-        The scheduling pass every sweep runs before dispatch: cells
-        with a stored result are served; each remaining cacheable cell
-        is leased — won leases go to ``to_run``, lost ones (a peer run
-        sharing this store is computing that cell right now) go to
-        ``deferred`` for :meth:`await_peer` to resolve after our own
-        dispatch.  Two runs sharing one store therefore never compute
-        the same cell twice, whatever their ``jobs``.
+        The pass every sweep makes before dispatch: a cell with a stored
+        result is served, every other cell runs.
         """
         plan = StorePlan()
         for cell in cells:
             value = self._find(cell.worker, cell.args)
-            if value is not MISS:
-                self.hits += 1
-                plan.served[cell.key] = value
-                continue
-            self.misses += 1
-            if self.try_lease(cell.worker, cell.args):
+            if value is MISS:
+                self.misses += 1
                 plan.to_run.append(cell)
             else:
-                plan.deferred.append(cell)
+                self.hits += 1
+                plan.served[cell.key] = value
         return plan
 
-    def await_peer(
-        self,
-        worker: str,
-        args: _t.Sequence[_t.Any],
-        *,
-        poll: float = 0.05,
-        max_wait: float | None = None,
-    ) -> _t.Any:
-        """Wait for a peer run's result for a deferred cell.
-
-        Polls the store until the peer publishes; a released or
-        orphaned lease (TTL-expired, or its owner process on this host
-        has exited) without a published result means the peer gave up
-        (or died), in which case we claim the lease ourselves and
-        return :data:`MISS` — the caller executes the cell locally.
-        After ``max_wait`` seconds (default: the lease TTL) the wait
-        also gives up with :data:`MISS`; computing the cell twice is
-        merely redundant, never incorrect, because both publishes carry
-        the same content address.
-        """
-        key = self._lease_key(worker, args)
-        if max_wait is None:
-            max_wait = self.lease_ttl
-        deadline = time.monotonic() + max_wait  # lint-ok: DET001 lease liveness only, never in results
-        while True:
-            value = self._find(worker, args)
-            if value is not MISS:
-                self.hits += 1
-                self.misses -= 1  # the planned miss became a served hit
-                self.peer_waits += 1
-                return value
-            if key is None:
-                return MISS
-            path = self.lease_path(key)
-            if (not path.exists() or self._lease_stale(path)) and self.try_lease(
-                worker, args
-            ):
-                return MISS
-            if time.monotonic() >= deadline:  # lint-ok: DET001 lease liveness only, never in results
-                return MISS
-            time.sleep(poll)
+    # Always a miss and never called; the e2e benchmark's tracer wraps it.
+    def await_peer(self, worker: str, args: _t.Sequence[_t.Any]) -> _t.Any:
+        return MISS
 
     # -- maintenance ------------------------------------------------------
     def stats(self) -> StoreStats:
@@ -790,13 +580,4 @@ class CellStore:
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, shard)
-        if not dry_run and self.leases_dir.is_dir():
-            # Orphaned lease files and takeover markers (TTL-expired, or
-            # owned by an exited process on this host) are reclaimed so
-            # they stop delaying future takeovers.
-            for pattern in ("*.json", "*.takeover"):
-                for lease in sorted(self.leases_dir.glob(pattern)):
-                    if self._lease_stale(lease):
-                        with contextlib.suppress(OSError):
-                            lease.unlink()
         return report

@@ -8,16 +8,12 @@ and one pool.  One pass runs:
 * **plan** — a cell whose payload ``(worker, repr(args))`` an earlier
   cell of the sweep asks for is a *twin* that takes that cell's
   outcome.  Only first occurrences go on: with the run's cell store
-  (:mod:`repro.harness.cellstore`) stored results are served, the rest
-  are leased to this run, and cells a peer holds a lease on are
-  deferred;
+  (:mod:`repro.harness.cellstore`) stored results are served and the
+  rest run;
 * **dispatch** — cells run inline (``jobs <= 1`` or a single pending
   cell) or on a ``ProcessPoolExecutor`` of ``min(jobs, cells)`` workers
   owned by the sweep (all cells submitted at once);
 * **publish** — each fresh result goes to the store as it arrives;
-* **await** — deferred cells are awaited from the peer, or run here if
-  the peer gave up;
-* **release** — leases of cells that did not publish are dropped;
 * **share** — twins take their first occurrence's result, or a failure
   under their own key.
 
@@ -41,7 +37,10 @@ handling covers what can really go wrong and never changes a clean run:
 
 Resuming an interrupted run is re-running it with the same ``--store``:
 every completed cell was published (fsynced) and is served, so only the
-missing cells execute and the report is byte-identical.
+missing cells execute and the report is byte-identical.  Two runs that
+share a store at the same time do not wait for each other: each runs
+the cells it misses, so a cell both miss runs twice and is appended
+twice, as the same record.
 
 ``jobs`` and the store both come from the explicit
 :class:`~repro.config.Run` a sweep is given (``repro run
@@ -141,8 +140,6 @@ def run_cells(
 
 
 def _run_cells(cells: list["Cell"], run: "Run") -> SweepReport:
-    from repro.harness.cellstore import MISS
-
     parallel.check_unique_keys(cells)
     store = run.store
     sweep = _Sweep(store)
@@ -156,31 +153,16 @@ def _run_cells(cells: list["Cell"], run: "Run") -> SweepReport:
         first = firsts.setdefault((c.worker, repr(c.args)), c)
         if first is not c:
             twins.append((c, first))
-    try:
-        pending, deferred = list(firsts.values()), []
-        if store is not None and pending:
-            plan = store.plan_cells(pending)
-            sweep.results.update(plan.served)
-            pending, deferred = plan.to_run, plan.deferred
-        jobs = min(run.config.jobs, len(pending))
-        demoted = sweep.dispatch(pending, jobs) if jobs > 1 else []
-        inline = demoted if jobs > 1 else pending
-        for c in inline:
-            sweep.run_inline(c)
-        for c in deferred:
-            value = store.await_peer(c.worker, c.args)
-            if value is MISS:
-                # The peer gave up (or died): the lease is ours now,
-                # run it here.
-                sweep.run_inline(c)
-            else:
-                sweep.results[c.key] = value
-    finally:
-        if store is not None:
-            # Published cells already dropped their leases; what is left
-            # covers failed or aborted cells — free them so peers stop
-            # waiting and compute those cells themselves.
-            store.release_leases()
+    pending = list(firsts.values())
+    if store is not None and pending:
+        plan = store.plan_cells(pending)
+        sweep.results.update(plan.served)
+        pending = plan.to_run
+    jobs = min(run.config.jobs, len(pending))
+    demoted = sweep.dispatch(pending, jobs) if jobs > 1 else []
+    inline = demoted if jobs > 1 else pending
+    for c in inline:
+        sweep.run_inline(c)
 
     failures = sweep.failures
     for twin, first in twins:

@@ -50,7 +50,7 @@ def _cs_plain(x):
 
 @cell_worker("cs_fail")
 def _cs_fail(x):
-    """Always-failing worker, for failed-cell lease handling."""
+    """Always-failing worker, for failed-cell handling."""
     _CALLS.append(("cs_fail", x))
     raise RuntimeError(f"cs_fail({x})")
 
@@ -372,88 +372,17 @@ class TestConcurrentWriters:
 
 
 # ---------------------------------------------------------------------------
-# Leases: store-aware scheduling across executors
+# No leases: a sweep's own duplicates, and what older stores left behind
 # ---------------------------------------------------------------------------
 
 class TestLeases:
-    def test_lease_excludes_peer_until_publish(self, tmp_path, fake_fingerprints):
-        a = CellStore(tmp_path / "store")
-        b = CellStore(tmp_path / "store")
-        assert a.try_lease("cs_count", (1,))
-        assert not b.try_lease("cs_count", (1,))
-        a.publish("cs_count", (1,), {"v": 1.0})  # publish releases the claim
-        assert list(a.leases_dir.iterdir()) == []
-        assert b.lookup("cs_count", (1,)) == {"v": 1.0}
-
-    def test_release_leases_frees_peers(self, tmp_path, fake_fingerprints):
-        a = CellStore(tmp_path / "store")
-        b = CellStore(tmp_path / "store")
-        assert a.try_lease("cs_count", (1,)) and a.try_lease("cs_count", (2,))
-        a.release_leases()  # the error-path cleanup
-        assert b.try_lease("cs_count", (1,)) and b.try_lease("cs_count", (2,))
-
-    def test_uncacheable_worker_needs_no_lease(self, tmp_path):
-        # No code fingerprint -> no content address -> nothing to
-        # coordinate on: everyone just runs it.
-        store = CellStore(tmp_path / "store")
-        assert store.try_lease("cs_count", (1,))
-        assert store.try_lease("cs_count", (1,))
-        assert not store.leases_dir.exists()
-
-    def test_stale_lease_taken_over(self, tmp_path, fake_fingerprints):
-        a = CellStore(tmp_path / "store")
-        assert a.try_lease("cs_count", (1,))
-        [lease] = list(a.leases_dir.iterdir())
-        old = time.time() - 60.0
-        os.utime(lease, (old, old))  # the owner "crashed" a minute ago
-        b = CellStore(tmp_path / "store", lease_ttl=5.0)
-        assert b.try_lease("cs_count", (1,))
-        assert b.takeovers == 1
-
-    def test_bad_ttl_rejected(self, tmp_path):
-        for ttl in (0, -3, float("nan")):
-            with pytest.raises(ConfigError, match="lease TTL"):
-                CellStore(tmp_path / "store", lease_ttl=ttl)
-
     def test_plan_cells_partitions(self, tmp_path, fake_fingerprints):
-        mine = CellStore(tmp_path / "store")
-        peer = CellStore(tmp_path / "store")
-        mine.publish("cs_count", (0,), {"v": 0.0})
-        assert peer.try_lease("cs_count", (2,))  # peer is computing (2,)
-        plan = mine.plan_cells([Cell((i,), "cs_count", (i,)) for i in range(3)])
-        assert list(plan.served) == [(0,)]
-        assert [c.key for c in plan.to_run] == [(1,)]
-        assert [c.key for c in plan.deferred] == [(2,)]
-
-    def test_await_peer_serves_published_value(self, tmp_path, fake_fingerprints):
-        mine = CellStore(tmp_path / "store")
-        peer = CellStore(tmp_path / "store")
-        assert peer.try_lease("cs_count", (2,))
-        plan = mine.plan_cells([Cell((2,), "cs_count", (2,))])
-        assert [c.key for c in plan.deferred] == [(2,)]
-        peer.publish("cs_count", (2,), {"v": 4.0})
-        assert mine.await_peer("cs_count", (2,)) == {"v": 4.0}
-        # The planned miss became a peer-served hit: the banner's
-        # "executed" count must not claim we computed it.
-        assert mine.hits == 1 and mine.misses == 0 and mine.peer_waits == 1
-        assert "1 awaited from peer(s)" in mine.banner()
-
-    def test_await_peer_reclaims_released_lease(self, tmp_path,
-                                                fake_fingerprints):
-        mine = CellStore(tmp_path / "store")
-        peer = CellStore(tmp_path / "store")
-        assert peer.try_lease("cs_count", (2,))
-        peer.release_leases()  # the peer aborted without publishing
-        assert mine.await_peer("cs_count", (2,)) is MISS
-        assert not peer.try_lease("cs_count", (2,))  # we hold it now
-
-    def test_await_peer_gives_up_at_deadline(self, tmp_path, fake_fingerprints):
-        mine = CellStore(tmp_path / "store")
-        peer = CellStore(tmp_path / "store")
-        assert peer.try_lease("cs_count", (2,))
-        t0 = time.monotonic()
-        assert mine.await_peer("cs_count", (2,), poll=0.01, max_wait=0.1) is MISS
-        assert time.monotonic() - t0 < 5.0  # gave up, did not wait out the TTL
+        store = CellStore(tmp_path / "store")
+        store.publish("cs_count", (0,), {"v": 0.0})
+        plan = store.plan_cells([Cell((i,), "cs_count", (i,)) for i in range(3)])
+        assert plan.served == {(0,): {"v": 0.0}}
+        assert [c.key for c in plan.to_run] == [(1,), (2,)]
+        assert store.hits == 1 and store.misses == 2
 
     # Two cells with different keys but one payload (fig6's ("EC2", 64)
     # / ("EC2-4", 64) pair): the sweep driver runs the first and hands its
@@ -473,16 +402,16 @@ class TestLeases:
             assert report.results == {("a",): _cs_count(1), ("b",): _cs_count(1)}
             assert report.stats.ok == 2 and not report.failures
             assert store.hits == 0 and store.misses == 1
-            assert store.published == 1 and store.peer_waits == 0
+            assert store.published == 1
             assert store.stats().records == 1
 
     def test_failed_own_duplicate_does_not_wait(self, tmp_path,
                                                 fake_fingerprints,
                                                 monkeypatch):
-        def no_polling(_seconds):
-            raise AssertionError("await_peer polled our own lease")
+        def no_waiting(_seconds):
+            raise AssertionError("the sweep waited on its own duplicate")
 
-        monkeypatch.setattr(time, "sleep", no_polling)
+        monkeypatch.setattr(time, "sleep", no_waiting)
         cells = [Cell(("a",), "cs_fail", (1,)), Cell(("b",), "cs_fail", (1,))]
         for i, config in enumerate(self._TWIN_POLICIES):
             store = CellStore(tmp_path / f"store{i}")
@@ -492,58 +421,15 @@ class TestLeases:
             assert sorted(report.failures) == [("a",), ("b",)]
             a, b = report.failures[("a",)], report.failures[("b",)]
             assert (b.key, b.worker, b.detail) == (("b",), a.worker, a.detail)
-            assert store.published == 0 and store.peer_waits == 0
-            assert list(store.leases_dir.iterdir()) == []
-
-    @staticmethod
-    def _owned_by(lease, pid, host=None):
-        """Rewrite ``lease`` as held by process ``pid`` on ``host``."""
-        key = lease.name[:-len(".json")]
-        owner = f"{host or os.uname().nodename}:{pid}:dead"
-        lease.write_text(json.dumps({"owner": owner, "k": key}))
-
-    @staticmethod
-    def _exited_pid():
-        """The pid of a child process that has exited and been reaped."""
-        import subprocess
-        import sys
-
-        child = subprocess.Popen([sys.executable, "-c", "pass"])
-        child.wait()
-        return child.pid
-
-    def test_dead_owner_lease_taken_over_at_once(self, tmp_path,
-                                                 fake_fingerprints):
-        # The TTL is 600 s, but the owner process is gone: no wait.
-        a = CellStore(tmp_path / "store")
-        assert a.try_lease("cs_count", (1,))
-        [lease] = list(a.leases_dir.iterdir())
-        self._owned_by(lease, self._exited_pid())
-        b = CellStore(tmp_path / "store")
-        assert b.try_lease("cs_count", (1,))
-        assert b.takeovers == 1
-
-    def test_live_or_remote_owner_keeps_the_ttl(self, tmp_path,
-                                                fake_fingerprints):
-        a = CellStore(tmp_path / "store")
-        assert a.try_lease("cs_count", (1,))
-        [lease] = list(a.leases_dir.iterdir())
-        b = CellStore(tmp_path / "store")
-        self._owned_by(lease, os.getppid())  # alive
-        assert not b.try_lease("cs_count", (1,))
-        self._owned_by(lease, self._exited_pid(), host="elsewhere.invalid")
-        assert not b.try_lease("cs_count", (1,))  # cannot probe another host
-        b.gc()
-        assert lease.exists()
-        self._owned_by(lease, self._exited_pid())
-        b.gc()
-        assert not lease.exists()  # gc reaps a dead owner's lease too
+            assert store.published == 0
 
     def test_killed_run_leases_do_not_block_the_rerun(self, tmp_path,
                                                       monkeypatch):
-        # A run SIGKILLed mid-sweep leaves leases owned by its dead pid;
-        # re-running against the store must take them over at once, not
-        # poll await_peer for the 600 s TTL.
+        # Older versions claimed each cell with a lease file under
+        # <store>/leases/ before running it, and a run killed mid-sweep
+        # left its claims behind.  Nothing reads that directory now: a
+        # re-run over live-looking claims on every one of its cells
+        # neither waits nor touches them, and renders the same report.
         from repro.harness.runner import run_batch
 
         cold = run_batch(["fig4"], quick=True, seed=1,
@@ -554,135 +440,30 @@ class TestLeases:
         assert keys
         leases = tmp_path / "store" / "leases"
         leases.mkdir(parents=True)
-        dead = self._exited_pid()
+        owner = f"{os.uname().nodename}:{os.getppid()}:live"
         for key in keys:
-            self._owned_by(leases / f"{key}.json", dead)
+            (leases / f"{key}.json").write_text(
+                json.dumps({"owner": owner, "k": key}))
+        before = {p.name: p.read_text() for p in leases.iterdir()}
 
-        def no_polling(_seconds):
-            raise AssertionError("await_peer polled a dead owner's lease")
+        def no_waiting(_seconds):
+            raise AssertionError("the re-run waited on a leftover lease")
 
-        monkeypatch.setattr(time, "sleep", no_polling)
+        monkeypatch.setattr(time, "sleep", no_waiting)
         rerun = run_batch(["fig4"], quick=True, seed=1, store=tmp_path / "store")
         assert rerun.render() == cold.render()
-        assert "awaited" not in rerun.store_summary
-        assert list(leases.iterdir()) == []
-
-    def test_gc_reaps_stale_lease_files(self, tmp_path, fake_fingerprints):
-        store = CellStore(tmp_path / "store", lease_ttl=5.0)
-        store.publish("cs_count", (0,), {"v": 0.0})
-        assert store.try_lease("cs_count", (1,))
-        [lease] = list(store.leases_dir.iterdir())
-        old = time.time() - 60.0
-        os.utime(lease, (old, old))
-        store.gc(dry_run=True)
-        assert lease.exists()  # dry run only reports
-        store.gc()
-        assert not lease.exists()
-
-    def _stale_lease(self, store, args=(1,)):
-        """A lease whose owner 'crashed' long past the TTL; its path."""
-        assert store.try_lease("cs_count", args)
-        store._held.clear()  # the crashed owner is not *us*
-        [lease] = list(store.leases_dir.iterdir())
-        old = time.time() - 60.0
-        os.utime(lease, (old, old))
-        return lease
-
-    def test_takeover_race_has_exactly_one_winner(self, tmp_path,
-                                                  fake_fingerprints):
-        # Regression: the old tmp-file + os.replace + read-back protocol
-        # was last-write-wins — two racers that both replaced before
-        # either read back each saw their own payload and BOTH claimed
-        # the stale lease.  The exclusive-marker protocol must admit
-        # exactly one winner no matter how many racers pile on.
-        import threading
-
-        self._stale_lease(CellStore(tmp_path / "store", lease_ttl=5.0))
-        racers = [CellStore(tmp_path / "store", lease_ttl=5.0)
-                  for _ in range(8)]
-        barrier = threading.Barrier(len(racers))
-        wins: list[bool] = [False] * len(racers)
-
-        def race(i):
-            barrier.wait()
-            wins[i] = racers[i].try_lease("cs_count", (1,))
-
-        threads = [threading.Thread(target=race, args=(i,))
-                   for i in range(len(racers))]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert sum(wins) == 1
-        # Usually the marker holder; rarely a fresh claimant slips into
-        # the unlink/re-create gap and the marker holder demotes itself
-        # (step 3) — either way never more than one takeover.
-        assert sum(r.takeovers for r in racers) <= 1
-        # The fresh lease now excludes everyone, including re-tries.
-        late = CellStore(tmp_path / "store", lease_ttl=5.0)
-        assert not late.try_lease("cs_count", (1,))
-
-    def test_takeover_loses_to_an_active_marker(self, tmp_path,
-                                                fake_fingerprints):
-        # A racer mid-takeover holds the marker; everyone else must back
-        # off instead of proceeding to clobber the winner's fresh lease.
-        store = CellStore(tmp_path / "store", lease_ttl=5.0)
-        lease = self._stale_lease(store)
-        key = lease.name[:-len(".json")]
-        marker = store.leases_dir / f"{key}.takeover"
-        marker.touch()
-        b = CellStore(tmp_path / "store", lease_ttl=5.0)
-        assert not b.try_lease("cs_count", (1,))
-        assert b.takeovers == 0
-        marker.unlink()  # the holder finished (or was reaped)
-        assert b.try_lease("cs_count", (1,))
-        assert b.takeovers == 1
-
-    def test_takeover_backs_off_if_lease_was_refreshed(self, tmp_path,
-                                                       fake_fingerprints):
-        # The marker winner re-checks staleness: if a completed takeover
-        # refreshed the lease between our stale check and our marker
-        # win, we must NOT steal it — that re-check is what closes the
-        # old protocol's double-win window.
-        store = CellStore(tmp_path / "store", lease_ttl=5.0)
-        lease = self._stale_lease(store)
-        key = lease.name[:-len(".json")]
-        winner = CellStore(tmp_path / "store", lease_ttl=5.0)
-        assert winner.try_lease("cs_count", (1,))  # lease is now fresh
-        before = lease.read_text()
-        late = CellStore(tmp_path / "store", lease_ttl=5.0)
-        payload = json.dumps({"owner": late._owner, "k": key}, sort_keys=True)
-        assert not late._take_over_stale(lease, key, payload)
-        assert lease.read_text() == before  # winner's lease untouched
-        assert not (store.leases_dir / f"{key}.takeover").exists()
-
-    def test_orphaned_takeover_marker_is_cleared(self, tmp_path,
-                                                 fake_fingerprints):
-        # A racer that crashed between creating the marker and removing
-        # it must not wedge the cell forever: a TTL-stale marker is
-        # swept by the next attempt (which loses) and by gc.
-        store = CellStore(tmp_path / "store", lease_ttl=5.0)
-        lease = self._stale_lease(store)
-        key = lease.name[:-len(".json")]
-        marker = store.leases_dir / f"{key}.takeover"
-        marker.touch()
-        old = time.time() - 60.0
-        os.utime(marker, (old, old))  # its holder crashed long ago
-        b = CellStore(tmp_path / "store", lease_ttl=5.0)
-        assert not b.try_lease("cs_count", (1,))  # this attempt loses...
-        assert not marker.exists()                # ...but clears the wreck
-        assert b.try_lease("cs_count", (1,))      # the next one wins
-        # gc sweeps orphaned markers too.
-        marker2 = store.leases_dir / ("ff" * 32 + ".takeover")
-        marker2.touch()
-        os.utime(marker2, (old, old))
-        store.gc()
-        assert not marker2.exists()
+        assert rerun.store_summary == cold.store_summary
+        assert {p.name: p.read_text() for p in leases.iterdir()} == before
 
 
 # ---------------------------------------------------------------------------
-# Two runs, one store: the never-compute-twice guarantee
+# Two runs, one store: lockless appends, duplicates compacted by gc
 # ---------------------------------------------------------------------------
+
+#: The code identity of the ``cs_race`` worker, and of the package
+#: while a race test judges staleness.
+RACE_CODE = "77" * 16
+
 
 def _race_sweep(root: str, marker_dir: str, jobs: int,
                 xs: list[int]) -> dict:
@@ -691,13 +472,12 @@ def _race_sweep(root: str, marker_dir: str, jobs: int,
 
     real = static.worker_fingerprint
     static.worker_fingerprint = (
-        lambda worker: "77" * 16 if worker == "cs_race" else real(worker)
+        lambda worker: RACE_CODE if worker == "cs_race" else real(worker)
     )
     cells = [Cell((x,), "cs_race", (x, marker_dir)) for x in xs]
     store = CellStore(root)
     results = run_cells(cells, Run(RunConfig(jobs=jobs), store=store)).results
-    return {"results": results, "peer_waits": store.peer_waits,
-            "published": store.published}
+    return {"results": results, "published": store.published}
 
 
 @cell_worker("cs_race")
@@ -712,11 +492,15 @@ def _cs_race(x, marker_dir):
 
 
 class TestTwoExecutorsOneStore:
-    def test_overlapping_sweeps_execute_each_cell_once(self, tmp_path):
-        # The acceptance criterion: two processes race overlapping cells
-        # at two *different* ``jobs`` (pool and inline) sharing one
-        # store; the lease
-        # protocol must ensure no cell is ever computed twice.
+    def test_overlapping_sweeps_execute_each_cell_once(self, tmp_path,
+                                                       monkeypatch):
+        # Two processes run overlapping sweeps at two different ``jobs``
+        # (pool and inline) on one store.  Nothing coordinates them but
+        # the store's appends: each sweep runs each of its cells at
+        # most once, a contested cell may run in both, and each
+        # duplicate is the same record line, which gc compacts.
+        import repro.analysis.static as static
+
         root = str(tmp_path / "store")
         markers = tmp_path / "markers"
         markers.mkdir()
@@ -729,12 +513,41 @@ class TestTwoExecutorsOneStore:
         for x in range(12):
             runs = [p for p in markers.iterdir()
                     if p.name.startswith(f"cell{x}-")]
-            assert len(runs) == 1, f"cell {x} executed {len(runs)} time(s)"
-        # Both sweeps still see every one of their results, exactly as
-        # if they had computed everything themselves.
-        assert ra["results"] == {(x,): {"v": float(x)} for x in a_xs}
-        assert rb["results"] == {(x,): {"v": float(x)} for x in b_xs}
-        assert ra["published"] + rb["published"] == 12
+            sweeps = (x in a_xs) + (x in b_xs)
+            assert 1 <= len(runs) <= sweeps, f"cell {x} ran {len(runs)} time(s)"
+        # Each sweep returns every one of its results, as a solo run does.
+        solo_markers = tmp_path / "solo"
+        solo_markers.mkdir()
+        solo = run_cells([Cell((x,), "cs_race", (x, str(solo_markers)))
+                          for x in range(12)]).results
+        assert ra["results"] == {(x,): solo[(x,)] for x in a_xs}
+        assert rb["results"] == {(x,): solo[(x,)] for x in b_xs}
+
+        store = CellStore(root)
+        assert store.verify().clean
+        lines: dict[str, set[str]] = {}
+        for shard in store.shard_files():
+            for line in shard.read_text().splitlines():
+                lines.setdefault(json.loads(line)["k"], set()).add(line)
+        assert len(lines) == 12
+        assert all(len(copies) == 1 for copies in lines.values())
+        records = store.stats().records
+        assert records == ra["published"] + rb["published"] >= 12
+
+        monkeypatch.setattr(static, "package_code", lambda: RACE_CODE)
+        report = store.gc()
+        assert report.kept == 12
+        assert report.dropped == report.dropped_duplicate == records - 12
+        assert store.stats().records == 12
+
+    def test_store_run_creates_no_leases_directory(self, tmp_path,
+                                                   fake_fingerprints):
+        root = tmp_path / "store"
+        cells = [Cell((x,), "cs_count", (x,)) for x in range(3)]
+        cells.append(Cell(("f",), "cs_fail", (0,)))
+        report = run_cells(cells, Run(RunConfig(), store=CellStore(root)))
+        assert len(report.results) == 3 and list(report.failures) == [("f",)]
+        assert [p.name for p in root.iterdir()] == ["cells"]
 
 
 # ---------------------------------------------------------------------------
@@ -940,6 +753,35 @@ class TestStoreCli:
         assert err.startswith("error: store spec") and "Traceback" not in err
         assert main(["store", "stats", spec]) == 1
         assert list(tmp_path.iterdir()) == []  # no "tcp:" directory appeared
+
+    def test_store_spec_naming_a_file_rejected(self, tmp_path, monkeypatch,
+                                               capsys):
+        from repro.harness import parallel
+
+        def no_cells(cell):
+            raise AssertionError(f"simulated {cell.key} before failing")
+
+        monkeypatch.setattr(parallel, "_execute", no_cells)
+        path = tmp_path / "store"
+        path.write_text("not a store\n")
+        with pytest.raises(ConfigError, match="not a directory"):
+            CellStore(path)
+        assert main(["run", "fig2", "--store", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: store") and "Traceback" not in err
+        assert err.count("\n") == 1
+        assert path.read_text() == "not a store\n"
+
+    @pytest.mark.parametrize("command", ["stats", "verify", "gc"])
+    def test_maintenance_on_missing_path_fails(self, tmp_path, capsys,
+                                               command):
+        path = tmp_path / "no" / "such" / "store"
+        assert main(["store", command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: store")
+        assert "not an existing directory" in captured.err
+        assert not (tmp_path / "no").exists()
 
     def test_negative_jobs_is_a_clean_cli_error(self, capsys):
         assert main(["run", "tab2", "--jobs", "-2"]) == 1
