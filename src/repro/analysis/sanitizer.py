@@ -22,11 +22,12 @@ run executes:
 * **tag/peer validity** — sends with reserved negative tags, receives
   from out-of-range sources.
 
-Enable per world (``MpiWorld(..., sanitize=True)``), per scope
-(``repro.config.world_scope(sanitize=True)``), per run
-(``run_batch(sanitize=True)`` and the ``--sanitize`` CLI flag, see
-:mod:`repro.config`) or by default via the ``REPRO_SANITIZE``
-environment variable.  The checks
+Enable per world (``MpiWorld(..., sanitize=True)``), per run
+(``RunConfig(sanitize=True).open()``, ``run_batch(sanitize=True)`` and
+the ``--sanitize`` CLI flag, see :mod:`repro.config`) or by default via
+the ``REPRO_SANITIZE`` environment variable; every open run collects
+the reports of the sanitized worlds finalized in this process
+(``Run.sanitizer_reports``).  The checks
 observe the simulation without scheduling events, so enabling them
 never changes virtual timestamps: a sanitized run is bit-identical to
 an unsanitized one.
@@ -37,7 +38,7 @@ from __future__ import annotations
 import dataclasses
 import typing as _t
 
-from repro.config import collect_sanitizer_report, world_options
+from repro.config import collect_sanitizer_report, default_sanitize
 from repro.errors import DeadlockError, SanitizerError
 
 if _t.TYPE_CHECKING:  # pragma: no cover
@@ -126,15 +127,6 @@ class SanitizerReport:
                 for d in self.diagnostics
             ],
         }
-
-
-# ---------------------------------------------------------------------------
-# Enablement + report aggregation
-# ---------------------------------------------------------------------------
-
-def sanitize_enabled() -> bool:
-    """Default ``sanitize=`` for worlds that don't pass one explicitly."""
-    return world_options().sanitize
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +444,14 @@ class MpiSanitizer:
     def report(self) -> SanitizerReport:
         """The report accumulated so far."""
         return self._report
+
+
+def attach(world: "MpiWorld", sanitize: bool | None) -> MpiSanitizer | None:
+    """The sanitizer ``world`` runs under: one when ``sanitize`` is on
+    (``None``: :func:`repro.config.default_sanitize`), else ``None``."""
+    if sanitize is None:
+        sanitize = default_sanitize()
+    return MpiSanitizer(world) if sanitize else None
 
 
 def _describe_coll(name: str, root: int | None) -> str:

@@ -69,7 +69,7 @@ def _cmd_experiments(_args: argparse.Namespace) -> int:
     from repro.harness.experiments import EXPERIMENTS
 
     for eid, fn in EXPERIMENTS.items():
-        doc = (fn.__doc__ or "").strip().splitlines()[0]
+        doc = (fn.__doc__ or "").strip().partition("\n")[0]
         print(f"{eid:<10} {doc}")
     return 0
 

@@ -8,16 +8,17 @@ tally) as a :class:`Run`, and that object is passed down ``run_batch`` →
 
 Precedence is one rule for every field: an explicit value (a CLI flag,
 a keyword argument) wins, else the field's environment spelling, else
-its default.  Only the one *world option*, ``sanitize``, has an
-environment spelling, ``REPRO_SANITIZE``, and this module is the one
-place that reads it (:func:`env_world_options`).
+its default.  Only ``sanitize`` has an environment spelling,
+``REPRO_SANITIZE``, and this module is the one place that reads it.
 
-World options reach simulated worlds without touching ``os.environ``:
-:func:`world_scope` installs them in this process (what an open
-:class:`Run` does for its lifetime), and a pool worker receives them
-through its initializer (:func:`install_worker_options`).  A world that
-is not told otherwise asks :func:`world_options`: the innermost install,
-else the environment.
+The open runs are the only ambient run state, and ``os.environ`` is
+never written: :meth:`RunConfig.open` makes its :class:`Run` the
+innermost open run for as long as it is open, and a pool worker's
+initializer makes the dispatching run's config the one open run there
+(:func:`open_in_worker`).  A world built without ``sanitize=`` takes
+:func:`default_sanitize`: the innermost open run's, else the
+environment's; a sanitized world's report goes to every open run
+(:func:`collect_sanitizer_report`).
 """
 
 from __future__ import annotations
@@ -34,83 +35,30 @@ if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.harness.supervisor import HarnessStats
 
 
-# ---------------------------------------------------------------------------
-# World options: what every simulated world of a run is built with
-# ---------------------------------------------------------------------------
-
-@dataclasses.dataclass(frozen=True, slots=True)
-class WorldOptions:
-    """The run-wide default a :class:`~repro.smpi.world.MpiWorld` takes
-    for ``sanitize=`` when it is not given it explicitly."""
-
-    sanitize: bool = False
+#: The open runs of this process, innermost last.
+_OPEN: list["Run"] = []
 
 
-def env_world_options() -> WorldOptions:
-    """The process default: ``REPRO_SANITIZE``, the only environment
-    variable read as configuration.  ``""`` and ``"0"`` mean off.
-    """
+def default_sanitize() -> bool:
+    """``sanitize`` of the innermost open run, else ``REPRO_SANITIZE``
+    (the only environment variable read as configuration; ``""`` and
+    ``"0"`` mean off)."""
+    if _OPEN:
+        return _OPEN[-1].config.sanitize
     value = os.environ.get("REPRO_SANITIZE", "")  # lint-ok: DET008 the one sanctioned feature-gate reader, read before simulation starts
-    return WorldOptions(sanitize=value.strip() not in ("", "0"))
-
-
-@dataclasses.dataclass(slots=True)
-class WorldReports:
-    """Reports of the worlds finalized in this process inside one
-    :func:`world_scope` (pool-worker worlds report in their own process)."""
-
-    sanitizer: list = dataclasses.field(default_factory=list)
-
-
-#: Installed world options, innermost last (empty: the environment rules).
-_INSTALLED: list[WorldOptions] = []
-#: Report collectors of the open :func:`world_scope` blocks.
-_COLLECTORS: list[WorldReports] = []
-
-
-def world_options() -> WorldOptions:
-    """The world options in force in this process."""
-    return _INSTALLED[-1] if _INSTALLED else env_world_options()
-
-
-@contextlib.contextmanager
-def world_scope(
-    options: WorldOptions | None = None, *, sanitize: bool | None = None
-) -> _t.Iterator[WorldReports]:
-    """Install ``options`` (default: the ones in force), with
-    ``sanitize`` when given, for every world built in this process
-    inside the block; yields the reports of the worlds finalized
-    meanwhile.
-
-    This is the one in-process install of the world options:
-    ``world_scope(sanitize=True) as reports`` sanitizes the block's
-    worlds and collects ``reports.sanitizer``.
-    """
-    if sanitize is not None:
-        options = WorldOptions(sanitize=sanitize)
-    elif options is None:
-        options = world_options()
-    reports = WorldReports()
-    _INSTALLED.append(options)  # lint-ok: DET007 in-process option install, restored on exit
-    _COLLECTORS.append(reports)  # lint-ok: DET007 observer-side report collection, never in results
-    try:
-        yield reports
-    finally:
-        _COLLECTORS.pop()  # lint-ok: DET007 undoes the append above
-        _INSTALLED.pop()  # lint-ok: DET007 undoes the append above
-
-
-def install_worker_options(options: WorldOptions) -> None:
-    """Pool-worker initializer hook: ``options`` rule this process, and
-    collectors inherited from a forking parent are dropped."""
-    _INSTALLED[:] = [options]  # lint-ok: DET007 pool start-up installs the dispatching run's options
-    _COLLECTORS.clear()  # lint-ok: DET007 pool start-up drops a forking parent's observers
+    return value.strip() not in ("", "0")
 
 
 def collect_sanitizer_report(report: _t.Any) -> None:
-    """Hand a finalized world's sanitizer report to every open collector."""
-    for reports in _COLLECTORS:
-        reports.sanitizer.append(report)
+    """Hand a finalized world's sanitizer report to every open run."""
+    for run in _OPEN:
+        run.sanitizer_reports.append(report)
+
+
+def open_in_worker(config: "RunConfig") -> None:
+    """Pool-worker start-up: ``config``'s run (no store) is the one
+    open run of this process; a forking parent's runs are dropped."""
+    _OPEN[:] = [Run(config)]  # lint-ok: DET007 pool start-up opens the dispatching run's config
 
 
 # ---------------------------------------------------------------------------
@@ -125,9 +73,9 @@ class RunConfig:
     seed, 1, is the one the pinned report digests use, and every
     ``--seed`` flag defaults to it); ``jobs`` (``0`` = all CPUs) how
     many pool workers run a sweep's cells; ``store`` the cell-store
-    directory.  The world option ``sanitize`` left as ``None`` takes
-    the options in force (:func:`world_options`: an install, else the
-    environment); after construction it is a plain bool.
+    directory; ``sanitize`` whether the run's worlds are sanitized.
+    ``sanitize`` left as ``None`` takes :func:`default_sanitize`; after
+    construction it is a plain bool.
     """
 
     quick: bool = True
@@ -140,10 +88,13 @@ class RunConfig:
     def __post_init__(self) -> None:
         from repro.harness.cellstore import store_root
 
-        sanitize = self.sanitize
-        resolved: dict[str, _t.Any] = {
-            "sanitize": world_options().sanitize if sanitize is None else bool(sanitize),
-        }
+        resolved: dict[str, _t.Any] = {}
+        if self.sanitize is None:
+            resolved["sanitize"] = default_sanitize()
+        elif not isinstance(self.sanitize, bool):
+            raise ConfigError(f"sanitize must be a bool or None: {self.sanitize!r}")
+        if not isinstance(self.quick, bool):
+            raise ConfigError(f"quick must be a bool: {self.quick!r}")
         optional = () if self.sim_iters is None else ("sim_iters",)
         for name in ("seed", "jobs", *optional):
             value = getattr(self, name)
@@ -162,19 +113,19 @@ class RunConfig:
         for name, value in resolved.items():
             object.__setattr__(self, name, value)
 
-    @property
-    def world(self) -> WorldOptions:
-        """The world options of this run."""
-        return WorldOptions(sanitize=self.sanitize)
-
     @contextlib.contextmanager
     def open(self) -> _t.Iterator["Run"]:
-        """Open this run's resources and install its world options."""
+        """Open this run's resources; the run is the innermost open run
+        while the block runs."""
         from repro.harness.cellstore import CellStore
 
         store = CellStore(self.store) if self.store is not None else None
-        with world_scope(self.world) as reports:
-            yield Run(self, store=store, reports=reports)
+        run = Run(self, store=store)
+        _OPEN.append(run)  # lint-ok: DET007 the open run is ambient until the block exits
+        try:
+            yield run
+        finally:
+            _OPEN.pop()  # lint-ok: DET007 undoes the append above
 
 
 def _harness_stats() -> "HarnessStats":
@@ -189,15 +140,16 @@ class Run:
 
     ``store`` is ``None`` when not configured (sweeps then run without
     a store); ``stats`` is the harness tally every sweep of the run
-    merges into; ``reports`` collects the in-process worlds'
-    sanitizer reports.  ``Run()`` is a default, unopened run: no store,
-    the world options in force.
+    merges into; ``sanitizer_reports`` collects the reports of the
+    sanitized worlds finalized in this process while the run is open.
+    ``Run()`` is a default, unopened run: no store, the default
+    ``sanitize``.
     """
 
     config: RunConfig = dataclasses.field(default_factory=RunConfig)
     store: "CellStore | None" = None
     stats: "HarnessStats" = dataclasses.field(default_factory=_harness_stats)
-    reports: WorldReports = dataclasses.field(default_factory=WorldReports)
+    sanitizer_reports: list = dataclasses.field(default_factory=list)
 
     def summaries(self) -> dict[str, str | None]:
         """The stderr-only ``harness``/``store`` banners.

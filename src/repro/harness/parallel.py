@@ -28,7 +28,7 @@ import os
 import tempfile
 import typing as _t
 
-from repro.config import WorldOptions, install_worker_options
+from repro.config import RunConfig, open_in_worker
 from repro.errors import ConfigError
 
 
@@ -79,12 +79,12 @@ def cell_worker(name: str) -> _t.Callable[[_t.Callable], _t.Callable]:
 _IS_POOL_WORKER = False
 
 
-def _pool_worker_init(options: WorldOptions) -> None:
+def _pool_worker_init(config: RunConfig) -> None:
     """Pool-worker initializer: mark this process as a pool worker and
-    install the dispatching run's world options in it."""
+    make the dispatching run's config the open run in it."""
     global _IS_POOL_WORKER  # lint-ok: DET007 set once at pool start-up; only the chaos hook reads it
     _IS_POOL_WORKER = True
-    install_worker_options(options)
+    open_in_worker(config)
 
 
 def _maybe_chaos_kill() -> None:

@@ -117,9 +117,9 @@ def run_batch(
     ``sim_iters``, ``sanitize``, ``store``.
     The config is opened once (:meth:`~repro.config.RunConfig.open`)
     and the resulting :class:`~repro.config.Run` serves the whole batch
-    — one store, one harness tally — and every world is built with the
-    run's world options: inline through one in-process install, in pool
-    workers through the pool initializer.
+    — one store, one harness tally — and every world takes the run's
+    ``sanitize``: inline from the open run, in pool workers through the
+    pool initializer.
 
     The batch is one sweep, then renders
     (:func:`~repro.harness.experiments.run_experiments`).  Every cell
@@ -163,7 +163,7 @@ def run_batch(
         outputs, failures = run_experiments(ids, run, progress)
         pooled = run.stats.pooled
         sanitize = (
-            _sanitize_summary(run.reports.sanitizer, pooled) if config.sanitize else None
+            _sanitize_summary(run.sanitizer_reports, pooled) if config.sanitize else None
         )
         summaries = run.summaries()
     return BatchResult(

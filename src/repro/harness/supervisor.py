@@ -62,7 +62,7 @@ import dataclasses
 import traceback
 import typing as _t
 
-from repro.config import using, world_options
+from repro.config import using
 from repro.errors import CellExecutionError, ConfigError
 from repro.harness import parallel
 
@@ -70,7 +70,7 @@ if _t.TYPE_CHECKING:  # pragma: no cover
     from concurrent.futures import Future
     from concurrent.futures.process import ProcessPoolExecutor
 
-    from repro.config import Run
+    from repro.config import Run, RunConfig
     from repro.harness.parallel import Cell
 
 
@@ -159,7 +159,7 @@ def _run_cells(cells: list["Cell"], run: "Run") -> SweepReport:
         sweep.results.update(plan.served)
         pending = plan.to_run
     jobs = min(run.config.jobs, len(pending))
-    demoted = sweep.dispatch(pending, jobs) if jobs > 1 else []
+    demoted = sweep.dispatch(pending, jobs, run.config) if jobs > 1 else []
     inline = demoted if jobs > 1 else pending
     for c in inline:
         sweep.run_inline(c)
@@ -216,9 +216,11 @@ class _Sweep:
         else:
             self.succeed(cell, value)
 
-    def dispatch(self, cells: list["Cell"], jobs: int) -> list["Cell"]:
-        """Run ``cells`` on a ``jobs``-worker pool; returns the demoted
-        ones.
+    def dispatch(
+        self, cells: list["Cell"], jobs: int, config: "RunConfig"
+    ) -> list["Cell"]:
+        """Run ``cells`` on a ``jobs``-worker pool whose workers run
+        under ``config``; returns the demoted ones.
 
         A pool that breaks is killed, and the cells it still owed past
         the demoted ones go to a fresh pool.  The last pool is shut
@@ -230,11 +232,11 @@ class _Sweep:
 
         demoted: list["Cell"] = []
         while cells:
-            # Workers get the world options in force through initargs,
-            # never through the environment.
+            # Workers get the run's config through initargs, never
+            # through the environment.
             pool = ProcessPoolExecutor(
                 max_workers=jobs, initializer=parallel._pool_worker_init,
-                initargs=(world_options(),),
+                initargs=(config,),
             )
             try:
                 cells, lost = self._round(cells, pool, jobs)

@@ -74,13 +74,6 @@ class Engine:
         return Process(self, generator, name=name)
 
     # -- scheduling (engine internal) -------------------------------------
-    def _schedule_event(self, event: Event, delay: float = 0.0) -> None:
-        """Queue ``event`` for dispatch ``delay`` seconds from now."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule event in the past ({delay!r})")
-        self._seq += 1
-        heapq.heappush(self._heap, (self.now + delay, self._seq, event))
-
     def call_at(self, when: float, fn: _t.Callable[[], None]) -> None:
         """Run ``fn()`` at absolute simulated time ``when`` (>= now).
 

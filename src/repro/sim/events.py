@@ -85,8 +85,8 @@ class Event:
         if self._value is not _PENDING or self._exc is not None:
             raise SimulationError(f"event {self!r} already triggered")
         self._value = value
-        # Inlined Engine._schedule_event(self) — succeed() runs once per
-        # event of every simulation, so the call indirection matters.
+        # Queued at ``now`` straight onto the heap — succeed() runs once
+        # per event of every simulation, so a call indirection matters.
         eng = self.engine
         eng._seq += 1
         _heappush(eng._heap, (eng.now, eng._seq, self))

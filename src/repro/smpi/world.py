@@ -232,14 +232,14 @@ class MpiWorld:
     Parameters
     ----------
     platform:
-        A :class:`PlatformSpec` (a fresh engine and runtime platform are
-        built) or an existing :class:`Platform` runtime.
+        The :class:`PlatformSpec` to build a fresh engine and runtime
+        platform from.
     nprocs:
         World size.
     placement:
         Rank placement policy (default: block, minimal nodes).
     seed:
-        Engine seed (ignored when an existing platform is passed).
+        Engine seed.
     memo:
         Collective-cost cache (default: the process-wide shared cache
         from :mod:`repro.perf`); pass a disabled
@@ -249,27 +249,24 @@ class MpiWorld:
         (:class:`~repro.analysis.sanitizer.MpiSanitizer`): wait-for-graph
         deadlock reports, collective-sequence mismatch detection,
         unmatched-send/message-leak checks at finalize and tag/peer
-        validation.  ``None`` (the default) defers to the run's world
-        options (:func:`repro.analysis.sanitizer.sanitize_enabled`).
+        validation.  ``None`` (the default) takes the innermost open
+        run's ``sanitize``, else ``REPRO_SANITIZE``
+        (:func:`repro.analysis.sanitizer.attach`).
         The sanitizer observes without scheduling events, so sanitized
         runs keep bit-identical virtual timestamps.
     """
 
     def __init__(
         self,
-        platform: PlatformSpec | Platform,
+        platform: PlatformSpec,
         nprocs: int,
         placement: Placement | None = None,
         seed: int = 0,
         memo: CollectiveMemo | None = None,
         sanitize: bool | None = None,
     ) -> None:
-        if isinstance(platform, PlatformSpec):
-            self.engine = Engine(seed=seed)
-            self.platform = Platform(platform, self.engine)
-        else:
-            self.platform = platform
-            self.engine = platform.engine
+        self.engine = Engine(seed=seed)
+        self.platform = Platform(platform, self.engine)
         if nprocs < 1:
             raise ConfigError(f"nprocs must be >= 1, got {nprocs}")
         self.nprocs = nprocs
@@ -284,11 +281,9 @@ class MpiWorld:
         self._next_comm_id = 1
         # Imported lazily: repro.analysis pulls in the linter, which in
         # turn reads the collective registry from this package.
-        from repro.analysis.sanitizer import MpiSanitizer, sanitize_enabled
+        from repro.analysis import sanitizer
 
-        if sanitize is None:
-            sanitize = sanitize_enabled()
-        self.sanitizer = MpiSanitizer(self) if sanitize else None
+        self.sanitizer = sanitizer.attach(self, sanitize)
 
     # -- communicator factory ----------------------------------------------
     def comm_world(self, rank: int) -> "Comm":

@@ -53,6 +53,18 @@ class TestCli:
         out = capsys.readouterr().out
         assert "fig4" in out and "tab3" in out
 
+    def test_experiments_listing_renderer_without_docstring(self, capsys, monkeypatch):
+        from repro.harness.experiments import EXPERIMENTS
+
+        def undocumented(config, points):
+            return None
+
+        monkeypatch.setitem(EXPERIMENTS, "nodoc", undocumented)
+        assert main(["experiments"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "nodoc" in [line.strip() for line in lines]
+        assert any(line.startswith("fig4") for line in lines)
+
     def test_npb_point(self, capsys):
         assert main(["npb", "ep", "vayu", "4"]) == 0
         out = capsys.readouterr().out

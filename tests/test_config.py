@@ -2,9 +2,10 @@
 
 Covers validation and precedence of :class:`RunConfig` (flag over
 environment over default, one table), that a run configures its worlds
-without writing ``os.environ`` — inline through one in-process install,
-in pool workers through the pool initializer — and that reports are
-byte-identical across ``--jobs`` whatever world options are on.
+without writing ``os.environ`` — inline as the open run, in pool
+workers through the pool initializer — that every open run collects
+the sanitizer reports of the worlds finalized inside it, and that
+reports are byte-identical across ``--jobs`` with ``sanitize`` on.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import os
 import pytest
 
 from repro.cli import _run_config, build_parser, main
-from repro.config import RunConfig, WorldOptions, world_options, world_scope
+from repro.config import RunConfig, default_sanitize
 from repro.errors import ConfigError
 from repro.harness.parallel import Cell, cell_worker
 from repro.harness.runner import run_batch
@@ -25,7 +26,7 @@ WORLD_ENV = ("REPRO_SANITIZE",)
 
 @pytest.fixture
 def clean_env(monkeypatch):
-    """No world option set in the environment."""
+    """No configuration set in the environment."""
     for name in WORLD_ENV:
         monkeypatch.delenv(name, raising=False)
     return monkeypatch
@@ -33,12 +34,10 @@ def clean_env(monkeypatch):
 
 @cell_worker("cfg_probe")
 def _cfg_probe(i):
-    """Reports the world options the executing process observes."""
-    from repro.analysis.sanitizer import sanitize_enabled
-
+    """Reports the ``sanitize`` default the executing process observes."""
     return {
         "pid": os.getpid(),
-        "sanitize": sanitize_enabled(),
+        "sanitize": default_sanitize(),
         "env": {name: os.environ.get(name) for name in WORLD_ENV},
     }
 
@@ -70,12 +69,13 @@ def test_precedence_flag_over_env_over_default(
     assert getattr(RunConfig(**{field: flag_value}), field) == flag_value
 
 
-def test_install_sits_between_explicit_values_and_env(clean_env):
+def test_open_run_sits_between_explicit_values_and_env(clean_env):
     clean_env.setenv("REPRO_SANITIZE", "1")
-    with world_scope(WorldOptions(sanitize=False)):
-        assert RunConfig().world == WorldOptions(sanitize=False)
+    with RunConfig(sanitize=False).open():
+        assert not default_sanitize()
+        assert not RunConfig().sanitize
         assert RunConfig(sanitize=True).sanitize
-    assert world_options().sanitize
+    assert default_sanitize()
 
 
 def test_no_fast_path_options(clean_env, capsys):
@@ -98,7 +98,7 @@ def test_no_fast_path_options(clean_env, capsys):
     plain = MpiWorld(VAYU, 2, seed=1).launch(program)
     clean_env.setenv("REPRO_REPLAY", "1")
     clean_env.setenv("REPRO_FASTCOLLECT", "1")
-    assert world_options() == WorldOptions()
+    assert not default_sanitize()
     assert _run_config(build_parser().parse_args(["run", "fig3"])) == RunConfig()
     again = MpiWorld(VAYU, 2, seed=1).launch(program)
     assert (again.wall_time, again.rank_results) == (plain.wall_time, plain.rank_results)
@@ -107,7 +107,6 @@ def test_no_fast_path_options(clean_env, capsys):
         RunConfig(replay=True)
     with pytest.raises(TypeError):
         MpiWorld(VAYU, 2, fastcollect=True)
-    assert [f.name for f in dataclasses.fields(WorldOptions)] == ["sanitize"]
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +143,18 @@ def test_bool_is_not_an_int(name):
         RunConfig(**{name: True})
 
 
+@pytest.mark.parametrize("fields", [
+    dict(sanitize="0"), dict(sanitize=1), dict(quick="no"), dict(quick=0),
+    dict(quick=None),
+], ids=repr)
+def test_bool_fields_are_not_coerced(clean_env, fields):
+    """``quick`` and ``sanitize`` are bools (``sanitize`` may be
+    ``None``): a string such as ``"0"`` is rejected, not read as truthy."""
+    [name] = fields
+    with pytest.raises(ConfigError, match=f"{name} must be a bool"):
+        RunConfig(**fields)
+
+
 def test_no_failure_policy_option(capsys):
     """A cell is deterministic and runs once: no option retries it or
     watches it.  ``run --retries``/``--timeout`` are usage errors."""
@@ -170,7 +181,7 @@ def test_no_fault_schedule_option(clean_env, capsys):
         assert exc.value.code == 2
         assert "usage:" in capsys.readouterr().err
     clean_env.setenv("REPRO_FAULTS", "link:start=0,dur=1e9,bw=0.5")
-    assert RunConfig().world == WorldOptions()
+    assert RunConfig() == RunConfig(sanitize=False)
     with pytest.raises(TypeError):
         RunConfig(faults="link:start=0,dur=1e9,bw=0.5")
 
@@ -194,7 +205,7 @@ def test_one_seed_default():
 
 
 # ---------------------------------------------------------------------------
-# World options travel without os.environ
+# ``sanitize`` travels with the open run, never through os.environ
 # ---------------------------------------------------------------------------
 
 def test_run_batch_never_writes_environ_and_reaches_pool_workers(
@@ -224,7 +235,7 @@ def test_run_batch_never_writes_environ_and_reaches_pool_workers(
     assert batch.sanitize_summary.startswith("sanitize: clean — 0 in-process world(s)")
     assert "in-process worlds only: 4 cell(s) ran in pool workers" in batch.sanitize_summary
     # Outside the run the process default is back in charge.
-    assert world_options() == WorldOptions()
+    assert not default_sanitize()
 
 
 @pytest.mark.parametrize("flags", [["--sanitize"]])
@@ -239,18 +250,19 @@ def test_report_independent_of_jobs(clean_env, flags, capsys):
     assert outs[0] == outs[1]
 
 
-def test_nested_scopes_collect_into_every_open_collector(clean_env):
+def test_nested_runs_collect_every_world_finalized_inside_them(clean_env):
     from repro.platforms import VAYU
     from repro.smpi import MpiWorld
 
     def program(comm):
         yield from comm.barrier()
 
-    with world_scope(sanitize=True) as outer:
-        with world_scope(sanitize=True) as inner:
+    with RunConfig(sanitize=True).open() as outer:
+        with RunConfig(sanitize=True).open() as inner:
             MpiWorld(VAYU, 2, seed=1).launch(program)
         MpiWorld(VAYU, 2, seed=1).launch(program)
-    assert (len(outer.sanitizer), len(inner.sanitizer)) == (2, 1)
+    MpiWorld(VAYU, 2, seed=1, sanitize=True).launch(program)
+    assert (len(outer.sanitizer_reports), len(inner.sanitizer_reports)) == (2, 1)
 
 
 # ---------------------------------------------------------------------------

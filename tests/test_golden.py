@@ -4,8 +4,9 @@ Each row runs every registered experiment (quick grids, seed 1) under
 one execution strategy and must render the report whose digest the
 end-to-end benchmark pins (``benchmarks/e2e/expected.json``), and write
 the JSON and CSV exports pinned in :data:`EXPORT_DIGESTS`, without
-parsing any source.  The sanitize row also checks the sanitizer's
-stderr-only banner; the warm store row checks that it serves every cell.
+parsing any source.  The sanitize rows also check the sanitizer's
+stderr-only banner (on a pool it counts the cells that ran in workers);
+the warm store row checks that it serves every cell.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ ROWS = {
     "inline": {},
     "jobs2": {"jobs": 2},
     "sanitize": {"sanitize": True},
+    "sanitize-jobs2": {"sanitize": True, "jobs": 2},
     "store-cold": {"store": STORE, "jobs": 2},
     "store-warm": {"store": STORE},
 }
@@ -88,6 +90,7 @@ def test_strategy_renders_the_golden_report(
     }
     expected = {
         "sanitize": {"sanitize"},
+        "sanitize-jobs2": {"sanitize"},
         "store-cold": {"store"},
         "store-warm": {"store"},
     }.get(row, set())
@@ -96,6 +99,13 @@ def test_strategy_renders_the_golden_report(
         # Every world ran in this process, so the banner covers them all.
         assert batch.sanitize_summary.startswith("sanitize: clean — ")
         assert batch.sanitize_summary.endswith(" 0 warning(s), 0 errors")
+    if row == "sanitize-jobs2":
+        # Every distinct payload (84, as the warm store serves) ran in a
+        # pool worker, whose worlds report in their own process.
+        assert batch.sanitize_summary.startswith(
+            "sanitize: clean — 0 in-process world(s), ")
+        assert batch.sanitize_summary.endswith(
+            " · counts cover in-process worlds only: 84 cell(s) ran in pool workers")
     if row == "store-warm":
         assert "84 served, 0 executed, 0 published" in batch.store_summary
     assert parses == 0

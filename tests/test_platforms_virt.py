@@ -132,33 +132,18 @@ class TestHypervisors:
             OsNoiseModel(spike_prob=2.0)
 
     def test_noise_zero_duration(self):
-        assert OsNoiseModel().sample(np.random.default_rng(0), 0.0) == 0.0
+        main = np.random.default_rng(0)
+        spikes = np.random.default_rng(1)
+        state = (main.bit_generator.state, spikes.bit_generator.state)
+        model = OsNoiseModel(spike_prob=1.0, spike_seconds=1.0)
+        assert model.sample(main, 0.0, spike_rng=spikes) == 0.0
+        assert (main.bit_generator.state, spikes.bit_generator.state) == state
 
-    def test_noise_draw_count_independent_of_spike_prob(self):
-        """Regression: ``sample`` must consume the same number of draws
-        whether or not the spike branch is taken, so changing a
-        platform's ``spike_prob`` cannot shift every later sample of a
-        shared stream."""
-        def draws(model):
-            class Counting:
-                def __init__(self):
-                    self.rng = np.random.default_rng(0)
-                    self.count = 0
-                def random(self):
-                    self.count += 1
-                    return self.rng.random()
-                def exponential(self, *a):
-                    self.count += 1
-                    return self.rng.exponential(*a)
-                def standard_exponential(self):
-                    self.count += 1
-                    return self.rng.standard_exponential()
-            rng = Counting()
-            model.sample(rng, 1.0)
-            return rng.count
-
-        assert draws(OsNoiseModel(spike_prob=0.0)) == \
-            draws(OsNoiseModel(spike_prob=0.9))
+    def test_noise_needs_a_spike_stream(self):
+        """No shared-stream fallback: the spike draws always come from
+        their own stream."""
+        with pytest.raises(TypeError):
+            OsNoiseModel().sample(np.random.default_rng(0), 1.0)
 
     def test_noise_spike_stream_isolates_main_stream(self):
         """With a dedicated ``spike_rng``, the main stream's consumption

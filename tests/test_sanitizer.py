@@ -5,7 +5,7 @@ is a row of the golden strategy table (``tests/test_golden.py``)."""
 
 import pytest
 
-from repro.config import world_scope
+from repro.config import RunConfig
 from repro.errors import ConfigError, DeadlockError, SanitizerError
 from repro.harness.parallel import cell_worker
 from repro.platforms import get_platform
@@ -258,11 +258,12 @@ class TestNoFalsePositives:
     def test_npb_collective_workload_clean(self):
         from repro.npb import get_benchmark
 
-        with world_scope(sanitize=True) as reports:
+        with RunConfig(sanitize=True).open() as run:
             get_benchmark("cg").run(VAYU, 4, seed=1)
-        assert reports.sanitizer, "no sanitized worlds were finalized"
-        assert all(r.clean for r in reports.sanitizer)
-        assert sum(r.collectives_checked for r in reports.sanitizer) > 0
+        reports = run.sanitizer_reports
+        assert reports, "no sanitized worlds were finalized"
+        assert all(r.clean for r in reports)
+        assert sum(r.collectives_checked for r in reports) > 0
 
 
 class TestWorkerRegistration:
