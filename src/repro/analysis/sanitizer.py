@@ -26,7 +26,8 @@ Enable per world (``MpiWorld(..., sanitize=True)``), per run
 (``RunConfig(sanitize=True).open()``, ``run_batch(sanitize=True)`` and
 the ``--sanitize`` CLI flag, see :mod:`repro.config`) or by default via
 the ``REPRO_SANITIZE`` environment variable; every open run collects
-the reports of the sanitized worlds finalized in this process
+the reports of the sanitized worlds finalized in this process and,
+for the cells its sweeps ran on a pool, in the pool workers
 (``Run.sanitizer_reports``).  The checks
 observe the simulation without scheduling events, so enabling them
 never changes virtual timestamps: a sanitized run is bit-identical to

@@ -26,13 +26,12 @@ in EXPERIMENTS.md.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import typing as _t
 
 from repro.apps.chaste.mesh import HeartMesh, partition_stats
-from repro.errors import ConfigError
 from repro.ipm.monitor import IpmMonitor
+from repro.ipm.projection import Steady, steady_steps, timed_steps
 from repro.ipm.report import summarize
 from repro.npb.base import mixed_msg_time
 from repro.platforms.base import PlatformSpec
@@ -81,25 +80,15 @@ class ChasteResult:
     nprocs: int
     platform: str
     wall_time: float
-    steady_time: float
-    sim_steps: int
-    timesteps: int
+    steady: Steady
     monitor: IpmMonitor
-
-    @property
-    def per_step_time(self) -> float:
-        return self.steady_time / self.sim_steps
 
     def section_wall(self, region: str) -> float:
         """Max-over-ranks wall time of one section, projected to the
         full run for per-step sections."""
-        wall = max(
-            (p.regions[region].wall_time for p in self.monitor.profiles
-             if region in p.regions),
-            default=0.0,
-        )
+        wall = self.monitor.region_wall(region)
         if region in (ODE_REGION, ASSEMBLY_REGION, KSP_REGION, STEP_REGION):
-            wall *= self.timesteps / self.sim_steps
+            return self.steady.scale(wall)
         return wall
 
     @property
@@ -107,7 +96,7 @@ class ChasteResult:
         """Projected full-run elapsed time (the Fig 5 'total')."""
         return (
             self.section_wall(INPUT_REGION)
-            + self.per_step_time * self.timesteps
+            + self.steady.projected
             + self.section_wall(OUTPUT_REGION)
         )
 
@@ -127,9 +116,7 @@ class ChasteBenchmark:
 
     def __init__(self, config: ChasteConfig | None = None, sim_steps: int = 3) -> None:
         self.cfg = config or ChasteConfig()
-        if sim_steps < 1:
-            raise ConfigError(f"sim_steps must be >= 1: {sim_steps}")
-        self.sim_steps = min(sim_steps, self.cfg.timesteps)
+        self.sim_steps = steady_steps(sim_steps, self.cfg.timesteps)
 
     def make_program(self) -> _t.Callable[..., _t.Generator]:
         cfg = self.cfg
@@ -160,16 +147,14 @@ class ChasteBenchmark:
                     ctx, halo_bytes / max(1, part.neighbours), max(1, p // 4)
                 )
 
-            def timestep(timed: bool) -> _t.Generator:
-                if timed:
-                    comm.world.monitor[comm.world_rank].enter(STEP_REGION, comm.wtime())
-                with comm.region(ODE_REGION) if timed else _null():
+            def timestep(mark) -> _t.Generator:
+                with mark(ODE_REGION):
                     yield from comm.compute(
                         flops=cfg.other_flops_per_step * cfg.ode_frac * share,
                         mem_bytes=cfg.other_mem_per_step * cfg.ode_frac * share,
                         working_set=ws,
                     )
-                with comm.region(ASSEMBLY_REGION) if timed else _null():
+                with mark(ASSEMBLY_REGION):
                     yield from comm.compute(
                         flops=cfg.other_flops_per_step * (1 - cfg.ode_frac) * share,
                         mem_bytes=cfg.other_mem_per_step * (1 - cfg.ode_frac) * share,
@@ -179,7 +164,7 @@ class ChasteBenchmark:
                         yield from comm.composite(
                             "MPI_Sendrecv(assembly_halo)", halo_bytes, ksp_halo
                         )
-                with comm.region(KSP_REGION) if timed else _null():
+                with mark(KSP_REGION):
                     it_f = cfg.ksp_flops_per_step * share / cfg.ksp_iters
                     it_q = cfg.ksp_mem_per_step * share / cfg.ksp_iters
                     for _ in range(cfg.ksp_iters):
@@ -193,12 +178,8 @@ class ChasteBenchmark:
                             )
                             yield from comm.allreduce(4, value=0.0)
                             yield from comm.allreduce(4, value=0.0)
-                if timed:
-                    comm.world.monitor[comm.world_rank].exit(STEP_REGION, comm.wtime())
 
-            yield from timestep(False)  # warm-up step (untimed, unmarked)
-            for _ in range(sim_steps):
-                yield from timestep(True)
+            yield from timed_steps(comm, STEP_REGION, sim_steps, timestep)
 
             # ---- output: every rank writes its piece to the shared fs ----
             with comm.region(OUTPUT_REGION):
@@ -225,23 +206,12 @@ class ChasteBenchmark:
             placement=placement, seed=seed,
         )
         mon = result.monitor
-        steady = max(
-            p.regions[STEP_REGION].wall_time
-            for p in mon.profiles
-            if STEP_REGION in p.regions
-        )
         return ChasteResult(
             nprocs=nprocs,
             platform=platform.name,
             wall_time=result.wall_time,
-            steady_time=steady,
-            sim_steps=self.sim_steps,
-            timesteps=self.cfg.timesteps,
+            steady=Steady(
+                mon.region_wall(STEP_REGION), self.sim_steps, self.cfg.timesteps
+            ),
             monitor=mon,
         )
-
-
-@contextlib.contextmanager
-def _null() -> _t.Iterator[None]:
-    """No-op stand-in for a region during untimed warm-up steps."""
-    yield

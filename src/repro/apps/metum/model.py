@@ -20,13 +20,13 @@ times follow from the platform models.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import typing as _t
 
 from repro.apps.metum.grid import N320L70, decompose, physics_weight
 from repro.errors import ConfigError
 from repro.ipm.monitor import IpmMonitor
+from repro.ipm.projection import Steady, steady_steps, timed_steps
 from repro.ipm.report import summarize
 from repro.npb.base import mixed_msg_time
 from repro.platforms.base import PlatformSpec
@@ -85,20 +85,14 @@ class MetumResult:
     platform: str
     placement_nodes: int
     wall_time: float
-    steady_time: float
-    sim_steps: int
-    timesteps: int
+    steady: Steady
     io_time: float
     monitor: IpmMonitor
 
     @property
-    def per_step_time(self) -> float:
-        return self.steady_time / self.sim_steps
-
-    @property
     def warmed_time(self) -> float:
         """The Fig 6 quantity: steady per-step time over all timesteps."""
-        return self.per_step_time * self.timesteps
+        return self.steady.projected
 
     @property
     def total_time(self) -> float:
@@ -112,14 +106,12 @@ class MetumResult:
         """Mean per-rank MPI seconds in ``region``, projected to the
         full run length."""
         rep = summarize(self.monitor, region)
-        scale = self.timesteps / self.sim_steps
-        return rep.comm_time / self.monitor.nprocs * scale
+        return self.steady.scale(rep.comm_time / self.monitor.nprocs)
 
     def compute_time(self, region: str = STEP_REGION) -> float:
         """Mean per-rank compute seconds in ``region`` (projected)."""
         rep = summarize(self.monitor, region)
-        scale = self.timesteps / self.sim_steps
-        return rep.compute_time / self.monitor.nprocs * scale
+        return self.steady.scale(rep.compute_time / self.monitor.nprocs)
 
     def imbalance_percent(self, region: str = STEP_REGION) -> float:
         from repro.ipm.loadbalance import imbalance_percent
@@ -132,9 +124,7 @@ class MetumBenchmark:
 
     def __init__(self, config: MetumConfig | None = None, sim_steps: int = 3) -> None:
         self.cfg = config or MetumConfig()
-        if sim_steps < 1:
-            raise ConfigError(f"sim_steps must be >= 1: {sim_steps}")
-        self.sim_steps = min(sim_steps, self.cfg.timesteps)
+        self.sim_steps = steady_steps(sim_steps, self.cfg.timesteps)
 
     # -- placement ----------------------------------------------------------
     def placement_for(
@@ -213,12 +203,8 @@ class MetumBenchmark:
 
             halo_volume = cfg.halo_exchanges * 2 * (ew_face + ns_face)
 
-            def atm_step(timed: bool) -> _t.Generator:
-                if timed:
-                    comm.world.monitor[comm.world_rank].enter(
-                        STEP_REGION, comm.wtime()
-                    )
-                with comm.region("atm_dynamics") if timed else _null():
+            def atm_step(mark) -> _t.Generator:
+                with mark("atm_dynamics"):
                     yield from comm.compute(
                         flops=w_step * cfg.dynamics_frac,
                         mem_bytes=q_step * cfg.dynamics_frac,
@@ -231,7 +217,7 @@ class MetumBenchmark:
                         yield from comm.composite(
                             "MPI_Gatherv(polar)", 8 * sub.nx * sub.levels, polar_comm
                         )
-                with comm.region("atm_helmholtz") if timed else _null():
+                with mark("atm_helmholtz"):
                     per_iter_f = w_step * cfg.helmholtz_frac / cfg.helmholtz_iters
                     per_iter_q = q_step * cfg.helmholtz_frac / cfg.helmholtz_iters
                     for _ in range(cfg.helmholtz_iters):
@@ -245,21 +231,15 @@ class MetumBenchmark:
                                 helmholtz_halo,
                             )
                             yield from comm.allreduce(8, value=0.0)
-                with comm.region("atm_physics") if timed else _null():
+                with mark("atm_physics"):
                     yield from comm.compute(
                         flops=w_step * cfg.physics_frac * phys_w,
                         mem_bytes=q_step * cfg.physics_frac * phys_w,
                         working_set=ws,
                     )
-                if timed:
-                    comm.world.monitor[comm.world_rank].exit(
-                        STEP_REGION, comm.wtime()
-                    )
 
-            # Warm-up step (spin-up costs, excluded from 'warmed' time).
-            yield from atm_step(False)
-            for _ in range(sim_steps):
-                yield from atm_step(True)
+            # The warm-up step's spin-up costs stay out of 'warmed' time.
+            yield from timed_steps(comm, STEP_REGION, sim_steps, atm_step)
             return None
 
         program.__name__ = "metum"
@@ -280,11 +260,6 @@ class MetumBenchmark:
             placement=placement, seed=seed,
         )
         mon = result.monitor
-        steady = max(
-            p.regions[STEP_REGION].wall_time
-            for p in mon.profiles
-            if STEP_REGION in p.regions
-        )
         io_time = max(
             (p.regions[IO_REGION].io_time for p in mon.profiles if IO_REGION in p.regions),
             default=0.0,
@@ -294,15 +269,9 @@ class MetumBenchmark:
             platform=platform.name,
             placement_nodes=placement.num_nodes or 0,
             wall_time=result.wall_time,
-            steady_time=steady,
-            sim_steps=self.sim_steps,
-            timesteps=self.cfg.timesteps,
+            steady=Steady(
+                mon.region_wall(STEP_REGION), self.sim_steps, self.cfg.timesteps
+            ),
             io_time=io_time,
             monitor=mon,
         )
-
-
-@contextlib.contextmanager
-def _null() -> _t.Iterator[None]:
-    """No-op stand-in for a region during untimed warm-up steps."""
-    yield

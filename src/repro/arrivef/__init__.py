@@ -21,7 +21,7 @@ Components:
 from repro.arrivef.profiler import OnlineProfile
 from repro.arrivef.predictor import PlatformPredictor
 from repro.arrivef.migration import MigrationModel
-from repro.arrivef.framework import ArriveF, FarmJob, RelocationPlan
+from repro.arrivef.framework import ArriveF, FarmJob
 
 __all__ = [
     "ArriveF",
@@ -29,5 +29,4 @@ __all__ = [
     "MigrationModel",
     "OnlineProfile",
     "PlatformPredictor",
-    "RelocationPlan",
 ]

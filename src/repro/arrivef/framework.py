@@ -57,17 +57,6 @@ class FarmJob:
         return self.finish_time - self.submit_time
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class RelocationPlan:
-    """A proposed job relocation."""
-
-    job_id: int
-    from_platform: str
-    to_platform: str
-    predicted_saving: float
-    migration_cost: float
-
-
 @dataclasses.dataclass(slots=True)
 class _Host:
     spec: PlatformSpec

@@ -186,7 +186,7 @@ def _cmd_npb(args: argparse.Namespace) -> int:
     result = bench.run(get_platform(args.platform), args.nprocs, seed=args.seed)
     print(f"{result.label()} on {result.platform}:")
     print(f"  projected time : {result.projected_time:10.2f} s")
-    print(f"  per-iteration  : {result.per_iter_time:10.4f} s")
+    print(f"  per-iteration  : {result.steady.per_step:10.4f} s")
     print(f"  %comm (steady) : {result.comm_percent:10.1f} %")
     return 0
 

@@ -55,10 +55,12 @@ def collect_sanitizer_report(report: _t.Any) -> None:
         run.sanitizer_reports.append(report)
 
 
-def open_in_worker(config: "RunConfig") -> None:
-    """Pool-worker start-up: ``config``'s run (no store) is the one
-    open run of this process; a forking parent's runs are dropped."""
+def open_in_worker(config: "RunConfig") -> "Run":
+    """Pool-worker start-up: ``config``'s run (no store) becomes, and is
+    returned as, the one open run of this process; a forking parent's
+    runs are dropped."""
     _OPEN[:] = [Run(config)]  # lint-ok: DET007 pool start-up opens the dispatching run's config
+    return _OPEN[0]
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +143,8 @@ class Run:
     ``store`` is ``None`` when not configured (sweeps then run without
     a store); ``stats`` is the harness tally every sweep of the run
     merges into; ``sanitizer_reports`` collects the reports of the
-    sanitized worlds finalized in this process while the run is open.
+    sanitized worlds finalized in this process while the run is open,
+    and of those its sweeps' pool workers finalized.
     ``Run()`` is a default, unopened run: no store, the default
     ``sanitize``.
     """

@@ -81,9 +81,6 @@ class FabricSpec:
     eager_threshold:
         Messages at or below this size use the eager protocol; larger
         ones use rendezvous (adds a handshake round trip).
-    duplex:
-        Whether send and receive directions contend for the same link
-        capacity (half duplex) or not (full duplex).
     """
 
     name: str
@@ -92,7 +89,6 @@ class FabricSpec:
     o_send: float = 1e-6
     o_recv: float = 1e-6
     eager_threshold: int = 12 * 1024
-    duplex: bool = True
     #: Goodput-loss multiplier (>= 1) on transfer time when several
     #: concurrent streams share the link — TCP incast/contention on
     #: commodity Ethernet; lossless fabrics keep 1.0.

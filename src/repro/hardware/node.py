@@ -37,8 +37,8 @@ class Node:
     """Per-run state for one node.
 
     Tracks which ranks live on which socket (set up by the placement
-    policy before the run starts) and owns the NIC transmit/receive
-    resources used to serialise concurrent inter-node transfers.
+    policy before the run starts) and owns the NIC transmit resource
+    used to serialise concurrent inter-node sends.
     """
 
     def __init__(self, engine: "Engine", spec: NodeSpec, index: int) -> None:
@@ -51,9 +51,8 @@ class Node:
         self.rank_socket: dict[int, int] = {}
         #: ranks per socket, filled by the placement policy.
         self.socket_load: list[int] = [0] * spec.cpu.sockets
-        # Full-duplex NIC: independent tx and rx serialisation.
+        # Full-duplex NIC: only the transmit side serialises.
         self.nic_tx = Resource(engine, capacity=spec.nics, name=f"{spec.name}{index}.tx")
-        self.nic_rx = Resource(engine, capacity=spec.nics, name=f"{spec.name}{index}.rx")
 
     # -- placement --------------------------------------------------------
     def place_rank(self, rank: int, socket: int | None = None) -> int:

@@ -298,12 +298,18 @@ def store_root(spec: "str | os.PathLike[str]") -> pathlib.Path:
     """The directory a ``--store`` spec names.
 
     A ``<scheme>://`` spec is rejected rather than silently becoming a
-    local directory named after the scheme, and so is a path that exists
+    local directory named after the scheme, and so is an empty spec,
+    rather than becoming the current directory, and a path that exists
     but is not a directory: the first publish would fail on it, after a
     cell had been simulated.  A path that does not exist yet is valid;
     the first publish creates it.
     """
     text = os.fspath(spec)
+    if not text:
+        raise ConfigError(
+            "store spec '' is not a directory path; name the store's "
+            "directory ('.' for the current one)"
+        )
     if "://" in text:
         raise ConfigError(
             f"store spec {text!r} is not a directory path; only local "

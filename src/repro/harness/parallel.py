@@ -28,7 +28,7 @@ import os
 import tempfile
 import typing as _t
 
-from repro.config import RunConfig, open_in_worker
+from repro.config import Run, RunConfig, open_in_worker
 from repro.errors import ConfigError
 
 
@@ -75,16 +75,16 @@ def cell_worker(name: str) -> _t.Callable[[_t.Callable], _t.Callable]:
     return deco
 
 
-#: True only in a process-pool worker (set by :func:`_pool_worker_init`).
-_IS_POOL_WORKER = False
+#: The open run of a process-pool worker (set by
+#: :func:`_pool_worker_init`); ``None`` outside a pool worker.
+_WORKER_RUN: Run | None = None
 
 
 def _pool_worker_init(config: RunConfig) -> None:
-    """Pool-worker initializer: mark this process as a pool worker and
-    make the dispatching run's config the open run in it."""
-    global _IS_POOL_WORKER  # lint-ok: DET007 set once at pool start-up; only the chaos hook reads it
-    _IS_POOL_WORKER = True
-    open_in_worker(config)
+    """Pool-worker initializer: make the dispatching run's config the
+    open run of this worker."""
+    global _WORKER_RUN  # lint-ok: DET007 set once at pool start-up
+    _WORKER_RUN = open_in_worker(config)
 
 
 def _maybe_chaos_kill() -> None:
@@ -98,7 +98,7 @@ def _maybe_chaos_kill() -> None:
     dispatching process itself, and is a no-op when the variable is unset.
     """
     spec = os.environ.get("REPRO_CHAOS_KILL")  # lint-ok: DET008 may end this process, never changes a cell's result
-    if not spec or not _IS_POOL_WORKER:
+    if not spec or _WORKER_RUN is None:
         return
     marker = spec
     if spec in ("1", "true"):
@@ -123,6 +123,15 @@ def _execute(cell: Cell) -> _t.Any:
             f"unknown cell worker {cell.worker!r}; available: {sorted(_WORKERS)}"
         ) from None
     return fn(*cell.args)
+
+
+def _execute_pooled(cell: Cell) -> tuple[_t.Any, list]:
+    """Run one cell in a pool worker: its result, and the sanitizer
+    reports of the worlds it finalized, for the dispatching process to
+    collect (they stay out of the result, so a store never sees them)."""
+    reports = _WORKER_RUN.sanitizer_reports
+    reports.clear()
+    return _execute(cell), list(reports)
 
 
 def check_unique_keys(cells: _t.Sequence[Cell]) -> None:
@@ -176,7 +185,7 @@ def npb_point(
     )
     return {
         "projected_time": r.projected_time,
-        "per_iter_time": r.per_iter_time,
+        "per_iter_time": r.steady.per_step,
         "comm_percent": r.comm_percent,
     }
 

@@ -26,9 +26,10 @@ class BatchResult:
     outputs: dict[str, ExperimentOutput]
     #: One-line MPI-sanitizer summary (None when the batch ran
     #: unsanitized).  Like every banner below it is *not* part of
-    #: :meth:`render`, and the CLI prints it to stderr: it counts only the
-    #: worlds of this process, which depends on ``jobs``, and the report
-    #: must stay byte-identical whatever the execution strategy.
+    #: :meth:`render`, and the CLI prints it to stderr: it counts the
+    #: worlds the batch simulated, inline or in pool workers, which a
+    #: store-served cell has none of, and the report must stay
+    #: byte-identical whatever the execution strategy.
     sanitize_summary: str | None = None
     #: One-line ``harness: ...`` degrade/failure banner (None unless a
     #: cell degraded or failed).  Its degrade tally varies between a run
@@ -85,20 +86,16 @@ class BatchResult:
         pathlib.Path(path).write_text(self.render() + "\n")
 
 
-def _sanitize_summary(reports: _t.Sequence[_t.Any], pooled: int) -> str:
-    """The ``sanitize: ...`` banner over this process's sanitized worlds;
-    worlds of cells that ran in pool workers report in their own process."""
+def _sanitize_summary(reports: _t.Sequence[_t.Any]) -> str:
+    """The ``sanitize: ...`` banner over the batch's sanitized worlds,
+    in this process and in pool workers."""
     nwarn = sum(len(r.warnings()) for r in reports)
-    worlds = "in-process world(s)" if pooled else "world(s)"
     summary = (
-        f"sanitize: clean — {len(reports)} {worlds}, "
+        f"sanitize: clean — {len(reports)} world(s), "
         f"{sum(r.sends_checked for r in reports)} send(s), "
         f"{sum(r.collectives_checked for r in reports)} collective "
         f"op(s) checked, {nwarn} warning(s), 0 errors"
     )
-    if pooled:
-        summary += (f" · counts cover in-process worlds only: {pooled} "
-                    "cell(s) ran in pool workers")
     details = [d.render() for r in reports for d in r.warnings()]
     return "\n".join([summary, *details])
 
@@ -143,7 +140,7 @@ def run_batch(
       an interrupted batch with the same store resumes it.
     * ``sanitize`` observes worlds without changing results; its
       banner (:attr:`BatchResult.sanitize_summary`) is stderr-only and
-      counts the worlds of this process only.
+      counts every world the batch simulated, pool workers' included.
     * an experiment whose cell raised becomes a
       ``FAILED(worker-exception)`` entry (in
       :attr:`BatchResult.failures`) while the rest of the batch runs.
@@ -161,10 +158,7 @@ def run_batch(
 
     with config.open() as run:
         outputs, failures = run_experiments(ids, run, progress)
-        pooled = run.stats.pooled
-        sanitize = (
-            _sanitize_summary(run.sanitizer_reports, pooled) if config.sanitize else None
-        )
+        sanitize = _sanitize_summary(run.sanitizer_reports) if config.sanitize else None
         summaries = run.summaries()
     return BatchResult(
         outputs, sanitize_summary=sanitize, failures=failures, **summaries,

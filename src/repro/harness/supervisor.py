@@ -62,7 +62,7 @@ import dataclasses
 import traceback
 import typing as _t
 
-from repro.config import using
+from repro.config import collect_sanitizer_report, using
 from repro.errors import CellExecutionError, ConfigError
 from repro.harness import parallel
 
@@ -85,15 +85,11 @@ class HarnessStats:
     ok: int = 0
     degraded: int = 0
     failed: int = 0
-    #: Cells that ran in pool workers (not part of the banner): their
-    #: worlds' sanitizer reports stay in the worker.
-    pooled: int = 0
 
     def merge(self, other: "HarnessStats") -> None:
         self.ok += other.ok
         self.degraded += other.degraded
         self.failed += other.failed
-        self.pooled += other.pooled
 
     def banner(self) -> str | None:
         """The one-line ``harness: ...`` banner (stderr only), or
@@ -175,7 +171,6 @@ def _run_cells(cells: list["Cell"], run: "Run") -> SweepReport:
         ok=len(sweep.results),
         degraded=len(demoted),
         failed=len(failures),
-        pooled=len(pending) - len(inline),
     )
     run.stats.merge(stats)
     return SweepReport(
@@ -192,6 +187,8 @@ class _Sweep:
         self.store = store
         self.results: dict[tuple, _t.Any] = {}
         self.failures: dict[tuple, CellExecutionError] = {}
+        #: Sanitizer reports of the worlds of cells run in pool workers.
+        self.reports: dict[tuple, list] = {}
 
     def succeed(self, cell: "Cell", value: _t.Any) -> None:
         self.results[cell.key] = value
@@ -224,13 +221,16 @@ class _Sweep:
 
         A pool that breaks is killed, and the cells it still owed past
         the demoted ones go to a fresh pool.  The last pool is shut
-        down at the end, and killed if anything propagates.
+        down at the end, and killed if anything propagates.  The pooled
+        cells' sanitizer reports go to this process's open runs, in cell
+        order.
         """
         from concurrent.futures.process import ProcessPoolExecutor
 
         import numpy  # noqa: F401  (imported once here, inherited by the workers)
 
         demoted: list["Cell"] = []
+        ordered = cells
         while cells:
             # Workers get the run's config through initargs, never
             # through the environment.
@@ -248,6 +248,9 @@ class _Sweep:
                 _kill_pool(pool)
             else:
                 pool.shutdown()
+        for cell in ordered:
+            for report in self.reports.pop(cell.key, ()):
+                collect_sanitizer_report(report)
         return demoted
 
     def _round(
@@ -265,7 +268,7 @@ class _Sweep:
         try:
             for i, cell in enumerate(cells):
                 try:
-                    fut = pool.submit(parallel._execute, cell)
+                    fut = pool.submit(parallel._execute_pooled, cell)
                 except BrokenProcessPool:
                     broken = True
                     break
@@ -275,7 +278,7 @@ class _Sweep:
                 done, not_done = wait(not_done, return_when=FIRST_COMPLETED)
                 for fut in sorted(done, key=order.__getitem__):
                     try:
-                        value = fut.result()
+                        value, reports = fut.result()
                     except BrokenProcessPool:
                         broken = True
                         owed.append(order[fut])
@@ -285,6 +288,7 @@ class _Sweep:
                         self.fail(cells[order[fut]], exc)
                     else:
                         self.succeed(cells[order[fut]], value)
+                        self.reports[cells[order[fut]].key] = reports
         except BaseException:
             for fut in order:
                 fut.cancel()

@@ -37,11 +37,7 @@ def imbalance_percent(monitor: IpmMonitor, region: str = GLOBAL_REGION) -> float
     while describing its imbalance as more irregular.
     """
     comp = _compute_vector(monitor, region)
-    walls = [
-        p.regions[region].wall_time if region in p.regions else 0.0
-        for p in monitor.profiles
-    ]
-    denom = max(walls) if walls else 0.0
+    denom = monitor.region_wall(region)
     if denom <= 0:
         denom = comp.max()
     if denom <= 0:

@@ -189,6 +189,15 @@ class IpmMonitor:
         """Run wall time: the latest rank finish."""
         return max(p.finish_time for p in self.profiles)
 
+    def region_wall(self, region: str) -> float:
+        """The slowest rank's wall time in ``region`` (0.0 when no rank
+        entered it)."""
+        return max(
+            (p.regions[region].wall_time for p in self.profiles
+             if region in p.regions),
+            default=0.0,
+        )
+
     def region_names(self) -> list[str]:
         """All user region names observed on any rank (sorted)."""
         names: set[str] = set()

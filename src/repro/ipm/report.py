@@ -51,27 +51,23 @@ class IpmReport:
 def summarize(monitor: IpmMonitor, region: str = GLOBAL_REGION) -> IpmReport:
     """Build an :class:`IpmReport` for ``region`` (default: whole run)."""
     comm = compute = io = 0.0
-    walls = []
     calls: dict[str, tuple[int, float]] = {}
     for profile in monitor.profiles:
         stats = profile.regions.get(region)
         if stats is None:
-            walls.append(0.0)
             continue
         comm += stats.mpi_time
         compute += stats.compute_time
         io += stats.io_time
-        walls.append(stats.wall_time)
         for key, cs in stats.mpi.items():
             count, time = calls.get(key.call, (0, 0.0))
             calls[key.call] = (count + cs.count, time + cs.time)
-    wall = max(walls) if walls else 0.0
     total = comm + compute + io
     pct = 100.0 * comm / total if total > 0 else 0.0
     return IpmReport(
         region=region,
         nprocs=monitor.nprocs,
-        wall_time=wall,
+        wall_time=monitor.region_wall(region),
         comm_time=comm,
         compute_time=compute,
         io_time=io,

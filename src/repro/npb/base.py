@@ -1,28 +1,21 @@
 """Shared infrastructure for the NPB skeletons.
 
-Iteration scaling
------------------
-The paper itself runs its application benchmarks "with the minimal number
-of iterations required to accurately project long-term simulations"; the
-NPB skeletons adopt the same methodology.  A benchmark simulates
-``sim_iters`` steady-state iterations inside the :data:`STEADY_REGION`
-IPM region and projects the full run as::
+A benchmark simulates ``sim_iters`` steady-state iterations inside the
+:data:`STEADY_REGION` IPM region and projects the full run from them
+(:mod:`repro.ipm.projection`)::
 
-    projected_time = setup_time + (steady_time / sim_iters) * total_iters
-
-Communication percentages (Table II) are computed over the steady region,
-where they are iteration-count invariant.
+    projected_time = setup_time + steady.projected
 """
 
 from __future__ import annotations
 
 import abc
 import dataclasses
-import math
 import typing as _t
 
 from repro.errors import ConfigError
 from repro.ipm.monitor import IpmMonitor
+from repro.ipm.projection import Steady, steady_steps
 from repro.ipm.report import summarize
 from repro.npb.classes import NpbClass, problem
 from repro.platforms.base import PlatformSpec
@@ -42,25 +35,18 @@ class BenchResult:
     nprocs: int
     platform: str
     wall_time: float
-    steady_time: float
-    sim_iters: int
-    total_iters: int
+    steady: Steady
     monitor: IpmMonitor
-
-    @property
-    def per_iter_time(self) -> float:
-        """Steady-state time per iteration."""
-        return self.steady_time / self.sim_iters
 
     @property
     def setup_time(self) -> float:
         """Non-iterative time (initialisation, warm-up)."""
-        return max(0.0, self.wall_time - self.steady_time)
+        return max(0.0, self.wall_time - self.steady.time)
 
     @property
     def projected_time(self) -> float:
         """Projected full-run elapsed time (the Fig 3/4 quantity)."""
-        return self.setup_time + self.per_iter_time * self.total_iters
+        return self.setup_time + self.steady.projected
 
     @property
     def comm_percent(self) -> float:
@@ -82,11 +68,9 @@ class NpbBenchmark(abc.ABC):
 
     def __init__(self, klass: str = "B", sim_iters: int | None = None) -> None:
         self.cfg: NpbClass = problem(self.name, klass)
-        if sim_iters is not None and sim_iters < 1:
-            raise ConfigError(f"sim_iters must be >= 1: {sim_iters}")
-        self.sim_iters = min(
-            sim_iters if sim_iters is not None else self.default_sim_iters,
-            self.cfg.iterations,
+        self.sim_iters = steady_steps(
+            self.default_sim_iters if sim_iters is None else sim_iters,
+            self.cfg.iterations, "sim_iters",
         )
 
     # -- to be provided by subclasses ---------------------------------------
@@ -135,20 +119,16 @@ class NpbBenchmark(abc.ABC):
             platform, nprocs, self.make_program(),
             placement=placement, seed=seed,
         )
-        steady = max(
-            p.regions[STEADY_REGION].wall_time
-            for p in result.monitor.profiles
-            if STEADY_REGION in p.regions
-        )
         return BenchResult(
             bench=self.name,
             klass=self.cfg.klass,
             nprocs=nprocs,
             platform=platform.name,
             wall_time=result.wall_time,
-            steady_time=steady,
-            sim_iters=self.sim_iters,
-            total_iters=self.cfg.iterations,
+            steady=Steady(
+                result.monitor.region_wall(STEADY_REGION),
+                self.sim_iters, self.cfg.iterations,
+            ),
             monitor=result.monitor,
         )
 

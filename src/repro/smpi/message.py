@@ -47,8 +47,3 @@ class Request:
     nbytes: int
     peer: int
     tag: int
-
-    @property
-    def complete(self) -> bool:
-        """True once the underlying transfer has finished."""
-        return self.event.triggered and self.event.callbacks is None

@@ -741,7 +741,9 @@ class TestStoreCli:
         assert first.out == second.out  # byte-identical report
         assert "0 executed, 0 published" in second.err
 
-    @pytest.mark.parametrize("spec", ["tcp://127.0.0.1:1", "file:///tmp/s"])
+    @pytest.mark.parametrize(
+        "spec", ["tcp://127.0.0.1:1", "file:///tmp/s", pytest.param("", id="empty")]
+    )
     def test_scheme_store_specs_rejected(self, tmp_path, monkeypatch, capsys,
                                          spec):
         monkeypatch.chdir(tmp_path)
@@ -752,7 +754,8 @@ class TestStoreCli:
         err = capsys.readouterr().err
         assert err.startswith("error: store spec") and "Traceback" not in err
         assert main(["store", "stats", spec]) == 1
-        assert list(tmp_path.iterdir()) == []  # no "tcp:" directory appeared
+        # No "tcp:" directory appeared, and no "cells" for the empty spec.
+        assert list(tmp_path.iterdir()) == []
 
     def test_store_spec_naming_a_file_rejected(self, tmp_path, monkeypatch,
                                                capsys):

@@ -5,8 +5,8 @@ one execution strategy and must render the report whose digest the
 end-to-end benchmark pins (``benchmarks/e2e/expected.json``), and write
 the JSON and CSV exports pinned in :data:`EXPORT_DIGESTS`, without
 parsing any source.  The sanitize rows also check the sanitizer's
-stderr-only banner (on a pool it counts the cells that ran in workers);
-the warm store row checks that it serves every cell.
+stderr-only banner, which is the same inline and on a pool; the warm
+store row checks that it serves every cell.
 """
 
 from __future__ import annotations
@@ -41,6 +41,14 @@ ROWS = {
 EXPORT_DIGESTS = {
     "rows.json": "bef285664b444c10d4289a155c46f83d75f96296d2fafd069eb8f649db0f0590",
     "rows.csv": "212c0f7a353bacc0a419655cb2294bad382b050f42a41308e92a1980312a1045",
+}
+#: The same exports of the full seed-1 batch on a 2-worker pool, too
+#: slow for tier-1: CI's "Golden report guard" checks them beside the
+#: full report, whose rounding hides one-ulp drift in the cells only the
+#: full grids run.
+FULL_EXPORT_DIGESTS = {
+    "rows.json": "36181aea550a780edf6233c33b22f4fb5a5edf0226fc2f120f6302360360f0f3",
+    "rows.csv": "c28f7cf3c09571e78be2d8547fe05e3d3bbb64cb32b9212a3ddd836480212008",
 }
 
 
@@ -100,12 +108,8 @@ def test_strategy_renders_the_golden_report(
         assert batch.sanitize_summary.startswith("sanitize: clean — ")
         assert batch.sanitize_summary.endswith(" 0 warning(s), 0 errors")
     if row == "sanitize-jobs2":
-        # Every distinct payload (84, as the warm store serves) ran in a
-        # pool worker, whose worlds report in their own process.
-        assert batch.sanitize_summary.startswith(
-            "sanitize: clean — 0 in-process world(s), ")
-        assert batch.sanitize_summary.endswith(
-            " · counts cover in-process worlds only: 84 cell(s) ran in pool workers")
+        # Pool workers hand their worlds' reports back with each result.
+        assert batch.sanitize_summary == golden("sanitize")[0].sanitize_summary
     if row == "store-warm":
         assert "84 served, 0 executed, 0 published" in batch.store_summary
     assert parses == 0

@@ -35,6 +35,14 @@ class TestRegionAccounting:
         prof.exit("solve", 6.0)
         assert prof.regions["solve"].wall_time == pytest.approx(3.0)
 
+    def test_region_wall_is_the_slowest_rank(self):
+        mon = make_monitor(3)
+        assert mon.region_wall("step") == 0.0  # no rank entered it
+        for rank, (t0, t1) in enumerate([(0.0, 2.0), (1.0, 4.5)]):
+            mon[rank].enter("step", t0)
+            mon[rank].exit("step", t1)
+        assert mon.region_wall("step") == 3.5  # rank 2 never entered it
+
     def test_reentering_open_region_rejected(self):
         mon = make_monitor()
         prof = mon[0]

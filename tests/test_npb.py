@@ -107,9 +107,9 @@ class TestBenchResults:
 
     def test_projection_arithmetic(self):
         r = get_benchmark("ft", sim_iters=2).run(VAYU, 4, seed=1)
-        assert r.sim_iters == 2
+        assert (r.steady.sim, r.steady.total) == (2, 20)
         assert r.projected_time == pytest.approx(
-            r.setup_time + r.per_iter_time * r.total_iters
+            r.setup_time + r.steady.per_step * r.steady.total
         )
         assert r.projected_time > r.wall_time  # 20 iterations projected from 2
 

@@ -7,7 +7,8 @@ import pytest
 
 from repro.config import RunConfig
 from repro.errors import ConfigError, DeadlockError, SanitizerError
-from repro.harness.parallel import cell_worker
+from repro.harness.parallel import Cell, cell_worker
+from repro.harness.supervisor import run_cells
 from repro.platforms import get_platform
 from repro.smpi.collectives import COLLECTIVE_METHODS
 from repro.smpi.world import MpiWorld
@@ -264,6 +265,29 @@ class TestNoFalsePositives:
         assert reports, "no sanitized worlds were finalized"
         assert all(r.clean for r in reports)
         assert sum(r.collectives_checked for r in reports) > 0
+
+
+def _diverging_allreduce(comm):
+    yield from comm.allreduce(8 * (comm.rank + 1), value=1)
+
+
+@cell_worker("sanitizer_test_divergence")
+def _divergence_cell(nprocs):
+    """One world whose allreduce sizes diverge: one warning, no error."""
+    MpiWorld(VAYU, nprocs).launch(_diverging_allreduce)
+    return nprocs
+
+
+class TestPooledReports:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_worker_reports_reach_the_run_in_cell_order(self, jobs):
+        cells = [Cell((n,), "sanitizer_test_divergence", (n,)) for n in (2, 3, 4)]
+        with RunConfig(sanitize=True, jobs=jobs).open() as run:
+            run_cells(cells, run)
+        reports = run.sanitizer_reports
+        assert [r.nprocs for r in reports] == [2, 3, 4]
+        assert [d.check for r in reports for d in r.warnings()] == (
+            ["nbytes-divergence"] * 3)
 
 
 class TestWorkerRegistration:

@@ -20,9 +20,9 @@ class TestRequests:
         def prog(comm):
             if comm.rank == 0:
                 req = comm.isend(1, 64)
-                captured["before"] = req.complete
+                captured["before"] = req.event.triggered
                 yield from comm.wait(req)
-                captured["after"] = req.complete
+                captured["after"] = req.event.triggered
             else:
                 yield from comm.recv(0)
             return None

@@ -93,7 +93,7 @@ def _sup_raise_repro(x):
 def _sup_die_once(x, marker):
     """First pool execution kills its worker process; any later
     execution (fresh pool or inline degrade) succeeds."""
-    if parallel._IS_POOL_WORKER:
+    if parallel._WORKER_RUN is not None:
         try:
             fd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
@@ -107,7 +107,7 @@ def _sup_die_once(x, marker):
 @cell_worker("sup_die_always")
 def _sup_die_always(x):
     """Kills every pool worker it runs in (inline execution survives)."""
-    if parallel._IS_POOL_WORKER:
+    if parallel._WORKER_RUN is not None:
         os._exit(9)
     return {"v": float(x)}
 
