@@ -274,7 +274,11 @@ class MpiSanitizer:
     ) -> None:
         """Check one rank's arrival at collective ``seq`` of ``comm``.
 
-        ``done`` is the completion event shared by all member ranks.
+        ``done`` is the completion event shared by all member ranks.  A
+        collective chain calls this for each of its phases when the
+        phases called one by one would: at arrival for the first, then
+        for every rank, in arrival order, when the previous phase
+        completes (:class:`~repro.smpi.world._Chain`).
         Raises :class:`~repro.errors.SanitizerError` on op or root
         divergence; byte-count divergence is recorded as a warning when
         the instance completes, unless the phase is ``uneven`` (a

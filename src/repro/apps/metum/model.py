@@ -202,6 +202,21 @@ class MetumBenchmark:
                 return rounds * mixed_msg_time(ctx, 8 * sub.nx * sub.levels, 1)
 
             halo_volume = cfg.halo_exchanges * 2 * (ew_face + ns_face)
+            # Back-to-back phases run as chains: one resume per rank.
+            dynamics_comm = (
+                comm.composite_phase(
+                    "MPI_Sendrecv(swap_bounds)", halo_volume, advection_halo
+                ),
+                comm.composite_phase(
+                    "MPI_Gatherv(polar)", 8 * sub.nx * sub.levels, polar_comm
+                ),
+            )
+            helmholtz_comm = (
+                comm.composite_phase(
+                    "MPI_Sendrecv(helm_halo)", 2 * (thin_ew + thin_ns), helmholtz_halo
+                ),
+                comm.allreduce_phase(8),
+            )
 
             def atm_step(mark) -> _t.Generator:
                 with mark("atm_dynamics"):
@@ -211,12 +226,7 @@ class MetumBenchmark:
                         working_set=ws,
                     )
                     if p > 1:
-                        yield from comm.composite(
-                            "MPI_Sendrecv(swap_bounds)", halo_volume, advection_halo
-                        )
-                        yield from comm.composite(
-                            "MPI_Gatherv(polar)", 8 * sub.nx * sub.levels, polar_comm
-                        )
+                        yield from comm.chain(*dynamics_comm)
                 with mark("atm_helmholtz"):
                     per_iter_f = w_step * cfg.helmholtz_frac / cfg.helmholtz_iters
                     per_iter_q = q_step * cfg.helmholtz_frac / cfg.helmholtz_iters
@@ -225,12 +235,7 @@ class MetumBenchmark:
                             flops=per_iter_f, mem_bytes=per_iter_q, working_set=ws
                         )
                         if p > 1:
-                            yield from comm.composite(
-                                "MPI_Sendrecv(helm_halo)",
-                                2 * (thin_ew + thin_ns),
-                                helmholtz_halo,
-                            )
-                            yield from comm.allreduce(8, value=0.0)
+                            yield from comm.chain(*helmholtz_comm)
                 with mark("atm_physics"):
                     yield from comm.compute(
                         flops=w_step * cfg.physics_frac * phys_w,

@@ -90,6 +90,13 @@ class _Miss:
 #: Returned by :meth:`CellStore.lookup` when no servable entry exists.
 MISS = _Miss()
 
+
+#: :meth:`CellStore.publish`'s default: derive the cell's address there.
+_UNPLANNED: _t.Any = object()
+
+#: A cell's ``(code identity, store key, payload hash)``.
+Address = tuple[str, str, str]
+
 _HEX_DIGITS = frozenset("0123456789abcdef")
 
 #: What :func:`decode_value` raises on a garbled typed encoding (a
@@ -167,20 +174,21 @@ def record_problem(rec: _t.Any) -> str | None:
 
 
 def build_record(
-    worker: str, args: _t.Sequence[_t.Any], result: _t.Any, code: str
+    worker: str, args: _t.Sequence[_t.Any], result: _t.Any, address: Address
 ) -> dict:
-    """The store record for one fresh result of code identity ``code``.
+    """The store record for one fresh result of the cell at ``address``.
 
     One construction site for every record, so any two publishers of
     the same result emit byte-identical record lines.
     """
+    code, key, digest = address
     return {
         "v": STORE_VERSION,
-        "k": store_key(worker, args, code),
+        "k": key,
         "worker": worker,
         "args": encode_value(tuple(args)),
         "code": code,
-        "hash": payload_hash(worker, args),
+        "hash": digest,
         "result": encode_value(result),
     }
 
@@ -292,6 +300,9 @@ class StorePlan:
 
     served: dict[tuple, _t.Any] = dataclasses.field(default_factory=dict)
     to_run: list[_t.Any] = dataclasses.field(default_factory=list)
+    #: Each ``to_run`` cell's address (:meth:`CellStore.publish` takes
+    #: it), by cell key, so a sweep derives each key once.
+    addresses: dict[tuple, "Address | None"] = dataclasses.field(default_factory=dict)
 
 
 def store_root(spec: "str | os.PathLike[str]") -> pathlib.Path:
@@ -378,16 +389,21 @@ class CellStore:
                 rec = None
             yield lineno, line, rec
 
-    # -- code identities --------------------------------------------------
-    def _code(self, worker: str) -> str | None:
-        """Code identity of ``worker`` (None: no safe cache key)."""
+    # -- cell addresses ---------------------------------------------------
+    def _address(self, worker: str, args: _t.Sequence[_t.Any]) -> "Address | None":
+        """``(code identity, store key, payload hash)`` of one cell (None:
+        the worker has no code identity, so no safe cache key)."""
         from repro.analysis import static
 
-        return static.worker_fingerprint(worker)
+        code = static.worker_fingerprint(worker)
+        if code is None:
+            return None
+        return code, store_key(worker, args, code), payload_hash(worker, args)
 
     # -- the hot path -----------------------------------------------------
-    def _find(self, worker: str, args: _t.Sequence[_t.Any]) -> _t.Any:
-        """Uncounted lookup — :data:`MISS` or the stored result.
+    def _find(self, worker: str, address: "Address | None") -> _t.Any:
+        """Uncounted lookup of the cell at ``address`` — :data:`MISS` or
+        the stored result.
 
         The counter-free primitive behind :meth:`lookup` and
         :meth:`plan_cells`, which count their own hits and misses.  A hit requires the full content address to match: key, worker,
@@ -396,11 +412,9 @@ class CellStore:
         re-simulated rather than misread; a record whose result does not
         decode is skipped the same way.
         """
-        code = self._code(worker)
-        if code is None:
+        if address is None:
             return MISS
-        key = store_key(worker, args, code)
-        digest = payload_hash(worker, args)
+        code, key, digest = address
         found: _t.Any = MISS
         for _lineno, _line, rec in self._scan_shard(self.shard_path(key)):
             if (
@@ -427,7 +441,7 @@ class CellStore:
         different code therefore can never be served — the never-stale
         discipline shared with ``CollectiveMemo``.
         """
-        found = self._find(worker, args)
+        found = self._find(worker, self._address(worker, args))
         if found is MISS:
             self.misses += 1
         else:
@@ -451,13 +465,19 @@ class CellStore:
             os.close(fd)
 
     def publish(
-        self, worker: str, args: _t.Sequence[_t.Any], result: _t.Any
+        self, worker: str, args: _t.Sequence[_t.Any], result: _t.Any,
+        address: "Address | None" = _UNPLANNED,
     ) -> bool:
-        """Append one result record; False when the worker is uncacheable."""
-        code = self._code(worker)
-        if code is None:
+        """Append one result record; False when the worker is uncacheable.
+
+        ``address`` is the cell's address from :meth:`plan_cells`
+        (``StorePlan.addresses``); omitted, it is derived here.
+        """
+        if address is _UNPLANNED:
+            address = self._address(worker, args)
+        if address is None:
             return False
-        record = build_record(worker, args, result, code)
+        record = build_record(worker, args, result, address)
         # Unsorted: the line keeps the result's dict key order, so a
         # served result equals a fresh one down to its repr.
         self._append_record_line(record["k"], json.dumps(record) + "\n")
@@ -480,10 +500,12 @@ class CellStore:
         """
         plan = StorePlan()
         for cell in cells:
-            value = self._find(cell.worker, cell.args)
+            address = self._address(cell.worker, cell.args)
+            value = self._find(cell.worker, address)
             if value is MISS:
                 self.misses += 1
                 plan.to_run.append(cell)
+                plan.addresses[cell.key] = address
             else:
                 self.hits += 1
                 plan.served[cell.key] = value

@@ -153,6 +153,7 @@ def _run_cells(cells: list["Cell"], run: "Run") -> SweepReport:
     if store is not None and pending:
         plan = store.plan_cells(pending)
         sweep.results.update(plan.served)
+        sweep.addresses = plan.addresses
         pending = plan.to_run
     jobs = min(run.config.jobs, len(pending))
     demoted = sweep.dispatch(pending, jobs, run.config) if jobs > 1 else []
@@ -189,11 +190,13 @@ class _Sweep:
         self.failures: dict[tuple, CellExecutionError] = {}
         #: Sanitizer reports of the worlds of cells run in pool workers.
         self.reports: dict[tuple, list] = {}
+        #: The store address of each cell to run, from the sweep's plan.
+        self.addresses: dict[tuple, _t.Any] = {}
 
     def succeed(self, cell: "Cell", value: _t.Any) -> None:
         self.results[cell.key] = value
         if self.store is not None:
-            self.store.publish(cell.worker, cell.args, value)
+            self.store.publish(cell.worker, cell.args, value, self.addresses[cell.key])
 
     def fail(self, cell: "Cell", exc: Exception) -> None:
         """Record the exception a cell raised as its failure."""

@@ -79,14 +79,14 @@ class CgBenchmark(NpbBenchmark):
         t_col = row + (col // nprows) * nprows
         partner = t_row * npcols + t_col
         row_comm = comm.cache["cg_row"]
+        dots = (comm.allreduce_phase(8), comm.allreduce_phase(8))
         for _ in range(CG_INNER_ITERS):
             yield from comm.compute(flops=flops_inner, mem_bytes=mem_inner, working_set=self.local_ws(comm), access="random")
             if p > 1:
                 yield from row_comm.allreduce(row_bytes, value=0.0)
                 if partner != comm.rank:
                     yield from comm.sendrecv(partner, transpose_bytes, partner)
-                yield from comm.allreduce(8, value=0.0)
-                yield from comm.allreduce(8, value=0.0)
+                yield from comm.chain(*dots)
         # Residual norm of the outer (power method) step.
         yield from comm.compute(
             flops=cfg.flops_per_iter * share * 0.05,

@@ -40,8 +40,8 @@ class EpBenchmark(NpbBenchmark):
         mem = cfg.total_mem_bytes / p / self.chunks
         for _ in range(self.chunks):
             yield from comm.compute(flops=flops, mem_bytes=mem, working_set=self.local_ws(comm))
-        # Combine sx, sy and the q histogram.
-        yield from comm.allreduce(8, value=0.0)
-        yield from comm.allreduce(8, value=0.0)
-        yield from comm.allreduce(80, value=0.0)
+        # Combine sx, sy and the q histogram: one chain of three all-reduces.
+        yield from comm.chain(
+            comm.allreduce_phase(8), comm.allreduce_phase(8), comm.allreduce_phase(80)
+        )
         return None

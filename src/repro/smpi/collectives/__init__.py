@@ -5,7 +5,9 @@ all participating ranks arrive, the completion time is
 ``max(arrival) + algorithm_time``, and each rank's MPI time is
 ``completion - its own arrival`` — so compute imbalance surfaces as
 communication wait exactly the way IPM reports it on the real systems
-(paper sections V-C.1/2).
+(paper sections V-C.1/2).  A chain of back-to-back phases starts each
+phase at the previous one's completion, where every rank arrives at
+once.
 
 ``algorithm_time`` comes from the standard algorithm models in
 :mod:`repro.smpi.collectives.algorithms`, made topology-aware by
@@ -28,10 +30,11 @@ from repro.smpi.collectives.algorithms import (
 #: synchronise every rank of a communicator.  The determinism linter
 #: (rule DET006) and the sanitizer docs treat exactly these names as
 #: collectives: calling one under rank-dependent control flow deadlocks
-#: the ranks that skip it.
+#: the ranks that skip it.  ``chain`` runs several such phases back to
+#: back (see :meth:`~repro.smpi.comm.Comm.chain`).
 COLLECTIVE_METHODS: frozenset[str] = frozenset({
     "barrier", "allreduce", "scatter", "alltoall", "alltoallv", "split",
-    "composite", "collective",
+    "composite", "collective", "chain",
 })
 
 __all__ = [

@@ -37,6 +37,20 @@ def _sum_op(a: _t.Any, b: _t.Any) -> _t.Any:
     return a + b
 
 
+class Phase(_t.NamedTuple):
+    """One result-less synchronising phase of a :meth:`Comm.chain`:
+    what :meth:`~repro.smpi.world.MpiWorld.collective` prices it from.
+    Built by :meth:`Comm.barrier_phase`, :meth:`Comm.allreduce_phase`
+    and :meth:`Comm.composite_phase`; immutable, so a program can build
+    its phases once and chain them every iteration."""
+
+    name: str
+    nbytes: float
+    time_fn: _t.Callable[[_alg.CollectiveContext, float], float]
+    memo_key: _t.Hashable
+    uneven: bool
+
+
 class Comm:
     """A communicator handle bound to one rank.
 
@@ -242,9 +256,8 @@ class Comm:
 
     def barrier(self) -> _t.Generator:
         """Synchronise all ranks."""
-        return self.world.collective(
-            self, "MPI_Barrier", 0, _barrier_time, memo_key="barrier",
-        )
+        name, time_fn, memo_key = _BARRIER
+        return self.world.collective(self, name, 0, time_fn, memo_key=memo_key)
 
     def allreduce(
         self,
@@ -253,10 +266,11 @@ class Comm:
         op: _t.Callable[[_t.Any, _t.Any], _t.Any] = _sum_op,
     ) -> _t.Generator:
         """All-reduce; every rank receives the combined value."""
+        name, time_fn, memo_key = _ALLREDUCE
         return self.world.collective(
-            self, "MPI_Allreduce", nbytes, _alg.allreduce_time,
+            self, name, nbytes, time_fn,
             contribution=value, finisher=_allreduce_finish, finisher_arg=op,
-            memo_key="allreduce",
+            memo_key=memo_key,
         )
 
     def scatter(
@@ -322,6 +336,47 @@ class Comm:
             self, name, nbytes, time_fn, memo_key=memo_key, uneven=True
         )
 
+    # -- collective chains -------------------------------------------------------------
+    def chain(self, *phases: Phase) -> _t.Generator:
+        """Run back-to-back result-less ``phases`` as one collective chain.
+
+        The same as calling each phase's collective in turn, down to the
+        last bit of every IPM number and the engine's dispatched events,
+        but the calling rank resumes once, after the last phase: the
+        engine prices each next phase from the previous one's completion
+        event.  Every rank of the communicator must chain the same
+        phases (each with its own byte count, as in :meth:`composite`);
+        a rank that calls the phases one by one instead raises
+        :class:`~repro.errors.MpiError`.  A one-phase chain is that
+        phase's plain collective.
+        """
+        if not phases:
+            raise MpiError("a collective chain needs at least one phase")
+        name, nbytes, time_fn, memo_key, uneven = phases[0]
+        return self.world.collective(
+            self, name, nbytes, time_fn, memo_key=memo_key, uneven=uneven,
+            chain=phases if len(phases) > 1 else (),
+        )
+
+    def barrier_phase(self) -> Phase:
+        """The :meth:`barrier` phase of a :meth:`chain`."""
+        name, time_fn, memo_key = _BARRIER
+        return Phase(name, 0, time_fn, memo_key, False)
+
+    def allreduce_phase(self, nbytes: float) -> Phase:
+        """The :meth:`allreduce` phase of a :meth:`chain`, with no value."""
+        name, time_fn, memo_key = _ALLREDUCE
+        return Phase(name, nbytes, time_fn, memo_key, False)
+
+    def composite_phase(
+        self,
+        name: str,
+        nbytes: float,
+        time_fn: _t.Callable[[_alg.CollectiveContext, float], float],
+    ) -> Phase:
+        """The :meth:`composite` phase of a :meth:`chain` (unmemoised)."""
+        return Phase(name, nbytes, time_fn, None, True)
+
     # -- communicator management ---------------------------------------------------------
     def split(self, color: int, key: int | None = None) -> _t.Generator:
         """Split into sub-communicators by ``color`` (collective).
@@ -349,6 +404,13 @@ class Comm:
 
 def _barrier_time(ctx: _alg.CollectiveContext, nbytes: float) -> float:
     return _alg.barrier_time(ctx)
+
+
+#: ``(name, cost function, memo key)`` of the barrier and the all-reduce,
+#: read by both the plain method and the chain phase, so the two price
+#: and cache alike.
+_BARRIER = ("MPI_Barrier", _barrier_time, "barrier")
+_ALLREDUCE = ("MPI_Allreduce", _alg.allreduce_time, "allreduce")
 
 
 def _split_time(ctx: _alg.CollectiveContext, nbytes: float) -> float:

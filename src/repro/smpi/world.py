@@ -12,6 +12,13 @@ and a receive (:class:`_Recv`) are each the request's event and run
 their steps straight from the event heap, pushing the same heap entries,
 in the same order, that a process per message would; an intra-node send
 is one delivery call plus a timeout.
+
+A collective chain (:meth:`~repro.smpi.comm.Comm.chain`) runs
+back-to-back result-less phases with one resume per rank: each
+intermediate completion is one heap entry, and its dispatch
+(:class:`_Chain`) does what the ranks of the one-by-one program would
+have done in it — record every rank's IPM sample for the phase and
+price the next one.
 """
 
 from __future__ import annotations
@@ -38,13 +45,21 @@ if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.analysis.sanitizer import SanitizerReport
     from repro.hardware.node import Node
     from repro.sim.resources import Resource
-    from repro.smpi.comm import Comm
+    from repro.smpi.comm import Comm, Phase
 
 
 class _CollState:
-    """In-flight state of one collective operation instance."""
+    """In-flight state of one collective operation instance.
 
-    __slots__ = ("expected", "arrivals", "contributions", "event", "nbytes_seen")
+    For a chain, ``chains`` holds each arrived rank's phases and
+    ``final`` the event of the last phase, which the chained ranks wait
+    on; both stay ``None`` for a plain collective.
+    """
+
+    __slots__ = (
+        "expected", "arrivals", "contributions", "event", "nbytes_seen",
+        "chains", "final",
+    )
 
     def __init__(self, expected: int, event: Event) -> None:
         self.expected = expected
@@ -52,6 +67,82 @@ class _CollState:
         self.contributions: dict[int, _t.Any] = {}
         self.event = event
         self.nbytes_seen: float = 0.0
+        self.chains: dict[int, tuple["Phase", ...]] | None = None
+        self.final: Event | None = None
+
+
+class _Chain:
+    """The phases after the first of one in-flight collective chain.
+
+    Each intermediate completion event calls :meth:`_advance` from the
+    heap, which does what the ranks of the one-by-one program would do
+    when that event resumed them, in their order: record each rank's
+    IPM sample for the completed phase, arrive at the next (the
+    sanitizer sees each arrival) and, as the last arriver, price it.
+    The ranks themselves wait on the last phase's event, which carries
+    the instant the last phase began.
+    """
+
+    __slots__ = ("world", "comm", "seq", "arrivals", "chains", "final", "last", "k", "began")
+
+    def __init__(
+        self, world: "MpiWorld", comm: "Comm", seq: int, state: _CollState, length: int
+    ) -> None:
+        self.world = world
+        self.comm = comm
+        self.seq = seq
+        self.arrivals = state.arrivals  # local rank -> arrival, in arrival order
+        self.chains: dict[int, tuple["Phase", ...]] = state.chains  # type: ignore[assignment]
+        self.final = state.final
+        self.last = length - 1
+        self.k = 0  # the phase whose completion comes next
+        self.began = 0.0  # when phase ``k`` began (k > 0)
+        state.event.callbacks.append(self._advance)  # type: ignore[union-attr]
+
+    def _advance(self, _done: Event) -> None:
+        world = self.world
+        eng = world.engine
+        now = eng.now
+        comm = self.comm
+        group = comm.group
+        profiles = world.monitor.profiles
+        chains = self.chains
+        sanitizer = world.sanitizer
+        k = self.k
+        first = k == 0
+        began = self.began
+        self.k = nxt = k + 1
+        self.began = now
+        seq = self.seq + nxt
+        last = nxt == self.last
+        name = chains[comm.rank][nxt].name
+        event = self.final if last else eng.event(f"coll:{name}:{seq}")
+        seen = 0.0
+        for r, arrival in self.arrivals.items():
+            phases = chains[r]
+            phase = phases[k]
+            profiles[group[r]].record_mpi(
+                phase.name, int(phase.nbytes), now - (arrival if first else began)
+            )
+            phase = phases[nxt]
+            if sanitizer is not None:
+                sanitizer.on_collective(
+                    comm, phase.name, seq, None, phase.nbytes, r, event, phase.uneven
+                )
+            if phase.name != name:
+                raise MpiError(
+                    f"collective chain on comm {comm.comm_id} at call #{seq}: rank "
+                    f"{group[r]} called {phase.name} but rank {group[comm.rank]} called {name}"
+                )
+            if phase.nbytes > seen:  # max(), keeping its first-wins tie
+                seen = phase.nbytes
+        # ``phase`` is now the last arriver's: its cost function prices.
+        world._schedule_completion(
+            comm, event, name, seen, phase.time_fn, phase.memo_key, now,
+            now if last else None,
+        )
+        if not last:
+            event.callbacks.append(self._advance)  # type: ignore[union-attr]
 
 
 class _Transfer(Event):
@@ -374,6 +465,7 @@ class MpiWorld:
         memo_key: _t.Hashable = None,
         root: int | None = None,
         uneven: bool = False,
+        chain: tuple["Phase", ...] = (),
     ) -> _t.Generator:
         """One synchronising collective for the calling rank.
 
@@ -397,6 +489,14 @@ class MpiWorld:
         divergence, and phases whose per-rank byte counts legitimately
         differ (:meth:`~repro.smpi.comm.Comm.composite`) pass
         ``uneven=True`` so it skips its byte-count check.
+
+        ``chain`` (from :meth:`~repro.smpi.comm.Comm.chain`) makes this
+        the first of two or more result-less phases, ``chain[0]`` being
+        this one: the rank resumes once, after the last.  Each phase
+        completes, is priced and is accounted at the instants and in
+        the order the phases called one by one would be, so the two
+        programs are bit-identical, dispatched events included.  Every
+        rank of an instance must chain the same number of phases.
         """
         eng = self.engine
         my_local = comm.rank
@@ -421,32 +521,73 @@ class MpiWorld:
             state.contributions[my_local] = contribution
         if nbytes > state.nbytes_seen:  # max(), keeping its first-wins tie
             state.nbytes_seen = nbytes
+        wait = state.event
+        if chain:
+            comm._seq = seq + len(chain)
+            if state.chains is None:
+                state.chains = {}
+                state.final = eng.event(f"coll:{chain[-1].name}:{seq + len(chain) - 1}")
+            state.chains[my_local] = chain
+            wait = state.final
 
         if len(state.arrivals) == state.expected:
             del self._coll_states[key]
-            ctx = self._collective_context(comm)
-            if memo_key is not None:
-                duration = self.memo.time(memo_key, ctx, state.nbytes_seen, time_fn)
-            else:
-                duration = time_fn(ctx, state.nbytes_seen)
-            if duration < 0:
-                raise MpiError(f"negative collective time from {name}: {duration}")
-            completion = max(state.arrivals.values()) + duration
+            if state.chains is not None:
+                lengths = {len(c) for c in state.chains.values()}
+                if len(state.chains) != state.expected or len(lengths) > 1:
+                    raise MpiError(
+                        f"collective {name} on comm {comm.comm_id} at call #{seq}: "
+                        "a chain met a plain collective or a chain of another length"
+                    )
             results = (
                 finisher(state.contributions, finisher_arg)
                 if finisher is not None else {}
             )
-            # Pre-trigger the shared event for its completion instant:
-            # one heap entry, landing where a ``timeout(completion - now)``
-            # would (the same ``now + (completion - now)`` float round trip).
-            now = eng.now
-            state.event.schedule_at(now + (completion - now), results)
+            self._schedule_completion(
+                comm, state.event, name, state.nbytes_seen, time_fn, memo_key,
+                max(state.arrivals.values()), results,
+            )
+            if chain:
+                _Chain(self, comm, seq, state, len(chain))
 
-        results = yield state.event
+        results = yield wait
+        if chain:  # the last phase's event carries the instant it began
+            name, nbytes, arrival, results = chain[-1].name, chain[-1].nbytes, results, None
         self.monitor.profiles[comm.group[my_local]].record_mpi(
             name, int(nbytes), eng.now - arrival
         )
         return results.get(my_local) if results else None
+
+    def _schedule_completion(
+        self,
+        comm: "Comm",
+        event: Event,
+        name: str,
+        nbytes: float,
+        time_fn: _t.Callable[[CollectiveContext, float], float],
+        memo_key: _t.Hashable,
+        latest: float,
+        value: _t.Any,
+    ) -> None:
+        """Price one phase whose last rank arrived at ``latest`` and
+        pre-trigger ``event`` with ``value`` for its completion.
+
+        The one pricing sequence of plain collectives and chain phases:
+        the context (with its latency draw), then the cost function or
+        the memo.
+        """
+        ctx = self._collective_context(comm)
+        if memo_key is not None:
+            duration = self.memo.time(memo_key, ctx, nbytes, time_fn)
+        else:
+            duration = time_fn(ctx, nbytes)
+        if duration < 0:
+            raise MpiError(f"negative collective time from {name}: {duration}")
+        completion = latest + duration
+        # One heap entry, landing where a ``timeout(completion - now)``
+        # would (the same ``now + (completion - now)`` float round trip).
+        now = self.engine.now
+        event.schedule_at(now + (completion - now), value)
 
     def _collective_context(self, comm: "Comm") -> CollectiveContext:
         platform = self.platform

@@ -27,8 +27,15 @@ from repro.harness.cellstore import (
     record_problem,
     store_key,
 )
+from repro.harness.journal import payload_hash
 from repro.harness.parallel import Cell, cell_worker
 from repro.harness.supervisor import run_cells
+
+def _record(worker, args, result, code):
+    """The record a publisher of code identity ``code`` would write."""
+    address = (code, store_key(worker, args, code), payload_hash(worker, args))
+    return build_record(worker, args, result, address)
+
 
 #: Inline executions of the counting test worker (jobs=1 runs in-process).
 _CALLS: list[tuple] = []
@@ -124,7 +131,7 @@ class TestStoreKey:
 
         store = CellStore(tmp_path / "store")
         args = (1,)
-        record = build_record("cs_count", args, {"v": -1.0}, "aa" * 16)
+        record = _record("cs_count", args, {"v": -1.0}, "aa" * 16)
         spec = "crash:at=1.0,node=0"
         blob = json.dumps(
             [JOURNAL_FORMAT_VERSION, "cs_count", encode_value(args), "aa" * 16, spec],
@@ -269,6 +276,29 @@ class TestRunCellsIntegration:
         assert store.hits == 4 and store.misses == 0
         assert second == first
         assert list(second) == list(first)  # key order preserved
+
+    def test_a_sweep_derives_each_cell_key_once(self, tmp_path, fake_fingerprints,
+                                                monkeypatch):
+        """The plan derives each cell's code identity and key; publishing
+        the fresh result reuses them.  A lone publish derives its own."""
+        import repro.analysis.static as static
+
+        calls = []
+        fingerprint = static.worker_fingerprint
+
+        def counting(worker):
+            calls.append(worker)
+            return fingerprint(worker)
+
+        monkeypatch.setattr(static, "worker_fingerprint", counting)
+        cells = [Cell((i,), "cs_count", (i,)) for i in range(4)]
+        store = CellStore(tmp_path / "store")
+        run_cells(cells, Run(store=store))
+        assert store.published == 4 and len(calls) == 4
+        assert store.publish("cs_count", (9,), {"v": 81.0})
+        assert len(calls) == 5
+        assert store.lookup("cs_count", (9,)) == {"v": 81.0}
+        assert store.verify().clean
 
     def test_partial_hits_merge_in_cell_order(self, tmp_path, fake_fingerprints):
         store = CellStore(tmp_path / "store")
@@ -615,7 +645,7 @@ class TestMaintenance:
                "code": "aa", "hash": "bb" * 16, "result": {}}
         assert "64 lowercase hex" in record_problem(bad)
         # Garbled typed encodings are reported, never raised.
-        good = build_record("w", (1,), {"v": 1.0}, "aa" * 16)
+        good = _record("w", (1,), {"v": 1.0}, "aa" * 16)
         assert record_problem(good) is None
         for field, garbled, reason in (
             ("args", {"__tuple__": 5}, "args are not a typed encoding"),
@@ -662,10 +692,10 @@ class TestMaintenance:
         assert code is not None
         store = CellStore(tmp_path / "store")
         records = [
-            build_record("npb_point", ("cg", "Vayu", 2, 1, "S", None), {"v": 1.0},
-                         "ee" * 16),
-            build_record("metum_stats", ("Vayu", 32), {"v": 2.0}, "ee" * 16),
-            build_record("metum_stats", ("Vayu", 64), {"v": 3.0}, code),
+            _record("npb_point", ("cg", "Vayu", 2, 1, "S", None), {"v": 1.0},
+                    "ee" * 16),
+            _record("metum_stats", ("Vayu", 32), {"v": 2.0}, "ee" * 16),
+            _record("metum_stats", ("Vayu", 64), {"v": 3.0}, code),
         ]
         for rec in records:
             path = store.shard_path(rec["k"])

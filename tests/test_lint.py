@@ -127,6 +127,14 @@ class TestDET006RankDependentCollective:
         )
         assert rules_for(src) == ["DET006"]
 
+    def test_chain_under_rank_branch(self):
+        src = (
+            "def prog(comm, phases):\n"
+            "    if comm.rank % 2:\n"
+            "        yield from comm.chain(*phases)\n"
+        )
+        assert rules_for(src) == ["DET006"]
+
     def test_unconditional_collective_is_fine(self):
         src = "def prog(comm):\n    yield from comm.allreduce(8)\n"
         assert rules_for(src) == []
@@ -341,6 +349,16 @@ class TestDET011CollectiveInHandler:
             "        yield 1\n"
             "    finally:\n"
             "        yield from comm.allreduce(0)\n"
+        )
+        assert deep_rules_for(src) == ["DET011"]
+
+    def test_chain_in_except(self):
+        src = (
+            "def prog(comm, phases):\n"
+            "    try:\n"
+            "        yield 1\n"
+            "    except ValueError:\n"
+            "        yield from comm.chain(*phases)\n"
         )
         assert deep_rules_for(src) == ["DET011"]
 

@@ -174,7 +174,7 @@ def _nonblocking(comm):
 #: One correct program per ``COLLECTIVE_METHODS`` entry, plus the
 #: point-to-point patterns the paper workloads use.  ``composite`` is an
 #: uneven phase: each rank moves a different volume, as a halo exchange
-#: on an uneven partition does.
+#: on an uneven partition does; ``chain`` runs one before two even ones.
 PROGRAMS = {
     "barrier": lambda comm: comm.barrier(),
     "allreduce": lambda comm: comm.allreduce(8, value=comm.rank),
@@ -191,6 +191,11 @@ PROGRAMS = {
     ),
     "collective": lambda comm: comm.world.collective(
         comm, "custom_phase", 16, _phase_time
+    ),
+    "chain": lambda comm: comm.chain(
+        comm.composite_phase("MPI_Sendrecv(halo)", 4096 * (comm.rank + 1), _phase_time),
+        comm.allreduce_phase(8),
+        comm.barrier_phase(),
     ),
     "sendrecv-ring": _ring,
     "nonblocking": _nonblocking,
