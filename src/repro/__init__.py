@@ -24,10 +24,23 @@ Package map
 =====================  ====================================================
 """
 
-from repro.platforms import DCC, EC2, VAYU, get_platform
-from repro.smpi import run_program
+from __future__ import annotations
+
+import importlib
+import typing as _t
 
 __version__ = "1.0.0"
+
+#: The root's names and the module each comes from.  They load at first
+#: use (PEP 562), so ``import repro`` loads no simulator, and a run that
+#: only serves stored results loads no MPI runtime.
+_LAZY = {
+    "DCC": "repro.platforms",
+    "EC2": "repro.platforms",
+    "VAYU": "repro.platforms",
+    "get_platform": "repro.platforms",
+    "run_program": "repro.smpi",
+}
 
 __all__ = [
     "DCC",
@@ -37,3 +50,10 @@ __all__ = [
     "get_platform",
     "run_program",
 ]
+
+
+def __getattr__(name: str) -> _t.Any:
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    return getattr(importlib.import_module(module), name)

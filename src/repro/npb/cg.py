@@ -83,7 +83,7 @@ class CgBenchmark(NpbBenchmark):
         for _ in range(CG_INNER_ITERS):
             yield from comm.compute(flops=flops_inner, mem_bytes=mem_inner, working_set=self.local_ws(comm), access="random")
             if p > 1:
-                yield from row_comm.allreduce(row_bytes, value=0.0)
+                yield from row_comm.allreduce(row_bytes)
                 if partner != comm.rank:
                     yield from comm.sendrecv(partner, transpose_bytes, partner)
                 yield from comm.chain(*dots)
@@ -94,5 +94,5 @@ class CgBenchmark(NpbBenchmark):
             working_set=self.local_ws(comm),
         )
         if p > 1:
-            yield from comm.allreduce(8, value=0.0)
+            yield from comm.allreduce(8)
         return None

@@ -67,5 +67,5 @@ class FtBenchmark(NpbBenchmark):
             mem_bytes=self.cfg.mem_bytes_per_iter * share * 0.4,
             working_set=self.local_ws(comm),
         )
-        yield from comm.allreduce(16, value=0.0)
+        yield from comm.allreduce(16)
         return None

@@ -49,7 +49,7 @@ class IsBenchmark(NpbBenchmark):
             working_set=self.local_ws(comm),
         )
         if p > 1:
-            yield from comm.allreduce(4 * NUM_BUCKETS, value=0)
+            yield from comm.allreduce(4 * NUM_BUCKETS)
             # Redistribute all local keys (4-byte ints); bucket-size
             # variance makes the largest pairwise block ~2x the average.
             local_bytes = 4 * total_keys // p

@@ -83,5 +83,5 @@ class MgBenchmark(NpbBenchmark):
         for lev, w in zip(visit_levels, weights):
             yield from self._level_visit(comm, lev, w / norm)
         if comm.size > 1:
-            yield from comm.allreduce(8, value=0.0)  # residual norm
+            yield from comm.allreduce(8)  # residual norm
         return None

@@ -5,14 +5,18 @@ Determinism is guaranteed by the monotonically increasing sequence number,
 which breaks ties between events scheduled for the same instant in
 scheduling order.
 
+There is one error path: events cannot fail, so an exception raised
+while dispatching — by a heap step, a callback or a process's generator
+— escapes :meth:`Engine.run` unchanged, and the run is over.
+
 Hot-path notes
 --------------
-``run`` is the single hottest function of every sweep, so each of its
-branches inlines the dispatch loop with bound locals (``heap``, ``pop``)
-and drains same-timestamp batches without re-storing the clock.
-Numeric process sleeps (the dominant event class in the MPI skeletons)
-push the process's own wake-up token rather than a fresh
-:class:`Timeout` per ``yield`` — see :mod:`repro.sim.process` — and
+``run`` is the single hottest function of every sweep, so both of its
+branches inline the dispatch loop with bound locals (``heap``, ``pop``);
+the drain branch also takes same-timestamp batches without re-storing
+the clock.  Numeric process sleeps (the dominant event class in the MPI
+skeletons) push the process's own wake-up token rather than a fresh
+timeout event per ``yield`` — see :mod:`repro.sim.process` — and
 :meth:`Engine.call_at` and the MPI transfer steps push
 :class:`~repro.sim.events.Call` tokens, whose dispatch is the call.
 """
@@ -23,7 +27,7 @@ import heapq
 import typing as _t
 
 from repro.errors import DeadlockError, SimulationError
-from repro.sim.events import AllOf, Call, Event, Timeout
+from repro.sim.events import AllOf, Call, Event
 from repro.sim.rng import RandomStreams
 
 
@@ -59,9 +63,12 @@ class Engine:
         """Create a fresh untriggered :class:`Event`."""
         return Event(self, name)
 
-    def timeout(self, delay: float, value: _t.Any = None) -> Timeout:
-        """Create an event that fires ``delay`` simulated seconds from now."""
-        return Timeout(self, delay, value)
+    def timeout(self, delay: float, value: _t.Any = None) -> Event:
+        """An event that fires with ``value`` ``delay`` simulated seconds
+        from now: one heap entry, at ``now + float(delay)``."""
+        if delay < 0:
+            raise ValueError(f"negative timeout delay: {delay!r}")
+        return Event(self, "timeout").schedule_at(self.now + float(delay), value)
 
     def all_of(self, events: _t.Sequence[Event]) -> AllOf:
         """Composite event firing when every event in ``events`` fires."""
@@ -96,7 +103,7 @@ class Engine:
         return DeadlockError(self._blocked)
 
     # -- running ----------------------------------------------------------
-    def run(self, until: float | Event | None = None) -> _t.Any:
+    def run(self, until: Event | None = None) -> _t.Any:
         """Run the event loop.
 
         ``until`` may be:
@@ -105,9 +112,8 @@ class Engine:
           blocked at that point a :class:`~repro.errors.DeadlockError` is
           raised, because that always indicates a protocol bug (e.g. a
           ``recv`` with no matching ``send``).
-        * a ``float`` — run until the clock reaches that time.
         * an :class:`Event` — run until that event fires, returning its
-          value (and re-raising its failure).
+          value.
         """
         heap = self._heap
         pop = heapq.heappop
@@ -128,35 +134,22 @@ class Engine:
             finally:
                 self.dispatched += n
             return target.value
-        if until is None:
-            n = 0
-            try:
-                while heap:
-                    when, _seq, event = pop(heap)
-                    self.now = when
-                    n += 1
-                    event._dispatch()
-                    # Same-timestamp batch: skip the clock store.
-                    while heap and heap[0][0] == when:
-                        _w, _seq, event = pop(heap)
-                        n += 1
-                        event._dispatch()
-            finally:
-                self.dispatched += n
-            if self._blocked:
-                raise self._deadlock()
-            return None
-        horizon = float(until)
         n = 0
         try:
-            while heap and heap[0][0] <= horizon:
+            while heap:
                 when, _seq, event = pop(heap)
                 self.now = when
                 n += 1
                 event._dispatch()
+                # Same-timestamp batch: skip the clock store.
+                while heap and heap[0][0] == when:
+                    _w, _seq, event = pop(heap)
+                    n += 1
+                    event._dispatch()
         finally:
             self.dispatched += n
-        self.now = max(self.now, horizon)
+        if self._blocked:
+            raise self._deadlock()
         return None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

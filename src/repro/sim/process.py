@@ -3,15 +3,17 @@
 A :class:`Process` drives a Python generator.  The generator describes
 behaviour in virtual time by yielding:
 
-* an :class:`~repro.sim.events.Event` (including :class:`Timeout`,
+* an :class:`~repro.sim.events.Event` (including a timeout,
   :class:`AllOf`, another :class:`Process`, ...) — the process blocks
   until the event fires and the ``yield`` expression evaluates to the
   event's value;
-* a ``float``/``int`` — shorthand for ``engine.timeout(value)``.
+* a ``float``/``int`` — a sleep of that many simulated seconds.
 
 A process is itself an :class:`Event` that succeeds with the generator's
-return value (or fails with its uncaught exception), so processes can wait
-on each other by yielding them.
+return value, so processes can wait on each other by yielding them.  An
+exception the generator raises, and the :class:`SimulationError` for a
+yield that is neither, escape :meth:`~repro.sim.engine.Engine.run`
+unchanged: no event ever fails.
 
 Hot path: :meth:`Process._step` is the only frame between a heap entry
 and the generator it wakes.  A sleep pushes the process's own wake-up
@@ -32,11 +34,10 @@ if _t.TYPE_CHECKING:  # pragma: no cover
 
 
 class _Woken:
-    """What a wake-up token delivers: no value and no failure."""
+    """What a wake-up token delivers: no value."""
 
     __slots__ = ()
     _value = None
-    _exc = None
 
 
 _WOKEN = _Woken()
@@ -48,7 +49,7 @@ class Process(Event):
     __slots__ = ("generator", "_wake", "_resume")
 
     def __init__(self, engine: "Engine", generator: _t.Generator, name: str = "") -> None:
-        if not hasattr(generator, "send") or not hasattr(generator, "throw"):
+        if not hasattr(generator, "send"):
             raise TypeError(
                 f"Process requires a generator, got {type(generator).__name__}; "
                 "did you call the generator function?"
@@ -67,7 +68,7 @@ class Process(Event):
         _heappush(engine._heap, (engine.now, engine._seq, self._wake))
 
     def _step(self, event: _t.Any = _WOKEN) -> None:
-        """Resume the generator with ``event``'s outcome and act on its
+        """Resume the generator with ``event``'s value and act on its
         next yield (engine-internal).
 
         Called with no argument by the process's wake-up token,
@@ -78,19 +79,11 @@ class Process(Event):
             engine._blocked -= 1
         generator = self.generator
         while True:
-            exc = event._exc
             try:
-                if exc is None:
-                    target = generator.send(event._value)
-                else:
-                    target = generator.throw(exc)
+                target = generator.send(event._value)
             except StopIteration as stop:
                 self._finish()
                 self.succeed(stop.value)
-                return
-            except BaseException as error:  # noqa: BLE001 - deliberate catch-all
-                self._finish()
-                self.fail(error)
                 return
 
             if isinstance(target, Event):
@@ -113,12 +106,10 @@ class Process(Event):
                 engine._seq += 1
                 _heappush(engine._heap, (engine.now + target, engine._seq, self._wake))
                 return
-            self._finish()
-            self.fail(SimulationError(
+            raise SimulationError(
                 f"process {self.name!r} yielded {target!r}; expected an Event "
                 "or a numeric delay"
-            ))
-            return
+            )
 
     def _finish(self) -> None:
         # The bound step refers back to the process: drop it once the

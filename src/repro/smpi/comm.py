@@ -20,6 +20,7 @@ real payload, delivered and reduced exactly.
 from __future__ import annotations
 
 import contextlib
+import functools
 import typing as _t
 
 from repro.errors import MpiError
@@ -265,11 +266,14 @@ class Comm:
         value: _t.Any = None,
         op: _t.Callable[[_t.Any, _t.Any], _t.Any] = _sum_op,
     ) -> _t.Generator:
-        """All-reduce; every rank receives the combined value."""
+        """All-reduce; every rank receives the ``op``-combined value of
+        the ranks that passed one (``None`` if none did)."""
         name, time_fn, memo_key = _ALLREDUCE
+        if value is None:  # nothing to combine on this rank
+            return self.world.collective(self, name, nbytes, time_fn, memo_key=memo_key)
         return self.world.collective(
             self, name, nbytes, time_fn,
-            contribution=value, finisher=_allreduce_finish, finisher_arg=op,
+            contribution=value, finisher=_allreduce_finish, finisher_arg=(op, self.size),
             memo_key=memo_key,
         )
 
@@ -317,7 +321,6 @@ class Comm:
         name: str,
         nbytes: float,
         time_fn: _t.Callable[[_alg.CollectiveContext, float], float],
-        memo_key: _t.Hashable = None,
     ) -> _t.Generator:
         """A custom synchronising composite operation.
 
@@ -328,13 +331,9 @@ class Comm:
         The accounting is identical to a collective's.  Each rank passes
         its own ``nbytes``, which may differ between ranks (a halo
         exchange on an uneven partition); the sanitizer does not flag
-        that.  A ``memo_key``
-        that uniquely pins down ``time_fn`` (including every closed-over
-        parameter) opts the phase cost into the collective memo cache.
+        that.  The phase cost is not memoised.
         """
-        return self.world.collective(
-            self, name, nbytes, time_fn, memo_key=memo_key, uneven=True
-        )
+        return self.world.collective(self, name, nbytes, time_fn, uneven=True)
 
     # -- collective chains -------------------------------------------------------------
     def chain(self, *phases: Phase) -> _t.Generator:
@@ -418,10 +417,14 @@ def _split_time(ctx: _alg.CollectiveContext, nbytes: float) -> float:
 
 
 def _allreduce_finish(
-    contribs: dict[int, _t.Any], op: _t.Callable[[_t.Any, _t.Any], _t.Any]
+    contribs: dict[int, _t.Any], arg: tuple[_t.Callable[[_t.Any, _t.Any], _t.Any], int]
 ) -> dict[int, _t.Any]:
-    total = _combine(contribs, op)
-    return {r: total for r in contribs}
+    """``allreduce``: the values passed, folded with ``op`` in rank order
+    (deterministic), for every rank of the ``size``, whether or not it
+    passed one."""
+    op, size = arg
+    total = functools.reduce(op, (contribs[r] for r in sorted(contribs)))
+    return dict.fromkeys(range(size), total)
 
 
 def _scatter_finish(contribs: dict[int, _t.Any], root: int) -> dict[int, _t.Any]:
@@ -464,15 +467,3 @@ def _split_finish(contribs: dict[int, _t.Any], world: "MpiWorld") -> dict[int, _
         world.alloc_comm_id()
     return out
 
-
-def _combine(
-    contribs: dict[int, _t.Any], op: _t.Callable[[_t.Any, _t.Any], _t.Any]
-) -> _t.Any:
-    """Fold non-``None`` contributions in rank order (deterministic)."""
-    total: _t.Any = None
-    for r in sorted(contribs):
-        v = contribs[r]
-        if v is None:
-            continue
-        total = v if total is None else op(total, v)
-    return total

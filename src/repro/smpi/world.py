@@ -51,20 +51,23 @@ if _t.TYPE_CHECKING:  # pragma: no cover
 class _CollState:
     """In-flight state of one collective operation instance.
 
-    For a chain, ``chains`` holds each arrived rank's phases and
+    ``finisher`` and ``finisher_arg`` are the first that any rank
+    passed.  For a chain, ``chains`` holds each arrived rank's phases and
     ``final`` the event of the last phase, which the chained ranks wait
     on; both stay ``None`` for a plain collective.
     """
 
     __slots__ = (
-        "expected", "arrivals", "contributions", "event", "nbytes_seen",
-        "chains", "final",
+        "expected", "arrivals", "contributions", "finisher", "finisher_arg",
+        "event", "nbytes_seen", "chains", "final",
     )
 
     def __init__(self, expected: int, event: Event) -> None:
         self.expected = expected
         self.arrivals: dict[int, float] = {}  # local rank -> arrival time
         self.contributions: dict[int, _t.Any] = {}
+        self.finisher: _t.Callable[[dict[int, _t.Any], _t.Any], dict[int, _t.Any]] | None = None
+        self.finisher_arg: _t.Any = None
         self.event = event
         self.nbytes_seen: float = 0.0
         self.chains: dict[int, tuple["Phase", ...]] | None = None
@@ -158,10 +161,8 @@ class _Transfer(Event):
     ``now + float(delay)`` as a timeout would, and the start at ``now``
     after the caller's dispatch.  An event wait counts in
     ``engine._blocked`` as a blocked process does, so a deadlock report
-    is unchanged.  A step that raised would escape
-    :meth:`~repro.sim.engine.Engine.run` rather than fail the request;
-    :meth:`MpiWorld.post_send` validates its inputs up front, so no step
-    raises.
+    is unchanged.  :meth:`MpiWorld.post_send` validates its inputs up
+    front, so no step raises.
     """
 
     __slots__ = ("world", "msg", "_token")
@@ -399,9 +400,8 @@ class MpiWorld:
         network/receiver).
 
         Every input is checked here, before any transfer step is
-        scheduled: the steps run straight from the event heap, so an
-        exception inside one would escape :meth:`Engine.run` instead of
-        failing the request.
+        scheduled, so a bad send raises in the calling rank's frame, not
+        later from a step on the event heap.
         """
         if not (0 <= dst < self.nprocs):
             raise MpiError(f"send to invalid rank {dst} (world size {self.nprocs})")
@@ -471,9 +471,10 @@ class MpiWorld:
 
         ``time_fn(ctx, nbytes)`` supplies the algorithm cost;
         ``finisher(contributions, finisher_arg)`` maps the {local rank:
-        contribution} dict to a {local rank: result} dict once everyone
-        has arrived (identity results of ``None`` when omitted); only the
-        completing rank's ``finisher_arg`` is used.  The returned
+        contribution} dict of the ranks that passed one to a {local rank:
+        result} dict once everyone has arrived (results of ``None`` when
+        no rank passed one); the first ``finisher`` passed, and its
+        ``finisher_arg``, are used.  The returned
         generator yields until completion and returns this rank's
         result.
 
@@ -519,6 +520,8 @@ class MpiWorld:
         state.arrivals[my_local] = arrival
         if finisher is not None:  # only a finisher reads contributions
             state.contributions[my_local] = contribution
+            if state.finisher is None:
+                state.finisher, state.finisher_arg = finisher, finisher_arg
         if nbytes > state.nbytes_seen:  # max(), keeping its first-wins tie
             state.nbytes_seen = nbytes
         wait = state.event
@@ -539,8 +542,9 @@ class MpiWorld:
                         f"collective {name} on comm {comm.comm_id} at call #{seq}: "
                         "a chain met a plain collective or a chain of another length"
                     )
+            finisher = state.finisher
             results = (
-                finisher(state.contributions, finisher_arg)
+                finisher(state.contributions, state.finisher_arg)
                 if finisher is not None else {}
             )
             self._schedule_completion(

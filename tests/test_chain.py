@@ -41,9 +41,7 @@ def _one_by_one(comm, phases):
         elif phase.name == "MPI_Barrier":
             yield from comm.barrier()
         else:
-            yield from comm.composite(
-                phase.name, phase.nbytes, phase.time_fn, phase.memo_key
-            )
+            yield from comm.composite(phase.name, phase.nbytes, phase.time_fn)
 
 
 def _run_phases(comm, phases, chained):

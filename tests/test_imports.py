@@ -3,7 +3,8 @@
 numpy is imported by the first random stream, the process pool by the
 first pool and the determinism linter by ``repro lint`` alone, so the
 set-up imports, a warm ``run_batch`` and a warm ``python -m repro run
-all`` load none of them.  Each check runs in a fresh interpreter,
+all`` load none of them; a warm ``run_batch`` loads no MPI runtime
+either.  Each check runs in a fresh interpreter,
 because this one has imported them long ago.
 """
 
@@ -61,6 +62,26 @@ def test_warm_run_batch_loads_neither(warm_store):
     summary, loaded = out.stdout.splitlines()
     assert "84 served, 0 executed, 0 published" in summary
     assert json.loads(loaded) == []
+
+
+def test_warm_run_batch_loads_no_mpi_runtime(warm_store):
+    """Served cells need no simulator: ``import repro`` resolves its
+    top-level names lazily, so nothing pulls in :mod:`repro.smpi`."""
+    out = _python("-c", (
+        "import sys; from repro.harness.runner import run_batch; "
+        f"run_batch(None, quick=True, seed=1, sanitize=False, store={str(warm_store)!r}); "
+        "print(sorted(m for m in sys.modules if m.startswith('repro.smpi')))"
+    ))
+    assert out.stdout.strip() == "[]"
+
+
+def test_root_names_resolve_at_first_use():
+    out = _python("-c", (
+        "import sys, repro; before = 'repro.smpi' in sys.modules; "
+        "from repro import VAYU, run_program; "
+        "print(before, VAYU.name, run_program.__module__)"
+    ))
+    assert out.stdout.split() == ["False", "Vayu", "repro.smpi.world"]
 
 
 def test_warm_cli_loads_neither(warm_store):

@@ -1,9 +1,13 @@
-"""Unit tests for the discrete-event engine core."""
+"""Unit tests for the discrete-event engine core.
+
+Events cannot fail: an exception raised during a run, wherever it is
+raised, escapes ``Engine.run`` unchanged.
+"""
 
 import pytest
 
 from repro.errors import DeadlockError, SimulationError
-from repro.sim import AllOf, Engine, Event, Resource, Store, Timeout
+from repro.sim import AllOf, Engine, Event, Resource, Store
 
 
 class TestEventBasics:
@@ -18,7 +22,7 @@ class TestEventBasics:
         eng = Engine()
         ev = eng.event()
         ev.succeed(42)
-        assert ev.triggered and ev.ok
+        assert ev.triggered
         assert ev.value == 42
 
     def test_double_trigger_rejected(self):
@@ -27,20 +31,6 @@ class TestEventBasics:
         ev.succeed(1)
         with pytest.raises(SimulationError):
             ev.succeed(2)
-        with pytest.raises(SimulationError):
-            ev.fail(RuntimeError("nope"))
-
-    def test_fail_reraises_in_value(self):
-        eng = Engine()
-        ev = eng.event()
-        ev.fail(ValueError("boom"))
-        with pytest.raises(ValueError, match="boom"):
-            _ = ev.value
-
-    def test_fail_requires_exception(self):
-        eng = Engine()
-        with pytest.raises(TypeError):
-            eng.event().fail("not an exception")  # type: ignore[arg-type]
 
     def test_callback_after_dispatch_runs_immediately(self):
         eng = Engine()
@@ -64,6 +54,16 @@ class TestTimeouts:
         with pytest.raises(ValueError):
             eng.timeout(-1.0)
 
+    def test_timeout_is_one_heap_entry_at_now_plus_delay(self):
+        eng = Engine()
+        eng.timeout(1.1)
+        eng.run()
+        ev = eng.timeout(4.6, "v")
+        assert type(ev) is Event and ev.triggered
+        assert [(when, seq) for when, seq, _ev in eng._heap] == [(1.1 + 4.6, 2)]
+        eng.run()
+        assert ev.value == "v" and eng.now == 1.1 + 4.6
+
     def test_timeouts_dispatch_in_time_order(self):
         eng = Engine()
         order = []
@@ -79,15 +79,6 @@ class TestTimeouts:
             eng.timeout(1.0).add_callback(lambda _e, i=i: order.append(i))
         eng.run()
         assert order == [0, 1, 2, 3, 4]
-
-    def test_run_until_time(self):
-        eng = Engine()
-        fired = []
-        eng.timeout(1.0).add_callback(lambda _e: fired.append(1))
-        eng.timeout(5.0).add_callback(lambda _e: fired.append(5))
-        eng.run(until=2.0)
-        assert fired == [1]
-        assert eng.now == pytest.approx(2.0)
 
     def test_call_at(self):
         eng = Engine()
@@ -194,45 +185,48 @@ class TestProcesses:
         eng.run()
         assert p.value == 14
 
-    def test_exception_propagates_to_waiter(self):
-        eng = Engine()
-
-        def bad():
-            yield eng.timeout(1.0)
-            raise RuntimeError("inner")
-
-        def outer():
-            try:
-                yield eng.process(bad())
-            except RuntimeError as exc:
-                return f"caught {exc}"
-
-        p = eng.process(outer())
-        eng.run()
-        assert p.value == "caught inner"
-
     def test_uncaught_exception_fails_process(self):
+        """The generator's exception escapes ``run``, the same object,
+        at the instant it was raised; the process never fires."""
         eng = Engine()
+        oops = ValueError("oops")
 
         def bad():
             yield eng.timeout(1.0)
-            raise ValueError("oops")
+            raise oops
 
         p = eng.process(bad())
-        eng.run()
-        assert p.triggered and not p.ok
-        with pytest.raises(ValueError):
-            _ = p.value
+        with pytest.raises(ValueError) as info:
+            eng.run()
+        assert info.value is oops
+        assert eng.now == 1.0 and not p.triggered
+
+    def test_uncaught_exception_escapes_a_run_until_event(self):
+        eng = Engine()
+
+        def bad():
+            yield 1.0
+            raise KeyError("k")
+
+        def slow():
+            yield 5.0
+
+        done = eng.all_of([eng.process(bad()), eng.process(slow())])
+        with pytest.raises(KeyError):
+            eng.run(done)
+        assert eng.now == 1.0 and not done.triggered
 
     def test_yielding_garbage_fails_process(self):
         eng = Engine()
 
         def bad():
+            yield 1.0
             yield "not an event"
 
         p = eng.process(bad())
-        eng.run()
-        assert not p.ok
+        with pytest.raises(SimulationError, match="yielded 'not an event'"):
+            eng.run()
+        assert eng.now == 1.0 and not p.triggered
 
     def test_requires_generator(self):
         eng = Engine()
@@ -309,49 +303,6 @@ class TestProcessStepping:
         # at the same instant, and left nothing blocked.
         assert order == [("before", 1.0), ("v", 1.0), ("v", 1.0),
                          ("bystander", 1.0)]
-        assert eng._blocked == 0
-
-    def test_already_failed_event_throws_into_the_generator(self):
-        eng = Engine()
-        broken = eng.event()
-        broken.fail(KeyError("k"))
-
-        def prog():
-            yield 1.0
-            try:
-                yield broken
-            except KeyError:
-                return "caught"
-
-        p = eng.process(prog())
-        eng.run()
-        assert p.value == "caught"
-
-    def test_generator_exception_fails_process_and_reaches_waiters(self):
-        eng = Engine()
-        gate = eng.event()
-
-        def bad():
-            yield gate
-            raise RuntimeError("inner")
-
-        def waiter(proc):
-            try:
-                yield proc
-            except RuntimeError as exc:
-                return f"caught {exc}"
-
-        child = eng.process(bad())
-        outer = eng.process(waiter(child))
-        seen = []
-        child.add_callback(lambda ev: seen.append(ev.ok))
-        eng.call_at(2.0, lambda: gate.succeed())
-        eng.run()
-        assert child.triggered and not child.ok
-        with pytest.raises(RuntimeError, match="inner"):
-            _ = child.value
-        assert outer.value == "caught inner"
-        assert seen == [False]
         assert eng._blocked == 0
 
     def test_start_is_after_the_current_dispatch_in_schedule_order(self):

@@ -335,6 +335,38 @@ class TestCollectives:
         res = run_program(VAYU, 5, prog)
         assert all(v == 4 for v in res.rank_results)
 
+    def test_allreduce_some_values(self):
+        """Ranks that pass no value still receive the combined value of
+        those that did; here the first and the last to arrive pass none."""
+        def prog(comm):
+            yield comm.rank * 1e-6
+            value = comm.rank if comm.rank in (2, 5) else None
+            total = yield from comm.allreduce(8, value=value)
+            return total
+
+        res = run_program(VAYU, 8, prog)
+        assert res.rank_results == [2 + 5] * 8
+
+    def test_allreduce_no_values_gives_none(self):
+        def prog(comm):
+            total = yield from comm.allreduce(8)
+            return total
+
+        res = run_program(VAYU, 4, prog)
+        assert res.rank_results == [None] * 4
+
+    def test_rank_exception_escapes_run_program(self):
+        """An exception in one rank ends the run with that very error,
+        while the other ranks still wait in an all-reduce."""
+        def prog(comm):
+            if comm.rank == 3:
+                yield 1.0
+                raise MpiError(f"rank {comm.rank} gave up at t={comm.world.engine.now}")
+            yield from comm.allreduce(8)
+
+        with pytest.raises(MpiError, match=r"^rank 3 gave up at t=1\.0$"):
+            run_program(DCC, 8, prog)
+
     def test_scatter(self):
         def prog(comm):
             vals = [10, 20, 30, 40] if comm.rank == 0 else None

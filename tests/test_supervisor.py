@@ -27,7 +27,7 @@ import time
 
 import pytest
 
-from repro.errors import CellExecutionError, ConfigError, SimulationError
+from repro.errors import CellExecutionError, ConfigError, MpiError, SimulationError
 from repro.harness import parallel
 from repro.config import Run, RunConfig
 from repro.harness.cellstore import STORE_VERSION, CellStore
@@ -76,6 +76,23 @@ def _sup_flaky(x, fail_above, arm_path):
 @cell_worker("sup_raise")
 def _sup_raise(x):
     raise RuntimeError(f"boom {x}")
+
+
+@cell_worker("sup_rank_raise")
+def _sup_rank_raise(nprocs):
+    """A world whose rank 3 raises while the other ranks wait in an
+    all-reduce."""
+    from repro.platforms import DCC
+    from repro.smpi import run_program
+
+    def prog(comm):
+        if comm.rank == 3:
+            yield 1.0
+            raise MpiError(f"rank 3 of {comm.size} gave up")
+        yield from comm.allreduce(8)
+
+    run_program(DCC, nprocs, prog)
+    return {"v": 0.0}
 
 
 @cell_worker("sup_raise_counted")
@@ -673,6 +690,25 @@ def test_batch_partial_failure_renders_and_continues(monkeypatch, capsys):
     assert "=== failex: FAILED(worker-exception) ===" in out
     assert "FAILED(worker-exception): cell (1,)" in out
     assert "tab1: Experimental platforms" in out  # batch kept going
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_rank_exception_fails_its_cell(monkeypatch, jobs):
+    """An exception raised inside a rank escapes the world and fails its
+    cell, inline and in a pool alike: the experiment renders as
+    FAILED(worker-exception), naming the exception."""
+    from repro.harness.runner import run_batch
+
+    _declare(monkeypatch, "rankex", [Cell((0,), "sup_square", (3,)),
+                                     Cell((1,), "sup_rank_raise", (8,))])
+    batch = run_batch(["rankex"], jobs=jobs)
+    out = batch.outputs["rankex"]
+    assert out.title == "FAILED(worker-exception)"
+    assert out.text.startswith("FAILED(worker-exception): cell (1,)")
+    assert "MpiError: rank 3 of 8 gave up" in out.data["error"]
+    err = batch.failures["rankex"]
+    assert (err.key, err.worker) == ((1,), "sup_rank_raise")
+    assert "MpiError: rank 3 of 8 gave up" in err.detail
 
 
 def test_cli_exit_codes_documented_in_help():
