@@ -147,8 +147,14 @@ class ChasteBenchmark:
                     ctx, halo_bytes / max(1, part.neighbours), max(1, p // 4)
                 )
 
-            # The KSp iteration's halo swap and its two dot-product
-            # all-reduces run back to back: one chain, one resume per rank.
+            # A KSp iteration is a solver burst, then a halo swap and two
+            # dot-product all-reduces back to back; the loop of them is
+            # one chain, one resume per rank.
+            ksp_burst = comm.compute_phase(
+                flops=cfg.ksp_flops_per_step * share / cfg.ksp_iters,
+                mem_bytes=cfg.ksp_mem_per_step * share / cfg.ksp_iters,
+                working_set=ws, access="random",
+            )
             ksp_comm = (
                 comm.composite_phase("MPI_Sendrecv(spmv_halo)", halo_bytes, ksp_halo),
                 comm.allreduce_phase(4),
@@ -173,15 +179,11 @@ class ChasteBenchmark:
                             "MPI_Sendrecv(assembly_halo)", halo_bytes, ksp_halo
                         )
                 with mark(KSP_REGION):
-                    it_f = cfg.ksp_flops_per_step * share / cfg.ksp_iters
-                    it_q = cfg.ksp_mem_per_step * share / cfg.ksp_iters
-                    for _ in range(cfg.ksp_iters):
-                        yield from comm.compute(
-                            flops=it_f, mem_bytes=it_q,
-                            working_set=ws, access="random",
-                        )
-                        if p > 1:
-                            yield from comm.chain(*ksp_comm)
+                    if p > 1:
+                        yield from comm.chain(ksp_burst, *ksp_comm, repeat=cfg.ksp_iters)
+                    else:
+                        for _ in range(cfg.ksp_iters):
+                            yield from comm.compute(*ksp_burst)
 
             yield from timed_steps(comm, STEP_REGION, sim_steps, timestep)
 

@@ -45,11 +45,6 @@ class Resource:
         """Current number of holders."""
         return self._in_use
 
-    @property
-    def queued(self) -> int:
-        """Number of requests waiting for a grant."""
-        return len(self._queue)
-
     # -- protocol ---------------------------------------------------------
     def request(self) -> Event:
         """Return an event that fires when the caller holds the resource."""
@@ -96,9 +91,6 @@ class Store:
         self._getters: collections.deque[tuple[Event, _t.Callable[[_t.Any], bool] | None]] = (
             collections.deque()
         )
-
-    def __len__(self) -> int:
-        return len(self._items)
 
     def put(self, item: _t.Any) -> None:
         """Deposit ``item``, waking the first matching waiter if any."""

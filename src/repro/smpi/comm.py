@@ -52,6 +52,32 @@ class Phase(_t.NamedTuple):
     uneven: bool
 
 
+class Burst(_t.NamedTuple):
+    """One compute burst of a :meth:`Comm.chain`: the arguments of
+    :meth:`Comm.compute`.  Built by :meth:`Comm.compute_phase`."""
+
+    flops: float
+    mem_bytes: float
+    working_set: float
+    access: str
+
+
+class ChainPlan(_t.NamedTuple):
+    """One rank's :meth:`Comm.chain`, as
+    :meth:`~repro.smpi.world.MpiWorld.collective` receives it: ``steps``
+    run ``repeat`` times over, with a :class:`Phase` at each position of
+    ``at`` and a :class:`Burst` everywhere else."""
+
+    steps: tuple[Phase | Burst, ...]
+    repeat: int
+    at: tuple[int, ...]
+
+    @property
+    def phases(self) -> int:
+        """How many phases the chain runs, over all its repeats."""
+        return len(self.at) * self.repeat
+
+
 class Comm:
     """A communicator handle bound to one rank.
 
@@ -336,26 +362,61 @@ class Comm:
         return self.world.collective(self, name, nbytes, time_fn, uneven=True)
 
     # -- collective chains -------------------------------------------------------------
-    def chain(self, *phases: Phase) -> _t.Generator:
-        """Run back-to-back result-less ``phases`` as one collective chain.
+    def chain(self, *steps: Phase | Burst, repeat: int = 1) -> _t.Generator:
+        """Run result-less phases and the compute bursts between them as
+        one collective chain, ``repeat`` times over.
 
-        The same as calling each phase's collective in turn, down to the
-        last bit of every IPM number and the engine's dispatched events,
-        but the calling rank resumes once, after the last phase: the
-        engine prices each next phase from the previous one's completion
-        event.  Every rank of the communicator must chain the same
-        phases (each with its own byte count, as in :meth:`composite`);
-        a rank that calls the phases one by one instead raises
-        :class:`~repro.errors.MpiError`.  A one-phase chain is that
-        phase's plain collective.
+        The same as calling each phase's collective and each burst's
+        :meth:`compute` in turn, down to the last bit of every IPM number
+        and the engine's dispatched events, but the calling rank resumes
+        once, after the last phase: the engine prices each next phase
+        from the previous one's completion event, and draws each burst
+        between two phases at the earlier one's completion, as one heap
+        entry per rank where that rank's sleep would land.  Bursts before
+        the first phase and after the last run as plain :meth:`compute`
+        calls.  Every rank of the communicator must chain the same
+        phases (each with its own byte count, as in :meth:`composite`)
+        with bursts at the same positions (each with its own shape) and
+        the same ``repeat``; a rank that calls the phases one by one or
+        repeats its chain a different number of times instead raises
+        :class:`~repro.errors.MpiError`.  A chain of one phase run once
+        is that phase's plain collective.
         """
-        if not phases:
+        at = tuple([i for i, step in enumerate(steps) if type(step) is Phase])
+        if not at:
             raise MpiError("a collective chain needs at least one phase")
-        name, nbytes, time_fn, memo_key, uneven = phases[0]
-        return self.world.collective(
+        if repeat < 1:
+            raise MpiError(f"a collective chain runs at least once, got repeat={repeat}")
+        first, last = at[0], at[-1]
+        name, nbytes, time_fn, memo_key, uneven = steps[first]
+        run = self.world.collective(
             self, name, nbytes, time_fn, memo_key=memo_key, uneven=uneven,
-            chain=phases if len(phases) > 1 else (),
+            chain=ChainPlan(steps, repeat, at) if len(at) > 1 or repeat > 1 else None,
         )
+        if first == 0 and last == len(steps) - 1:
+            return run
+        return self._bracketed(steps[:first], run, steps[last + 1:])
+
+    def _bracketed(
+        self, before: tuple[Burst, ...], run: _t.Generator, after: tuple[Burst, ...]
+    ) -> _t.Generator:
+        """A chain's bursts before its first phase and after its last,
+        run by the rank itself around the chain ``run``."""
+        for burst in before:
+            yield from self.compute(*burst)
+        yield from run
+        for burst in after:
+            yield from self.compute(*burst)
+
+    def compute_phase(
+        self,
+        flops: float = 0.0,
+        mem_bytes: float = 0.0,
+        working_set: float = 0.0,
+        access: str = "stream",
+    ) -> Burst:
+        """The :meth:`compute` burst of a :meth:`chain`."""
+        return Burst(flops, mem_bytes, working_set, access)
 
     def barrier_phase(self) -> Phase:
         """The :meth:`barrier` phase of a :meth:`chain`."""

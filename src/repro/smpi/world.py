@@ -14,11 +14,10 @@ in the same order, that a process per message would; an intra-node send
 is one delivery call plus a timeout.
 
 A collective chain (:meth:`~repro.smpi.comm.Comm.chain`) runs
-back-to-back result-less phases with one resume per rank: each
-intermediate completion is one heap entry, and its dispatch
-(:class:`_Chain`) does what the ranks of the one-by-one program would
-have done in it — record every rank's IPM sample for the phase and
-price the next one.
+result-less phases, and the compute bursts between them, with one
+resume per rank: :meth:`MpiWorld.collective` takes each rank's arrival
+at the first phase, and :class:`~repro.smpi.chain.Chain` steps the rest
+from the event heap, bursts included.
 """
 
 from __future__ import annotations
@@ -37,6 +36,7 @@ from repro.sim.engine import Engine
 from repro.sim.events import Call, Event
 from repro.sim.resources import Store
 from repro.smpi.collectives.algorithms import CollectiveContext
+from repro.smpi.chain import Chain
 from repro.smpi.comm import ANY_SOURCE, ANY_TAG
 from repro.smpi.mapping import Placement, place_ranks
 from repro.smpi.message import Message, Request
@@ -45,14 +45,14 @@ if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.analysis.sanitizer import SanitizerReport
     from repro.hardware.node import Node
     from repro.sim.resources import Resource
-    from repro.smpi.comm import Comm, Phase
+    from repro.smpi.comm import ChainPlan, Comm
 
 
 class _CollState:
     """In-flight state of one collective operation instance.
 
     ``finisher`` and ``finisher_arg`` are the first that any rank
-    passed.  For a chain, ``chains`` holds each arrived rank's phases and
+    passed.  For a chain, ``chains`` holds each arrived rank's plan and
     ``final`` the event of the last phase, which the chained ranks wait
     on; both stay ``None`` for a plain collective.
     """
@@ -70,82 +70,8 @@ class _CollState:
         self.finisher_arg: _t.Any = None
         self.event = event
         self.nbytes_seen: float = 0.0
-        self.chains: dict[int, tuple["Phase", ...]] | None = None
+        self.chains: dict[int, "ChainPlan"] | None = None
         self.final: Event | None = None
-
-
-class _Chain:
-    """The phases after the first of one in-flight collective chain.
-
-    Each intermediate completion event calls :meth:`_advance` from the
-    heap, which does what the ranks of the one-by-one program would do
-    when that event resumed them, in their order: record each rank's
-    IPM sample for the completed phase, arrive at the next (the
-    sanitizer sees each arrival) and, as the last arriver, price it.
-    The ranks themselves wait on the last phase's event, which carries
-    the instant the last phase began.
-    """
-
-    __slots__ = ("world", "comm", "seq", "arrivals", "chains", "final", "last", "k", "began")
-
-    def __init__(
-        self, world: "MpiWorld", comm: "Comm", seq: int, state: _CollState, length: int
-    ) -> None:
-        self.world = world
-        self.comm = comm
-        self.seq = seq
-        self.arrivals = state.arrivals  # local rank -> arrival, in arrival order
-        self.chains: dict[int, tuple["Phase", ...]] = state.chains  # type: ignore[assignment]
-        self.final = state.final
-        self.last = length - 1
-        self.k = 0  # the phase whose completion comes next
-        self.began = 0.0  # when phase ``k`` began (k > 0)
-        state.event.callbacks.append(self._advance)  # type: ignore[union-attr]
-
-    def _advance(self, _done: Event) -> None:
-        world = self.world
-        eng = world.engine
-        now = eng.now
-        comm = self.comm
-        group = comm.group
-        profiles = world.monitor.profiles
-        chains = self.chains
-        sanitizer = world.sanitizer
-        k = self.k
-        first = k == 0
-        began = self.began
-        self.k = nxt = k + 1
-        self.began = now
-        seq = self.seq + nxt
-        last = nxt == self.last
-        name = chains[comm.rank][nxt].name
-        event = self.final if last else eng.event(f"coll:{name}:{seq}")
-        seen = 0.0
-        for r, arrival in self.arrivals.items():
-            phases = chains[r]
-            phase = phases[k]
-            profiles[group[r]].record_mpi(
-                phase.name, int(phase.nbytes), now - (arrival if first else began)
-            )
-            phase = phases[nxt]
-            if sanitizer is not None:
-                sanitizer.on_collective(
-                    comm, phase.name, seq, None, phase.nbytes, r, event, phase.uneven
-                )
-            if phase.name != name:
-                raise MpiError(
-                    f"collective chain on comm {comm.comm_id} at call #{seq}: rank "
-                    f"{group[r]} called {phase.name} but rank {group[comm.rank]} called {name}"
-                )
-            if phase.nbytes > seen:  # max(), keeping its first-wins tie
-                seen = phase.nbytes
-        # ``phase`` is now the last arriver's: its cost function prices.
-        world._schedule_completion(
-            comm, event, name, seen, phase.time_fn, phase.memo_key, now,
-            now if last else None,
-        )
-        if not last:
-            event.callbacks.append(self._advance)  # type: ignore[union-attr]
 
 
 class _Transfer(Event):
@@ -465,7 +391,7 @@ class MpiWorld:
         memo_key: _t.Hashable = None,
         root: int | None = None,
         uneven: bool = False,
-        chain: tuple["Phase", ...] = (),
+        chain: "ChainPlan | None" = None,
     ) -> _t.Generator:
         """One synchronising collective for the calling rank.
 
@@ -492,12 +418,14 @@ class MpiWorld:
         ``uneven=True`` so it skips its byte-count check.
 
         ``chain`` (from :meth:`~repro.smpi.comm.Comm.chain`) makes this
-        the first of two or more result-less phases, ``chain[0]`` being
-        this one: the rank resumes once, after the last.  Each phase
-        completes, is priced and is accounted at the instants and in
-        the order the phases called one by one would be, so the two
+        the first of two or more result-less phases, with compute bursts
+        between them, this one being the plan's first phase: the rank
+        resumes once, after the last.  Each burst is drawn and each
+        phase completes, is priced and is accounted at the instants and
+        in the order the steps called one by one would be, so the two
         programs are bit-identical, dispatched events included.  Every
-        rank of an instance must chain the same number of phases.
+        rank of an instance must chain the same shape of plan the same
+        number of times.
         """
         eng = self.engine
         my_local = comm.rank
@@ -525,19 +453,21 @@ class MpiWorld:
         if nbytes > state.nbytes_seen:  # max(), keeping its first-wins tie
             state.nbytes_seen = nbytes
         wait = state.event
-        if chain:
-            comm._seq = seq + len(chain)
+        if chain is not None:
+            phases = chain.phases
+            comm._seq = seq + phases
             if state.chains is None:
                 state.chains = {}
-                state.final = eng.event(f"coll:{chain[-1].name}:{seq + len(chain) - 1}")
+                last = chain.steps[chain.at[-1]]
+                state.final = eng.event(f"coll:{last.name}:{seq + phases - 1}")
             state.chains[my_local] = chain
             wait = state.final
 
         if len(state.arrivals) == state.expected:
             del self._coll_states[key]
             if state.chains is not None:
-                lengths = {len(c) for c in state.chains.values()}
-                if len(state.chains) != state.expected or len(lengths) > 1:
+                shapes = {(len(c.steps), c.at, c.repeat) for c in state.chains.values()}
+                if len(state.chains) != state.expected or len(shapes) > 1:
                     raise MpiError(
                         f"collective {name} on comm {comm.comm_id} at call #{seq}: "
                         "a chain met a plain collective or a chain of another length"
@@ -551,12 +481,13 @@ class MpiWorld:
                 comm, state.event, name, state.nbytes_seen, time_fn, memo_key,
                 max(state.arrivals.values()), results,
             )
-            if chain:
-                _Chain(self, comm, seq, state, len(chain))
+            if chain is not None:
+                Chain(self, comm, seq, state)
 
         results = yield wait
-        if chain:  # the last phase's event carries the instant it began
-            name, nbytes, arrival, results = chain[-1].name, chain[-1].nbytes, results, None
+        if chain is not None:  # the last phase's event maps each rank to its arrival
+            last = chain.steps[chain.at[-1]]
+            name, nbytes, arrival, results = last.name, last.nbytes, results[my_local], None
         self.monitor.profiles[comm.group[my_local]].record_mpi(
             name, int(nbytes), eng.now - arrival
         )

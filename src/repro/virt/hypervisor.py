@@ -47,10 +47,6 @@ class Hypervisor:
         """Extra compute time injected into a burst of ``duration`` seconds."""
         return 0.0
 
-    def describe(self) -> str:
-        """One-line description for reports."""
-        return self.name
-
 
 class NoHypervisor(Hypervisor):
     """Bare metal: no virtualisation perturbations at all."""

@@ -340,14 +340,15 @@ class TestCachedAccounting:
 
     def test_class_level_wrappers_see_every_call(self, monkeypatch):
         """Per-call instrumentation patched onto the classes (as an
-        outside tracer does) observes every MPI and compute sample."""
+        outside tracer does) observes every MPI and compute sample,
+        also of the compute bursts that a collective chain draws for
+        its ranks."""
         from repro.apps.metum import MetumBenchmark
         from repro.ipm.monitor import RankProfile
         from repro.platforms import VAYU
         from repro.platforms.base import Platform
-        from repro.smpi.comm import Comm
 
-        counts = {"record_mpi": 0, "compute_seconds": 0, "compute": 0}
+        counts = {"record_mpi": 0, "compute_seconds": 0, "record_compute": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -363,11 +364,14 @@ class TestCachedAccounting:
             Platform, "compute_seconds",
             counted("compute_seconds", Platform.compute_seconds),
         )
-        monkeypatch.setattr(Comm, "compute", counted("compute", Comm.compute))
+        monkeypatch.setattr(
+            RankProfile, "record_compute",
+            counted("record_compute", RankProfile.record_compute),
+        )
         result = MetumBenchmark(sim_steps=1).run(VAYU, 8, seed=1)
         mon = result.monitor
         assert counts["record_mpi"] == sum(p.total.mpi_calls for p in mon.profiles) > 0
-        assert counts["compute_seconds"] == counts["compute"] > 0
+        assert counts["compute_seconds"] == counts["record_compute"] > 0
 
 
 # ---------------------------------------------------------------------------

@@ -174,7 +174,8 @@ def _nonblocking(comm):
 #: One correct program per ``COLLECTIVE_METHODS`` entry, plus the
 #: point-to-point patterns the paper workloads use.  ``composite`` is an
 #: uneven phase: each rank moves a different volume, as a halo exchange
-#: on an uneven partition does; ``chain`` runs one before two even ones.
+#: on an uneven partition does; ``chain`` runs one before two even ones,
+#: and ``burst-chain`` repeats a compute burst and two phases as one chain.
 PROGRAMS = {
     "barrier": lambda comm: comm.barrier(),
     "allreduce": lambda comm: comm.allreduce(8, value=comm.rank),
@@ -196,6 +197,12 @@ PROGRAMS = {
         comm.composite_phase("MPI_Sendrecv(halo)", 4096 * (comm.rank + 1), _phase_time),
         comm.allreduce_phase(8),
         comm.barrier_phase(),
+    ),
+    "burst-chain": lambda comm: comm.chain(
+        comm.compute_phase(flops=1e6 * (comm.rank + 1)),
+        comm.composite_phase("MPI_Sendrecv(halo)", 4096 * (comm.rank + 1), _phase_time),
+        comm.allreduce_phase(8),
+        repeat=3,
     ),
     "sendrecv-ring": _ring,
     "nonblocking": _nonblocking,
