@@ -97,52 +97,26 @@ class Chain:
         m = self.m
         i = self.i
         pos = i % m
-        gap = self.gaps[pos]
-        self.i = nxt = i + gap
+        self.i = nxt = i + self.gaps[pos]
         self.seq = seq = self.seq + 1
-        at = nxt % m
-        self.name = name = steps[self.comm.rank][at].name
-        self.event = event = self.final if nxt == self.last else eng.event(f"coll:{name}:{seq}")
+        self.name = name = steps[self.comm.rank][nxt % m].name
+        self.event = self.final if nxt == self.last else eng.event(f"coll:{name}:{seq}")
         arrivals, self.arrivals = self.arrivals, {}
         self.seen = 0.0
-        if gap > 1:  # bursts first: each rank arrives when its bursts end
-            run = self._run
-            for r, arrival in arrivals.items():
-                phase = steps[r][pos]
-                profiles[group[r]].record_mpi(phase.name, int(phase.nbytes), now - arrival)
-                run(r, i + 1, now)
-            return
-        # A phase right after a phase: every rank arrives now, in this
-        # order (:meth:`_arrive`, inlined).
-        comm = self.comm
-        sanitizer = self.sanitizer
-        entered = self.arrivals
-        seen = 0.0
+        run = self._run
         for r, arrival in arrivals.items():
-            body = steps[r]
-            phase = body[pos]
+            phase = steps[r][pos]
             profiles[group[r]].record_mpi(phase.name, int(phase.nbytes), now - arrival)
-            phase = body[at]
-            if sanitizer is not None:
-                sanitizer.on_collective(
-                    comm, phase.name, seq, None, phase.nbytes, r, event, phase.uneven
-                )
-            if phase.name != name:
-                raise self._mismatch(r, phase)
-            entered[r] = now
-            if phase.nbytes > seen:  # max(), keeping its first-wins tie
-                seen = phase.nbytes
-        self.seen = seen
-        self._price(phase, now)
+            run(r, i + 1, now)
 
     def _run(self, r: int, j: int, now: float) -> None:
         """Run local rank ``r`` from step ``j`` at ``now``: draw its
         bursts until one sleeps, else arrive at the next phase."""
         body = self.steps[r]
-        step = body[j % self.m]
-        while type(step) is Burst:
+        phase = body[j % self.m]
+        while type(phase) is Burst:
             rank = self.group[r]
-            duration = self.platform.compute_seconds(rank, *step)
+            duration = self.platform.compute_seconds(rank, *phase)
             if duration > 0:  # the sleep of ``Comm.compute``
                 self.sleeping[r] = (duration, j)
                 eng = self.engine
@@ -151,17 +125,7 @@ class Chain:
                 return
             self.profiles[rank].record_compute(duration)
             j += 1
-            step = body[j % self.m]
-        self._arrive(r, step, now)
-
-    def _woken(self, r: int) -> None:
-        """Local rank ``r``'s burst is over: record it and run on."""
-        duration, j = self.sleeping[r]
-        self.profiles[self.group[r]].record_compute(duration)
-        self._run(r, j + 1, self.engine.now)
-
-    def _arrive(self, r: int, phase: "Phase", now: float) -> None:
-        """Local rank ``r`` arrives at the next phase at ``now``."""
+            phase = body[j % self.m]
         if self.sanitizer is not None:
             self.sanitizer.on_collective(
                 self.comm, phase.name, self.seq, None, phase.nbytes, r, self.event,
@@ -175,6 +139,12 @@ class Chain:
             self.seen = phase.nbytes
         if len(arrivals) == self.size:
             self._price(phase, now)
+
+    def _woken(self, r: int) -> None:
+        """Local rank ``r``'s burst is over: record it and run on."""
+        duration, j = self.sleeping[r]
+        self.profiles[self.group[r]].record_compute(duration)
+        self._run(r, j + 1, self.engine.now)
 
     def _price(self, phase: "Phase", now: float) -> None:
         """Price the next phase with ``phase``, the last arriver's, at

@@ -135,6 +135,14 @@ class Comm:
         cache share is served from cache rather than DRAM.  ``access``
         ("stream" or "random") selects how exposed the burst is to
         NUMA-masking stalls on virtualised platforms.
+
+        The bursts of a :meth:`chain` (:meth:`compute_phase` steps) are
+        drawn by :mod:`repro.smpi.chain` and do not pass through this
+        method; a tracer that must see every burst hooks
+        :meth:`Platform.compute_seconds
+        <repro.platforms.base.Platform.compute_seconds>` or
+        :meth:`RankProfile.record_compute
+        <repro.ipm.monitor.RankProfile.record_compute>` instead.
         """
         world = self.world
         rank = self.group[self.rank]
